@@ -1,6 +1,8 @@
 GO ?= go
 
-.PHONY: check race bench fuzz vet test build trace allocs audit scenarios telemetry
+PERFFLAGS ?=
+
+.PHONY: check race bench fuzz vet test build trace allocs audit scenarios telemetry perf perfcompare
 
 # Tier-1 verification: everything must build, vet cleanly, pass the full
 # test suite, and hold the scenario grid's acceptance bar and the fleet
@@ -18,8 +20,8 @@ vet:
 
 # Race tier: vet plus the full suite under the race detector. The parallel
 # determinism tests (Workers: 4 against Workers: 1) run their worker pools
-# here, so data races in the sharded engine, the solver sweep, or the
-# experiment grids are caught even on single-core hosts. The chaos and
+# here, so data races in the per-node emulation fan-out, the solver sweep,
+# or the experiment grids are caught even on single-core hosts. The chaos and
 # cluster packages rerun uncached (-count=1): they exercise real TCP,
 # per-agent fault streams, and the gate/outage machinery, where fresh
 # scheduling each run is the point.
@@ -33,12 +35,26 @@ race: vet
 
 # Allocation gate: rerun the testing.AllocsPerRun contracts of the
 # per-packet path uncached. The decision path (ShouldAnalyze / DecideAll /
-# DecideMask / CoversUnit), the engine's steady-state ingestion, the
-# conntrack pool, and the arena index must all report 0 allocs/op;
-# -count=1 keeps a cached pass from masking a regression.
+# DecideMask / CoversUnit), the engine's steady-state ingestion with policy
+# scripts on (every decision source), the conntrack pool, and the arena
+# index must all report 0 allocs/op, and the engine's per-Run set-up must
+# stay inside its budget; -count=1 keeps a cached pass from masking a
+# regression.
 allocs:
 	$(GO) test -count=1 -run 'AllocFree|Alloc|Pool' \
 		./internal/control/ ./internal/bro/ ./internal/conntrack/ ./internal/hashing/
+
+# Perf tier: the repo's one layered benchmark (cmd/perf, BENCHMARK.json).
+# `make perf` runs every workload untraced then traced; pass flags through
+# PERFFLAGS, e.g. `make perf PERFFLAGS="-workload node_coord -trace 1"` or
+# `make perf PERFFLAGS="-runs 5 -o a.json"`. `make perfcompare A=a.json
+# B=b.json` prints one row per workload x metric and exits 1 on a
+# regression.
+perf:
+	$(GO) run ./cmd/perf $(PERFFLAGS)
+
+perfcompare:
+	$(GO) run ./cmd/perf compare $(A) $(B)
 
 # Fuzz tier: a short smoke run of the solver fuzzer (simplex vs brute-force
 # vertex enumeration on random small LPs). CI-friendly; run with a longer

@@ -248,10 +248,11 @@ func BenchmarkProvisioning(b *testing.B) {
 
 // BenchmarkParallelEmulation runs the Figure 6/7 network-wide emulation
 // (both deployments, full module set) with the worker pool off and sized to
-// the machine, isolating the tentpole parallel layer's speedup on the
-// emulation hot path. On multi-core hosts the workers=max sub-benchmark
-// should approach a GOMAXPROCS-fold reduction; results are byte-identical
-// either way (asserted by the determinism tests).
+// the machine. The pool fans out across nodes only: every node's engine is
+// serial (the engine has no internal sharding), and node runs are
+// independent, so on multi-core hosts the workers=max sub-benchmark should
+// approach a GOMAXPROCS-fold reduction; results are byte-identical either
+// way (asserted by the determinism tests).
 func BenchmarkParallelEmulation(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

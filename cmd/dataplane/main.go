@@ -15,9 +15,8 @@
 //     bitmask for all classes at once, backed by the scope-grouped unit
 //     index and the flattened interval arena; no per-session row at all.
 //
-// The report also includes full-engine session/packet throughput (serial
-// and sharded) and the allocation count of the batched decision path,
-// which must be zero.
+// The report also includes full-engine session/packet throughput and the
+// allocation count of the batched decision path, which must be zero.
 package main
 
 import (
@@ -48,8 +47,6 @@ type result struct {
 	AllocsPerOp         float64 `json:"allocs_per_op"`
 	EngineSessionsSec   float64 `json:"engine_sessions_per_sec"`
 	EnginePacketsSec    float64 `json:"engine_packets_per_sec"`
-	ShardedSessionsSec  float64 `json:"engine_sessions_per_sec_sharded"`
-	ShardedPacketsSec   float64 `json:"engine_packets_per_sec_sharded"`
 }
 
 func main() {
@@ -168,16 +165,13 @@ func main() {
 
 	engCfg := bro.Config{
 		Mode: bro.ModeCoordEvent, Modules: modules, Decider: dec, Node: *node,
-		Hasher: hashing.Hasher{Key: 1}, Workers: 1,
+		Hasher: hashing.Hasher{Key: 1},
 	}
 	var pkts float64
 	for _, s := range local {
 		pkts += float64(s.Packets)
 	}
 	engNs := timeLoop(*reps, func() { bro.Run(engCfg, local) })
-	shCfg := engCfg
-	shCfg.Workers = 0 // GOMAXPROCS
-	shNs := timeLoop(*reps, func() { bro.Run(shCfg, local) })
 
 	r := result{
 		Sessions:            len(local),
@@ -191,8 +185,6 @@ func main() {
 		AllocsPerOp:         allocs,
 		EngineSessionsSec:   1e9 * float64(len(local)) / engNs,
 		EnginePacketsSec:    1e9 * pkts / engNs,
-		ShardedSessionsSec:  1e9 * float64(len(local)) / shNs,
-		ShardedPacketsSec:   1e9 * pkts / shNs,
 	}
 	f, err := os.Create(*out)
 	if err != nil {

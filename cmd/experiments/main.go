@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strconv"
 	"strings"
 
 	"nwdeploy/internal/experiments"
@@ -44,40 +45,9 @@ type runner struct {
 	fn   func(experiments.Config) (string, error)
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("experiments: ")
-	quick := flag.Bool("quick", false, "use reduced workload sizes")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
-	only := flag.String("only", "", "comma-separated subset of experiments to run")
-	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot to this file on exit")
-	tracePath := flag.String("trace", "", "record the chaos/overload flight recorder and write its JSONL dump to this file (forces serial experiment blocks)")
-	pprofAddr := flag.String("pprof", "", "serve /debug/pprof, /debug/vars, /metrics, and /trace on this address")
-	scenariosJSON := flag.String("scenarios-json", "", "write the scenario-grid rows as JSON to this file (implies running the scenarios block)")
-	scenariosAssert := flag.Bool("scenarios-assert", false, "fail unless every scenario row meets its acceptance bar (floor held, no SLO violations, flood visible, sublinear regret)")
-	flag.Parse()
-
-	metrics := obs.New()
-	metrics.Publish("nwdeploy")
-	var tracer *trace.Tracer
-	if *tracePath != "" {
-		tracer = trace.New(trace.Options{Seed: 29})
-	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := obshttp.Serve(*pprofAddr, metrics, tracer); err != nil {
-				log.Printf("pprof server: %v", err)
-			}
-		}()
-	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, name := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(name)] = true
-		}
-	}
-	all := []runner{
+// runners lists every experiment block in canonical output order.
+func runners(scenariosJSON string, scenariosAssert bool) []runner {
+	return []runner{
 		{"fig5", fig5},
 		{"fig6", fig6},
 		{"fig7", fig7},
@@ -92,16 +62,75 @@ func main() {
 		{"provisioning", provisioning},
 		{"chaos", chaosResilience},
 		{"overload", overloadResilience},
-		{"scenarios", scenariosRunner(*scenariosJSON, *scenariosAssert)},
+		{"scenarios", scenariosRunner(scenariosJSON, scenariosAssert)},
 	}
-	if *scenariosJSON != "" && *only != "" && !want["scenarios"] {
-		want["scenarios"] = true
+}
+
+// selectRunners resolves -only against the block list: empty selects every
+// block, otherwise exactly the named ones, in canonical order. A name that
+// matches no block is an error naming the valid ones — a typo must not look
+// like a suite that ran and printed nothing. withScenarios (-scenarios-json)
+// adds the scenarios block to a non-empty selection.
+func selectRunners(all []runner, only string, withScenarios bool) ([]runner, error) {
+	if only == "" {
+		return all, nil
+	}
+	known := make(map[string]bool, len(all))
+	names := make([]string, len(all))
+	for i, r := range all {
+		known[r.name], names[i] = true, r.name
+	}
+	want := map[string]bool{"scenarios": withScenarios}
+	var unknown []string
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		if !known[name] {
+			unknown = append(unknown, strconv.Quote(name))
+		}
+		want[name] = true
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("-only: unknown experiment %s (valid: %s)",
+			strings.Join(unknown, ", "), strings.Join(names, ","))
 	}
 	var selected []runner
 	for _, r := range all {
-		if len(want) == 0 || want[r.name] {
+		if want[r.name] {
 			selected = append(selected, r)
 		}
+	}
+	return selected, nil
+}
+
+func main() {
+	log.SetFlags(0)
+	log.SetPrefix("experiments: ")
+	quick := flag.Bool("quick", false, "use reduced workload sizes")
+	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
+	only := flag.String("only", "", "comma-separated subset of experiments to run")
+	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot to this file on exit")
+	tracePath := flag.String("trace", "", "record the chaos/overload flight recorder and write its JSONL dump to this file (forces serial experiment blocks)")
+	pprofAddr := flag.String("pprof", "", "serve /debug/pprof, /debug/vars, /metrics, and /trace on this address")
+	scenariosJSON := flag.String("scenarios-json", "", "write the scenario-grid rows as JSON to this file (implies running the scenarios block)")
+	scenariosAssert := flag.Bool("scenarios-assert", false, "fail unless every scenario row meets its acceptance bar (floor held, no SLO violations, flood visible, sublinear regret)")
+	flag.Parse()
+	selected, err := selectRunners(runners(*scenariosJSON, *scenariosAssert), *only, *scenariosJSON != "")
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	metrics := obs.New()
+	metrics.Publish("nwdeploy")
+	var tracer *trace.Tracer
+	if *tracePath != "" {
+		tracer = trace.New(trace.Options{Seed: 29})
+	}
+	if *pprofAddr != "" {
+		go func() {
+			if err := obshttp.Serve(*pprofAddr, metrics, tracer); err != nil {
+				log.Printf("pprof server: %v", err)
+			}
+		}()
 	}
 
 	// Independent experiment blocks fan out across the pool; when several

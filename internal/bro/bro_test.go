@@ -255,69 +255,6 @@ func TestModeStrings(t *testing.T) {
 	}
 }
 
-func TestVMExecution(t *testing.T) {
-	var cost float64
-	alerts := 0
-	m := vm{cost: &cost, alerts: &alerts}
-	tbl := newModuleTables()
-	ctx := &vmContext{srcKey: 1, dstKey: 2, port: 80, pkts: 10, hash: 0.4, inRange: true}
-
-	// Distinct-count: adding 3 members under one key.
-	script := Script{{Code: OpLoadDst}, {Code: OpLoadSrc}, {Code: OpAddSet}, {Code: OpRet}}
-	if got := m.run(script, ctx, tbl); got != 1 {
-		t.Fatalf("first AddSet count = %v, want 1", got)
-	}
-	ctx.dstKey = 3
-	if got := m.run(script, ctx, tbl); got != 2 {
-		t.Fatalf("second AddSet count = %v, want 2", got)
-	}
-	ctx.dstKey = 3 // duplicate member
-	if got := m.run(script, ctx, tbl); got != 2 {
-		t.Fatalf("duplicate AddSet count = %v, want 2", got)
-	}
-	if cost != float64(3*len(script))*policyOpCost {
-		t.Fatalf("cost = %v, want %v", cost, float64(3*len(script))*policyOpCost)
-	}
-
-	// Counter + threshold alert.
-	alertScript := Script{
-		{Code: OpLoadDst}, {Code: OpIncr}, {Code: OpPush, Arg: 2}, {Code: OpGT}, {Code: OpAlertIf},
-	}
-	for i := 0; i < 4; i++ {
-		m.run(alertScript, ctx, tbl)
-	}
-	if alerts != 2 { // counts 3 and 4 exceed threshold 2
-		t.Fatalf("alerts = %d, want 2", alerts)
-	}
-
-	// Range check reflects manifest membership.
-	ctx.inRange = false
-	if got := m.run(checkScript, ctx, tbl); got != 0 {
-		t.Fatalf("check returned %v for out-of-range, want 0", got)
-	}
-	ctx.inRange = true
-	if got := m.run(checkScript, ctx, tbl); got != 1 {
-		t.Fatalf("check returned %v for in-range, want 1", got)
-	}
-
-	// Table memory accounting.
-	if tbl.memBytes() <= 0 {
-		t.Fatal("table memory not accounted")
-	}
-}
-
-func TestVMEmptyStackPanics(t *testing.T) {
-	var cost float64
-	alerts := 0
-	m := vm{cost: &cost, alerts: &alerts}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on empty-stack pop")
-		}
-	}()
-	m.run(Script{{Code: OpDrop}}, &vmContext{}, newModuleTables())
-}
-
 func TestEarlyDropSkipsState(t *testing.T) {
 	// A coordinated node whose manifests exclude everything must not
 	// create connection state, but still pays capture cost.
@@ -493,5 +430,26 @@ func TestLogEquivalentDetectsDivergence(t *testing.T) {
 	c := &ConnLog{}
 	if ok, _ := LogEquivalent(a, c); ok {
 		t.Fatal("different lengths reported equivalent")
+	}
+}
+
+// The cost model's bit-exactness rests on integer-valued increments, so a
+// fractional per-packet or per-connection cost is refused when the module
+// table is compiled rather than allowed to perturb a report's last ULP.
+func TestFractionalCostsRejected(t *testing.T) {
+	for _, mutate := range []func(*ModuleSpec){
+		func(m *ModuleSpec) { m.EventOpsPerPkt = 12.5 },
+		func(m *ModuleSpec) { m.StateBytes = 0.1 },
+	} {
+		m := moduleByName(t, "http")
+		mutate(&m)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("module %+v accepted", m)
+				}
+			}()
+			Run(Config{Mode: ModePlain, Modules: []ModuleSpec{m}}, nil)
+		}()
 	}
 }

@@ -81,11 +81,11 @@ func RunWithLog(cfg Config, sessions []traffic.Session) (Report, *ConnLog) {
 	// Most coordinated nodes analyze a fraction of their trace; a modest
 	// preallocation still saves the first several append growth copies.
 	logger := &ConnLog{Records: make([]ConnRecord, 0, len(sessions)/2+16)}
-	rep := runInternal(cfg, sessions, func(mi int, s traffic.Session) {
+	rep := runInternal(cfg, sessions, func(mi int, s *traffic.Session) {
 		logger.Records = append(logger.Records, ConnRecord{
 			Node:    cfg.Node,
 			Module:  cfg.Modules[mi].Name,
-			Tuple:   canonicalTupleString(s),
+			Tuple:   canonicalTupleString(*s),
 			Packets: s.Packets,
 			Bytes:   s.Bytes,
 		})

@@ -70,7 +70,7 @@ func TestDeciderMatchesPlanReports(t *testing.T) {
 			trace := nodeTraceFor(topo, sessions, j)
 			base := Config{
 				Mode: ModeCoordEvent, Modules: modules, Hasher: hasher,
-				FineGrained: fineGrained, Workers: 1,
+				FineGrained: fineGrained,
 			}
 			viaPlan := base
 			viaPlan.Plan, viaPlan.Node = plan, j
@@ -87,8 +87,7 @@ func TestDeciderMatchesPlanReports(t *testing.T) {
 }
 
 // The same equivalence must hold when the decider is the real wire-manifest
-// Decider from internal/control — the exact object a cluster agent fetches —
-// and must survive module-lane sharding.
+// Decider from internal/control — the exact object a cluster agent fetches.
 func TestWireDeciderMatchesPlanReports(t *testing.T) {
 	topo, modules, sessions, plan := solvedScenario(t)
 	const key = 7
@@ -99,19 +98,16 @@ func TestWireDeciderMatchesPlanReports(t *testing.T) {
 			t.Fatal(err)
 		}
 		trace := nodeTraceFor(topo, sessions, j)
-		for _, workers := range []int{1, 4} {
-			viaPlan := Run(Config{
-				Mode: ModeCoordEvent, Modules: modules, Hasher: hasher,
-				Plan: plan, Node: j, Workers: workers,
-			}, trace)
-			viaWire := Run(Config{
-				Mode: ModeCoordEvent, Modules: modules, Hasher: hasher,
-				Decider: control.NewDecider(m), Node: j, Workers: workers,
-			}, trace)
-			if !reflect.DeepEqual(viaWire, viaPlan) {
-				t.Fatalf("node %d workers %d: wire-decider report %+v != plan report %+v",
-					j, workers, viaWire, viaPlan)
-			}
+		viaPlan := Run(Config{
+			Mode: ModeCoordEvent, Modules: modules, Hasher: hasher,
+			Plan: plan, Node: j,
+		}, trace)
+		viaWire := Run(Config{
+			Mode: ModeCoordEvent, Modules: modules, Hasher: hasher,
+			Decider: control.NewDecider(m), Node: j,
+		}, trace)
+		if !reflect.DeepEqual(viaWire, viaPlan) {
+			t.Fatalf("node %d: wire-decider report %+v != plan report %+v", j, viaWire, viaPlan)
 		}
 	}
 }
@@ -124,15 +120,14 @@ func TestDeciderEnablesEarlyDrop(t *testing.T) {
 	sessions := mixedTrace(t, 500)
 	none := rejectAll{}
 	rep := Run(Config{Mode: ModeCoordEvent, Modules: modules, Hasher: hashing.Hasher{Key: 7},
-		Decider: none, Workers: 1}, sessions)
+		Decider: none}, sessions)
 	if rep.Conns != 0 {
 		t.Fatalf("reject-all decider still created %d connections", rep.Conns)
 	}
 	if rep.Observed != len(sessions) {
 		t.Fatalf("observed %d sessions, want %d (capture cost is unavoidable)", rep.Observed, len(sessions))
 	}
-	open := Run(Config{Mode: ModeCoordEvent, Modules: modules, Hasher: hashing.Hasher{Key: 7},
-		Workers: 1}, sessions)
+	open := Run(Config{Mode: ModeCoordEvent, Modules: modules, Hasher: hashing.Hasher{Key: 7}}, sessions)
 	if open.Conns == 0 {
 		t.Fatal("standalone nil-manifest run should create connection state")
 	}
@@ -141,3 +136,91 @@ func TestDeciderEnablesEarlyDrop(t *testing.T) {
 type rejectAll struct{}
 
 func (rejectAll) ShouldAnalyze(int, traffic.Session) bool { return false }
+
+// A manifest source whose class filters are wider than the module set's —
+// stale after the modules were re-specified — must not widen any module's
+// traffic: the engine analyzes a (module, session) pair only when the
+// source says yes AND the module's own specification matches, whichever
+// decision path answers (mask word, DecideAll row, per-class calls, Plan).
+// Before the engine ANDed every verdict with its match mask, the mask fast
+// path trusted the decider's filter, so a stale manifest created
+// connection state — CPU and memory — for sessions no module analyzes.
+func TestStaleManifestCannotWidenModuleTraffic(t *testing.T) {
+	topo, modules, sessions, plan := solvedScenario(t)
+	const key, node = 7, 10
+	hasher := hashing.Hasher{Key: key}
+	trace := nodeTraceFor(topo, sessions, node)
+
+	// Widen every port- or transport-restricted class to all traffic, in the
+	// wire manifest and in a copy of the plan's instance alike.
+	m, err := control.ManifestFromPlan(plan, node, 1, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := *m
+	stale.Classes = append([]control.WireClass(nil), m.Classes...)
+	staleInst := *plan.Inst
+	staleInst.Classes = append([]core.Class(nil), plan.Inst.Classes...)
+	widened := 0
+	for i := range stale.Classes {
+		if len(stale.Classes[i].Ports) > 0 || stale.Classes[i].Transport != 0 {
+			widened++
+		}
+		stale.Classes[i].Ports, stale.Classes[i].Transport = nil, 0
+		staleInst.Classes[i].Ports, staleInst.Classes[i].Transport = nil, 0
+	}
+	if widened == 0 {
+		t.Fatal("no restricted class to widen; the test is vacuous")
+	}
+	stalePlan := *plan
+	stalePlan.Inst = &staleInst
+	staleDec := control.NewDecider(&stale)
+
+	sources := []struct {
+		name  string
+		cfg   Config
+		allow func(class int, s traffic.Session) bool
+	}{
+		{"Decider", Config{Decider: staleDec}, staleDec.ShouldAnalyze},
+		{"per-class", Config{Decider: perClassOnly{staleDec}}, staleDec.ShouldAnalyze},
+		{"Plan", Config{Plan: &stalePlan}, func(c int, s traffic.Session) bool {
+			return stalePlan.ShouldAnalyze(node, c, s, hasher)
+		}},
+	}
+	for _, src := range sources {
+		// The oracle: per class, the source's verdict AND the module's spec.
+		wantConns, wantRecords, wider := 0, 0, 0
+		for _, s := range trace {
+			any := false
+			for c, mod := range modules {
+				if !src.allow(c, s) {
+					continue
+				}
+				if !mod.MatchesSession(s) {
+					wider++
+					continue
+				}
+				any = true
+				wantRecords++
+			}
+			if any {
+				wantConns++
+			}
+		}
+		if wider == 0 {
+			t.Fatalf("%s: the stale source never said yes outside a module's spec; vacuous", src.name)
+		}
+		cfg := src.cfg
+		cfg.Mode, cfg.Modules, cfg.Node, cfg.Hasher = ModeCoordEvent, modules, node, hasher
+		rep, log := RunWithLog(cfg, trace)
+		if plain := Run(cfg, trace); !reflect.DeepEqual(plain, rep) {
+			t.Errorf("%s: Run and RunWithLog disagree: %+v vs %+v", src.name, plain, rep)
+		}
+		if rep.Conns != wantConns {
+			t.Errorf("%s: %d connections tracked, want %d (verdict AND MatchesSession)", src.name, rep.Conns, wantConns)
+		}
+		if len(log.Records) != wantRecords {
+			t.Errorf("%s: %d analyses logged, want %d", src.name, len(log.Records), wantRecords)
+		}
+	}
+}

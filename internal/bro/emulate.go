@@ -82,9 +82,10 @@ type Emulation struct {
 	Plan     *core.Plan
 	Hasher   hashing.Hasher
 	// Workers fans the per-node engine runs out across a worker pool: 0
-	// selects GOMAXPROCS, 1 the serial legacy path. Node runs are fully
-	// independent (each node sees its own trace and keeps its own engine
-	// state), so the result is byte-identical for every worker count.
+	// selects GOMAXPROCS, 1 runs the nodes one after another. Node runs are
+	// fully independent (each node sees its own trace and keeps its own
+	// serial engine), so the result is byte-identical for every worker
+	// count.
 	Workers int
 	// Metrics, when non-nil, is forwarded to every per-node engine run
 	// and additionally times the whole emulation. Results are
@@ -163,15 +164,7 @@ func (e *Emulation) RunFineGrained(d Deployment, fineGrained bool) *EmulationRes
 	defer sp.End()
 	res := &EmulationResult{Deployment: d}
 	n := e.Topo.N()
-	nodeWorkers := parallel.Resolve(e.Workers, n)
-	// When the node level already saturates the pool, keep each node's
-	// engine serial; a lone worker instead lets the engine shard its module
-	// lanes internally.
-	engineWorkers := 1
-	if nodeWorkers == 1 {
-		engineWorkers = e.Workers
-	}
-	res.Reports = parallel.Map(nodeWorkers, n, func(j int) Report {
+	res.Reports = parallel.Map(parallel.Resolve(e.Workers, n), n, func(j int) Report {
 		trace := e.nodeTrace(j, d)
 		var cfg Config
 		switch d {
@@ -184,7 +177,6 @@ func (e *Emulation) RunFineGrained(d Deployment, fineGrained bool) *EmulationRes
 			}
 		}
 		cfg.Node = j
-		cfg.Workers = engineWorkers
 		cfg.Metrics = e.Metrics
 		return Run(cfg, trace)
 	})

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"nwdeploy/internal/core"
 	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/obs"
-	"nwdeploy/internal/parallel"
 	"nwdeploy/internal/trace"
 	"nwdeploy/internal/traffic"
 )
@@ -65,9 +63,9 @@ type BatchDecider interface {
 
 // MaskDecider is a BatchDecider that can return the verdict row as a bit
 // mask (bit c = class c analyzes the session; ok false when the manifest
-// has more than 64 classes). The pass precomputation scatters the word
-// straight into its bit-packed set — no []bool row, no per-module
-// MatchesSession re-check (the decider's class filter is that check).
+// has more than 64 classes). The engine ANDs the word with its own
+// per-module match mask — a manifest whose class filters have gone stale
+// against the module set can narrow a module's traffic, never widen it.
 type MaskDecider interface {
 	BatchDecider
 	DecideMask(s *traffic.Session) (mask uint64, ok bool)
@@ -76,9 +74,7 @@ type MaskDecider interface {
 // ShedFilter vetoes analysis for sessions the node's load governor has
 // dropped responsibility for this epoch. internal/governor.Governor
 // implements it. The filter must be a pure function of the session for
-// the duration of a Run — the engine precomputes manifest decisions once
-// per (session, module) pair and shares them across worker lanes, so a
-// filter that mutated mid-run would desynchronize the shards.
+// the duration of a Run.
 type ShedFilter interface {
 	Sheds(class int, s traffic.Session) bool
 }
@@ -142,24 +138,20 @@ type Config struct {
 	// removing the duplicated baseline processing the paper identifies as
 	// the remaining overhead of the coordinated deployment.
 	FineGrained bool
-	// Workers shards the run's analysis work across a worker pool: 0
-	// selects GOMAXPROCS, 1 the serial legacy path. The shard unit is the
-	// module lane (each worker owns whole modules, including their policy
-	// tables), plus one lane for session-level connection processing, so
-	// the sharded run is bit-identical to the serial one — see DESIGN.md
-	// for why connection-keyed sharding cannot make that guarantee.
+	// Workers is ignored: every run is serial. Module-lane sharding never
+	// beat the serial engine and was deleted; parallelism lives one level
+	// up, across independent per-node engines (Emulation.Workers, cluster).
+	// The field remains only because cmd/perf still sets it.
 	Workers int
 	// Metrics, when non-nil, receives engine observability: per-module
 	// analyzed packets and bytes, policy-table sizes, session/connection/
-	// alert totals, and run plus per-lane wall times. Aggregates are
-	// recorded when a run (or lane) finishes, never inside the per-session
-	// loop, and the registry is write-only, so reports are bit-identical
-	// with or without it (nil is the no-op default; see internal/obs).
+	// alert totals, and the run's wall time. Aggregates are recorded when a
+	// run finishes, never inside the per-session loop, and the registry is
+	// write-only, so reports are bit-identical with or without it (nil is
+	// the no-op default; see internal/obs).
 	Metrics *obs.Registry
 	// Trace, when live, receives one engine_run event per completed run
-	// with the report's aggregates. The event is emitted after lanes merge,
-	// at the top-level call only, so traced sharded runs stay bit-identical
-	// to serial ones (the zero Span is the no-op default; see
+	// with the report's aggregates (the zero Span is the no-op default; see
 	// internal/trace).
 	Trace trace.Span
 }
@@ -177,40 +169,34 @@ type Report struct {
 	PerModuleCPU map[string]float64
 }
 
-// engine is the mutable state of one run (or of one lane of a sharded run).
+// engine is the mutable state of one run. It holds no pointer to itself and
+// hands none out, so Run keeps it on its stack: what a Run allocates is the
+// compiled table's few backing arrays and the report's map.
 type engine struct {
 	cfg       Config
+	tab       moduleTable
 	rep       Report
-	vm        vm
-	tables    []*moduleTables
-	onAnalyze func(mi int, s traffic.Session)
+	onAnalyze func(mi int, s *traffic.Session)
 
-	// Sharding state. A serial engine owns everything: sessionOwner true
-	// and owned nil. A lane engine owns either the session-level costs
-	// (capture, connection records) or a subset of module lanes, so that
-	// summing the lane reports reproduces the serial report exactly.
-	sessionOwner bool
-	owned        []bool // nil = all modules
-	// pass, when non-nil, holds the precomputed manifest decisions for
-	// every (session, module) pair, bit-packed. The decisions are
-	// stateless, so one shared read-only copy serves every lane.
-	pass *passSet
-	// scratch is the per-session decision row, allocated once per engine so
-	// the per-session loop never allocates (the legacy path made a fresh
-	// []bool for every session).
-	scratch []bool
-	// batch and decScratch serve the serial decision path: when the
-	// configured Decider supports batch resolution, one DecideAll call per
-	// session replaces per-module ShouldAnalyze calls.
-	batch      BatchDecider
-	decScratch []bool
-	// ctxBuf is the reused VM invocation context; contextFor fills it in
-	// place so analyzed sessions don't heap-allocate one per module event.
-	ctxBuf vmContext
+	// modCPU is per-module CPU, indexed like Config.Modules and folded into
+	// Report.PerModuleCPU by name in finish; regs is the compiled handlers'
+	// shared register file.
+	modCPU, regs []float64
 
-	// modPkts/modBytes accumulate analyzed packets and bytes per owned
-	// module, allocated only when cfg.Metrics is live so the
-	// uninstrumented hot path is untouched.
+	// Per-session mask rows (see moduleTable): match, subscribed, passed,
+	// and the run-long union of every row the module walk visited — the
+	// modules that get a PerModuleCPU entry, even a zero one.
+	match, sub, pass, touched []uint64
+	// sessionCPU and connMem are this mode's constant charges per observed
+	// session and per created connection record.
+	sessionCPU, connMem float64
+
+	maskDec MaskDecider
+	batch   BatchDecider
+	dec     []bool // DecideAll row, allocated on first use
+
+	// modPkts/modBytes accumulate analyzed packets and bytes per module,
+	// allocated only when cfg.Metrics is live.
 	modPkts  []float64
 	modBytes []float64
 }
@@ -218,497 +204,283 @@ type engine struct {
 // Run processes the session trace through one engine instance and returns
 // its resource report. Sessions are processed in pseudo-realtime order as
 // in the paper's emulation; the cost model is deterministic so repeated
-// runs agree exactly, and sharded runs (cfg.Workers != 1) reproduce the
-// serial report bit for bit.
+// runs agree exactly.
 func Run(cfg Config, sessions []traffic.Session) Report {
 	return runInternal(cfg, sessions, nil)
 }
 
 // runInternal is Run with an optional callback invoked for every (module,
 // session) analysis performed; RunWithLog uses it to build conn logs.
-// Callback runs stay serial so the log order matches the trace order.
-func runInternal(cfg Config, sessions []traffic.Session, onAnalyze func(int, traffic.Session)) Report {
+func runInternal(cfg Config, sessions []traffic.Session, onAnalyze func(int, *traffic.Session)) Report {
 	sp := cfg.Metrics.StartSpan("bro.run_ns")
 	defer sp.End()
-	var rep Report
-	if w := parallel.Resolve(cfg.Workers, len(cfg.Modules)+1); w > 1 && onAnalyze == nil && len(cfg.Modules) > 0 {
-		rep = runSharded(cfg, sessions, w)
-	} else {
-		e := newEngine(cfg, onAnalyze)
-		for si, s := range sessions {
-			e.processSession(si, s)
-		}
-		rep = e.finish()
+	var e engine
+	e.init(cfg, onAnalyze)
+	for i := range sessions {
+		e.processSession(&sessions[i])
 	}
-	if cfg.Metrics != nil {
-		// Float aggregates are rounded once, from the merged report, so the
-		// serial and sharded runs publish identical counters. Per-lane
-		// truncation (the previous behavior) lost up to one unit per lane:
-		// int64(x) per lane truncates toward zero, and the sum of
-		// truncations is not the truncation of the sum.
-		cfg.Metrics.Add("bro.cpu_units", int64(math.Round(rep.CPUUnits)))
-		cfg.Metrics.Add("bro.mem_bytes", int64(math.Round(rep.MemBytes)))
-	}
+	rep := e.finish()
 	cfg.Trace.Event(trace.EvEngineRun,
 		trace.Int("alerts", rep.Alerts), trace.Int("conns", rep.Conns),
 		trace.F64("cpu", rep.CPUUnits))
 	return rep
 }
 
-// newEngine builds a serial engine (owns every lane).
-func newEngine(cfg Config, onAnalyze func(int, traffic.Session)) *engine {
-	e := &engine{cfg: cfg, onAnalyze: onAnalyze, sessionOwner: true}
+// init compiles the module table and sizes the run's dense state.
+func (e *engine) init(cfg Config, onAnalyze func(int, *traffic.Session)) {
+	e.cfg, e.onAnalyze = cfg, onAnalyze
 	e.rep.Node = cfg.Node
-	e.rep.PerModuleCPU = make(map[string]float64, len(cfg.Modules))
-	e.vm.cost = &e.rep.CPUUnits
-	e.vm.alerts = &e.rep.Alerts
-	e.tables = make([]*moduleTables, len(cfg.Modules))
-	for i := range e.tables {
-		e.tables[i] = newModuleTables()
+	t := &e.tab
+	t.compile(&e.cfg)
+	W, L := t.words, len(cfg.Modules)
+	rows := make([]uint64, 4*W)
+	e.match, e.sub, e.pass, e.touched = rows[:W], rows[W:2*W], rows[2*W:3*W], rows[3*W:]
+	floats := make([]float64, L+t.regs)
+	e.modCPU, e.regs = floats[:L:L], floats[L:]
+	e.connMem = connRecordBytes
+	if t.coordinated {
+		// The prototype computes the hash combinations once per connection
+		// and carries them in the connection record.
+		e.sessionCPU = hashPerConnCost
+		e.connMem += hashFieldBytes
 	}
-	e.scratch = make([]bool, len(cfg.Modules))
-	if bd, ok := cfg.Decider.(BatchDecider); ok {
-		e.batch = bd
-		e.decScratch = make([]bool, len(cfg.Modules))
-	}
+	e.maskDec, _ = cfg.Decider.(MaskDecider)
+	e.batch, _ = cfg.Decider.(BatchDecider)
 	if cfg.Metrics != nil {
-		e.modPkts = make([]float64, len(cfg.Modules))
-		e.modBytes = make([]float64, len(cfg.Modules))
+		e.modPkts = make([]float64, L)
+		e.modBytes = make([]float64, L)
 	}
-	return e
 }
 
-// finish folds the policy-table footprints of the owned modules into the
-// report, records the run's aggregates to the metrics registry, and
-// returns the report.
+// tableBytes is the policy-table footprint of module mi.
+func (e *engine) tableBytes(mi int) float64 {
+	if h := e.tab.mods[mi].handler; h >= 0 {
+		return e.tab.handlers[h].tbl.memBytes()
+	}
+	return 0
+}
+
+// finish folds the dense per-module CPU and the policy-table footprints
+// into the report, records the run's aggregates to the metrics registry,
+// and returns the report.
 func (e *engine) finish() Report {
-	for mi, t := range e.tables {
-		if e.owns(mi) {
-			e.rep.MemBytes += t.memBytes()
+	e.rep.PerModuleCPU = make(map[string]float64, len(e.modCPU))
+	for mi, c := range e.modCPU {
+		if e.touched[mi>>6]>>uint(mi&63)&1 != 0 {
+			e.rep.PerModuleCPU[e.cfg.Modules[mi].Name] += c
 		}
+		e.rep.MemBytes += e.tableBytes(mi)
 	}
 	e.recordMetrics()
 	return e.rep
 }
 
-// recordMetrics publishes the finished run's (or lane's) aggregates.
-// Counters are atomic and every lane owns disjoint work, so summing lane
-// contributions reproduces exactly the serial run's totals regardless of
-// scheduling order.
+// recordMetrics publishes the finished run's aggregates. The float totals
+// are rounded once, from the finished report.
 func (e *engine) recordMetrics() {
 	m := e.cfg.Metrics
 	if m == nil {
 		return
 	}
-	if e.sessionOwner {
-		m.Add("bro.sessions_observed", int64(e.rep.Observed))
-		m.Add("bro.conns", int64(e.rep.Conns))
-	}
+	m.Add("bro.sessions_observed", int64(e.rep.Observed))
+	m.Add("bro.conns", int64(e.rep.Conns))
 	m.Add("bro.alerts", int64(e.rep.Alerts))
-	// bro.cpu_units and bro.mem_bytes are recorded once at the top level of
-	// runInternal from the merged report, never per lane: per-lane
-	// truncation made the sharded totals drift from the serial ones.
-	for mi, spec := range e.cfg.Modules {
-		if !e.owns(mi) {
-			continue
-		}
-		m.Add("bro.module_pkts."+spec.Name, int64(e.modPkts[mi]))
-		m.Add("bro.module_bytes."+spec.Name, int64(e.modBytes[mi]))
-		if tb := e.tables[mi].memBytes(); tb > 0 {
-			m.Add("bro.module_table_bytes."+spec.Name, int64(tb))
+	m.Add("bro.cpu_units", int64(math.Round(e.rep.CPUUnits)))
+	m.Add("bro.mem_bytes", int64(math.Round(e.rep.MemBytes)))
+	for mi := range e.cfg.Modules {
+		name := e.cfg.Modules[mi].Name
+		m.Add("bro.module_pkts."+name, int64(e.modPkts[mi]))
+		m.Add("bro.module_bytes."+name, int64(e.modBytes[mi]))
+		if tb := e.tableBytes(mi); tb > 0 {
+			m.Add("bro.module_table_bytes."+name, int64(tb))
 			m.Observe("bro.table_bytes", int64(tb))
 		}
 	}
 }
 
-// owns reports whether this engine owns module lane mi.
-func (e *engine) owns(mi int) bool { return e.owned == nil || e.owned[mi] }
+// decide fills e.pass with the Figure 3 manifest decision for every module
+// and reports whether any passed. Whichever source answers — a mask word,
+// a DecideAll row, per-class calls, the Plan, or the standalone all-traffic
+// default — its verdict is ANDed with the module's own match mask, then the
+// governor's shed veto runs on each surviving bit.
+func (e *engine) decide(s *traffic.Session) bool {
+	copy(e.pass, e.match)
+	if e.tab.enforced {
+		e.applyManifest(s)
+	}
+	var any uint64
+	for _, word := range e.pass {
+		any |= word
+	}
+	return any != 0
+}
 
-// runSharded is the parallel form of runInternal. The decomposition is
-// exact, not approximate: per-module policy state (the only cross-session
-// state in the engine) is confined to its module lane, every lane walks the
-// trace in order, all cost increments are integer-valued (so float sums are
-// associative at these magnitudes), and lane reports are merged in lane
-// order. A connection-keyed partition would instead split per-source and
-// per-destination policy tables across workers and change alert and memory
-// accounting relative to the serial run.
-func runSharded(cfg Config, sessions []traffic.Session, workers int) Report {
-	L := len(cfg.Modules)
-	// Phase 1: the (session, module) manifest decisions are stateless, so
-	// compute them once, in parallel blocks, shared read-only by all lanes.
-	pass := precomputePasses(cfg, sessions, workers)
-	// Phase 2: lane 0 owns session-level connection processing; lane mi+1
-	// owns module mi's analysis work and tables.
-	coordinated := cfg.Mode != ModePlain
-	hasManifest := cfg.Plan != nil || cfg.Decider != nil || cfg.Shed != nil
-	reports := parallel.Map(workers, L+1, func(lane int) Report {
-		lsp := cfg.Metrics.StartSpan("bro.lane_ns")
-		defer lsp.End()
-		e := newEngine(cfg, nil)
-		e.pass = pass
-		e.owned = make([]bool, L)
-		if lane == 0 {
-			e.sessionOwner = true
-		} else {
-			e.sessionOwner = false
-			e.owned[lane-1] = true
+// applyManifest narrows e.pass (the match mask on entry) to what the
+// manifest source and the shed filter let through.
+func (e *engine) applyManifest(s *traffic.Session) {
+	cfg := &e.cfg
+	// One call may answer for every module: a mask word (masked), else a
+	// DecideAll row in e.dec (row); otherwise each surviving bit asks the
+	// Decider, else the Plan, for itself.
+	masked, row := false, false
+	if e.maskDec != nil {
+		var m uint64
+		if m, masked = e.maskDec.DecideMask(s); masked && len(e.pass) > 0 {
+			e.pass[0] &= m
+			clear(e.pass[1:]) // a mask verdict covers at most 64 classes
 		}
-		if lane > 0 && coordinated && hasManifest {
-			// Module lanes only ever touch sessions some module passes:
-			// processSession returns before the module loop otherwise, and
-			// everything above that return is sessionOwner-gated. Walking
-			// the bit-packed any row lets the lane skip 64 dropped sessions
-			// per zero word instead of probing each.
-			pass.forEachAny(len(sessions), func(si int) {
-				e.processSession(si, sessions[si])
-			})
-		} else {
-			for si, s := range sessions {
-				e.processSession(si, s)
+	}
+	if row = !masked && e.batch != nil; row {
+		if e.dec == nil {
+			e.dec = make([]bool, len(cfg.Modules))
+		}
+		e.batch.DecideAll(*s, e.dec)
+	}
+	if masked && cfg.Shed == nil {
+		return
+	}
+	for w, word := range e.pass {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			mi := w<<6 + b
+			ok := true
+			switch {
+			case masked:
+			case row:
+				ok = e.dec[mi]
+			case cfg.Decider != nil:
+				ok = cfg.Decider.ShouldAnalyze(mi, *s)
+			case cfg.Plan != nil:
+				ok = cfg.Plan.ShouldAnalyze(cfg.Node, mi, *s, cfg.Hasher)
+			}
+			if !ok || cfg.Shed != nil && cfg.Shed.Sheds(mi, *s) {
+				e.pass[w] &^= 1 << uint(b)
 			}
 		}
-		return e.finish()
-	})
-	merged := Report{Node: cfg.Node, PerModuleCPU: make(map[string]float64, L)}
-	names := make([]string, 0, L)
-	for _, r := range reports {
-		merged.CPUUnits += r.CPUUnits
-		merged.MemBytes += r.MemBytes
-		merged.Conns += r.Conns
-		merged.Observed += r.Observed
-		merged.Alerts += r.Alerts
-		// Merge per-module CPU in lane order then sorted-name order. Map
-		// iteration order is randomized; when two modules share a name
-		// (each lane contributes a partial sum to the same key) a random
-		// merge order perturbs the float sum's last ULP between runs.
-		names = names[:0]
-		for name := range r.PerModuleCPU {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			merged.PerModuleCPU[name] += r.PerModuleCPU[name]
-		}
 	}
-	return merged
 }
 
-// precomputePasses evaluates the Figure 3 manifest decision for every
-// (session, module) pair. The decision depends only on the plan and the
-// session tuple, never on engine state, which is what makes it safe to
-// hoist out of the per-lane walks.
-func precomputePasses(cfg Config, sessions []traffic.Session, workers int) *passSet {
-	L := len(cfg.Modules)
-	pass := newPassSet(len(sessions), L)
-	probe := &engine{cfg: cfg}
-	coordinated := cfg.Mode != ModePlain
-	batch, _ := cfg.Decider.(BatchDecider)
-	maskDec, _ := cfg.Decider.(MaskDecider)
-	nBlocks := (len(sessions) + passBlock - 1) / passBlock
-	parallel.ForEach(workers, nBlocks, func(b int) {
-		lo := b * passBlock
-		hi := lo + passBlock
-		if hi > len(sessions) {
-			hi = len(sessions)
-		}
-		// Block-local decision scratch for the batch path: one allocation
-		// per 1024 sessions, not per session.
-		var dec []bool
-		if batch != nil && coordinated {
-			dec = make([]bool, L)
-		}
-		for si := lo; si < hi; si++ {
-			s := sessions[si]
-			if maskDec != nil && coordinated {
-				// Mask fast path: the decider's class filter is exactly
-				// ModuleSpec.MatchesSession (the wire manifest copies Ports
-				// and Transport through), so each set bit is a pass, modulo
-				// the governor veto.
-				if em, ok := maskDec.DecideMask(&s); ok {
-					if L < 64 {
-						em &= uint64(1)<<uint(L) - 1
-					}
-					for ; em != 0; em &= em - 1 {
-						mi := bits.TrailingZeros64(em)
-						if cfg.Shed != nil && cfg.Shed.Sheds(mi, s) {
-							continue
-						}
-						pass.set(si, mi)
-					}
-					continue
-				}
-			}
-			if dec != nil {
-				batch.DecideAll(s, dec)
-			}
-			for mi, m := range cfg.Modules {
-				if !m.MatchesSession(s) {
-					continue
-				}
-				if !coordinated || probeAnalyzes(probe, dec, mi, s) {
-					pass.set(si, mi)
-				}
-			}
-		}
-	})
-	return pass
-}
-
-// probeAnalyzes is analyzes with an optional batch-resolved decision row:
-// the governor's shed veto still runs first, then the precomputed manifest
-// verdict replaces the per-class Decider call.
-func probeAnalyzes(e *engine, dec []bool, mi int, s traffic.Session) bool {
-	if dec == nil {
-		return e.analyzes(mi, s)
-	}
-	if e.cfg.Shed != nil && e.cfg.Shed.Sheds(mi, s) {
-		return false
-	}
-	if mi >= len(dec) {
-		return false
-	}
-	return dec[mi]
-}
-
-// analyzes resolves the Figure 3 manifest decision for one module, after
-// the governor's shed veto.
-func (e *engine) analyzes(mi int, s traffic.Session) bool {
-	if e.cfg.Shed != nil && e.cfg.Shed.Sheds(mi, s) {
-		return false
-	}
-	if e.cfg.Decider != nil {
-		return e.cfg.Decider.ShouldAnalyze(mi, s)
-	}
-	if e.cfg.Plan == nil {
-		return true // standalone: manifest covers everything
-	}
-	return e.cfg.Plan.ShouldAnalyze(e.cfg.Node, mi, s, e.cfg.Hasher)
-}
-
-// analyzesWith is analyzes using the session's batch-resolved decision row
-// when one is available (filled by processSession just before the module
-// loop). The shed veto still runs per module; only the manifest lookup is
-// replaced.
-func (e *engine) analyzesWith(mi int, s traffic.Session) bool {
-	if e.batch == nil {
-		return e.analyzes(mi, s)
-	}
-	if e.cfg.Shed != nil && e.cfg.Shed.Sheds(mi, s) {
-		return false
-	}
-	return e.decScratch[mi]
-}
-
-// hasManifest reports whether the instance enforces a real (partial)
-// manifest — via the planner's Plan, a wire Decider, or a governor shed
-// filter — as opposed to the standalone all-traffic default.
-func (e *engine) hasManifest() bool {
-	return e.cfg.Plan != nil || e.cfg.Decider != nil || e.cfg.Shed != nil
-}
-
-// checkStage returns where module mi's coordination check executes under
-// the configured mode.
-func (e *engine) checkStage(mi int) Stage {
-	if e.cfg.Mode == ModeCoordPolicy {
-		return StagePolicy
-	}
-	return e.cfg.Modules[mi].EarliestCheck
-}
-
-func (e *engine) processSession(si int, s traffic.Session) {
+func (e *engine) processSession(s *traffic.Session) {
+	t := &e.tab
 	pkts := float64(s.Packets)
-	coordinated := e.cfg.Mode != ModePlain
+	e.rep.Observed++
+	// Every observed packet pays capture cost regardless of analysis: a
+	// node on the path cannot avoid seeing the traffic (Section 2.5's
+	// duplicated baseline tracking).
+	e.rep.CPUUnits += pkts*pktCaptureCost + e.sessionCPU
 
-	if e.sessionOwner {
-		e.rep.Observed++
-		// Every observed packet pays capture cost regardless of analysis: a
-		// node on the path cannot avoid seeing the traffic (Section 2.5's
-		// duplicated baseline tracking).
-		e.rep.CPUUnits += pkts * pktCaptureCost
-		if coordinated {
-			// The prototype computes the hash combinations once per
-			// connection and carries them in the connection record.
-			e.rep.CPUUnits += hashPerConnCost
-		}
-	}
-
-	// Which modules would analyze this session here (manifest decision)?
-	// The decision row lives in the engine's scratch slice — the per-session
-	// loop must not allocate.
-	passes := e.scratch
-	anyPass := false
-	if e.pass != nil {
-		anyPass = e.pass.any(si)
-		for mi := range passes {
-			passes[mi] = e.pass.get(si, mi)
-		}
-	} else {
-		if e.batch != nil && coordinated {
-			e.batch.DecideAll(s, e.decScratch)
-		}
-		for mi, m := range e.cfg.Modules {
-			passes[mi] = false
-			if !m.MatchesSession(s) {
-				continue
-			}
-			if !coordinated || e.analyzesWith(mi, s) {
-				passes[mi] = true
-				anyPass = true
-			}
-		}
-	}
+	t.masks(&s.Tuple, e.match, e.sub)
+	anyPass := e.decide(s)
 
 	// The prototype's basic-processing optimization: skip creating session
 	// state for traffic entirely outside this instance's manifests ("we
 	// add a check in the basic connection processing step to avoid
 	// creating session state for traffic that falls outside the sampling
 	// manifest for this Bro instance"). Unmodified Bro has no such check
-	// and always creates connection state.
-	// Unmodified Bro has no such check and always creates connection
-	// state; a standalone coordinated instance's manifest covers all
-	// traffic, so nothing is droppable there either.
-	if coordinated && e.hasManifest() && !anyPass {
+	// and always creates connection state; a standalone coordinated
+	// instance's manifest covers all traffic, so nothing is droppable there
+	// either.
+	if t.enforced && !anyPass {
 		return
 	}
 
 	// Fine-grained coordination (Section 2.5): when every module this node
 	// analyzes the session for needs only its first packet, serve them
 	// from a first-packet event and skip connection tracking entirely.
-	if e.cfg.FineGrained && coordinated && e.hasManifest() && e.fineGrainedOnly(passes) {
-		if e.sessionOwner {
-			e.rep.CPUUnits += connPktCost // classify the first packet once
+	if e.cfg.FineGrained && t.enforced && e.firstPacketOnly() {
+		cpu := float64(connPktCost) // classify the first packet once
+		for w, word := range e.pass {
+			e.touched[w] |= word
+			for ; word != 0; word &= word - 1 {
+				mi := w<<6 + bits.TrailingZeros64(word)
+				if e.onAnalyze != nil {
+					e.onAnalyze(mi, s)
+				}
+				if e.modPkts != nil {
+					e.modPkts[mi]++ // first-packet event: one packet served
+					e.modBytes[mi] += float64(s.Bytes)
+				}
+				// The manifest check runs once, on the first-packet event,
+				// then the handler once.
+				c := checkCost
+				if m := &t.mods[mi]; m.scriptCost > 0 {
+					c += e.runHandler(m, s, 1)
+				}
+				e.modCPU[mi] += c
+				cpu += c
+			}
 		}
-		for mi, m := range e.cfg.Modules {
-			if !passes[mi] || !m.FirstPacketOnly || !e.owns(mi) {
-				continue
-			}
-			if e.onAnalyze != nil {
-				e.onAnalyze(mi, s)
-			}
-			if e.modPkts != nil {
-				e.modPkts[mi]++ // first-packet event: one packet served
-				e.modBytes[mi] += float64(s.Bytes)
-			}
-			before := e.rep.CPUUnits
-			// The manifest check runs once, on the first-packet event.
-			ctx := e.contextFor(mi, s, true)
-			e.vm.run(checkScript, ctx, e.tables[mi])
-			if len(m.PolicyScript) > 0 {
-				e.vm.run(m.PolicyScript, ctx, e.tables[mi])
-			}
-			e.rep.PerModuleCPU[m.Name] += e.rep.CPUUnits - before
-		}
+		e.rep.CPUUnits += cpu
 		return
 	}
 
 	// Connection-record creation and per-packet connection processing.
-	if e.sessionOwner {
-		e.rep.CPUUnits += connSetupCost + pkts*connPktCost
-		e.rep.MemBytes += connRecordBytes
-		if coordinated {
-			e.rep.MemBytes += hashFieldBytes
+	cpu := connSetupCost + pkts*connPktCost
+	mem := e.connMem
+	e.rep.Conns++
+
+	for w, word := range e.sub {
+		e.touched[w] |= word
+		pass := e.pass[w]
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			mi := w<<6 + b
+			m := &t.mods[mi]
+			c := m.checkCost
+			if pass>>uint(b)&1 != 0 {
+				if e.onAnalyze != nil {
+					e.onAnalyze(mi, s)
+				}
+				if e.modPkts != nil {
+					e.modPkts[mi] += pkts
+					e.modBytes[mi] += float64(s.Bytes)
+				}
+				// Event-engine protocol work per packet, then the policy
+				// handlers, then per-item analysis state.
+				c += m.eventOps * pkts
+				if m.events > 0 {
+					c += e.runHandler(m, s, int(m.events))
+				}
+				mem += m.stateBytes
+			}
+			e.modCPU[mi] += c
+			cpu += c
 		}
-		e.rep.Conns++
 	}
-
-	for mi, m := range e.cfg.Modules {
-		if !e.owns(mi) || !m.SubscribedTo(s) {
-			continue
-		}
-		before := e.rep.CPUUnits
-
-		analyzed := passes[mi] && m.MatchesSession(s)
-		// A module with no analysis work (the baseline pseudo-module)
-		// has nothing to gate, so it carries no coordination check.
-		hasWork := m.EventOpsPerPkt > 0 || len(m.PolicyScript) > 0
-		if coordinated && hasWork {
-			switch e.checkStage(mi) {
-			case StageEvent:
-				// One compiled check at module initialization.
-				e.rep.CPUUnits += eventCheckCost
-			case StagePolicy:
-				// The interpreted check runs in every policy event handler
-				// invocation the module receives for this connection.
-				ctx := e.contextFor(mi, s, passes[mi])
-				n := m.PolicyEventsPerConn
-				if n < 1 {
-					n = 1
-				}
-				for k := 0.0; k < n; k++ {
-					e.vm.run(checkScript, ctx, e.tables[mi])
-				}
-			}
-		}
-
-		if analyzed {
-			if e.onAnalyze != nil {
-				e.onAnalyze(mi, s)
-			}
-			if e.modPkts != nil {
-				e.modPkts[mi] += pkts
-				e.modBytes[mi] += float64(s.Bytes)
-			}
-			// Event-engine protocol work per packet.
-			e.rep.CPUUnits += m.EventOpsPerPkt * pkts
-			// Policy handlers.
-			if len(m.PolicyScript) > 0 {
-				ctx := e.contextFor(mi, s, true)
-				for k := 0.0; k < m.PolicyEventsPerConn; k++ {
-					e.vm.run(m.PolicyScript, ctx, e.tables[mi])
-				}
-			}
-			// Per-item analysis state: session/flow-scoped modules allocate
-			// per connection; source/destination-scoped state lives in the
-			// policy tables (accounted via memBytes) plus a fixed record.
-			switch m.Agg {
-			case core.BySource, core.ByDestination:
-				// counted through moduleTables
-			default:
-				e.rep.MemBytes += m.StateBytes
-			}
-		}
-		e.rep.PerModuleCPU[m.Name] += e.rep.CPUUnits - before
-	}
+	e.rep.CPUUnits += cpu
+	e.rep.MemBytes += mem
 }
 
-// fineGrainedOnly reports whether every passing module for this session is
-// first-packet-only (given at least one passes).
-func (e *engine) fineGrainedOnly(passes []bool) bool {
-	for mi, ok := range passes {
-		if ok && !e.cfg.Modules[mi].FirstPacketOnly {
+// firstPacketOnly reports whether every passing module is first-packet-only.
+func (e *engine) firstPacketOnly() bool {
+	fp := e.tab.bits[rowFirstPkt*e.tab.words:]
+	for w, word := range e.pass {
+		if word&^fp[w] != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// contextFor fills and returns the engine's reused VM context for one
-// module invocation. The returned pointer aliases e.ctxBuf: each call
-// overwrites the previous context, which is safe because the VM consumes
-// the context synchronously and never retains it.
-func (e *engine) contextFor(mi int, s traffic.Session, inRange bool) *vmContext {
-	m := e.cfg.Modules[mi]
-	h := e.cfg.Hasher
-	var hv float64
-	switch m.Agg {
-	case core.ByFlow:
-		hv = h.Flow(s.Tuple)
-	case core.BySource:
-		hv = h.Source(s.Tuple)
-	case core.ByDestination:
-		hv = h.Destination(s.Tuple)
-	default:
-		hv = h.Session(s.Tuple)
+// runHandler accounts n invocations of module m's policy handler on one
+// analyzed connection and returns their cost. Pure handlers are never
+// executed; foldable ones execute once and have their alerts multiplied.
+func (e *engine) runHandler(m *compiledModule, s *traffic.Session, n int) float64 {
+	if m.handler >= 0 {
+		h := &e.tab.handlers[m.handler]
+		var hv float64
+		if h.loadsHash {
+			hv = core.Class{Agg: h.agg}.HashOf(e.cfg.Hasher, s.Tuple)
+		}
+		if h.foldable {
+			e.rep.Alerts += n * h.exec(e.regs, s, hv, true, h.tbl)
+		} else {
+			for k := 0; k < n; k++ {
+				e.rep.Alerts += h.exec(e.regs, s, hv, true, h.tbl)
+			}
+		}
 	}
-	e.ctxBuf = vmContext{
-		srcKey:  float64(s.Tuple.SrcIP),
-		dstKey:  float64(s.Tuple.DstIP),
-		port:    float64(s.Tuple.DstPort),
-		pkts:    float64(s.Packets),
-		hash:    hv,
-		inRange: inRange,
-	}
-	return &e.ctxBuf
+	return float64(n) * m.scriptCost
 }
 
 // Overhead compares a coordinated run against a plain run on the same

@@ -18,65 +18,26 @@ func metricsTestTrace(t *testing.T, n int) []traffic.Session {
 }
 
 // TestRunMetricsNonInterference is the obs contract on the engine: a live
-// registry must not change the report in any field, for the serial and the
-// sharded path alike.
+// registry must not change the report in any field.
 func TestRunMetricsNonInterference(t *testing.T) {
 	trace := metricsTestTrace(t, 4000)
-	for _, workers := range []int{1, 4} {
-		cfg := Config{
-			Mode:    ModePlain,
-			Modules: StandardModules()[1:],
-			Hasher:  hashing.Hasher{Key: 3},
-			Workers: workers,
-		}
-		plain := Run(cfg, trace)
-
-		cfg.Metrics = obs.New()
-		instrumented := Run(cfg, trace)
-		if !reflect.DeepEqual(plain, instrumented) {
-			t.Fatalf("workers=%d: live registry changed the report:\n plain: %+v\n  live: %+v",
-				workers, plain, instrumented)
-		}
-		if got := cfg.Metrics.Counter("bro.sessions_observed").Value(); got != int64(plain.Observed) {
-			t.Fatalf("workers=%d: bro.sessions_observed = %d, report says %d", workers, got, plain.Observed)
-		}
-		if cfg.Metrics.Counter("bro.conns").Value() != int64(plain.Conns) {
-			t.Fatalf("workers=%d: bro.conns mismatch", workers)
-		}
-	}
-}
-
-// TestRunMetricsShardingAgreement checks that the sharded engine records
-// the same counter totals as the serial one: lanes own disjoint work, so
-// the atomic sums must agree regardless of scheduling.
-func TestRunMetricsShardingAgreement(t *testing.T) {
-	trace := metricsTestTrace(t, 4000)
-	base := Config{
+	cfg := Config{
 		Mode:    ModePlain,
 		Modules: StandardModules()[1:],
 		Hasher:  hashing.Hasher{Key: 3},
 	}
+	plain := Run(cfg, trace)
 
-	serial := base
-	serial.Workers = 1
-	serial.Metrics = obs.New()
-	Run(serial, trace)
-
-	sharded := base
-	sharded.Workers = 4
-	sharded.Metrics = obs.New()
-	Run(sharded, trace)
-
-	ss, sh := serial.Metrics.Snapshot(), sharded.Metrics.Snapshot()
-	for name, v := range ss.Counters {
-		if sh.Counters[name] != v {
-			t.Errorf("counter %s: serial %d, sharded %d", name, v, sh.Counters[name])
-		}
+	cfg.Metrics = obs.New()
+	instrumented := Run(cfg, trace)
+	if !reflect.DeepEqual(plain, instrumented) {
+		t.Fatalf("live registry changed the report:\n plain: %+v\n  live: %+v", plain, instrumented)
 	}
-	for name := range sh.Counters {
-		if _, ok := ss.Counters[name]; !ok {
-			t.Errorf("counter %s recorded only by the sharded run", name)
-		}
+	if got := cfg.Metrics.Counter("bro.sessions_observed").Value(); got != int64(plain.Observed) {
+		t.Fatalf("bro.sessions_observed = %d, report says %d", got, plain.Observed)
+	}
+	if cfg.Metrics.Counter("bro.conns").Value() != int64(plain.Conns) {
+		t.Fatal("bro.conns mismatch")
 	}
 }
 

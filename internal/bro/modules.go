@@ -39,7 +39,11 @@ type ModuleSpec struct {
 	Agg   core.Aggregation
 
 	// EventOpsPerPkt is compiled event-engine work per packet (protocol
-	// parsing, signature byte scanning).
+	// parsing, signature byte scanning). It must be integer-valued, like
+	// StateBytes: the engine batches cost increments per connection, which
+	// reproduces one-at-a-time accumulation bit for bit only while every
+	// increment is an integer (float sums of integers below 2^53 are exact
+	// in any order). Run panics on a fractional value.
 	EventOpsPerPkt float64
 	// PolicyEventsPerConn is how many policy-engine event-handler
 	// invocations one connection generates for this module. Modules with
@@ -50,7 +54,8 @@ type ModuleSpec struct {
 	// PolicyScript is the interpreted handler body, executed
 	// PolicyEventsPerConn times per analyzed connection.
 	PolicyScript Script
-	// StateBytes is per-item analysis state beyond the connection record.
+	// StateBytes is per-item analysis state beyond the connection record;
+	// integer-valued, see EventOpsPerPkt.
 	StateBytes float64
 
 	// EarliestCheck is the earliest stage the coordination check can be

@@ -5,48 +5,9 @@ import (
 	"testing"
 
 	"nwdeploy/internal/core"
-	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/topology"
 	"nwdeploy/internal/traffic"
 )
-
-// TestShardedRunMatchesSerial: the module-lane decomposition is exact, not
-// approximate — a sharded run must reproduce the serial report bit for bit
-// (including the per-module CPU map and the policy-table memory accounting)
-// across every mode and the fine-grained extension.
-func TestShardedRunMatchesSerial(t *testing.T) {
-	topo := topology.Internet2()
-	sessions := traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{
-		Sessions: 4000, Seed: 5, HostsPerNode: 8,
-	})
-	mods := StandardModules()[1:]
-	em, err := NewEmulation(topo, mods, sessions, core.UniformCaps(topo.N(), 1e9, 1e12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"plain", Config{Mode: ModePlain, Modules: StandardModules(), Hasher: hashing.Hasher{Key: 3}}},
-		{"coord-policy-standalone", Config{Mode: ModeCoordPolicy, Modules: mods, Hasher: hashing.Hasher{Key: 3}}},
-		{"coord-event-planned", Config{Mode: ModeCoordEvent, Modules: mods, Plan: em.Plan, Node: 10, Hasher: em.Hasher}},
-		{"coord-event-fine-grained", Config{Mode: ModeCoordEvent, Modules: mods, Plan: em.Plan, Node: 10, Hasher: em.Hasher, FineGrained: true}},
-	}
-	for _, tc := range cases {
-		serial, sharded := tc.cfg, tc.cfg
-		serial.Workers = 1
-		sharded.Workers = 4
-		a := Run(serial, sessions)
-		b := Run(sharded, sessions)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: sharded report diverges from serial:\nserial:  %+v\nsharded: %+v", tc.name, a, b)
-		}
-		if a.CPUUnits <= 0 || len(a.PerModuleCPU) == 0 {
-			t.Errorf("%s: implausible report %+v", tc.name, a)
-		}
-	}
-}
 
 // TestEmulationWorkersDeterminism: node runs are independent, so the
 // network-wide emulation result is byte-identical for every worker count.

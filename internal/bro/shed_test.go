@@ -55,20 +55,3 @@ func TestShedFilterFullShedDropsSessionState(t *testing.T) {
 		t.Fatalf("fully shed node still created %d connection records", full.Conns)
 	}
 }
-
-func TestShedFilterShardedMatchesSerial(t *testing.T) {
-	trace := mixedTrace(t, 3000)
-	h := hashing.Hasher{Key: 9}
-	cfg := Config{
-		Mode: ModeCoordEvent, Modules: StandardModules(), Hasher: h,
-		Shed: rangeShed{class: 2, lo: 0.25, hi: 0.75, h: h},
-	}
-	cfg.Workers = 1
-	serial := Run(cfg, trace)
-	cfg.Workers = 4
-	sharded := Run(cfg, trace)
-	if serial.CPUUnits != sharded.CPUUnits || serial.MemBytes != sharded.MemBytes ||
-		serial.Alerts != sharded.Alerts || serial.Conns != sharded.Conns {
-		t.Fatalf("sharded shed run diverged from serial:\n%+v\n%+v", serial, sharded)
-	}
-}

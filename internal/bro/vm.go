@@ -17,7 +17,11 @@
 // al. resource profiles.
 package bro
 
-import "fmt"
+import (
+	"fmt"
+
+	"nwdeploy/internal/traffic"
+)
 
 // OpCode enumerates the policy-interpreter instructions. The set is small
 // but operational: scripts really execute, maintain real per-module tables,
@@ -71,32 +75,21 @@ type Op struct {
 // Script is a policy-engine program.
 type Script []Op
 
-// vmContext is the per-invocation environment a script sees.
-type vmContext struct {
-	srcKey, dstKey float64
-	port           float64
-	pkts           float64
-	hash           float64 // aggregation hash from the connection record
-	inRange        bool    // precomputed manifest membership for OpRangeCheck
-}
-
 // moduleTables is the persistent per-module policy state: keyed sets (scan
-// detection) and counters (SYN-flood victim counts).
+// detection) and counters (SYN-flood victim counts). Only modules whose
+// compiled script executes OpAddSet or OpIncr get one (a nil *moduleTables
+// is an empty table), and each map is made on its first write.
 type moduleTables struct {
 	sets     map[float64]map[float64]struct{}
 	counters map[float64]float64
 }
 
-func newModuleTables() *moduleTables {
-	return &moduleTables{
-		sets:     make(map[float64]map[float64]struct{}),
-		counters: make(map[float64]float64),
-	}
-}
-
 // memBytes estimates the resident size of the tables: one set entry or
 // counter is charged at tableEntryBytes.
 func (mt *moduleTables) memBytes() float64 {
+	if mt == nil {
+		return 0
+	}
 	n := len(mt.counters)
 	for _, s := range mt.sets {
 		n += len(s) + 1
@@ -104,86 +97,172 @@ func (mt *moduleTables) memBytes() float64 {
 	return float64(n) * tableEntryBytes
 }
 
-// vm executes policy scripts, charging policyOpCost per executed
-// instruction to the bound cost counter.
-type vm struct {
-	stack  []float64
-	cost   *float64
-	alerts *int
+// inst is one compiled instruction. Scripts have no jumps, so the stack
+// depth at every op is known when the script is compiled and the stack
+// becomes a register file: r is the slot the instruction writes, and a
+// two-operand instruction reads r and r+1 (r+1 was the top of stack).
+type inst struct {
+	imm float64
+	r   int32
+	op  uint8 // an OpCode; every opcode compileScript emits fits
 }
 
-func (m *vm) push(v float64) { m.stack = append(m.stack, v) }
+// program is a Script compiled for one module. Everything a straight-line
+// script does besides its table writes and alerts is decided here, once:
+// how many ops execute (up to the first OpRet), what that costs, whether an
+// op would pop an empty stack, whether it reads the aggregation hash, and
+// whether it has any effect at all.
+type program struct {
+	// code is the executed prefix in register form; OpDrop and OpRet leave
+	// nothing behind. Empty when compiled without a code buffer.
+	code []inst
+	// cost is what one invocation charges: executed ops x policyOpCost.
+	cost float64
+	// fault, when non-empty, is the panic the interpreter would raise after
+	// executing code: an empty-stack pop or an unknown opcode.
+	fault string
+	// ops is the length of the executed prefix in source ops; regs the
+	// register file the code needs (the maximum stack depth); result the
+	// register holding the script's result, or -1 when the stack is empty
+	// at return ("handler ran to completion": result 1).
+	ops, regs, result int32
+	// loadsHash: some executed op is OpLoadHash, so the caller must supply
+	// the module's aggregation hash.
+	loadsHash bool
+	// mutates: some executed op writes the module's policy tables.
+	mutates bool
+	// pure: no table write, no alert, no fault — an invocation is its cost.
+	pure bool
+	// foldable: k back-to-back invocations on one connection equal one
+	// invocation with cost and alerts multiplied by k. True without OpIncr
+	// and with at most one OpAddSet (a second can grow the set the first
+	// counts, so repeat 2 would measure more than repeat 1) and no NaN
+	// immediate beside it (a NaN key never equals itself: every repeat
+	// inserts afresh). DESIGN.md, "Compiled module table", has the example.
+	foldable bool
+}
 
-func (m *vm) pop() float64 {
-	if len(m.stack) == 0 {
-		panic("bro: policy script popped an empty stack")
+const emptyStackFault = "bro: policy script popped an empty stack"
+
+// compileScript analyzes s and, when code is non-nil, appends the register
+// form of its executed prefix to *code (the program aliases that backing
+// array). Passing nil analyzes only, so a caller can size one backing array
+// for a whole module set before emitting into it.
+func compileScript(s Script, code *[]inst) program {
+	var p program
+	start := 0
+	if code != nil {
+		start = len(*code)
 	}
-	v := m.stack[len(m.stack)-1]
-	m.stack = m.stack[:len(m.stack)-1]
-	return v
+	depth, addSets, incrs, alerts, nanImm := int32(0), 0, 0, 0, false
+scan:
+	for _, op := range s {
+		p.ops++
+		pops, pushes := int32(0), int32(1)
+		switch op.Code {
+		case OpLoadSrc, OpLoadDst, OpLoadPort, OpLoadPkts:
+		case OpLoadHash:
+			p.loadsHash = true
+		case OpPush:
+			nanImm = nanImm || op.Arg != op.Arg
+		case OpAddSet:
+			pops, addSets = 2, addSets+1
+		case OpGT, OpEQ:
+			pops = 2
+		case OpIncr:
+			pops, incrs = 1, incrs+1
+		case OpRangeCheck:
+			pops = 1
+		case OpAlertIf:
+			pops, pushes, alerts = 1, 0, alerts+1
+		case OpDrop:
+			pops, pushes = 1, 0
+		case OpRet:
+			break scan
+		default:
+			p.fault = fmt.Sprintf("bro: unknown opcode %d", op.Code)
+			break scan
+		}
+		if depth < pops {
+			p.fault = emptyStackFault
+			break scan
+		}
+		depth -= pops
+		if code != nil && op.Code != OpDrop {
+			*code = append(*code, inst{op: uint8(op.Code), r: depth, imm: op.Arg})
+		}
+		if depth += pushes; depth > p.regs {
+			p.regs = depth
+		}
+	}
+	p.cost = float64(p.ops) * policyOpCost
+	p.result = depth - 1
+	p.mutates = addSets+incrs > 0
+	p.pure = !p.mutates && alerts == 0 && p.fault == ""
+	p.foldable = p.fault == "" && incrs == 0 && addSets <= 1 && !(addSets == 1 && nanImm)
+	if code != nil {
+		p.code = (*code)[start:len(*code):len(*code)]
+	}
+	return p
 }
 
-// run executes the script and returns its result value (top of stack, or 1
-// when the stack is empty at return — "handler ran to completion").
-func (m *vm) run(s Script, ctx *vmContext, tbl *moduleTables) float64 {
-	m.stack = m.stack[:0]
-	for _, op := range s {
-		*m.cost += policyOpCost
-		switch op.Code {
+// exec runs the compiled code once against one connection and returns the
+// alerts it raised. regs must hold at least p.regs slots; hash is the
+// module's aggregation hash (read only when p.loadsHash) and inRange the
+// precomputed manifest membership OpRangeCheck reports. The caller charges
+// p.cost; pure programs need not be executed at all.
+func (p *program) exec(regs []float64, s *traffic.Session, hash float64, inRange bool, tbl *moduleTables) (alerts int) {
+	for i := range p.code {
+		in := &p.code[i]
+		r := in.r
+		switch OpCode(in.op) {
 		case OpLoadSrc:
-			m.push(ctx.srcKey)
+			regs[r] = float64(s.Tuple.SrcIP)
 		case OpLoadDst:
-			m.push(ctx.dstKey)
+			regs[r] = float64(s.Tuple.DstIP)
 		case OpLoadPort:
-			m.push(ctx.port)
+			regs[r] = float64(s.Tuple.DstPort)
 		case OpLoadPkts:
-			m.push(ctx.pkts)
+			regs[r] = float64(s.Packets)
 		case OpLoadHash:
-			m.push(ctx.hash)
+			regs[r] = hash
 		case OpPush:
-			m.push(op.Arg)
+			regs[r] = in.imm
 		case OpAddSet:
-			key := m.pop()
-			member := m.pop()
+			member, key := regs[r], regs[r+1]
 			set := tbl.sets[key]
 			if set == nil {
+				if tbl.sets == nil {
+					tbl.sets = make(map[float64]map[float64]struct{})
+				}
 				set = make(map[float64]struct{})
 				tbl.sets[key] = set
 			}
 			set[member] = struct{}{}
-			m.push(float64(len(set)))
+			regs[r] = float64(len(set))
 		case OpIncr:
-			key := m.pop()
+			key := regs[r]
+			if tbl.counters == nil {
+				tbl.counters = make(map[float64]float64)
+			}
 			tbl.counters[key]++
-			m.push(tbl.counters[key])
+			regs[r] = tbl.counters[key]
 		case OpGT:
-			b, a := m.pop(), m.pop()
-			m.push(b2f(a > b))
+			regs[r] = b2f(regs[r] > regs[r+1])
 		case OpEQ:
-			b, a := m.pop(), m.pop()
-			m.push(b2f(a == b))
+			regs[r] = b2f(regs[r] == regs[r+1])
 		case OpAlertIf:
-			if m.pop() != 0 {
-				*m.alerts++
+			if regs[r] != 0 {
+				alerts++
 			}
 		case OpRangeCheck:
-			m.pop() // the hash operand; membership was resolved against it
-			m.push(b2f(ctx.inRange))
-		case OpDrop:
-			m.pop()
-		case OpRet:
-			if len(m.stack) == 0 {
-				return 1
-			}
-			return m.stack[len(m.stack)-1]
-		default:
-			panic(fmt.Sprintf("bro: unknown opcode %d", op.Code))
+			regs[r] = b2f(inRange)
 		}
 	}
-	if len(m.stack) == 0 {
-		return 1
+	if p.fault != "" {
+		panic(p.fault)
 	}
-	return m.stack[len(m.stack)-1]
+	return alerts
 }
 
 func b2f(b bool) float64 {
@@ -196,9 +275,14 @@ func b2f(b bool) float64 {
 // checkScript is the interpreted form of the Figure 3 sampling check used
 // when a module's coordination check must run in the policy engine: load
 // the precomputed hash from the connection record, test it against the
-// node's manifest ranges, and return the verdict.
+// node's manifest ranges, and return the verdict. It compiles to a pure
+// program, so the engine charges checkCost per invocation and runs nothing.
 var checkScript = Script{
 	{Code: OpLoadHash},
 	{Code: OpRangeCheck},
 	{Code: OpRet},
 }
+
+// checkCost is one policy-stage coordination check: checkScript's three
+// interpreted ops.
+var checkCost = compileScript(checkScript, nil).cost

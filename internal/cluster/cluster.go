@@ -458,10 +458,6 @@ func boolToInt(b bool) int {
 func (c *Cluster) dataPhase(rep *EpochReport) {
 	n := len(c.agents)
 	nodeWorkers := parallel.Resolve(c.opts.Workers, n)
-	engineWorkers := 1
-	if nodeWorkers == 1 {
-		engineWorkers = c.opts.Workers
-	}
 	reports := parallel.Map(nodeWorkers, n, func(j int) bro.Report {
 		a := c.agents[j]
 		if !a.Usable() {
@@ -473,7 +469,6 @@ func (c *Cluster) dataPhase(rep *EpochReport) {
 			Decider: a.Decider(),
 			Node:    j,
 			Hasher:  hashing.Hasher{Key: c.opts.HashKey},
-			Workers: engineWorkers,
 			Metrics: c.opts.Metrics,
 			Trace:   a.span,
 		}, a.trace)

@@ -767,10 +767,6 @@ func (c *Cluster) scenarioDataPhase(ep *ScenarioEpoch, inject []traffic.Session,
 		}
 	}
 	nodeWorkers := parallel.Resolve(c.opts.Workers, n)
-	engineWorkers := 1
-	if nodeWorkers == 1 {
-		engineWorkers = c.opts.Workers
-	}
 	reports := parallel.Map(nodeWorkers, n, func(j int) bro.Report {
 		a := c.agents[j]
 		if !a.Usable() {
@@ -788,7 +784,6 @@ func (c *Cluster) scenarioDataPhase(ep *ScenarioEpoch, inject []traffic.Session,
 			Decider: a.Decider(),
 			Node:    j,
 			Hasher:  hashing.Hasher{Key: c.opts.HashKey},
-			Workers: engineWorkers,
 			Metrics: c.opts.Metrics,
 			Trace:   a.span,
 		}, tr)
