@@ -69,7 +69,7 @@ fuzz:
 # profile of the run. The governor benchmarks cover the overload story:
 # warm- vs cold-started replan solves, the shed hook's per-packet cost, and
 # BENCH_governor.json with the overload grid's replan/shed counters
-# (overload.replan_iters_warm vs _cold, governor.sheds/restores).
+# (cluster.replan_iters_warm vs _cold, governor.sheds/restores).
 # BenchmarkTraceOverhead prints the full-epoch cost with the flight
 # recorder off vs on (the acceptance bar is <= 5% slowdown when on), and
 # the traced overload run leaves BENCH_trace.json (trace.events /

@@ -122,19 +122,9 @@ func newNodeAgent(node int, addr string, opts control.AgentOptions, sync control
 	return a
 }
 
-// Node returns the agent's node id.
-func (a *NodeAgent) Node() int { return a.node }
-
-// Down reports whether the agent is crashed this epoch.
-func (a *NodeAgent) Down() bool { return a.down }
-
 // Decider returns the agent's installed wire decider (nil before the
 // first successful fetch, and after a crash until re-sync).
 func (a *NodeAgent) Decider() *control.Decider { return a.agent.Decider() }
-
-// StaleEpochs reports how many consecutive epochs the agent has failed to
-// confirm its manifest against the controller.
-func (a *NodeAgent) StaleEpochs() int { return a.staleEpochs }
 
 // restart models a process (re)start: the control client is rebuilt, so
 // any in-memory manifest state is lost and must be re-fetched. The fault
@@ -158,10 +148,7 @@ func (a *NodeAgent) Usable() bool {
 // between them. It updates the epoch tally and the staleness counter.
 // Every dial consumes exactly the agent's own fault stream, so the loop's
 // outcome is a pure function of (chaos seed, node id, prior history)
-// regardless of scheduling — which is also why the delta and encoding
-// knobs default off: the legacy probe-then-fetch exchange dials twice
-// per attempt where a delta sync dials once, and changing the per-attempt
-// draw count would shift every later fault in a seeded stream.
+// regardless of scheduling (see Options.Deltas for what that pins).
 func (a *NodeAgent) syncWithRetry() {
 	if a.span.Live() {
 		// Attach the epoch's fetch context to the wire so the controller

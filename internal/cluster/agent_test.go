@@ -10,12 +10,12 @@ import "testing"
 func TestAgentStaleGraceBoundary(t *testing.T) {
 	const grace = 2
 	c := newTestCluster(t, Options{Seed: 21, StaleGrace: grace})
-	if got, want := c.Converge(), len(c.Agents()); got != want {
+	if got, want := c.Converge(), len(c.agents); got != want {
 		t.Fatalf("converged %d/%d", got, want)
 	}
 	a := c.agents[0]
-	if !a.Usable() || a.StaleEpochs() != 0 {
-		t.Fatalf("freshly synced agent: usable=%v stale=%d", a.Usable(), a.StaleEpochs())
+	if !a.Usable() || a.staleEpochs != 0 {
+		t.Fatalf("freshly synced agent: usable=%v stale=%d", a.Usable(), a.staleEpochs)
 	}
 
 	// Controller unreachable: each failed epoch climbs the staleness
@@ -23,19 +23,19 @@ func TestAgentStaleGraceBoundary(t *testing.T) {
 	c.gate.SetOpen(false)
 	for e := 1; e <= grace; e++ {
 		a.syncWithRetry()
-		if a.StaleEpochs() != e {
-			t.Fatalf("after %d failed epochs: stale=%d", e, a.StaleEpochs())
+		if a.staleEpochs != e {
+			t.Fatalf("after %d failed epochs: stale=%d", e, a.staleEpochs)
 		}
 		if !a.Usable() {
 			t.Fatalf("agent dark at stale=%d, inside grace window %d", e, grace)
 		}
 	}
 	a.syncWithRetry()
-	if a.StaleEpochs() != grace+1 {
-		t.Fatalf("after %d failed epochs: stale=%d", grace+1, a.StaleEpochs())
+	if a.staleEpochs != grace+1 {
+		t.Fatalf("after %d failed epochs: stale=%d", grace+1, a.staleEpochs)
 	}
 	if a.Usable() {
-		t.Fatalf("agent still usable at stale=%d, past grace window %d", a.StaleEpochs(), grace)
+		t.Fatalf("agent still usable at stale=%d, past grace window %d", a.staleEpochs, grace)
 	}
 	if a.Decider() == nil {
 		t.Fatal("going dark must not discard the manifest — recovery re-confirms, not re-fetches")
@@ -44,8 +44,8 @@ func TestAgentStaleGraceBoundary(t *testing.T) {
 	// Recovery: one successful sync resets the ladder entirely.
 	c.gate.SetOpen(true)
 	a.syncWithRetry()
-	if !a.Usable() || a.StaleEpochs() != 0 {
-		t.Fatalf("after recovery: usable=%v stale=%d", a.Usable(), a.StaleEpochs())
+	if !a.Usable() || a.staleEpochs != 0 {
+		t.Fatalf("after recovery: usable=%v stale=%d", a.Usable(), a.staleEpochs)
 	}
 }
 
@@ -55,7 +55,7 @@ func TestAgentStaleGraceBoundary(t *testing.T) {
 // moved, because the fresh client starts from epoch zero.
 func TestAgentRestartRefetchesSameEpoch(t *testing.T) {
 	c := newTestCluster(t, Options{Seed: 23})
-	if got, want := c.Converge(), len(c.Agents()); got != want {
+	if got, want := c.Converge(), len(c.agents); got != want {
 		t.Fatalf("converged %d/%d", got, want)
 	}
 	epoch := c.ctrl.Epoch()

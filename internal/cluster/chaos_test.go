@@ -128,7 +128,7 @@ func TestRedundancyHoldsUnderSingleFailures(t *testing.T) {
 	}
 	for i, f := range epochs {
 		rep := c.RunEpoch(f)
-		wantWorst, wantAvg := core.CoverageUnderFailure(c.Plan(), f.DownNodes)
+		wantWorst, wantAvg := core.CoverageUnderFailure(c.plan, f.DownNodes)
 		if rep.WorstCoverage != wantWorst || rep.AvgCoverage != wantAvg {
 			t.Fatalf("epoch %d: achieved (%v, %v) != static audit (%v, %v)",
 				i+1, rep.WorstCoverage, rep.AvgCoverage, wantWorst, wantAvg)

@@ -59,10 +59,7 @@ type ChaosConfig struct {
 	// black holes).
 	Agent control.AgentOptions
 	// Deltas switches agent syncs to v2 delta subscriptions; Encoding
-	// selects their response encoding. See Options for why both default
-	// off: a delta sync draws one fault per attempt, the legacy pair two,
-	// so the knobs select between distinct (but each deterministic)
-	// seeded fault alignments.
+	// selects their response encoding (see Options.Deltas).
 	Deltas   bool
 	Encoding control.Encoding
 	// Probes is the coverage probe count per unit (0 selects 2000; use
@@ -71,18 +68,12 @@ type ChaosConfig struct {
 	// Workers sizes the worker pools (0 = GOMAXPROCS). Reports are
 	// identical for any value.
 	Workers int
-	// Metrics, when non-nil, receives the full runtime metric surface.
-	Metrics *obs.Registry
-	// Trace, when non-nil, records the run's causal event log (see
-	// Options.Trace); Watchdog, when non-nil, checks every epoch against
-	// its SLO (see Options.Watchdog). Both are write-only.
-	Trace    *trace.Tracer
-	Watchdog *trace.Watchdog
-	// Ledger, when non-nil, receives the run's tamper-evident audit chain
-	// (see Options.Ledger). Write-only.
-	Ledger *ledger.Ledger
-	// Fleet/FleetHistory turn on the fleet telemetry plane (see
-	// Options.Fleet). Write-only: reports are DeepEqual with or without.
+	// The write-only planes, as in Options: reports are DeepEqual with or
+	// without any of them.
+	Metrics      *obs.Registry
+	Trace        *trace.Tracer
+	Watchdog     *trace.Watchdog
+	Ledger       *ledger.Ledger
 	Fleet        *telemetry.Fleet
 	FleetHistory *telemetry.History
 }
@@ -181,19 +172,31 @@ func CoverageUnderChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		})
 	}
 
+	// The driver: the schedule's faults, plus the operations center's
+	// periodic re-optimization round.
+	eps, err := c.run(func(env *ScenarioEnv) (Stimulus, []float64) {
+		e := env.Epoch - 1
+		if cfg.ReoptEvery > 0 && e > 0 && e%cfg.ReoptEvery == 0 {
+			// The loop has already named the epoch about to run, so the
+			// fetches this publish triggers stitch to it.
+			c.publish(env.Epoch, c.plan)
+		}
+		var st Stimulus
+		if e < len(sched.Epochs) {
+			st.Faults = sched.Epochs[e]
+		}
+		return st, nil
+	}, cfg.Epochs)
+	if err != nil {
+		return nil, err
+	}
+
 	rep := &ChaosReport{
 		Topology: cfg.Topo.Name, Nodes: cfg.Topo.N(), Sessions: cfg.Sessions,
-		Redundancy: cfg.Redundancy, Seed: cfg.Seed, Objective: c.Objective(),
+		Redundancy: cfg.Redundancy, Seed: cfg.Seed, Objective: c.plan.Objective,
 	}
-	for e := 0; e < cfg.Epochs; e++ {
-		if cfg.ReoptEvery > 0 && e > 0 && e%cfg.ReoptEvery == 0 {
-			c.BumpEpoch()
-		}
-		var f chaos.EpochFaults
-		if e < len(sched.Epochs) {
-			f = sched.Epochs[e]
-		}
-		rep.Epochs = append(rep.Epochs, c.RunEpoch(f))
+	for _, ep := range eps {
+		rep.Epochs = append(rep.Epochs, chaosEpoch(ep))
 	}
 	return rep, nil
 }

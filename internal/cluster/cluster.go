@@ -23,7 +23,6 @@ import (
 	"nwdeploy/internal/chaos"
 	"nwdeploy/internal/control"
 	"nwdeploy/internal/core"
-	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/ledger"
 	"nwdeploy/internal/obs"
 	"nwdeploy/internal/parallel"
@@ -105,54 +104,37 @@ type Options struct {
 	// without it, and same-seed chains are byte-identical across Workers
 	// values and across processes.
 	Ledger *ledger.Ledger
-	// Fleet, when non-nil, turns on the fleet telemetry plane: each
-	// agent's end-of-epoch NodeStats ride its next wire exchange into the
-	// controller, and the runtime closes one FleetSnapshot per epoch.
-	// Stats piggyback on exchanges the agents were already making, so the
-	// chaos fault streams see an identical dial sequence — reports are
-	// DeepEqual with the plane on or off, and snapshots (wall-clock field
-	// aside) are identical across Workers values. FleetHistory, when also
-	// non-nil, retains the per-epoch snapshots in a fixed-capacity ring.
+	// Fleet, when non-nil, turns on the fleet telemetry plane (fleet.go):
+	// each agent's end-of-epoch NodeStats ride its next wire exchange into
+	// the controller, and the runtime closes one FleetSnapshot per epoch.
+	// Write-only, and identical (wall-clock field aside) across Workers
+	// values. FleetHistory, when also non-nil, retains the per-epoch
+	// snapshots in a fixed-capacity ring.
 	Fleet        *telemetry.Fleet
 	FleetHistory *telemetry.History
 }
 
-// EpochReport is one epoch's outcome: the control-plane weather, what the
-// agents managed to fetch, what the engines analyzed, and the achieved
-// coverage versus the plan's static prediction. All fields are logical,
-// so same-seed runs agree exactly.
+// EpochReport is one chaos epoch's outcome: the control-plane weather, what
+// the agents managed to fetch, what the engines analyzed, and the achieved
+// coverage versus the plan's static prediction — the ScenarioEpoch fields
+// of the same names (ControllerDown is its CtrlDown).
 type EpochReport struct {
-	// Epoch counts chaos epochs from 1; ControllerEpoch is the
-	// configuration generation the controller served during it.
-	Epoch           int
-	ControllerEpoch uint64
-	// ControllerDown and DownNodes echo the epoch's injected faults.
-	ControllerDown bool
-	DownNodes      []int
-	// AgentEpochs[j] is the manifest generation agent j enforced (0 =
-	// none: crashed, never synced, or dark past grace).
-	AgentEpochs []uint64
-	// SyncedAgents confirmed their manifest against the controller this
-	// epoch; StaleAgents are enforcing an unconfirmed one within grace;
-	// DarkAgents are up but analyzing nothing (no manifest, or stale
-	// beyond grace).
-	SyncedAgents, StaleAgents, DarkAgents int
-	// Fetch-loop totals across agents.
+	Epoch                                       int
+	ControllerEpoch                             uint64
+	ControllerDown                              bool
+	DownNodes                                   []int
+	AgentEpochs                                 []uint64
+	SyncedAgents, StaleAgents, DarkAgents       int
 	FetchAttempts, FetchFailures, FetchTimeouts int
-	// Data-plane outcome: alert total and the busiest engine's CPU cost.
-	Alerts int
-	MaxCPU float64
+	Alerts                                      int
+	MaxCPU                                      float64
 	// Achieved coverage over the usable agents' wire manifests, and the
-	// plan's static prediction for the same failure set (both from
-	// core.ProbeCoverage at the same probe count, so when every
-	// surviving agent holds a current manifest the two match exactly).
+	// plan's static prediction for the same failure set (ScenarioEpoch's
+	// ExpectedWorst/ExpectedAvg: with nothing shed, the expectation is the
+	// plan's residual coverage).
 	WorstCoverage, AvgCoverage   float64
 	PredictedWorst, PredictedAvg float64
-	// SLOViolations are the watchdog rules this epoch breached, rendered
-	// "rule=value (bound b)" in fixed rule order; empty without a
-	// configured watchdog. Watchdog verdicts are a pure function of the
-	// report's other fields, so they too are seed-deterministic.
-	SLOViolations []string
+	SLOViolations                []string
 }
 
 // Cluster is a running deployment: controller, gate, and agents.
@@ -163,13 +145,18 @@ type Cluster struct {
 	ctrl   *control.Controller
 	gate   *chaos.Gate
 	agents []*NodeAgent
+	paths  [][][]int // the topology's path matrix, for routing injections
 	epoch  int
+	// dyn is the volume-driven half of the epoch loop (drift, replan,
+	// govern); nil models static plan-mean traffic.
+	dyn *dynamics
 	// epochSpan is the current epoch's root trace span (zero when
 	// untraced); agents derive their per-epoch child spans from it.
 	epochSpan trace.Span
 
 	fetchAttemptC, fetchRetryC, fetchFailureC, fetchTimeoutC, epochC *obs.Counter
 	staleG, darkG, covWorstG, covAvgG                                *obs.Gauge
+	widthG                                                           []*obs.Gauge // per agent
 }
 
 // New solves the placement for the given scenario, starts a controller on
@@ -219,12 +206,9 @@ func New(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The initial publish runs under the setup trace (epoch 0), so the
-	// first manifests agents fetch already carry wire context.
-	publishTraced(opts.Trace, opts.Ledger, ctrl, 0, plan)
-
 	c := &Cluster{
 		opts: opts, inst: inst, plan: plan, ctrl: ctrl, gate: gate,
+		paths: opts.Topo.PathMatrix(),
 
 		fetchAttemptC: opts.Metrics.Counter("cluster.fetch_attempts"),
 		fetchRetryC:   opts.Metrics.Counter("cluster.fetch_retries"),
@@ -237,11 +221,14 @@ func New(opts Options) (*Cluster, error) {
 		covAvgG:       opts.Metrics.Gauge("cluster.coverage_avg"),
 	}
 
+	// The initial publish runs under the setup trace (epoch 0), so the
+	// first manifests agents fetch already carry wire context.
+	c.publish(0, plan)
+
 	// Per-agent fault streams and jitter seeds split off the one run seed;
 	// stream ids are node ids, so an agent's fault history is independent
 	// of every other agent's activity.
 	injector := chaos.NewInjector(parallel.SplitSeed(opts.Seed, 1), opts.Faults)
-	paths := opts.Topo.PathMatrix()
 	for j := 0; j < n; j++ {
 		agentOpts := opts.Agent
 		agentOpts.Metrics = opts.Metrics
@@ -251,8 +238,9 @@ func New(opts Options) (*Cluster, error) {
 			j, ctrl.Addr(), agentOpts,
 			control.SubscribeOptions{Deltas: opts.Deltas, Encoding: opts.Encoding},
 			opts.Retry, opts.StaleGrace,
-			parallel.SplitSeed(opts.Seed, int64(1000+j)), nodeTrace(paths, opts.Sessions, j),
+			parallel.SplitSeed(opts.Seed, int64(1000+j)), nodeTrace(c.paths, opts.Sessions, j),
 		))
+		c.widthG = append(c.widthG, opts.Metrics.Gauge(fmt.Sprintf("cluster.agent_width.%d", j)))
 	}
 	if opts.Fleet != nil {
 		// Bootstrap reports: each agent announces itself on its first
@@ -283,43 +271,32 @@ func nodeTrace(paths [][][]int, sessions []traffic.Session, j int) []traffic.Ses
 	return out
 }
 
-// publishTraced installs a plan as a new configuration generation,
-// recording a publish event on the controller component of the given
-// epoch's trace and stamping the publish span on served manifests — the
-// wire half of the epoch stitch. With a nil tracer it degrades to a plain
-// UpdatePlan. The ledger (nil-safe) is stamped with the runtime epoch
-// first, so the publish record the controller commits carries it.
-func publishTraced(t *trace.Tracer, l *ledger.Ledger, ctrl *control.Controller, epoch int, plan *core.Plan) {
-	l.SetRun(epoch)
-	pub := t.Epoch(epoch).Child("controller", -1)
+// publish installs a plan as a new configuration generation, recording a
+// publish event on the controller component of the given runtime epoch's
+// trace and stamping the publish span on served manifests — the wire half
+// of the epoch stitch. With a nil tracer it degrades to a plain UpdatePlan.
+// The ledger (nil-safe) is stamped with the runtime epoch first, so the
+// publish record the controller commits carries it.
+func (c *Cluster) publish(epoch int, plan *core.Plan) {
+	c.opts.Ledger.SetRun(epoch)
+	pub := c.opts.Trace.Epoch(epoch).Child("controller", -1)
 	if pub.Live() {
 		pub.Event(trace.EvPublish, trace.F64("objective", plan.Objective),
-			trace.Uint64("ctrl_epoch", ctrl.Epoch()+1))
-		ctrl.SetTrace(&control.WireTrace{Trace: pub.TraceHex(), Span: pub.SpanHex()})
+			trace.Uint64("ctrl_epoch", c.ctrl.Epoch()+1))
+		c.ctrl.SetTrace(&control.WireTrace{Trace: pub.TraceHex(), Span: pub.SpanHex()})
 	}
-	ctrl.UpdatePlan(plan)
+	c.ctrl.UpdatePlan(plan)
 }
 
 // Close shuts the controller (and its gate/listener) down.
 func (c *Cluster) Close() error { return c.ctrl.Close() }
-
-// Plan returns the solved deployment plan.
-func (c *Cluster) Plan() *core.Plan { return c.plan }
-
-// Objective returns the LP optimum for the deployment.
-func (c *Cluster) Objective() float64 { return c.plan.Objective }
-
-// Agents returns the cluster's node agents, indexed by node id.
-func (c *Cluster) Agents() []*NodeAgent { return c.agents }
 
 // BumpEpoch re-stamps the current plan as a new configuration generation —
 // the operations center's periodic re-optimization round (the workload is
 // unchanged here, so the plan content is too, but agents must re-fetch).
 // The publish is recorded under the trace of the epoch about to run, so
 // the fetches it triggers stitch to it.
-func (c *Cluster) BumpEpoch() {
-	publishTraced(c.opts.Trace, c.opts.Ledger, c.ctrl, c.epoch+1, c.plan)
-}
+func (c *Cluster) BumpEpoch() { c.publish(c.epoch+1, c.plan) }
 
 // Converge runs one fault-free fetch phase (all agents up, gate forced
 // open) and reports how many agents hold a current manifest afterwards —
@@ -359,170 +336,37 @@ func (c *Cluster) fetchPhase() {
 // faults (crashing agents lose their manifests; a down controller drops
 // every exchange), runs the fetch phase, drives each usable agent's
 // engine over its traffic share, and audits achieved coverage against the
-// plan's static prediction for the same failure set.
+// plan's static prediction for the same failure set. It is one turn of the
+// epoch loop (epoch.go) under a faults-only stimulus.
 func (c *Cluster) RunEpoch(f chaos.EpochFaults) EpochReport {
-	c.epoch++
-	c.opts.Ledger.SetRun(c.epoch)
-	c.epochC.Add(1)
-	c.epochSpan = c.opts.Trace.Epoch(c.epoch)
-	c.epochSpan.Event(trace.EvEpochStart,
-		trace.Int("ctrl_down", boolToInt(f.ControllerDown)), trace.Int("down", len(f.DownNodes)))
-	c.gate.SetOpen(!f.ControllerDown)
-	for j, a := range c.agents {
-		wasDown := a.down
-		a.down = f.Down(j)
-		if a.down && !wasDown {
-			// Crash: the process dies with its in-memory manifest.
-			a.restart()
-			a.staleEpochs = 0
-			c.epochSpan.Child("agent", j).Event(trace.EvCrashRestart)
-		}
+	eps, err := c.run(func(*ScenarioEnv) (Stimulus, []float64) { return Stimulus{Faults: f}, nil }, 1)
+	if err != nil {
+		panic(err) // only a volume phase can fail, and faults give it nothing to reject
 	}
-
-	rep := EpochReport{
-		Epoch:           c.epoch,
-		ControllerEpoch: c.ctrl.Epoch(),
-		ControllerDown:  f.ControllerDown,
-		DownNodes:       append([]int(nil), f.DownNodes...),
-		AgentEpochs:     make([]uint64, len(c.agents)),
-	}
-
-	c.fetchPhase()
-	for j, a := range c.agents {
-		rep.FetchAttempts += a.tally.attempts
-		if a.tally.attempts > 1 {
-			c.fetchRetryC.Add(int64(a.tally.attempts - 1))
-		}
-		rep.FetchFailures += a.tally.failures
-		rep.FetchTimeouts += a.tally.timeouts
-		if a.down {
-			continue
-		}
-		switch {
-		case a.tally.synced:
-			rep.SyncedAgents++
-		case a.Usable():
-			rep.StaleAgents++
-			a.span.Event(trace.EvStaleGrace, trace.Int("stale", a.staleEpochs))
-		default:
-			rep.DarkAgents++
-			a.span.Event(trace.EvWentDark, trace.Int("stale", a.staleEpochs))
-		}
-		if a.Usable() {
-			d := a.Decider()
-			rep.AgentEpochs[j] = d.Epoch()
-			c.opts.Metrics.Set(fmt.Sprintf("cluster.agent_width.%d", j), d.AssignedWidth())
-		} else {
-			c.opts.Metrics.Set(fmt.Sprintf("cluster.agent_width.%d", j), 0)
-		}
-	}
-	c.fetchAttemptC.Add(int64(rep.FetchAttempts))
-	c.fetchFailureC.Add(int64(rep.FetchFailures))
-	c.fetchTimeoutC.Add(int64(rep.FetchTimeouts))
-	c.staleG.Set(float64(rep.StaleAgents))
-	c.darkG.Set(float64(rep.DarkAgents))
-
-	c.dataPhase(&rep)
-	c.audit(&rep, f)
-	c.checkSLO(&rep, trace.EpochStats{
-		WorstCoverage: rep.WorstCoverage, AvgCoverage: rep.AvgCoverage,
-		FetchFailures: rep.FetchFailures, DarkAgents: rep.DarkAgents,
-	})
-	c.commitEpochLedger(&rep)
-	c.sampleFleet()
-	return rep
+	return chaosEpoch(eps[0])
 }
 
-// checkSLO runs the configured watchdog over one epoch's stats, records
-// the breached rules in the report, and triggers the post-mortem dump on
-// the first breach.
-func (c *Cluster) checkSLO(rep *EpochReport, s trace.EpochStats) {
-	for _, v := range c.opts.Watchdog.Check(c.epochSpan, s) {
-		rep.SLOViolations = append(rep.SLOViolations, v.String())
-	}
-	if len(rep.SLOViolations) > 0 {
-		c.opts.Trace.DumpOnce("slo_violation")
-	}
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// dataPhase runs each usable agent's engine over its trace, exactly as a
-// deployed node enforces its fetched wire manifest: the engine sees only
-// the control.Decider, never the planner's objects.
-func (c *Cluster) dataPhase(rep *EpochReport) {
-	n := len(c.agents)
-	nodeWorkers := parallel.Resolve(c.opts.Workers, n)
-	reports := parallel.Map(nodeWorkers, n, func(j int) bro.Report {
-		a := c.agents[j]
-		if !a.Usable() {
-			return bro.Report{Node: j}
-		}
-		return bro.Run(bro.Config{
-			Mode:    bro.ModeCoordEvent,
-			Modules: c.opts.Modules,
-			Decider: a.Decider(),
-			Node:    j,
-			Hasher:  hashing.Hasher{Key: c.opts.HashKey},
-			Metrics: c.opts.Metrics,
-			Trace:   a.span,
-		}, a.trace)
-	})
-	for j, r := range reports {
-		c.agents[j].lastEngine = r
-		rep.Alerts += r.Alerts
-		if r.CPUUnits > rep.MaxCPU {
-			rep.MaxCPU = r.CPUUnits
-		}
-	}
-}
-
-// audit measures the epoch's achieved coverage (what the usable agents'
-// wire manifests actually cover) and the plan's static prediction for the
-// same down set (core.CoverageUnderFailure's predicate), using the same
-// probe grid for both so the comparison is exact, not approximate.
-func (c *Cluster) audit(rep *EpochReport, f chaos.EpochFaults) {
-	units := c.inst.Units
-	rep.WorstCoverage, rep.AvgCoverage = core.ProbeCoverage(len(units), c.opts.Probes, func(ui int, x float64) bool {
-		u := units[ui]
-		for _, node := range u.Nodes {
-			a := c.agents[node]
-			if !a.Usable() {
-				continue
-			}
-			if a.Decider().CoversUnit(u.Class, u.Key, x) {
-				return true
-			}
-		}
-		return false
-	})
-	rep.PredictedWorst, rep.PredictedAvg = core.ProbeCoverage(len(units), c.opts.Probes, func(ui int, x float64) bool {
-		for _, node := range units[ui].Nodes {
-			if f.Down(node) {
-				continue
-			}
-			if c.plan.Manifests[node].Ranges[ui].Contains(x) {
-				return true
-			}
-		}
-		return false
-	})
-	c.covWorstG.Set(rep.WorstCoverage)
-	c.covAvgG.Set(rep.AvgCoverage)
-	c.epochSpan.Event(trace.EvCoverage,
-		trace.F64("worst", rep.WorstCoverage), trace.F64("avg", rep.AvgCoverage),
-		trace.F64("pred_worst", rep.PredictedWorst))
-	if rep.WorstCoverage < rep.PredictedWorst-1e-9 {
-		// Achieved coverage fell below the static prediction for the same
-		// failure set — the chaos-audit violation the flight recorder
-		// exists for.
-		c.epochSpan.Event(trace.EvCoverageViolation,
-			trace.F64("worst", rep.WorstCoverage), trace.F64("pred_worst", rep.PredictedWorst))
-		c.opts.Trace.DumpOnce("coverage_violation")
+// chaosEpoch projects the loop's epoch record into the chaos report's
+// shape.
+func chaosEpoch(ep ScenarioEpoch) EpochReport {
+	return EpochReport{
+		Epoch:           ep.Epoch,
+		ControllerEpoch: ep.ControllerEpoch,
+		ControllerDown:  ep.CtrlDown,
+		DownNodes:       ep.DownNodes,
+		AgentEpochs:     ep.AgentEpochs,
+		SyncedAgents:    ep.SyncedAgents,
+		StaleAgents:     ep.StaleAgents,
+		DarkAgents:      ep.DarkAgents,
+		FetchAttempts:   ep.FetchAttempts,
+		FetchFailures:   ep.FetchFailures,
+		FetchTimeouts:   ep.FetchTimeouts,
+		Alerts:          ep.Alerts,
+		MaxCPU:          ep.MaxCPU,
+		WorstCoverage:   ep.WorstCoverage,
+		AvgCoverage:     ep.AvgCoverage,
+		PredictedWorst:  ep.ExpectedWorst,
+		PredictedAvg:    ep.ExpectedAvg,
+		SLOViolations:   ep.SLOViolations,
 	}
 }

@@ -55,7 +55,7 @@ func newTestCluster(t *testing.T, opts Options) *Cluster {
 // the achieved coverage equals the plan's full-coverage prediction.
 func TestClusterConvergesOnCleanNetwork(t *testing.T) {
 	c := newTestCluster(t, Options{Seed: 11})
-	n := len(c.Agents())
+	n := len(c.agents)
 	rep := c.RunEpoch(chaos.EpochFaults{})
 	if rep.SyncedAgents != n || rep.StaleAgents != 0 || rep.DarkAgents != 0 {
 		t.Fatalf("synced/stale/dark = %d/%d/%d, want %d/0/0",
@@ -120,7 +120,7 @@ func TestClusterRetriesThroughLossyNetwork(t *testing.T) {
 		Retry:  RetryPolicy{MaxAttempts: 12, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, JitterFrac: 0.5},
 		Agent:  control.AgentOptions{DialTimeout: 100 * time.Millisecond, RPCTimeout: 100 * time.Millisecond},
 	})
-	n := len(c.Agents())
+	n := len(c.agents)
 	rep := c.RunEpoch(chaos.EpochFaults{})
 	if rep.SyncedAgents != n {
 		t.Fatalf("synced %d/%d despite a 12-attempt budget under 50%% faults", rep.SyncedAgents, n)
@@ -144,7 +144,7 @@ func TestClusterRetriesThroughLossyNetwork(t *testing.T) {
 // grace window (coverage gone) -> synced again after recovery.
 func TestControllerOutageStaleThenDark(t *testing.T) {
 	c := newTestCluster(t, Options{Seed: 9, StaleGrace: 1})
-	n := len(c.Agents())
+	n := len(c.agents)
 
 	if rep := c.RunEpoch(chaos.EpochFaults{}); rep.SyncedAgents != n {
 		t.Fatalf("epoch 1: synced %d/%d", rep.SyncedAgents, n)
@@ -190,7 +190,7 @@ func TestControllerOutageStaleThenDark(t *testing.T) {
 // dark while never-crashed agents are merely stale.
 func TestCrashLosesManifestUntilResync(t *testing.T) {
 	c := newTestCluster(t, Options{Seed: 13, StaleGrace: 3})
-	n := len(c.Agents())
+	n := len(c.agents)
 	const victim = 4
 
 	if rep := c.RunEpoch(chaos.EpochFaults{}); rep.SyncedAgents != n {
@@ -225,7 +225,7 @@ func TestCrashLosesManifestUntilResync(t *testing.T) {
 // convergence on a clean network.
 func TestConverge(t *testing.T) {
 	c := newTestCluster(t, Options{Seed: 17})
-	if got, want := c.Converge(), len(c.Agents()); got != want {
+	if got, want := c.Converge(), len(c.agents); got != want {
 		t.Fatalf("Converge() = %d, want %d", got, want)
 	}
 }

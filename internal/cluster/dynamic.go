@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -12,22 +11,20 @@ import (
 	"nwdeploy/internal/governor"
 	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/ledger"
-	"nwdeploy/internal/lp"
 	"nwdeploy/internal/obs"
-	"nwdeploy/internal/parallel"
 	"nwdeploy/internal/telemetry"
 	"nwdeploy/internal/topology"
 	"nwdeploy/internal/trace"
 	"nwdeploy/internal/traffic"
 )
 
-// The scenario runtime: a generalization of RunOverload where an external,
-// seeded driver decides each epoch's environment — traffic modulation,
-// injected sessions, crashes, planned drains, controller outages — instead
-// of one hardwired burst series. Drivers see the published control-plane
-// state of the previous epoch (manifests minus shed), which is exactly the
-// information the paper's Section 3.5 adaptive adversary is granted: the
-// defender's decisions are public once published, never before.
+// The scenario runtime: an external, seeded driver decides each epoch's
+// environment — traffic modulation, injected sessions, crashes, planned
+// drains, controller outages — and the epoch loop (epoch.go) runs it.
+// Drivers see the published control-plane state of the previous epoch
+// (manifests minus shed), which is exactly the information the paper's
+// Section 3.5 adaptive adversary is granted: the defender's decisions are
+// public once published, never before.
 
 // Stimulus is one epoch's environment, produced by a ScenarioDriver before
 // the epoch runs. The zero value is a quiet epoch: plan-mean traffic,
@@ -164,16 +161,18 @@ type ScenarioDriver interface {
 	Step(env *ScenarioEnv) Stimulus
 }
 
-// ScenarioConfig parameterizes RunScenario: the overload runtime's knobs
-// plus the driver and the chaos-style network/agent options the fault
-// scenarios need.
+// ScenarioConfig parameterizes RunScenario: the deployment and workload,
+// the governor and replan knobs, the driver, and the chaos-style
+// network/agent options the fault scenarios need.
 type ScenarioConfig struct {
 	// Driver decides each epoch's environment. Required.
 	Driver ScenarioDriver
 	// Topo is the monitored network (nil selects Internet2).
 	Topo *topology.Topology
 	// Modules are the deployed analysis modules (nil selects the
-	// PerPath-scoped standard modules, as in OverloadConfig).
+	// PerPath-scoped standard modules — the classes for which the default
+	// redundancy 2, and hence sheddable copy >= 1 slices, are feasible;
+	// PerIngress/PerEgress units have a single eligible node).
 	Modules []bro.ModuleSpec
 	// Sessions sizes the generated workload (0 selects 4000); TrafficSeed
 	// makes it reproducible (0 selects 7).
@@ -184,13 +183,21 @@ type ScenarioConfig struct {
 	Seed int64
 	// Epochs is the run length (0 selects 8).
 	Epochs int
-	// Redundancy is the provisioned coverage level r (0 selects 2).
+	// Redundancy is the provisioned coverage level r (0 selects 2 — the
+	// governor needs copy >= 1 slices to shed).
 	Redundancy int
 	// Governor enables per-node load governing; GovernorCfg tunes it.
+	// With Governor false the run still reports projected loads (the
+	// exceeds-budget baseline) but nothing sheds.
 	Governor    bool
 	GovernorCfg governor.Config
-	// Replan/WarmReplan/ReplanThreshold/EWMAAlpha/ReplanMaxIters: the
-	// drift-triggered replan loop, as in OverloadConfig.
+	// Replan enables drift-triggered replanning; WarmReplan warm-starts
+	// each re-solve from the previous plan's basis (cold otherwise).
+	// ReplanThreshold is the EWMA relative-error drift trigger (0 selects
+	// 0.2); EWMAAlpha the smoothing weight (0 selects 0.5). ReplanMaxIters
+	// bounds each re-solve's simplex iterations — the replan deadline: a
+	// solve that exceeds it is abandoned and the epoch falls back to the
+	// governors' shed state (0 = no deadline).
 	Replan          bool
 	WarmReplan      bool
 	ReplanThreshold float64
@@ -213,16 +220,13 @@ type ScenarioConfig struct {
 	// Workers sizes the worker pools (0 = GOMAXPROCS). Reports are
 	// identical for any value.
 	Workers int
-	// Metrics/Trace/Watchdog/Ledger: write-only observability, as in
-	// OverloadConfig.
-	Metrics  *obs.Registry
-	Trace    *trace.Tracer
-	Watchdog *trace.Watchdog
-	Ledger   *ledger.Ledger
-	// Fleet/FleetHistory turn on the fleet telemetry plane (see
-	// Options.Fleet). The scenario runtime additionally reports a drain
-	// farewell at each drain transition, so a draining node classifies
-	// stale — not dark — through its maintenance window. Write-only.
+	// The write-only planes, as in Options. With Fleet on, a drain
+	// transition additionally reports a farewell, so a draining node
+	// classifies stale — not dark — through its maintenance window.
+	Metrics      *obs.Registry
+	Trace        *trace.Tracer
+	Watchdog     *trace.Watchdog
+	Ledger       *ledger.Ledger
 	Fleet        *telemetry.Fleet
 	FleetHistory *telemetry.History
 }
@@ -250,14 +254,14 @@ func (cfg ScenarioConfig) withDefaults() ScenarioConfig {
 	if cfg.Redundancy <= 0 {
 		cfg.Redundancy = 2
 	}
-	if cfg.ReplanThreshold == 0 {
-		cfg.ReplanThreshold = 0.2
-	}
 	return cfg
 }
 
-// ScenarioEpoch is one epoch's outcome under a scenario.
+// ScenarioEpoch is one epoch's outcome: the epoch loop's record, of which
+// OverloadEpoch and EpochReport are projections. All fields are logical, so
+// same-seed runs agree exactly.
 type ScenarioEpoch struct {
+	// Epoch counts runtime epochs from 1.
 	Epoch int
 	// Environment echo: which nodes were crashed/drained, controller
 	// state, how many sessions the driver injected.
@@ -265,20 +269,46 @@ type ScenarioEpoch struct {
 	Drained   []int
 	CtrlDown  bool
 	Injected  int
-	// Drift/replan outcome, as in OverloadEpoch.
+	// MaxRelErr is the drift detector's error after this epoch's
+	// observation; Drifted reports whether it crossed the threshold.
+	// Replanned: a re-solve succeeded and fresh manifests were pushed;
+	// ReplanWarm says it warm-started; ReplanIters is its simplex iteration
+	// count (the replan latency in deterministic units). ReplanMissed: the
+	// solve hit the deadline and the epoch fell back to the governors' shed
+	// state.
 	MaxRelErr    float64
 	Drifted      bool
 	Replanned    bool
 	ReplanWarm   bool
 	ReplanIters  int
 	ReplanMissed bool
-	// Governor outcome.
+	// NodeLoads[j] is node j's CPU load fraction after governing (with
+	// the governor off: the raw projection); NodeBudgets[j] the plan's
+	// prediction (both nil on a cluster that models no volumes).
+	// OverBudget counts nodes above budget*(1+tolerance); Unsatisfied
+	// counts the nodes the governor could not fit because their remaining
+	// load is entirely copy-0 slices — the r=1 coverage floor outranks the
+	// budget, so those nodes run hot by design. Under the governor every
+	// over-budget node is unsatisfied (OverBudget <= Unsatisfied; the gap
+	// is nodes over only on memory, which NodeLoads, a CPU measure, does
+	// not show). ShedWidth is the total hash width shed across nodes.
+	NodeLoads   []float64
+	NodeBudgets []float64
 	OverBudget  int
 	Unsatisfied int
 	ShedWidth   float64
-	// Control-plane weather.
-	SyncedAgents, StaleAgents, DarkAgents int
-	// Data-plane outcome (zero when DataPlane is off).
+	// ControllerEpoch is the configuration generation the controller
+	// served; AgentEpochs[j] the one agent j enforced (0 = none: down,
+	// never synced, or dark past grace). SyncedAgents confirmed their
+	// manifest against the controller this epoch; StaleAgents are enforcing
+	// an unconfirmed one within grace; DarkAgents are up but analyzing
+	// nothing. The Fetch fields are fetch-loop totals across agents.
+	ControllerEpoch                             uint64
+	AgentEpochs                                 []uint64
+	SyncedAgents, StaleAgents, DarkAgents       int
+	FetchAttempts, FetchFailures, FetchTimeouts int
+	// Data-plane outcome: alert total and the busiest engine's CPU units
+	// (both zero when the data plane did not run).
 	Alerts int
 	MaxCPU float64
 	// Evasion audit over the injected sessions: Caught had at least one
@@ -286,11 +316,15 @@ type ScenarioEpoch struct {
 	// Evaded slipped through every published defense.
 	InjectedCaught, InjectedEvaded int
 	// Achieved wire coverage vs the published expectation (manifests of
-	// live nodes minus their shed). Worst below expected is a breach.
+	// live nodes minus their shed), both from core.ProbeCoverage on the
+	// same grid, so they match exactly when every surviving agent holds a
+	// current manifest. Worst below expected is a breach.
 	WorstCoverage, AvgCoverage float64
-	ExpectedWorst              float64
+	ExpectedWorst, ExpectedAvg float64
 	Breach                     bool
-	// SLOViolations are the watchdog rules this epoch breached.
+	// SLOViolations are the watchdog rules this epoch breached, rendered
+	// "rule=value (bound b)" in fixed rule order; empty without a
+	// configured watchdog. A pure function of the other fields.
 	SLOViolations []string
 }
 
@@ -354,6 +388,20 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioReport, error) {
 	if cfg.Driver == nil {
 		return nil, fmt.Errorf("cluster: scenario: nil driver")
 	}
+	rep, err := runScenario(cfg, func(env *ScenarioEnv) (Stimulus, []float64) {
+		return cfg.Driver.Step(env), nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: scenario %q: %w", cfg.Driver.Name(), err)
+	}
+	rep.Scenario = cfg.Driver.Name()
+	return rep, nil
+}
+
+// runScenario builds the cluster an already-defaulted cfg describes (the
+// loop applies no defaults of its own), runs the epoch loop under step,
+// and folds the epoch records into the run's aggregates.
+func runScenario(cfg ScenarioConfig, step stepper) (*ScenarioReport, error) {
 	sessions := traffic.Generate(cfg.Topo, traffic.Gravity(cfg.Topo), traffic.GenConfig{
 		Sessions: cfg.Sessions, Seed: cfg.TrafficSeed,
 	})
@@ -370,475 +418,51 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioReport, error) {
 		return nil, err
 	}
 	defer c.Close()
-
-	probes := c.opts.Probes
-	hasher := hashing.Hasher{Key: c.opts.HashKey}
-	paths := cfg.Topo.PathMatrix()
-	pv := traffic.Volumes(cfg.Topo, traffic.Gravity(cfg.Topo), 0)
-	scaler := newUnitScales(c.inst, pv, nil)
-
-	orig := c.inst
-	origPkts := make([]float64, len(orig.Units))
-	origItems := make([]float64, len(orig.Units))
-	for ui, u := range orig.Units {
-		origPkts[ui] = u.Pkts
-		origItems[ui] = u.Items
-	}
-	detector := NewDriftDetector(origPkts, cfg.EWMAAlpha, cfg.ReplanThreshold)
-
-	gcfg := cfg.GovernorCfg
-	if gcfg.Metrics == nil {
-		gcfg.Metrics = cfg.Metrics
-	}
-	govs := make([]*governor.Governor, cfg.Topo.N())
-	buildGovernors := func() error {
-		for j := range govs {
-			g, err := governor.New(c.plan, j, hasher, gcfg)
-			if err != nil {
-				return err
-			}
-			govs[j] = g
-		}
-		return nil
-	}
-	if err := buildGovernors(); err != nil {
+	if err := c.attachDynamics(cfg); err != nil {
 		return nil, err
-	}
-	lastBasis := c.plan.Basis
-	tol := cfg.GovernorCfg.Tolerance
-	if tol == 0 {
-		tol = 0.1
 	}
 
 	rep := &ScenarioReport{
-		Scenario: cfg.Driver.Name(),
 		Topology: cfg.Topo.Name, Nodes: cfg.Topo.N(), Sessions: cfg.Sessions,
 		Redundancy: cfg.Redundancy, Seed: cfg.Seed,
 		Governor: cfg.Governor, Replan: cfg.Replan,
 		Objective: c.plan.Objective, WorstCoverage: 1, FloorHeld: true,
 	}
-	assignedWidth := func() float64 {
-		// Ranges is a map; walk units in index order so the float sum is
-		// reproducible.
-		var w float64
-		for _, m := range c.plan.Manifests {
-			for ui := range c.inst.Units {
-				w += m.Ranges[ui].Width()
-			}
-		}
-		return w
+	if rep.Epochs, err = c.run(step, cfg.Epochs); err != nil {
+		return nil, err
 	}
-	rep.AssignedWidth = assignedWidth()
-
-	// lastShed is the published shed state drivers (and the expectation
-	// audit) see: what the governors pushed at the end of the previous
-	// epoch. Empty before the first governor phase.
-	lastShed := make([]map[int]hashing.RangeSet, cfg.Topo.N())
-
-	for e := 0; e < cfg.Epochs; e++ {
-		ep := ScenarioEpoch{Epoch: e + 1}
-		c.epoch = e + 1
-		cfg.Ledger.SetRun(c.epoch)
-		c.epochSpan = cfg.Trace.Epoch(ep.Epoch)
-		ctrlSpan := c.epochSpan.Child("controller", -1)
-
-		// The driver observes last epoch's published state and commits to
-		// this epoch's environment before any of it runs — the Section 3.5
-		// information order.
-		env := &ScenarioEnv{
-			Epoch: ep.Epoch, Epochs: cfg.Epochs, Nodes: cfg.Topo.N(),
-			Pairs: pv.Pairs, PairMeans: pv.Items,
-			inst: c.inst, plan: c.plan, hasher: hasher, shed: lastShed,
+	for _, ep := range rep.Epochs {
+		if ep.WorstCoverage < rep.WorstCoverage {
+			rep.WorstCoverage = ep.WorstCoverage
 		}
-		st := cfg.Driver.Step(env)
-		if st.PairScale != nil && len(st.PairScale) != len(pv.Pairs) {
-			return nil, fmt.Errorf("cluster: scenario %q: %d pair scales for %d pairs",
-				cfg.Driver.Name(), len(st.PairScale), len(pv.Pairs))
+		rep.AvgCoverage += ep.AvgCoverage
+		if ep.Breach {
+			rep.Breaches++
+			rep.FloorHeld = false
 		}
-		ep.CtrlDown = st.Faults.ControllerDown
-		ep.Injected = len(st.Inject)
-		c.epochSpan.Event(trace.EvEpochStart,
-			trace.Int("ctrl_down", boolToInt(ep.CtrlDown)),
-			trace.Int("down", len(st.Faults.DownNodes)), trace.Int("drains", len(st.Drains)))
-		if ep.Injected > 0 {
-			c.epochSpan.Event(trace.EvInject, trace.Int("count", ep.Injected))
+		if ep.Replanned {
+			rep.Replans++
+			rep.TotalReplanIters += ep.ReplanIters
 		}
-
-		// Apply the epoch's faults. Crashes lose the manifest; drains keep
-		// it. A node both crashed and drained counts as crashed.
-		c.gate.SetOpen(!st.Faults.ControllerDown)
-		for j, a := range c.agents {
-			wasDown := a.down
-			crashed := st.Faults.Down(j)
-			drained := !crashed && containsInt(st.Drains, j)
-			a.down = crashed || drained
-			if crashed {
-				ep.DownNodes = append(ep.DownNodes, j)
-				if !wasDown {
-					a.restart()
-					a.staleEpochs = 0
-					c.epochSpan.Child("agent", j).Event(trace.EvCrashRestart)
-				}
-			} else if drained {
-				ep.Drained = append(ep.Drained, j)
-				if !wasDown {
-					c.epochSpan.Child("agent", j).Event(trace.EvDrain)
-					c.fleetDrainFarewell(a)
-				}
-			}
-		}
-
-		// Offered volumes: pair modulation over the original workload, plus
-		// the injected sessions' contributions to every matching class.
-		sc := scaler.factors(st.PairScale)
-		obsPkts := make([]float64, len(origPkts))
-		obsItems := make([]float64, len(origItems))
-		for ui := range obsPkts {
-			obsPkts[ui] = origPkts[ui] * sc[ui]
-			obsItems[ui] = origItems[ui] * sc[ui]
-		}
-		for _, s := range st.Inject {
-			for ci := range c.inst.Classes {
-				if !c.inst.Classes[ci].Matches(s) {
-					continue
-				}
-				if ui, ok := c.inst.UnitFor(ci, s); ok {
-					obsPkts[ui] += float64(s.Packets)
-				}
-			}
-		}
-
-		// Drift detection and (optionally) the deadline-bounded replan,
-		// identical to the overload runtime.
-		ep.MaxRelErr = detector.Observe(obsPkts)
-		ep.Drifted = detector.Drifted()
-		c.epochSpan.Event(trace.EvDrift,
-			trace.F64("rel_err", ep.MaxRelErr), trace.Int("drifted", boolToInt(ep.Drifted)))
-		if cfg.Replan && ep.Drifted {
-			smPkts := detector.Smoothed()
-			smItems := make([]float64, len(smPkts))
-			for ui := range smItems {
-				if origPkts[ui] > 0 {
-					smItems[ui] = origItems[ui] * smPkts[ui] / origPkts[ui]
-				} else {
-					smItems[ui] = origItems[ui]
-				}
-			}
-			inst2, err := c.inst.WithVolumes(smPkts, smItems)
-			if err != nil {
-				return nil, err
-			}
-			sopts := core.SolveOptions{
-				Redundancy: cfg.Redundancy, MaxIters: cfg.ReplanMaxIters,
-				Metrics: cfg.Metrics, CaptureBasis: true,
-			}
-			if cfg.WarmReplan && lastBasis != nil {
-				sopts.WarmBasis = lastBasis
-			}
-			plan2, err := core.SolveOpts(inst2, sopts)
-			switch {
-			case err == nil:
-				c.plan, c.inst = plan2, inst2
-				publishTraced(cfg.Trace, cfg.Ledger, c.ctrl, ep.Epoch, plan2)
-				lastBasis = plan2.Basis
-				detector.Rebase(smPkts)
-				if err := buildGovernors(); err != nil {
-					return nil, err
-				}
-				rep.AssignedWidth = assignedWidth()
-				ep.Replanned = true
-				ep.ReplanWarm = sopts.WarmBasis != nil
-				ep.ReplanIters = plan2.SolverIters
-				rep.Replans++
-				rep.TotalReplanIters += plan2.SolverIters
-				cfg.Metrics.Add("scenario.replans", 1)
-				if ep.ReplanWarm {
-					c.epochSpan.Event(trace.EvReplanWarm, trace.Int("iters", ep.ReplanIters))
-				} else {
-					c.epochSpan.Event(trace.EvReplanCold, trace.Int("iters", ep.ReplanIters))
-				}
-			case errors.Is(err, lp.ErrIterLimit):
-				ep.ReplanMissed = true
-				rep.MissedReplans++
-				cfg.Metrics.Add("scenario.replan_misses", 1)
-				c.epochSpan.Event(trace.EvDeadlineMiss, trace.Int("max_iters", cfg.ReplanMaxIters))
-				cfg.Trace.DumpOnce("deadline_miss")
-			default:
-				return nil, fmt.Errorf("cluster: scenario replan: %w", err)
-			}
-		}
-
-		// Governor phase against the current plan's volumes.
-		scVsPlan := make([]float64, len(obsPkts))
-		for ui := range scVsPlan {
-			if p := c.inst.Units[ui].Pkts; p > 0 {
-				scVsPlan[ui] = obsPkts[ui] / p
-			} else {
-				scVsPlan[ui] = 1
-			}
-		}
-		if ctrlSpan.Live() {
-			c.ctrl.SetTrace(&control.WireTrace{Trace: ctrlSpan.TraceHex(), Span: ctrlSpan.SpanHex()})
-		}
-		var attests []governor.Attestation
-		for j, g := range govs {
-			g.AttachSpan(c.epochSpan.Child("governor", j))
-			grep, err := g.PlanEpoch(scVsPlan)
-			if err != nil {
-				return nil, err
-			}
-			c.agents[j].lastFloor = cfg.Governor && !grep.Satisfied
-			if cfg.Governor {
-				if cfg.Ledger != nil {
-					attests = append(attests, g.Attest(grep))
-				}
-				ep.ShedWidth += grep.ShedWidth
-				if !grep.Satisfied {
-					ep.Unsatisfied++
-					cfg.Trace.DumpOnce("floor_breach")
-				}
-				wa := control.ShedFromRanges(c.plan, g.ShedRanges())
-				if len(wa) > 0 {
-					ctrlSpan.Event(trace.EvShedPublish,
-						trace.Int("node", j), trace.F64("width", grep.ShedWidth))
-				}
-				c.ctrl.PublishShed(j, wa)
-				lastShed[j] = g.ShedRanges()
-				if grep.CPUAfter > grep.BudgetCPU*(1+tol)+1e-9 {
-					ep.OverBudget++
-				}
-			} else {
-				lastShed[j] = nil
-				if grep.ProjectedCPU > grep.BudgetCPU*(1+tol)+1e-9 {
-					ep.OverBudget++
-				}
-			}
+		if ep.ReplanMissed {
+			rep.MissedReplans++
 		}
 		if ep.OverBudget > rep.MaxOverBudget {
 			rep.MaxOverBudget = ep.OverBudget
 		}
 		rep.TotalShedWidth += ep.ShedWidth
-		cfg.Metrics.Set("scenario.shed_width", ep.ShedWidth)
-
-		// Fetch phase through the (possibly gated, possibly faulty) wire.
-		c.fetchPhase()
-		for _, a := range c.agents {
-			if a.down {
-				continue
-			}
-			switch {
-			case a.tally.synced:
-				ep.SyncedAgents++
-			case a.Usable():
-				ep.StaleAgents++
-				a.span.Event(trace.EvStaleGrace, trace.Int("stale", a.staleEpochs))
-			default:
-				ep.DarkAgents++
-				a.span.Event(trace.EvWentDark, trace.Int("stale", a.staleEpochs))
-			}
-		}
-
-		// Optional data plane over base share plus routed injections.
-		if cfg.DataPlane {
-			c.scenarioDataPhase(&ep, st.Inject, paths)
-		}
-
-		// Evasion audit: each injected session is caught when some usable
-		// agent's wire manifest covers its hash point for a matching class
-		// and the covering node has not shed it.
-		for _, s := range st.Inject {
-			caught := false
-			for ci := range c.inst.Classes {
-				if !c.inst.Classes[ci].Matches(s) {
-					continue
-				}
-				ui, ok := c.inst.UnitFor(ci, s)
-				if !ok {
-					continue
-				}
-				x := c.inst.Classes[ci].HashOf(hasher, s.Tuple)
-				u := c.inst.Units[ui]
-				for _, node := range u.Nodes {
-					a := c.agents[node]
-					if !a.Usable() || !a.Decider().CoversUnit(u.Class, u.Key, x) {
-						continue
-					}
-					if cfg.Governor && govs[node] != nil && govs[node].Covers(ui, x) {
-						continue
-					}
-					caught = true
-					break
-				}
-				if caught {
-					break
-				}
-			}
-			if caught {
-				ep.InjectedCaught++
-			} else {
-				ep.InjectedEvaded++
-			}
-		}
 		rep.TotalInjected += ep.Injected
 		rep.TotalEvaded += ep.InjectedEvaded
-
-		// Coverage audit: what the wire delivers vs what the published
-		// state promises for the epoch's up set. The expectation subtracts
-		// both downed nodes and their published shed; anything below it
-		// means manifests and reality disagree — the breach the flight
-		// recorder exists for.
-		units := c.inst.Units
-		ep.WorstCoverage, ep.AvgCoverage = core.ProbeCoverage(len(units), probes, func(ui int, x float64) bool {
-			u := units[ui]
-			for _, node := range u.Nodes {
-				a := c.agents[node]
-				if !a.Usable() || !a.Decider().CoversUnit(u.Class, u.Key, x) {
-					continue
-				}
-				if cfg.Governor && govs[node] != nil && govs[node].Covers(ui, x) {
-					continue
-				}
-				return true
-			}
-			return false
-		})
-		ep.ExpectedWorst, _ = core.ProbeCoverage(len(units), probes, func(ui int, x float64) bool {
-			for _, node := range units[ui].Nodes {
-				if c.agents[node].down {
-					continue
-				}
-				if !c.plan.Manifests[node].Ranges[ui].Contains(x) {
-					continue
-				}
-				if cfg.Governor && govs[node] != nil && govs[node].Covers(ui, x) {
-					continue
-				}
-				return true
-			}
-			return false
-		})
-		c.epochSpan.Event(trace.EvCoverage,
-			trace.F64("worst", ep.WorstCoverage), trace.F64("avg", ep.AvgCoverage),
-			trace.F64("expected_worst", ep.ExpectedWorst))
-		if ep.WorstCoverage < ep.ExpectedWorst-1e-9 {
-			ep.Breach = true
-			rep.Breaches++
-			rep.FloorHeld = false
-			c.epochSpan.Event(trace.EvCoverageViolation,
-				trace.F64("worst", ep.WorstCoverage), trace.F64("expected", ep.ExpectedWorst))
-			cfg.Trace.DumpOnce("coverage_violation")
-		}
-
-		for _, v := range cfg.Watchdog.Check(c.epochSpan, trace.EpochStats{
-			WorstCoverage: ep.WorstCoverage, AvgCoverage: ep.AvgCoverage,
-			ShedWidth: ep.ShedWidth, ReplanIters: ep.ReplanIters,
-			DarkAgents: ep.DarkAgents, DeadlineMiss: ep.ReplanMissed,
-		}) {
-			ep.SLOViolations = append(ep.SLOViolations, v.String())
-		}
-		if len(ep.SLOViolations) > 0 {
-			rep.SLOViolations += len(ep.SLOViolations)
-			cfg.Trace.DumpOnce("slo_violation")
-		}
-		commitScenarioLedger(cfg.Ledger, c, &ep, attests)
-		c.sampleFleet()
-
-		if ep.WorstCoverage < rep.WorstCoverage {
-			rep.WorstCoverage = ep.WorstCoverage
-		}
-		rep.AvgCoverage += ep.AvgCoverage
 		rep.TotalAlerts += ep.Alerts
-		rep.Epochs = append(rep.Epochs, ep)
+		rep.SLOViolations += len(ep.SLOViolations)
 	}
 	rep.AvgCoverage /= float64(len(rep.Epochs))
+	// Ranges is a map; walk units in index order so the float sum is
+	// reproducible.
+	for _, m := range c.plan.Manifests {
+		for ui := range c.inst.Units {
+			rep.AssignedWidth += m.Ranges[ui].Width()
+		}
+	}
 	return rep, nil
-}
-
-// scenarioDataPhase drives each usable agent's engine over its base trace
-// plus the epoch's injected sessions routed along their Src->Dst paths.
-// Injection order is preserved per node, so the combined trace — and with
-// it the engine report — is a pure function of the stimulus.
-func (c *Cluster) scenarioDataPhase(ep *ScenarioEpoch, inject []traffic.Session, paths [][][]int) {
-	n := len(c.agents)
-	routed := make([][]traffic.Session, n)
-	for _, s := range inject {
-		for _, node := range paths[s.Src][s.Dst] {
-			routed[node] = append(routed[node], s)
-		}
-	}
-	nodeWorkers := parallel.Resolve(c.opts.Workers, n)
-	reports := parallel.Map(nodeWorkers, n, func(j int) bro.Report {
-		a := c.agents[j]
-		if !a.Usable() {
-			return bro.Report{Node: j}
-		}
-		tr := a.trace
-		if len(routed[j]) > 0 {
-			tr = make([]traffic.Session, 0, len(a.trace)+len(routed[j]))
-			tr = append(tr, a.trace...)
-			tr = append(tr, routed[j]...)
-		}
-		return bro.Run(bro.Config{
-			Mode:    bro.ModeCoordEvent,
-			Modules: c.opts.Modules,
-			Decider: a.Decider(),
-			Node:    j,
-			Hasher:  hashing.Hasher{Key: c.opts.HashKey},
-			Metrics: c.opts.Metrics,
-			Trace:   a.span,
-		}, tr)
-	})
-	for j, r := range reports {
-		c.agents[j].lastEngine = r
-		ep.Alerts += r.Alerts
-		if r.CPUUnits > ep.MaxCPU {
-			ep.MaxCPU = r.CPUUnits
-		}
-	}
-}
-
-// commitScenarioLedger seals one scenario epoch into the attached ledger:
-// a coverage verdict whose prediction is the published expectation, plus
-// the governed nodes' floor attestations. Free when no ledger is
-// configured.
-func commitScenarioLedger(l *ledger.Ledger, c *Cluster, ep *ScenarioEpoch, attests []governor.Attestation) {
-	if l == nil {
-		return
-	}
-	v := CoverageVerdict{
-		RunEpoch:       ep.Epoch,
-		CtrlEpoch:      c.ctrl.Epoch(),
-		AgentEpochs:    make([]uint64, len(c.agents)),
-		Synced:         ep.SyncedAgents,
-		Stale:          ep.StaleAgents,
-		Dark:           ep.DarkAgents,
-		Worst:          ep.WorstCoverage,
-		Avg:            ep.AvgCoverage,
-		PredictedWorst: ep.ExpectedWorst,
-		PredictedAvg:   ep.AvgCoverage,
-		MaxCPU:         ep.MaxCPU,
-		SLOViolations:  ep.SLOViolations,
-	}
-	for j, a := range c.agents {
-		if a.Usable() {
-			v.AgentEpochs[j] = a.Decider().Epoch()
-		}
-	}
-	b := l.Begin(ledger.RecEpoch, c.ctrl.Epoch())
-	data, err := v.Encode()
-	b.Item(ledger.ItemVerdict, "coverage", data, err)
-	for _, a := range attests {
-		data, err := a.Encode()
-		b.Item(ledger.ItemAttest, fmt.Sprintf("node/%d", a.Node), data, err)
-	}
-	b.Commit()
-}
-
-func containsInt(xs []int, j int) bool {
-	for _, x := range xs {
-		if x == j {
-			return true
-		}
-	}
-	return false
 }

@@ -50,59 +50,8 @@ func injectBurst(epoch, n, src, dst int) []traffic.Session {
 // with a controller outage, governor shed, warm replan, and the data plane
 // — must produce bit-identical reports at any worker count.
 func TestRunScenarioWorkersDeterminism(t *testing.T) {
-	// Injections only have a coordination unit to land in when the modeled
-	// workload put matching traffic on their pair, so pick pairs that carry
-	// telnet in the exact workload RunScenario will generate.
-	topo := topology.Internet2()
-	var telnetPairs [][2]int
-	seen := map[[2]int]bool{}
-	for _, s := range traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{Sessions: 600, Seed: 11}) {
-		if s.Tuple.DstPort == 23 && !seen[[2]int{s.Src, s.Dst}] {
-			seen[[2]int{s.Src, s.Dst}] = true
-			telnetPairs = append(telnetPairs, [2]int{s.Src, s.Dst})
-		}
-	}
-	if len(telnetPairs) < 2 {
-		t.Fatalf("workload has %d telnet pairs, need 2", len(telnetPairs))
-	}
-	p1, p2 := telnetPairs[0], telnetPairs[1]
-	driver := func() ScenarioDriver {
-		return &scriptDriver{name: "scripted", step: func(env *ScenarioEnv) Stimulus {
-			var st Stimulus
-			switch env.Epoch {
-			case 2:
-				st.PairScale = make([]float64, len(env.Pairs))
-				for k, p := range env.Pairs {
-					st.PairScale[k] = 1
-					if p[0] == 0 || p[1] == 0 {
-						st.PairScale[k] = 4
-					}
-				}
-				st.Inject = injectBurst(env.Epoch, 40, p1[0], p1[1])
-			case 3:
-				st.Faults = chaos.EpochFaults{DownNodes: []int{1}}
-				st.Inject = injectBurst(env.Epoch, 25, p2[0], p2[1])
-			case 4:
-				st.Drains = []int{2}
-				st.Faults = chaos.EpochFaults{ControllerDown: true}
-			}
-			return st
-		}}
-	}
 	run := func(workers int) *ScenarioReport {
-		rep, err := RunScenario(ScenarioConfig{
-			Driver:   driver(),
-			Topo:     topo,
-			Sessions: 600, TrafficSeed: 11, Seed: 42,
-			Epochs: 5, Redundancy: 2,
-			Governor: true, Replan: true, WarmReplan: true,
-			ReplanThreshold: 0.15, ReplanMaxIters: 4000,
-			Retry:      RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Multiplier: 1},
-			StaleGrace: 2,
-			DataPlane:  true,
-			Probes:     400,
-			Workers:    workers,
-		})
+		rep, err := RunScenario(scriptedFaultConfig(t, workers))
 		if err != nil {
 			t.Fatalf("RunScenario(workers=%d): %v", workers, err)
 		}

@@ -52,9 +52,8 @@ func (c *Cluster) collectStats(a *NodeAgent) telemetry.NodeStats {
 
 // sampleFleet closes the epoch's telemetry round: collect every up
 // agent's stats, install them for the next epoch's piggyback, fold the
-// snapshot, and retain it in the history ring. Called at the end of
-// RunEpoch, each RunOverload epoch, and each RunScenario epoch; a no-op
-// without a configured Fleet.
+// snapshot, and retain it in the history ring. The last phase of every
+// epoch; a no-op without a configured Fleet.
 func (c *Cluster) sampleFleet() {
 	if c.opts.Fleet == nil {
 		return

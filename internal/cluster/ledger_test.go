@@ -11,6 +11,7 @@ import (
 	"nwdeploy/internal/governor"
 	"nwdeploy/internal/ledger"
 	"nwdeploy/internal/topology"
+	"nwdeploy/internal/trace"
 )
 
 func newTestLedger(seed int64) (*ledger.Ledger, *ledger.MemStore) {
@@ -34,39 +35,108 @@ func verifyTestChain(t *testing.T, led *ledger.Ledger, store ledger.Store, seed 
 	return sum
 }
 
-// Attaching a ledger must not perturb the run: same-seed chaos reports
-// with and without it compare DeepEqual, the chain verifies against its
-// pinned head, and the chain bytes are identical across worker counts —
-// commits happen only on the serial epoch loop.
-func TestChaosLedgerNonInterference(t *testing.T) {
-	base, err := CoverageUnderChaos(smallChaosConfig(21, 0))
+// checkVerdict decodes one committed verdict and requires it to equal w,
+// the verdict its epoch's report implies. Where the report type does not
+// carry agent generations (w.AgentEpochs nil: the overload report, on a
+// clean network) every agent must be at the controller's.
+func checkVerdict(t *testing.T, data []byte, w CoverageVerdict, n int) {
+	t.Helper()
+	v, err := DecodeCoverageVerdict(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	chains := make([][]byte, 0, 2)
-	for _, workers := range []int{1, 4} {
-		cfg := smallChaosConfig(21, workers)
-		led, store := newTestLedger(21)
-		cfg.Ledger = led
-		rep, err := CoverageUnderChaos(cfg)
-		if err != nil {
-			t.Fatal(err)
+	if w.AgentEpochs == nil {
+		if v.CtrlEpoch == 0 || len(v.AgentEpochs) != n {
+			t.Fatalf("epoch %d: verdict %+v names no generation", w.RunEpoch, v)
 		}
-		if !reflect.DeepEqual(base, rep) {
-			t.Fatalf("ledger-on report (workers=%d) diverges from ledger-off", workers)
+		for j, e := range v.AgentEpochs {
+			if e != v.CtrlEpoch {
+				t.Fatalf("epoch %d: agent %d at generation %d, controller at %d", w.RunEpoch, j, e, v.CtrlEpoch)
+			}
 		}
-		sum := verifyTestChain(t, led, store, 21)
-		if sum.Kinds[ledger.RecEpoch] != len(base.Epochs) {
-			t.Fatalf("chain has %d epoch records, want %d", sum.Kinds[ledger.RecEpoch], len(base.Epochs))
-		}
-		if sum.Kinds[ledger.RecPublish] == 0 {
-			t.Fatal("chain has no publish record")
-		}
-		chains = append(chains, led.Chain())
+		w.CtrlEpoch, w.AgentEpochs = v.CtrlEpoch, v.AgentEpochs
 	}
-	if !bytes.Equal(chains[0], chains[1]) {
-		t.Fatal("same-seed chains differ across worker counts")
+	if len(v.DownNodes) == 0 {
+		v.DownNodes = nil
+	}
+	if len(v.SLOViolations) == 0 {
+		t.Fatalf("epoch %d: verdict lost the SLO strings", w.RunEpoch)
+	}
+	if !reflect.DeepEqual(v, w) {
+		t.Fatalf("epoch %d verdict disagrees with report:\n got %+v\nwant %+v", w.RunEpoch, v, w)
+	}
+}
+
+// The ledger contract, on every entry point: attaching a ledger does not
+// perturb the run (same-seed reports DeepEqual with and without it), the
+// chain verifies against its pinned head, its bytes are identical across
+// worker counts — commits happen only on the serial epoch loop — and every
+// committed verdict equals its epoch's report field for field. Governed
+// runs additionally attest each node's shed floor.
+func TestLedgerVerdictEqualsReport(t *testing.T) {
+	slo := trace.Disabled()
+	slo.MinWorstCoverage = 1.01 // unsatisfiable: every verdict carries SLO strings
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			base, want := ep.run(t, planes{wd: trace.NewWatchdog(slo)})
+			n := topology.Internet2().N()
+			var chains [][]byte
+			for _, workers := range []int{1, 4} {
+				led, store := newTestLedger(ep.seed)
+				rep, _ := ep.run(t, planes{workers: workers, led: led, wd: trace.NewWatchdog(slo)})
+				if !reflect.DeepEqual(base, rep) {
+					t.Fatalf("ledger-on report (workers=%d) diverges from ledger-off", workers)
+				}
+				sum := verifyTestChain(t, led, store, ep.seed)
+				if sum.Kinds[ledger.RecEpoch] != len(want) {
+					t.Fatalf("chain has %d epoch records, want %d", sum.Kinds[ledger.RecEpoch], len(want))
+				}
+				if sum.Kinds[ledger.RecPublish] == 0 {
+					t.Fatal("chain has no publish record")
+				}
+				chains = append(chains, led.Chain())
+
+				epoch, shedAttested := 0, false
+				for _, r := range led.Records() {
+					if r.Kind != ledger.RecEpoch {
+						continue
+					}
+					wantItems := 1
+					if ep.governed {
+						wantItems = n + 1
+					}
+					if len(r.Items) != wantItems {
+						t.Fatalf("epoch record has %d items, want %d", len(r.Items), wantItems)
+					}
+					for _, it := range r.Items {
+						switch it.Kind {
+						case ledger.ItemVerdict:
+							checkVerdict(t, it.Data, want[epoch], n)
+						case ledger.ItemAttest:
+							a, err := governor.DecodeAttestation(it.Data)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !a.FloorIntact {
+								t.Fatalf("epoch %d node %d attested a floor breach", epoch+1, a.Node)
+							}
+							if a.ShedWidth > 0 {
+								shedAttested = true
+							}
+						default:
+							t.Fatalf("unexpected item kind %s in epoch record", it.Kind)
+						}
+					}
+					epoch++
+				}
+				if ep.governed && !shedAttested {
+					t.Fatal("no attestation recorded any shedding — scenario too tame to test anything")
+				}
+			}
+			if !bytes.Equal(chains[0], chains[1]) {
+				t.Fatal("same-seed chains differ across worker counts")
+			}
+		})
 	}
 }
 
@@ -90,8 +160,8 @@ func TestChaosLedgerDeltaPathEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			cfg := ChaosConfig{
 				Sessions: 600, Epochs: 4, Seed: 33,
-				Schedule: &chaos.Schedule{}, // fault-free: every agent syncs every epoch
-				ReoptEvery: 2,               // exercise a mid-run publish record
+				Schedule:   &chaos.Schedule{}, // fault-free: every agent syncs every epoch
+				ReoptEvery: 2,                 // exercise a mid-run publish record
 				Deltas:     p.deltas, Encoding: p.enc,
 				Probes: 300, Workers: workers,
 				Retry: fastRetry, Agent: fastAgent,
@@ -134,7 +204,7 @@ func TestClusterLedgerMatchesAgentManifests(t *testing.T) {
 	if pub.Kind == "" {
 		t.Fatal("no publish record committed")
 	}
-	for j, a := range c.Agents() {
+	for j, a := range c.agents {
 		m := a.agent.Manifest()
 		if m == nil {
 			t.Fatalf("agent %d holds no manifest", j)
@@ -167,72 +237,6 @@ func TestClusterLedgerMatchesAgentManifests(t *testing.T) {
 		if !found {
 			t.Fatalf("publish record has no item for node %d", j)
 		}
-	}
-}
-
-// Overload runs commit an epoch record per epoch whose prediction is the
-// governors' shed floor, plus one floor attestation per node — and the
-// ledger must not perturb the run.
-func TestOverloadLedgerAttestations(t *testing.T) {
-	base, err := RunOverload(smallOverloadConfig(5, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := smallOverloadConfig(5, 2)
-	led, store := newTestLedger(5)
-	cfg.Ledger = led
-	rep, err := RunOverload(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, rep) {
-		t.Fatal("ledger-on overload report diverges from ledger-off")
-	}
-	verifyTestChain(t, led, store, 5)
-
-	n := topology.Internet2().N()
-	epochRecs := 0
-	shedAttested := false
-	for _, r := range led.Records() {
-		if r.Kind != ledger.RecEpoch {
-			continue
-		}
-		epochRecs++
-		if len(r.Items) != n+1 {
-			t.Fatalf("epoch record has %d items, want verdict + %d attestations", len(r.Items), n)
-		}
-		ep := rep.Epochs[epochRecs-1]
-		for _, it := range r.Items {
-			switch it.Kind {
-			case ledger.ItemVerdict:
-				v, err := DecodeCoverageVerdict(it.Data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if v.PredictedWorst != ep.ShedFloorWorst || v.Worst != ep.WorstCoverage {
-					t.Fatalf("epoch %d verdict %+v disagrees with report", ep.Epoch, v)
-				}
-			case ledger.ItemAttest:
-				a, err := governor.DecodeAttestation(it.Data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !a.FloorIntact {
-					t.Fatalf("epoch %d node %d attested a floor breach", ep.Epoch, a.Node)
-				}
-				if a.ShedWidth > 0 {
-					shedAttested = true
-				}
-			default:
-				t.Fatalf("unexpected item kind %s in epoch record", it.Kind)
-			}
-		}
-	}
-	if epochRecs != len(rep.Epochs) {
-		t.Fatalf("chain has %d epoch records, want %d", epochRecs, len(rep.Epochs))
-	}
-	if !shedAttested {
-		t.Fatal("no attestation recorded any shedding — scenario too tame to test anything")
 	}
 }
 

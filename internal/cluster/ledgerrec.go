@@ -3,27 +3,35 @@ package cluster
 import (
 	"fmt"
 
+	"nwdeploy/internal/governor"
 	"nwdeploy/internal/ledger"
 )
 
 // CoverageVerdict is the ledger-committed summary of one runtime epoch's
 // audit: what coverage the wire actually delivered versus the
 // prediction, which agents enforced which manifest generation, and the
-// SLO verdicts. One is committed per chaos epoch (prediction = the
-// plan's static residual-coverage model) and per overload epoch
-// (prediction = the governors' shed floor). All fields are logical
-// quantities, so the encoding is seed-deterministic.
+// SLO verdicts. The epoch loop commits one per epoch, the same fields in
+// every run mode. All fields are logical quantities, so the encoding is
+// seed-deterministic.
 type CoverageVerdict struct {
-	RunEpoch       int
-	CtrlEpoch      uint64
+	RunEpoch  int
+	CtrlEpoch uint64
+	// ControllerDown and DownNodes echo the epoch's injected faults
+	// (crashes only: a drained node is not down in the ledger's sense).
 	ControllerDown bool
 	DownNodes      []int
 	AgentEpochs    []uint64
 	Synced         int
 	Stale          int
 	Dark           int
-	Alerts         int
-	MaxCPU         float64
+	// Alerts and MaxCPU are the data plane's outcome — the alert total and
+	// the busiest engine's CPU units — and 0 in an epoch whose data plane
+	// did not run (governed load fractions are the report's NodeLoads).
+	Alerts int
+	MaxCPU float64
+	// Worst/Avg are the achieved wire coverage; PredictedWorst/Avg the
+	// published expectation on the same probe grid: live nodes' plan
+	// manifests minus their published shed.
 	Worst          float64
 	Avg            float64
 	PredictedWorst float64
@@ -70,45 +78,50 @@ func DecodeCoverageVerdict(b []byte) (CoverageVerdict, error) {
 		Stale:          int(d.I64()),
 		Dark:           int(d.I64()),
 		Alerts:         int(d.I64()),
+		MaxCPU:         d.F64(),
+		Worst:          d.F64(),
+		Avg:            d.F64(),
+		PredictedWorst: d.F64(),
+		PredictedAvg:   d.F64(),
+		SLOViolations:  d.Strs(),
 	}
-	v.MaxCPU = d.F64()
-	v.Worst = d.F64()
-	v.Avg = d.F64()
-	v.PredictedWorst = d.F64()
-	v.PredictedAvg = d.F64()
-	v.SLOViolations = d.Strs()
 	if err := d.Done(); err != nil {
 		return CoverageVerdict{}, fmt.Errorf("cluster: verdict: %w", err)
 	}
 	return v, nil
 }
 
-// commitEpochLedger seals a chaos epoch's verdict into the attached
-// ledger; free when no ledger is configured.
-func (c *Cluster) commitEpochLedger(rep *EpochReport) {
+// commitVerdict seals one epoch into the attached ledger: the coverage
+// verdict, every field from the loop's epoch record, plus the governed
+// nodes' floor attestations. Free when no ledger is configured.
+func (c *Cluster) commitVerdict(ep *ScenarioEpoch, attests []governor.Attestation) {
 	l := c.opts.Ledger
 	if l == nil {
 		return
 	}
-	b := l.Begin(ledger.RecEpoch, c.ctrl.Epoch())
 	v := CoverageVerdict{
-		RunEpoch:       rep.Epoch,
-		CtrlEpoch:      rep.ControllerEpoch,
-		ControllerDown: rep.ControllerDown,
-		DownNodes:      rep.DownNodes,
-		AgentEpochs:    rep.AgentEpochs,
-		Synced:         rep.SyncedAgents,
-		Stale:          rep.StaleAgents,
-		Dark:           rep.DarkAgents,
-		Alerts:         rep.Alerts,
-		MaxCPU:         rep.MaxCPU,
-		Worst:          rep.WorstCoverage,
-		Avg:            rep.AvgCoverage,
-		PredictedWorst: rep.PredictedWorst,
-		PredictedAvg:   rep.PredictedAvg,
-		SLOViolations:  rep.SLOViolations,
+		RunEpoch:       ep.Epoch,
+		CtrlEpoch:      ep.ControllerEpoch,
+		ControllerDown: ep.CtrlDown,
+		DownNodes:      ep.DownNodes,
+		AgentEpochs:    ep.AgentEpochs,
+		Synced:         ep.SyncedAgents,
+		Stale:          ep.StaleAgents,
+		Dark:           ep.DarkAgents,
+		Alerts:         ep.Alerts,
+		MaxCPU:         ep.MaxCPU,
+		Worst:          ep.WorstCoverage,
+		Avg:            ep.AvgCoverage,
+		PredictedWorst: ep.ExpectedWorst,
+		PredictedAvg:   ep.ExpectedAvg,
+		SLOViolations:  ep.SLOViolations,
 	}
+	b := l.Begin(ledger.RecEpoch, ep.ControllerEpoch)
 	data, err := v.Encode()
 	b.Item(ledger.ItemVerdict, "coverage", data, err)
+	for _, a := range attests {
+		data, err := a.Encode()
+		b.Item(ledger.ItemAttest, fmt.Sprintf("node/%d", a.Node), data, err)
+	}
 	b.Commit()
 }

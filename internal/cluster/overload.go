@@ -1,16 +1,9 @@
 package cluster
 
 import (
-	"errors"
-	"fmt"
-
 	"nwdeploy/internal/bro"
-	"nwdeploy/internal/control"
-	"nwdeploy/internal/core"
 	"nwdeploy/internal/governor"
-	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/ledger"
-	"nwdeploy/internal/lp"
 	"nwdeploy/internal/obs"
 	"nwdeploy/internal/parallel"
 	"nwdeploy/internal/telemetry"
@@ -24,111 +17,67 @@ import (
 // overrun and an EWMA drift detector triggering warm-started replans. The
 // zero value selects a complete default scenario.
 type OverloadConfig struct {
-	// Topo is the monitored network (nil selects Internet2).
-	Topo *topology.Topology
-	// Modules are the deployed analysis modules (nil selects the
-	// PerPath-scoped standard modules — the classes for which the default
-	// redundancy 2, and hence sheddable copy >= 1 slices, are feasible;
-	// PerIngress/PerEgress units have a single eligible node).
-	Modules []bro.ModuleSpec
-	// Sessions sizes the generated workload (0 selects 4000);
-	// TrafficSeed makes it reproducible (0 selects 7).
+	// The deployment and workload, with ScenarioConfig's meanings and
+	// defaults. Seed also drives the bursty volume series.
+	Topo        *topology.Topology
+	Modules     []bro.ModuleSpec
 	Sessions    int
 	TrafficSeed int64
-	// Seed drives the bursty volume series. Same seed, same report.
-	Seed int64
-	// Epochs is the run length (0 selects 8).
-	Epochs int
-	// Redundancy is the provisioned coverage level r (0 selects 2 — the
-	// governor needs copy >= 1 slices to shed).
-	Redundancy int
+	Seed        int64
+	Epochs      int
+	Redundancy  int
 	// Burst shape: BurstFactor multiplies a bursting pair's volume
 	// (0 selects 4), BurstProb is the per-(epoch, pair) burst probability
 	// (0 selects 0.15), BaseJitter the everyday noise (0 selects 0.1).
 	BurstFactor float64
 	BurstProb   float64
 	BaseJitter  float64
-	// Governor enables per-node load governing; GovernorCfg tunes it.
-	// With Governor false the run still reports projected loads (the
-	// exceeds-budget baseline) but nothing sheds.
-	Governor    bool
-	GovernorCfg governor.Config
-	// Replan enables drift-triggered replanning; WarmReplan warm-starts
-	// each re-solve from the previous plan's basis (cold otherwise).
-	Replan     bool
-	WarmReplan bool
-	// ReplanThreshold is the EWMA relative-error drift trigger (0 selects
-	// 0.2); EWMAAlpha the smoothing weight (0 selects 0.5).
+	// The governor and replan knobs, probe count and worker pool size,
+	// again ScenarioConfig's.
+	Governor        bool
+	GovernorCfg     governor.Config
+	Replan          bool
+	WarmReplan      bool
 	ReplanThreshold float64
 	EWMAAlpha       float64
-	// ReplanMaxIters bounds each re-solve's simplex iterations — the
-	// replan deadline. A solve that exceeds it is abandoned and the epoch
-	// falls back to the governors' shed state (0 = no deadline).
-	ReplanMaxIters int
-	// Probes is the coverage probe count per unit (0 selects 2000).
-	Probes int
-	// Workers sizes the worker pools (0 = GOMAXPROCS). Reports are
-	// identical for any value.
-	Workers int
-	// Metrics, when non-nil, receives the full runtime metric surface.
-	Metrics *obs.Registry
-	// Trace, when non-nil, records the run's causal event log — the
-	// burst → overrun → shed → replan chain, epoch by epoch (see
-	// Options.Trace); Watchdog, when non-nil, checks every epoch against
-	// its SLO (see Options.Watchdog). Both are write-only.
-	Trace    *trace.Tracer
-	Watchdog *trace.Watchdog
-	// Ledger, when non-nil, receives the run's tamper-evident audit chain:
-	// publish/shed records from the controller plus one epoch record per
-	// overload epoch carrying the coverage verdict (prediction = the
-	// governors' shed floor) and a per-node floor attestation. Write-only.
-	Ledger *ledger.Ledger
-	// Fleet/FleetHistory turn on the fleet telemetry plane (see
-	// Options.Fleet). Write-only: reports are DeepEqual with or without.
+	ReplanMaxIters  int
+	Probes          int
+	Workers         int
+	// The write-only planes, as in Options: reports are DeepEqual with or
+	// without any of them. The trace records the burst → overrun → shed →
+	// replan chain; each epoch's ledger record carries the coverage verdict
+	// and, governed, a per-node floor attestation.
+	Metrics      *obs.Registry
+	Trace        *trace.Tracer
+	Watchdog     *trace.Watchdog
+	Ledger       *ledger.Ledger
 	Fleet        *telemetry.Fleet
 	FleetHistory *telemetry.History
 }
 
-// OverloadEpoch is one epoch's outcome under overload.
+// OverloadEpoch is one epoch's outcome under overload: the ScenarioEpoch
+// fields of the same names.
 type OverloadEpoch struct {
-	Epoch int
-	// MaxRelErr is the drift detector's error after this epoch's
-	// observation; Drifted reports whether it crossed the threshold.
-	MaxRelErr float64
-	Drifted   bool
-	// Replanned: a re-solve succeeded and fresh manifests were pushed.
-	// ReplanWarm says it warm-started; ReplanIters is its simplex
-	// iteration count (the replan latency in deterministic units);
-	// ReplanMissed: the solve hit the deadline and the epoch fell back to
-	// the governors' shed state.
+	Epoch        int
+	MaxRelErr    float64
+	Drifted      bool
 	Replanned    bool
 	ReplanWarm   bool
 	ReplanIters  int
 	ReplanMissed bool
-	// NodeLoads[j] is node j's CPU load fraction after governing (with
-	// the governor off: the raw projection); NodeBudgets[j] the plan's
-	// prediction. OverBudget counts nodes above budget*(1+tolerance);
-	// Unsatisfied counts the nodes the governor could not fit because
-	// their remaining load is entirely copy-0 slices — the r=1 coverage
-	// floor outranks the budget, so those nodes run hot by design. Under
-	// the governor every over-budget node is unsatisfied (OverBudget <=
-	// Unsatisfied; the gap is nodes over only on memory, which NodeLoads,
-	// a CPU measure, does not show).
-	NodeLoads   []float64
-	NodeBudgets []float64
-	OverBudget  int
-	Unsatisfied int
-	// ShedWidth is the total hash width shed across nodes this epoch.
-	ShedWidth float64
+	NodeLoads    []float64
+	NodeBudgets  []float64
+	OverBudget   int
+	Unsatisfied  int
+	ShedWidth    float64
 	// WorstCoverage/AvgCoverage audit the agents' wire manifests (with
 	// shed subtracted); ShedFloorWorst/ShedFloorAvg are the governor-side
-	// audit of the same degradation (equal when every agent synced).
+	// audit of the same degradation (equal when every agent synced; 1
+	// with the governor off).
 	WorstCoverage, AvgCoverage   float64
 	ShedFloorWorst, ShedFloorAvg float64
 	SyncedAgents                 int
-	// SLOViolations are the watchdog rules this epoch breached (see
-	// EpochReport.SLOViolations).
-	SLOViolations []string
+	SLOViolations                []string
 }
 
 // OverloadReport is a full overload run.
@@ -152,29 +101,16 @@ type OverloadReport struct {
 	TotalReplanIters int
 }
 
-func (cfg OverloadConfig) withDefaults() OverloadConfig {
-	if cfg.Topo == nil {
-		cfg.Topo = topology.Internet2()
-	}
-	if cfg.Modules == nil {
-		for _, m := range bro.StandardModules()[1:] {
-			if m.Scope == core.PerPath {
-				cfg.Modules = append(cfg.Modules, m)
-			}
-		}
-	}
-	if cfg.Sessions <= 0 {
-		cfg.Sessions = 4000
-	}
-	if cfg.TrafficSeed == 0 {
-		cfg.TrafficSeed = 7
-	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 8
-	}
-	if cfg.Redundancy <= 0 {
-		cfg.Redundancy = 2
-	}
+// RunOverload runs the overload-resilience experiment: the scenario
+// runtime under a bursty-series driver, on a clean network with the data
+// plane off. Each epoch the per-node governors project their load against
+// the plan's budget and shed deterministically when over; the drift
+// detector watches the smoothed volumes and, past the threshold, triggers a
+// re-solve whose manifests are pushed through the normal epoch protocol. A
+// re-solve that misses the ReplanMaxIters deadline is abandoned — the
+// published shed state already bounds every node's load, which is exactly
+// the fallback the governor exists for.
+func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 	if cfg.BurstFactor == 0 {
 		cfg.BurstFactor = 4
 	}
@@ -184,415 +120,68 @@ func (cfg OverloadConfig) withDefaults() OverloadConfig {
 	if cfg.BaseJitter == 0 {
 		cfg.BaseJitter = 0.1
 	}
-	if cfg.ReplanThreshold == 0 {
-		cfg.ReplanThreshold = 0.2
-	}
-	return cfg
-}
-
-// unitScales maps the pair-keyed bursty series onto per-unit volume scale
-// factors: a PerPath unit follows its pair's burst, a PerIngress unit the
-// volume-weighted aggregate of pairs entering at its ingress. Units whose
-// traffic the series does not model keep scale 1.
-type unitScales struct {
-	members [][]int // per unit: indices into the series' pair list
-	means   []float64
-	series  *traffic.EpochSeries
-}
-
-func newUnitScales(inst *core.Instance, pv traffic.PathVolumes, series *traffic.EpochSeries) *unitScales {
-	us := &unitScales{series: series, means: pv.Items}
-	byPair := map[[2]int][]int{}
-	bySrc := map[int][]int{}
-	byDst := map[int][]int{}
-	for k, p := range pv.Pairs {
-		a, b := p[0], p[1]
-		if a > b {
-			a, b = b, a
-		}
-		byPair[[2]int{a, b}] = append(byPair[[2]int{a, b}], k)
-		bySrc[p[0]] = append(bySrc[p[0]], k)
-		byDst[p[1]] = append(byDst[p[1]], k)
-	}
-	us.members = make([][]int, len(inst.Units))
-	for ui, u := range inst.Units {
-		switch {
-		case u.Key[1] != -1:
-			us.members[ui] = byPair[u.Key]
-		case inst.Classes[u.Class].Scope == core.PerEgress:
-			// An egress unit's key is its destination: aggregate the pairs
-			// terminating there, not the ones (if any) originating there.
-			us.members[ui] = byDst[u.Key[0]]
-		default:
-			us.members[ui] = bySrc[u.Key[0]]
-		}
-	}
-	return us
-}
-
-// factors maps per-pair multiplicative factors (nil means 1 everywhere)
-// onto per-unit volume scales, weighting each member pair by its mean
-// volume. Units with no modeled traffic keep scale 1.
-func (us *unitScales) factors(f []float64) []float64 {
-	out := make([]float64, len(us.members))
-	for ui, ks := range us.members {
-		var v, m float64
-		for _, k := range ks {
-			fk := 1.0
-			if f != nil {
-				fk = f[k]
-			}
-			v += us.means[k] * fk
-			m += us.means[k]
-		}
-		if m <= 0 {
-			out[ui] = 1
-			continue
-		}
-		out[ui] = v / m
-	}
-	return out
-}
-
-// scale returns the per-unit volume scale factors for epoch e.
-func (us *unitScales) scale(e int) []float64 {
-	vols := us.series.Volumes[e]
-	out := make([]float64, len(us.members))
-	for ui, ks := range us.members {
-		var v, m float64
-		for _, k := range ks {
-			v += vols[k]
-			m += us.means[k]
-		}
-		if m <= 0 {
-			out[ui] = 1
-			continue
-		}
-		out[ui] = v / m
-	}
-	return out
-}
-
-// RunOverload runs the overload-resilience experiment: a clean-network
-// cluster whose traffic drifts and bursts epoch by epoch. Each epoch, the
-// per-node governors project their load against the plan's budget and shed
-// deterministically when over; the drift detector watches the smoothed
-// volumes and, past the threshold, triggers a re-solve (warm-started from
-// the previous basis when configured) whose manifests are pushed through
-// the normal epoch protocol. A re-solve that misses the ReplanMaxIters
-// deadline is abandoned — the published shed state already bounds every
-// node's load, which is exactly the fallback the governor exists for.
-func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
-	cfg = cfg.withDefaults()
-	sessions := traffic.Generate(cfg.Topo, traffic.Gravity(cfg.Topo), traffic.GenConfig{
-		Sessions: cfg.Sessions, Seed: cfg.TrafficSeed,
-	})
-	c, err := New(Options{
-		Topo: cfg.Topo, Modules: cfg.Modules, Sessions: sessions,
-		Redundancy: cfg.Redundancy, Seed: cfg.Seed,
-		Workers: cfg.Workers, Probes: cfg.Probes, Metrics: cfg.Metrics,
-		Trace: cfg.Trace, Watchdog: cfg.Watchdog, Ledger: cfg.Ledger,
+	// Every other default is the scenario runtime's.
+	scfg := ScenarioConfig{
+		Topo: cfg.Topo, Modules: cfg.Modules,
+		Sessions: cfg.Sessions, TrafficSeed: cfg.TrafficSeed,
+		Seed: cfg.Seed, Epochs: cfg.Epochs, Redundancy: cfg.Redundancy,
+		Governor: cfg.Governor, GovernorCfg: cfg.GovernorCfg,
+		Replan: cfg.Replan, WarmReplan: cfg.WarmReplan,
+		ReplanThreshold: cfg.ReplanThreshold, EWMAAlpha: cfg.EWMAAlpha,
+		ReplanMaxIters: cfg.ReplanMaxIters,
+		Probes:         cfg.Probes, Workers: cfg.Workers,
+		Metrics: cfg.Metrics, Trace: cfg.Trace, Watchdog: cfg.Watchdog, Ledger: cfg.Ledger,
 		Fleet: cfg.Fleet, FleetHistory: cfg.FleetHistory,
-		CaptureBasis: cfg.Replan && cfg.WarmReplan,
+	}.withDefaults()
+
+	// The driver: absolute per-pair volumes from a seeded bursty series
+	// around the modeled means, drawn on the first step.
+	var series *traffic.EpochSeries
+	srep, err := runScenario(scfg, func(env *ScenarioEnv) (Stimulus, []float64) {
+		if series == nil {
+			series = traffic.BurstySeries(
+				traffic.PathVolumes{Pairs: env.Pairs, Items: env.PairMeans},
+				traffic.BurstConfig{
+					Epochs: env.Epochs, BaseJitter: cfg.BaseJitter,
+					BurstProb: cfg.BurstProb, BurstFactor: cfg.BurstFactor,
+					Seed: parallel.SplitSeed(cfg.Seed, 3),
+				})
+		}
+		return Stimulus{}, series.Volumes[env.Epoch-1]
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close()
-
-	probes := c.opts.Probes
-	hasher := hashing.Hasher{Key: c.opts.HashKey}
-	pv := traffic.Volumes(cfg.Topo, traffic.Gravity(cfg.Topo), 0)
-	series := traffic.BurstySeries(pv, traffic.BurstConfig{
-		Epochs: cfg.Epochs, BaseJitter: cfg.BaseJitter,
-		BurstProb: cfg.BurstProb, BurstFactor: cfg.BurstFactor,
-		Seed: parallel.SplitSeed(cfg.Seed, 3),
-	})
-	scales := newUnitScales(c.inst, pv, series)
-
-	// Reference volumes: what the current plan was solved against. The
-	// burst series scales the *original* workload; the detector and the
-	// governors compare against the *current* plan's volumes, which move
-	// when a replan lands.
-	orig := c.inst
-	origPkts := make([]float64, len(orig.Units))
-	origItems := make([]float64, len(orig.Units))
-	for ui, u := range orig.Units {
-		origPkts[ui] = u.Pkts
-		origItems[ui] = u.Items
-	}
-	detector := NewDriftDetector(origPkts, cfg.EWMAAlpha, cfg.ReplanThreshold)
-
-	gcfg := cfg.GovernorCfg
-	if gcfg.Metrics == nil {
-		gcfg.Metrics = cfg.Metrics
-	}
-	govs := make([]*governor.Governor, cfg.Topo.N())
-	buildGovernors := func() error {
-		for j := range govs {
-			g, err := governor.New(c.plan, j, hasher, gcfg)
-			if err != nil {
-				return err
-			}
-			govs[j] = g
-		}
-		return nil
-	}
-	if err := buildGovernors(); err != nil {
-		return nil, err
-	}
-	lastBasis := c.plan.Basis
-	tol := cfg.GovernorCfg.Tolerance
-	if tol == 0 {
-		tol = 0.1
-	}
 
 	rep := &OverloadReport{
-		Topology: cfg.Topo.Name, Nodes: cfg.Topo.N(), Sessions: cfg.Sessions,
-		Redundancy: cfg.Redundancy, Seed: cfg.Seed,
+		Topology: srep.Topology, Nodes: srep.Nodes, Sessions: srep.Sessions,
+		Redundancy: srep.Redundancy, Seed: srep.Seed,
 		Governor: cfg.Governor, Replan: cfg.Replan, WarmReplan: cfg.WarmReplan,
-		Objective: c.plan.Objective, WorstCoverage: 1,
+		Objective:     srep.Objective,
+		WorstCoverage: srep.WorstCoverage, AvgCoverage: srep.AvgCoverage,
+		MaxOverBudget: srep.MaxOverBudget, Replans: srep.Replans,
+		MissedReplans: srep.MissedReplans, TotalReplanIters: srep.TotalReplanIters,
 	}
-
-	for e := 0; e < cfg.Epochs; e++ {
-		ep := OverloadEpoch{Epoch: e + 1}
-		c.epoch = e + 1
-		cfg.Ledger.SetRun(c.epoch)
-		c.epochSpan = cfg.Trace.Epoch(ep.Epoch)
-		c.epochSpan.Event(trace.EvEpochStart)
-		ctrlSpan := c.epochSpan.Child("controller", -1)
-
-		// Offered volumes this epoch, scaled off the original workload.
-		sc := scales.scale(e)
-		obsPkts := make([]float64, len(origPkts))
-		obsItems := make([]float64, len(origItems))
-		for ui := range obsPkts {
-			obsPkts[ui] = origPkts[ui] * sc[ui]
-			obsItems[ui] = origItems[ui] * sc[ui]
-		}
-
-		// Drift detection over the smoothed observations.
-		ep.MaxRelErr = detector.Observe(obsPkts)
-		ep.Drifted = detector.Drifted()
-		c.epochSpan.Event(trace.EvDrift,
-			trace.F64("rel_err", ep.MaxRelErr), trace.Int("drifted", boolToInt(ep.Drifted)))
-
-		// Replan on sustained drift: re-solve on the smoothed volumes with
-		// the deadline; push fresh manifests on success, fall back to the
-		// governors' shed state on a miss.
-		if cfg.Replan && ep.Drifted {
-			smPkts := detector.Smoothed()
-			smItems := make([]float64, len(smPkts))
-			for ui := range smItems {
-				if origPkts[ui] > 0 {
-					smItems[ui] = origItems[ui] * smPkts[ui] / origPkts[ui]
-				} else {
-					smItems[ui] = origItems[ui]
-				}
-			}
-			inst2, err := c.inst.WithVolumes(smPkts, smItems)
-			if err != nil {
-				return nil, err
-			}
-			sopts := core.SolveOptions{
-				Redundancy: cfg.Redundancy, MaxIters: cfg.ReplanMaxIters,
-				Metrics: cfg.Metrics, CaptureBasis: true,
-			}
-			if cfg.WarmReplan && lastBasis != nil {
-				sopts.WarmBasis = lastBasis
-			}
-			plan2, err := core.SolveOpts(inst2, sopts)
-			switch {
-			case err == nil:
-				c.plan, c.inst = plan2, inst2
-				// clears published shed, bumps epoch, stamps this epoch's
-				// publish span on served manifests
-				publishTraced(cfg.Trace, cfg.Ledger, c.ctrl, ep.Epoch, plan2)
-				lastBasis = plan2.Basis
-				detector.Rebase(smPkts)
-				if err := buildGovernors(); err != nil {
-					return nil, err
-				}
-				ep.Replanned = true
-				ep.ReplanWarm = sopts.WarmBasis != nil
-				ep.ReplanIters = plan2.SolverIters
-				rep.Replans++
-				rep.TotalReplanIters += plan2.SolverIters
-				cfg.Metrics.Add("overload.replans", 1)
-				if ep.ReplanWarm {
-					cfg.Metrics.Add("overload.replan_iters_warm", int64(plan2.SolverIters))
-					c.epochSpan.Event(trace.EvReplanWarm, trace.Int("iters", ep.ReplanIters))
-				} else {
-					cfg.Metrics.Add("overload.replan_iters_cold", int64(plan2.SolverIters))
-					c.epochSpan.Event(trace.EvReplanCold, trace.Int("iters", ep.ReplanIters))
-				}
-			case errors.Is(err, lp.ErrIterLimit):
-				ep.ReplanMissed = true
-				rep.MissedReplans++
-				cfg.Metrics.Add("overload.replan_misses", 1)
-				c.epochSpan.Event(trace.EvDeadlineMiss, trace.Int("max_iters", cfg.ReplanMaxIters))
-				cfg.Trace.DumpOnce("deadline_miss")
-			default:
-				return nil, fmt.Errorf("cluster: replan: %w", err)
-			}
-		}
-
-		// Governor phase: project each node's load at the offered volumes
-		// relative to the *current* plan, shed when over, publish.
-		ep.NodeLoads = make([]float64, len(govs))
-		ep.NodeBudgets = make([]float64, len(govs))
-		scVsPlan := make([]float64, len(obsPkts))
-		for ui := range scVsPlan {
-			if p := c.inst.Units[ui].Pkts; p > 0 {
-				scVsPlan[ui] = obsPkts[ui] / p
-			} else {
-				scVsPlan[ui] = 1
-			}
-		}
-		if ctrlSpan.Live() {
-			// Shed publishes below serve manifests under this epoch's
-			// controller span, so re-fetching agents stitch to it.
-			c.ctrl.SetTrace(&control.WireTrace{Trace: ctrlSpan.TraceHex(), Span: ctrlSpan.SpanHex()})
-		}
-		var attests []governor.Attestation
-		for j, g := range govs {
-			g.AttachSpan(c.epochSpan.Child("governor", j))
-			grep, err := g.PlanEpoch(scVsPlan)
-			if err != nil {
-				return nil, err
-			}
-			ep.NodeBudgets[j] = grep.BudgetCPU
-			c.agents[j].lastFloor = cfg.Governor && !grep.Satisfied
-			if cfg.Governor {
-				if cfg.Ledger != nil {
-					attests = append(attests, g.Attest(grep))
-				}
-				ep.NodeLoads[j] = grep.CPUAfter
-				ep.ShedWidth += grep.ShedWidth
-				if !grep.Satisfied {
-					ep.Unsatisfied++
-					// Floor breach: the r=1 coverage floor is all that is
-					// left and the node still projects hot.
-					cfg.Trace.DumpOnce("floor_breach")
-				}
-				wa := control.ShedFromRanges(c.plan, g.ShedRanges())
-				if len(wa) > 0 {
-					ctrlSpan.Event(trace.EvShedPublish,
-						trace.Int("node", j), trace.F64("width", grep.ShedWidth))
-				}
-				c.ctrl.PublishShed(j, wa)
-			} else {
-				// Ungoverned baseline: the node runs hot at the raw
-				// projection; nothing is shed or published.
-				ep.NodeLoads[j] = grep.ProjectedCPU
-			}
-			if ep.NodeLoads[j] > grep.BudgetCPU*(1+tol)+1e-9 {
-				ep.OverBudget++
-			}
-		}
-		if ep.OverBudget > rep.MaxOverBudget {
-			rep.MaxOverBudget = ep.OverBudget
-		}
-		cfg.Metrics.Set("overload.shed_width", ep.ShedWidth)
-
-		// Push manifests through the normal epoch protocol and audit what
-		// the wire actually delivers.
-		c.fetchPhase()
-		darkAgents := 0
-		for _, a := range c.agents {
-			if a.tally.synced {
-				ep.SyncedAgents++
-			}
-			if !a.Usable() {
-				darkAgents++
-			}
-		}
-		units := c.inst.Units
-		ep.WorstCoverage, ep.AvgCoverage = core.ProbeCoverage(len(units), probes, func(ui int, x float64) bool {
-			u := units[ui]
-			for _, node := range u.Nodes {
-				a := c.agents[node]
-				if a.Usable() && a.Decider().CoversUnit(u.Class, u.Key, x) {
-					return true
-				}
-			}
-			return false
-		})
-		if cfg.Governor {
-			ep.ShedFloorWorst, ep.ShedFloorAvg = governor.Coverage(c.plan, govs, probes)
-		} else {
-			ep.ShedFloorWorst, ep.ShedFloorAvg = 1, 1
-		}
-		c.epochSpan.Event(trace.EvCoverage,
-			trace.F64("worst", ep.WorstCoverage), trace.F64("avg", ep.AvgCoverage),
-			trace.F64("shed_floor_worst", ep.ShedFloorWorst))
-		if ep.WorstCoverage < ep.ShedFloorWorst-1e-9 {
-			// The wire delivered less than the governors' own degradation
-			// floor predicts — manifests and shed state disagree.
-			c.epochSpan.Event(trace.EvCoverageViolation,
-				trace.F64("worst", ep.WorstCoverage), trace.F64("floor", ep.ShedFloorWorst))
-			cfg.Trace.DumpOnce("coverage_violation")
-		}
-		for _, v := range cfg.Watchdog.Check(c.epochSpan, trace.EpochStats{
+	for _, ep := range srep.Epochs {
+		oe := OverloadEpoch{
+			Epoch:     ep.Epoch,
+			MaxRelErr: ep.MaxRelErr, Drifted: ep.Drifted,
+			Replanned: ep.Replanned, ReplanWarm: ep.ReplanWarm,
+			ReplanIters: ep.ReplanIters, ReplanMissed: ep.ReplanMissed,
+			NodeLoads: ep.NodeLoads, NodeBudgets: ep.NodeBudgets,
+			OverBudget: ep.OverBudget, Unsatisfied: ep.Unsatisfied,
+			ShedWidth:     ep.ShedWidth,
 			WorstCoverage: ep.WorstCoverage, AvgCoverage: ep.AvgCoverage,
-			ShedWidth: ep.ShedWidth, ReplanIters: ep.ReplanIters,
-			DarkAgents: darkAgents, DeadlineMiss: ep.ReplanMissed,
-		}) {
-			ep.SLOViolations = append(ep.SLOViolations, v.String())
+			// With nothing down the published expectation is the
+			// governors' shed floor; ungoverned, nothing sheds.
+			ShedFloorWorst: 1, ShedFloorAvg: 1,
+			SyncedAgents:  ep.SyncedAgents,
+			SLOViolations: ep.SLOViolations,
 		}
-		if len(ep.SLOViolations) > 0 {
-			cfg.Trace.DumpOnce("slo_violation")
+		if cfg.Governor {
+			oe.ShedFloorWorst, oe.ShedFloorAvg = ep.ExpectedWorst, ep.ExpectedAvg
 		}
-		commitOverloadLedger(cfg.Ledger, c, &ep, darkAgents, attests)
-		c.sampleFleet()
-
-		if ep.WorstCoverage < rep.WorstCoverage {
-			rep.WorstCoverage = ep.WorstCoverage
-		}
-		rep.AvgCoverage += ep.AvgCoverage
-		rep.Epochs = append(rep.Epochs, ep)
+		rep.Epochs = append(rep.Epochs, oe)
 	}
-	rep.AvgCoverage /= float64(len(rep.Epochs))
 	return rep, nil
-}
-
-// commitOverloadLedger seals one overload epoch into the attached ledger:
-// a coverage verdict whose prediction is the governors' shed floor, plus
-// one floor attestation per governed node. Free when no ledger is
-// configured.
-func commitOverloadLedger(l *ledger.Ledger, c *Cluster, ep *OverloadEpoch, dark int, attests []governor.Attestation) {
-	if l == nil {
-		return
-	}
-	v := CoverageVerdict{
-		RunEpoch:       ep.Epoch,
-		CtrlEpoch:      c.ctrl.Epoch(),
-		AgentEpochs:    make([]uint64, len(c.agents)),
-		Synced:         ep.SyncedAgents,
-		Stale:          len(c.agents) - ep.SyncedAgents - dark,
-		Dark:           dark,
-		Worst:          ep.WorstCoverage,
-		Avg:            ep.AvgCoverage,
-		PredictedWorst: ep.ShedFloorWorst,
-		PredictedAvg:   ep.ShedFloorAvg,
-		SLOViolations:  ep.SLOViolations,
-	}
-	for j, a := range c.agents {
-		if a.Usable() {
-			v.AgentEpochs[j] = a.Decider().Epoch()
-		}
-	}
-	for _, load := range ep.NodeLoads {
-		if load > v.MaxCPU {
-			v.MaxCPU = load
-		}
-	}
-	b := l.Begin(ledger.RecEpoch, c.ctrl.Epoch())
-	data, err := v.Encode()
-	b.Item(ledger.ItemVerdict, "coverage", data, err)
-	for _, a := range attests {
-		data, err := a.Encode()
-		b.Item(ledger.ItemAttest, fmt.Sprintf("node/%d", a.Node), data, err)
-	}
-	b.Commit()
 }

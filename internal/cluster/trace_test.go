@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nwdeploy/internal/trace"
@@ -156,6 +157,47 @@ func TestWatchdogViolationsInReports(t *testing.T) {
 	}
 	if sloEvents == 0 {
 		t.Fatal("no slo_violation events recorded")
+	}
+}
+
+// The watchdog sees fetch failures on every path, not only under chaos: a
+// lossy scenario run breaches max_fetch_failures in exactly the epochs that
+// had failures, and arming the rule changes nothing else — the rule-off run
+// is the one the golden file pins.
+func TestWatchdogSeesFetchFailuresUnderScenario(t *testing.T) {
+	off, err := RunScenario(lossyScenarioConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slo := trace.Disabled()
+	slo.MaxFetchFailures = 0
+	cfg := lossyScenarioConfig(t)
+	cfg.Watchdog = trace.NewWatchdog(slo)
+	on, err := RunScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := 0
+	for i := range on.Epochs {
+		e := &on.Epochs[i]
+		breached := len(e.SLOViolations) == 1 && strings.HasPrefix(e.SLOViolations[0], "max_fetch_failures=")
+		if breached != (e.FetchFailures > 0) {
+			t.Fatalf("epoch %d: %d fetch failures but violations %v", e.Epoch, e.FetchFailures, e.SLOViolations)
+		}
+		if breached {
+			fired++
+		}
+		e.SLOViolations = nil
+	}
+	if fired == 0 {
+		t.Fatal("lossy run had no fetch failures; the rule was never on trial")
+	}
+	if on.SLOViolations != fired {
+		t.Fatalf("report counts %d violations, epochs carry %d", on.SLOViolations, fired)
+	}
+	on.SLOViolations = 0
+	if !reflect.DeepEqual(on, off) {
+		t.Fatal("arming max_fetch_failures changed the report beyond its SLO fields")
 	}
 }
 

@@ -190,14 +190,6 @@ func PlanNIDS(inst *NIDSInstance, opts NIDSOptions) (*NIDSPlan, error) {
 	})
 }
 
-// PlanNIDSWithRedundancy solves the placement LP at coverage level r.
-//
-// Deprecated: use PlanNIDS with NIDSOptions{Redundancy: r}. This wrapper
-// remains for callers of the original positional signature.
-func PlanNIDSWithRedundancy(inst *NIDSInstance, r int) (*NIDSPlan, error) {
-	return PlanNIDS(inst, NIDSOptions{Redundancy: r})
-}
-
 // NIPSVariant selects the approximation algorithm for PlanNIPS.
 type NIPSVariant = nips.Variant
 
@@ -289,21 +281,6 @@ func PlanNIPS(inst *NIPSInstance, opts NIPSOptions) (*NIPSResult, error) {
 	return out, nil
 }
 
-// PlanNIPSWithVariant runs the selected approximation variant with the
-// given number of rounding iterations and returns the best deployment and
-// the LP upper bound.
-//
-// Deprecated: use PlanNIPS with NIPSOptions; it additionally reports the
-// approximation gap and solve statistics. This wrapper remains for
-// callers of the original positional signature.
-func PlanNIPSWithVariant(inst *NIPSInstance, variant NIPSVariant, iters int, seed int64) (*NIPSDeployment, float64, error) {
-	res, err := PlanNIPS(inst, NIPSOptions{Variant: variant, Iters: iters, Seed: seed})
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Deployment, res.LPBound, nil
-}
-
 // AdaptiveNIPS is the online (follow-the-perturbed-leader) NIPS deployer.
 type AdaptiveNIPS = online.Adapter
 
@@ -334,15 +311,6 @@ func NewAdaptiveNIPS(inst *NIPSInstance, opts AdaptiveOptions) *AdaptiveNIPS {
 		Workers: opts.Workers,
 		Metrics: opts.Metrics,
 	})
-}
-
-// NewAdaptiveNIPSWithHorizon builds an FPL adapter with positional
-// Theorem 3.1 parameters.
-//
-// Deprecated: use NewAdaptiveNIPS with AdaptiveOptions. This wrapper
-// remains for callers of the original positional signature.
-func NewAdaptiveNIPSWithHorizon(inst *NIPSInstance, gamma int, maxdrop float64, seed int64) *AdaptiveNIPS {
-	return NewAdaptiveNIPS(inst, AdaptiveOptions{Horizon: gamma, MaxDrop: maxdrop, Seed: seed})
 }
 
 // Operational extensions (the paper's Section 5 discussion points).

@@ -106,45 +106,6 @@ func TestPlanNIPSMetricsNonInterference(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersAgree pins the compatibility contract: the old
-// positional entry points must return exactly what the options-struct
-// forms do.
-func TestDeprecatedWrappersAgree(t *testing.T) {
-	inst := nidsTestInstance(t)
-	viaOpts, err := PlanNIDS(inst, NIDSOptions{Redundancy: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaWrapper, err := PlanNIDSWithRedundancy(inst, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaOpts, viaWrapper) {
-		t.Fatal("PlanNIDSWithRedundancy diverged from PlanNIDS")
-	}
-
-	ninst := BuildNIPSInstance(Internet2(), UnitRules(6), NIPSConfig{
-		MaxPaths:             6,
-		RuleCapacityFraction: 0.3,
-		MatchSeed:            9,
-	})
-	res, err := PlanNIPS(ninst, NIPSOptions{Variant: NIPSRoundingLP, Iters: 2, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, bound, err := PlanNIPSWithVariant(ninst, NIPSRoundingLP, 2, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Deployment, dep) || res.LPBound != bound {
-		t.Fatal("PlanNIPSWithVariant diverged from PlanNIPS")
-	}
-
-	if ad := NewAdaptiveNIPSWithHorizon(ninst, 10, 0.01, 4); ad == nil {
-		t.Fatal("NewAdaptiveNIPSWithHorizon returned nil")
-	}
-}
-
 // TestTracerNonInterference extends the write-only contract to the trace
 // layer: a live flight recorder threaded through the cluster runtime must
 // not change a single field of the reports — the plans published, the
