@@ -2,7 +2,7 @@ GO ?= go
 
 PERFFLAGS ?=
 
-.PHONY: check race bench fuzz vet test build trace allocs audit scenarios telemetry perf perfcompare
+.PHONY: check race bench fuzz vet test build trace allocs audit scenarios telemetry perf perfcompare idle
 
 # Tier-1 verification: everything must build, vet cleanly, pass the full
 # test suite, and hold the scenario grid's acceptance bar and the fleet
@@ -62,28 +62,13 @@ perfcompare:
 fuzz:
 	$(GO) test -run=FuzzSolve -fuzz=FuzzSolve -fuzztime=10s ./internal/lp/
 
-# Bench tier: every figure/table benchmark plus the obs micro-benchmarks,
-# with allocation reporting. Also replays the quick experiment suite with a
-# live registry and leaves its metrics snapshot in BENCH_obs.json — solver
-# pivot counts, rounding trials, emulation wall time — as a machine-readable
-# profile of the run. The governor benchmarks cover the overload story:
-# warm- vs cold-started replan solves, the shed hook's per-packet cost, and
-# BENCH_governor.json with the overload grid's replan/shed counters
-# (cluster.replan_iters_warm vs _cold, governor.sheds/restores).
-# BenchmarkTraceOverhead prints the full-epoch cost with the flight
-# recorder off vs on (the acceptance bar is <= 5% slowdown when on), and
-# the traced overload run leaves BENCH_trace.json (trace.events /
-# trace.dropped gauges alongside the run's metrics) plus the JSONL dump
-# itself in BENCH_trace.jsonl. cmd/dataplane times the per-packet decision
-# path against the retained pre-index baseline (identical verdicts
-# enforced) and writes BENCH_dataplane.json with decisions/sec,
-# packets/sec, and the allocs/op of the batched path, which must be zero.
-# cmd/controlplane scales the hierarchical control plane to 1000 in-process
-# agents behind 16 region controllers and writes BENCH_controlplane.json
-# (full-fetch baseline bytes, steady-state delta bytes per epoch,
-# convergence sweeps, agents/sec); it exits nonzero if steady-state delta
-# traffic exceeds 10% of the full baseline or any epoch needs more than
-# one sync sweep budget to converge.
+# Bench tier: the go-test micro-benchmarks, with allocation reporting —
+# every figure/table benchmark, the obs instruments, cluster convergence,
+# the full-epoch cost with the flight recorder off vs on, warm- vs
+# cold-started replan solves, the shed hook's per-packet cost, and the
+# per-packet decision path against its test-only pre-index reference. It
+# runs no command and writes no file: end-to-end and per-layer numbers are
+# `make perf` (cmd/perf, BENCHMARK.json), the one benchmark.
 bench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -bench=. -benchmem ./internal/obs/
@@ -92,30 +77,19 @@ bench:
 	$(GO) test -bench=WarmVsColdReplan -benchmem ./internal/lp/
 	$(GO) test -bench=ShedFilter -benchmem ./internal/bro/
 	$(GO) test -bench=DataplaneDecide -benchmem ./internal/control/
-	$(GO) run ./cmd/dataplane -o BENCH_dataplane.json
-	$(GO) run ./cmd/controlplane -o BENCH_controlplane.json
-	$(GO) run ./cmd/experiments -quick -metrics BENCH_obs.json >/dev/null
-	$(GO) run ./cmd/experiments -quick -only overload -metrics BENCH_governor.json >/dev/null
-	$(GO) run ./cmd/cluster -sessions 2000 -epochs 6 -metrics BENCH_cluster.json >/dev/null
-	$(GO) run ./cmd/cluster -overload -governor -redundancy 2 \
-		-sessions 1500 -epochs 5 -burstfactor 1.8 -burstprob 0.5 \
-		-basejitter 0.05 -probes 500 -seed 5 \
-		-trace BENCH_trace.jsonl -metrics BENCH_trace.json >/dev/null
-	$(GO) run ./cmd/auditcheck -bench -o BENCH_ledger.json
-	$(GO) run ./cmd/fleetstat -bench -o BENCH_telemetry.json
-	$(GO) run ./cmd/experiments -only scenarios -scenarios-json BENCH_scenarios.json \
-		-scenarios-assert >/dev/null
 
-# Scenarios tier: the composable-scenario smoke run, wired into check. The
-# quick grid drives all five catalog drivers (plus the maintenance+flashcrowd
+# Scenarios tier: the composable-scenario acceptance run, wired into check.
+# The grid drives all five catalog drivers (plus the maintenance+flashcrowd
 # composition) against the live cluster runtime and fails unless every row
 # meets its acceptance bar: coverage floor held (or every breach
 # post-mortemed), zero SLO violations under the catalog thresholds, the SYN
 # flood visible to the data plane, the manifest-steering adversary's traffic
-# flowing with zero evasion, and FPL's cumulative regret sublinear. The full
-# (non-quick) grid is the bench-tier run that leaves BENCH_scenarios.json.
+# flowing with zero evasion, and FPL's cumulative regret sublinear. Both
+# sizes run — the quick grid the tests share, then the full one — in a few
+# seconds together.
 scenarios:
 	$(GO) run ./cmd/experiments -quick -only scenarios -scenarios-assert >/dev/null
+	$(GO) run ./cmd/experiments -only scenarios -scenarios-assert >/dev/null
 
 # Telemetry tier: the fleet plane's acceptance loop, wired into check. The
 # selftest runs a scenario cluster with a crash and a planned drain, serves
@@ -164,3 +138,15 @@ trace:
 	cmp trace_w1.jsonl trace_w4.jsonl
 	$(GO) run ./cmd/tracecheck trace_w1.jsonl trace_w4.jsonl
 	rm -f trace_w1.jsonl trace_w4.jsonl
+
+# Idle check: the last command of a working session. Fails, listing the
+# offenders, if a test binary, the benchmark binary, a `go run` child of one
+# of this repo's socket-opening commands, or a go test/run/build is still
+# alive — killing only the `go` parent (what a tool timeout does) orphans
+# the program it started. Run it on its own: a shell line that also names
+# `go test` matches itself. (The [.] keeps the recipe's own shell from
+# matching its pattern.)
+idle:
+	@if pgrep -fa '[.]test( |$$)|[.]bench_build/perf( |$$)|go-build.*/(cluster|fleetstat|controller|perf|experiments|auditcheck)( |$$)|(^|/)go (test|run|build)( |$$)'; then \
+		echo 'idle: the processes above are still running' >&2; exit 1; \
+	fi

@@ -27,71 +27,72 @@
 //	    must fail verification against the pinned head. Exits non-zero
 //	    if any mutation goes undetected.
 //
-//	auditcheck -bench [-o BENCH_ledger.json]
-//	    Run the seeded chaos scenario with the ledger off and on,
-//	    require DeepEqual reports (non-interference), and emit commit
-//	    overhead per epoch (gated at 5%), proof size, and offline
-//	    verification throughput as JSON.
+// The ledger's cost is cmd/perf's ledger.overhead_frac; its write-only
+// contract is pinned by the cluster package's TestLedgerVerdictEqualsReport.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
-	"time"
 
-	"nwdeploy/internal/chaos"
-	"nwdeploy/internal/cluster"
 	"nwdeploy/internal/control"
 	"nwdeploy/internal/ledger"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("auditcheck: ")
-	dir := flag.String("dir", "", "ledger directory (chain.jsonl, HEAD, objects/)")
-	seed := flag.Int64("seed", 0, "run seed; when non-zero the genesis link is verified against it")
-	prove := flag.Bool("prove", false, "prove a node's manifest (and optionally a range assignment) at an epoch")
-	node := flag.Int("node", -1, "prove: node id")
-	epoch := flag.Uint64("epoch", 0, "prove: controller epoch the assignment must have been in force at")
-	class := flag.Int("class", -1, "prove: class id of the queried unit (-1 skips the range check)")
-	k0 := flag.Int("k0", 0, "prove: first unit key component")
-	k1 := flag.Int("k1", 0, "prove: second unit key component (-1 for ingress/egress-scoped units)")
-	lo := flag.Float64("lo", 0, "prove: queried range low bound")
-	hi := flag.Float64("hi", 0, "prove: queried range high bound")
-	tamper := flag.Int("tamper", 0, "flip this many seeded single bytes across chain+blobs; each must be detected")
-	tamperSeed := flag.Int64("tamperseed", 1, "seed for tamper byte selection")
-	bench := flag.Bool("bench", false, "run the ledger overhead/throughput benchmark instead of verifying a directory")
-	benchOut := flag.String("o", "", "bench: write the JSON benchmark report to this file (default stdout)")
-	quiet := flag.Bool("q", false, "suppress ok-summaries")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *bench {
-		runBench(*benchOut)
-		return
+// run is main with its arguments and streams passed in, returning the exit
+// code: 0 ok, 1 a failed verification, proof or tamper test, 2 a flag error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("auditcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dir := fs.String("dir", "", "ledger directory (chain.jsonl, HEAD, objects/)")
+	seed := fs.Int64("seed", 0, "run seed; when non-zero the genesis link is verified against it")
+	prove := fs.Bool("prove", false, "prove a node's manifest (and optionally a range assignment) at an epoch")
+	node := fs.Int("node", -1, "prove: node id")
+	epoch := fs.Uint64("epoch", 0, "prove: controller epoch the assignment must have been in force at")
+	class := fs.Int("class", -1, "prove: class id of the queried unit (-1 skips the range check)")
+	k0 := fs.Int("k0", 0, "prove: first unit key component")
+	k1 := fs.Int("k1", 0, "prove: second unit key component (-1 for ingress/egress-scoped units)")
+	lo := fs.Float64("lo", 0, "prove: queried range low bound")
+	hi := fs.Float64("hi", 0, "prove: queried range high bound")
+	tamper := fs.Int("tamper", 0, "flip this many seeded single bytes across chain+blobs; each must be detected")
+	tamperSeed := fs.Int64("tamperseed", 1, "seed for tamper byte selection")
+	quiet := fs.Bool("q", false, "suppress ok-summaries")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "auditcheck: %v\n", err)
+		return 1
 	}
 	if *dir == "" {
-		log.Fatal("usage: auditcheck -dir DIR [-seed N] [-prove ... | -tamper N] (or -bench)")
+		return fail(errors.New("usage: auditcheck -dir DIR [-seed N] [-prove ... | -tamper N]"))
 	}
 
 	chain, err := os.ReadFile(filepath.Join(*dir, "chain.jsonl"))
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	headRaw, err := os.ReadFile(filepath.Join(*dir, "HEAD"))
 	if err != nil {
-		log.Fatalf("reading pinned head (run with -ledger to produce one): %v", err)
+		return fail(fmt.Errorf("reading pinned head (run with -ledger to produce one): %w", err))
 	}
 	head := string(bytes.TrimSpace(headRaw))
 	store, err := ledger.NewDirStore(filepath.Join(*dir, "objects"))
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	opts := ledger.VerifyOptions{Head: head, Store: store}
 	if *seed != 0 {
@@ -100,24 +101,28 @@ func main() {
 
 	sum, err := ledger.VerifyChain(chain, opts)
 	if err != nil {
-		log.Fatalf("verification FAILED: %v", err)
+		return fail(fmt.Errorf("verification FAILED: %w", err))
 	}
 	if !*quiet {
-		fmt.Printf("%s: ok — %d records, %d items, %d blob refs (%d chain + %d blob bytes), head %s\n",
+		fmt.Fprintf(stdout, "%s: ok — %d records, %d items, %d blob refs (%d chain + %d blob bytes), head %s\n",
 			*dir, sum.Records, sum.Items, sum.Blobs, sum.ChainBytes, sum.BlobBytes, sum.Head)
 		for _, k := range []string{ledger.RecPublish, ledger.RecShed, ledger.RecEpoch, ledger.RecRegions, ledger.RecTrace} {
 			if n := sum.Kinds[k]; n > 0 {
-				fmt.Printf("  %-8s %d\n", k, n)
+				fmt.Fprintf(stdout, "  %-8s %d\n", k, n)
 			}
 		}
 	}
 
 	switch {
 	case *prove:
-		runProve(chain, store, *node, *epoch, *class, [2]int{*k0, *k1}, *lo, *hi)
+		err = runProve(stdout, chain, store, *node, *epoch, *class, [2]int{*k0, *k1}, *lo, *hi)
 	case *tamper > 0:
-		runTamper(chain, store, opts, *tamper, *tamperSeed, *quiet)
+		err = runTamper(stdout, stderr, chain, store, opts, *tamper, *tamperSeed, *quiet)
 	}
+	if err != nil {
+		return fail(err)
+	}
+	return 0
 }
 
 // parseRecords decodes a verified chain's lines. The chain has already
@@ -130,7 +135,7 @@ func parseRecords(chain []byte) []ledger.Record {
 		}
 		var rec ledger.Record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			log.Fatalf("re-parsing verified chain: %v", err)
+			panic(fmt.Sprintf("auditcheck: re-parsing verified chain: %v", err))
 		}
 		recs = append(recs, rec)
 	}
@@ -141,9 +146,9 @@ func parseRecords(chain []byte) []ledger.Record {
 // the optional range-assignment query against the decoded canonical
 // manifest, and prints the Merkle inclusion proof tying the blob to the
 // record root the verified chain head covers.
-func runProve(chain []byte, store ledger.Store, node int, epoch uint64, class int, unit [2]int, lo, hi float64) {
+func runProve(w io.Writer, chain []byte, store ledger.Store, node int, epoch uint64, class int, unit [2]int, lo, hi float64) error {
 	if node < 0 || epoch == 0 {
-		log.Fatal("prove: need -node and -epoch")
+		return errors.New("prove: need -node and -epoch")
 	}
 	// The manifest in force at epoch e is the latest publish/shed commit
 	// with epoch <= e: later shed records supersede earlier publishes.
@@ -155,7 +160,7 @@ func runProve(chain []byte, store ledger.Store, node int, epoch uint64, class in
 		}
 	}
 	if !found {
-		log.Fatalf("prove: no publish/shed record at epoch <= %d", epoch)
+		return fmt.Errorf("prove: no publish/shed record at epoch <= %d", epoch)
 	}
 	key := fmt.Sprintf("node/%d", node)
 	item := -1
@@ -165,37 +170,38 @@ func runProve(chain []byte, store ledger.Store, node int, epoch uint64, class in
 		}
 	}
 	if item < 0 {
-		log.Fatalf("prove: record seq %d has no manifest for node %d", rec.Seq, node)
+		return fmt.Errorf("prove: record seq %d has no manifest for node %d", rec.Seq, node)
 	}
 	blob, err := store.Get(rec.Items[item].Ref)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	m, err := control.DecodeCanonicalManifest(blob)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if class >= 0 {
 		if !covers(m.Assignments, class, unit, lo, hi) {
-			log.Fatalf("DISPROVED: node %d's manifest at epoch %d (record seq %d) does not assign [%g, %g) of class %d unit %v",
+			return fmt.Errorf("DISPROVED: node %d's manifest at epoch %d (record seq %d) does not assign [%g, %g) of class %d unit %v",
 				node, epoch, rec.Seq, lo, hi, class, unit)
 		}
-		fmt.Printf("proved: node %d was assigned [%g, %g) of class %d unit %v at epoch %d\n",
+		fmt.Fprintf(w, "proved: node %d was assigned [%g, %g) of class %d unit %v at epoch %d\n",
 			node, lo, hi, class, unit, epoch)
 	}
 
 	p, err := ledger.RecordProof(rec, item)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !ledger.VerifyItem(rec, item, p) {
-		log.Fatalf("prove: inclusion proof for %s does not verify against record root", key)
+		return fmt.Errorf("prove: inclusion proof for %s does not verify against record root", key)
 	}
 	pj, _ := json.Marshal(p)
-	fmt.Printf("manifest: record seq %d (kind %s, epoch %d, run %d), blob %s (%d bytes)\n",
+	fmt.Fprintf(w, "manifest: record seq %d (kind %s, epoch %d, run %d), blob %s (%d bytes)\n",
 		rec.Seq, rec.Kind, rec.Epoch, rec.Run, rec.Items[item].Ref, len(blob))
-	fmt.Printf("inclusion proof (leaf %d of %d, root %s):\n%s\n", p.Index, p.Leaves, rec.Root, pj)
+	fmt.Fprintf(w, "inclusion proof (leaf %d of %d, root %s):\n%s\n", p.Index, p.Leaves, rec.Root, pj)
+	return nil
 }
 
 // covers reports whether the assignment set gives (class, unit) the whole
@@ -233,7 +239,7 @@ func (s tamperStore) Get(ref string) ([]byte, error) {
 // runTamper flips n seeded single bytes — anywhere in the chain file or
 // any referenced blob — and requires every mutation to fail verification
 // against the pinned head.
-func runTamper(chain []byte, store ledger.Store, opts ledger.VerifyOptions, n int, seed int64, quiet bool) {
+func runTamper(stdout, stderr io.Writer, chain []byte, store ledger.Store, opts ledger.VerifyOptions, n int, seed int64, quiet bool) error {
 	var refs []string
 	seen := map[string]bool{}
 	for _, rec := range parseRecords(chain) {
@@ -249,7 +255,7 @@ func runTamper(chain []byte, store ledger.Store, opts ledger.VerifyOptions, n in
 	for i, ref := range refs {
 		b, err := store.Get(ref)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		blobs[i] = b
 		total += len(b)
@@ -280,131 +286,14 @@ func runTamper(chain []byte, store ledger.Store, opts ledger.VerifyOptions, n in
 		}
 		if err == nil {
 			undetected++
-			log.Printf("UNDETECTED tamper: trial %d", trial)
+			fmt.Fprintf(stderr, "auditcheck: UNDETECTED tamper: trial %d\n", trial)
 		}
 	}
 	if undetected > 0 {
-		log.Fatalf("tamper test FAILED: %d of %d mutations went undetected", undetected, n)
+		return fmt.Errorf("tamper test FAILED: %d of %d mutations went undetected", undetected, n)
 	}
 	if !quiet {
-		fmt.Printf("tamper: all %d seeded single-byte mutations detected (%d chain + blob bytes in scope)\n", n, total)
+		fmt.Fprintf(stdout, "tamper: all %d seeded single-byte mutations detected (%d chain + blob bytes in scope)\n", n, total)
 	}
-}
-
-// benchReport is the BENCH_ledger.json schema.
-type benchReport struct {
-	Scenario         string  `json:"scenario"`
-	Epochs           int     `json:"epochs"`
-	NonInterference  bool    `json:"non_interference"` // ledger-on report DeepEqual ledger-off
-	Records          int     `json:"records"`
-	ChainBytes       int64   `json:"chain_bytes"`
-	BlobBytes        int64   `json:"blob_bytes"`
-	CommitNSPerEpoch float64 `json:"commit_ns_per_epoch"`
-	EpochNS          float64 `json:"epoch_ns"`
-	OverheadFrac     float64 `json:"overhead_frac"` // commit time / run time
-	OverheadGate     float64 `json:"overhead_gate"`
-	ProofBytes       int     `json:"proof_bytes"` // JSON size of a manifest inclusion proof
-	VerifyRecsPerSec float64 `json:"verify_records_per_sec"`
-	VerifyMBPerSec   float64 `json:"verify_mb_per_sec"`
-}
-
-func runBench(outPath string) {
-	const benchSeed = 21
-	mkcfg := func(led *ledger.Ledger) cluster.ChaosConfig {
-		return cluster.ChaosConfig{
-			Sessions: 1200, Epochs: 6, Seed: benchSeed,
-			Faults:       chaos.NetworkFaults{DropProb: 0.2, BlackholeProb: 0.05},
-			NodeFailProb: 0.15, ControllerOutageProb: 0.1,
-			Probes: 1000, Ledger: led,
-		}
-	}
-	off, err := cluster.CoverageUnderChaos(mkcfg(nil))
-	if err != nil {
-		log.Fatal(err)
-	}
-	store := ledger.NewMemStore()
-	led := ledger.New(ledger.Options{Seed: benchSeed, Store: store})
-	runStart := time.Now()
-	on, err := cluster.CoverageUnderChaos(mkcfg(led))
-	if err != nil {
-		log.Fatal(err)
-	}
-	runNS := float64(time.Since(runStart).Nanoseconds())
-	if err := led.Err(); err != nil {
-		log.Fatal(err)
-	}
-
-	commits, commitNS, _ := led.Stats()
-	chain := led.Chain()
-	opts := ledger.VerifyOptions{
-		Head: led.HeadHex(), GenesisPrev: ledger.GenesisHex(benchSeed), Store: store,
-	}
-	sum, err := ledger.VerifyChain(chain, opts)
-	if err != nil {
-		log.Fatalf("bench chain does not verify: %v", err)
-	}
-
-	// Offline verification throughput: re-verify for at least 100ms.
-	iters, verifyNS := 0, int64(0)
-	for verifyNS < int64(100*time.Millisecond) {
-		start := time.Now()
-		if _, err := ledger.VerifyChain(chain, opts); err != nil {
-			log.Fatal(err)
-		}
-		verifyNS += time.Since(start).Nanoseconds()
-		iters++
-	}
-	verifySec := float64(verifyNS) / float64(time.Second)
-
-	// Proof size: a manifest inclusion proof from the widest record.
-	proofBytes := 0
-	for _, rec := range parseRecords(chain) {
-		for i, it := range rec.Items {
-			if it.Kind != ledger.ItemManifest {
-				continue
-			}
-			p, err := ledger.RecordProof(rec, i)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if j, _ := json.Marshal(p); len(j) > proofBytes {
-				proofBytes = len(j)
-			}
-		}
-	}
-
-	epochs := len(on.Epochs)
-	rep := benchReport{
-		Scenario:         "chaos/internet2",
-		Epochs:           epochs,
-		NonInterference:  reflect.DeepEqual(off, on),
-		Records:          sum.Records,
-		ChainBytes:       sum.ChainBytes,
-		BlobBytes:        sum.BlobBytes,
-		CommitNSPerEpoch: float64(commitNS) / float64(epochs),
-		EpochNS:          runNS / float64(epochs),
-		OverheadFrac:     float64(commitNS) / runNS,
-		OverheadGate:     0.05,
-		ProofBytes:       proofBytes,
-		VerifyRecsPerSec: float64(sum.Records*iters) / verifySec,
-		VerifyMBPerSec:   float64((sum.ChainBytes+sum.BlobBytes)*int64(iters)) / (1e6 * verifySec),
-	}
-	out, _ := json.MarshalIndent(rep, "", "  ")
-	out = append(out, '\n')
-	if outPath != "" {
-		if err := os.WriteFile(outPath, out, 0o644); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		os.Stdout.Write(out)
-	}
-	if !rep.NonInterference {
-		log.Fatal("bench FAILED: ledger-on report diverged from ledger-off")
-	}
-	if rep.OverheadFrac > rep.OverheadGate {
-		log.Fatalf("bench FAILED: commit overhead %.2f%% of epoch time exceeds the %.0f%% gate (%d commits, %d ns)",
-			100*rep.OverheadFrac, 100*rep.OverheadGate, commits, commitNS)
-	}
-	fmt.Fprintf(os.Stderr, "auditcheck: bench ok — overhead %.3f%%, proof %d bytes, verify %.0f recs/s\n",
-		100*rep.OverheadFrac, rep.ProofBytes, rep.VerifyRecsPerSec)
+	return nil
 }

@@ -5,7 +5,7 @@
 //
 //	experiments [-quick] [-workers n] [-only fig5,fig6,fig7,fig8,fig10,fig11,opttime,redundancy,ablations,adversaries,chaos,overload,scenarios]
 //	            [-metrics run.json] [-trace run.trace.jsonl] [-pprof 127.0.0.1:6060]
-//	            [-scenarios-json BENCH_scenarios.json] [-scenarios-assert]
+//	            [-scenarios-json out.json] [-scenarios-assert]
 //
 // With -quick the reduced workload sizes are used (seconds per experiment);
 // without it the full evaluation sizes run (several minutes on one core —

@@ -4,7 +4,6 @@
 //
 //	fleetstat [-addr 127.0.0.1:6060] [-history]
 //	fleetstat -selftest
-//	fleetstat -bench [-o BENCH_telemetry.json]
 //
 // The default mode scrapes a live debug endpoint (any command serving
 // obshttp with a fleet attached: controller -pprof, nwdeploy -pprof, ...)
@@ -20,10 +19,8 @@
 // node classifies stale within one epoch, and the Prometheus exposition
 // validates structurally.
 //
-// -bench measures the plane's cost on the standard chaos scenario: one
-// run without telemetry, one with, reports compare DeepEqual (the
-// write-only contract), and the wall-clock overhead must stay under the
-// 5% gate. The JSON report (BENCH_telemetry.json) is the CI artifact.
+// The plane's cost is cmd/perf's telemetry.overhead_frac; its write-only
+// contract is pinned by the cluster package's fleet non-interference tests.
 package main
 
 import (
@@ -31,11 +28,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"os"
-	"reflect"
 	"strings"
 	"time"
 
@@ -47,46 +42,57 @@ import (
 	"nwdeploy/internal/topology"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("fleetstat: ")
-	addr := flag.String("addr", "127.0.0.1:6060", "debug endpoint to scrape (/fleet, /fleet/history)")
-	history := flag.Bool("history", false, "also render the per-epoch health series from /fleet/history")
-	selftest := flag.Bool("selftest", false, "run the in-process acceptance loop instead of scraping")
-	bench := flag.Bool("bench", false, "measure telemetry overhead on the standard chaos scenario")
-	benchOut := flag.String("o", "", "bench: write the JSON report here instead of stdout")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	switch {
-	case *bench:
-		runBench(*benchOut)
-	case *selftest:
-		runSelftest()
-	default:
-		scrape(*addr, *history)
+// run is main with its arguments and streams passed in, returning the exit
+// code: 0 ok, 1 a failed scrape or selftest, 2 a flag error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fleetstat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:6060", "debug endpoint to scrape (/fleet, /fleet/history)")
+	history := fs.Bool("history", false, "also render the per-epoch health series from /fleet/history")
+	selftest := fs.Bool("selftest", false, "run the in-process acceptance loop instead of scraping")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
+
+	var err error
+	if *selftest {
+		err = runSelftest(stdout)
+	} else {
+		err = scrape(stdout, *addr, *history)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "fleetstat: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
 // scrape renders a live endpoint's fleet view.
-func scrape(addr string, withHistory bool) {
+func scrape(w io.Writer, addr string, withHistory bool) error {
 	var snap *telemetry.FleetSnapshot
 	if err := getJSON("http://"+addr+"/fleet", &snap); err != nil {
-		log.Fatalf("scraping /fleet: %v", err)
+		return fmt.Errorf("scraping /fleet: %w", err)
 	}
 	if snap == nil {
-		fmt.Println("no fleet snapshot yet (no epoch has closed, or no fleet is attached)")
-		return
+		fmt.Fprintln(w, "no fleet snapshot yet (no epoch has closed, or no fleet is attached)")
+		return nil
 	}
-	printSnapshot(snap)
+	printSnapshot(w, snap)
 	if !withHistory {
-		return
+		return nil
 	}
 	var snaps []telemetry.FleetSnapshot
 	if err := getJSON("http://"+addr+"/fleet/history", &snaps); err != nil {
-		log.Fatalf("scraping /fleet/history: %v", err)
+		return fmt.Errorf("scraping /fleet/history: %w", err)
 	}
-	fmt.Println()
-	printHistory(snaps)
+	fmt.Fprintln(w)
+	printHistory(w, snaps)
+	return nil
 }
 
 func getJSON(url string, v any) error {
@@ -106,28 +112,23 @@ func getJSON(url string, v any) error {
 	return json.Unmarshal(body, v)
 }
 
-// printSnapshot renders one rollup: the fleet totals, the per-region
-// rollups when present, and one row per node.
-func printSnapshot(s *telemetry.FleetSnapshot) {
-	fmt.Printf("# fleet @ run epoch %d (controller generation %d): %d healthy, %d stale, %d shedding, %d dark\n",
+// printSnapshot renders one rollup: the fleet totals and one row per node.
+func printSnapshot(w io.Writer, s *telemetry.FleetSnapshot) {
+	fmt.Fprintf(w, "# fleet @ run epoch %d (controller generation %d): %d healthy, %d stale, %d shedding, %d dark\n",
 		s.RunEpoch, s.CtrlEpoch, s.Healthy, s.Stale, s.Shedding, s.Dark)
-	for _, r := range s.Regions {
-		fmt.Printf("# region %d (%d nodes): %d healthy, %d stale, %d shedding, %d dark\n",
-			r.Region, len(r.Nodes), r.Healthy, r.Stale, r.Shedding, r.Dark)
-	}
-	fmt.Println("node\thealth\tepoch\tlag\tsilent\tstale_ep\tfetch_err\ttimeouts\tretries\tshed_width\tfloor\tsessions\talerts\tconns\tdraining")
+	fmt.Fprintln(w, "node\thealth\tepoch\tlag\tsilent\tstale_ep\tfetch_err\ttimeouts\tretries\tshed_width\tfloor\tsessions\talerts\tconns\tdraining")
 	for _, v := range s.Nodes {
-		fmt.Printf("%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.4f\t%v\t%d\t%d\t%d\t%v\n",
+		fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.4f\t%v\t%d\t%d\t%d\t%v\n",
 			v.Node, v.Health, v.Epoch, v.Lag, v.Silent, v.StaleEpochs,
 			v.FetchErrors, v.FetchTimeouts, v.FetchRetries,
 			v.ShedWidth, v.FloorLimited, v.Sessions, v.Alerts, v.Conns, v.Draining)
 	}
 }
 
-func printHistory(snaps []telemetry.FleetSnapshot) {
-	fmt.Println("epoch\tctrl_epoch\thealthy\tstale\tshedding\tdark")
+func printHistory(w io.Writer, snaps []telemetry.FleetSnapshot) {
+	fmt.Fprintln(w, "epoch\tctrl_epoch\thealthy\tstale\tshedding\tdark")
 	for _, s := range snaps {
-		fmt.Printf("%d\t%d\t%d\t%d\t%d\t%d\n",
+		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\n",
 			s.RunEpoch, s.CtrlEpoch, s.Healthy, s.Stale, s.Shedding, s.Dark)
 	}
 }
@@ -150,7 +151,7 @@ func (d *maintDriver) Step(env *cluster.ScenarioEnv) cluster.Stimulus {
 	return cluster.Stimulus{}
 }
 
-func runSelftest() {
+func runSelftest(w io.Writer) error {
 	const crashed, drained = 3, 2
 	topo := topology.Internet2()
 	metrics := obs.New()
@@ -163,174 +164,79 @@ func runSelftest() {
 		Epochs: 5, Redundancy: 2, StaleGrace: 2, Probes: 200,
 		Metrics: metrics, Fleet: fleet, FleetHistory: hist,
 	}); err != nil {
-		log.Fatalf("selftest scenario: %v", err)
+		return fmt.Errorf("selftest scenario: %w", err)
 	}
 
 	// Serve the real HTTP surface on an ephemeral loopback port and scrape
 	// it over the wire — the same path an operator's curl takes.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer ln.Close()
 	srv := &http.Server{Handler: obshttp.NewMux(obshttp.Options{
 		Registry: metrics, Fleet: fleet, History: hist,
 	})}
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = srv.Serve(ln)
+	}()
+	defer func() {
+		srv.Close() // closes ln too
+		<-served
+	}()
 	addr := ln.Addr().String()
 
 	var snap *telemetry.FleetSnapshot
 	if err := getJSON("http://"+addr+"/fleet", &snap); err != nil {
-		log.Fatalf("selftest /fleet: %v", err)
+		return fmt.Errorf("selftest /fleet: %w", err)
 	}
 	if snap == nil || snap.RunEpoch != 5 {
-		log.Fatalf("selftest /fleet: got %+v, want the epoch-5 snapshot", snap)
+		return fmt.Errorf("selftest /fleet: got %+v, want the epoch-5 snapshot", snap)
 	}
 	var snaps []telemetry.FleetSnapshot
 	if err := getJSON("http://"+addr+"/fleet/history", &snaps); err != nil {
-		log.Fatalf("selftest /fleet/history: %v", err)
+		return fmt.Errorf("selftest /fleet/history: %w", err)
 	}
 	if len(snaps) != 5 {
-		log.Fatalf("selftest history: %d snapshots, want 5", len(snaps))
+		return fmt.Errorf("selftest history: %d snapshots, want 5", len(snaps))
 	}
 
 	// The acceptance classifications, within one epoch of each event.
 	if h := snaps[1].Nodes[crashed].Health; h != telemetry.Dark {
-		log.Fatalf("selftest: crashed node classified %v in its crash epoch, want dark", h)
+		return fmt.Errorf("selftest: crashed node classified %v in its crash epoch, want dark", h)
 	}
 	v := snaps[2].Nodes[drained]
 	if v.Health != telemetry.Stale || !v.Draining {
-		log.Fatalf("selftest: draining node classified %v (draining=%v), want stale via farewell", v.Health, v.Draining)
+		return fmt.Errorf("selftest: draining node classified %v (draining=%v), want stale via farewell", v.Health, v.Draining)
 	}
 	if h := snaps[4].Nodes[crashed].Health; h != telemetry.Healthy {
-		log.Fatalf("selftest: crashed node classified %v after resync, want healthy", h)
+		return fmt.Errorf("selftest: crashed node classified %v after resync, want healthy", h)
 	}
 
 	// The Prometheus exposition must validate structurally and carry both
 	// registry and fleet families.
 	resp, err := http.Get("http://" + addr + "/metrics.prom")
 	if err != nil {
-		log.Fatalf("selftest /metrics.prom: %v", err)
+		return fmt.Errorf("selftest /metrics.prom: %w", err)
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("selftest /metrics.prom: %w", err)
 	}
 	if err := telemetry.ValidateProm(strings.NewReader(string(body))); err != nil {
-		log.Fatalf("selftest: /metrics.prom exposition invalid: %v", err)
+		return fmt.Errorf("selftest: /metrics.prom exposition invalid: %w", err)
 	}
 	for _, want := range []string{"fleet_run_epoch 5", "fleet_nodes{state=", "fleet_node_health{node="} {
 		if !strings.Contains(string(body), want) {
-			log.Fatalf("selftest: /metrics.prom missing %q", want)
+			return fmt.Errorf("selftest: /metrics.prom missing %q", want)
 		}
 	}
 
-	printSnapshot(snap)
-	fmt.Println()
-	printHistory(snaps)
-	fmt.Println("selftest ok: crash->dark and drain->stale within one epoch, prom exposition valid")
-}
-
-// benchReport is the BENCH_telemetry.json schema.
-type benchReport struct {
-	Scenario        string  `json:"scenario"`
-	Epochs          int     `json:"epochs"`
-	NonInterference bool    `json:"non_interference"` // fleet-on report DeepEqual fleet-off
-	Snapshots       int     `json:"snapshots"`
-	NodesTracked    int     `json:"nodes_tracked"`
-	EpochNSOff      float64 `json:"epoch_ns_off"`
-	EpochNSOn       float64 `json:"epoch_ns_on"`
-	OverheadFrac    float64 `json:"overhead_frac"` // (on - off) / off wall clock
-	OverheadGate    float64 `json:"overhead_gate"`
-}
-
-func runBench(outPath string) {
-	const benchSeed = 21
-	n := topology.Internet2().N()
-	mkcfg := func(fleet *telemetry.Fleet, hist *telemetry.History) cluster.ChaosConfig {
-		return cluster.ChaosConfig{
-			Sessions: 1200, Epochs: 6, Seed: benchSeed,
-			Faults:       chaos.NetworkFaults{DropProb: 0.2, BlackholeProb: 0.05},
-			NodeFailProb: 0.15, ControllerOutageProb: 0.1,
-			Probes: 1000, Fleet: fleet, FleetHistory: hist,
-		}
-	}
-	// Warm-up run (JIT-free Go, but page cache, socket state, and the
-	// scheduler all settle); its report doubles as the baseline.
-	off, err := cluster.CoverageUnderChaos(mkcfg(nil, nil))
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Best-of-2 timings on each side: the chaos epoch loop sleeps on real
-	// socket timeouts, so min is the stable estimator for the tiny delta
-	// the telemetry plane adds.
-	timeRun := func(withFleet bool) (float64, *cluster.ChaosReport, *telemetry.History) {
-		best := 0.0
-		var rep *cluster.ChaosReport
-		var hist *telemetry.History
-		for i := 0; i < 2; i++ {
-			var fleet *telemetry.Fleet
-			var h *telemetry.History
-			if withFleet {
-				fleet = telemetry.NewFleet(n, telemetry.FleetOptions{})
-				h = telemetry.NewHistory(16)
-			}
-			start := time.Now()
-			r, err := cluster.CoverageUnderChaos(mkcfg(fleet, h))
-			if err != nil {
-				log.Fatal(err)
-			}
-			ns := float64(time.Since(start).Nanoseconds())
-			if best == 0 || ns < best {
-				best, rep, hist = ns, r, h
-			}
-		}
-		return best, rep, hist
-	}
-	offNS, offRep, _ := timeRun(false)
-	onNS, onRep, hist := timeRun(true)
-	if !reflect.DeepEqual(off, offRep) {
-		log.Fatal("bench FAILED: same-seed baseline runs diverged")
-	}
-
-	epochs := len(off.Epochs)
-	frac := (onNS - offNS) / offNS
-	if frac < 0 {
-		frac = 0
-	}
-	rep := benchReport{
-		Scenario:        "chaos/internet2",
-		Epochs:          epochs,
-		NonInterference: reflect.DeepEqual(off, onRep),
-		Snapshots:       hist.Len(),
-		NodesTracked:    n,
-		EpochNSOff:      offNS / float64(epochs),
-		EpochNSOn:       onNS / float64(epochs),
-		OverheadFrac:    frac,
-		OverheadGate:    0.05,
-	}
-	out, _ := json.MarshalIndent(rep, "", "  ")
-	out = append(out, '\n')
-	if outPath != "" {
-		if err := os.WriteFile(outPath, out, 0o644); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		os.Stdout.Write(out)
-	}
-	if !rep.NonInterference {
-		log.Fatal("bench FAILED: fleet-on report diverged from fleet-off")
-	}
-	if rep.Snapshots != epochs {
-		log.Fatalf("bench FAILED: %d snapshots for %d epochs", rep.Snapshots, epochs)
-	}
-	if rep.OverheadFrac > rep.OverheadGate {
-		log.Fatalf("bench FAILED: telemetry overhead %.2f%% of epoch time exceeds the %.0f%% gate",
-			100*rep.OverheadFrac, 100*rep.OverheadGate)
-	}
-	fmt.Fprintf(os.Stderr, "fleetstat: bench ok — overhead %.3f%% (%.1fms/epoch off, %.1fms/epoch on)\n",
-		100*rep.OverheadFrac, rep.EpochNSOff/1e6, rep.EpochNSOn/1e6)
+	printSnapshot(w, snap)
+	fmt.Fprintln(w)
+	printHistory(w, snaps)
+	fmt.Fprintln(w, "selftest ok: crash->dark and drain->stale within one epoch, prom exposition valid")
+	return nil
 }

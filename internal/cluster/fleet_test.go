@@ -189,50 +189,3 @@ func TestScenarioFleetCrashDarkDrainStale(t *testing.T) {
 		t.Fatalf("Latest = %+v, want the epoch-5 snapshot", latest)
 	}
 }
-
-// A hierarchy-attached fleet sees reports through whichever controller
-// tier served each agent and rolls node health up per region.
-func TestHierarchyFleetRegions(t *testing.T) {
-	topo := topology.Internet2()
-	n := topo.N()
-	plan, _ := hierPlan(t, topo, 1)
-	fleet := telemetry.NewFleet(n, telemetry.FleetOptions{})
-	h, err := NewHierarchy(HierarchyOptions{
-		Topo: topo, Plan: plan, Regions: 3, HashKey: 7,
-		Deltas: true,
-		Fleet:  fleet,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-
-	for j, a := range h.Agents() {
-		a.SetStats(&telemetry.NodeStats{Node: j, Epoch: 1, Sessions: 10 * (j + 1)})
-	}
-	if rep := h.SyncAll(); rep.Failed != 0 {
-		t.Fatalf("formation round failed syncs: %+v", rep)
-	}
-	snap := fleet.EndEpoch(1, h.global.Epoch())
-	if snap.Healthy != n {
-		t.Fatalf("all-synced hierarchy: %d healthy of %d: %+v", snap.Healthy, n, snap.Counts())
-	}
-	if len(snap.Regions) != 3 {
-		t.Fatalf("snapshot has %d regions, want 3", len(snap.Regions))
-	}
-	covered := 0
-	for _, rh := range snap.Regions {
-		if rh.Healthy != len(rh.Nodes) {
-			t.Fatalf("region %d: %d healthy of %d members", rh.Region, rh.Healthy, len(rh.Nodes))
-		}
-		covered += len(rh.Nodes)
-	}
-	if covered != n {
-		t.Fatalf("regions cover %d nodes, want %d", covered, n)
-	}
-	for j, v := range snap.Nodes {
-		if v.Sessions != 10*(j+1) {
-			t.Fatalf("node %d sessions = %d, want %d — report did not survive the wire", j, v.Sessions, 10*(j+1))
-		}
-	}
-}

@@ -239,56 +239,3 @@ func TestClusterLedgerMatchesAgentManifests(t *testing.T) {
 		}
 	}
 }
-
-// Every hierarchy publish seals the region partition, so an auditor can
-// prove which controller owned which nodes at any epoch.
-func TestHierarchyLedgerRegionsRecord(t *testing.T) {
-	topo := topology.Internet2()
-	plan, _ := hierPlan(t, topo, 1)
-	plan2, _ := hierPlan(t, topo, 2)
-	led, store := newTestLedger(13)
-	h, err := NewHierarchy(HierarchyOptions{
-		Topo: topo, Plan: plan, Regions: 3, HashKey: 7, Ledger: led,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { h.Close() })
-	h.Publish(plan2)
-	verifyTestChain(t, led, store, 13)
-
-	var regionRecs []ledger.Record
-	for _, r := range led.Records() {
-		if r.Kind == ledger.RecRegions {
-			regionRecs = append(regionRecs, r)
-		}
-	}
-	if len(regionRecs) != 2 {
-		t.Fatalf("got %d regions records, want one per publish", len(regionRecs))
-	}
-	for gen, rec := range regionRecs {
-		if rec.Epoch != uint64(gen+1) {
-			t.Fatalf("regions record %d at epoch %d, want %d", gen, rec.Epoch, gen+1)
-		}
-		if len(rec.Items) != len(h.Regions()) {
-			t.Fatalf("regions record has %d items, want %d", len(rec.Items), len(h.Regions()))
-		}
-		for i, it := range rec.Items {
-			d := ledger.NewDec(it.Data)
-			members := d.Ints()
-			if err := d.Done(); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(members, h.Regions()[i]) {
-				t.Fatalf("region %d members %v, want %v", i, members, h.Regions()[i])
-			}
-			p, err := ledger.RecordProof(rec, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ledger.VerifyItem(rec, i, p) {
-				t.Fatalf("region %d proof does not verify", i)
-			}
-		}
-	}
-}

@@ -2,10 +2,12 @@ package control
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -119,16 +121,16 @@ func TestControllerAgentEndToEnd(t *testing.T) {
 	if e, err := agent.RemoteEpoch(); err != nil || e != 0 {
 		t.Fatalf("pre-plan epoch = %d, err %v", e, err)
 	}
-	if _, err := agent.Sync(); err == nil {
+	if _, err := agent.Subscribe(SubscribeOptions{}); err == nil {
 		t.Fatal("expected error fetching manifest before any plan")
 	}
 
 	ctrl.UpdatePlan(plan)
-	epoch, err := agent.Sync()
+	sub, err := agent.Subscribe(SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 1 {
+	if epoch := sub.Last().Epoch; epoch != 1 {
 		t.Fatalf("epoch = %d, want 1", epoch)
 	}
 	d := agent.Decider()
@@ -146,13 +148,14 @@ func TestControllerAgentEndToEnd(t *testing.T) {
 		}
 	}
 
-	// SyncIfStale: no-op at the same epoch, refetch after an update.
-	if fetched, err := agent.SyncIfStale(); err != nil || fetched {
-		t.Fatalf("SyncIfStale at current epoch: fetched=%v err=%v", fetched, err)
+	// ModeIfStale: no-op at the same epoch, refetch after an update.
+	ifStale := SubscribeOptions{Mode: ModeIfStale}
+	if sub, err := agent.Subscribe(ifStale); err != nil || sub.Last().Changed {
+		t.Fatalf("ModeIfStale at current epoch: fetched=%v err=%v", sub.Last().Changed, err)
 	}
 	ctrl.UpdatePlan(plan)
-	if fetched, err := agent.SyncIfStale(); err != nil || !fetched {
-		t.Fatalf("SyncIfStale after update: fetched=%v err=%v", fetched, err)
+	if sub, err := agent.Subscribe(ifStale); err != nil || !sub.Last().Changed {
+		t.Fatalf("ModeIfStale after update: fetched=%v err=%v", sub.Last().Changed, err)
 	}
 	if agent.Decider().Epoch() != 2 {
 		t.Fatalf("decider epoch = %d, want 2", agent.Decider().Epoch())
@@ -177,7 +180,7 @@ func TestControllerConcurrentAgents(t *testing.T) {
 			go func(node int) {
 				defer wg.Done()
 				a := NewAgent(ctrl.Addr(), node)
-				if _, err := a.Sync(); err != nil {
+				if _, err := a.Subscribe(SubscribeOptions{}); err != nil {
 					errs <- err
 				}
 			}(node)
@@ -206,12 +209,12 @@ func TestControllerMalformedRequests(t *testing.T) {
 	}
 	// Out-of-range node.
 	bad := NewAgent(ctrl.Addr(), 10_000)
-	if _, err := bad.Sync(); err == nil {
+	if _, err := bad.Subscribe(SubscribeOptions{}); err == nil {
 		t.Fatal("expected error for out-of-range node")
 	}
 	// Controller must still serve after bad requests.
 	good := NewAgent(ctrl.Addr(), 0)
-	if _, err := good.Sync(); err != nil {
+	if _, err := good.Subscribe(SubscribeOptions{}); err != nil {
 		t.Fatalf("controller wedged after malformed traffic: %v", err)
 	}
 }
@@ -226,24 +229,28 @@ func TestAgentWatchDeliversEpochUpdates(t *testing.T) {
 	ctrl.UpdatePlan(plan)
 
 	agent := NewAgent(ctrl.Addr(), 1)
-	if _, err := agent.Sync(); err != nil {
+	if _, err := agent.Subscribe(SubscribeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
-	updates := agent.Watch(5*time.Millisecond, stop)
+	sub, err := agent.Subscribe(SubscribeOptions{Mode: ModeWatch, Interval: 5 * time.Millisecond, Stop: stop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
 
 	ctrl.UpdatePlan(plan) // epoch 2
 	select {
-	case e := <-updates:
-		if e != 2 {
-			t.Fatalf("update epoch %d, want 2", e)
+	case u := <-sub.Updates():
+		if u.Epoch != 2 {
+			t.Fatalf("update epoch %d, want 2", u.Epoch)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("no update delivered within 2s")
 	}
 	close(stop)
 	// Channel closes after stop.
-	for range updates {
+	for range sub.Updates() {
 	}
 }
 
@@ -277,7 +284,7 @@ func TestControllerErrorPathCounters(t *testing.T) {
 
 	// Manifest request before any plan is installed.
 	a := NewAgent(ctrl.Addr(), 0)
-	if _, err := a.Sync(); err == nil {
+	if _, err := a.Subscribe(SubscribeOptions{}); err == nil {
 		t.Fatal("expected error fetching manifest before any plan")
 	}
 	if got := waitCounter(t, manifestErrC, 1); got != 1 {
@@ -296,7 +303,7 @@ func TestControllerErrorPathCounters(t *testing.T) {
 	}
 
 	// Manifest request for an out-of-range node.
-	if _, err := NewAgent(ctrl.Addr(), 10_000).Sync(); err == nil {
+	if _, err := NewAgent(ctrl.Addr(), 10_000).Subscribe(SubscribeOptions{}); err == nil {
 		t.Fatal("expected error for out-of-range node")
 	}
 	if got := waitCounter(t, manifestErrC, 2); got != 2 {
@@ -317,7 +324,7 @@ func TestControllerErrorPathCounters(t *testing.T) {
 	}
 
 	// The controller must still serve after all of the above.
-	if _, err := NewAgent(ctrl.Addr(), 0).Sync(); err != nil {
+	if _, err := NewAgent(ctrl.Addr(), 0).Subscribe(SubscribeOptions{}); err != nil {
 		t.Fatalf("controller wedged after error-path traffic: %v", err)
 	}
 }
@@ -406,7 +413,7 @@ func TestAgentOptions(t *testing.T) {
 
 	// The same agent with a real dialer works and leaves timeouts alone.
 	real := NewAgentOpts(ctrl.Addr(), 0, AgentOptions{Metrics: metrics})
-	if _, err := real.Sync(); err != nil {
+	if _, err := real.Subscribe(SubscribeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := metrics.Counter("control.agent_timeouts").Value(); got != 1 {
@@ -431,6 +438,93 @@ func TestControllerServesProvidedListener(t *testing.T) {
 	}
 	if e, err := NewAgent(ctrl.Addr(), 0).RemoteEpoch(); err != nil || e != 0 {
 		t.Fatalf("epoch through provided listener: %d, %v", e, err)
+	}
+}
+
+// failingListener returns an error from Accept, without touching the
+// listener underneath, for as long as failing is set — a persistent accept
+// error (EMFILE) — and delegates otherwise.
+type failingListener struct {
+	net.Listener
+	failing atomic.Bool
+	calls   atomic.Int64
+}
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	l.calls.Add(1)
+	if l.failing.Load() {
+		return nil, errors.New("accept: too many open files")
+	}
+	return l.Listener.Accept()
+}
+
+// TestControllerAcceptBackoff: a persistent Accept error must not spin the
+// accept loop (it used to retry with no delay, a 100 %-CPU loop), a valid
+// agent must still converge once the error clears, and the first success
+// must reset the backoff to its 5 ms start.
+func TestControllerAcceptBackoff(t *testing.T) {
+	plan, _ := solvedPlan(t, 4)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &failingListener{Listener: inner}
+	ln.failing.Store(true)
+	ctrl, err := NewControllerOpts("", ControllerOptions{HashKey: 3, Listener: ln})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	ctrl.UpdatePlan(plan)
+
+	// 5 + 10 + 20 + 40 ms of backoff fit in the window: calls at 0, 5, 15,
+	// 35 and 75 ms, so about five — against millions without a backoff.
+	time.Sleep(100 * time.Millisecond)
+	if n := ln.calls.Load(); n < 2 || n > 8 {
+		t.Fatalf("%d Accept calls in 100 ms of persistent failure, want about 5", n)
+	}
+
+	// The error clears: the agent's connection waits in the kernel backlog
+	// until the loop's next retry (80 or 160 ms away) accepts and serves it.
+	ln.failing.Store(false)
+	a := NewAgent(ctrl.Addr(), 2)
+	if _, err := a.Subscribe(SubscribeOptions{}); err != nil {
+		t.Fatalf("agent did not converge after the accept error cleared: %v", err)
+	}
+	if a.Decider() == nil || a.Decider().Epoch() != 1 {
+		t.Fatal("decider not installed")
+	}
+
+	// The loop is now parked in the real Accept. Fail again and wake it
+	// with one more (served) exchange: the backoff must restart at 5 ms —
+	// three failed calls within 15 ms — not resume at 160 ms.
+	ln.failing.Store(true)
+	before := ln.calls.Load()
+	if _, err := a.RemoteEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(100 * time.Millisecond)
+	for ln.calls.Load() < before+3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d Accept calls in 100 ms after a success, want >= 3: backoff was not reset",
+				ln.calls.Load()-before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestControllerCloseIdempotent: a second Close used to panic on the
+// already-closed channel.
+func TestControllerCloseIdempotent(t *testing.T) {
+	ctrl, err := NewController("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 // response — deliberately simple: fetches are periodic (the paper's
 // re-optimization cadence is minutes), and a connectionless-style exchange
 // avoids any session state to mismanage. Version 1 answers with one JSON
-// line carrying a full manifest. Version 2 (the hierarchical control
-// plane's protocol) adds the "delta" op — the agent states the epoch it
+// line carrying a full manifest. Version 2 (the delta control plane's
+// protocol) adds the "delta" op — the agent states the epoch it
 // holds and receives only the changed ranges — and a negotiated compact
 // binary response framing; every v2 request that an old controller cannot
 // serve degrades to a v1 exchange, and every v1 request is served exactly
@@ -94,11 +94,6 @@ type ControllerOptions struct {
 	// manifest). An agent whose held epoch has aged out of the window
 	// receives a full manifest, the documented epoch-gap fallback.
 	DeltaHistory int
-	// ServeNodes, when non-nil, restricts manifest and delta serving to
-	// the listed nodes — the region-controller configuration, where each
-	// regional tier publishes only its members' manifests and any other
-	// node is told to fetch from the global tier.
-	ServeNodes []int
 	// Ledger, when non-nil, receives a tamper-evident record of every
 	// publish: UpdatePlan and PublishShed commit the full post-publish
 	// canonical manifest set (off-chain, content-addressed) plus the live
@@ -135,7 +130,6 @@ const maxRequestLine = 64 << 10
 type Controller struct {
 	hashKey uint32
 	histCap int
-	serves  map[int]bool     // nil = serve every node
 	ledger  *ledger.Ledger   // nil = no audit chain
 	fleet   *telemetry.Fleet // nil = no fleet telemetry
 
@@ -146,9 +140,11 @@ type Controller struct {
 	trace *WireTrace               // context stamped on served manifests
 	hist  []generation             // retained generations, oldest first
 
-	ln     net.Listener
-	wg     sync.WaitGroup
-	closed chan struct{}
+	ln        net.Listener
+	wg        sync.WaitGroup
+	closed    chan struct{}
+	closeOnce sync.Once
+	closeErr  error
 
 	// Metric handles resolved at construction; nil-safe no-ops when no
 	// registry was configured.
@@ -182,15 +178,8 @@ func NewControllerOpts(addr string, opts ControllerOptions) (*Controller, error)
 	if histCap < 0 {
 		histCap = 0
 	}
-	var serves map[int]bool
-	if opts.ServeNodes != nil {
-		serves = make(map[int]bool, len(opts.ServeNodes))
-		for _, j := range opts.ServeNodes {
-			serves[j] = true
-		}
-	}
 	c := &Controller{
-		hashKey: opts.HashKey, histCap: histCap, serves: serves,
+		hashKey: opts.HashKey, histCap: histCap,
 		ledger: opts.Ledger, fleet: opts.Fleet,
 		ln: ln, closed: make(chan struct{}),
 
@@ -292,27 +281,51 @@ func (c *Controller) PublishShed(node int, shed []WireAssignment) {
 	c.epochG.Set(float64(c.epoch))
 }
 
-// Close stops the listener and waits for in-flight connections.
+// Close stops the listener and waits for the accept loop and in-flight
+// connections. It is idempotent: later calls wait the same way and return
+// the first call's error.
 func (c *Controller) Close() error {
-	close(c.closed)
-	err := c.ln.Close()
+	c.closeOnce.Do(func() {
+		close(c.closed)
+		c.closeErr = c.ln.Close()
+	})
 	c.wg.Wait()
-	return err
+	return c.closeErr
 }
+
+// Accept-error backoff: a persistent failure (EMFILE, say) must not turn
+// the accept loop into a busy loop, and a transient one must not cost more
+// than a few milliseconds of serving.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
 
 func (c *Controller) acceptLoop() {
 	defer c.wg.Done()
+	var backoff time.Duration // 0 = the last Accept succeeded
 	for {
 		conn, err := c.ln.Accept()
 		if err != nil {
+			// Keep serving through accept errors, but wait before retrying:
+			// 5 ms doubling to 1 s, reset by the first success. Close wakes
+			// the wait.
+			backoff *= 2
+			if backoff < acceptBackoffMin {
+				backoff = acceptBackoffMin
+			} else if backoff > acceptBackoffMax {
+				backoff = acceptBackoffMax
+			}
+			t := time.NewTimer(backoff)
 			select {
 			case <-c.closed:
+				t.Stop()
 				return
-			default:
+			case <-t.C:
 			}
-			// Transient accept errors: keep serving.
 			continue
 		}
+		backoff = 0
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
@@ -393,11 +406,6 @@ func (c *Controller) serve(conn net.Conn) {
 
 	if req.Trace != nil {
 		c.tracedReqC.Add(1)
-	}
-	if c.serves != nil && (req.Op == "manifest" || req.Op == "delta") && !c.serves[req.Node] {
-		c.badReqC.Add(1)
-		reply(response{Epoch: epoch, Err: fmt.Sprintf("node %d not served by this controller", req.Node)})
-		return
 	}
 	switch req.Op {
 	case "epoch":
@@ -529,8 +537,7 @@ const (
 
 // Agent is a node's client to the controller. It caches the last fetched
 // manifest and exposes a Decider for the data path. Refreshing goes
-// through Subscribe (or the deprecated Sync/SyncIfStale/Watch wrappers,
-// which delegate to it).
+// through Subscribe.
 type Agent struct {
 	addr string
 	node int

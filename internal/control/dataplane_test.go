@@ -165,7 +165,7 @@ func TestDecideMaskMatchesDecideAll(t *testing.T) {
 // every (class, session) decision — same semantics, different layout.
 func TestDeciderMatchesBaseline(t *testing.T) {
 	m := shedManifest(t)
-	d, b := NewDecider(m), NewBaselineDecider(m)
+	d, b := NewDecider(m), newBaselineDecider(m)
 	_, sessions := solvedPlan(t, 14)
 	for _, s := range sessions[:1000] {
 		for ci := range m.Classes {
@@ -301,9 +301,9 @@ func TestDeciderDecisionPathAllocFree(t *testing.T) {
 	_ = sink
 }
 
-// BenchmarkDataplaneDecide is the decision-rate microbenchmark behind
-// BENCH_dataplane.json: the pre-index baseline, the flattened index, and
-// the batched form, in decisions (class verdicts) per benchmark op.
+// BenchmarkDataplaneDecide is the decision-rate microbenchmark: the
+// pre-index reference (decider_ref_test.go), the flattened index, and the
+// batched form, in decisions (class verdicts) per benchmark op.
 func BenchmarkDataplaneDecide(b *testing.B) {
 	plan, sessions := benchPlan(b)
 	m, err := ManifestFromPlan(plan, 4, 1, 7)
@@ -313,7 +313,7 @@ func BenchmarkDataplaneDecide(b *testing.B) {
 	L := len(m.Classes)
 	sessions = sessions[:1024]
 	b.Run("baseline-map", func(b *testing.B) {
-		d := NewBaselineDecider(m)
+		d := newBaselineDecider(m)
 		b.ReportAllocs()
 		hits := 0
 		for i := 0; i < b.N; i++ {

@@ -8,24 +8,22 @@ import (
 	"nwdeploy/internal/traffic"
 )
 
-// BaselineDecider is the reference per-packet check the flattened-index
-// Decider replaced: a map keyed by (class, unit) whose values are the
-// heap-allocated RangeSets, scanned linearly per lookup. It is retained
-// verbatim so the data-plane benchmark tier (cmd/dataplane,
-// BENCH_dataplane.json) can report the decision-rate trajectory against a
-// fixed pre-index baseline instead of against a moving target. Production
-// paths must use Decider; this type exists only to be measured.
-type BaselineDecider struct {
+// This file keeps the per-packet check the flattened-index Decider replaced
+// — a map keyed by (class, unit) whose values are the heap-allocated
+// RangeSets, scanned linearly per lookup — as the test-only oracle the
+// index is checked against (TestDeciderMatchesBaseline) and the
+// "baseline-map" arm of BenchmarkDataplaneDecide.
+
+type baselineDecider struct {
 	manifest *Manifest
 	hashKey  uint32
 	ranges   map[baselineKey]hashing.RangeSet
 }
 
-// The baseline also freezes the pre-PR hash path — byte-encode into a
-// stack buffer, run the generic Bob block loop — rather than calling the
-// Hasher methods, which have since been specialized. Outputs are identical
-// (TestHasherMatchesGenericBob); only the constant factor differs, and a
-// fixed baseline must keep its own constant factor.
+// The oracle also keeps its own hash path — byte-encode into a stack
+// buffer, run the generic Bob block loop — rather than calling the Hasher
+// methods the Decider uses, which have since been specialized. Outputs are
+// identical (TestHasherMatchesGenericBob).
 
 func legacyUnit(h uint32) float64 { return float64(h) / 4294967296.0 }
 
@@ -61,10 +59,10 @@ type baselineKey struct {
 	unit  [2]int
 }
 
-// NewBaselineDecider indexes a manifest exactly as the pre-index Decider
+// newBaselineDecider indexes a manifest exactly as the pre-index Decider
 // did, shed subtraction included.
-func NewBaselineDecider(m *Manifest) *BaselineDecider {
-	d := &BaselineDecider{
+func newBaselineDecider(m *Manifest) *baselineDecider {
+	d := &baselineDecider{
 		manifest: m,
 		hashKey:  m.HashKey,
 		ranges:   make(map[baselineKey]hashing.RangeSet, len(m.Assignments)),
@@ -92,7 +90,7 @@ func NewBaselineDecider(m *Manifest) *BaselineDecider {
 }
 
 // ShouldAnalyze is the pre-index form of Decider.ShouldAnalyze.
-func (d *BaselineDecider) ShouldAnalyze(class int, s traffic.Session) bool {
+func (d *baselineDecider) ShouldAnalyze(class int, s traffic.Session) bool {
 	if class < 0 || class >= len(d.manifest.Classes) {
 		return false
 	}

@@ -13,8 +13,8 @@ import (
 // epochs: only the (class, unit) ranges that were added or removed, plus a
 // shed replacement when the governor state moved. Applying it to the
 // manifest of BaseEpoch yields a manifest whose per-packet verdicts are
-// identical to a full fetch of Epoch — the O(changed-ranges) wire form the
-// hierarchical control plane ships instead of full manifests.
+// identical to a full fetch of Epoch — the O(changed-ranges) wire form a
+// v2 controller ships instead of full manifests.
 //
 // A delta never carries the class table or the hash key: when either
 // changes between the epochs, the controller refuses to diff and serves a

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -347,91 +348,9 @@ func TestSubscribeDowngradesAgainstV1Controller(t *testing.T) {
 	}
 }
 
-// TestServeNodesRejectsForeignNode: a region-scoped controller must
-// refuse manifest and delta service for nodes outside its region.
-func TestServeNodesRejectsForeignNode(t *testing.T) {
-	plan, _ := solvedPlan(t, 4)
-	ctrl, err := NewControllerOpts("127.0.0.1:0", ControllerOptions{HashKey: 7, ServeNodes: []int{0, 1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	ctrl.UpdatePlan(plan)
-
-	member := NewAgent(ctrl.Addr(), 2)
-	if _, err := member.Subscribe(SubscribeOptions{Mode: ModeOnce}); err != nil {
-		t.Fatalf("member sync failed: %v", err)
-	}
-	foreign := NewAgent(ctrl.Addr(), 7)
-	if _, err := foreign.Subscribe(SubscribeOptions{Mode: ModeOnce}); err == nil {
-		t.Fatal("foreign full fetch must be refused")
-	}
-	if _, err := foreign.Subscribe(SubscribeOptions{Mode: ModeIfStale, Deltas: true}); err == nil {
-		t.Fatal("foreign delta sync must be refused")
-	}
-	// Epoch probes stay open to everyone (they carry no manifest data).
-	if e, err := foreign.RemoteEpoch(); err != nil || e != 1 {
-		t.Fatalf("foreign epoch probe: %d, %v", e, err)
-	}
-}
-
-// TestDeprecatedWrappersDelegate pins the compile-and-behavior contract
-// of the deprecated trio: Sync, SyncIfStale, and Watch keep their exact
-// signatures and semantics while delegating to Subscribe.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	plan, _ := solvedPlan(t, 4)
-	ctrl, err := NewController("127.0.0.1:0", 777)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	ctrl.UpdatePlan(plan)
-
-	// The wrappers must satisfy their historical signatures exactly.
-	var (
-		syncFn    func() (uint64, error)
-		ifStaleFn func() (bool, error)
-		watchFn   func(time.Duration, <-chan struct{}) <-chan uint64
-	)
-	a := NewAgent(ctrl.Addr(), 1)
-	syncFn, ifStaleFn, watchFn = a.Sync, a.SyncIfStale, a.Watch
-
-	epoch, err := syncFn()
-	if err != nil || epoch != 1 {
-		t.Fatalf("Sync: %d, %v", epoch, err)
-	}
-	fetched, err := ifStaleFn()
-	if err != nil || fetched {
-		t.Fatalf("SyncIfStale fresh: %v, %v (want no fetch)", fetched, err)
-	}
-	ctrl.UpdatePlan(plan)
-	fetched, err = ifStaleFn()
-	if err != nil || !fetched {
-		t.Fatalf("SyncIfStale stale: %v, %v (want fetch)", fetched, err)
-	}
-
-	stop := make(chan struct{})
-	ch := watchFn(2*time.Millisecond, stop)
-	ctrl.UpdatePlan(plan)
-	select {
-	case e := <-ch:
-		if e != 3 {
-			t.Fatalf("Watch delivered epoch %d, want 3", e)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Watch delivered nothing")
-	}
-	close(stop)
-	if _, ok := <-ch; ok {
-		// Drain until close; one buffered epoch may still be in flight.
-		for range ch {
-		}
-	}
-}
-
-// TestSubscribeModeOnceMatchesSync: the redesigned one-shot sync and the
-// deprecated wrapper must install identical state from identical wire
-// exchanges.
+// TestSubscribeModeOnceMatchesSync: the one-shot sync is one full-manifest
+// exchange, and what it installs decides exactly as the manifest the
+// controller built does in-process.
 func TestSubscribeModeOnceMatchesSync(t *testing.T) {
 	plan, sessions := solvedPlan(t, 4)
 	ctrl, err := NewController("127.0.0.1:0", 777)
@@ -441,11 +360,11 @@ func TestSubscribeModeOnceMatchesSync(t *testing.T) {
 	defer ctrl.Close()
 	ctrl.UpdatePlan(plan)
 
-	viaWrapper := NewAgent(ctrl.Addr(), 2)
-	viaSubscribe := NewAgent(ctrl.Addr(), 2)
-	if _, err := viaWrapper.Sync(); err != nil {
+	want, err := ManifestFromPlan(plan, 2, 1, 777)
+	if err != nil {
 		t.Fatal(err)
 	}
+	viaSubscribe := NewAgent(ctrl.Addr(), 2)
 	sub, err := viaSubscribe.Subscribe(SubscribeOptions{Mode: ModeOnce})
 	if err != nil {
 		t.Fatal(err)
@@ -453,12 +372,15 @@ func TestSubscribeModeOnceMatchesSync(t *testing.T) {
 	if u := sub.Last(); u.Epoch != 1 || !u.Changed || !u.Full {
 		t.Fatalf("ModeOnce update: %+v", u)
 	}
-	decidersAgree(t, viaWrapper.Decider(), viaSubscribe.Decider(), sessions[:300], "wrapper vs subscribe")
+	if !reflect.DeepEqual(viaSubscribe.Manifest(), want) {
+		t.Fatalf("installed manifest differs from the controller's:\n got %+v\nwant %+v", viaSubscribe.Manifest(), want)
+	}
+	decidersAgree(t, NewDecider(want), viaSubscribe.Decider(), sessions[:300], "in-process vs subscribe")
 }
 
 // TestWatchStopsPollGoroutine is the goleak-style lifecycle test: after a
-// watch subscription is stopped, the poll goroutine (and the wrapper's
-// forwarding goroutine) must exit and the ticker be released. Close joins
+// watch subscription is stopped — by Close or by the options' Stop channel
+// — the poll goroutine must exit and the ticker be released. Close joins
 // the goroutine, so completion is deterministic, not best-effort.
 func TestWatchStopsPollGoroutine(t *testing.T) {
 	plan, _ := solvedPlan(t, 4)
@@ -472,7 +394,7 @@ func TestWatchStopsPollGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	a := NewAgent(ctrl.Addr(), 1)
 
-	// The redesigned API: Close blocks until the poll goroutine is gone.
+	// Close blocks until the poll goroutine is gone.
 	sub, err := a.Subscribe(SubscribeOptions{Mode: ModeWatch, Interval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -490,17 +412,21 @@ func TestWatchStopsPollGoroutine(t *testing.T) {
 	}
 	sub.Close() // idempotent
 
-	// The deprecated wrapper: closing stop must end both goroutines.
+	// The Stop channel: closing it must end the goroutine too.
 	stop := make(chan struct{})
-	ch := a.Watch(time.Millisecond, stop)
+	sub, err = a.Subscribe(SubscribeOptions{Mode: ModeWatch, Interval: time.Millisecond, Stop: stop})
+	if err != nil {
+		t.Fatal(err)
+	}
 	select {
-	case <-ch:
+	case <-sub.Updates():
 	case <-time.After(5 * time.Second):
-		t.Fatal("watch wrapper never synced")
+		t.Fatal("stop-channel watch never synced")
 	}
 	close(stop)
-	for range ch { // channel closes once the goroutines wind down
+	for range sub.Updates() { // channel closes once the goroutine winds down
 	}
+	<-sub.Done()
 
 	// Goroutine count returns to the baseline (poll impl details like
 	// runtime timer goroutines settle asynchronously, hence the retry).

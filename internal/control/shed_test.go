@@ -120,7 +120,7 @@ func TestPublishShedEpochSemantics(t *testing.T) {
 	shed := ShedFromRanges(plan, map[int]hashing.RangeSet{unit: {cut}})
 
 	agent := NewAgent(ctrl.Addr(), node)
-	if _, err := agent.Sync(); err != nil {
+	if _, err := agent.Subscribe(SubscribeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if w := agent.Decider().ShedWidth(); w != 0 {
@@ -139,14 +139,14 @@ func TestPublishShedEpochSemantics(t *testing.T) {
 	if e := ctrl.Epoch(); e != 2 {
 		t.Fatalf("epoch %d after shed publish, want 2", e)
 	}
-	if fetched, err := agent.SyncIfStale(); err != nil || !fetched {
-		t.Fatalf("SyncIfStale after shed publish: fetched=%v err=%v", fetched, err)
+	if sub, err := agent.Subscribe(SubscribeOptions{Mode: ModeIfStale}); err != nil || !sub.Last().Changed {
+		t.Fatalf("ModeIfStale after shed publish: fetched=%v err=%v", sub.Last().Changed, err)
 	}
 	if w := agent.Decider().ShedWidth(); math.Abs(w-cut.Width()) > 1e-12 {
 		t.Fatalf("wire shed width %v, want %v", w, cut.Width())
 	}
 	other := NewAgent(ctrl.Addr(), (node+1)%len(plan.Manifests))
-	if _, err := other.Sync(); err != nil {
+	if _, err := other.Subscribe(SubscribeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if w := other.Decider().ShedWidth(); w != 0 {
@@ -158,7 +158,7 @@ func TestPublishShedEpochSemantics(t *testing.T) {
 	if e := ctrl.Epoch(); e != 3 {
 		t.Fatalf("epoch %d after shed clear, want 3", e)
 	}
-	if _, err := agent.SyncIfStale(); err != nil {
+	if _, err := agent.Subscribe(SubscribeOptions{Mode: ModeIfStale}); err != nil {
 		t.Fatal(err)
 	}
 	if w := agent.Decider().ShedWidth(); w != 0 {
@@ -171,7 +171,7 @@ func TestPublishShedEpochSemantics(t *testing.T) {
 	if e := ctrl.Epoch(); e != 5 {
 		t.Fatalf("epoch %d after shed+replan, want 5", e)
 	}
-	if _, err := agent.SyncIfStale(); err != nil {
+	if _, err := agent.Subscribe(SubscribeOptions{Mode: ModeIfStale}); err != nil {
 		t.Fatal(err)
 	}
 	if w := agent.Decider().ShedWidth(); w != 0 {

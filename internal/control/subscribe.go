@@ -12,18 +12,18 @@ import (
 type SubscribeMode int
 
 const (
-	// ModeOnce performs one unconditional refresh and completes — the
-	// redesigned form of the deprecated Sync.
+	// ModeOnce performs one unconditional refresh and completes. With the
+	// zero options it is one full-manifest JSON exchange, the v1 protocol.
 	ModeOnce SubscribeMode = iota
 	// ModeIfStale refreshes only when the controller's epoch differs from
-	// the installed one, then completes — the redesigned SyncIfStale. With
-	// Deltas enabled the staleness probe and the fetch collapse into one
-	// round trip: the delta request states the held epoch, and an
-	// up-to-date agent gets a bodyless answer.
+	// the installed one, then completes. Without Deltas that is the v1
+	// exchange pair: an epoch probe, then a fetch if stale. With Deltas the
+	// probe and the fetch collapse into one round trip: the delta request
+	// states the held epoch, and an up-to-date agent gets a bodyless answer.
 	ModeIfStale
-	// ModeWatch runs a background poll loop at Interval until stopped —
-	// the redesigned Watch. Each installed generation is delivered through
-	// OnUpdate and the Updates channel; transient errors retry next tick.
+	// ModeWatch runs a background poll loop at Interval until stopped.
+	// Each installed generation is delivered through OnUpdate and the
+	// Updates channel; transient errors retry next tick.
 	ModeWatch
 )
 
@@ -134,8 +134,7 @@ func (s *Subscription) record(u Update, err error) {
 	s.mu.Unlock()
 }
 
-// Subscribe is the agent's unified refresh surface, replacing the
-// deprecated Sync/SyncIfStale/Watch trio. One-shot modes (ModeOnce,
+// Subscribe is the agent's one refresh surface. One-shot modes (ModeOnce,
 // ModeIfStale) perform their sync before returning, and the returned
 // subscription is already complete; ModeWatch returns immediately and
 // polls in the background. The returned error is the one-shot sync error;
@@ -217,8 +216,7 @@ func (s *Subscription) syncTick() (Update, error) {
 
 // syncOnce performs one refresh: a delta exchange when negotiated and
 // possible, otherwise a full fetch. ModeIfStale without deltas probes the
-// epoch first, preserving the deprecated SyncIfStale's exact wire
-// behavior.
+// epoch first, the v1 probe-then-fetch wire behavior.
 func (a *Agent) syncOnce(opts SubscribeOptions) (Update, error) {
 	useDeltas := opts.Deltas && a.protoState() != protoLegacy
 	if !useDeltas && opts.Mode == ModeIfStale {
@@ -325,56 +323,4 @@ func (a *Agent) setProtoState(p int32) {
 // op — the signal to downgrade to full-manifest fetches.
 func isVersionMismatch(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "unknown op")
-}
-
-// Sync fetches the node's manifest unconditionally and installs a fresh
-// decider, returning the manifest epoch.
-//
-// Deprecated: use Subscribe with ModeOnce, which also exposes delta and
-// binary-encoding negotiation. Sync remains as a thin wrapper and keeps
-// its exact historical wire behavior (one full-manifest JSON exchange).
-func (a *Agent) Sync() (uint64, error) {
-	sub, err := a.Subscribe(SubscribeOptions{Mode: ModeOnce})
-	if err != nil {
-		return 0, err
-	}
-	return sub.Last().Epoch, nil
-}
-
-// SyncIfStale fetches only when the controller's epoch differs from the
-// locally installed one, reporting whether a fetch happened.
-//
-// Deprecated: use Subscribe with ModeIfStale. The wrapper preserves the
-// historical two-round-trip probe-then-fetch wire exchange.
-func (a *Agent) SyncIfStale() (bool, error) {
-	sub, err := a.Subscribe(SubscribeOptions{Mode: ModeIfStale})
-	if err != nil {
-		return false, err
-	}
-	return sub.Last().Changed, nil
-}
-
-// Watch polls the controller every interval and resyncs whenever the
-// configuration epoch changes. Each newly installed epoch is delivered on
-// the returned channel; transient fetch errors are retried on the next
-// tick. Watch returns when stop is closed, closing the channel. The
-// underlying poll goroutine exits as soon as stop is closed — it is never
-// leaked, and its ticker is always released (see
-// TestWatchStopsPollGoroutine).
-//
-// Deprecated: use Subscribe with ModeWatch, whose Subscription.Close
-// additionally joins the poll goroutine instead of just signaling it.
-func (a *Agent) Watch(interval time.Duration, stop <-chan struct{}) <-chan uint64 {
-	sub, _ := a.Subscribe(SubscribeOptions{Mode: ModeWatch, Interval: interval, Stop: stop})
-	out := make(chan uint64, 4)
-	go func() {
-		defer close(out)
-		for u := range sub.Updates() {
-			select {
-			case out <- u.Epoch:
-			default: // consumer lagging; epoch is observable via Decider
-			}
-		}
-	}()
-	return out
 }

@@ -22,7 +22,7 @@ func TestTraceContextPropagatesOverWire(t *testing.T) {
 
 	// Untraced publish: manifests carry no context.
 	ctrl.UpdatePlan(plan)
-	if _, err := agent.Sync(); err != nil {
+	if _, err := agent.Subscribe(SubscribeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if wt := agent.Decider().TraceContext(); wt != nil {
@@ -34,7 +34,7 @@ func TestTraceContextPropagatesOverWire(t *testing.T) {
 	ctrl.SetTrace(pub)
 	ctrl.UpdatePlan(plan)
 	agent.SetTrace(&WireTrace{Trace: "0000000000000001", Span: "0000000000000003"})
-	if _, err := agent.Sync(); err != nil {
+	if _, err := agent.Subscribe(SubscribeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	got := agent.Decider().TraceContext()
@@ -51,7 +51,7 @@ func TestTraceContextPropagatesOverWire(t *testing.T) {
 	ctrl.SetTrace(nil)
 	ctrl.UpdatePlan(plan)
 	agent.SetTrace(nil)
-	if _, err := agent.Sync(); err != nil {
+	if _, err := agent.Subscribe(SubscribeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if wt := agent.Decider().TraceContext(); wt != nil {

@@ -4,12 +4,12 @@
 // and that shed decisions never breached the coverage floor.
 //
 // Each Record batches a commit's items (canonical manifest encodings,
-// shed decisions, coverage verdicts, governor attestations, hierarchy
-// region assignments) under a Merkle root and chains to the previous
-// record by the SHA-256 digest of its raw JSONL line. Bulk payloads are
-// stored off-chain in a content-addressed Store and referenced on-chain
-// by digest, so the chain itself stays small while every referenced byte
-// remains covered by the head digest.
+// shed decisions, coverage verdicts, governor attestations) under a
+// Merkle root and chains to the previous record by the SHA-256 digest of
+// its raw JSONL line. Bulk payloads are stored off-chain in a
+// content-addressed Store and referenced on-chain by digest, so the chain
+// itself stays small while every referenced byte remains covered by the
+// head digest.
 //
 // Like internal/trace, the ledger is deterministic from the run seed:
 // record IDs derive from (seed, sequence) via parallel.SplitSeed, records
@@ -49,8 +49,9 @@ const (
 	// RecEpoch commits a runtime epoch's coverage verdict (and, under the
 	// governor, per-node floor attestations).
 	RecEpoch = "epoch"
-	// RecRegions commits a hierarchy's region-to-nodes partition at a
-	// lockstep publish.
+	// RecRegions committed a two-tier hierarchy's region-to-nodes
+	// partition. Nothing writes it any more; the kind (and ItemRegion) stay
+	// known so a chain recorded by an older build still verifies.
 	RecRegions = "regions"
 	// RecTrace commits a flight-recorder JSONL dump as an off-chain blob.
 	RecTrace = "trace"
@@ -117,7 +118,7 @@ type Record struct {
 	// record chains to the seed-derived genesis digest (GenesisHex).
 	Prev string `json:"prev"`
 	// Root is the Merkle root over Items (emptyRoot for none).
-	Root string `json:"root"`
+	Root  string    `json:"root"`
 	Items []ItemRef `json:"items,omitempty"`
 }
 

@@ -3,9 +3,11 @@ package ledger
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -81,6 +83,53 @@ func TestVerifyChainAcceptsValid(t *testing.T) {
 	}
 	if _, err := VerifyChain(l.Chain(), VerifyOptions{GenesisPrev: GenesisHex(8), Store: store}); err == nil {
 		t.Fatal("wrong genesis accepted")
+	}
+}
+
+// No build writes regions records any more (the two-tier hierarchy that
+// sealed its region partition is gone), but chains recorded by older builds
+// carry them: the verifier must keep accepting the kind, and its items must
+// still decode and prove.
+func TestVerifyChainAcceptsRegionsRecord(t *testing.T) {
+	store := NewMemStore()
+	l := buildChain(t, 13, store)
+	regions := [][]int{{0, 1, 4}, {2, 3}}
+	b := l.Begin(RecRegions, 2)
+	for r, members := range regions {
+		var e Enc
+		e.Ints(members)
+		data, err := e.Finish()
+		b.Item(ItemRegion, fmt.Sprintf("region/%d", r), data, err)
+	}
+	rec, err := b.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := VerifyChain(l.Chain(), VerifyOptions{
+		Head: l.HeadHex(), GenesisPrev: GenesisHex(13), Store: store,
+	})
+	if err != nil {
+		t.Fatalf("chain with a regions record rejected: %v", err)
+	}
+	if sum.Records != 4 {
+		t.Fatalf("verified %d records, want 4", sum.Records)
+	}
+	for i, it := range rec.Items {
+		d := NewDec(it.Data)
+		members := d.Ints()
+		if err := d.Done(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(members, regions[i]) {
+			t.Fatalf("region %d members %v, want %v", i, members, regions[i])
+		}
+		p, err := RecordProof(rec, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !VerifyItem(rec, i, p) {
+			t.Fatalf("region %d proof does not verify", i)
+		}
 	}
 }
 

@@ -101,8 +101,8 @@ func WriteProm(w io.Writer, snap obs.Snapshot) error {
 }
 
 // WriteFleetProm renders a fleet snapshot in the Prometheus text format:
-// fleet-wide totals, per-region rollups, and one labeled series per node
-// for the load-bearing per-node fields. A nil snapshot writes nothing.
+// fleet-wide totals and one labeled series per node for the load-bearing
+// per-node fields. A nil snapshot writes nothing.
 func WriteFleetProm(w io.Writer, snap *FleetSnapshot) error {
 	if snap == nil {
 		return nil
@@ -128,16 +128,6 @@ func WriteFleetProm(w io.Writer, snap *FleetSnapshot) error {
 	for _, st := range states {
 		if _, err := fmt.Fprintf(w, "fleet_nodes{state=%q} %d\n", st.name, st.n); err != nil {
 			return err
-		}
-	}
-	for _, rh := range snap.Regions {
-		for _, st := range []struct {
-			name string
-			n    int
-		}{{"healthy", rh.Healthy}, {"stale", rh.Stale}, {"shedding", rh.Shedding}, {"dark", rh.Dark}} {
-			if _, err := fmt.Fprintf(w, "fleet_region_nodes{region=\"%d\",state=%q} %d\n", rh.Region, st.name, st.n); err != nil {
-				return err
-			}
 		}
 	}
 	if _, err := fmt.Fprintf(w, "# TYPE fleet_node_health gauge\n"); err != nil {

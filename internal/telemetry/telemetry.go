@@ -22,7 +22,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -120,16 +119,6 @@ type NodeView struct {
 	Silent int `json:"silent,omitempty"`
 }
 
-// RegionHealth rolls a region's nodes up to counts per health state.
-type RegionHealth struct {
-	Region   int   `json:"region"`
-	Nodes    []int `json:"nodes"`
-	Healthy  int   `json:"healthy"`
-	Stale    int   `json:"stale"`
-	Shedding int   `json:"shedding"`
-	Dark     int   `json:"dark"`
-}
-
 // FleetSnapshot is the fleet's state at the end of one run epoch.
 type FleetSnapshot struct {
 	// RunEpoch is the cluster runtime's 1-based epoch counter.
@@ -146,8 +135,6 @@ type FleetSnapshot struct {
 	Stale    int `json:"stale"`
 	Shedding int `json:"shedding"`
 	Dark     int `json:"dark"`
-
-	Regions []RegionHealth `json:"regions,omitempty"`
 }
 
 // Counts returns the per-state totals as a map keyed by state name.
@@ -196,9 +183,6 @@ type Fleet struct {
 	seenRound []int       // round the last report arrived in; -1 = never
 	round     int         // current epoch round, bumped by EndEpoch
 
-	regions  [][]int // optional region -> node ids
-	regionOf []int   // node -> region, -1 = unassigned
-
 	latest *FleetSnapshot
 }
 
@@ -207,11 +191,9 @@ func NewFleet(n int, opts FleetOptions) *Fleet {
 	f := &Fleet{n: n, opts: opts.withDefaults()}
 	f.last = make([]NodeStats, n)
 	f.seenRound = make([]int, n)
-	f.regionOf = make([]int, n)
 	for i := range f.last {
 		f.last[i] = NodeStats{Node: i}
 		f.seenRound[i] = -1
-		f.regionOf[i] = -1
 	}
 	return f
 }
@@ -230,31 +212,6 @@ func (f *Fleet) Report(s NodeStats) {
 	}
 	f.last[s.Node] = s
 	f.seenRound[s.Node] = f.round
-}
-
-// SetRegions installs a region partition (region index -> node ids) so
-// snapshots carry per-region rollups. Nodes not listed stay unassigned.
-func (f *Fleet) SetRegions(regions [][]int) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.regions = make([][]int, len(regions))
-	for i := range f.regionOf {
-		f.regionOf[i] = -1
-	}
-	for r, nodes := range regions {
-		cp := make([]int, len(nodes))
-		copy(cp, nodes)
-		sort.Ints(cp)
-		f.regions[r] = cp
-		for _, j := range cp {
-			if j >= 0 && j < f.n {
-				f.regionOf[j] = r
-			}
-		}
-	}
 }
 
 // classify applies the health state machine to one node given how many
@@ -322,28 +279,6 @@ func (f *Fleet) EndEpoch(runEpoch int, ctrlEpoch uint64) FleetSnapshot {
 			snap.Dark++
 		}
 	}
-	if len(f.regions) > 0 {
-		snap.Regions = make([]RegionHealth, len(f.regions))
-		for r, nodes := range f.regions {
-			rh := RegionHealth{Region: r, Nodes: nodes}
-			for _, j := range nodes {
-				if j < 0 || j >= f.n {
-					continue
-				}
-				switch snap.Nodes[j].Health {
-				case Healthy:
-					rh.Healthy++
-				case Stale:
-					rh.Stale++
-				case Shedding:
-					rh.Shedding++
-				case Dark:
-					rh.Dark++
-				}
-			}
-			snap.Regions[r] = rh
-		}
-	}
 	f.round++
 	cp := snap
 	f.latest = &cp
@@ -363,6 +298,5 @@ func (f *Fleet) Latest() *FleetSnapshot {
 	}
 	cp := *f.latest
 	cp.Nodes = append([]NodeView(nil), f.latest.Nodes...)
-	cp.Regions = append([]RegionHealth(nil), f.latest.Regions...)
 	return &cp
 }

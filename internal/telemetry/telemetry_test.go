@@ -13,7 +13,6 @@ import (
 func TestNilFleetIsNoOp(t *testing.T) {
 	var f *Fleet
 	f.Report(NodeStats{Node: 0})
-	f.SetRegions([][]int{{0}})
 	if snap := f.EndEpoch(1, 1); !reflect.DeepEqual(snap, FleetSnapshot{}) {
 		t.Fatalf("nil EndEpoch = %+v, want zero", snap)
 	}
@@ -114,29 +113,6 @@ func TestEndEpochSilenceAndCounts(t *testing.T) {
 	// Out-of-range reports are dropped, not panics.
 	f.Report(NodeStats{Node: -1})
 	f.Report(NodeStats{Node: 99})
-}
-
-func TestRegionRollup(t *testing.T) {
-	f := NewFleet(4, FleetOptions{})
-	f.SetRegions([][]int{{1, 0}, {2, 3}})
-	f.Report(NodeStats{Node: 0})
-	f.Report(NodeStats{Node: 1, Lag: 1})
-	f.Report(NodeStats{Node: 2, ShedWidth: 0.3})
-	// node 3 silent -> dark (DarkAfter default 1).
-	snap := f.EndEpoch(1, 1)
-	if len(snap.Regions) != 2 {
-		t.Fatalf("regions = %d", len(snap.Regions))
-	}
-	r0, r1 := snap.Regions[0], snap.Regions[1]
-	if !reflect.DeepEqual(r0.Nodes, []int{0, 1}) {
-		t.Fatalf("region 0 nodes not sorted: %v", r0.Nodes)
-	}
-	if r0.Healthy != 1 || r0.Stale != 1 {
-		t.Fatalf("region 0 rollup = %+v", r0)
-	}
-	if r1.Shedding != 1 || r1.Dark != 1 {
-		t.Fatalf("region 1 rollup = %+v", r1)
-	}
 }
 
 func TestLatestReturnsCopy(t *testing.T) {
@@ -264,7 +240,6 @@ func TestWriteFleetPromValidates(t *testing.T) {
 	}
 
 	f := NewFleet(3, FleetOptions{})
-	f.SetRegions([][]int{{0, 1}, {2}})
 	f.Report(NodeStats{Node: 0, Epoch: 2, Sessions: 120, Alerts: 3, Conns: 40})
 	f.Report(NodeStats{Node: 1, Epoch: 2, ShedWidth: 0.5})
 	snap := f.EndEpoch(1, 2)
@@ -280,7 +255,6 @@ func TestWriteFleetPromValidates(t *testing.T) {
 		`fleet_nodes{state="healthy"} 1`,
 		`fleet_nodes{state="shedding"} 1`,
 		`fleet_nodes{state="dark"} 1`,
-		`fleet_region_nodes{region="0",state="healthy"} 1`,
 		`fleet_node_health{node="2",state="dark"} 1`,
 		`fleet_node_sessions{node="0"} 120`,
 		`fleet_node_shed_width{node="1"} 0.5`,
