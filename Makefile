@@ -36,13 +36,15 @@ race: vet
 # Allocation gate: rerun the testing.AllocsPerRun contracts of the
 # per-packet path uncached. The decision path (ShouldAnalyze / DecideAll /
 # DecideMask / CoversUnit), the engine's steady-state ingestion with policy
-# scripts on (every decision source), the conntrack pool, and the arena
+# scripts on (every decision source), the packet front half (ReadPacket on
+# a warmed Reader, Feed on an open flow), the conntrack pool, and the arena
 # index must all report 0 allocs/op, and the engine's per-Run set-up must
 # stay inside its budget; -count=1 keeps a cached pass from masking a
 # regression.
 allocs:
 	$(GO) test -count=1 -run 'AllocFree|Alloc|Pool' \
-		./internal/control/ ./internal/bro/ ./internal/conntrack/ ./internal/hashing/
+		./internal/control/ ./internal/bro/ ./internal/packet/ ./internal/conntrack/ \
+		./internal/hashing/
 
 # Perf tier: the repo's one layered benchmark (cmd/perf, BENCHMARK.json).
 # `make perf` runs every workload untraced then traced; pass flags through
@@ -57,10 +59,16 @@ perfcompare:
 	$(GO) run ./cmd/perf compare $(A) $(B)
 
 # Fuzz tier: a short smoke run of the solver fuzzer (simplex vs brute-force
-# vertex enumeration on random small LPs). CI-friendly; run with a longer
-# -fuzztime locally to dig.
+# vertex enumeration on random small LPs) and of the two ingest fuzzers
+# (arbitrary bytes through the pcap Reader; fuzzed captures through the
+# assembler, whose counters must balance). CI-friendly; run with a longer
+# -fuzztime locally to dig. The ingest seeds are whole captures (160 KB for
+# the 20-session one), and minimizing one interesting input of that size
+# under the default 60 s budget would eat the whole run, hence 1 s.
 fuzz:
 	$(GO) test -run=FuzzSolve -fuzz=FuzzSolve -fuzztime=10s ./internal/lp/
+	$(GO) test -run=FuzzReader -fuzz=FuzzReader -fuzztime=10s -fuzzminimizetime=1s ./internal/packet/
+	$(GO) test -run=FuzzAssemble -fuzz=FuzzAssemble -fuzztime=10s -fuzzminimizetime=1s ./internal/packet/
 
 # Bench tier: the go-test micro-benchmarks, with allocation reporting —
 # every figure/table benchmark, the obs instruments, cluster convergence,
@@ -143,10 +151,23 @@ trace:
 # offenders, if a test binary, the benchmark binary, a `go run` child of one
 # of this repo's socket-opening commands, or a go test/run/build is still
 # alive — killing only the `go` parent (what a tool timeout does) orphans
-# the program it started. Run it on its own: a shell line that also names
-# `go test` matches itself. (The [.] keeps the recipe's own shell from
-# matching its pattern.)
+# the program it started — or if any process at all is running a binary
+# from this checkout, from $(SCRATCH) (hand-built A/B binaries such as
+# perf_parent / perf_new, which no name pattern catches) or from a go-build
+# temp dir. Run it on its own: a shell line that also names `go test`
+# matches itself. (The [.] keeps the recipe's own shell from matching its
+# pattern.)
+SCRATCH ?= /root/scratch
+
 idle:
-	@if pgrep -fa '[.]test( |$$)|[.]bench_build/perf( |$$)|go-build.*/(cluster|fleetstat|controller|perf|experiments|auditcheck)( |$$)|(^|/)go (test|run|build)( |$$)'; then \
+	@bad=0; \
+	if pgrep -fa '[.]test( |$$)|[.]bench_build/perf( |$$)|go-build.*/(cluster|fleetstat|controller|perf|experiments|auditcheck)( |$$)|(^|/)go (test|run|build)( |$$)'; then bad=1; fi; \
+	for p in /proc/[0-9]*; do \
+		exe=$$(readlink "$$p/exe" 2>/dev/null) || continue; \
+		case "$$exe" in \
+		"$(CURDIR)"/*|$(SCRATCH)/*|*/go-build*) echo "$${p#/proc/} $$exe"; bad=1;; \
+		esac; \
+	done; \
+	if [ $$bad = 1 ]; then \
 		echo 'idle: the processes above are still running' >&2; exit 1; \
 	fi

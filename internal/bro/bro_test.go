@@ -2,6 +2,8 @@ package bro
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -361,6 +363,89 @@ func TestRunPcapMatchesSessionRun(t *testing.T) {
 	}
 	if fromPcap.CPUUnits <= 0 || fromPcap.MemBytes <= 0 {
 		t.Fatalf("implausible pcap-driven report: %+v", fromPcap)
+	}
+}
+
+// RunPcap streams sessions into the engine as the assembler completes them;
+// the report must be the one Run gives over the same capture's collected
+// sessions, field for field.
+func TestRunPcapEqualsRunOverReadSessions(t *testing.T) {
+	topo := topology.Internet2()
+	sessions := traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{Sessions: 400, Seed: 9, HostsPerNode: 8})
+	var buf bytes.Buffer
+	if _, err := packet.WriteSessionsPcap(packet.NewWriter(&buf), sessions, time.Unix(1_700_000_000, 0), time.Second, 3); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Mode: ModePlain, Modules: StandardModules(), Hasher: hashing.Hasher{Key: 4}}
+	streamed, err := RunPcap(cfg, bytes.NewReader(buf.Bytes()), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected, _, err := packet.ReadSessions(packet.NewReader(bytes.NewReader(buf.Bytes())), time.Minute, cfg.Hasher.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Run(cfg, collected); !reflect.DeepEqual(streamed, want) {
+		t.Fatalf("RunPcap report %+v\nRun(ReadSessions) report %+v", streamed, want)
+	}
+}
+
+// A tcpdump capture carries ARP, IPv6 and ICMP next to the TCP/UDP the
+// engine analyses: those frames are skipped, while a frame with a corrupt
+// IPv4 header still fails the run.
+func TestRunPcapSkipsForeignFramesRejectsCorrupt(t *testing.T) {
+	topo := topology.Internet2()
+	sessions := traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{Sessions: 40, Seed: 5, HostsPerNode: 8})
+	start := time.Unix(1_700_000_000, 0)
+	var clean bytes.Buffer
+	if _, err := packet.WriteSessionsPcap(packet.NewWriter(&clean), sessions, start, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Mode: ModePlain, Modules: StandardModules()[1:], Hasher: hashing.Hasher{Key: 4}}
+	want, err := RunPcap(cfg, bytes.NewReader(clean.Bytes()), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Re-write the capture with an ARP and an IPv6 frame in front.
+	rewrite := func(extra ...[]byte) []byte {
+		var out bytes.Buffer
+		w := packet.NewWriter(&out)
+		for _, f := range extra {
+			if err := w.WritePacket(start, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := packet.NewReader(bytes.NewReader(clean.Bytes()))
+		for {
+			ts, frame, err := r.ReadPacket()
+			if err == io.EOF {
+				return out.Bytes()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WritePacket(ts, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	foreign := func(etherType uint16) []byte {
+		f := make([]byte, 60)
+		f[12], f[13] = byte(etherType>>8), byte(etherType)
+		return f
+	}
+	got, err := RunPcap(cfg, bytes.NewReader(rewrite(foreign(0x0806), foreign(0x86dd))), time.Minute)
+	if err != nil {
+		t.Fatalf("capture with ARP and IPv6 frames rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("foreign frames changed the report: %+v, want %+v", got, want)
+	}
+
+	truncated := foreign(packet.EtherTypeIPv4)[:packet.EthernetHeaderLen+10]
+	if _, err := RunPcap(cfg, bytes.NewReader(rewrite(truncated)), time.Minute); err == nil {
+		t.Fatal("capture with a truncated IPv4 frame accepted")
 	}
 }
 

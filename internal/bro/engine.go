@@ -219,11 +219,7 @@ func runInternal(cfg Config, sessions []traffic.Session, onAnalyze func(int, *tr
 	for i := range sessions {
 		e.processSession(&sessions[i])
 	}
-	rep := e.finish()
-	cfg.Trace.Event(trace.EvEngineRun,
-		trace.Int("alerts", rep.Alerts), trace.Int("conns", rep.Conns),
-		trace.F64("cpu", rep.CPUUnits))
-	return rep
+	return e.finish()
 }
 
 // init compiles the module table and sizes the run's dense state.
@@ -261,8 +257,8 @@ func (e *engine) tableBytes(mi int) float64 {
 }
 
 // finish folds the dense per-module CPU and the policy-table footprints
-// into the report, records the run's aggregates to the metrics registry,
-// and returns the report.
+// into the report, records the run's aggregates to the metrics registry
+// and the flight recorder, and returns the report.
 func (e *engine) finish() Report {
 	e.rep.PerModuleCPU = make(map[string]float64, len(e.modCPU))
 	for mi, c := range e.modCPU {
@@ -272,6 +268,9 @@ func (e *engine) finish() Report {
 		e.rep.MemBytes += e.tableBytes(mi)
 	}
 	e.recordMetrics()
+	e.cfg.Trace.Event(trace.EvEngineRun,
+		trace.Int("alerts", e.rep.Alerts), trace.Int("conns", e.rep.Conns),
+		trace.F64("cpu", e.rep.CPUUnits))
 	return e.rep
 }
 

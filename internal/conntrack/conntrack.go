@@ -29,6 +29,12 @@ type Conn struct {
 	// fields the prototype carries in the record so policy scripts need
 	// not recompute them.
 	SessionHash, FlowHash, SourceHash, DestHash float64
+	// Slot belongs to the caller: the table zeroes it when the record is
+	// created or recycled and never reads it. The assembler in
+	// internal/packet keeps its per-flow reassembly state there (index+1
+	// into its slot pool; zero means none), so one Update is the only flow
+	// lookup a frame pays for.
+	Slot int32
 
 	heapIdx int
 }

@@ -83,6 +83,7 @@ func TestRecycledRecordsFullyReset(t *testing.T) {
 	if !created {
 		t.Fatal("first update should create")
 	}
+	c1.Slot = 5 // caller-owned; must not follow the record into its next life
 	h1 := *c1
 	if _, created := tbl.Update(churnTuple(2), now.Add(time.Second), 1, 10); !created {
 		t.Fatal("second update should create (evicting the first)")
@@ -96,7 +97,7 @@ func TestRecycledRecordsFullyReset(t *testing.T) {
 	if c3 != c1 {
 		t.Fatal("third creation did not recycle the evicted record")
 	}
-	if c3.Packets != 1 || c3.Bytes != 10 || c3.Tuple == h1.Tuple ||
+	if c3.Packets != 1 || c3.Bytes != 10 || c3.Tuple == h1.Tuple || c3.Slot != 0 ||
 		c3.FirstSeen != now.Add(2*time.Second) || c3.LastSeen != now.Add(2*time.Second) {
 		t.Fatalf("recycled record leaked state: %+v (previous %+v)", *c3, h1)
 	}

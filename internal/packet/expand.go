@@ -3,7 +3,7 @@ package packet
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"nwdeploy/internal/hashing"
@@ -220,7 +220,7 @@ func WriteSessionsPcap(w *Writer, sessions []traffic.Session, start time.Time, s
 // sortFrames orders frames by timestamp; the capture must be
 // chronological for readers that assume monotonic time.
 func sortFrames(fs []Frame) {
-	sort.SliceStable(fs, func(i, j int) bool { return fs[i].TS.Before(fs[j].TS) })
+	slices.SortStableFunc(fs, func(a, b Frame) int { return a.TS.Compare(b.TS) })
 }
 
 // FiveTupleOf is a convenience re-export for assembling code that wants

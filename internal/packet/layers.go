@@ -3,10 +3,21 @@
 // checksums, a libpcap-compatible trace writer/reader (traces open in
 // tcpdump/wireshark), expansion of synthetic sessions into packet
 // sequences (TCP handshake, data exchange, teardown), and a session
-// assembler that rebuilds sessions from a packet stream. The decoder
-// follows the preallocated DecodingLayerParser style: one Decoder value is
-// reused across packets and no per-packet allocation occurs on the fast
-// path.
+// assembler that rebuilds sessions from a packet stream.
+//
+// No per-packet allocation occurs on the ingest fast path — ReadPacket,
+// Decode and Feed on a frame of an already-open flow (TestIngestAllocFree
+// holds it at zero) — because nothing on it copies:
+//
+//   - Reader.ReadPacket returns a frame that aliases the Reader's one read
+//     buffer, valid until the next ReadPacket;
+//   - Decoder.Decode fills preallocated layer values (the DecodingLayerParser
+//     style: one Decoder reused across packets), and its Payload aliases
+//     the frame it was given;
+//   - Assembler.Feed keeps nothing of the frame, and its per-flow state
+//     lives in a recycled slot that the flow's conntrack record points at.
+//
+// A caller that needs a frame or payload past the next read copies it.
 package packet
 
 import (

@@ -14,6 +14,14 @@ import (
 
 var baseTS = time.Date(2026, 7, 5, 9, 0, 0, 0, time.UTC)
 
+// canonicalKey mirrors the conntrack canonical ordering.
+func canonicalKey(ft hashing.FiveTuple) hashing.FiveTuple {
+	if ft.SrcIP > ft.DstIP || (ft.SrcIP == ft.DstIP && ft.SrcPort > ft.DstPort) {
+		return ft.Reverse()
+	}
+	return ft
+}
+
 func buildTCPFrame(t *testing.T, payload []byte) []byte {
 	t.Helper()
 	frame, err := Build(

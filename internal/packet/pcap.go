@@ -63,24 +63,50 @@ func (pw *Writer) WritePacket(ts time.Time, frame []byte) error {
 	return nil
 }
 
-// Reader consumes a libpcap capture file.
+// Reader consumes a libpcap capture file through one reused buffer: the
+// stream is read in large chunks and each record is parsed where it lies,
+// so reading a frame allocates nothing.
 type Reader struct {
 	r       io.Reader
+	buf     []byte
+	lo, hi  int // buf[lo:hi] is read but not yet consumed
 	started bool
 	swapped bool // big-endian file
 }
 
+// readBufBytes holds the largest record the format allows (16-byte header
+// plus a snaplen-sized frame) with room to spare, so the buffer never grows.
+const readBufBytes = 128 << 10
+
 // NewReader wraps r; the global header is validated on the first read.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+func NewReader(r io.Reader) *Reader { return &Reader{r: r, buf: make([]byte, readBufBytes)} }
 
 // ErrBadMagic marks a stream that is not a classic pcap file.
 var ErrBadMagic = errors.New("packet: not a pcap file (bad magic)")
 
+// fill makes at least n unconsumed bytes available at buf[lo:], moving the
+// unconsumed tail to the front and reading as much as the source will give.
+// It returns io.EOF when the stream ended with nothing unconsumed and
+// io.ErrUnexpectedEOF when it ended inside the n bytes.
+func (pr *Reader) fill(n int) error {
+	if pr.hi-pr.lo >= n {
+		return nil
+	}
+	pr.hi = copy(pr.buf, pr.buf[pr.lo:pr.hi])
+	pr.lo = 0
+	m, err := io.ReadAtLeast(pr.r, pr.buf[pr.hi:], n-pr.hi)
+	pr.hi += m
+	if err == io.EOF && pr.hi > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
 func (pr *Reader) readGlobal() error {
-	var hdr [pcapGlobalBytes]byte
-	if _, err := io.ReadFull(pr.r, hdr[:]); err != nil {
+	if err := pr.fill(pcapGlobalBytes); err != nil {
 		return err
 	}
+	hdr := pr.buf[pr.lo : pr.lo+pcapGlobalBytes]
 	magic := binary.LittleEndian.Uint32(hdr[0:4])
 	switch magic {
 	case pcapMagicLE:
@@ -94,6 +120,7 @@ func (pr *Reader) readGlobal() error {
 	if link != pcapLinkEther {
 		return fmt.Errorf("packet: unsupported pcap link type %d", link)
 	}
+	pr.lo += pcapGlobalBytes
 	pr.started = true
 	return nil
 }
@@ -106,28 +133,33 @@ func (pr *Reader) u32(b []byte) uint32 {
 }
 
 // ReadPacket returns the next frame and its timestamp; io.EOF at the end.
+//
+// The frame aliases the Reader's buffer and is valid only until the next
+// ReadPacket (gopacket's zero-copy contract): consume it — Decode it, Feed
+// it, take its length — or copy it before reading on.
 func (pr *Reader) ReadPacket() (time.Time, []byte, error) {
 	if !pr.started {
 		if err := pr.readGlobal(); err != nil {
 			return time.Time{}, nil, err
 		}
 	}
-	var rec [pcapRecordBytes]byte
-	if _, err := io.ReadFull(pr.r, rec[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return time.Time{}, nil, io.ErrUnexpectedEOF
-		}
+	if err := pr.fill(pcapRecordBytes); err != nil {
 		return time.Time{}, nil, err
 	}
+	rec := pr.buf[pr.lo : pr.lo+pcapRecordBytes]
 	sec := pr.u32(rec[0:4])
 	usec := pr.u32(rec[4:8])
 	capLen := pr.u32(rec[8:12])
 	if capLen > pcapSnapLenMax {
 		return time.Time{}, nil, fmt.Errorf("packet: implausible capture length %d", capLen)
 	}
-	frame := make([]byte, capLen)
-	if _, err := io.ReadFull(pr.r, frame); err != nil {
+	end := pcapRecordBytes + int(capLen)
+	if err := pr.fill(end); err != nil {
 		return time.Time{}, nil, fmt.Errorf("packet: truncated record body: %w", err)
 	}
+	// Capacity is clipped so an append by the caller cannot reach the
+	// next record.
+	frame := pr.buf[pr.lo+pcapRecordBytes : pr.lo+end : pr.lo+end]
+	pr.lo += end
 	return time.Unix(int64(sec), int64(usec)*1000), frame, nil
 }
