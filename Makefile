@@ -37,14 +37,14 @@ race: vet
 # per-packet path uncached. The decision path (ShouldAnalyze / DecideAll /
 # DecideMask / CoversUnit), the engine's steady-state ingestion with policy
 # scripts on (every decision source), the packet front half (ReadPacket on
-# a warmed Reader, Feed on an open flow), the conntrack pool, and the arena
-# index must all report 0 allocs/op, and the engine's per-Run set-up must
-# stay inside its budget; -count=1 keeps a cached pass from masking a
-# regression.
+# a warmed Reader, Feed on an open flow), the conntrack pool, the arena
+# index and the simplex pivot must all report 0 allocs/op; the engine's
+# per-Run set-up and a cold LP solve (its tableau plus 25%) must stay inside
+# their budgets; -count=1 keeps a cached pass from masking a regression.
 allocs:
 	$(GO) test -count=1 -run 'AllocFree|Alloc|Pool' \
 		./internal/control/ ./internal/bro/ ./internal/packet/ ./internal/conntrack/ \
-		./internal/hashing/
+		./internal/hashing/ ./internal/lp/
 
 # Perf tier: the repo's one layered benchmark (cmd/perf, BENCHMARK.json).
 # `make perf` runs every workload untraced then traced; pass flags through
@@ -73,8 +73,10 @@ fuzz:
 # Bench tier: the go-test micro-benchmarks, with allocation reporting —
 # every figure/table benchmark, the obs instruments, cluster convergence,
 # the full-epoch cost with the flight recorder off vs on, warm- vs
-# cold-started replan solves, the shed hook's per-packet cost, and the
-# per-packet decision path against its test-only pre-index reference. It
+# cold-started replan solves, cold simplex solves of deployment- and
+# packing-shaped LPs (the pivot loop's micro A/B), the shed hook's
+# per-packet cost, and the per-packet decision path against its test-only
+# pre-index reference. It
 # runs no command and writes no file: end-to-end and per-layer numbers are
 # `make perf` (cmd/perf, BENCHMARK.json), the one benchmark.
 bench:
@@ -83,6 +85,7 @@ bench:
 	$(GO) test -bench=ClusterConverge -benchmem ./internal/cluster/
 	$(GO) test -bench=TraceOverhead -benchmem ./internal/cluster/
 	$(GO) test -bench=WarmVsColdReplan -benchmem ./internal/lp/
+	$(GO) test -bench=Simplex -benchmem ./internal/lp/
 	$(GO) test -bench=ShedFilter -benchmem ./internal/bro/
 	$(GO) test -bench=DataplaneDecide -benchmem ./internal/control/
 

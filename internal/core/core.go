@@ -169,6 +169,15 @@ func BuildInstance(topo *topology.Topology, classes []Class, sessions []traffic.
 	if len(caps) != topo.N() {
 		return nil, fmt.Errorf("core: %d capacities for %d nodes", len(caps), topo.N())
 	}
+	// Loads are volumes divided by capacities, so a zero, negative or
+	// non-finite capacity would reach the LP as an infinite or NaN weight.
+	positive := func(x float64) bool { return x > 0 && !math.IsInf(x, 1) } // false for NaN
+	for j, c := range caps {
+		if !positive(c.CPU) || !positive(c.Mem) {
+			return nil, fmt.Errorf("core: node %d (%s) has capacity CPU %v, memory %v; both must be finite and > 0",
+				j, topo.Nodes[j].Name, c.CPU, c.Mem)
+		}
+	}
 	inst := &Instance{
 		Topo:    topo,
 		Classes: classes,

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -296,6 +297,28 @@ func TestBuildInstanceCapMismatch(t *testing.T) {
 	_, err := BuildInstance(topo, testClasses(), nil, UniformCaps(3, 1, 1))
 	if err == nil {
 		t.Fatal("expected capacity-count mismatch error")
+	}
+}
+
+// TestBuildInstanceRejectsBadCapacity: a zero or NaN capacity used to be
+// accepted and yield a plan whose MaxCPULoad is NaN.
+func TestBuildInstanceRejectsBadCapacity(t *testing.T) {
+	topo := topology.Internet2()
+	ss := traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{Sessions: 500, Seed: 11})
+	for _, bad := range []func(*NodeResources){
+		func(c *NodeResources) { c.CPU = 0 },
+		func(c *NodeResources) { c.CPU = -1 },
+		func(c *NodeResources) { c.CPU = math.NaN() },
+		func(c *NodeResources) { c.CPU = math.Inf(1) },
+		func(c *NodeResources) { c.Mem = 0 },
+		func(c *NodeResources) { c.Mem = math.NaN() },
+	} {
+		caps := UniformCaps(topo.N(), 1e7, 1e9)
+		bad(&caps[3])
+		_, err := BuildInstance(topo, testClasses(), ss, caps)
+		if err == nil || !strings.Contains(err.Error(), "node 3 ") {
+			t.Errorf("caps[3] = %+v: got %v, want an error naming node 3", caps[3], err)
+		}
 	}
 }
 

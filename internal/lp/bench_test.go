@@ -106,26 +106,28 @@ func BenchmarkSimplexPackingShaped(b *testing.B) {
 	}
 }
 
-func BenchmarkPresolveSpeedup(b *testing.B) {
-	// A model with many pinned singletons: presolve should shrink it.
-	build := func() *Problem {
-		p := buildDeploymentLP(20, 150, 9)
-		for i := 0; i < 100; i++ {
-			v := p.AddVar("pinned", 0, 0, 1)
-			p.AddConstraint("pin", []Term{{v, 1}}, EQ, 1)
-		}
-		return p
+// presolveFodderLP is a deployment LP plus a hundred pinned singleton rows:
+// a model presolve should shrink.
+func presolveFodderLP() *Problem {
+	p := buildDeploymentLP(20, 150, 9)
+	for i := 0; i < 100; i++ {
+		v := p.AddVar("pinned", 0, 0, 1)
+		p.AddConstraint("pin", []Term{{v, 1}}, EQ, 1)
 	}
+	return p
+}
+
+func BenchmarkPresolveSpeedup(b *testing.B) {
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := build().SolveOpts(Options{}); err != nil {
+			if _, err := presolveFodderLP().SolveOpts(Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("presolve", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := build().SolveOpts(Options{Presolve: true}); err != nil {
+			if _, err := presolveFodderLP().SolveOpts(Options{Presolve: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,6 +3,7 @@ package lp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -31,6 +32,36 @@ func TestErrNoVariablesIsMatchable(t *testing.T) {
 	_, err := p.Solve()
 	if !errors.Is(err, ErrNoVariables) {
 		t.Fatalf("empty problem returned %v, want ErrNoVariables", err)
+	}
+}
+
+// TestNonFiniteInputIsAnError: NaN or infinite data used to come back as
+// StatusOptimal with a NaN objective. It must be refused up front, on every
+// solve path.
+func TestNonFiniteInputIsAnError(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name            string
+		cost, coef, rhs float64
+	}{
+		{"nan-cost", nan, 1, 4},
+		{"nan-coef", 1, nan, 4},
+		{"inf-coef", 1, inf, 4},
+		{"neg-inf-coef", 1, -inf, 4},
+		{"nan-rhs", 1, 1, nan},
+		{"inf-rhs", 1, 1, inf},
+	}
+	for _, c := range cases {
+		for _, opts := range []Options{{}, {Presolve: true}, {WarmBasis: &Basis{}}} {
+			p := New(Maximize)
+			x := p.AddVar("x", c.cost, 0, 10)
+			y := p.AddVar("y", 1, 0, 10)
+			p.AddConstraint("c", []Term{{x, c.coef}, {y, 1}}, LE, c.rhs)
+			sol, err := p.SolveOpts(opts)
+			if !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%s (presolve=%v warm=%v): got %v, %+v; want ErrNonFinite", c.name, opts.Presolve, opts.WarmBasis != nil, err, sol)
+			}
+		}
 	}
 }
 

@@ -5,9 +5,10 @@
 // to solve its NIDS load-balancing LP (Section 2.2) and the LP relaxation of
 // its NIPS mixed-integer program (Section 3.2). Go has no mainstream LP
 // ecosystem, so this package provides the substrate: a two-phase primal
-// simplex method over a dense tableau with native support for
-// bounded variables (0 <= x <= u, u possibly +Inf, after an internal shift
-// of general finite lower bounds).
+// simplex method over a dense tableau with sparse-aware elimination (a
+// pivot updates only the columns where the pivot row is nonzero) and native
+// support for bounded variables (0 <= x <= u, u possibly +Inf, after an
+// internal shift of general finite lower bounds).
 //
 // The solver is exact up to floating-point tolerances and is designed for
 // the moderate problem sizes produced by the deployment planners (hundreds
@@ -106,13 +107,18 @@ func (s Status) String() string {
 var ErrNotSolved = errors.New("lp: problem has not been solved to optimality")
 
 // Typed sentinel errors. SolveOpts returns ErrNoVariables directly for a
-// structurally empty problem; the model-outcome statuses map to the other
-// sentinels via Status.Err, so callers that treat a non-optimal status as
-// a failure can wrap the sentinel with %w and let their own callers match
-// it with errors.Is instead of parsing status strings.
+// structurally empty problem and wraps ErrNonFinite for NaN or infinite
+// data; the model-outcome statuses map to the other sentinels via
+// Status.Err, so callers that treat a non-optimal status as a failure can
+// wrap the sentinel with %w and let their own callers match it with
+// errors.Is instead of parsing status strings.
 var (
 	// ErrNoVariables reports a Problem with no decision variables.
 	ErrNoVariables = errors.New("lp: problem has no variables")
+	// ErrNonFinite reports a NaN or infinite objective cost, constraint
+	// coefficient or right-hand side. The simplex has no defined answer on
+	// such data: left unchecked it reports an optimum whose objective is NaN.
+	ErrNonFinite = errors.New("lp: non-finite problem data")
 	// ErrInfeasible reports a constraint system with no feasible point.
 	ErrInfeasible = errors.New("lp: problem is infeasible")
 	// ErrUnbounded reports an objective unbounded over the feasible region.
@@ -282,13 +288,16 @@ func (s *Solution) Value(v Var) float64 { return s.X[v] }
 // Solve optimizes the problem with default options.
 func (p *Problem) Solve() (*Solution, error) { return p.SolveOpts(Options{}) }
 
-// SolveOpts optimizes the problem. An error is returned only for structural
-// problems (no variables); infeasibility and unboundedness are reported via
-// Solution.Status with a nil error so callers can distinguish model outcomes
-// from programming errors.
+// SolveOpts optimizes the problem. An error is returned only for malformed
+// problems (no variables, or data wrapping ErrNonFinite); infeasibility and
+// unboundedness are reported via Solution.Status with a nil error so callers
+// can distinguish model outcomes from programming errors.
 func (p *Problem) SolveOpts(opts Options) (*Solution, error) {
 	if len(p.vars) == 0 {
 		return nil, ErrNoVariables
+	}
+	if err := p.checkFinite(); err != nil {
+		return nil, err
 	}
 	sp := opts.Metrics.StartSpan("lp.solve_ns")
 	var sol *Solution
@@ -333,4 +342,26 @@ func (p *Problem) SolveOpts(opts Options) (*Solution, error) {
 		}
 	}
 	return sol, nil
+}
+
+// checkFinite rejects NaN or infinite costs, coefficients and right-hand
+// sides, naming the first offender. Variable bounds are checked by AddVar.
+func (p *Problem) checkFinite() error {
+	bad := func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }
+	for _, v := range p.vars {
+		if bad(v.cost) {
+			return fmt.Errorf("%w: variable %q has cost %v", ErrNonFinite, v.name, v.cost)
+		}
+	}
+	for _, c := range p.cons {
+		if bad(c.rhs) {
+			return fmt.Errorf("%w: constraint %q has rhs %v", ErrNonFinite, c.name, c.rhs)
+		}
+		for _, t := range c.terms {
+			if bad(t.Coef) {
+				return fmt.Errorf("%w: constraint %q has coefficient %v on variable %q", ErrNonFinite, c.name, t.Coef, p.vars[t.Var].name)
+			}
+		}
+	}
+	return nil
 }

@@ -26,6 +26,12 @@ const (
 // rhs column whenever some nonbasic variable rests at a finite upper bound;
 // beta is updated incrementally each step and refreshed exactly from the
 // rhs column at intervals to stop floating-point drift.
+//
+// The tableau is stored densely but eliminated sparsely: a pivot touches
+// only the columns where the pivot row is nonzero. Skipping x -= f*0 can
+// change nothing but the sign of a zero, which no comparison sees, so the
+// pivot sequence, the basis and every primal value are those of the full
+// dense sweep, bit for bit.
 type simplex struct {
 	nStruct int // structural variables
 	nTotal  int // structural + slack/surplus + artificial
@@ -41,6 +47,11 @@ type simplex struct {
 	basis []int      // m: variable index basic in each row
 	state []varState // nTotal
 	beta  []float64  // m: current basic values
+
+	// cols is scratch for an ascending column-index list: the pivot row's
+	// nonzeros in pivot, the at-upper columns in refreshBeta. Its capacity
+	// is the stride, so neither ever allocates.
+	cols []int32
 
 	firstArt int // index of first artificial column; nTotal if none
 
@@ -97,28 +108,23 @@ func newSimplex(p *Problem, opts Options) *simplex {
 		s.objConst += v.cost * v.lb
 	}
 
-	// Dense row data with rhs adjusted for the shift and summed duplicate
-	// terms, then normalized to rhs >= 0.
+	// Row operators and right-hand sides, adjusted for the shift and then
+	// normalized to rhs >= 0. The coefficients go straight into the tableau
+	// once its width is known.
 	type rowSpec struct {
-		coef []float64 // length n (structural only)
-		op   Op
-		rhs  float64
+		op  Op
+		rhs float64
 	}
 	rows := make([]rowSpec, m)
 	s.rowFlip = make([]bool, m)
 	for r, c := range p.cons {
-		coef := make([]float64, n)
 		rhs := c.rhs
 		for _, t := range c.terms {
-			coef[t.Var] += t.Coef
 			rhs -= t.Coef * s.lbShift[t.Var]
 		}
 		op := c.op
 		if rhs < 0 {
-			s.rowFlipSet(r)
-			for j := range coef {
-				coef[j] = -coef[j]
-			}
+			s.rowFlip[r] = true
 			rhs = -rhs
 			switch op {
 			case LE:
@@ -127,7 +133,7 @@ func newSimplex(p *Problem, opts Options) *simplex {
 				op = LE
 			}
 		}
-		rows[r] = rowSpec{coef: coef, op: op, rhs: rhs}
+		rows[r] = rowSpec{op: op, rhs: rhs}
 	}
 
 	// Assign slack/surplus columns, then artificial columns.
@@ -178,11 +184,20 @@ func newSimplex(p *Problem, opts Options) *simplex {
 	s.ub = ub
 	s.objCost = cost
 
-	// Build the tableau.
+	// Build the tableau: duplicate terms are summed in term order, and a
+	// flipped row is negated across every structural column, zeros included.
 	s.tab = make([]float64, m*s.stride)
-	for r := range rows {
+	s.cols = make([]int32, 0, s.stride)
+	for r, c := range p.cons {
 		row := s.tab[r*s.stride : (r+1)*s.stride]
-		copy(row, rows[r].coef)
+		for _, t := range c.terms {
+			row[t.Var] += t.Coef
+		}
+		if s.rowFlip[r] {
+			for j := 0; j < n; j++ {
+				row[j] = -row[j]
+			}
+		}
 		if slackCol[r] >= 0 {
 			row[slackCol[r]] = float64(slackSign[r])
 		}
@@ -264,21 +279,25 @@ func (s *simplex) phase2Costs() {
 }
 
 // refreshBeta recomputes current basic values exactly from the transformed
-// rhs column and the set of nonbasic-at-upper variables.
+// rhs column and the set of nonbasic-at-upper variables. It walks the
+// tableau row by row, subtracting each row's at-upper terms in ascending
+// column order.
 func (s *simplex) refreshBeta() {
-	for r := 0; r < s.m; r++ {
-		s.beta[r] = s.tab[r*s.stride+s.nTotal]
-	}
+	up := s.cols[:0]
 	for j := 0; j < s.nTotal; j++ {
-		if s.state[j] != atUpper {
-			continue
+		if s.state[j] == atUpper {
+			up = append(up, int32(j))
 		}
-		u := s.ub[j]
-		for r := 0; r < s.m; r++ {
-			if a := s.tab[r*s.stride+j]; a != 0 {
-				s.beta[r] -= a * u
+	}
+	for r := 0; r < s.m; r++ {
+		row := s.tab[r*s.stride : (r+1)*s.stride]
+		b := row[s.nTotal]
+		for _, j := range up {
+			if a := row[j]; a != 0 {
+				b -= a * s.ub[j]
 			}
 		}
+		s.beta[r] = b
 	}
 }
 
@@ -361,14 +380,19 @@ func (s *simplex) ratio(j, dir int) (t float64, limRow int, leaveUpper bool, unb
 	return t, limRow, leaveUpper, false
 }
 
-// pivot performs the elimination step making column j basic in row r.
+// pivot performs the elimination step making column j basic in row r. It
+// scales the pivot row, records the row's nonzero columns, and updates the
+// other rows and the cost row over those columns only.
 func (s *simplex) pivot(r, j int) {
 	stride := s.stride
 	prow := s.tab[r*stride : (r+1)*stride]
-	piv := prow[j]
-	inv := 1 / piv
+	inv := 1 / prow[j]
+	nz := s.cols[:0]
 	for k := range prow {
 		prow[k] *= inv
+		if prow[k] != 0 {
+			nz = append(nz, int32(k))
+		}
 	}
 	prow[j] = 1 // exact
 	for i := 0; i < s.m; i++ {
@@ -380,17 +404,21 @@ func (s *simplex) pivot(r, j int) {
 		if f == 0 {
 			continue
 		}
-		for k := range row {
+		for _, k := range nz {
 			row[k] -= f * prow[k]
 		}
 		row[j] = 0 // exact
 	}
-	// Cost row (absent during installBasis, before a phase loads one).
+	// Cost row (absent during installBasis, before a phase loads one). It
+	// has no rhs entry, which is the last nonzero column when present.
 	if s.cost == nil {
 		return
 	}
 	if f := s.cost[j]; f != 0 {
-		for k := 0; k < s.nTotal; k++ {
+		if last := len(nz) - 1; nz[last] == int32(s.nTotal) {
+			nz = nz[:last]
+		}
+		for _, k := range nz {
 			s.cost[k] -= f * prow[k]
 		}
 		s.cost[j] = 0
@@ -551,7 +579,12 @@ func (s *simplex) stats(phase1Iters int) SolveStats {
 // after a successful phase 1) onto non-artificial columns where possible.
 // Rows where no eligible pivot exists are redundant; their artificial stays
 // basic at zero with an upper bound of zero, which is harmless.
+//
+// beta is refreshed once, after the last pivot: nothing here reads it, and
+// a refresh depends only on the tableau and the bound states, so one refresh
+// at the end gives the values a refresh after every pivot would end with.
 func (s *simplex) driveOutArtificials() {
+	pivoted := false
 	for r := 0; r < s.m; r++ {
 		if s.basis[r] < s.firstArt {
 			continue
@@ -570,26 +603,20 @@ func (s *simplex) driveOutArtificials() {
 			continue
 		}
 		old := s.basis[r]
-		// The incoming variable enters at value beta[r] (== 0): a degenerate
-		// pivot that preserves feasibility for any bound state of pick.
-		prevState := s.state[pick]
+		// The incoming variable keeps its value (0, or ub[pick] if it rested
+		// at its upper bound) while the artificial leaves at zero: a
+		// degenerate pivot that preserves feasibility for any bound state of
+		// pick.
 		s.pivot(r, pick)
 		s.basis[r] = pick
 		s.state[pick] = basic
 		s.state[old] = atLower
-		if prevState == atUpper {
-			// Its value was ub[pick]; as basic it keeps that value.
-			s.beta[r] = s.ub[pick]
-		} else {
-			s.beta[r] = 0
-		}
+		pivoted = true
+	}
+	if pivoted {
 		s.refreshBeta()
 	}
 }
-
-// rowFlipSet marks row r as sign-normalized; split out so the row-building
-// loop reads cleanly.
-func (s *simplex) rowFlipSet(r int) { s.rowFlip[r] = true }
 
 // extractDuals recovers the dual value (shadow price d objective / d rhs,
 // in the problem's original sense and row orientation) of every
