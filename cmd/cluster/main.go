@@ -70,420 +70,6 @@
 //	auditcheck -dir DIR -seed SEED
 package main
 
-import (
-	"bytes"
-	"flag"
-	"fmt"
-	"io"
-	"log"
-	"os"
-	"path/filepath"
-	"strings"
+import "nwdeploy/internal/cli"
 
-	"nwdeploy/internal/bro"
-	"nwdeploy/internal/chaos"
-	"nwdeploy/internal/cluster"
-	"nwdeploy/internal/control"
-	"nwdeploy/internal/experiments"
-	"nwdeploy/internal/ledger"
-	"nwdeploy/internal/obs"
-	"nwdeploy/internal/obs/obshttp"
-	"nwdeploy/internal/telemetry"
-	"nwdeploy/internal/topology"
-	"nwdeploy/internal/trace"
-)
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("cluster: ")
-	topoName := flag.String("topology", "internet2", "internet2 | geant | as1221 | as1239 | as3257 | isp50")
-	sessions := flag.Int("sessions", 4000, "sessions in the generated workload")
-	epochs := flag.Int("epochs", 8, "chaos epochs to run")
-	redundancy := flag.Int("redundancy", 1, "provisioned coverage level r (2 deploys the path-scoped module subset)")
-	seed := flag.Int64("seed", 1, "chaos seed; same seed, same report")
-	lossProb := flag.Float64("lossprob", 0.2, "per-dial probability of an injected connection error")
-	blackholeProb := flag.Float64("blackholeprob", 0.05, "per-dial probability of a black-holed connection (RPC timeout)")
-	nodeFailProb := flag.Float64("nodefailprob", 0.15, "per-(node, epoch) crash probability")
-	outageProb := flag.Float64("outageprob", 0.1, "per-epoch controller outage probability")
-	maxDown := flag.Int("maxdown", 0, "cap on concurrently crashed nodes (0: uncapped, or r-1 when redundancy > 1)")
-	staleGrace := flag.Int("stalegrace", 2, "epochs an agent may serve a stale manifest before going dark (-1 for none)")
-	reoptEvery := flag.Int("reoptevery", 3, "re-stamp the plan every k epochs (-1 disables)")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); output is identical for every value")
-	probes := flag.Int("probes", 2000, "coverage probe points per coordination unit")
-	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot to this file on exit")
-	tracePath := flag.String("trace", "", "record the flight recorder and write its JSONL dump to this file")
-	ledgerDir := flag.String("ledger", "", "record the tamper-evident audit ledger under this directory (chain.jsonl, HEAD, objects/); verify offline with auditcheck")
-	ringSize := flag.Int("ringsize", 512, "flight-recorder ring capacity per component (events)")
-	sloWorst := flag.Float64("slo-worst-cov", 0, "SLO: minimum per-epoch worst-node coverage (0 disables)")
-	sloAvg := flag.Float64("slo-avg-cov", 0, "SLO: minimum per-epoch average coverage (0 disables)")
-	sloShed := flag.Float64("slo-max-shed", -1, "SLO: maximum total shed width per epoch (negative disables)")
-	sloIters := flag.Int("slo-max-replan-iters", -1, "SLO: maximum replan simplex iterations per epoch (negative disables)")
-	sloFetchFail := flag.Int("slo-max-fetch-fail", -1, "SLO: maximum fetch failures per epoch (negative disables)")
-	sloDark := flag.Int("slo-max-dark", -1, "SLO: maximum dark agents per epoch (negative disables)")
-	sloDeadline := flag.Bool("slo-deadline-miss", false, "SLO: treat a missed replan deadline as a violation")
-	deltas := flag.Bool("deltas", false, "agents sync via v2 delta subscriptions (one exchange per sync) instead of the legacy probe+fetch pair")
-	encoding := flag.String("encoding", "json", "delta-subscription response encoding: json | bin")
-	overload := flag.Bool("overload", false, "run the overload scenario (bursty traffic + governor/replanning) instead of fault injection")
-	burstFactor := flag.Float64("burstfactor", 4, "overload: volume multiplier on a bursting pair")
-	burstProb := flag.Float64("burstprob", 0.15, "overload: per-(epoch, pair) burst probability")
-	baseJitter := flag.Float64("basejitter", 0.1, "overload: multiplicative noise around the mean traffic volume")
-	governorOn := flag.Bool("governor", false, "overload: enable the per-node load governor (shed over budget)")
-	replan := flag.Bool("replan", false, "overload: enable drift-triggered replanning")
-	warmReplan := flag.Bool("warmreplan", false, "overload: warm-start replans from the previous basis")
-	replanThreshold := flag.Float64("replanthreshold", 0.2, "overload: EWMA relative-error drift threshold")
-	replanMaxIters := flag.Int("replanmaxiters", 0, "overload: simplex-iteration deadline per replan (0 = none; a miss falls back to shed state)")
-	scenario := flag.String("scenario", "", "run a named composable scenario (diurnal, flashcrowd, synflood, maintenance, adversary, or a + composition) instead of fault injection")
-	dataPlane := flag.Bool("dataplane", false, "scenario: run each agent's analysis engine over its traffic share every epoch")
-	fleetOn := flag.Bool("fleet", false, "collect fleet telemetry (per-node stats piggybacked on the control wire) and print the per-epoch health rollup")
-	pprofAddr := flag.String("pprof", "", "serve /debug/pprof, /debug/vars, /metrics, /trace, /fleet, and /fleet/history on this address while the run executes")
-	flag.Parse()
-
-	var topo *topology.Topology
-	switch *topoName {
-	case "internet2":
-		topo = topology.Internet2()
-	case "geant":
-		topo = topology.Geant()
-	case "as1221":
-		topo = topology.RocketfuelLike(topology.AS1221)
-	case "as1239":
-		topo = topology.RocketfuelLike(topology.AS1239)
-	case "as3257":
-		topo = topology.RocketfuelLike(topology.AS3257)
-	case "isp50":
-		topo = topology.FiftyNode()
-	default:
-		log.Fatalf("unknown topology %q", *topoName)
-	}
-
-	metrics := obs.New()
-	var fleet *telemetry.Fleet
-	var fleetHist *telemetry.History
-	if *fleetOn {
-		fleet = telemetry.NewFleet(topo.N(), telemetry.FleetOptions{})
-		fleetHist = telemetry.NewHistory(*epochs)
-	}
-	// printFleet renders the controller's per-epoch health rollup — its
-	// wire truth, which deliberately lags node-local state by the delivery
-	// epoch (see internal/cluster/fleet.go).
-	printFleet := func() {
-		if fleetHist == nil {
-			return
-		}
-		fmt.Println("# fleet health (controller wire truth)")
-		fmt.Println("epoch\tctrl_epoch\thealthy\tstale\tshedding\tdark\tdark_nodes")
-		for _, s := range fleetHist.Snapshots() {
-			var darkNodes []int
-			for _, v := range s.Nodes {
-				if v.Health == telemetry.Dark {
-					darkNodes = append(darkNodes, v.Node)
-				}
-			}
-			fmt.Printf("%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
-				s.RunEpoch, s.CtrlEpoch, s.Healthy, s.Stale, s.Shedding, s.Dark,
-				nodeList(darkNodes))
-		}
-	}
-	var tracer *trace.Tracer
-	var traceFile *os.File
-	var traceBuf bytes.Buffer // retained copy of the dump for the ledger's trace record
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			log.Fatalf("creating trace file: %v", err)
-		}
-		traceFile = f
-		tracer = trace.New(trace.Options{Seed: *seed, RingSize: *ringSize})
-		tracer.SetSink(io.MultiWriter(f, &traceBuf))
-	}
-
-	if *pprofAddr != "" {
-		go func() {
-			err := obshttp.ServeOpts(*pprofAddr, obshttp.Options{
-				Registry: metrics, Tracer: tracer, Fleet: fleet, History: fleetHist,
-			})
-			if err != nil {
-				log.Printf("pprof server: %v", err)
-			}
-		}()
-	}
-
-	var led *ledger.Ledger
-	var chainFile *os.File
-	if *ledgerDir != "" {
-		store, err := ledger.NewDirStore(filepath.Join(*ledgerDir, "objects"))
-		if err != nil {
-			log.Fatalf("creating ledger store: %v", err)
-		}
-		f, err := os.Create(filepath.Join(*ledgerDir, "chain.jsonl"))
-		if err != nil {
-			log.Fatalf("creating ledger chain: %v", err)
-		}
-		chainFile = f
-		led = ledger.New(ledger.Options{Seed: *seed, Store: store, Sink: f})
-		// The trace dump header pins the chain head at dump time, binding
-		// the flight recording to the ledger prefix it was recorded against.
-		tracer.SetChainHead(led.HeadHex)
-	}
-	slo := trace.Disabled()
-	slo.MinWorstCoverage = *sloWorst
-	slo.MinAvgCoverage = *sloAvg
-	slo.MaxShedWidth = *sloShed
-	slo.MaxReplanIters = *sloIters
-	slo.MaxFetchFailures = *sloFetchFail
-	slo.MaxDarkAgents = *sloDark
-	slo.DeadlineMissIsViolation = *sloDeadline
-	watchdog := trace.NewWatchdog(slo)
-	// finishTrace flushes the post-mortem if no violation already did, so a
-	// -trace run always leaves a dump behind, then reports recorder totals
-	// (also exported through -metrics as trace.events / trace.dropped).
-	finishTrace := func() {
-		if tracer == nil {
-			return
-		}
-		tracer.DumpOnce("run_end")
-		emitted, dropped := tracer.Stats()
-		metrics.Set("trace.events", float64(emitted))
-		metrics.Set("trace.dropped", float64(dropped))
-		if err := traceFile.Close(); err != nil {
-			log.Fatalf("closing trace file: %v", err)
-		}
-		fmt.Printf("# trace: %d events recorded (%d evicted from rings) -> %s\n",
-			emitted, dropped, *tracePath)
-	}
-	// finishLedger runs after finishTrace: it commits the flight-recorder
-	// dump (when one was recorded) as the chain's final trace record, then
-	// pins the head digest in the HEAD file — the run's single trust
-	// anchor, which auditcheck verifies the whole history against.
-	finishLedger := func() {
-		if led == nil {
-			return
-		}
-		if traceBuf.Len() > 0 {
-			ep := uint64(0)
-			if recs := led.Records(); len(recs) > 0 {
-				ep = recs[len(recs)-1].Epoch
-			}
-			b := led.Begin(ledger.RecTrace, ep)
-			b.Blob(ledger.ItemTrace, "dump", traceBuf.Bytes(), nil)
-			if _, err := b.Commit(); err != nil {
-				log.Fatalf("committing trace record: %v", err)
-			}
-		}
-		if err := led.Err(); err != nil {
-			log.Fatalf("ledger: %v", err)
-		}
-		if err := chainFile.Close(); err != nil {
-			log.Fatalf("closing ledger chain: %v", err)
-		}
-		head := led.HeadHex()
-		if err := os.WriteFile(filepath.Join(*ledgerDir, "HEAD"), []byte(head+"\n"), 0o644); err != nil {
-			log.Fatalf("writing ledger HEAD: %v", err)
-		}
-		commits, _, blobBytes := led.Stats()
-		fmt.Printf("# ledger: %d records committed (%d blob bytes), head %s -> %s\n",
-			commits, blobBytes, head, *ledgerDir)
-	}
-
-	if *scenario != "" {
-		driver, err := experiments.NewScenario(*scenario, *seed, *epochs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		scfg := cluster.ScenarioConfig{
-			Driver: driver,
-			Topo:   topo, Sessions: *sessions, Epochs: *epochs,
-			Redundancy: *redundancy, Seed: *seed,
-			Governor: *governorOn,
-			Replan:   *replan, WarmReplan: *warmReplan,
-			ReplanThreshold: *replanThreshold, ReplanMaxIters: *replanMaxIters,
-			StaleGrace: *staleGrace, DataPlane: *dataPlane,
-			Workers: *workers, Probes: *probes, Metrics: metrics,
-			Trace: tracer, Watchdog: watchdog, Ledger: led,
-			Fleet: fleet, FleetHistory: fleetHist,
-		}
-		if strings.Contains(*scenario, "synflood") && *redundancy == 1 {
-			// The flood targets the egress-scoped SYNFlood module, which
-			// the PerPath default set leaves out (its units admit a single
-			// copy, so it only deploys at r=1); swap in the flood subset so
-			// the injected flood is visible to the data plane.
-			for _, m := range bro.StandardModules() {
-				switch m.Name {
-				case "http", "signature", "synflood":
-					scfg.Modules = append(scfg.Modules, m)
-				}
-			}
-		}
-		rep, err := cluster.RunScenario(scfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("# scenario %s on %s: %d nodes, %d sessions, redundancy %d, seed %d, governor %v, replan %v, objective %.4f\n",
-			rep.Scenario, rep.Topology, rep.Nodes, rep.Sessions, rep.Redundancy,
-			rep.Seed, rep.Governor, rep.Replan, rep.Objective)
-		fmt.Println("epoch\tdown\tdrained\tctrl_down\tinjected\tcaught\tevaded\tmax_rel_err\treplanned\tover_budget\tfloor_limited\tshed_width\tsynced\tstale\tdark\talerts\tworst_cov\tavg_cov\texpected_worst\tbreach\tslo")
-		for _, e := range rep.Epochs {
-			fmt.Printf("%d\t%s\t%s\t%v\t%d\t%d\t%d\t%.4f\t%v\t%d\t%d\t%.4f\t%d\t%d\t%d\t%d\t%.4f\t%.4f\t%.4f\t%v\t%s\n",
-				e.Epoch, nodeList(e.DownNodes), nodeList(e.Drained), e.CtrlDown,
-				e.Injected, e.InjectedCaught, e.InjectedEvaded,
-				e.MaxRelErr, e.Replanned, e.OverBudget, e.Unsatisfied, e.ShedWidth,
-				e.SyncedAgents, e.StaleAgents, e.DarkAgents, e.Alerts,
-				e.WorstCoverage, e.AvgCoverage, e.ExpectedWorst, e.Breach,
-				sloCell(e.SLOViolations))
-		}
-		fmt.Printf("# summary: worst coverage %.4f, avg %.4f, shed fraction %.4f, injected %d (evaded %d, rate %.4f), replans %d (missed %d), alerts %d\n",
-			rep.WorstCoverage, rep.AvgCoverage, rep.ShedFraction(),
-			rep.TotalInjected, rep.TotalEvaded, rep.EvasionRate(),
-			rep.Replans, rep.MissedReplans, rep.TotalAlerts)
-		if rep.FloorHeld {
-			fmt.Printf("# verdict: published coverage floor held on every epoch\n")
-		} else {
-			fmt.Printf("# verdict: coverage floor BREACHED on %d epochs (post-mortem in the trace dump)\n", rep.Breaches)
-		}
-		printFleet()
-		finishTrace()
-		finishLedger()
-		if *metricsPath != "" {
-			if err := metrics.WriteFile(*metricsPath); err != nil {
-				log.Fatalf("writing metrics: %v", err)
-			}
-		}
-		return
-	}
-
-	if *overload {
-		ocfg := cluster.OverloadConfig{
-			Topo: topo, Sessions: *sessions, Epochs: *epochs,
-			Redundancy: *redundancy, Seed: *seed,
-			BurstFactor: *burstFactor, BurstProb: *burstProb, BaseJitter: *baseJitter,
-			Governor: *governorOn,
-			Replan:   *replan, WarmReplan: *warmReplan,
-			ReplanThreshold: *replanThreshold, ReplanMaxIters: *replanMaxIters,
-			Workers: *workers, Probes: *probes, Metrics: metrics,
-			Trace: tracer, Watchdog: watchdog, Ledger: led,
-			Fleet: fleet, FleetHistory: fleetHist,
-		}
-		rep, err := cluster.RunOverload(ocfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("# %s: %d nodes, %d sessions, redundancy %d, seed %d, governor %v, replan %v (warm %v), objective %.4f\n",
-			rep.Topology, rep.Nodes, rep.Sessions, rep.Redundancy, rep.Seed,
-			rep.Governor, rep.Replan, rep.WarmReplan, rep.Objective)
-		fmt.Println("epoch\tmax_rel_err\tdrifted\treplanned\twarm\treplan_iters\tmissed\tover_budget\tfloor_limited\tshed_width\tworst_cov\tavg_cov\tshed_floor_worst\tsynced\tslo")
-		for _, e := range rep.Epochs {
-			fmt.Printf("%d\t%.4f\t%v\t%v\t%v\t%d\t%v\t%d\t%d\t%.4f\t%.4f\t%.4f\t%.4f\t%d\t%s\n",
-				e.Epoch, e.MaxRelErr, e.Drifted, e.Replanned, e.ReplanWarm,
-				e.ReplanIters, e.ReplanMissed, e.OverBudget, e.Unsatisfied, e.ShedWidth,
-				e.WorstCoverage, e.AvgCoverage, e.ShedFloorWorst, e.SyncedAgents,
-				sloCell(e.SLOViolations))
-		}
-		fmt.Printf("# summary: worst coverage %.4f, avg %.4f, max over-budget nodes %d, replans %d (missed %d, %d iters)\n",
-			rep.WorstCoverage, rep.AvgCoverage, rep.MaxOverBudget,
-			rep.Replans, rep.MissedReplans, rep.TotalReplanIters)
-		printFleet()
-		finishTrace()
-		finishLedger()
-		if *metricsPath != "" {
-			if err := metrics.WriteFile(*metricsPath); err != nil {
-				log.Fatalf("writing metrics: %v", err)
-			}
-		}
-		return
-	}
-
-	var enc control.Encoding
-	switch *encoding {
-	case "json":
-		enc = control.EncodingJSON
-	case "bin":
-		enc = control.EncodingBinary
-	default:
-		log.Fatalf("unknown encoding %q (want json or bin)", *encoding)
-	}
-	cfg := cluster.ChaosConfig{
-		Topo: topo, Sessions: *sessions, Epochs: *epochs,
-		Redundancy: *redundancy, Seed: *seed,
-		Faults:       chaos.NetworkFaults{DropProb: *lossProb, BlackholeProb: *blackholeProb},
-		NodeFailProb: *nodeFailProb, ControllerOutageProb: *outageProb, MaxDown: *maxDown,
-		StaleGrace: *staleGrace, ReoptEvery: *reoptEvery,
-		Deltas: *deltas, Encoding: enc,
-		Workers: *workers, Probes: *probes,
-	}
-	if *redundancy > 1 {
-		var mods []bro.ModuleSpec
-		for _, m := range bro.StandardModules() {
-			switch m.Name {
-			case "signature", "http":
-				mods = append(mods, m)
-			}
-		}
-		cfg.Modules = mods
-		if *maxDown == 0 {
-			cfg.MaxDown = *redundancy - 1
-		}
-	}
-	cfg.Metrics = metrics
-	cfg.Trace = tracer
-	cfg.Watchdog = watchdog
-	cfg.Ledger = led
-	cfg.Fleet = fleet
-	cfg.FleetHistory = fleetHist
-
-	rep, err := cluster.CoverageUnderChaos(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Printf("# %s: %d nodes, %d sessions, redundancy %d, seed %d, objective %.4f\n",
-		rep.Topology, rep.Nodes, rep.Sessions, rep.Redundancy, rep.Seed, rep.Objective)
-	fmt.Println("epoch\tctrl_epoch\tctrl_down\tdown_nodes\tsynced\tstale\tdark\tfetch_att\tfetch_fail\ttimeouts\talerts\tworst_cov\tavg_cov\tpredicted_worst\tslo")
-	holds := true
-	for _, e := range rep.Epochs {
-		fmt.Printf("%d\t%d\t%v\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.4f\t%.4f\t%.4f\t%s\n",
-			e.Epoch, e.ControllerEpoch, e.ControllerDown, nodeList(e.DownNodes),
-			e.SyncedAgents, e.StaleAgents, e.DarkAgents,
-			e.FetchAttempts, e.FetchFailures, e.FetchTimeouts, e.Alerts,
-			e.WorstCoverage, e.AvgCoverage, e.PredictedWorst,
-			sloCell(e.SLOViolations))
-		if len(e.DownNodes) <= rep.Redundancy-1 && e.DarkAgents == 0 && e.WorstCoverage < 1 {
-			holds = false
-		}
-	}
-	if holds {
-		fmt.Printf("# verdict: coverage guarantee held (failures within r-1 never cost coverage)\n")
-	} else {
-		fmt.Printf("# verdict: coverage guarantee VIOLATED on at least one epoch\n")
-	}
-
-	printFleet()
-	finishTrace()
-	finishLedger()
-	if *metricsPath != "" {
-		if err := metrics.WriteFile(*metricsPath); err != nil {
-			log.Fatalf("writing metrics: %v", err)
-		}
-	}
-	_ = os.Stdout.Sync()
-}
-
-// sloCell renders an epoch's watchdog verdicts for the table: "ok" when
-// clean, else the breached rules joined with commas.
-func sloCell(violations []string) string {
-	if len(violations) == 0 {
-		return "ok"
-	}
-	return strings.Join(violations, ",")
-}
-
-// nodeList renders a node set for the table: "-" when empty.
-func nodeList(nodes []int) string {
-	if len(nodes) == 0 {
-		return "-"
-	}
-	parts := make([]string, len(nodes))
-	for i, j := range nodes {
-		parts[i] = fmt.Sprint(j)
-	}
-	return strings.Join(parts, ",")
-}
+func main() { cli.Main("cluster") }

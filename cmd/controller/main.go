@@ -15,130 +15,6 @@
 // it until killed.
 package main
 
-import (
-	"flag"
-	"log"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
+import "nwdeploy/internal/cli"
 
-	"nwdeploy/internal/bro"
-	"nwdeploy/internal/control"
-	"nwdeploy/internal/core"
-	"nwdeploy/internal/obs"
-	"nwdeploy/internal/obs/obshttp"
-	"nwdeploy/internal/topology"
-	"nwdeploy/internal/traffic"
-)
-
-func main() {
-	log.SetFlags(log.LstdFlags)
-	log.SetPrefix("controller: ")
-	listen := flag.String("listen", "127.0.0.1:7117", "address to serve manifests on")
-	topoName := flag.String("topology", "internet2", "internet2 | geant | as1221 | as1239 | as3257 | isp50")
-	sessions := flag.Int("sessions", 20000, "sessions per traffic report")
-	interval := flag.Duration("interval", 5*time.Minute, "re-optimization cadence")
-	hashKey := flag.Uint("hashkey", 0x5eed, "private sampling hash key")
-	once := flag.Bool("once", false, "solve once and serve; no re-optimization loop")
-	history := flag.Int("history", 0, "retained generations for delta serving (0 = default, <0 disables deltas)")
-	cpuCap := flag.Float64("cpucap", 1e7, "per-node CPU capacity")
-	memCap := flag.Float64("memcap", 1e9, "per-node memory capacity")
-	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot to this file on shutdown")
-	pprofAddr := flag.String("pprof", "", "serve /debug/pprof, /debug/vars, and /metrics on this address")
-	flag.Parse()
-
-	metrics := obs.New()
-	metrics.Publish("nwdeploy")
-	if *pprofAddr != "" {
-		go func() {
-			if err := obshttp.Serve(*pprofAddr, metrics, nil); err != nil {
-				log.Printf("pprof server: %v", err)
-			}
-		}()
-	}
-	if *metricsPath != "" {
-		defer func() {
-			if err := metrics.WriteFile(*metricsPath); err != nil {
-				log.Printf("writing metrics: %v", err)
-			}
-		}()
-	}
-
-	var topo *topology.Topology
-	switch *topoName {
-	case "internet2":
-		topo = topology.Internet2()
-	case "geant":
-		topo = topology.Geant()
-	case "as1221":
-		topo = topology.RocketfuelLike(topology.AS1221)
-	case "as1239":
-		topo = topology.RocketfuelLike(topology.AS1239)
-	case "as3257":
-		topo = topology.RocketfuelLike(topology.AS3257)
-	case "isp50":
-		topo = topology.FiftyNode()
-	default:
-		log.Fatalf("unknown topology %q", *topoName)
-	}
-	classes := bro.Classes(bro.StandardModules()[1:])
-	caps := core.UniformCaps(topo.N(), *cpuCap, *memCap)
-	tm := traffic.Gravity(topo)
-
-	solve := func(seed int64) (*core.Plan, error) {
-		// Each cycle consumes a fresh traffic report; the seed stands in
-		// for the NetFlow feed's sampling noise.
-		report := traffic.Generate(topo, tm, traffic.GenConfig{Sessions: *sessions, Seed: seed})
-		inst, err := core.BuildInstance(topo, classes, report, caps)
-		if err != nil {
-			return nil, err
-		}
-		return core.SolveOpts(inst, core.SolveOptions{Redundancy: 1, Metrics: metrics})
-	}
-
-	ctrl, err := control.NewControllerOpts(*listen, control.ControllerOptions{
-		HashKey:      uint32(*hashKey),
-		Metrics:      metrics,
-		DeltaHistory: *history,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ctrl.Close()
-
-	start := time.Now()
-	plan, err := solve(start.UnixNano())
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctrl.UpdatePlan(plan)
-	log.Printf("serving %s manifests on %s (epoch %d, objective %.4f, solved in %s)",
-		topo.Name, ctrl.Addr(), ctrl.Epoch(), plan.Objective, time.Since(start).Round(time.Millisecond))
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-
-	if *once {
-		<-sigs
-		log.Print("shutting down")
-		return
-	}
-	ticker := time.NewTicker(*interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-sigs:
-			log.Print("shutting down")
-			return
-		case now := <-ticker.C:
-			plan, err := solve(now.UnixNano())
-			if err != nil {
-				log.Printf("re-optimization failed (serving previous plan): %v", err)
-				continue
-			}
-			ctrl.UpdatePlan(plan)
-			log.Printf("re-optimized: epoch %d, objective %.4f", ctrl.Epoch(), plan.Objective)
-		}
-	}
-}
+func main() { cli.Main("controller") }

@@ -1,5 +1,6 @@
 // Command nwdeploy plans network-wide NIDS or NIPS deployments from a JSON
-// scenario specification and prints the resulting assignment.
+// scenario specification and prints the resulting assignment, or writes the
+// scenario's workload as a packet capture.
 //
 // Usage:
 //
@@ -7,369 +8,24 @@
 //	nwdeploy -mode nips  [-spec scenario.json] [-variant greedy|lp|basic] [-iters n]
 //	nwdeploy -mode manifest [-spec scenario.json] [-node j]
 //	nwdeploy -mode whatif [-spec scenario.json] [-factor 2.0]
+//	nwdeploy -mode pcap -o trace.pcap [-spec scenario.json]
+//	nwdeploy -mode dot [-spec scenario.json]
 //
 // All modes additionally accept -metrics <file> to dump a JSON snapshot of
 // the run's solver counters and timing histograms on exit, and
 // -pprof <addr> to serve /debug/pprof, /debug/vars, and /metrics while the
 // command runs.
 //
+// -mode pcap writes the spec's workload as a libpcap capture (tcpdump,
+// wireshark): gravity-model sessions expanded to full TCP/UDP exchanges
+// with valid checksums. The same spec writes the same bytes.
+//
 // Without -spec a built-in Internet2 demonstration scenario is used. The
-// spec format is documented on the Spec type; `nwdeploy -print-spec` emits
-// the default spec as a starting point.
+// spec format is documented on the cli.Spec type; a key it does not know is
+// an error. `nwdeploy -print-spec` emits the default spec as a starting
+// point.
 package main
 
-import (
-	"encoding/json"
-	"errors"
-	"flag"
-	"fmt"
-	"log"
-	"math"
-	"os"
-	"sort"
+import "nwdeploy/internal/cli"
 
-	"nwdeploy/internal/bro"
-	"nwdeploy/internal/core"
-	"nwdeploy/internal/hashing"
-	"nwdeploy/internal/lp"
-	"nwdeploy/internal/nips"
-	"nwdeploy/internal/obs"
-	"nwdeploy/internal/obs/obshttp"
-	"nwdeploy/internal/topology"
-	"nwdeploy/internal/traffic"
-)
-
-// Spec is the JSON scenario format.
-type Spec struct {
-	// Topology selects a built-in topology: "internet2", "geant",
-	// "as1221", "as1239", "as3257", or "isp50". Alternatively Nodes/Links
-	// define a custom one.
-	Topology string     `json:"topology,omitempty"`
-	Nodes    []SpecNode `json:"nodes,omitempty"`
-	Links    []SpecLink `json:"links,omitempty"`
-
-	// Sessions and Seed parameterize the synthetic workload used to derive
-	// coordination-unit volumes for NIDS planning.
-	Sessions int   `json:"sessions"`
-	Seed     int64 `json:"seed"`
-
-	// CPUCap/MemCap are uniform per-node capacities for NIDS planning.
-	CPUCap float64 `json:"cpu_cap"`
-	MemCap float64 `json:"mem_cap"`
-
-	// NIPS parameters.
-	Rules                int     `json:"rules"`
-	MaxPaths             int     `json:"max_paths"`
-	RuleCapacityFraction float64 `json:"rule_capacity_fraction"`
-
-	// Workers sizes the worker pool for the NIPS rounding sweep: 0 uses
-	// GOMAXPROCS, 1 forces the serial path. Results are identical for any
-	// value; overridden by the -workers flag when set.
-	Workers int `json:"workers,omitempty"`
-}
-
-// SpecNode is a custom topology node.
-type SpecNode struct {
-	Name       string  `json:"name"`
-	City       string  `json:"city"`
-	Population float64 `json:"population"`
-	Lat        float64 `json:"lat"`
-	Lon        float64 `json:"lon"`
-}
-
-// SpecLink is a custom topology link; Dist 0 derives the distance from
-// coordinates.
-type SpecLink struct {
-	A    string  `json:"a"`
-	B    string  `json:"b"`
-	Dist float64 `json:"dist,omitempty"`
-}
-
-func defaultSpec() Spec {
-	return Spec{
-		Topology: "internet2",
-		Sessions: 10000,
-		Seed:     1,
-		CPUCap:   1e7,
-		MemCap:   1e9,
-		Rules:    20,
-		MaxPaths: 15,
-
-		RuleCapacityFraction: 0.15,
-	}
-}
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("nwdeploy: ")
-	mode := flag.String("mode", "nids", "nids | nips | manifest | whatif | dot")
-	specPath := flag.String("spec", "", "path to a JSON scenario spec")
-	redundancy := flag.Int("redundancy", 1, "NIDS coverage level r")
-	variant := flag.String("variant", "greedy", "NIPS variant: basic | lp | greedy")
-	iters := flag.Int("iters", 5, "NIPS rounding iterations")
-	node := flag.Int("node", 0, "node whose manifest to print (mode manifest)")
-	factor := flag.Float64("factor", 2.0, "capacity multiplier for what-if upgrades (mode whatif)")
-	workers := flag.Int("workers", 0, "worker pool size for the NIPS rounding sweep (0 = GOMAXPROCS, 1 = serial)")
-	printSpec := flag.Bool("print-spec", false, "emit the default spec as JSON and exit")
-	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot to this file on exit")
-	pprofAddr := flag.String("pprof", "", "serve /debug/pprof, /debug/vars, and /metrics on this address")
-	flag.Parse()
-
-	metrics := obs.New()
-	metrics.Publish("nwdeploy")
-	if *pprofAddr != "" {
-		go func() {
-			if err := obshttp.Serve(*pprofAddr, metrics, nil); err != nil {
-				log.Printf("pprof server: %v", err)
-			}
-		}()
-	}
-	if *metricsPath != "" {
-		defer func() {
-			if err := metrics.WriteFile(*metricsPath); err != nil {
-				log.Printf("writing metrics: %v", err)
-			}
-		}()
-	}
-
-	spec := defaultSpec()
-	if *printSpec {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(spec); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *specPath != "" {
-		data, err := os.ReadFile(*specPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := json.Unmarshal(data, &spec); err != nil {
-			log.Fatalf("parsing %s: %v", *specPath, err)
-		}
-	}
-	if *workers != 0 {
-		spec.Workers = *workers
-	}
-
-	topo, err := buildTopology(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	switch *mode {
-	case "nids":
-		runNIDS(topo, spec, *redundancy, false, 0, metrics)
-	case "manifest":
-		runNIDS(topo, spec, *redundancy, true, *node, metrics)
-	case "nips":
-		runNIPS(topo, spec, *variant, *iters, metrics)
-	case "whatif":
-		runWhatIf(topo, spec, *redundancy, *factor, metrics)
-	case "dot":
-		if err := topo.WriteDOT(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatalf("unknown mode %q", *mode)
-	}
-}
-
-func buildTopology(spec Spec) (*topology.Topology, error) {
-	if len(spec.Nodes) > 0 {
-		nodes := make([]topology.Node, len(spec.Nodes))
-		byName := map[string]int{}
-		for i, n := range spec.Nodes {
-			nodes[i] = topology.Node{
-				ID: i, Name: n.Name, City: n.City,
-				Population: n.Population, Lat: n.Lat, Lon: n.Lon,
-			}
-			byName[n.Name] = i
-		}
-		t := topology.New("custom", nodes)
-		for _, l := range spec.Links {
-			a, okA := byName[l.A]
-			b, okB := byName[l.B]
-			if !okA || !okB {
-				return nil, fmt.Errorf("link %s-%s references unknown node", l.A, l.B)
-			}
-			if l.Dist > 0 {
-				t.AddLink(a, b, l.Dist)
-			} else {
-				t.AddLinkAuto(a, b)
-			}
-		}
-		if !t.Connected() {
-			return nil, fmt.Errorf("custom topology is disconnected")
-		}
-		return t, nil
-	}
-	switch spec.Topology {
-	case "", "internet2":
-		return topology.Internet2(), nil
-	case "geant":
-		return topology.Geant(), nil
-	case "as1221":
-		return topology.RocketfuelLike(topology.AS1221), nil
-	case "as1239":
-		return topology.RocketfuelLike(topology.AS1239), nil
-	case "as3257":
-		return topology.RocketfuelLike(topology.AS3257), nil
-	case "isp50":
-		return topology.FiftyNode(), nil
-	}
-	return nil, fmt.Errorf("unknown topology %q", spec.Topology)
-}
-
-func runNIDS(topo *topology.Topology, spec Spec, r int, manifestOnly bool, node int, metrics *obs.Registry) {
-	tm := traffic.Gravity(topo)
-	sessions := traffic.Generate(topo, tm, traffic.GenConfig{Sessions: spec.Sessions, Seed: spec.Seed})
-	classes := bro.Classes(bro.StandardModules()[1:])
-	inst, err := core.BuildInstance(topo, classes, sessions, core.UniformCaps(topo.N(), spec.CPUCap, spec.MemCap))
-	if err != nil {
-		log.Fatal(err)
-	}
-	plan, err := core.SolveOpts(inst, core.SolveOptions{Redundancy: r, Metrics: metrics})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if manifestOnly {
-		printManifest(inst, plan, node)
-		return
-	}
-
-	fmt.Printf("topology=%s nodes=%d classes=%d units=%d sessions=%d redundancy=%d\n",
-		topo.Name, topo.N(), len(classes), len(inst.Units), spec.Sessions, r)
-	fmt.Printf("objective (min max load fraction) = %.4f  cpu=%.4f mem=%.4f  simplex iters=%d\n",
-		plan.Objective, plan.MaxCPULoad, plan.MaxMemLoad, plan.SolverIters)
-	cpu, mem := core.PerNodeLoads(inst, plan)
-	edge := core.EdgePlan(inst)
-	eCPU, eMem := core.PerNodeLoads(inst, edge)
-	fmt.Println("\nnode\tcity\tcoord_cpu\tcoord_mem\tedge_cpu\tedge_mem")
-	for j := 0; j < topo.N(); j++ {
-		fmt.Printf("%d\t%s\t%.4f\t%.4f\t%.4f\t%.4f\n",
-			j, topo.Nodes[j].City, cpu[j], mem[j], eCPU[j], eMem[j])
-	}
-	fmt.Printf("\nmax load: coordinated cpu=%.4f mem=%.4f | edge-only cpu=%.4f mem=%.4f\n",
-		plan.MaxCPULoad, plan.MaxMemLoad, maxOf(eCPU), maxOf(eMem))
-}
-
-func printManifest(inst *core.Instance, plan *core.Plan, node int) {
-	if node < 0 || node >= len(plan.Manifests) {
-		log.Fatalf("node %d out of range", node)
-	}
-	m := plan.Manifests[node]
-	fmt.Printf("sampling manifest for node %d (%s): %d range assignments\n",
-		node, inst.Topo.Nodes[node].City, len(m.Ranges))
-	type row struct {
-		class  string
-		key    [2]int
-		ranges hashing.RangeSet
-	}
-	var rows []row
-	for ui, rs := range m.Ranges {
-		u := inst.Units[ui]
-		rows = append(rows, row{inst.Classes[u.Class].Name, u.Key, rs})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].class != rows[j].class {
-			return rows[i].class < rows[j].class
-		}
-		if rows[i].key[0] != rows[j].key[0] {
-			return rows[i].key[0] < rows[j].key[0]
-		}
-		return rows[i].key[1] < rows[j].key[1]
-	})
-	for _, r := range rows {
-		fmt.Printf("  class=%-12s unit=%v ranges=%v (width %.4f)\n", r.class, r.key, r.ranges, r.ranges.Width())
-	}
-}
-
-func runNIPS(topo *topology.Topology, spec Spec, variantName string, iters int, metrics *obs.Registry) {
-	var variant nips.Variant
-	switch variantName {
-	case "basic":
-		variant = nips.VariantBasic
-	case "lp":
-		variant = nips.VariantRoundLP
-	case "greedy":
-		variant = nips.VariantRoundGreedyLP
-	default:
-		log.Fatalf("unknown variant %q", variantName)
-	}
-	inst := nips.NewInstance(topo, nips.UnitRules(spec.Rules), nips.Config{
-		MaxPaths:             spec.MaxPaths,
-		RuleCapacityFraction: spec.RuleCapacityFraction,
-		MatchSeed:            spec.Seed,
-	})
-	dep, rel, err := nips.Solve(inst, nips.SolveOptions{
-		Variant: variant, Iters: iters, Seed: spec.Seed, Workers: spec.Workers,
-		Metrics: metrics,
-	})
-	if err != nil {
-		if errors.Is(err, lp.ErrInfeasible) {
-			log.Fatalf("scenario has no feasible deployment — raise capacities or rule-capacity fraction: %v", err)
-		}
-		log.Fatal(err)
-	}
-	if err := dep.Verify(inst); err != nil {
-		log.Fatalf("internal error: infeasible deployment: %v", err)
-	}
-	fmt.Printf("topology=%s nodes=%d rules=%d paths=%d cam/node=%.1f variant=%s iters=%d\n",
-		topo.Name, topo.N(), spec.Rules, len(inst.Paths), inst.CamCap[0], variant, iters)
-	fmt.Printf("objective=%.4g  OptLP=%.4g  fraction=%.4f\n",
-		dep.Objective, rel.Objective, dep.Objective/rel.Objective)
-	fmt.Println("\nnode\tenabled_rules")
-	for j := 0; j < topo.N(); j++ {
-		var enabled []string
-		for i := range dep.E {
-			if dep.E[i][j] {
-				enabled = append(enabled, inst.Rules[i].Name)
-			}
-		}
-		if len(enabled) > 0 {
-			fmt.Printf("%d\t%v\n", j, enabled)
-		}
-	}
-}
-
-func maxOf(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		m = math.Max(m, x)
-	}
-	return m
-}
-
-// runWhatIf answers the Section 5 provisioning question: where does added
-// capacity reduce the bottleneck most?
-func runWhatIf(topo *topology.Topology, spec Spec, r int, factor float64, metrics *obs.Registry) {
-	tm := traffic.Gravity(topo)
-	sessions := traffic.Generate(topo, tm, traffic.GenConfig{Sessions: spec.Sessions, Seed: spec.Seed})
-	classes := bro.Classes(bro.StandardModules()[1:])
-	inst, err := core.BuildInstance(topo, classes, sessions, core.UniformCaps(topo.N(), spec.CPUCap, spec.MemCap))
-	if err != nil {
-		log.Fatal(err)
-	}
-	base, err := core.SolveOpts(inst, core.SolveOptions{Redundancy: r, Metrics: metrics})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ups, err := core.WhatIfUpgrades(inst, r, factor)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("baseline min-max load = %.4f; upgrades at %gx capacity, best first:\n\n", base.Objective, factor)
-	fmt.Println("node\tcity\tresource\tnew_objective\tgain")
-	printed := 0
-	for _, u := range ups {
-		if u.Gain == 0 && printed >= 5 {
-			continue // the long zero tail is uninformative
-		}
-		fmt.Printf("%d\t%s\t%s\t%.4f\t%.4f\n", u.Node, topo.Nodes[u.Node].City, u.Resource, u.Objective, u.Gain)
-		printed++
-	}
-}
+func main() { cli.Main("nwdeploy") }

@@ -38,7 +38,7 @@ type Options struct {
 //	/fleet         the latest fleet snapshot as JSON
 //	/fleet/history the retained per-epoch snapshots as a JSON array
 //	/debug/pprof/  the stdlib profiler
-//	/debug/vars    expvar (includes the registry if Publish was called)
+//	/debug/vars    expvar: the Go runtime's vars (the registry is at /metrics*)
 //
 // Each call returns an independent mux, so two servers in one process
 // (or one per test) never collide — nothing is registered on
@@ -85,17 +85,6 @@ func NewMux(o Options) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
-}
-
-// Serve blocks serving a NewMux on addr. Callers run it in a goroutine;
-// r and t may be nil.
-func Serve(addr string, r *obs.Registry, t *trace.Tracer) error {
-	return ServeOpts(addr, Options{Registry: r, Tracer: t})
-}
-
-// ServeOpts is Serve with the full option surface (fleet + history).
-func ServeOpts(addr string, o Options) error {
-	return http.ListenAndServe(addr, NewMux(o))
 }
 
 func writeJSONIndent(w io.Writer, v any) error {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"os"
@@ -169,19 +168,4 @@ func (r *Registry) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Publish registers the registry under name in the process-global expvar
-// namespace, so the standard /debug/vars endpoint (and the -pprof flag's
-// HTTP server) exposes a live snapshot. Publishing the same name twice
-// replaces nothing and does not panic; the first registry wins. A nil
-// registry is a no-op.
-func (r *Registry) Publish(name string) {
-	if r == nil {
-		return
-	}
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

@@ -52,8 +52,8 @@ import (
 	"nwdeploy/internal/parallel"
 )
 
-// Event types — the taxonomy every emitter draws from and cmd/tracecheck
-// validates against. Adding a type here is adding it to the wire schema.
+// Event types — the taxonomy every emitter draws from and Validate checks
+// against. Adding a type here is adding it to the wire schema.
 const (
 	// Control-plane lifecycle.
 	EvEpochStart   = "epoch_start"   // runtime: one epoch begins (attrs: ctrl_down, down)
@@ -92,8 +92,8 @@ const (
 	EvDump              = "dump"               // recorder: synthetic first line of a post-mortem
 )
 
-// KnownTypes returns the full event taxonomy in stable order —
-// cmd/tracecheck validates dumped files against it.
+// KnownTypes returns the full event taxonomy in stable order — Validate
+// checks dumped files against it.
 func KnownTypes() []string {
 	return []string{
 		EvEpochStart, EvPublish, EvShedPublish, EvCrashRestart,

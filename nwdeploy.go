@@ -39,8 +39,7 @@
 // returns is nil-safe, no clock is read, and planner outputs are
 // byte-identical with or without one. Pass a registry only when you want
 // solver counters (simplex pivots, rounding trials, TCAM repairs) and
-// wall-time histograms; snapshot it with Metrics.WriteFile or publish it
-// through expvar with Metrics.Publish.
+// wall-time histograms; snapshot it with Metrics.WriteFile.
 package nwdeploy
 
 import (
