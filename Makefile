@@ -40,11 +40,12 @@ race: vet
 # Allocation gate: rerun the testing.AllocsPerRun contracts of the
 # per-packet path uncached. The decision path (ShouldAnalyze / DecideAll /
 # DecideMask / CoversUnit), the engine's steady-state ingestion with policy
-# scripts on (every decision source), the packet front half (ReadPacket on
-# a warmed Reader, Feed on an open flow), the conntrack pool, the arena
-# index and the simplex pivot must all report 0 allocs/op; the engine's
-# per-Run set-up and a cold LP solve (its tableau plus 25%) must stay inside
-# their budgets; -count=1 keeps a cached pass from masking a regression.
+# scripts on (every decision source), re-inserts into warmed policy tables,
+# the packet front half (ReadPacket on a warmed Reader, Feed on an open
+# flow), the conntrack pool, the arena index and the simplex pivot must all
+# report 0 allocs/op; the engine's per-Run set-up and a cold LP solve (its
+# tableau plus 25%) must stay inside their budgets; -count=1 keeps a cached
+# pass from masking a regression.
 allocs:
 	$(GO) test -count=1 -run 'AllocFree|Alloc|Pool' \
 		./internal/control/ ./internal/bro/ ./internal/packet/ ./internal/conntrack/ \
@@ -82,10 +83,11 @@ fuzz:
 # the full-epoch cost with the flight recorder off vs on, warm- vs
 # cold-started replan solves, cold simplex solves of deployment- and
 # packing-shaped LPs (the pivot loop's micro A/B), the shed hook's
-# per-packet cost, and the per-packet decision path against its test-only
-# pre-index reference. It
-# runs no command and writes no file: end-to-end and per-layer numbers are
-# `make perf` (cmd/perf, BENCHMARK.json), the one benchmark.
+# per-packet cost, the policy tables against their test-only Go-map model,
+# and the per-packet decision path against its test-only pre-index
+# reference. It runs no command and writes no file: end-to-end and
+# per-layer numbers are `make perf` (cmd/perf, BENCHMARK.json), the one
+# benchmark.
 bench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -bench=. -benchmem ./internal/obs/
@@ -94,6 +96,7 @@ bench:
 	$(GO) test -bench=WarmVsColdReplan -benchmem ./internal/lp/
 	$(GO) test -bench=Simplex -benchmem ./internal/lp/
 	$(GO) test -bench=ShedFilter -benchmem ./internal/bro/
+	$(GO) test -bench=PolicyTables -benchmem ./internal/bro/
 	$(GO) test -bench=DataplaneDecide -benchmem ./internal/control/
 
 # Idle check: the last command of a working session. Fails, listing the

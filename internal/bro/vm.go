@@ -75,28 +75,6 @@ type Op struct {
 // Script is a policy-engine program.
 type Script []Op
 
-// moduleTables is the persistent per-module policy state: keyed sets (scan
-// detection) and counters (SYN-flood victim counts). Only modules whose
-// compiled script executes OpAddSet or OpIncr get one (a nil *moduleTables
-// is an empty table), and each map is made on its first write.
-type moduleTables struct {
-	sets     map[float64]map[float64]struct{}
-	counters map[float64]float64
-}
-
-// memBytes estimates the resident size of the tables: one set entry or
-// counter is charged at tableEntryBytes.
-func (mt *moduleTables) memBytes() float64 {
-	if mt == nil {
-		return 0
-	}
-	n := len(mt.counters)
-	for _, s := range mt.sets {
-		n += len(s) + 1
-	}
-	return float64(n) * tableEntryBytes
-}
-
 // inst is one compiled instruction. Scripts have no jumps, so the stack
 // depth at every op is known when the script is compiled and the stack
 // becomes a register file: r is the slot the instruction writes, and a
@@ -229,24 +207,9 @@ func (p *program) exec(regs []float64, s *traffic.Session, hash float64, inRange
 		case OpPush:
 			regs[r] = in.imm
 		case OpAddSet:
-			member, key := regs[r], regs[r+1]
-			set := tbl.sets[key]
-			if set == nil {
-				if tbl.sets == nil {
-					tbl.sets = make(map[float64]map[float64]struct{})
-				}
-				set = make(map[float64]struct{})
-				tbl.sets[key] = set
-			}
-			set[member] = struct{}{}
-			regs[r] = float64(len(set))
+			regs[r] = tbl.addSet(regs[r+1], regs[r])
 		case OpIncr:
-			key := regs[r]
-			if tbl.counters == nil {
-				tbl.counters = make(map[float64]float64)
-			}
-			tbl.counters[key]++
-			regs[r] = tbl.counters[key]
+			regs[r] = tbl.incr(regs[r])
 		case OpGT:
 			regs[r] = b2f(regs[r] > regs[r+1])
 		case OpEQ:

@@ -33,11 +33,43 @@ func refContext(s *traffic.Session, hash float64, inRange bool) *vmContext {
 	}
 }
 
-func newModuleTables() *moduleTables {
-	return &moduleTables{
+// refTables is the interpreter's policy state, kept in Go maps on purpose:
+// it is the independent model the engine's flat tables are checked against,
+// NaN and ±0 semantics included.
+type refTables struct {
+	sets     map[float64]map[float64]struct{}
+	counters map[float64]float64
+}
+
+func newRefTables() *refTables {
+	return &refTables{
 		sets:     make(map[float64]map[float64]struct{}),
 		counters: make(map[float64]float64),
 	}
+}
+
+func (rt *refTables) addSet(key, member float64) float64 {
+	set := rt.sets[key]
+	if set == nil {
+		set = make(map[float64]struct{})
+		rt.sets[key] = set
+	}
+	set[member] = struct{}{}
+	return float64(len(set))
+}
+
+func (rt *refTables) incr(key float64) float64 {
+	rt.counters[key]++
+	return rt.counters[key]
+}
+
+// memBytes is the charge the engine made when its tables were these maps.
+func (rt *refTables) memBytes() float64 {
+	n := len(rt.counters)
+	for _, s := range rt.sets {
+		n += len(s) + 1
+	}
+	return float64(n) * tableEntryBytes
 }
 
 // refVM executes policy scripts, charging policyOpCost per executed
@@ -61,7 +93,7 @@ func (m *refVM) pop() float64 {
 
 // run executes the script and returns its result value (top of stack, or 1
 // when the stack is empty at return — "handler ran to completion").
-func (m *refVM) run(s Script, ctx *vmContext, tbl *moduleTables) float64 {
+func (m *refVM) run(s Script, ctx *vmContext, tbl *refTables) float64 {
 	m.stack = m.stack[:0]
 	for _, op := range s {
 		*m.cost += policyOpCost
@@ -81,17 +113,9 @@ func (m *refVM) run(s Script, ctx *vmContext, tbl *moduleTables) float64 {
 		case OpAddSet:
 			key := m.pop()
 			member := m.pop()
-			set := tbl.sets[key]
-			if set == nil {
-				set = make(map[float64]struct{})
-				tbl.sets[key] = set
-			}
-			set[member] = struct{}{}
-			m.push(float64(len(set)))
+			m.push(tbl.addSet(key, member))
 		case OpIncr:
-			key := m.pop()
-			tbl.counters[key]++
-			m.push(tbl.counters[key])
+			m.push(tbl.incr(m.pop()))
 		case OpGT:
 			b, a := m.pop(), m.pop()
 			m.push(b2f(a > b))
@@ -293,25 +317,86 @@ func randomScript(rng *rand.Rand) Script {
 	return s
 }
 
-// tableDump renders table contents comparably: NaN keys never compare equal
-// (and each insert under one makes a fresh entry), so keys go by bit
-// pattern with multiplicity.
+// tableDump and refDump render the engine's flat tables and the
+// interpreter's maps in one comparable form. Keys and members go by bit
+// pattern with −0 read as +0: both layouts hold one entry for the pair, and
+// which sign a map keeps is invisible to a script. NaN entries, which no
+// lookup can reach (each insert under a NaN makes a fresh one), go by count:
+// "nan entries" for NaN-keyed counters and sets, "nan" inside a set for its
+// NaN members.
 func tableDump(mt *moduleTables) map[string]int {
 	out := map[string]int{}
 	if mt == nil {
 		return out
 	}
-	for k, v := range mt.counters {
-		out[fmt.Sprintf("c %x=%x", math.Float64bits(k), math.Float64bits(v))]++
-	}
-	for k, set := range mt.sets {
-		members := map[string]int{}
-		for m := range set {
-			members[fmt.Sprintf("%x", math.Float64bits(m))]++
+	stored := 0
+	for _, s := range mt.counters.slots {
+		if s.a != 0 {
+			out[fmt.Sprintf("c %x=%x", s.a^nanBits, math.Float64bits(float64(s.b)))]++
+			stored++
 		}
-		out[fmt.Sprintf("s %x %v", math.Float64bits(k), members)]++
+	}
+	members := map[uint64]map[string]int{}
+	for _, s := range mt.members.slots {
+		if s.a != 0 {
+			if members[s.a] == nil {
+				members[s.a] = map[string]int{}
+			}
+			members[s.a][fmt.Sprintf("%x", s.b^nanBits)]++
+		}
+	}
+	for _, s := range mt.cards.slots {
+		if s.a == 0 {
+			continue
+		}
+		set := members[s.a]
+		if set == nil {
+			set = map[string]int{}
+		}
+		if nan := int(s.b) - len(set); nan != 0 {
+			set["nan"] = nan
+		}
+		out[fmt.Sprintf("s %x %v", s.a^nanBits, set)]++
+		stored += int(s.b) + 1
+	}
+	if nan := mt.entries - stored; nan != 0 {
+		out["nan entries"] = nan
 	}
 	return out
+}
+
+func refDump(rt *refTables) map[string]int {
+	out := map[string]int{}
+	for k, v := range rt.counters {
+		if k != k {
+			out["nan entries"]++
+			continue
+		}
+		out[fmt.Sprintf("c %x=%x", canonBits(k), math.Float64bits(v))]++
+	}
+	for k, set := range rt.sets {
+		if k != k {
+			out["nan entries"] += len(set) + 1
+			continue
+		}
+		members := map[string]int{}
+		for m := range set {
+			if m != m {
+				members["nan"]++
+			} else {
+				members[fmt.Sprintf("%x", canonBits(m))]++
+			}
+		}
+		out[fmt.Sprintf("s %x %v", canonBits(k), members)]++
+	}
+	return out
+}
+
+func canonBits(v float64) uint64 {
+	if v == 0 {
+		return 0
+	}
+	return math.Float64bits(v)
 }
 
 // catch runs f and returns what it panicked with, or nil.
@@ -340,7 +425,7 @@ func TestCompilerMatchesReferenceInterpreter(t *testing.T) {
 		var refCost float64
 		refAlerts := 0
 		ref := refVM{cost: &refCost, alerts: &refAlerts}
-		refTbl := newModuleTables()
+		refTbl := newRefTables()
 
 		for conn := 0; conn < 3; conn++ {
 			s := &traffic.Session{
@@ -385,8 +470,11 @@ func TestCompilerMatchesReferenceInterpreter(t *testing.T) {
 				t.Fatalf("script %d %v conn %d x%d: cost %v alerts %d, interpreter cost %v alerts %d",
 					i, script, conn, k, h.cost, h.alerts, refCost, refAlerts)
 			}
-			if g, w := tableDump(h.tbl), tableDump(refTbl); !reflect.DeepEqual(g, w) {
+			if g, w := tableDump(h.tbl), refDump(refTbl); !reflect.DeepEqual(g, w) {
 				t.Fatalf("script %d %v conn %d x%d: tables %v, interpreter %v", i, script, conn, k, g, w)
+			}
+			if g, w := h.tbl.memBytes(), refTbl.memBytes(); g != w {
+				t.Fatalf("script %d %v conn %d x%d: memBytes %v, interpreter %v", i, script, conn, k, g, w)
 			}
 			if h.p.foldable && !h.p.pure && k > 1 {
 				folded++

@@ -554,3 +554,35 @@ func TestDeciderCoverageHelpers(t *testing.T) {
 		t.Fatal("CoversUnit accepted an unknown assignment")
 	}
 }
+
+// An assignment naming a class the manifest does not declare is enforced by
+// no verdict path, so the audit views must not count it either: coverage and
+// width that the data plane never delivers would pass the cluster's coverage
+// audit and its per-agent width gauge.
+func TestDeciderIgnoresUndeclaredClasses(t *testing.T) {
+	unit := [2]int{3, -1}
+	full := []WireRange{{Lo: 0, Hi: 1}}
+	m := &Manifest{
+		Node: 3, Epoch: 1, HashKey: 5,
+		Classes: []WireClass{{Name: "scan", Scope: int(core.PerIngress), Agg: int(core.BySource)}},
+		Assignments: []WireAssignment{
+			{Class: 0, Unit: unit, Ranges: full},
+			{Class: 1, Unit: unit, Ranges: full},
+			{Class: -1, Unit: unit, Ranges: full},
+		},
+	}
+	d := NewDecider(m)
+	s := traffic.Session{Src: 3, Dst: 5, Tuple: hashing.FiveTuple{SrcIP: 7, DstIP: 9, DstPort: 80, Proto: 6}}
+	if !d.ShouldAnalyze(0, s) || !d.CoversUnit(0, unit, 0.5) {
+		t.Fatal("the declared class lost its assignment")
+	}
+	if mask, _ := d.DecideMask(&s); mask != 1 {
+		t.Fatalf("DecideMask = %b, want 1", mask)
+	}
+	if d.ShouldAnalyze(1, s) || d.CoversUnit(1, unit, 0.5) || d.CoversUnit(-1, unit, 0.5) {
+		t.Fatal("an undeclared class is covered")
+	}
+	if got := d.AssignedWidth(); got != 1 {
+		t.Fatalf("AssignedWidth = %v, want 1 (the declared class's width)", got)
+	}
+}

@@ -27,7 +27,7 @@ type Decider struct {
 	manifest *Manifest
 	hasher   hashing.Hasher
 	arena    hashing.Arena
-	classes  []classIndex // indexed by class; at least len(manifest.Classes)
+	classes  []classIndex // indexed by class; len(manifest.Classes)
 	meta     []classMeta  // indexed by class; len(manifest.Classes)
 
 	// units and entries are the batch path's scope-grouped view of the same
@@ -240,6 +240,11 @@ func NewDecider(m *Manifest) *Decider {
 	assignOrder := make([]akey, 0, len(m.Assignments))
 	nClasses := len(m.Classes)
 	for _, a := range m.Assignments {
+		if a.Class < 0 || a.Class >= nClasses {
+			// A class the manifest does not declare has no session filter,
+			// so the data plane can never enforce it: no view may count it.
+			continue
+		}
 		var rs hashing.RangeSet
 		for _, r := range a.Ranges {
 			rs = append(rs, hashing.Range{Lo: r.Lo, Hi: r.Hi})
@@ -252,9 +257,6 @@ func NewDecider(m *Manifest) *Decider {
 			assignOrder = append(assignOrder, k)
 		}
 		assigned[k] = rs
-		if a.Class >= nClasses {
-			nClasses = a.Class + 1
-		}
 	}
 	// Canonical build order: class ascending, then unit key ascending. The
 	// sort makes each class's entries contiguous, so every class's second
@@ -268,9 +270,6 @@ func NewDecider(m *Manifest) *Decider {
 	allK0 := make([]int32, 0, len(assignOrder))
 	classStart := make([]int, nClasses+1)
 	for _, k := range assignOrder {
-		if k.class < 0 {
-			continue
-		}
 		rs := assigned[k]
 		// Width is summed over the raw (sorted-by-Lo) effective set before
 		// the arena coalesces anything, preserving the historical sum for
@@ -477,21 +476,15 @@ func (d *Decider) buildMasks(m *Manifest) {
 // buildUnitIndex regroups the flattened assignments by scope slot for the
 // batch path: the canonical per-class columns (k0, k1, span, classStart)
 // are re-sorted into (scope, k0, k1, class) order, each scope getting its
-// own unit directory over the shared entry array. Classes beyond the
-// manifest's class list (assignments naming unknown classes) are excluded,
-// matching ShouldAnalyze's bounds check and the eligibility masks.
+// own unit directory over the shared entry array.
 func (d *Decider) buildUnitIndex(allK0, allSecond []int32, allSpans []hashing.Span, classStart []int) {
 	if !d.maskable {
 		return
 	}
 	type ukey struct{ s, k0, k1, ci int32 }
-	nc := len(d.meta)
-	if nc > len(classStart)-1 {
-		nc = len(classStart) - 1
-	}
 	keys := make([]ukey, 0, len(allK0))
 	spanOf := make(map[ukey]hashing.Span, len(allK0))
-	for c := 0; c < nc; c++ {
+	for c := range d.meta {
 		sc := int32(d.meta[c].scopeSlot)
 		d.scopeMask[sc] |= uint64(1) << uint(c)
 		for i := classStart[c]; i < classStart[c+1]; i++ {
