@@ -42,10 +42,11 @@ race: vet
 # DecideMask / CoversUnit), the engine's steady-state ingestion with policy
 # scripts on (every decision source), re-inserts into warmed policy tables,
 # the packet front half (ReadPacket on a warmed Reader, Feed on an open
-# flow), the conntrack pool, the arena index and the simplex pivot must all
-# report 0 allocs/op; the engine's per-Run set-up and a cold LP solve (its
-# tableau plus 25%) must stay inside their budgets; -count=1 keeps a cached
-# pass from masking a regression.
+# flow), the conntrack pool, the arena index and a steady-state simplex
+# iteration must all report 0 allocs/op; the engine's per-Run set-up and a
+# cold LP solve (160 bytes per entry of nnz + rows + columns) must stay
+# inside their budgets; -count=1 keeps a cached pass from masking a
+# regression.
 allocs:
 	$(GO) test -count=1 -run 'AllocFree|Alloc|Pool' \
 		./internal/control/ ./internal/bro/ ./internal/packet/ ./internal/conntrack/ \

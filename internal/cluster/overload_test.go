@@ -126,11 +126,18 @@ func replanConfig(warm bool) OverloadConfig {
 
 // Warm-started replans must land the same plans in fewer total simplex
 // iterations than cold replans of the identical drift sequence — the
-// bounded-replan-deadline story depends on it.
+// bounded-replan-deadline story depends on it — and every one must really
+// start warm: a basis the solver rejects falls back to a cold solve that
+// ReplanWarm still reports, so the solver's own counter is the check.
 func TestOverloadWarmReplanFewerIters(t *testing.T) {
-	warm, err := RunOverload(replanConfig(true))
+	cfg := replanConfig(true)
+	cfg.Metrics = obs.New()
+	warm, err := RunOverload(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := cfg.Metrics.Snapshot().Counters["lp.warm_rejects"]; n != 0 {
+		t.Fatalf("%d of %d warm replans fell back to a cold solve", n, warm.Replans)
 	}
 	cold, err := RunOverload(replanConfig(false))
 	if err != nil {

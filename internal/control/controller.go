@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"nwdeploy/internal/core"
+	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/ledger"
 	"nwdeploy/internal/obs"
 	"nwdeploy/internal/telemetry"
@@ -214,8 +216,10 @@ func (c *Controller) Epoch() uint64 {
 // UpdatePlan installs a new deployment plan and bumps the epoch; agents
 // polling the epoch will observe the change and re-fetch. Any published
 // shed state is cleared: a fresh plan supersedes the emergency degradation
-// it was covering for.
+// it was covering for. The controller keeps its own copy of the plan's
+// manifests, so the caller may reuse or mutate them afterwards.
 func (c *Controller) UpdatePlan(plan *core.Plan) {
+	plan = ownManifests(plan)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.plan = plan
@@ -225,6 +229,22 @@ func (c *Controller) UpdatePlan(plan *core.Plan) {
 	c.commitLocked(ledger.RecPublish)
 	c.planUpdateC.Add(1)
 	c.epochG.Set(float64(c.epoch))
+}
+
+// ownManifests returns a shallow copy of plan with its manifests' range
+// sets copied: they are what a served manifest, and every delta diffed
+// against a retained generation, is built from. The instance stays shared;
+// nothing mutates it once built.
+func ownManifests(plan *core.Plan) *core.Plan {
+	own := *plan
+	own.Manifests = make([]core.NodeManifest, len(plan.Manifests))
+	for j, m := range plan.Manifests {
+		own.Manifests[j] = core.NodeManifest{Node: m.Node, Ranges: make(map[int]hashing.RangeSet, len(m.Ranges))}
+		for ui, rs := range m.Ranges {
+			own.Manifests[j].Ranges[ui] = slices.Clone(rs)
+		}
+	}
+	return &own
 }
 
 // snapshotLocked retains the just-published generation for delta serving,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"nwdeploy/internal/core"
 	"nwdeploy/internal/traffic"
 )
 
@@ -136,6 +138,89 @@ func TestDiffManifestsRefusals(t *testing.T) {
 	stale, _ := ManifestFromPlan(plan, 1, 7, 5)
 	if _, err := ApplyDelta(stale, d); !errors.Is(err, ErrDeltaGap) {
 		t.Fatalf("base mismatch returned %v, want ErrDeltaGap", err)
+	}
+}
+
+// TestPublishedPlanIsOwned: the controller diffs every delta against the
+// generations it retained, so it must own them. A caller that publishes
+// plan A, then rewrites A's range slices in place (here, to B's values) and
+// publishes B, must not change what an agent holding A is sent: the delta
+// from A's epoch has to bring it to exactly the bytes a full fetch of B
+// gives. B is A's instance with its volumes perturbed, so the two share
+// units and differ in ranges.
+func TestPublishedPlanIsOwned(t *testing.T) {
+	planA, _ := solvedPlan(t, 4)
+	pkts := make([]float64, len(planA.Inst.Units))
+	items := make([]float64, len(planA.Inst.Units))
+	for ui, u := range planA.Inst.Units {
+		f := 1 + 0.5*math.Sin(float64(ui))
+		pkts[ui], items[ui] = u.Pkts*f, u.Items*f
+	}
+	instB, err := planA.Inst.WithVolumes(pkts, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planB, err := core.Solve(instB, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The node with the most range sets that A and B both hold, at the same
+	// length and with different bounds.
+	rewritable := func(node int) (uis []int) {
+		for ui, rs := range planA.Manifests[node].Ranges {
+			if want := planB.Manifests[node].Ranges[ui]; len(want) == len(rs) && !reflect.DeepEqual(want, rs) {
+				uis = append(uis, ui)
+			}
+		}
+		return uis
+	}
+	node := 0
+	for j := range planA.Manifests {
+		if len(rewritable(j)) > len(rewritable(node)) {
+			node = j
+		}
+	}
+	uis := rewritable(node)
+	if len(uis) == 0 {
+		t.Fatal("test premise broken: no range set of A can be rewritten in place to B's")
+	}
+
+	ctrl, err := NewController("127.0.0.1:0", 777)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	opts := SubscribeOptions{Mode: ModeIfStale, Deltas: true, Encoding: EncodingBinary}
+	deltaAgent := NewAgent(ctrl.Addr(), node)
+	ctrl.UpdatePlan(planA)
+	if _, err := deltaAgent.Subscribe(opts); err != nil {
+		t.Fatal(err)
+	}
+	for _, ui := range uis {
+		copy(planA.Manifests[node].Ranges[ui], planB.Manifests[node].Ranges[ui])
+	}
+	ctrl.UpdatePlan(planB)
+	sub, err := deltaAgent.Subscribe(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := sub.Last(); !u.Changed || u.Full || u.Epoch != 2 {
+		t.Fatalf("sync after publishing B: %+v, want a delta install of epoch 2", u)
+	}
+	fullAgent := NewAgent(ctrl.Addr(), node)
+	if _, err := fullAgent.Subscribe(SubscribeOptions{Mode: ModeOnce}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := CanonicalManifest(deltaAgent.Manifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := CanonicalManifest(fullAgent.Manifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("node %d: after %d range sets of A were rewritten post-publish, the delta-synced manifest differs from a full fetch of B", node, len(uis))
 	}
 }
 

@@ -330,9 +330,6 @@ type SolveOptions struct {
 	// Aggregation, when non-nil, adds the Section 5 network-wide
 	// communication budget to the formulation (see SolveWithAggregation).
 	Aggregation *AggregationConfig
-	// Workers is accepted for symmetry with the other options structs and
-	// reserved for future use: the NIDS LP solve is single-threaded today.
-	Workers int
 	// Metrics, when non-nil, receives solve observability (the lp
 	// package's counters plus solve wall time). The registry is
 	// write-only, so the returned Plan is identical with or without it

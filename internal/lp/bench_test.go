@@ -88,9 +88,12 @@ func BenchmarkSimplexDeploymentShaped(b *testing.B) {
 	}
 }
 
+// BenchmarkSimplexPackingShaped includes, at 50 nodes, 15 rules and 30
+// paths per rule, an LP the size of the NIPS relaxation the replan_nips
+// workload solves.
 func BenchmarkSimplexPackingShaped(b *testing.B) {
 	for _, size := range []struct{ nodes, rules, paths int }{
-		{11, 10, 10}, {22, 15, 12},
+		{11, 10, 10}, {22, 15, 12}, {50, 15, 30},
 	} {
 		b.Run(fmt.Sprintf("n%d_r%d_p%d", size.nodes, size.rules, size.paths), func(b *testing.B) {
 			b.ReportAllocs()

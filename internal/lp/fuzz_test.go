@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"fmt"
 	"math"
 	"testing"
 )
@@ -15,7 +14,8 @@ import (
 // bounds} a complete oracle for both feasibility and the optimal value.
 // The same decoded problem is also solved under presolve and re-solved
 // warm from its own basis; all paths must agree. The plain and warm optima
-// must also carry a dual certificate (presolved solves report no duals).
+// must also carry a dual certificate (certify_test.go; presolved solves
+// report no duals).
 func FuzzSolve(f *testing.F) {
 	// Seed corpus: the degenerate structures from lp_test.go's hand-written
 	// cases, re-expressed in the decoder's byte encoding.
@@ -62,7 +62,7 @@ func FuzzSolve(f *testing.F) {
 			if !d.pointFeasible(sol.X, tol) {
 				t.Fatalf("solver point %v violates constraints (lp=%+v)", sol.X, d)
 			}
-			if err := d.certify(sol, tol); err != nil {
+			if err := certify(p, sol, tol); err != nil {
 				t.Fatalf("duals %v do not certify x=%v: %v (lp=%+v)", sol.Duals, sol.X, err, d)
 			}
 		case StatusInfeasible:
@@ -96,7 +96,7 @@ func FuzzSolve(f *testing.F) {
 			if wsol.Status != StatusOptimal || math.Abs(wsol.Objective-sol.Objective) > tol*(1+math.Abs(sol.Objective)) {
 				t.Fatalf("warm restart status %v obj %v != optimal %v (lp=%+v)", wsol.Status, wsol.Objective, sol.Objective, d)
 			}
-			if err := d.certify(wsol, tol); err != nil {
+			if err := certify(p, wsol, tol); err != nil {
 				t.Fatalf("warm duals %v do not certify x=%v: %v (lp=%+v)", wsol.Duals, wsol.X, err, d)
 			}
 		}
@@ -240,68 +240,6 @@ func (d *denseLP) pointFeasible(x []float64, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// certify checks that an optimal solution's duals y prove its optimality,
-// within tol scaled by the magnitudes involved. With reduced costs
-// d = c - Aᵀy (the problem's own sense and row orientation):
-//   - the Lagrangian identity c·x = y·b + d·x holds;
-//   - y has the sign its row's operator allows: a min problem gains from a
-//     looser GE row (y >= 0) and a tighter LE row (y <= 0); max flips both;
-//     EQ rows are free;
-//   - each dⱼ has the sign its bound position allows (min: >= 0 at the
-//     lower bound, <= 0 at the upper, 0 strictly between; max flips);
-//   - a row with slack carries no dual price (complementary slackness).
-//
-// The duals are read from the simplex's final cost row, so this guards the
-// cost-row update of every pivot.
-func (d *denseLP) certify(sol *Solution, tol float64) error {
-	x, y := sol.X, sol.Duals
-	if len(y) != len(d.Rows) {
-		return fmt.Errorf("%d duals for %d rows", len(y), len(d.Rows))
-	}
-	sense := 1.0
-	if d.Max {
-		sense = -1
-	}
-	yb, ybScale := 0.0, 0.0
-	for r, row := range d.Rows {
-		ax := 0.0
-		for i, a := range row {
-			ax += a * x[i]
-		}
-		switch {
-		case d.Ops[r] == LE && sense*y[r] > tol, d.Ops[r] == GE && sense*y[r] < -tol:
-			return fmt.Errorf("row %d (%v) dual %v has the wrong sign", r, d.Ops[r], y[r])
-		}
-		if slack := d.RHS[r] - ax; math.Abs(y[r]*slack) > tol*(1+math.Abs(y[r])) {
-			return fmt.Errorf("row %d has slack %v and dual %v", r, slack, y[r])
-		}
-		yb += y[r] * d.RHS[r]
-		ybScale += math.Abs(y[r] * d.RHS[r])
-	}
-	cx, dx, scale := 0.0, 0.0, ybScale
-	for j := range d.Cost {
-		dj, djScale := d.Cost[j], math.Abs(d.Cost[j])
-		for r, row := range d.Rows {
-			dj -= y[r] * row[j]
-			djScale += math.Abs(y[r] * row[j])
-		}
-		t := tol * (1 + djScale)
-		atLower, atUpper := x[j] <= tol, x[j] >= d.UB[j]-tol
-		switch {
-		case atLower && atUpper: // a zero-width box prices at any sign
-		case atLower && sense*dj < -t, atUpper && sense*dj > t, !atLower && !atUpper && math.Abs(dj) > t:
-			return fmt.Errorf("x[%d] = %v in [0, %v] has reduced cost %v", j, x[j], d.UB[j], dj)
-		}
-		cx += d.Cost[j] * x[j]
-		dx += dj * x[j]
-		scale += math.Abs(d.Cost[j]*x[j]) + math.Abs(dj*x[j])
-	}
-	if math.Abs(cx-(yb+dx)) > tol*(1+scale) {
-		return fmt.Errorf("c·x = %v but y·b + d·x = %v", cx, yb+dx)
-	}
-	return nil
 }
 
 // bruteForce enumerates every candidate vertex: each n-subset of the

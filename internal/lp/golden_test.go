@@ -55,7 +55,9 @@ func toGoldenSolve(sol *Solution) goldenSolve {
 }
 
 // goldenSolveCases solves every LP the golden file pins and returns the
-// results keyed by case name.
+// results keyed by case name. Every optimum must carry its certificate
+// (certify_test.go); a presolved one, which has no duals, must be primal
+// feasible and match the certified optimum of the same LP solved plainly.
 func goldenSolveCases(t *testing.T) map[string]goldenSolve {
 	t.Helper()
 	out := map[string]goldenSolve{}
@@ -63,6 +65,11 @@ func goldenSolveCases(t *testing.T) map[string]goldenSolve {
 		sol, err := p.SolveOpts(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if sol.Status == StatusOptimal {
+			if err := certifyGolden(p, sol, opts); err != nil {
+				t.Errorf("%s: no certificate: %v", name, err)
+			}
 		}
 		out[name] = toGoldenSolve(sol)
 		return sol
@@ -75,9 +82,9 @@ func goldenSolveCases(t *testing.T) map[string]goldenSolve {
 		solve(fmt.Sprintf("packing/n%d_r%d_p%d", sz.nodes, sz.rules, sz.paths), buildPackingLP(sz.nodes, sz.rules, sz.paths, 3), Options{})
 	}
 
-	// Warm start from a donor solved on other volumes: the construction-time
-	// tableau is pivoted onto the donor's basis, then repaired where the new
-	// coefficients push a basic variable past its bound.
+	// Warm start from a donor solved on other volumes: the donor's basis is
+	// factored, then repaired where the new coefficients push a basic
+	// variable past its bound.
 	base := testVols(60, func(int) float64 { return 1 })
 	drifted := testVols(60, func(u int) float64 { return 1 + 0.3*math.Sin(float64(u)) })
 	donor := solve("placement/donor", placementLike(60, 10, base), Options{})
@@ -98,6 +105,28 @@ func goldenSolveCases(t *testing.T) map[string]goldenSolve {
 		}
 	}
 	return out
+}
+
+// certifyGolden certifies one golden optimum (see goldenSolveCases).
+func certifyGolden(p *Problem, sol *Solution, opts Options) error {
+	const tol = 1e-9
+	if !opts.Presolve {
+		return certify(p, sol, tol)
+	}
+	if err := primalFeasible(p, sol, tol); err != nil {
+		return err
+	}
+	plain, err := p.Solve()
+	if err != nil {
+		return err
+	}
+	if err := certify(p, plain, tol); err != nil {
+		return fmt.Errorf("plain solve: %v", err)
+	}
+	if math.Abs(plain.Objective-sol.Objective) > tol*(1+math.Abs(plain.Objective)) {
+		return fmt.Errorf("objective %v, plain solve %v", sol.Objective, plain.Objective)
+	}
+	return nil
 }
 
 // flippedRowsLP is a maximization over shifted variables whose rows are
@@ -232,10 +261,11 @@ func randomBoundedLP(rng *rand.Rand) *Problem {
 	return p
 }
 
-// TestSolveGolden holds the simplex to optima captured before its pivots
-// went sparse: the objective, every primal value and dual as a bit pattern,
-// the iteration counts and the final basis, across cold, warm, presolved,
-// row-flipped, artificial-heavy and 200 random LPs.
+// TestSolveGolden holds the simplex to the optima the revised simplex
+// reached when the file was captured: the objective, every primal value
+// and dual as a bit pattern, the iteration counts and the final basis,
+// across cold, warm, presolved, row-flipped, artificial-heavy and 200
+// random LPs. Every optimum is also certified (goldenSolveCases).
 func TestSolveGolden(t *testing.T) {
 	got := goldenSolveCases(t)
 	keys := make([]string, 0, len(got))

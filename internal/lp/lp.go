@@ -4,18 +4,12 @@
 // Intrusion Detection and Prevention Systems", CoNEXT 2010) relies on CPLEX
 // to solve its NIDS load-balancing LP (Section 2.2) and the LP relaxation of
 // its NIPS mixed-integer program (Section 3.2). Go has no mainstream LP
-// ecosystem, so this package provides the substrate: a two-phase primal
-// simplex method over a dense tableau with sparse-aware elimination (a
-// pivot updates only the columns where the pivot row is nonzero) and native
-// support for bounded variables (0 <= x <= u, u possibly +Inf, after an
-// internal shift of general finite lower bounds).
-//
-// The solver is exact up to floating-point tolerances and is designed for
-// the moderate problem sizes produced by the deployment planners (hundreds
-// to a few thousand rows). It detects infeasibility and unboundedness, uses
-// Dantzig pricing with an automatic switch to Bland's rule under prolonged
-// degeneracy to guarantee termination, and applies a Harris-style tie-break
-// in the ratio test that prefers numerically large pivots.
+// ecosystem, so this package provides the substrate: a two-phase revised
+// primal simplex over sparse columns, with B^-1 kept as a refactorized eta
+// file, and native bounded variables (0 <= x <= u, u possibly +Inf, after a
+// shift of finite lower bounds). It detects infeasibility and unboundedness,
+// prices by Dantzig's rule with a switch to Bland's under prolonged
+// degeneracy, and breaks ratio-test ties toward large pivots.
 package lp
 
 import (
@@ -101,10 +95,6 @@ func (s Status) String() string {
 	}
 	return fmt.Sprintf("Status(%d)", int(s))
 }
-
-// ErrNotSolved is returned by accessors that require a prior successful
-// Solve.
-var ErrNotSolved = errors.New("lp: problem has not been solved to optimality")
 
 // Typed sentinel errors. SolveOpts returns ErrNoVariables directly for a
 // structurally empty problem and wraps ErrNonFinite for NaN or infinite
@@ -285,6 +275,10 @@ func (s *Solution) Dual(row int) float64 { return s.Duals[row] }
 // Value returns the optimal value of v.
 func (s *Solution) Value(v Var) float64 { return s.X[v] }
 
+// solved sees every problem SolveOpts solves and its solution: a no-op, set
+// by tests that certify the LPs other packages build.
+var solved = func(*Problem, *Solution) {}
+
 // Solve optimizes the problem with default options.
 func (p *Problem) Solve() (*Solution, error) { return p.SolveOpts(Options{}) }
 
@@ -312,8 +306,7 @@ func (p *Problem) SolveOpts(opts Options) (*Solution, error) {
 			warmUsed = s.installBasis(opts.WarmBasis)
 			if !warmUsed {
 				// The basis no longer fits (shape change, singularity, or
-				// primal infeasibility at the new data); restart cold on a
-				// fresh tableau.
+				// primal infeasibility at the new data); restart cold.
 				s = newSimplex(p, opts)
 			}
 		}
@@ -323,6 +316,7 @@ func (p *Problem) SolveOpts(opts Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	solved(p, sol)
 	if m := opts.Metrics; m != nil {
 		m.Add("lp.solves", 1)
 		m.Add("lp.pivots_phase1", int64(sol.Stats.Phase1Iters))

@@ -9,7 +9,7 @@ import (
 // tightening, and empty-row elimination, iterated to a fixpoint. The
 // deployment LPs this repository builds contain many structural
 // singletons (fully pinned ingress units, zero-capacity rules), and
-// removing them before the simplex both shrinks the tableau and improves
+// removing them before the simplex both shrinks the LP and improves
 // conditioning.
 //
 // Presolve is opt-in (Options.Presolve) because a reduced model cannot

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 )
 
 // varState tracks where a variable currently sits.
@@ -13,54 +14,54 @@ const (
 	basic                   // basic; value held in beta for its row
 )
 
-// simplex is a dense-tableau, bounded-variable, two-phase primal simplex.
+// simplex is a bounded-variable, two-phase revised primal simplex over
+// sparse columns.
 //
 // Internal form: all variables are shifted so lower bounds are 0; every
 // constraint row is an equality after adding a slack (LE) or surplus (GE)
 // column; rows are normalized to nonnegative right-hand sides; artificial
 // variables complete the initial basis for rows whose slack cannot serve.
 //
-// The tableau T holds B^-1*A (including slack/artificial columns) plus the
-// transformed right-hand side B^-1*b in the final column. The vector beta
-// holds the *current values* of the basic variables, which differ from the
-// rhs column whenever some nonbasic variable rests at a finite upper bound;
-// beta is updated incrementally each step and refreshed exactly from the
-// rhs column at intervals to stop floating-point drift.
-//
-// The tableau is stored densely but eliminated sparsely: a pivot touches
-// only the columns where the pivot row is nonzero. Skipping x -= f*0 can
-// change nothing but the sign of a zero, which no comparison sees, so the
-// pivot sequence, the basis and every primal value are those of the full
-// dense sweep, bit for bit.
+// A, slack and artificial columns included, is held by column and by row
+// (for the pivot row of B^-1*A, which updates the reduced costs). B^-1 is
+// the product of the eta file: the etas of the last factorization, then one
+// per basis change. Every refactorEvery basis changes the file is rebuilt
+// from the basic columns, and beta and the reduced costs are recomputed
+// from scratch, bounding the file's length and their drift.
 type simplex struct {
 	nStruct int // structural variables
 	nTotal  int // structural + slack/surplus + artificial
 	m       int // rows
-	stride  int // nTotal + 1 (rhs column)
 
-	tab  []float64 // m * stride dense tableau
-	cost []float64 // nTotal reduced costs for the current phase
-	ub   []float64 // nTotal upper bounds (shifted space)
+	cols, rows sparse    // A by column (rows ascending) and by row
+	rhs        []float64 // m normalized right-hand sides
 
+	c       []float64 // nTotal costs of the current phase
+	cost    []float64 // nTotal reduced costs; nil until a phase loads c
+	ub      []float64 // nTotal upper bounds (shifted space)
 	objCost []float64 // nTotal phase-2 costs (internal minimize space)
+	sign    float64   // +1, or -1 for a maximization: objCost = sign*cost
 
 	basis []int      // m: variable index basic in each row
 	state []varState // nTotal
 	beta  []float64  // m: current basic values
 
-	// cols is scratch for an ascending column-index list: the pivot row's
-	// nonzeros in pivot, the at-upper columns in refreshBeta. Its capacity
-	// is the stride, so neither ever allocates.
-	cols []int32
+	// The eta file: eta k pivots on row piv[k].i with value piv[k].v, and
+	// its other nonzeros are etas.line(k).
+	etas    sparse
+	piv     []entry
+	updates int // basis changes since the last factorization
+
+	col   svec // m: the entering column, FTRAN'd; also beta's scratch
+	rho   svec // m: a BTRAN'd row of B^-1, or c_B*B^-1
+	alpha svec // nTotal: a row of B^-1*A
 
 	firstArt int // index of first artificial column; nTotal if none
 
 	// Original-problem bookkeeping for solution extraction.
-	lbShift  []float64 // per structural var
-	objConst float64   // constant added to objective by the shift
-	negate   bool      // problem was a maximization
-	rowFlip  []bool    // row was negated during rhs normalization
-	rowUnit  []int     // +1 unit column per row (slack or artificial)
+	lbShift []float64 // per structural var
+	rowFlip []bool    // row was negated during rhs normalization
+	rowUnit []int     // +1 unit column per row (slack or artificial)
 
 	tol      float64
 	maxIters int
@@ -75,57 +76,104 @@ type simplex struct {
 	warm bool
 }
 
-const degenSwitch = 400 // switch to Bland's rule after this many degenerate steps
+const (
+	degenSwitch   = 400  // switch to Bland's rule after this many degenerate steps
+	refactorEvery = 100  // basis changes between factorizations (DESIGN.md, "LP solver")
+	pivTol        = 1e-8 // smallest pivot the ratio test and factor accept
+)
+
+// entry is one nonzero of a sparse line: its index along the line (the row
+// of a column entry, the column of a row entry) and its value.
+type entry struct {
+	i int32
+	v float64
+}
+
+// sparse stores lines of nonzeros back to back: line k is
+// nz[start[k]:start[k+1]].
+type sparse struct {
+	start []int32
+	nz    []entry
+}
+
+func (a *sparse) line(k int) []entry { return a.nz[a.start[k]:a.start[k+1]] }
+
+// svec is a dense work vector that also lists its nonzero positions, so the
+// sparse kernels visit only those and clearing costs what was set.
+type svec struct {
+	x  []float64
+	nz []int32
+	in []bool
+}
+
+func newSvec(n int) svec {
+	return svec{x: make([]float64, n), nz: make([]int32, 0, n), in: make([]bool, n)}
+}
+
+func (v *svec) add(i int32, a float64) { v.set(i, v.x[i]+a) }
+
+func (v *svec) set(i int32, a float64) {
+	if !v.in[i] {
+		v.in[i] = true
+		v.nz = append(v.nz, i)
+	}
+	v.x[i] = a
+}
+
+func (v *svec) clear() {
+	for _, i := range v.nz {
+		v.x[i], v.in[i] = 0, false
+	}
+	v.nz = v.nz[:0]
+}
 
 func newSimplex(p *Problem, opts Options) *simplex {
 	tol := opts.Tol
 	if tol == 0 {
 		tol = 1e-9
 	}
-
-	n := len(p.vars)
-	m := len(p.cons)
-
-	s := &simplex{
-		nStruct: n,
-		m:       m,
-		tol:     tol,
-		negate:  p.sense == Maximize,
+	n, m := len(p.vars), len(p.cons)
+	s := &simplex{nStruct: n, m: m, tol: tol, sign: 1}
+	if p.sense == Maximize {
+		s.sign = -1
 	}
 
-	// Shift variables to zero lower bounds; record per-row rhs adjustments.
-	s.lbShift = make([]float64, n)
-	ub := make([]float64, 0, n+2*m)
-	cost := make([]float64, 0, n+2*m)
+	// Shift variables to zero lower bounds.
+	s.lbShift, s.ub, s.objCost = make([]float64, n), make([]float64, n, n+2*m), make([]float64, n, n+2*m)
 	for i, v := range p.vars {
-		s.lbShift[i] = v.lb
-		ub = append(ub, v.ub-v.lb)
-		c := v.cost
-		if s.negate {
-			c = -c
-		}
-		cost = append(cost, c)
-		s.objConst += v.cost * v.lb
+		s.lbShift[i], s.ub[i], s.objCost[i] = v.lb, v.ub-v.lb, s.sign*v.cost
 	}
 
-	// Row operators and right-hand sides, adjusted for the shift and then
-	// normalized to rhs >= 0. The coefficients go straight into the tableau
-	// once its width is known.
-	type rowSpec struct {
-		op  Op
-		rhs float64
+	// Rows: duplicate terms summed in term order, zeros dropped, the rhs
+	// shifted and normalized to >= 0 by negating the row; then the row's
+	// slack or surplus and its artificial, numbered after every slack (a
+	// flip swaps LE and GE, so it moves no row in or out of EQ). The row's
+	// +1 unit column starts basic.
+	nnz := 2 * m // the unit columns, at most two a row
+	s.firstArt = n
+	for _, c := range p.cons {
+		nnz += len(c.terms)
+		if c.op == LE || c.op == GE {
+			s.firstArt++
+		}
 	}
-	rows := make([]rowSpec, m)
-	s.rowFlip = make([]bool, m)
+	s.rhs, s.rowFlip, s.basis = make([]float64, m), make([]bool, m), make([]int, m)
+	s.rows.start, s.rows.nz = make([]int32, 1, m+1), make([]entry, 0, nnz)
+	at := make([]int32, n) // 1 + position in rows.nz of a variable in this row
+	slack, art := n, s.firstArt
 	for r, c := range p.cons {
-		rhs := c.rhs
+		start, rhs, op := len(s.rows.nz), c.rhs, c.op
 		for _, t := range c.terms {
 			rhs -= t.Coef * s.lbShift[t.Var]
+			if k := at[t.Var]; k > 0 {
+				s.rows.nz[k-1].v += t.Coef
+			} else {
+				s.rows.nz = append(s.rows.nz, entry{int32(t.Var), t.Coef})
+				at[t.Var] = int32(len(s.rows.nz))
+			}
 		}
-		op := c.op
 		if rhs < 0 {
-			s.rowFlip[r] = true
-			rhs = -rhs
+			s.rowFlip[r], rhs = true, -rhs
 			switch op {
 			case LE:
 				op = GE
@@ -133,93 +181,64 @@ func newSimplex(p *Problem, opts Options) *simplex {
 				op = LE
 			}
 		}
-		rows[r] = rowSpec{op: op, rhs: rhs}
-	}
-
-	// Assign slack/surplus columns, then artificial columns.
-	slackCol := make([]int, m)  // -1 if none
-	slackSign := make([]int, m) // +1 slack, -1 surplus
-	next := n
-	for r := range rows {
-		switch rows[r].op {
-		case LE:
-			slackCol[r], slackSign[r] = next, +1
-			next++
-		case GE:
-			slackCol[r], slackSign[r] = next, -1
-			next++
-		default:
-			slackCol[r] = -1
-		}
-	}
-	s.firstArt = next
-	artCol := make([]int, m) // -1 if the slack can start basic
-	for r := range rows {
-		if rows[r].op == LE {
-			artCol[r] = -1 // slack starts basic at rhs >= 0
-		} else {
-			artCol[r] = next
-			next++
-		}
-	}
-	s.nTotal = next
-	s.stride = next + 1
-
-	// Record the +1 unit column of each row for dual recovery: the
-	// artificial where present, else the (+1) slack of an LE row.
-	s.rowUnit = make([]int, m)
-	for r := range rows {
-		if artCol[r] >= 0 {
-			s.rowUnit[r] = artCol[r]
-		} else {
-			s.rowUnit[r] = slackCol[r]
-		}
-	}
-
-	// Extend bounds/costs to slack+artificial columns.
-	for len(ub) < s.nTotal {
-		ub = append(ub, math.Inf(1))
-		cost = append(cost, 0)
-	}
-	s.ub = ub
-	s.objCost = cost
-
-	// Build the tableau: duplicate terms are summed in term order, and a
-	// flipped row is negated across every structural column, zeros included.
-	s.tab = make([]float64, m*s.stride)
-	s.cols = make([]int32, 0, s.stride)
-	for r, c := range p.cons {
-		row := s.tab[r*s.stride : (r+1)*s.stride]
-		for _, t := range c.terms {
-			row[t.Var] += t.Coef
-		}
-		if s.rowFlip[r] {
-			for j := 0; j < n; j++ {
-				row[j] = -row[j]
+		s.rhs[r] = rhs
+		row := s.rows.nz[:start]
+		for _, e := range s.rows.nz[start:] {
+			at[e.i] = 0
+			if e.v != 0 {
+				if s.rowFlip[r] {
+					e.v = -e.v
+				}
+				row = append(row, e)
 			}
 		}
-		if slackCol[r] >= 0 {
-			row[slackCol[r]] = float64(slackSign[r])
+		switch op {
+		case LE:
+			row, s.basis[r] = append(row, entry{int32(slack), 1}), slack
+			slack++
+		case GE:
+			row = append(row, entry{int32(slack), -1})
+			slack++
+			fallthrough
+		default:
+			row, s.basis[r] = append(row, entry{int32(art), 1}), art
+			art++
 		}
-		if artCol[r] >= 0 {
-			row[artCol[r]] = 1
+		s.rows.nz = row
+		s.rows.start = append(s.rows.start, int32(len(row)))
+	}
+	s.nTotal = art
+	for j := n; j < s.nTotal; j++ {
+		s.ub, s.objCost = append(s.ub, math.Inf(1)), append(s.objCost, 0)
+	}
+	s.rowUnit = append([]int(nil), s.basis...)
+
+	// Columns, by a counting transpose of the rows.
+	s.cols.start = make([]int32, s.nTotal+1)
+	for _, e := range s.rows.nz {
+		s.cols.start[e.i+1]++
+	}
+	for j := 0; j < s.nTotal; j++ {
+		s.cols.start[j+1] += s.cols.start[j]
+	}
+	s.cols.nz = make([]entry, len(s.rows.nz))
+	next := append([]int32(nil), s.cols.start...)
+	for r := 0; r < m; r++ {
+		for _, e := range s.rows.line(r) {
+			s.cols.nz[next[e.i]] = entry{int32(r), e.v}
+			next[e.i]++
 		}
-		row[s.nTotal] = rows[r].rhs
 	}
 
-	// Initial basis and states.
-	s.basis = make([]int, m)
 	s.state = make([]varState, s.nTotal)
-	s.beta = make([]float64, m)
-	for r := range rows {
-		b := artCol[r]
-		if b < 0 {
-			b = slackCol[r]
-		}
-		s.basis[r] = b
+	for _, b := range s.basis {
 		s.state[b] = basic
-		s.beta[r] = rows[r].rhs
 	}
+	s.beta = make([]float64, m)
+	s.col, s.rho, s.alpha = newSvec(m), newSvec(m), newSvec(s.nTotal)
+	s.piv = make([]entry, 0, m+refactorEvery)
+	s.etas.start = make([]int32, 1, m+refactorEvery+1)
+	s.etas.nz = make([]entry, 0, 4*len(s.rows.nz)) // placement LPs' files peak near 2x nnz
 
 	s.maxIters = opts.MaxIters
 	if s.maxIters == 0 {
@@ -228,150 +247,231 @@ func newSimplex(p *Problem, opts Options) *simplex {
 	return s
 }
 
-// phase1Costs loads the phase-1 objective (sum of artificials) as reduced
-// costs relative to the initial basis.
-func (s *simplex) phase1Costs() {
-	s.cost = make([]float64, s.nTotal)
-	// c_j - sum_i c_B(i) T[i][j], with c = 1 on artificials, 0 elsewhere.
-	// Initially T = A and the only basic artificials are in their own rows,
-	// so the reduced cost of column j is -sum over artificial rows of A[r][j]
-	// (and 0 for the artificial columns themselves).
-	for r := 0; r < s.m; r++ {
-		if s.basis[r] < s.firstArt {
+// loadCol scatters column j of A into s.col; ftranCol then makes it B^-1*a_j.
+func (s *simplex) loadCol(j int) {
+	for _, e := range s.cols.line(j) {
+		s.col.add(e.i, e.v)
+	}
+}
+
+func (s *simplex) ftranCol(j int) {
+	s.loadCol(j)
+	s.ftran(&s.col)
+}
+
+// ftran overwrites v with B^-1*v, applying the etas in file order. An eta
+// whose pivot entry is zero leaves v alone and costs one load.
+func (s *simplex) ftran(v *svec) {
+	for k, p := range s.piv {
+		xp := v.x[p.i]
+		if xp == 0 {
 			continue
 		}
-		row := s.tab[r*s.stride : r*s.stride+s.nTotal]
-		for j, a := range row {
-			if a != 0 {
-				s.cost[j] -= a
-			}
+		xp /= p.v
+		v.x[p.i] = xp
+		for _, e := range s.etas.line(k) {
+			v.add(e.i, -e.v*xp)
 		}
-	}
-	for j := s.firstArt; j < s.nTotal; j++ {
-		s.cost[j]++ // own cost 1; cancels the -1 picked up above when basic
-	}
-	// Basic columns must have zero reduced cost exactly.
-	for _, b := range s.basis {
-		s.cost[b] = 0
 	}
 }
 
-// phase2Costs recomputes reduced costs for the real objective against the
-// current basis: rc_j = c_j - sum_i c_B(i) * T[i][j].
-func (s *simplex) phase2Costs() {
-	s.cost = make([]float64, s.nTotal)
-	copy(s.cost, s.objCost)
-	for r := 0; r < s.m; r++ {
-		cb := s.objCost[s.basis[r]]
-		if cb == 0 {
+// btran overwrites the row vector v with v*B^-1, applying the etas in
+// reverse: each changes only its pivot entry.
+func (s *simplex) btran(v *svec) {
+	for k := len(s.piv) - 1; k >= 0; k-- {
+		p := s.piv[k]
+		a := v.x[p.i]
+		for _, e := range s.etas.line(k) {
+			a -= e.v * v.x[e.i]
+		}
+		if a != 0 || v.x[p.i] != 0 {
+			v.set(p.i, a/p.v)
+		}
+	}
+}
+
+// pushEta appends the eta of the FTRAN'd column in s.col pivoting on row r,
+// then clears s.col. A unit column in its own row needs none.
+func (s *simplex) pushEta(r int) {
+	v := &s.col
+	if piv := v.x[r]; piv != 1 || len(v.nz) > 1 {
+		for _, i := range v.nz {
+			if a := v.x[i]; int(i) != r && a != 0 {
+				s.etas.nz = append(s.etas.nz, entry{i, a})
+			}
+		}
+		s.piv = append(s.piv, entry{int32(r), piv})
+		s.etas.start = append(s.etas.start, int32(len(s.etas.nz)))
+	}
+	v.clear()
+}
+
+// factor rebuilds the eta file from the basic columns, reassigning rows.
+// Singleton columns (slacks, artificials) go first, untransformed into their
+// own rows, with no eta for a +1; the rest follow by increasing nonzero
+// count, each FTRAN'd and pivoted on its largest entry in a row not yet
+// taken. A column with no usable pivot leaves the basis for the unit column
+// of a left-over row, and factor reports false (a warm start then fails).
+func (s *simplex) factor() bool {
+	s.piv, s.etas.start, s.etas.nz = s.piv[:0], s.etas.start[:1], s.etas.nz[:0]
+	s.updates = 0
+	keys := make([]int64, 0, s.m)
+	for r, j := range s.basis {
+		keys = append(keys, int64(s.cols.start[j+1]-s.cols.start[j])<<32|int64(j))
+		s.basis[r] = -1
+	}
+	slices.Sort(keys)
+	ok := true
+	for _, key := range keys {
+		j := int(uint32(key))
+		s.loadCol(j)
+		if len(s.col.nz) > 1 {
+			s.ftran(&s.col)
+		}
+		p, best := -1, pivTol
+		for _, i := range s.col.nz {
+			if a := math.Abs(s.col.x[i]); a > best && s.basis[i] < 0 {
+				p, best = int(i), a
+			}
+		}
+		if p < 0 {
+			s.col.clear()
+			s.state[j], ok = atLower, false
 			continue
 		}
-		row := s.tab[r*s.stride : r*s.stride+s.nTotal]
-		for j, a := range row {
-			if a != 0 {
-				s.cost[j] -= cb * a
+		s.basis[p] = j
+		s.pushEta(p)
+	}
+	for r, j := range s.basis {
+		if j < 0 {
+			s.basis[r] = s.rowUnit[r]
+			s.state[s.rowUnit[r]] = basic
+		}
+	}
+	return ok
+}
+
+// refresh recomputes the basic values exactly, beta = B^-1*(b - the at-upper
+// columns at their bounds), and, once a phase has loaded its costs, every
+// reduced cost: d_j = c_j - y*a_j with y = c_B*B^-1.
+func (s *simplex) refresh() {
+	v := &s.col
+	for r, b := range s.rhs {
+		v.add(int32(r), b)
+	}
+	for j, st := range s.state {
+		if st == atUpper {
+			for _, e := range s.cols.line(j) {
+				v.add(e.i, -e.v*s.ub[j])
 			}
 		}
 	}
-	for _, b := range s.basis {
-		s.cost[b] = 0
+	s.ftran(v)
+	copy(s.beta, v.x)
+	v.clear()
+	if s.cost == nil {
+		return
 	}
-}
-
-// refreshBeta recomputes current basic values exactly from the transformed
-// rhs column and the set of nonbasic-at-upper variables. It walks the
-// tableau row by row, subtracting each row's at-upper terms in ascending
-// column order.
-func (s *simplex) refreshBeta() {
-	up := s.cols[:0]
-	for j := 0; j < s.nTotal; j++ {
-		if s.state[j] == atUpper {
-			up = append(up, int32(j))
-		}
+	y := &s.rho
+	for r, j := range s.basis {
+		y.add(int32(r), s.c[j])
 	}
-	for r := 0; r < s.m; r++ {
-		row := s.tab[r*s.stride : (r+1)*s.stride]
-		b := row[s.nTotal]
-		for _, j := range up {
-			if a := row[j]; a != 0 {
-				b -= a * s.ub[j]
+	s.btran(y)
+	for j := range s.cost {
+		d := 0.0
+		if s.state[j] != basic {
+			d = s.c[j]
+			for _, e := range s.cols.line(j) {
+				d -= y.x[e.i] * e.v
 			}
 		}
-		s.beta[r] = b
+		s.cost[j] = d
 	}
+	y.clear()
 }
 
-// price selects an entering variable. dir=+1 means the variable will
-// increase from its lower bound; dir=-1 means it will decrease from its
-// upper bound. Returns j=-1 at optimality.
+// tableauRow fills s.alpha with row r of B^-1*A: rho = e_r*B^-1, then
+// rho*A over the rows rho touches.
+func (s *simplex) tableauRow(r int) {
+	s.rho.add(int32(r), 1)
+	s.btran(&s.rho)
+	for _, i := range s.rho.nz {
+		if y := s.rho.x[i]; y != 0 {
+			for _, e := range s.rows.line(int(i)) {
+				s.alpha.add(e.i, y*e.v)
+			}
+		}
+	}
+	s.rho.clear()
+}
+
+// bestInRow returns the movable nonbasic column with the largest entry
+// above 1e-7 in row r of B^-1*A (lowest index on a tie), or -1. A nonzero
+// want admits only columns whose move off their bound shifts the row's
+// basic variable in want's direction (want*alpha < 0 from a lower bound).
+func (s *simplex) bestInRow(r int, want float64) int {
+	s.tableauRow(r)
+	best, bestA := -1, 1e-7
+	for _, k := range s.alpha.nz {
+		j, a := int(k), s.alpha.x[k]
+		if s.state[j] == basic || s.ub[j] == 0 || want != 0 && (want*a > 0) != (s.state[j] == atUpper) {
+			continue
+		}
+		if a = math.Abs(a); a > bestA || a == bestA && j < best {
+			best, bestA = j, a
+		}
+	}
+	s.alpha.clear()
+	return best
+}
+
+// price selects an entering variable: the nonbasic column whose reduced
+// cost improves the objective fastest (Dantzig), or under Bland's rule the
+// first that improves it. dir=+1 means it increases from its lower bound,
+// dir=-1 that it decreases from its upper bound; j=-1 means optimal.
 func (s *simplex) price(bland bool) (j, dir int) {
-	j, dir = -1, 0
-	rcTol := math.Max(s.tol, 1e-7)
-	if bland {
-		for k := 0; k < s.nTotal; k++ {
-			switch s.state[k] {
-			case atLower:
-				if s.cost[k] < -rcTol {
-					return k, +1
-				}
-			case atUpper:
-				if s.cost[k] > rcTol {
-					return k, -1
-				}
+	j, best := -1, math.Max(s.tol, 1e-7)
+	for k, st := range s.state {
+		// Gain per unit move: -d off a lower bound, +d off an upper one, 0 if
+		// basic. Four entries spare the index a bounds check.
+		if rc := [4]float64{atLower: -1, atUpper: 1}[st&3] * s.cost[k]; rc > best {
+			j, best = k, rc
+			if bland {
+				break
 			}
 		}
-		return -1, 0
 	}
-	best := rcTol
-	for k := 0; k < s.nTotal; k++ {
-		switch s.state[k] {
-		case atLower:
-			if rc := -s.cost[k]; rc > best {
-				best, j, dir = rc, k, +1
-			}
-		case atUpper:
-			if rc := s.cost[k]; rc > best {
-				best, j, dir = rc, k, -1
-			}
-		}
+	if j >= 0 {
+		dir = 1 - 2*int(s.state[j]) // +1 from atLower, -1 from atUpper
 	}
 	return j, dir
 }
 
-// ratio runs the bounded-variable ratio test for entering column j moving
-// with direction dir. It returns the step length t, the limiting row (or -1
-// for a bound flip on the entering variable), and whether the leaving basic
+// ratio runs the bounded-variable ratio test for entering column j, whose
+// FTRAN'd column is in s.col with its nonzeros in row order, moving with
+// direction dir. It returns the step length t, the limiting row (or -1 for
+// a bound flip on the entering variable), and whether the leaving basic
 // variable exits at its upper bound.
 func (s *simplex) ratio(j, dir int) (t float64, limRow int, leaveUpper bool, unbounded bool) {
-	const pivTol = 1e-8
-	t = s.ub[j] // bound-flip distance; may be +Inf
-	limRow = -1
-	d := float64(dir)
+	t, limRow = s.ub[j], -1 // bound-flip distance; may be +Inf
 	bestPiv := 0.0
-	for r := 0; r < s.m; r++ {
-		a := d * s.tab[r*s.stride+j]
-		if a > pivTol {
-			// Basic variable decreases toward 0.
-			tr := s.beta[r] / a
-			if tr < 0 {
-				tr = 0
-			}
-			if tr < t-1e-9 || (tr < t+1e-9 && math.Abs(a) > bestPiv && limRow >= 0) {
-				t, limRow, leaveUpper, bestPiv = tr, r, false, math.Abs(a)
-			}
-		} else if a < -pivTol {
-			ubB := s.ub[s.basis[r]]
-			if math.IsInf(ubB, 1) {
-				continue
-			}
-			// Basic variable increases toward its upper bound.
-			tr := (ubB - s.beta[r]) / (-a)
-			if tr < 0 {
-				tr = 0
-			}
-			if tr < t-1e-9 || (tr < t+1e-9 && math.Abs(a) > bestPiv && limRow >= 0) {
-				t, limRow, leaveUpper, bestPiv = tr, r, true, math.Abs(a)
-			}
+	for _, i := range s.col.nz {
+		r := int(i)
+		a := float64(dir) * s.col.x[r]
+		var tr float64
+		switch ubB := s.ub[s.basis[r]]; {
+		case a > pivTol: // basic variable decreases toward 0
+			tr = s.beta[r] / a
+		case a < -pivTol && !math.IsInf(ubB, 1): // increases toward its upper bound
+			tr = (ubB - s.beta[r]) / (-a)
+		default:
+			continue
+		}
+		if tr < 0 {
+			tr = 0
+		}
+		if tr < t-1e-9 || (tr < t+1e-9 && math.Abs(a) > bestPiv && limRow >= 0) {
+			t, limRow, leaveUpper, bestPiv = tr, r, a < 0, math.Abs(a)
 		}
 	}
 	if math.IsInf(t, 1) {
@@ -380,157 +480,137 @@ func (s *simplex) ratio(j, dir int) (t float64, limRow int, leaveUpper bool, unb
 	return t, limRow, leaveUpper, false
 }
 
-// pivot performs the elimination step making column j basic in row r. It
-// scales the pivot row, records the row's nonzero columns, and updates the
-// other rows and the cost row over those columns only.
-func (s *simplex) pivot(r, j int) {
-	stride := s.stride
-	prow := s.tab[r*stride : (r+1)*stride]
-	inv := 1 / prow[j]
-	nz := s.cols[:0]
-	for k := range prow {
-		prow[k] *= inv
-		if prow[k] != 0 {
-			nz = append(nz, int32(k))
-		}
-	}
-	prow[j] = 1 // exact
-	for i := 0; i < s.m; i++ {
-		if i == r {
-			continue
-		}
-		row := s.tab[i*stride : (i+1)*stride]
-		f := row[j]
-		if f == 0 {
-			continue
-		}
-		for _, k := range nz {
-			row[k] -= f * prow[k]
-		}
-		row[j] = 0 // exact
-	}
-	// Cost row (absent during installBasis, before a phase loads one). It
-	// has no rhs entry, which is the last nonzero column when present.
-	if s.cost == nil {
-		return
-	}
-	if f := s.cost[j]; f != 0 {
-		if last := len(nz) - 1; nz[last] == int32(s.nTotal) {
-			nz = nz[:last]
-		}
-		for _, k := range nz {
-			s.cost[k] -= f * prow[k]
-		}
-		s.cost[j] = 0
-	}
-}
-
-// iterate runs simplex iterations on the current phase objective until
-// optimality, unboundedness, or the iteration limit.
-func (s *simplex) iterate() Status {
-	sinceRefresh := 0
-	for {
-		if s.iters >= s.maxIters {
-			return StatusIterLimit
-		}
-		s.iters++
-		sinceRefresh++
-		if sinceRefresh >= 128 {
-			s.refreshBeta()
-			sinceRefresh = 0
-		}
-
-		j, dir := s.price(s.degenStreak > degenSwitch)
-		if j < 0 {
-			return StatusOptimal
-		}
-		t, limRow, leaveUpper, unbounded := s.ratio(j, dir)
-		if unbounded {
-			return StatusUnbounded
-		}
-		if t <= 1e-12 {
-			s.degenStreak++
-			if s.degenStreak == degenSwitch+1 {
-				s.blandCount++ // the next price call switches to Bland
-			}
-		} else {
-			s.degenStreak = 0
-		}
-
-		// Step: move entering by t in direction dir; basics absorb.
-		d := float64(dir)
-		if t != 0 {
-			for r := 0; r < s.m; r++ {
-				if a := s.tab[r*s.stride+j]; a != 0 {
-					s.beta[r] -= d * t * a
+// pivot makes column j, FTRAN'd in s.col, basic in row r, and sends the
+// leaving column to state leave. Reduced costs, once loaded, are updated
+// from the pivot row: d_k -= theta*alpha_rk over the nonbasic columns it
+// touches, and the leaving column gets -theta.
+func (s *simplex) pivot(r, j int, leave varState) {
+	if s.cost != nil {
+		theta := s.cost[j] / s.col.x[r]
+		if theta != 0 {
+			s.tableauRow(r)
+			for _, k := range s.alpha.nz {
+				if s.state[k] != basic {
+					s.cost[k] -= theta * s.alpha.x[k]
 				}
 			}
+			s.alpha.clear()
 		}
-
-		if limRow < 0 {
-			// Bound flip: entering traverses to its other bound.
-			if s.state[j] == atLower {
-				s.state[j] = atUpper
-			} else {
-				s.state[j] = atLower
-			}
-			continue
-		}
-
-		leave := s.basis[limRow]
-		var enterVal float64
-		if s.state[j] == atLower {
-			enterVal = t
-		} else {
-			enterVal = s.ub[j] - t
-		}
-		s.pivot(limRow, j)
-		s.basis[limRow] = j
-		s.state[j] = basic
-		if leaveUpper {
-			s.state[leave] = atUpper
-		} else {
-			s.state[leave] = atLower
-		}
-		// Clamp tiny negative drift.
-		if enterVal < 0 && enterVal > -1e-9 {
-			enterVal = 0
-		}
-		s.beta[limRow] = enterVal
+		s.cost[j], s.cost[s.basis[r]] = 0, -theta
 	}
+	s.pushEta(r)
+	s.state[s.basis[r]], s.state[j] = leave, basic
+	s.basis[r] = j
+	s.updates++
 }
 
-// phase1Objective sums the current values of the artificial variables.
-func (s *simplex) phase1Objective() float64 {
-	sum := 0.0
-	for r := 0; r < s.m; r++ {
-		if s.basis[r] >= s.firstArt {
-			sum += s.beta[r]
+// step runs one simplex iteration on the current phase objective. It
+// reports done, with the status, at optimality, unboundedness or the
+// iteration limit. Between refactorizations it allocates nothing.
+func (s *simplex) step() (st Status, done bool) {
+	if s.iters >= s.maxIters {
+		return StatusIterLimit, true
+	}
+	s.iters++
+	bland := s.degenStreak > degenSwitch
+	j, dir := -1, 0
+	if s.updates < refactorEvery {
+		j, dir = s.price(bland)
+	}
+	if j < 0 && s.updates > 0 {
+		// Refactor on cadence, and confirm optimality against reduced costs
+		// computed afresh.
+		s.factor()
+		s.refresh()
+		j, dir = s.price(bland)
+	}
+	if j < 0 {
+		return StatusOptimal, true
+	}
+	s.ftranCol(j)
+	slices.Sort(s.col.nz)
+	t, limRow, leaveUpper, unbounded := s.ratio(j, dir)
+	if unbounded {
+		s.col.clear()
+		return StatusUnbounded, true
+	}
+	if t > 1e-12 {
+		s.degenStreak = 0
+	} else if s.degenStreak++; s.degenStreak == degenSwitch+1 {
+		s.blandCount++ // the next price call switches to Bland
+	}
+
+	// Step: move entering by t in direction dir; basics absorb.
+	if t != 0 {
+		dt := float64(dir) * t
+		for _, r := range s.col.nz {
+			s.beta[r] -= dt * s.col.x[r]
 		}
 	}
-	for j := s.firstArt; j < s.nTotal; j++ {
-		if s.state[j] == atUpper {
-			sum += s.ub[j] // unreachable in practice: artificial ub is +Inf
+	enterVal, leave := t, atLower
+	if s.state[j] == atUpper {
+		enterVal = s.ub[j] - t
+	}
+	if limRow < 0 {
+		// Bound flip: entering traverses to its other bound.
+		s.col.clear()
+		s.state[j] = atUpper - s.state[j] // atLower <-> atUpper
+		return 0, false
+	}
+	if leaveUpper {
+		leave = atUpper
+	}
+	s.pivot(limRow, j, leave)
+	// Clamp tiny negative drift.
+	if enterVal < 0 && enterVal > -1e-9 {
+		enterVal = 0
+	}
+	s.beta[limRow] = enterVal
+	return 0, false
+}
+
+// phase loads the costs c, recomputes beta and the reduced costs against the
+// current basis, and iterates until step reports done.
+func (s *simplex) phase(c []float64) Status {
+	s.c, s.degenStreak = c, 0
+	if s.cost == nil {
+		s.cost = make([]float64, s.nTotal)
+	}
+	s.refresh()
+	for {
+		if st, done := s.step(); done {
+			return st
 		}
 	}
-	return sum
 }
 
 // solve runs both phases and extracts the solution.
 func (s *simplex) solve() (*Solution, error) {
-	feasTol := math.Max(1e-7, s.tol*100)
-
 	phase1Iters := 0
+	result := func(st Status) *Solution {
+		return &Solution{Status: st, Iters: s.iters, Stats: SolveStats{
+			Phase1Iters: phase1Iters, Phase2Iters: s.iters - phase1Iters, BlandActivations: s.blandCount,
+		}}
+	}
 	if s.firstArt < s.nTotal && !s.warm {
-		s.phase1Costs()
-		st := s.iterate()
+		c := make([]float64, s.nTotal) // phase 1 minimizes the sum of the artificials
+		for j := s.firstArt; j < s.nTotal; j++ {
+			c[j] = 1
+		}
+		st := s.phase(c)
 		phase1Iters = s.iters
 		if st == StatusIterLimit {
-			return &Solution{Status: StatusIterLimit, Iters: s.iters, Stats: s.stats(phase1Iters)}, nil
+			return result(st), nil
 		}
-		s.refreshBeta()
-		if s.phase1Objective() > feasTol {
-			return &Solution{Status: StatusInfeasible, Iters: s.iters, Stats: s.stats(phase1Iters)}, nil
+		s.refresh()
+		infeas := 0.0 // the basic artificials: none rests at its +Inf upper bound
+		for r, b := range s.basis {
+			if b >= s.firstArt {
+				infeas += s.beta[r]
+			}
+		}
+		if infeas > math.Max(1e-7, s.tol*100) {
+			return result(StatusInfeasible), nil
 		}
 		// Freeze artificials at zero so phase 2 cannot reactivate them.
 		for j := s.firstArt; j < s.nTotal; j++ {
@@ -539,101 +619,51 @@ func (s *simplex) solve() (*Solution, error) {
 		s.driveOutArtificials()
 	}
 
-	s.phase2Costs()
-	s.degenStreak = 0
-	st := s.iterate()
-	s.refreshBeta()
-
-	sol := &Solution{Status: st, Iters: s.iters, Stats: s.stats(phase1Iters)}
+	st := s.phase(s.objCost)
+	s.refresh()
+	sol := result(st)
 	if st == StatusOptimal {
 		sol.Duals = s.extractDuals()
 		sol.Basis = s.captureBasis()
 	}
 	if st == StatusOptimal || st == StatusIterLimit {
 		sol.X = s.extractX()
-		obj := s.objConst
-		for i := 0; i < s.nStruct; i++ {
-			// objConst already includes cost*lb; add cost*(shifted value).
-			c := s.objCost[i]
-			if s.negate {
-				c = -c
-			}
-			obj += c * (sol.X[i] - s.lbShift[i])
+		for i, x := range sol.X {
+			sol.Objective += s.sign * s.objCost[i] * x
 		}
-		sol.Objective = obj
 	}
 	return sol, nil
 }
 
-// stats assembles the deterministic solve counters given the number of
-// iterations the first phase consumed.
-func (s *simplex) stats(phase1Iters int) SolveStats {
-	return SolveStats{
-		Phase1Iters:      phase1Iters,
-		Phase2Iters:      s.iters - phase1Iters,
-		BlandActivations: s.blandCount,
-	}
-}
-
-// driveOutArtificials pivots basic artificial variables (all at value zero
-// after a successful phase 1) onto non-artificial columns where possible.
-// Rows where no eligible pivot exists are redundant; their artificial stays
-// basic at zero with an upper bound of zero, which is harmless.
-//
-// beta is refreshed once, after the last pivot: nothing here reads it, and
-// a refresh depends only on the tableau and the bound states, so one refresh
-// at the end gives the values a refresh after every pivot would end with.
+// driveOutArtificials pivots basic artificials (at zero after phase 1, and
+// frozen there) out for columns that can move. The pivots are degenerate:
+// the incoming variable keeps its value, 0 or its upper bound. In a row
+// where none can, the row is redundant and its artificial stays basic at
+// zero. Phase 2 recomputes beta and the reduced costs, so none are kept.
 func (s *simplex) driveOutArtificials() {
-	pivoted := false
-	for r := 0; r < s.m; r++ {
-		if s.basis[r] < s.firstArt {
+	s.cost = nil
+	for r, b := range s.basis {
+		if b < s.firstArt {
 			continue
 		}
-		row := s.tab[r*s.stride : r*s.stride+s.nTotal]
-		pick, best := -1, 1e-7
-		for j := 0; j < s.firstArt; j++ {
-			if s.state[j] == basic {
-				continue
-			}
-			if a := math.Abs(row[j]); a > best {
-				pick, best = j, a
-			}
+		if pick := s.bestInRow(r, 0); pick >= 0 {
+			s.ftranCol(pick)
+			s.pivot(r, pick, atLower)
 		}
-		if pick < 0 {
-			continue
-		}
-		old := s.basis[r]
-		// The incoming variable keeps its value (0, or ub[pick] if it rested
-		// at its upper bound) while the artificial leaves at zero: a
-		// degenerate pivot that preserves feasibility for any bound state of
-		// pick.
-		s.pivot(r, pick)
-		s.basis[r] = pick
-		s.state[pick] = basic
-		s.state[old] = atLower
-		pivoted = true
-	}
-	if pivoted {
-		s.refreshBeta()
 	}
 }
 
-// extractDuals recovers the dual value (shadow price d objective / d rhs,
-// in the problem's original sense and row orientation) of every
-// constraint. For the internal minimization, the dual of row i is
-// y_i = c_B B^-1 e_i, and since every row carries a zero-cost +1 unit
-// column u with current reduced cost rc_u = 0 - y_i, we read y_i = -rc_u.
+// extractDuals recovers every constraint's shadow price, d objective /
+// d rhs, in the problem's sense and row orientation. The internal dual of
+// row i is y_i = c_B*B^-1*e_i; its +1 unit column u has reduced cost
+// 0 - y_i, so y_i = -cost[u].
 func (s *simplex) extractDuals() []float64 {
 	duals := make([]float64, s.m)
-	for r := 0; r < s.m; r++ {
-		y := -s.cost[s.rowUnit[r]]
+	for r, u := range s.rowUnit {
+		duals[r] = -s.sign * s.cost[u]
 		if s.rowFlip[r] {
-			y = -y
+			duals[r] = -duals[r]
 		}
-		if s.negate {
-			y = -y
-		}
-		duals[r] = y
 	}
 	return duals
 }
@@ -641,20 +671,17 @@ func (s *simplex) extractDuals() []float64 {
 // extractX reads variable values in original (unshifted) space.
 func (s *simplex) extractX() []float64 {
 	x := make([]float64, s.nStruct)
-	for j := 0; j < s.nStruct; j++ {
-		switch s.state[j] {
-		case atLower:
-			x[j] = 0
-		case atUpper:
+	for j := range x {
+		if s.state[j] == atUpper {
 			x[j] = s.ub[j]
 		}
 	}
-	for r := 0; r < s.m; r++ {
-		if b := s.basis[r]; b < s.nStruct {
+	for r, b := range s.basis {
+		if b < s.nStruct {
 			x[b] = s.beta[r]
 		}
 	}
-	for j := 0; j < s.nStruct; j++ {
+	for j := range x {
 		if x[j] < 0 && x[j] > -1e-9 {
 			x[j] = 0
 		}

@@ -4,12 +4,10 @@ import "math"
 
 // Warm starting: the deployment planner re-solves its placement LP every
 // few minutes against slightly perturbed traffic volumes (the paper's
-// Section 5 "Traffic changes" cadence). The optimal basis of the previous
-// solve is almost always primal-feasible — and near-optimal — for the new
-// data, because the column space is a pure function of the problem's
-// *shape* (variables, rows, operators), not of its numbers. Re-solving
-// from that basis skips phase 1 entirely and typically needs a handful of
-// phase-2 pivots instead of hundreds.
+// Section 5 "Traffic changes" cadence). The column space is a function of
+// the problem's shape alone, so the previous optimal basis is almost always
+// feasible, and nearly optimal, for the new data: re-solving from it skips
+// phase 1 and needs a handful of phase-2 pivots instead of hundreds.
 
 // Basis is a simplex basis snapshot in the solver's total column space:
 // structural variables first (AddVar order), then one slack/surplus column
@@ -18,7 +16,7 @@ import "math"
 // shape via Options.WarmBasis.
 type Basis struct {
 	// Cols and Rows pin the column space the basis lives in; a solve
-	// rejects a basis whose dimensions do not match its own tableau.
+	// rejects a basis whose dimensions do not match its own.
 	Cols, Rows int
 	// Basic holds the column basic in each row, in row order.
 	Basic []int
@@ -51,71 +49,25 @@ func (s *simplex) captureBasis() *Basis {
 	return b
 }
 
-// installBasis pivots the construction-time tableau onto the given basis
-// and validates primal feasibility of the resulting point. On success the
-// solver is flagged warm — phase 1 is skipped and artificials stay frozen
-// at zero. On failure (dimension mismatch, singular basis, infeasible
-// point) it returns false with the tableau left mid-transformation: the
-// caller must rebuild the simplex for a cold start.
+// installBasis factors the given basis, at the cost of one factorization,
+// and validates primal feasibility of its point. On success the solver is
+// flagged warm: phase 1 is skipped and artificials stay frozen at zero. On
+// failure (dimension mismatch, singular basis, infeasible point) it returns
+// false with the solver's state changed: the caller must rebuild the
+// simplex for a cold start.
 func (s *simplex) installBasis(b *Basis) bool {
 	if b == nil || b.Cols != s.nTotal || b.Rows != s.m || len(b.Basic) != s.m {
 		return false
 	}
-	want := make([]bool, s.nTotal)
-	for _, j := range b.Basic {
-		if j < 0 || j >= s.nTotal || want[j] {
+	for j := range s.state {
+		s.state[j] = atLower
+	}
+	for r, j := range b.Basic {
+		if j < 0 || j >= s.nTotal || s.state[j] == basic {
 			return false
 		}
-		want[j] = true
+		s.basis[r], s.state[j] = j, basic
 	}
-	upper := make([]bool, s.nTotal)
-	for _, j := range b.AtUpper {
-		if j < 0 || j >= s.nTotal || want[j] {
-			return false
-		}
-		upper[j] = true
-	}
-
-	// Pivot each wanted column into a row currently held by an unwanted
-	// basic, choosing the largest available pivot. Passes repeat because a
-	// wanted column can gain usable magnitude in a row only after earlier
-	// pivots; each pass either finishes the basis or strictly shrinks the
-	// missing set, so termination is bounded by the row count.
-	const pivTol = 1e-7
-	for {
-		progress, missing := false, false
-		for _, j := range b.Basic {
-			if s.state[j] == basic {
-				continue
-			}
-			best, bestA := -1, pivTol
-			for r := 0; r < s.m; r++ {
-				if want[s.basis[r]] {
-					continue // row already owned by a wanted column
-				}
-				if a := math.Abs(s.tab[r*s.stride+j]); a > bestA {
-					best, bestA = r, a
-				}
-			}
-			if best < 0 {
-				missing = true
-				continue
-			}
-			old := s.basis[best]
-			s.pivot(best, j)
-			s.basis[best] = j
-			s.state[j] = basic
-			s.state[old] = atLower
-			progress = true
-		}
-		if !missing {
-			break
-		}
-		if !progress {
-			return false // singular: a wanted column admits no pivot
-		}
-	}
-
 	// Freeze artificials exactly as a completed phase 1 would: a basic
 	// artificial (redundant row) may stay, pinned to zero. This must happen
 	// before bound-state restoration — the donor solve records zero-width
@@ -125,83 +77,50 @@ func (s *simplex) installBasis(b *Basis) bool {
 	for j := s.firstArt; j < s.nTotal; j++ {
 		s.ub[j] = 0
 	}
-	// Nonbasic bound states per the snapshot. A recorded atUpper column
-	// whose bound is infinite here (shape drift the dimension check cannot
-	// see) falls back to atLower; the feasibility check below arbitrates.
-	for j := 0; j < s.nTotal; j++ {
-		if s.state[j] == basic {
-			continue
+	// A recorded atUpper column whose bound is infinite here (shape drift
+	// the dimension check cannot see) stays atLower; repair arbitrates.
+	for _, j := range b.AtUpper {
+		if j < 0 || j >= s.nTotal || s.state[j] == basic {
+			return false
 		}
-		if upper[j] && !math.IsInf(s.ub[j], 1) {
+		if !math.IsInf(s.ub[j], 1) {
 			s.state[j] = atUpper
-		} else {
-			s.state[j] = atLower
 		}
 	}
-
-	if !s.repairBounds(math.Max(1e-7, s.tol*100)) {
+	if !s.factor() || !s.repairBounds(math.Max(1e-7, s.tol*100)) {
 		return false
 	}
 	s.warm = true
 	return true
 }
 
-// repairBounds restores primal feasibility after a basis install. When the
-// replanned problem's constraint coefficients (not just its rhs) moved, the
-// old basis maps to a slightly different primal point, and basic variables
-// that rested exactly on a bound drift just outside it. Each repair demotes
-// such a variable to the violated bound and pivots the row's numerically
-// best nonbasic column into the basis in its place — the bounded-variable
-// analogue of a crash repair. Passes are capped; the final exact check is
-// the arbiter, so a repair that fails to converge simply rejects the warm
-// start and the caller solves cold.
+// repairBounds restores primal feasibility after a basis install: basic
+// variables that rested on a bound can drift past it when the coefficients
+// moved. Each is demoted to the violated bound, and the row's best column
+// that moves off its own bound as it returns is pivoted in (a crash repair
+// for bounded variables). A fifth pass only checks: a repair that has not
+// converged rejects the warm start, and the caller solves cold.
 func (s *simplex) repairBounds(feasTol float64) bool {
-	const pivTol = 1e-7
-	for pass := 0; pass < 4; pass++ {
-		s.refreshBeta()
+	for pass := 0; ; pass++ {
+		s.refresh()
 		clean := true
-		for r := 0; r < s.m; r++ {
-			v := s.beta[r]
-			b := s.basis[r]
-			var demote varState
-			if v < -feasTol {
-				demote = atLower
-			} else if u := s.ub[b]; !math.IsInf(u, 1) && v > u+feasTol {
-				demote = atUpper
-			} else {
+		for r, b := range s.basis {
+			demote, want := atLower, 1.0
+			if v, u := s.beta[r], s.ub[b]; !math.IsInf(u, 1) && v > u+feasTol {
+				demote, want = atUpper, -1
+			} else if v >= -feasTol {
 				continue
 			}
 			clean = false
-			best, bestA := -1, pivTol
-			for j := 0; j < s.nTotal; j++ {
-				if s.state[j] == basic || s.ub[j] == 0 {
-					continue // fixed columns (frozen artificials) cannot absorb
-				}
-				if a := math.Abs(s.tab[r*s.stride+j]); a > bestA {
-					best, bestA = j, a
-				}
-			}
-			if best < 0 {
+			best := s.bestInRow(r, want)
+			if pass == 4 || best < 0 {
 				return false
 			}
-			s.pivot(r, best)
-			s.basis[r] = best
-			s.state[best] = basic
-			s.state[b] = demote
+			s.ftranCol(best)
+			s.pivot(r, best, demote)
 		}
 		if clean {
 			return true
 		}
 	}
-	s.refreshBeta()
-	for r := 0; r < s.m; r++ {
-		v := s.beta[r]
-		if v < -feasTol {
-			return false
-		}
-		if u := s.ub[s.basis[r]]; !math.IsInf(u, 1) && v > u+feasTol {
-			return false
-		}
-	}
-	return true
 }

@@ -58,9 +58,6 @@ type AdapterOptions struct {
 	MaxDrop float64
 	// Seed drives the per-epoch perturbation draws.
 	Seed int64
-	// Workers is reserved for parallel decision evaluation; the exact
-	// Lambda is a single LP solve today, so it is currently unused.
-	Workers int
 	// Metrics, when non-nil, receives per-decision LP solver counters and
 	// an online.decide_ns span. The registry is write-only: the decision
 	// sequence is identical with or without it (nil is the no-op default;

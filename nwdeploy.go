@@ -169,9 +169,6 @@ type NIDSOptions struct {
 	// Aggregation, when non-nil, adds the Section 5 communication-budget
 	// constraint for shipping per-item digests to a collector node.
 	Aggregation *AggregationConfig
-	// Workers is reserved for future parallel solves; the placement LP is
-	// a single simplex run today, so it is currently unused.
-	Workers int
 	// Metrics, when non-nil, receives solver counters and wall-time
 	// spans. The returned plan is byte-identical with or without it.
 	Metrics *Metrics
@@ -184,7 +181,6 @@ func PlanNIDS(inst *NIDSInstance, opts NIDSOptions) (*NIDSPlan, error) {
 	return core.SolveOpts(inst, core.SolveOptions{
 		Redundancy:  opts.Redundancy,
 		Aggregation: opts.Aggregation,
-		Workers:     opts.Workers,
 		Metrics:     opts.Metrics,
 	})
 }
@@ -292,9 +288,6 @@ type AdaptiveOptions struct {
 	MaxDrop float64
 	// Seed drives the per-epoch perturbation draws.
 	Seed int64
-	// Workers is reserved; the exact per-epoch optimizer is a single LP
-	// solve today.
-	Workers int
 	// Metrics, when non-nil, receives per-decision solver counters and
 	// timing. The decision sequence is identical with or without it.
 	Metrics *Metrics
@@ -307,7 +300,6 @@ func NewAdaptiveNIPS(inst *NIPSInstance, opts AdaptiveOptions) *AdaptiveNIPS {
 		Horizon: opts.Horizon,
 		MaxDrop: opts.MaxDrop,
 		Seed:    opts.Seed,
-		Workers: opts.Workers,
 		Metrics: opts.Metrics,
 	})
 }
