@@ -79,6 +79,30 @@ func TestRunScenarioWorkersDeterminism(t *testing.T) {
 	}
 }
 
+// A replan that lands while the network keeps some agents on their old
+// manifests opens no coverage hole: the governors keep every copy of a
+// floor range whose new owner has not fetched it yet. In the lossy
+// scripted run, epoch 2 replans and sheds with agents left stale; the only
+// breaches allowed are in epochs with a dark agent (epoch 4's restarted
+// node, which cannot reach the downed controller).
+func TestStaleFloorOwnerKeepsCoverage(t *testing.T) {
+	rep, err := RunScenario(lossyScenarioConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onTrial := false
+	for _, e := range rep.Epochs {
+		if e.Breach && e.DarkAgents == 0 {
+			t.Errorf("epoch %d: coverage %v below the expected %v with no dark agent (%d stale)",
+				e.Epoch, e.WorstCoverage, e.ExpectedWorst, e.StaleAgents)
+		}
+		onTrial = onTrial || e.Replanned && e.StaleAgents > 0 && e.ShedWidth > 0
+	}
+	if !onTrial {
+		t.Fatal("no epoch replanned and shed with stale agents; the case was never on trial")
+	}
+}
+
 // Drain vs crash semantics: a drained node keeps its manifest across the
 // maintenance window and rejoins usable even if the controller is
 // unreachable, while a crashed node loses its manifest and stays dark

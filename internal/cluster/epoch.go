@@ -54,6 +54,9 @@ type dynamics struct {
 	origPkts, origItems []float64
 	detector            *DriftDetector
 	govs                []*governor.Governor
+	// floor holds each node's copy-0 slices of the current plan: the r = 1
+	// floor the governors' local reasoning assumes is enforced.
+	floor [][]core.ManifestSlice
 	// lastShed is the published shed state drivers see: what the governors
 	// pushed at the end of the previous epoch.
 	lastShed []map[int]hashing.RangeSet
@@ -88,6 +91,14 @@ func (c *Cluster) attachDynamics(cfg ScenarioConfig) error {
 
 // buildGovernors rebuilds every node's governor against the current plan.
 func (c *Cluster) buildGovernors() error {
+	c.dyn.floor = make([][]core.ManifestSlice, len(c.dyn.govs))
+	for j, slices := range c.plan.Slices() {
+		for _, ms := range slices {
+			if ms.Copy == 0 {
+				c.dyn.floor[j] = append(c.dyn.floor[j], ms)
+			}
+		}
+	}
 	for j := range c.dyn.govs {
 		g, err := governor.New(c.plan, j, hashing.Hasher{Key: c.opts.HashKey}, c.dyn.cfg.GovernorCfg)
 		if err != nil {
@@ -483,8 +494,10 @@ func (c *Cluster) govern(ep *ScenarioEpoch, obsPkts []float64) ([]governor.Attes
 	ep.NodeLoads = make([]float64, len(d.govs))
 	ep.NodeBudgets = make([]float64, len(d.govs))
 	var attests []governor.Attestation
+	protect := c.unconfirmedFloor()
 	for j, g := range d.govs {
 		g.AttachSpan(c.epochSpan.Child("governor", j))
+		g.Protect(protect)
 		grep, err := g.PlanEpoch(scVsPlan)
 		if err != nil {
 			return nil, err
@@ -520,6 +533,37 @@ func (c *Cluster) govern(ep *ScenarioEpoch, obsPkts []float64) ([]governor.Attes
 	}
 	c.opts.Metrics.Set("cluster.shed_width", ep.ShedWidth)
 	return attests, nil
+}
+
+// unconfirmedFloor returns, per unit, the parts of the current plan's
+// copy-0 ranges that their owner does not enforce yet. Governing runs
+// before the epoch's fetch, so right after a replan every up agent still
+// enforces its old manifest, and one whose fetch then fails keeps doing
+// so. Were another node to shed its copy of such a range, the range would
+// go unanalysed for as long as the owner stays behind; protected, it keeps
+// that copy until the owner has fetched the plan. Not counted: an agent
+// holding the controller's current generation (it enforces all of its
+// floor), a down node (its loss is the expected one) and an agent with no
+// manifest yet (it enforces nothing whatever the governors do, and the
+// audit reports it dark).
+func (c *Cluster) unconfirmedFloor() map[int]hashing.RangeSet {
+	var out map[int]hashing.RangeSet
+	for j, a := range c.agents {
+		d := a.Decider()
+		if a.down || d == nil || d.Epoch() == c.ctrl.Epoch() {
+			continue
+		}
+		for _, ms := range c.dyn.floor[j] {
+			u := c.inst.Units[ms.Unit]
+			if rs := (hashing.RangeSet{ms.Range}).Subtract(d.UnitRanges(u.Class, u.Key)); len(rs) > 0 {
+				if out == nil {
+					out = make(map[int]hashing.RangeSet)
+				}
+				out[ms.Unit] = append(out[ms.Unit], rs...)
+			}
+		}
+	}
+	return out
 }
 
 // dataPhase runs each usable agent's engine over its base trace plus the

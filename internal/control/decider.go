@@ -381,6 +381,20 @@ func (d *Decider) CoversUnit(class int, key [2]int, x float64) bool {
 	return ok && d.arena.Contains(sp, x)
 }
 
+// UnitRanges returns the ranges of the (class, unit-key) coordination
+// component this manifest has the node enforce, shed already subtracted:
+// the set CoversUnit tests points against, sorted by Lo. It allocates, so
+// it is for audits and the runtime's governing, not the packet path.
+func (d *Decider) UnitRanges(class int, key [2]int) hashing.RangeSet {
+	if class < 0 || class >= len(d.classes) {
+		return nil
+	}
+	if sp, ok := d.classes[class].lookup(int32(key[0]), int32(key[1])); ok {
+		return d.arena.Ranges(sp)
+	}
+	return nil
+}
+
 // AssignedWidth returns the total hash-space width the manifest assigns
 // to the node, summed across its (class, unit) assignments — the node's
 // share of the network-wide analysis work, and the quantity the cluster

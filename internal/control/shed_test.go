@@ -59,10 +59,20 @@ func TestShedRoundTripAndDeciderSubtraction(t *testing.T) {
 			base.AssignedWidth()-d.AssignedWidth(), cut.Width())
 	}
 
-	// Point audit: coverage vanishes exactly inside the cut.
+	// The enforced ranges are the assignment minus the cut.
+	want := plan.Manifests[node].Ranges[unit].Subtract(hashing.RangeSet{cut})
+	if got := d.UnitRanges(u.Class, u.Key); math.Abs(got.Width()-want.Width()) > 1e-12 {
+		t.Fatalf("UnitRanges %v, want %v", got, want)
+	}
+
+	// Point audit: coverage vanishes exactly inside the cut, and UnitRanges
+	// holds exactly the points CoversUnit does.
 	for i := 0; i <= 1000; i++ {
 		x := float64(i) / 1000
 		b, g := base.CoversUnit(u.Class, u.Key, x), d.CoversUnit(u.Class, u.Key, x)
+		if d.UnitRanges(u.Class, u.Key).Contains(x) != g {
+			t.Fatalf("x=%v: UnitRanges and CoversUnit disagree", x)
+		}
 		if cut.Contains(x) {
 			if g {
 				t.Fatalf("x=%v inside shed range still covered", x)

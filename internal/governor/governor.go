@@ -13,14 +13,21 @@
 // coordination unit (the r = 1 guarantee of Section 2.5) survives any
 // combination of nodes shedding, by local reasoning alone.
 //
-// Everything the governor does is a pure function of the plan and the
-// offered per-unit volume scales: no clocks, no randomness. Two governors
-// built from the same plan and fed the same scales shed identical ranges,
-// which is what makes cluster runs reproducible under any worker count.
+// Local reasoning assumes each unit's copy 0 is enforced by the node the
+// plan gives it to. Right after a replan that node may still hold its old
+// manifest, so the runtime protects such ranges (Governor.Protect) until
+// it has fetched the new one: no copy is shed there either.
+//
+// Everything the governor does is a pure function of the plan, the
+// offered per-unit volume scales and the protected ranges: no clocks, no
+// randomness. Two governors built from the same plan and fed the same
+// inputs shed identical ranges, which is what makes cluster runs
+// reproducible under any worker count.
 package governor
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"nwdeploy/internal/core"
@@ -124,6 +131,7 @@ type Governor struct {
 
 	shed      map[int]hashing.RangeSet // unit -> ranges this node dropped
 	shedWidth float64
+	protect   map[int]hashing.RangeSet // unit -> ranges no copy may shed
 
 	span trace.Span // per-epoch trace context (zero = untraced)
 }
@@ -201,6 +209,12 @@ func (g *Governor) Node() int { return g.node }
 // way.
 func (g *Governor) AttachSpan(sp trace.Span) { g.span = sp }
 
+// Protect sets the ranges, per unit, that the next PlanEpoch may not shed
+// from any copy: hash space whose floor copy (copy 0) is not yet enforced
+// by its owner, so this node's copy may be the only analyst there. Each
+// call replaces the previous set; nil protects nothing.
+func (g *Governor) Protect(rs map[int]hashing.RangeSet) { g.protect = rs }
+
 // Budget returns the node's planned CPU and memory load fractions — the
 // LP's prediction at plan volumes.
 func (g *Governor) Budget() (cpu, mem float64) { return g.budgetCPU, g.budgetMem }
@@ -273,6 +287,11 @@ func (g *Governor) PlanEpoch(scale []float64) (Report, error) {
 		if ccpu <= 0 && cmem <= 0 {
 			continue // weightless slice: shedding it buys nothing
 		}
+		free := hashing.RangeSet{s.Range}.Subtract(g.protect[s.Unit])
+		avail := free.Width() / s.Range.Width() // the sheddable fraction
+		if avail <= 0 {
+			continue
+		}
 		// Fraction of this slice needed to clear the binding resource.
 		f := 0.0
 		if ccpu > 0 {
@@ -283,14 +302,15 @@ func (g *Governor) PlanEpoch(scale []float64) (Report, error) {
 				f = fm
 			}
 		}
-		if f >= 1 {
-			f = 1
+		if f >= avail {
+			f = avail
 		}
-		w := s.Range.Width() * f
-		cut := hashing.Range{Lo: s.Range.Hi - w, Hi: s.Range.Hi}.Clamp()
-		g.shed[s.Unit] = append(g.shed[s.Unit], cut)
-		g.shedWidth += cut.Width()
-		rep.Shed = append(rep.Shed, ShedRange{Unit: s.Unit, Copy: s.Copy, Range: cut})
+		whole := len(free) == 1 && free[0] == s.Range // nothing protected here
+		for _, cut := range cutTop(free, s.Range.Width()*f, whole) {
+			g.shed[s.Unit] = append(g.shed[s.Unit], cut)
+			g.shedWidth += cut.Width()
+			rep.Shed = append(rep.Shed, ShedRange{Unit: s.Unit, Copy: s.Copy, Range: cut})
+		}
 		cpu -= ccpu * f
 		mem -= cmem * f
 	}
@@ -307,6 +327,28 @@ func (g *Governor) PlanEpoch(scale []float64) (Report, error) {
 	}
 	g.publish(rep)
 	return rep, nil
+}
+
+// cutTop returns the top width w of the ascending, disjoint pieces rs,
+// highest piece first; the last cut is [Hi-w, Hi), clamped to [0, 1). Its
+// Lo is also kept inside its piece unless whole (rs is the entire slice,
+// so below it lies no protected range to round into).
+func cutTop(rs hashing.RangeSet, w float64, whole bool) []hashing.Range {
+	var out []hashing.Range
+	for i := len(rs) - 1; i >= 0; i-- {
+		r := rs[i]
+		if i > 0 && w > r.Width() {
+			out = append(out, r)
+			w -= r.Width()
+			continue
+		}
+		lo := r.Hi - w
+		if !whole {
+			lo = math.Max(lo, r.Lo)
+		}
+		return append(out, hashing.Range{Lo: lo, Hi: r.Hi}.Clamp())
+	}
+	return out
 }
 
 // publish pushes the epoch's gauges to the metrics registry.

@@ -290,6 +290,82 @@ func TestDeterministicAcrossRebuilds(t *testing.T) {
 	}
 }
 
+// Protected ranges are shed from no copy: the walk cuts around them and
+// sheds more elsewhere, or the node runs hot. The shed list, the shed
+// width, the projected load and the shed predicate agree on the result,
+// and with nothing protected the walk is the unprotected one, bit for bit.
+func TestProtectedRangesNeverShed(t *testing.T) {
+	plan, _ := testPlan(t, 2)
+	burst := uniformScale(plan, 3)
+	sc := func(int) float64 { return 3 }
+	tried := 0
+	for j := 0; j < plan.Inst.Topo.N(); j++ {
+		base, err := New(plan, j, hashing.Hasher{Key: 7}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prot, err := New(plan, j, hashing.Hasher{Key: 7}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := base.PlanEpoch(burst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Shed) == 0 {
+			continue
+		}
+		// Protect the middle half of every range the unprotected walk shed,
+		// so each such cut has to split around it.
+		protect := map[int]hashing.RangeSet{}
+		for _, sr := range want.Shed {
+			q := sr.Range.Width() / 4
+			protect[sr.Unit] = append(protect[sr.Unit], hashing.Range{Lo: sr.Range.Lo + q, Hi: sr.Range.Hi - q})
+		}
+		prot.Protect(protect)
+		got, err := prot.PlanEpoch(burst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		width := 0.0
+		for _, sr := range got.Shed {
+			width += sr.Range.Width()
+			if sr.Copy < 1 || sr.Range.IsEmpty() {
+				t.Fatalf("node %d shed %+v", j, sr)
+			}
+			for _, p := range protect[sr.Unit] {
+				if sr.Range.Lo < p.Hi && p.Lo < sr.Range.Hi {
+					t.Fatalf("node %d shed %+v across protected %v", j, sr, p)
+				}
+			}
+		}
+		for ui, rs := range protect {
+			for _, r := range rs {
+				if x := (r.Lo + r.Hi) / 2; prot.Covers(ui, x) {
+					t.Fatalf("node %d sheds protected point %v of unit %d", j, x, ui)
+				}
+			}
+		}
+		if math.Abs(width-got.ShedWidth) > 1e-12 {
+			t.Fatalf("node %d shed list sums to %v, ShedWidth %v", j, width, got.ShedWidth)
+		}
+		if cpu, _ := prot.applyShed(got.ProjectedCPU, got.ProjectedMem, sc); math.Abs(cpu-got.CPUAfter) > 1e-12 {
+			t.Fatalf("node %d reports CPU after %v, its shed state leaves %v", j, got.CPUAfter, cpu)
+		}
+		if got.Satisfied && got.CPUAfter > got.BudgetCPU*1.1+1e-9 {
+			t.Fatalf("node %d satisfied at %v over limit %v", j, got.CPUAfter, got.BudgetCPU*1.1)
+		}
+		prot.Protect(nil)
+		if again, err := prot.PlanEpoch(burst); err != nil || !reflect.DeepEqual(again, want) {
+			t.Fatalf("node %d unprotected walk after Protect(nil) differs (err %v):\n%+v\n%+v", j, err, again, want)
+		}
+		tried++
+	}
+	if tried == 0 {
+		t.Fatal("no node shed at 3x")
+	}
+}
+
 // TestFloorInteractsWithFailureAudit pins the division of labor between the
 // two robustness mechanisms (satellite: r-floor x CoverageUnderFailure).
 // Shedding alone keeps coverage at 1 because copy 0 survives; a node

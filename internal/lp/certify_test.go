@@ -6,9 +6,8 @@ import (
 )
 
 // certify checks that sol proves itself optimal for p, working on p's
-// sparse terms and general bounds, within tol scaled by the magnitudes
-// involved. With reduced costs d = c - Aᵀy (the problem's own sense and row
-// orientation):
+// sparse terms and general bounds. With reduced costs d = c - Aᵀy (the
+// problem's own sense and row orientation):
 //   - primal feasibility: every row holds and every x is within its bounds
 //     (primalFeasible), and sol.Objective is c·x;
 //   - dual feasibility: y has the sign its row's operator allows (a min
@@ -17,12 +16,19 @@ import (
 //     bound position allows (min: >= 0 at the lower bound, <= 0 at the
 //     upper, 0 strictly between; max flips);
 //   - complementary slackness: a row with slack carries no price;
-//   - zero duality gap: c·x equals the dual objective y·b + Σⱼ dⱼ·(the
-//     bound dⱼ prices).
+//   - the Lagrangian identity c·x = y·b + d·x, and a zero duality gap: c·x
+//     equals the dual objective y·b + Σⱼ dⱼ·(the bound dⱼ prices).
+//
+// Each reduced cost and each objective sum is held to tol scaled by the
+// magnitudes in it. A row's slack times its price is held to tol·(1+|y|),
+// and a bound position to tol, unless scaled: then both also scale by the
+// magnitudes involved, 1 + |rhs| + Σ|aᵢxᵢ| and 1 + |x|. The planner LPs
+// (TestCertifyPlannerLPs) sum hundreds of terms a row, where the unscaled
+// bound asks for more digits than a solve keeps; small LPs keep it.
 //
 // The duals are the final basis's reduced costs, recomputed through BTRAN,
 // and x comes through FTRAN, so this guards both kernels and the eta file.
-func certify(p *Problem, sol *Solution, tol float64) error {
+func certify(p *Problem, sol *Solution, tol float64, scaled bool) error {
 	if sol.Status != StatusOptimal {
 		return fmt.Errorf("status %v", sol.Status)
 	}
@@ -42,27 +48,35 @@ func certify(p *Problem, sol *Solution, tol float64) error {
 	for j, v := range p.vars {
 		d[j], dScale[j] = v.cost, math.Abs(v.cost)
 	}
-	dual, scale := 0.0, 0.0
+	yb, ybScale := 0.0, 0.0
 	for r, c := range p.cons {
-		ax, axScale := 0.0, math.Abs(c.rhs)
+		ax, rowScale := 0.0, math.Abs(c.rhs)
 		for _, t := range c.terms {
 			ax += t.Coef * x[t.Var]
-			axScale += math.Abs(t.Coef * x[t.Var])
+			rowScale += math.Abs(t.Coef * x[t.Var])
 			d[t.Var] -= y[r] * t.Coef
 			dScale[t.Var] += math.Abs(y[r] * t.Coef)
+		}
+		slackTol := tol * (1 + math.Abs(y[r]))
+		if scaled {
+			slackTol *= 1 + rowScale
 		}
 		switch {
 		case c.op == LE && sense*y[r] > tol, c.op == GE && sense*y[r] < -tol:
 			return fmt.Errorf("row %d %q (%v) dual %v has the wrong sign", r, c.name, c.op, y[r])
-		case math.Abs(y[r]*(c.rhs-ax)) > tol*(1+math.Abs(y[r]))*(1+axScale):
+		case math.Abs(y[r]*(c.rhs-ax)) > slackTol:
 			return fmt.Errorf("row %d %q has slack %v and dual %v", r, c.name, c.rhs-ax, y[r])
 		}
-		dual += y[r] * c.rhs
-		scale += math.Abs(y[r] * c.rhs)
+		yb += y[r] * c.rhs
+		ybScale += math.Abs(y[r] * c.rhs)
 	}
-	primal := 0.0
+	primal, dx, dual := 0.0, 0.0, yb
+	cxScale, dxScale, scale := 0.0, 0.0, ybScale
 	for j, v := range p.vars {
-		t, bt := tol*(1+dScale[j]), tol*(1+math.Abs(x[j]))
+		t, bt := tol*(1+dScale[j]), tol
+		if scaled {
+			bt *= 1 + math.Abs(x[j])
+		}
 		atLower, atUpper := x[j] <= v.lb+bt, x[j] >= v.ub-bt
 		switch {
 		case atLower && atUpper: // a zero-width box prices at any sign
@@ -76,10 +90,16 @@ func certify(p *Problem, sol *Solution, tol float64) error {
 			bound = v.ub
 		}
 		dual += d[j] * bound
+		scale += math.Abs(d[j] * bound)
 		primal += v.cost * x[j]
-		scale += math.Abs(d[j]*bound) + math.Abs(v.cost*x[j])
+		cxScale += math.Abs(v.cost * x[j])
+		dx += d[j] * x[j]
+		dxScale += math.Abs(d[j] * x[j])
 	}
-	if math.Abs(primal-dual) > tol*(1+scale) {
+	if math.Abs(primal-(yb+dx)) > tol*(1+cxScale+ybScale+dxScale) {
+		return fmt.Errorf("c·x = %v but y·b + d·x = %v", primal, yb+dx)
+	}
+	if math.Abs(primal-dual) > tol*(1+cxScale+scale) {
 		return fmt.Errorf("duality gap: c·x = %v, dual objective %v", primal, dual)
 	}
 	return nil

@@ -62,7 +62,7 @@ func FuzzSolve(f *testing.F) {
 			if !d.pointFeasible(sol.X, tol) {
 				t.Fatalf("solver point %v violates constraints (lp=%+v)", sol.X, d)
 			}
-			if err := certify(p, sol, tol); err != nil {
+			if err := certify(p, sol, tol, false); err != nil {
 				t.Fatalf("duals %v do not certify x=%v: %v (lp=%+v)", sol.Duals, sol.X, err, d)
 			}
 		case StatusInfeasible:
@@ -96,7 +96,7 @@ func FuzzSolve(f *testing.F) {
 			if wsol.Status != StatusOptimal || math.Abs(wsol.Objective-sol.Objective) > tol*(1+math.Abs(sol.Objective)) {
 				t.Fatalf("warm restart status %v obj %v != optimal %v (lp=%+v)", wsol.Status, wsol.Objective, sol.Objective, d)
 			}
-			if err := certify(p, wsol, tol); err != nil {
+			if err := certify(p, wsol, tol, false); err != nil {
 				t.Fatalf("warm duals %v do not certify x=%v: %v (lp=%+v)", wsol.Duals, wsol.X, err, d)
 			}
 		}

@@ -111,7 +111,7 @@ func goldenSolveCases(t *testing.T) map[string]goldenSolve {
 func certifyGolden(p *Problem, sol *Solution, opts Options) error {
 	const tol = 1e-9
 	if !opts.Presolve {
-		return certify(p, sol, tol)
+		return certify(p, sol, tol, false)
 	}
 	if err := primalFeasible(p, sol, tol); err != nil {
 		return err
@@ -120,7 +120,7 @@ func certifyGolden(p *Problem, sol *Solution, opts Options) error {
 	if err != nil {
 		return err
 	}
-	if err := certify(p, plain, tol); err != nil {
+	if err := certify(p, plain, tol, false); err != nil {
 		return fmt.Errorf("plain solve: %v", err)
 	}
 	if math.Abs(plain.Objective-sol.Objective) > tol*(1+math.Abs(plain.Objective)) {

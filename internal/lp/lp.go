@@ -76,8 +76,9 @@ const (
 	// StatusUnbounded means the objective is unbounded over the feasible
 	// region in the direction of optimization.
 	StatusUnbounded
-	// StatusIterLimit means the iteration budget was exhausted before the
-	// solver could prove optimality.
+	// StatusIterLimit means the solver stopped before it could prove
+	// optimality: the iteration budget ran out, or a cold solve's basis grew
+	// too near singular to refactor (X is then not even known feasible).
 	StatusIterLimit
 )
 
@@ -300,17 +301,20 @@ func (p *Problem) SolveOpts(opts Options) (*Solution, error) {
 	if opts.Presolve && opts.WarmBasis == nil {
 		sol, err = solveWithPresolve(p, opts)
 	} else {
+		// A warm basis that no longer fits (shape change, singularity, primal
+		// infeasibility at the new data), or that turns singular mid-solve,
+		// gives way to a cold start from a fresh simplex.
 		s := newSimplex(p, opts)
-		if opts.WarmBasis != nil {
-			warmTried = true
-			warmUsed = s.installBasis(opts.WarmBasis)
-			if !warmUsed {
-				// The basis no longer fits (shape change, singularity, or
-				// primal infeasibility at the new data); restart cold.
+		if warmTried = opts.WarmBasis != nil; warmTried && s.installBasis(opts.WarmBasis) {
+			sol, err = s.solve()
+			warmUsed = !s.singular
+		}
+		if !warmUsed {
+			if warmTried {
 				s = newSimplex(p, opts)
 			}
+			sol, err = s.solve()
 		}
-		sol, err = s.solve()
 	}
 	sp.End()
 	if err != nil {

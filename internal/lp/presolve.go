@@ -41,8 +41,7 @@ const presolveTol = 1e-9
 // transformation preserves the feasible set exactly.
 func presolve(p *Problem) *presolveResult {
 	n := len(p.vars)
-	lb := make([]float64, n)
-	ub := make([]float64, n)
+	lb, ub := make([]float64, n), make([]float64, n)
 	for i, v := range p.vars {
 		lb[i], ub[i] = v.lb, v.ub
 	}
@@ -119,8 +118,7 @@ func presolve(p *Problem) *presolveResult {
 					res.status = StatusInfeasible
 					return res
 				}
-				rows[r].live = false
-				changed = true
+				rows[r].live, changed = false, true
 			case 1:
 				// Singleton row: translate into a bound and retire the row.
 				t := rows[r].terms[0]
@@ -150,20 +148,17 @@ func presolve(p *Problem) *presolveResult {
 					}
 					lb[t.Var], ub[t.Var] = bound, bound
 				}
-				rows[r].live = false
-				changed = true
+				rows[r].live, changed = false, true
 			}
 		}
 	}
 
 	// Build the reduced problem.
-	res.varMap = make([]int, n)
-	res.fixedVal = make([]float64, n)
+	res.varMap, res.fixedVal = make([]int, n), make([]float64, n)
 	reduced := New(p.sense)
 	for i, v := range p.vars {
 		if ub[i]-lb[i] <= presolveTol {
-			res.varMap[i] = -1
-			res.fixedVal[i] = lb[i]
+			res.varMap[i], res.fixedVal[i] = -1, lb[i]
 			res.fixedVars++
 			continue
 		}
@@ -202,10 +197,7 @@ func solveWithPresolve(p *Problem, opts Options) (*Solution, error) {
 		return obj
 	}
 
-	presolveStats := SolveStats{
-		PresolveFixedVars:   res.fixedVars,
-		PresolveDroppedRows: res.droppedRows,
-	}
+	presolveStats := SolveStats{PresolveFixedVars: res.fixedVars, PresolveDroppedRows: res.droppedRows}
 
 	if res.allFixed {
 		// Everything pinned: validate the unique candidate against the
@@ -223,8 +215,7 @@ func solveWithPresolve(p *Problem, opts Options) (*Solution, error) {
 		return nil, fmt.Errorf("lp: presolved model: %w", err)
 	}
 	stats := sol.Stats
-	stats.PresolveFixedVars = res.fixedVars
-	stats.PresolveDroppedRows = res.droppedRows
+	stats.PresolveFixedVars, stats.PresolveDroppedRows = res.fixedVars, res.droppedRows
 	if sol.Status != StatusOptimal {
 		return &Solution{Status: sol.Status, Iters: sol.Iters, Stats: stats}, nil
 	}

@@ -72,8 +72,9 @@ type simplex struct {
 
 	// warm records that installBasis succeeded: the current basis is
 	// primal-feasible with artificials frozen at zero, so solve skips
-	// phase 1 outright.
-	warm bool
+	// phase 1 outright. singular records that a refactorization during the
+	// solve found a basic column with no usable pivot (see step).
+	warm, singular bool
 }
 
 const (
@@ -519,8 +520,11 @@ func (s *simplex) step() (st Status, done bool) {
 	}
 	if j < 0 && s.updates > 0 {
 		// Refactor on cadence, and confirm optimality against reduced costs
-		// computed afresh.
-		s.factor()
+		// computed afresh. A basis too near singular to factor ends the solve
+		// unproven: the unit columns factor swaps in may sit outside bounds.
+		if s.singular = !s.factor(); s.singular {
+			return StatusIterLimit, true
+		}
 		s.refresh()
 		j, dir = s.price(bland)
 	}
