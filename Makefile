@@ -42,15 +42,16 @@ race: vet
 # DecideMask / CoversUnit), the engine's steady-state ingestion with policy
 # scripts on (every decision source), re-inserts into warmed policy tables,
 # the packet front half (ReadPacket on a warmed Reader, Feed on an open
-# flow), the conntrack pool, the arena index and a steady-state simplex
-# iteration must all report 0 allocs/op; the engine's per-Run set-up and a
-# cold LP solve (160 bytes per entry of nnz + rows + columns) must stay
-# inside their budgets; -count=1 keeps a cached pass from masking a
-# regression.
+# flow), the conntrack pool, the arena index, range subtraction into a
+# grown buffer, the coverage audit (core.ProbeCoverage, however many units
+# it counts) and a steady-state simplex iteration must all report 0
+# allocs/op; the engine's per-Run set-up and a cold LP solve (160 bytes per
+# entry of nnz + rows + columns) must stay inside their budgets; -count=1
+# keeps a cached pass from masking a regression.
 allocs:
 	$(GO) test -count=1 -run 'AllocFree|Alloc|Pool' \
 		./internal/control/ ./internal/bro/ ./internal/packet/ ./internal/conntrack/ \
-		./internal/hashing/ ./internal/lp/
+		./internal/hashing/ ./internal/lp/ ./internal/core/
 
 # Perf tier: the repo's one layered benchmark (cmd/perf, BENCHMARK.json).
 # `make perf` runs every workload untraced then traced; pass flags through
@@ -67,17 +68,19 @@ perfcompare:
 # Fuzz tier: a short smoke run of the solver fuzzer (simplex vs brute-force
 # vertex enumeration on random small LPs), of the two ingest fuzzers
 # (arbitrary bytes through the pcap Reader; fuzzed captures through the
-# assembler, whose counters must balance) and of the trace-dump validator
+# assembler, whose counters must balance), of the trace-dump validator
 # (arbitrary bytes must not panic it; dumps of random emit sequences must
-# validate). CI-friendly; run with a longer -fuzztime locally to dig. The
-# ingest seeds are whole captures (160 KB for the 20-session one), and
-# minimizing one interesting input under the default 60 s budget would eat
-# the whole run, hence 1 s.
+# validate) and of the coverage audit (range counts vs the point-by-point
+# probe on arbitrary finite endpoints). CI-friendly; run with a longer
+# -fuzztime locally to dig. The ingest seeds are whole captures (160 KB for
+# the 20-session one), and minimizing one interesting input under the
+# default 60 s budget would eat the whole run, hence 1 s.
 fuzz:
 	$(GO) test -run=FuzzSolve -fuzz=FuzzSolve -fuzztime=10s ./internal/lp/
 	$(GO) test -run=FuzzReader -fuzz=FuzzReader -fuzztime=10s -fuzzminimizetime=1s ./internal/packet/
 	$(GO) test -run=FuzzAssemble -fuzz=FuzzAssemble -fuzztime=10s -fuzzminimizetime=1s ./internal/packet/
 	$(GO) test -run=FuzzValidate -fuzz=FuzzValidate -fuzztime=10s -fuzzminimizetime=1s ./internal/trace/
+	$(GO) test -run=FuzzProbeCoverage -fuzz=FuzzProbeCoverage -fuzztime=10s ./internal/core/
 
 # Bench tier: the go-test micro-benchmarks, with allocation reporting —
 # every figure/table benchmark, the obs instruments, cluster convergence,

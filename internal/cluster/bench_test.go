@@ -15,8 +15,13 @@ import (
 // BenchmarkClusterConverge measures one full control-plane convergence
 // round — a plan re-stamp followed by every agent re-fetching its
 // manifest through a lossy network with retries — the recurring cost of
-// the paper's periodic re-optimization cadence.
+// the paper's periodic re-optimization cadence. An agent can exhaust its
+// retries on the 20 %-drop network; the operations centre then runs
+// another round, as the next re-optimization would. Every agent must hold
+// the new generation within maxRounds rounds, and the extra rounds are
+// reported per op.
 func BenchmarkClusterConverge(b *testing.B) {
+	const maxRounds = 4
 	topo := topology.Internet2()
 	sessions := traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{Sessions: 800, Seed: 7})
 	c, err := New(Options{
@@ -32,12 +37,34 @@ func BenchmarkClusterConverge(b *testing.B) {
 	defer c.Close()
 
 	b.ResetTimer()
+	extra := 0
 	for i := 0; i < b.N; i++ {
 		c.BumpEpoch()
-		if synced := c.Converge(); synced != topo.N() {
-			b.Fatalf("converged %d/%d agents", synced, topo.N())
+		for round := 1; ; round++ {
+			c.Converge()
+			behind := c.behindAgents()
+			if behind == 0 {
+				extra += round - 1
+				break
+			}
+			if round == maxRounds {
+				b.Fatalf("op %d: %d/%d agents behind after %d rounds", i, behind, topo.N(), round)
+			}
 		}
 	}
+	b.ReportMetric(float64(extra)/float64(b.N), "extra-rounds/op")
+}
+
+// behindAgents counts the agents not holding the controller's current
+// generation.
+func (c *Cluster) behindAgents() int {
+	n := 0
+	for _, a := range c.agents {
+		if d := a.Decider(); d == nil || d.Epoch() != c.ctrl.Epoch() {
+			n++
+		}
+	}
+	return n
 }
 
 // BenchmarkTraceOverhead measures a full fault-free epoch — publish,

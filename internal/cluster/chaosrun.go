@@ -62,8 +62,9 @@ type ChaosConfig struct {
 	// selects their response encoding (see Options.Deltas).
 	Deltas   bool
 	Encoding control.Encoding
-	// Probes is the coverage probe count per unit (0 selects 2000; use
-	// 10000 to match core.CoverageUnderFailure bit for bit).
+	// Probes is the coverage audit's per-unit probe grid (0 selects 2000;
+	// use 10000 to match core.CoverageUnderFailure bit for bit). It sets the
+	// resolution of the coverage fractions, not the audit's cost.
 	Probes int
 	// Workers sizes the worker pools (0 = GOMAXPROCS). Reports are
 	// identical for any value.

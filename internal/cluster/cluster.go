@@ -23,6 +23,7 @@ import (
 	"nwdeploy/internal/chaos"
 	"nwdeploy/internal/control"
 	"nwdeploy/internal/core"
+	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/ledger"
 	"nwdeploy/internal/obs"
 	"nwdeploy/internal/parallel"
@@ -74,8 +75,10 @@ type Options struct {
 	// Workers sizes the runtime's worker pools (0 = GOMAXPROCS, 1 =
 	// serial). Reports are identical for any value.
 	Workers int
-	// Probes is the per-unit probe count for coverage audits (0 selects
-	// 2000; use 10000 to match core.CoverageUnderFailure exactly).
+	// Probes is the per-unit probe grid of the coverage audits (0 selects
+	// 2000; use 10000 to match core.CoverageUnderFailure exactly). The audit
+	// counts grid points per range, so a finer grid costs no time; it sets
+	// only the resolution the coverage fractions are reported at.
 	Probes int
 	// CaptureBasis asks the initial placement solve to export its simplex
 	// basis (core.Plan.Basis), so later replans can warm-start from it —
@@ -153,6 +156,11 @@ type Cluster struct {
 	// epochSpan is the current epoch's root trace span (zero when
 	// untraced); agents derive their per-epoch child spans from it.
 	epochSpan trace.Span
+	// usable is the coverage audit's per-node snapshot of this epoch's
+	// deciders (nil for a node not usable); own is reused scratch for one
+	// node's enforced ranges of one unit.
+	usable []*control.Decider
+	own    hashing.RangeSet
 
 	fetchAttemptC, fetchRetryC, fetchFailureC, fetchTimeoutC, epochC *obs.Counter
 	staleG, darkG, covWorstG, covAvgG                                *obs.Gauge
@@ -208,7 +216,7 @@ func New(opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{
 		opts: opts, inst: inst, plan: plan, ctrl: ctrl, gate: gate,
-		paths: opts.Topo.PathMatrix(),
+		paths: opts.Topo.PathMatrix(), usable: make([]*control.Decider, n),
 
 		fetchAttemptC: opts.Metrics.Counter("cluster.fetch_attempts"),
 		fetchRetryC:   opts.Metrics.Counter("cluster.fetch_retries"),

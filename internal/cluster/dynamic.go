@@ -215,7 +215,8 @@ type ScenarioConfig struct {
 	// the control-plane audit does not need it, and flood scenarios are
 	// the ones that want conntrack/SYNFlood exercised for real.
 	DataPlane bool
-	// Probes is the coverage probe count per unit (0 selects 2000).
+	// Probes is the coverage audit's per-unit probe grid (0 selects 2000):
+	// the resolution of the coverage fractions, not the audit's cost.
 	Probes int
 	// Workers sizes the worker pools (0 = GOMAXPROCS). Reports are
 	// identical for any value.
@@ -311,14 +312,15 @@ type ScenarioEpoch struct {
 	// (both zero when the data plane did not run).
 	Alerts int
 	MaxCPU float64
-	// Evasion audit over the injected sessions: Caught had at least one
-	// usable analyst covering their hash point for some matching class;
+	// Evasion audit over the injected sessions: Caught had their hash point
+	// in the achieved set (below) of their unit for some matching class;
 	// Evaded slipped through every published defense.
 	InjectedCaught, InjectedEvaded int
-	// Achieved wire coverage vs the published expectation (manifests of
-	// live nodes minus their shed), both from core.ProbeCoverage on the
-	// same grid, so they match exactly when every surviving agent holds a
-	// current manifest. Worst below expected is a breach.
+	// Achieved wire coverage (usable agents' enforced ranges minus their
+	// shed) vs the published expectation (manifests of live nodes minus
+	// their shed), both from core.ProbeCoverage on the same grid, so they
+	// match exactly when every surviving agent holds a current manifest.
+	// Worst below expected is a breach.
 	WorstCoverage, AvgCoverage float64
 	ExpectedWorst, ExpectedAvg float64
 	Breach                     bool

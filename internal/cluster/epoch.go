@@ -57,8 +57,9 @@ type dynamics struct {
 	// floor holds each node's copy-0 slices of the current plan: the r = 1
 	// floor the governors' local reasoning assumes is enforced.
 	floor [][]core.ManifestSlice
-	// lastShed is the published shed state drivers see: what the governors
-	// pushed at the end of the previous epoch.
+	// lastShed is the shed state the governors published: this epoch's
+	// coverage audit subtracts it, and the next epoch's driver sees it.
+	// Entries stay nil while the governors only project.
 	lastShed []map[int]hashing.RangeSet
 }
 
@@ -245,7 +246,6 @@ func (c *Cluster) runEpoch(st Stimulus, pairVols []float64) (ScenarioEpoch, erro
 
 	// Offered volumes → drift → replan → govern and shed.
 	var attests []governor.Attestation
-	var govs []*governor.Governor // non-nil only while the governors shed
 	if d := c.dyn; d != nil {
 		if st.PairScale != nil && len(st.PairScale) != len(d.scaler.pv.Pairs) {
 			return ep, fmt.Errorf("cluster: epoch %d: %d pair scales for %d pairs",
@@ -260,9 +260,6 @@ func (c *Cluster) runEpoch(st Stimulus, pairVols []float64) (ScenarioEpoch, erro
 		}
 		if attests, err = c.govern(&ep, obsPkts); err != nil {
 			return ep, err
-		}
-		if d.cfg.Governor {
-			govs = d.govs
 		}
 	}
 	ep.ControllerEpoch = c.ctrl.Epoch()
@@ -290,8 +287,10 @@ func (c *Cluster) runEpoch(st Stimulus, pairVols []float64) (ScenarioEpoch, erro
 			}
 		}
 		width := 0.0
+		c.usable[j] = nil
 		if a.Usable() {
 			d := a.Decider()
+			c.usable[j] = d
 			ep.AgentEpochs[j] = d.Epoch()
 			width = d.AssignedWidth()
 		}
@@ -307,34 +306,20 @@ func (c *Cluster) runEpoch(st Stimulus, pairVols []float64) (ScenarioEpoch, erro
 		c.dataPhase(&ep, st.Inject)
 	}
 
-	// covers is the achieved-coverage predicate: some usable agent's wire
-	// manifest covers the point and that node has not shed it.
-	units := c.inst.Units
-	covers := func(ui int, x float64) bool {
-		u := units[ui]
-		for _, node := range u.Nodes {
-			a := c.agents[node]
-			if !a.Usable() || !a.Decider().CoversUnit(u.Class, u.Key, x) {
-				continue
-			}
-			if govs != nil && govs[node].Covers(ui, x) {
-				continue
-			}
-			return true
-		}
-		return false
-	}
-
-	// Evasion audit: an injected session is caught when covers holds at its
-	// hash point for some matching class.
+	// Evasion audit: an injected session is caught when its hash point lies
+	// in the achieved set of its unit for some matching class.
 	hasher := hashing.Hasher{Key: c.opts.HashKey}
+	var set hashing.RangeSet
 	for _, s := range st.Inject {
 		for ci := range c.inst.Classes {
 			if !c.inst.Classes[ci].Matches(s) {
 				continue
 			}
 			ui, ok := c.inst.UnitFor(ci, s)
-			if ok && covers(ui, c.inst.Classes[ci].HashOf(hasher, s.Tuple)) {
+			if !ok {
+				continue
+			}
+			if set = c.achieved(ui, set[:0]); set.Contains(c.inst.Classes[ci].HashOf(hasher, s.Tuple)) {
 				ep.InjectedCaught++
 				break
 			}
@@ -347,19 +332,8 @@ func (c *Cluster) runEpoch(st Stimulus, pairVols []float64) (ScenarioEpoch, erro
 	// expectation subtracts downed nodes and published shed, so a predicted
 	// dip is not a breach; anything below it means manifests and reality
 	// disagree — the violation the flight recorder exists for.
-	ep.WorstCoverage, ep.AvgCoverage = core.ProbeCoverage(len(units), c.opts.Probes, covers)
-	ep.ExpectedWorst, ep.ExpectedAvg = core.ProbeCoverage(len(units), c.opts.Probes, func(ui int, x float64) bool {
-		for _, node := range units[ui].Nodes {
-			if c.agents[node].down || !c.plan.Manifests[node].Ranges[ui].Contains(x) {
-				continue
-			}
-			if govs != nil && govs[node].Covers(ui, x) {
-				continue
-			}
-			return true
-		}
-		return false
-	})
+	ep.WorstCoverage, ep.AvgCoverage = core.ProbeCoverage(len(c.inst.Units), c.opts.Probes, c.achieved)
+	ep.ExpectedWorst, ep.ExpectedAvg = core.ProbeCoverage(len(c.inst.Units), c.opts.Probes, c.expected)
 	c.covWorstG.Set(ep.WorstCoverage)
 	c.covAvgG.Set(ep.AvgCoverage)
 	c.epochSpan.Event(trace.EvCoverage,
@@ -535,6 +509,39 @@ func (c *Cluster) govern(ep *ScenarioEpoch, obsPkts []float64) ([]governor.Attes
 	return attests, nil
 }
 
+// achieved appends unit ui's covered hash space as the wire delivers it:
+// each usable agent's enforced ranges minus what its governor shed.
+func (c *Cluster) achieved(ui int, dst hashing.RangeSet) hashing.RangeSet {
+	u := c.inst.Units[ui]
+	for _, node := range u.Nodes {
+		if d := c.usable[node]; d != nil {
+			c.own = d.UnitRanges(c.own[:0], u.Class, u.Key)
+			dst = c.own.AppendSubtract(dst, c.shedOf(node, ui))
+		}
+	}
+	return dst
+}
+
+// expected appends unit ui's covered hash space as the published state
+// promises it: every up node's planned ranges minus its shed.
+func (c *Cluster) expected(ui int, dst hashing.RangeSet) hashing.RangeSet {
+	for _, node := range c.inst.Units[ui].Nodes {
+		if !c.agents[node].down {
+			dst = c.plan.Manifests[node].Ranges[ui].AppendSubtract(dst, c.shedOf(node, ui))
+		}
+	}
+	return dst
+}
+
+// shedOf returns the ranges of unit ui the node's governor shed this epoch
+// (nil while the governors only project).
+func (c *Cluster) shedOf(node, ui int) hashing.RangeSet {
+	if c.dyn == nil {
+		return nil
+	}
+	return c.dyn.lastShed[node][ui]
+}
+
 // unconfirmedFloor returns, per unit, the parts of the current plan's
 // copy-0 ranges that their owner does not enforce yet. Governing runs
 // before the epoch's fetch, so right after a replan every up agent still
@@ -555,7 +562,8 @@ func (c *Cluster) unconfirmedFloor() map[int]hashing.RangeSet {
 		}
 		for _, ms := range c.dyn.floor[j] {
 			u := c.inst.Units[ms.Unit]
-			if rs := (hashing.RangeSet{ms.Range}).Subtract(d.UnitRanges(u.Class, u.Key)); len(rs) > 0 {
+			c.own = d.UnitRanges(c.own[:0], u.Class, u.Key)
+			if rs := (hashing.RangeSet{ms.Range}).Subtract(c.own); len(rs) > 0 {
 				if out == nil {
 					out = make(map[int]hashing.RangeSet)
 				}

@@ -32,8 +32,8 @@ type OverloadConfig struct {
 	BurstFactor float64
 	BurstProb   float64
 	BaseJitter  float64
-	// The governor and replan knobs, probe count and worker pool size,
-	// again ScenarioConfig's.
+	// The governor and replan knobs, probe grid (a resolution, not a cost)
+	// and worker pool size, again ScenarioConfig's.
 	Governor        bool
 	GovernorCfg     governor.Config
 	Replan          bool

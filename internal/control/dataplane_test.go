@@ -176,8 +176,8 @@ func TestDeciderMatchesBaseline(t *testing.T) {
 	}
 }
 
-// Satellite: NewDecider shed-subtraction edge cases, pinned against
-// core.ProbeCoverage on a probe grid.
+// NewDecider shed-subtraction edge cases, pinned against core.ProbeCoverage
+// on a probe grid.
 func TestDeciderShedSubtractionEdgeCases(t *testing.T) {
 	classes := []WireClass{
 		{Name: "a", Scope: int(core.PerIngress), Agg: int(core.BySource)},
@@ -243,8 +243,8 @@ func TestDeciderShedSubtractionEdgeCases(t *testing.T) {
 	// unit 1 -> 0.1, unit 2 -> 0.2. Units map 1:1 onto classes here.
 	keys := [][2]int{{0, -1}, {1, -1}, {2, -1}}
 	const probes = 10000
-	worst, avg := core.ProbeCoverage(3, probes, func(ui int, x float64) bool {
-		return d.CoversUnit(ui, keys[ui], x)
+	worst, avg := core.ProbeCoverage(3, probes, func(ui int, dst hashing.RangeSet) hashing.RangeSet {
+		return d.UnitRanges(dst, ui, keys[ui])
 	})
 	if worst != 0 {
 		t.Fatalf("worst coverage %v, want 0 (fully shed unit)", worst)

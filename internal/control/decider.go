@@ -371,8 +371,8 @@ func (d *Decider) Epoch() uint64 { return d.manifest.Epoch }
 
 // CoversUnit reports whether this manifest assigns hash point x of the
 // (class, unit-key) coordination component to the node — the audit-side
-// complement of ShouldAnalyze, used by the cluster runtime to measure a
-// deployment's achieved coverage without synthesizing sessions.
+// complement of ShouldAnalyze, and the point form of UnitRanges, which the
+// cluster runtime's coverage audit reads instead.
 func (d *Decider) CoversUnit(class int, key [2]int, x float64) bool {
 	if class < 0 || class >= len(d.classes) {
 		return false
@@ -381,18 +381,19 @@ func (d *Decider) CoversUnit(class int, key [2]int, x float64) bool {
 	return ok && d.arena.Contains(sp, x)
 }
 
-// UnitRanges returns the ranges of the (class, unit-key) coordination
-// component this manifest has the node enforce, shed already subtracted:
-// the set CoversUnit tests points against, sorted by Lo. It allocates, so
-// it is for audits and the runtime's governing, not the packet path.
-func (d *Decider) UnitRanges(class int, key [2]int) hashing.RangeSet {
+// UnitRanges appends to dst the ranges of the (class, unit-key)
+// coordination component this manifest has the node enforce, shed already
+// subtracted: the set CoversUnit tests points against, sorted by Lo. It
+// returns the extended slice and allocates only to grow dst, so audits and
+// the runtime's governing can reuse one buffer across units.
+func (d *Decider) UnitRanges(dst hashing.RangeSet, class int, key [2]int) hashing.RangeSet {
 	if class < 0 || class >= len(d.classes) {
-		return nil
+		return dst
 	}
 	if sp, ok := d.classes[class].lookup(int32(key[0]), int32(key[1])); ok {
-		return d.arena.Ranges(sp)
+		return d.arena.AppendRanges(dst, sp)
 	}
-	return nil
+	return dst
 }
 
 // AssignedWidth returns the total hash-space width the manifest assigns
@@ -532,7 +533,7 @@ func (d *Decider) buildUnitIndex(allK0, allSecond []int32, allSpans []hashing.Sp
 		case 0:
 			// Fully shed assignment: inline bounds stay empty, never match.
 		case 1:
-			rs := d.arena.Ranges(e.span)
+			rs := d.arena.AppendRanges(nil, e.span)
 			e.lo, e.hi = rs[0].Lo, rs[0].Hi
 		default:
 			e.multi = true

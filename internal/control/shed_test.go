@@ -61,7 +61,8 @@ func TestShedRoundTripAndDeciderSubtraction(t *testing.T) {
 
 	// The enforced ranges are the assignment minus the cut.
 	want := plan.Manifests[node].Ranges[unit].Subtract(hashing.RangeSet{cut})
-	if got := d.UnitRanges(u.Class, u.Key); math.Abs(got.Width()-want.Width()) > 1e-12 {
+	got := d.UnitRanges(nil, u.Class, u.Key)
+	if math.Abs(got.Width()-want.Width()) > 1e-12 {
 		t.Fatalf("UnitRanges %v, want %v", got, want)
 	}
 
@@ -70,7 +71,7 @@ func TestShedRoundTripAndDeciderSubtraction(t *testing.T) {
 	for i := 0; i <= 1000; i++ {
 		x := float64(i) / 1000
 		b, g := base.CoversUnit(u.Class, u.Key, x), d.CoversUnit(u.Class, u.Key, x)
-		if d.UnitRanges(u.Class, u.Key).Contains(x) != g {
+		if got.Contains(x) != g {
 			t.Fatalf("x=%v: UnitRanges and CoversUnit disagree", x)
 		}
 		if cut.Contains(x) {

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
+	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/lp"
 	"nwdeploy/internal/obs"
 )
@@ -213,14 +217,20 @@ func AggregationCost(inst *Instance, p *Plan, agg AggregationConfig) float64 {
 }
 
 // ProbeCoverage measures hash-space coverage for nUnits coordination units
-// by probing each unit's [0,1) space at `probes` midpoints (0 or negative
-// selects the default 10000) and asking the covers predicate whether any
-// live analyzer handles point x of unit ui. It returns the worst per-unit
+// on a grid of `probes` midpoints (t+0.5)/probes of each unit's [0,1) space
+// (0 or negative selects the default 10000). covered appends the ranges of
+// unit ui's hash space some live analyzer handles to dst and returns the
+// result; they may come in any order and overlap. The probe counts the
+// midpoints in their union, so it costs O(ranges) per unit whatever the
+// grid size, and every count is the one a point-by-point test of the same
+// midpoints against the same ranges gives. It returns the worst per-unit
 // covered fraction and the average across units. Both the static
 // CoverageUnderFailure audit and the cluster runtime's achieved-coverage
-// measurement are this probe with different predicates, which is what makes
-// their results directly comparable: same points, same accumulation order.
-func ProbeCoverage(nUnits, probes int, covers func(unit int, x float64) bool) (worst, avg float64) {
+// measurement are this probe with different range sets, which is what
+// makes their results directly comparable: same points, same accumulation
+// order. dst is scratch recycled across units and calls, so covered must
+// not retain it, and a steady caller allocates nothing.
+func ProbeCoverage(nUnits, probes int, covered func(unit int, dst hashing.RangeSet) hashing.RangeSet) (worst, avg float64) {
 	if nUnits == 0 {
 		return 1, 1
 	}
@@ -228,22 +238,76 @@ func ProbeCoverage(nUnits, probes int, covers func(unit int, x float64) bool) (w
 		probes = 10000
 	}
 	worst = 1
+	bp := probeBufs.Get().(*hashing.RangeSet)
+	buf := *bp
 	for ui := 0; ui < nUnits; ui++ {
-		coveredPts := 0
-		for t := 0; t < probes; t++ {
-			x := (float64(t) + 0.5) / float64(probes)
-			if covers(ui, x) {
-				coveredPts++
-			}
-		}
-		frac := float64(coveredPts) / float64(probes)
+		buf = covered(ui, buf[:0])
+		frac := float64(probeCount(buf, probes)) / float64(probes)
 		if frac < worst {
 			worst = frac
 		}
 		avg += frac
 	}
+	*bp = buf
+	probeBufs.Put(bp)
 	avg /= float64(nUnits)
 	return worst, avg
+}
+
+// probeBufs recycles ProbeCoverage's scratch buffers.
+var probeBufs = sync.Pool{New: func() any { return new(hashing.RangeSet) }}
+
+// probeCount counts the probe midpoints that fall in the union of rs. Each
+// range holds the midpoints [firstProbe(Lo), firstProbe(Hi)); sorted by Lo,
+// the ranges' index intervals are swept once, counting each index at most
+// once. It reorders rs in place.
+func probeCount(rs hashing.RangeSet, probes int) int {
+	n := 0
+	for _, r := range rs {
+		if r.Lo < r.Hi { // drops empty, inverted and NaN ranges
+			rs[n] = r
+			n++
+		}
+	}
+	rs = rs[:n]
+	slices.SortFunc(rs, func(a, b hashing.Range) int { return cmp.Compare(a.Lo, b.Lo) })
+	count, next := 0, 0 // next: the first index no earlier range reached
+	for _, r := range rs {
+		lo, hi := max(firstProbe(r.Lo, probes), next), firstProbe(r.Hi, probes)
+		if hi > lo {
+			count += hi - lo
+			next = hi
+		}
+	}
+	return count
+}
+
+// probeAt is probe t's midpoint: the one expression every coverage count
+// is defined by.
+func probeAt(t, probes int) float64 { return (float64(t) + 0.5) / float64(probes) }
+
+// firstProbe returns the smallest t in [0, probes] whose midpoint is >= v
+// (probes when none is). A Ceil estimate lands within a step of it; the
+// correction then compares probeAt itself, so rounding in the estimate
+// cannot move a count. Midpoints are nondecreasing in t because division
+// rounds monotonically.
+func firstProbe(v float64, probes int) int {
+	if !(v > probeAt(0, probes)) {
+		return 0
+	}
+	if v > probeAt(probes-1, probes) {
+		return probes
+	}
+	// Here probeAt(0) < v <= probeAt(probes-1), so the answer is in
+	// [1, probes-1] and the estimate converts to int safely.
+	t := min(max(int(math.Ceil(v*float64(probes)-0.5)), 1), probes-1)
+	for probeAt(t-1, probes) >= v {
+		t--
+	}
+	for probeAt(t, probes) < v {
+		t++
+	}
+	return t
 }
 
 // CoverageUnderFailure evaluates a plan's residual analysis coverage when
@@ -259,18 +323,12 @@ func CoverageUnderFailure(p *Plan, failed []int) (worst, avg float64) {
 		down[j] = true
 	}
 	inst := p.Inst
-	// Probe the hash space finely; ranges are few per unit, so interval
-	// arithmetic would also work, but probing keeps the dependency on the
-	// exact RangeSet shape minimal and is plenty accurate at 1e4 points.
-	return ProbeCoverage(len(inst.Units), 0, func(ui int, x float64) bool {
+	return ProbeCoverage(len(inst.Units), 0, func(ui int, dst hashing.RangeSet) hashing.RangeSet {
 		for _, node := range inst.Units[ui].Nodes {
-			if down[node] {
-				continue
-			}
-			if p.Manifests[node].Ranges[ui].Contains(x) {
-				return true
+			if !down[node] {
+				dst = append(dst, p.Manifests[node].Ranges[ui]...)
 			}
 		}
-		return false
+		return dst
 	})
 }

@@ -433,12 +433,6 @@ func (g *Governor) ShedRanges() map[int]hashing.RangeSet {
 	return out
 }
 
-// Covers reports whether hash point x of the unit falls in this node's
-// shed (dropped) ranges — the audit predicate.
-func (g *Governor) Covers(unit int, x float64) bool {
-	return g.shed[unit].Contains(x)
-}
-
 // Sheds is the per-packet filter: it reports whether the node's governor
 // has dropped responsibility for this session under the class. It is a
 // pure function of the epoch's shed state, so the engine may evaluate it
@@ -461,22 +455,20 @@ func (g *Governor) Sheds(class int, s traffic.Session) bool {
 
 // Coverage audits the network-wide residual coverage when every node in
 // govs (indexed by node ID; nil entries mean no governor) drops its shed
-// ranges: a point counts as covered when some live manifest contains it
-// and that node has not shed it. With FloorCopies >= 1 the worst coverage
-// can never fall below full, because copy 0 is never shed — this audit is
-// how tests and the cluster runtime verify that invariant rather than
-// assume it.
+// ranges: a unit's covered hash space is the union, over its path nodes, of
+// each node's manifest ranges minus that node's shed. With FloorCopies >= 1
+// the worst coverage can never fall below full, because copy 0 is never
+// shed — this audit is how tests verify that invariant rather than assume
+// it.
 func Coverage(plan *core.Plan, govs []*Governor, probes int) (worst, avg float64) {
-	return core.ProbeCoverage(len(plan.Inst.Units), probes, func(ui int, x float64) bool {
+	return core.ProbeCoverage(len(plan.Inst.Units), probes, func(ui int, dst hashing.RangeSet) hashing.RangeSet {
 		for _, node := range plan.Inst.Units[ui].Nodes {
-			if !plan.Manifests[node].Ranges[ui].Contains(x) {
-				continue
+			var shed hashing.RangeSet
+			if node < len(govs) && govs[node] != nil {
+				shed = govs[node].shed[ui]
 			}
-			if node < len(govs) && govs[node] != nil && govs[node].Covers(ui, x) {
-				continue
-			}
-			return true
+			dst = plan.Manifests[node].Ranges[ui].AppendSubtract(dst, shed)
 		}
-		return false
+		return dst
 	})
 }

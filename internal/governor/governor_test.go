@@ -247,8 +247,8 @@ func TestShedsPredicateMatchesCovers(t *testing.T) {
 					continue
 				}
 				x := plan.Inst.Classes[ci].HashOf(h, s.Tuple)
-				if got, want := g.Sheds(ci, s), g.Covers(ui, x); got != want {
-					t.Fatalf("node %d class %d: Sheds=%v Covers=%v at x=%v", g.Node(), ci, got, want, x)
+				if got, want := g.Sheds(ci, s), g.shed[ui].Contains(x); got != want {
+					t.Fatalf("node %d class %d: Sheds=%v shed ranges=%v at x=%v", g.Node(), ci, got, want, x)
 				}
 				checked++
 			}
@@ -292,7 +292,7 @@ func TestDeterministicAcrossRebuilds(t *testing.T) {
 
 // Protected ranges are shed from no copy: the walk cuts around them and
 // sheds more elsewhere, or the node runs hot. The shed list, the shed
-// width, the projected load and the shed predicate agree on the result,
+// width, the projected load and the shed ranges agree on the result,
 // and with nothing protected the walk is the unprotected one, bit for bit.
 func TestProtectedRangesNeverShed(t *testing.T) {
 	plan, _ := testPlan(t, 2)
@@ -341,7 +341,7 @@ func TestProtectedRangesNeverShed(t *testing.T) {
 		}
 		for ui, rs := range protect {
 			for _, r := range rs {
-				if x := (r.Lo + r.Hi) / 2; prot.Covers(ui, x) {
+				if x := (r.Lo + r.Hi) / 2; prot.shed[ui].Contains(x) {
 					t.Fatalf("node %d sheds protected point %v of unit %d", j, x, ui)
 				}
 			}
@@ -398,22 +398,15 @@ func TestFloorInteractsWithFailureAudit(t *testing.T) {
 	// Combined audit: shed + failed node. Copy 0 ranges hosted by the
 	// failed node are gone and their copy >=1 backups were shed, so
 	// coverage may drop — but it must equal the probe with the combined
-	// predicate, never less than zero slack unaccounted.
+	// range sets, never less than zero slack unaccounted.
 	failed := 0
-	worstBoth, avgBoth := core.ProbeCoverage(len(plan.Inst.Units), 2000, func(ui int, x float64) bool {
+	worstBoth, avgBoth := core.ProbeCoverage(len(plan.Inst.Units), 2000, func(ui int, dst hashing.RangeSet) hashing.RangeSet {
 		for _, node := range plan.Inst.Units[ui].Nodes {
-			if node == failed {
-				continue
+			if node != failed {
+				dst = plan.Manifests[node].Ranges[ui].AppendSubtract(dst, govs[node].shed[ui])
 			}
-			if !plan.Manifests[node].Ranges[ui].Contains(x) {
-				continue
-			}
-			if govs[node] != nil && govs[node].Covers(ui, x) {
-				continue
-			}
-			return true
 		}
-		return false
+		return dst
 	})
 	if worstBoth > worst+1e-9 {
 		t.Fatalf("failure improved coverage? %v > %v", worstBoth, worst)

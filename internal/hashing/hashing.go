@@ -383,30 +383,40 @@ func (rs RangeSet) Subtract(shed RangeSet) RangeSet {
 	if len(shed) == 0 || len(rs) == 0 {
 		return rs
 	}
-	out := make(RangeSet, 0, len(rs))
+	return rs.AppendSubtract(make(RangeSet, 0, len(rs)), shed)
+}
+
+// AppendSubtract appends the pieces of rs minus shed to dst and returns the
+// extended slice: Subtract without the allocation, for callers that reuse
+// one buffer. The pieces reuse the original endpoints, so a point is in the
+// result exactly when rs.Contains(x) && !shed.Contains(x).
+func (rs RangeSet) AppendSubtract(dst, shed RangeSet) RangeSet {
 	for _, r := range rs {
-		pieces := RangeSet{r}
+		// dst[start:] holds r's surviving pieces; each cut appends their
+		// remainders after them and slides those down over the old ones.
+		start := len(dst)
+		dst = append(dst, r)
 		for _, cut := range shed {
 			if cut.IsEmpty() {
 				continue
 			}
-			var next RangeSet
-			for _, p := range pieces {
+			end := len(dst)
+			for i := start; i < end; i++ {
+				p := dst[i]
 				// Left remainder [p.Lo, cut.Lo) and right remainder
 				// [cut.Hi, p.Hi); empty pieces drop out.
 				if left := (Range{p.Lo, math.Min(p.Hi, cut.Lo)}); !left.IsEmpty() {
-					next = append(next, left)
+					dst = append(dst, left)
 				}
 				if right := (Range{math.Max(p.Lo, cut.Hi), p.Hi}); !right.IsEmpty() {
-					next = append(next, right)
+					dst = append(dst, right)
 				}
 			}
-			pieces = next
-			if len(pieces) == 0 {
+			dst = dst[:start+copy(dst[start:], dst[end:])]
+			if len(dst) == start {
 				break
 			}
 		}
-		out = append(out, pieces...)
 	}
-	return out
+	return dst
 }

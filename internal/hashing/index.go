@@ -106,12 +106,11 @@ func (a *Arena) Width(sp Span) float64 {
 	return w
 }
 
-// Ranges reconstructs the span's ranges (for audits and tests; not a hot
-// path).
-func (a *Arena) Ranges(sp Span) RangeSet {
-	out := make(RangeSet, 0, sp.Len())
+// AppendRanges appends the span's ranges to dst and returns the extended
+// slice (for audits and tests; not a hot path).
+func (a *Arena) AppendRanges(dst RangeSet, sp Span) RangeSet {
 	for i := sp.Off; i < sp.End; i++ {
-		out = append(out, Range{Lo: a.bounds[2*i], Hi: a.bounds[2*i+1]})
+		dst = append(dst, Range{Lo: a.bounds[2*i], Hi: a.bounds[2*i+1]})
 	}
-	return out
+	return dst
 }

@@ -2,6 +2,8 @@ package hashing
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -110,5 +112,56 @@ func TestSubtractDoesNotMutateReceiver(t *testing.T) {
 	_ = rs.Subtract(RangeSet{{0.4, 0.6}})
 	if len(rs) != 1 || rs[0] != (Range{0, 1}) {
 		t.Fatalf("receiver mutated: %v", rs)
+	}
+}
+
+// AppendSubtract keeps dst's prefix and holds exactly the points of rs not
+// in shed, at every endpoint and one ULP either side of it — the identity
+// the coverage audit's exact counts rest on.
+func TestAppendSubtractIsPointwiseDifference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		rs, shed := randomRanges(rng), randomRanges(rng)
+		prefix := RangeSet{{-5, -4}}
+		got := rs.AppendSubtract(append(RangeSet(nil), prefix...), shed)
+		if got[0] != prefix[0] {
+			t.Fatalf("prefix overwritten: %v", got)
+		}
+		got = got[1:]
+		var xs []float64
+		for _, r := range append(append(RangeSet(nil), rs...), shed...) {
+			for _, x := range []float64{r.Lo, r.Hi} {
+				xs = append(xs, x, math.Nextafter(x, -2), math.Nextafter(x, 2))
+			}
+		}
+		for _, x := range xs {
+			if want := rs.Contains(x) && !shed.Contains(x); got.Contains(x) != want {
+				t.Fatalf("rs %v shed %v: x=%v in result %v, want %v", rs, shed, x, got.Contains(x), want)
+			}
+		}
+		if sub := rs.Subtract(shed); !slices.Equal(sub, got) {
+			t.Fatalf("Subtract %v, AppendSubtract %v", sub, got)
+		}
+	}
+}
+
+// randomRanges draws up to four ranges, some empty, inverted or outside
+// [0, 1).
+func randomRanges(rng *rand.Rand) RangeSet {
+	var rs RangeSet
+	for k := rng.Intn(5); k > 0; k-- {
+		lo := rng.Float64()*1.4 - 0.2
+		rs = append(rs, Range{lo, lo + rng.Float64()*0.6 - 0.1})
+	}
+	return rs
+}
+
+// Subtracting into a buffer that has already grown allocates nothing.
+func TestAppendSubtractAllocFree(t *testing.T) {
+	rs := RangeSet{{0, 0.4}, {0.6, 1}}
+	shed := RangeSet{{0.1, 0.2}, {0.35, 0.7}, {0.9, 2}}
+	buf := rs.AppendSubtract(nil, shed)
+	if a := testing.AllocsPerRun(100, func() { buf = rs.AppendSubtract(buf[:0], shed) }); a != 0 {
+		t.Fatalf("AppendSubtract into a grown buffer: %v allocs, want 0", a)
 	}
 }
