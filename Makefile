@@ -88,8 +88,9 @@ fuzz:
 # cold-started replan solves, cold simplex solves of deployment- and
 # packing-shaped LPs (the pivot loop's micro A/B), the shed hook's
 # per-packet cost, the policy tables against their test-only Go-map model,
-# and the per-packet decision path against its test-only pre-index
-# reference. It runs no command and writes no file: end-to-end and
+# the per-packet decision path against its test-only pre-index reference,
+# and one agent's sync over loopback against a 1000-node plan (v1 full
+# JSON fetch vs v2 binary delta on a held connection). It runs no command and writes no file: end-to-end and
 # per-layer numbers are `make perf` (cmd/perf, BENCHMARK.json), the one
 # benchmark.
 bench:
@@ -102,6 +103,7 @@ bench:
 	$(GO) test -bench=ShedFilter -benchmem ./internal/bro/
 	$(GO) test -bench=PolicyTables -benchmem ./internal/bro/
 	$(GO) test -bench=DataplaneDecide -benchmem ./internal/control/
+	$(GO) test -bench=AgentSync -benchmem ./internal/control/
 
 # Idle check: the last command of a working session. Fails, listing the
 # offenders, if a test binary, the benchmark binary or a go test/run/build

@@ -12,12 +12,17 @@
 // per node agent). A stream's n-th draw is a pure function of (seed,
 // consumer, n); since each agent draws only from its own stream, the
 // fault sequence every agent observes is independent of goroutine
-// scheduling. This is also why per-connection faults are injected on the
-// dial side rather than in the listener: concurrent agents race into a
-// shared accept queue, so accept-order-keyed draws would vary run to run.
-// The listener-side Gate is deterministic precisely because it is not
-// draw-keyed — it is opened and closed at epoch boundaries by the
-// cluster runtime, affecting every connection in the window equally.
+// scheduling. A Dialer draws exactly once per exchange, before any of the
+// exchange's I/O: in Dial for an exchange that dials, and on the request
+// write for each later exchange on a held connection. Whether an exchange
+// dials or reuses a connection therefore never shifts the stream, but an
+// extra write or a retry inside one exchange would move every later fault.
+// Faults are injected on the client side rather than in the listener
+// because concurrent agents race into a shared accept queue, so
+// accept-order-keyed draws would vary run to run. The listener-side Gate
+// is deterministic precisely because it is not draw-keyed — it is opened
+// and closed at epoch boundaries by the cluster runtime, affecting every
+// request in the window equally, on fresh and held connections alike.
 package chaos
 
 import (
@@ -35,16 +40,18 @@ import (
 type Fault int
 
 const (
-	// FaultNone lets the connection proceed untouched.
+	// FaultNone lets the exchange proceed untouched.
 	FaultNone Fault = iota
-	// FaultError fails the dial immediately (connection refused / link
-	// down): the cheap failure an agent can distinguish fast.
+	// FaultError fails the dial, or the request write on a held
+	// connection, immediately (connection refused / link down): the cheap
+	// failure an agent can distinguish fast.
 	FaultError
-	// FaultBlackhole connects but never delivers a response, so the
-	// caller's I/O deadline expires: the expensive failure mode that
-	// exercises per-attempt timeouts.
+	// FaultBlackhole swallows the request and never delivers a response,
+	// so the caller's I/O deadline expires: the expensive failure mode
+	// that exercises per-attempt timeouts.
 	FaultBlackhole
-	// FaultDelay adds latency before the dial proceeds normally.
+	// FaultDelay adds latency before the dial, or the request write on a
+	// held connection, proceeds normally.
 	FaultDelay
 )
 
@@ -63,20 +70,20 @@ func (f Fault) String() string {
 	return "unknown"
 }
 
-// ErrInjected is the error returned by a FaultError dial.
+// ErrInjected is the error a FaultError dial or request write returns.
 var ErrInjected = errors.New("chaos: injected connection error")
 
-// NetworkFaults sets the per-connection fault mix. Probabilities are
+// NetworkFaults sets the per-exchange fault mix. Probabilities are
 // evaluated in order (drop, blackhole, delay) against one uniform draw,
 // so their sum should not exceed 1.
 type NetworkFaults struct {
-	// DropProb is the probability a dial fails immediately with
+	// DropProb is the probability an exchange fails immediately with
 	// ErrInjected.
 	DropProb float64
-	// BlackholeProb is the probability a dial connects to a black hole
-	// that never answers (the caller times out).
+	// BlackholeProb is the probability an exchange's request goes into a
+	// black hole that never answers (the caller times out).
 	BlackholeProb float64
-	// DelayProb is the probability a dial is delayed by Delay before
+	// DelayProb is the probability an exchange is delayed by Delay before
 	// proceeding normally.
 	DelayProb float64
 	// Delay is the added latency for FaultDelay (0 selects 2ms). It
@@ -140,14 +147,25 @@ func (s *Stream) Next() Fault {
 // Draws reports how many decisions the stream has produced.
 func (s *Stream) Draws() int64 { return s.n.Load() }
 
+// delay is the FaultDelay latency.
+func (s *Stream) delay() time.Duration {
+	if s.faults.Delay <= 0 {
+		return 2 * time.Millisecond
+	}
+	return s.faults.Delay
+}
+
 // DialFunc matches net.DialTimeout's shape — the seam both
 // control.AgentOptions and this package's Dialer plug into.
 type DialFunc func(network, addr string, timeout time.Duration) (net.Conn, error)
 
 // Dialer interposes a fault stream in front of a real dial function. One
-// fault decision is drawn per dial attempt.
+// fault decision is drawn per exchange: by Dial for the exchange that
+// dials, and by the returned connection for each later request written on
+// it (a held connection's next exchange). A caller must write each request
+// with a single Write for the two to coincide.
 type Dialer struct {
-	// Stream supplies the per-attempt fault decisions.
+	// Stream supplies the per-exchange fault decisions.
 	Stream *Stream
 	// Next performs the real dial when the attempt survives injection
 	// (nil selects net.DialTimeout).
@@ -157,7 +175,11 @@ type Dialer struct {
 // Dial draws the next fault and applies it: FaultError fails without
 // touching the network, FaultBlackhole returns a connection that
 // swallows writes and never answers reads (the caller's deadline
-// expires), FaultDelay sleeps before dialing normally.
+// expires), FaultDelay sleeps before dialing normally. A dialed
+// connection applies the same three faults to each request written on it
+// after the first: FaultError fails the write, FaultBlackhole swallows it
+// and leaves the read to time out at the caller's deadline, FaultDelay
+// sleeps before the write.
 func (d *Dialer) Dial(network, addr string, timeout time.Duration) (net.Conn, error) {
 	next := d.Next
 	if next == nil {
@@ -167,29 +189,78 @@ func (d *Dialer) Dial(network, addr string, timeout time.Duration) (net.Conn, er
 	case FaultError:
 		return nil, &net.OpError{Op: "dial", Net: network, Err: ErrInjected}
 	case FaultBlackhole:
-		client, server := net.Pipe()
-		go func() {
-			// Swallow the request so the client's writes complete; the
-			// response never comes, so its read deadline fires.
-			_, _ = io.Copy(io.Discard, server)
-			_ = server.Close()
-		}()
-		return client, nil
+		return blackhole(), nil
 	case FaultDelay:
-		delay := d.Stream.faults.Delay
-		if delay <= 0 {
-			delay = 2 * time.Millisecond
-		}
-		time.Sleep(delay)
+		time.Sleep(d.Stream.delay())
 	}
-	return next(network, addr, timeout)
+	conn, err := next(network, addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &faultConn{Conn: conn, stream: d.Stream}, nil
+}
+
+// blackhole returns a connection that swallows the request so the
+// client's writes complete; the response never comes, so its read
+// deadline fires.
+func blackhole() net.Conn {
+	client, server := net.Pipe()
+	go func() {
+		_, _ = io.Copy(io.Discard, server)
+		_ = server.Close()
+	}()
+	return client
+}
+
+// faultConn is a dialed connection that draws one fault per request
+// written after the first, whose fault the dial drew. It is used by one
+// exchange at a time, so its fields need no lock.
+type faultConn struct {
+	net.Conn
+	stream       *Stream
+	written      bool      // the dialing exchange's request has been written
+	readDeadline time.Time // carried over if the connection turns black hole
+}
+
+func (c *faultConn) Write(p []byte) (int, error) {
+	if !c.written {
+		c.written = true
+		return c.Conn.Write(p)
+	}
+	switch c.stream.Next() {
+	case FaultError:
+		return 0, &net.OpError{Op: "write", Net: c.LocalAddr().Network(), Err: ErrInjected}
+	case FaultBlackhole:
+		// From here on the connection is a black hole: the real one is
+		// closed before the request reaches it, and reads wait out the
+		// caller's deadline.
+		_ = c.Conn.Close()
+		c.Conn = blackhole()
+		_ = c.Conn.SetReadDeadline(c.readDeadline)
+		return len(p), nil
+	case FaultDelay:
+		time.Sleep(c.stream.delay())
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *faultConn) SetDeadline(t time.Time) error {
+	c.readDeadline = t
+	return c.Conn.SetDeadline(t)
+}
+
+func (c *faultConn) SetReadDeadline(t time.Time) error {
+	c.readDeadline = t
+	return c.Conn.SetReadDeadline(t)
 }
 
 // Gate wraps a listener with an on/off switch modeling controller outage
 // windows: while closed, accepted connections are dropped immediately,
-// so peers see their exchange fail exactly as if the process behind the
-// port had crashed (the address stays bound, which keeps ports stable
-// across simulated restarts). Gate implements net.Listener.
+// and a request read on a connection accepted earlier (a held one) drops
+// that connection, so peers see their exchange fail exactly as if the
+// process behind the port had crashed (the address stays bound, which
+// keeps ports stable across simulated restarts). Gate implements
+// net.Listener.
 type Gate struct {
 	ln   net.Listener
 	open atomic.Bool
@@ -209,7 +280,11 @@ func (g *Gate) SetOpen(open bool) { g.open.Store(open) }
 func (g *Gate) IsOpen() bool { return g.open.Load() }
 
 // Accept returns the next connection that arrives while the gate is
-// open; connections arriving while closed are dropped on the floor.
+// open; connections arriving while closed are dropped on the floor. The
+// returned connection stays subject to the gate: a read that delivers
+// request bytes while the gate is closed closes it and reports EOF, so a
+// held connection's peer sees the same non-timeout failure as a dropped
+// accept.
 func (g *Gate) Accept() (net.Conn, error) {
 	for {
 		conn, err := g.ln.Accept()
@@ -217,10 +292,25 @@ func (g *Gate) Accept() (net.Conn, error) {
 			return nil, err
 		}
 		if g.open.Load() {
-			return conn, nil
+			return &gatedConn{Conn: conn, g: g}, nil
 		}
 		_ = conn.Close()
 	}
+}
+
+// gatedConn is a connection accepted through an open gate.
+type gatedConn struct {
+	net.Conn
+	g *Gate
+}
+
+func (c *gatedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 && !c.g.open.Load() {
+		_ = c.Conn.Close()
+		return 0, io.EOF
+	}
+	return n, err
 }
 
 // Close closes the underlying listener.

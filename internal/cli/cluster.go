@@ -32,8 +32,8 @@ func Cluster(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	epochs := fs.Int("epochs", 8, "chaos epochs to run")
 	redundancy := fs.Int("redundancy", 1, "provisioned coverage level r (2 deploys the path-scoped module subset)")
 	seed := fs.Int64("seed", 1, "chaos seed; same seed, same report")
-	lossProb := fs.Float64("lossprob", 0.2, "per-dial probability of an injected connection error")
-	blackholeProb := fs.Float64("blackholeprob", 0.05, "per-dial probability of a black-holed connection (RPC timeout)")
+	lossProb := fs.Float64("lossprob", 0.2, "per-exchange probability of an injected connection error")
+	blackholeProb := fs.Float64("blackholeprob", 0.05, "per-exchange probability of a black-holed request (RPC timeout)")
 	nodeFailProb := fs.Float64("nodefailprob", 0.15, "per-(node, epoch) crash probability")
 	outageProb := fs.Float64("outageprob", 0.1, "per-epoch controller outage probability")
 	maxDown := fs.Int("maxdown", 0, "cap on concurrently crashed nodes (0: uncapped, or r-1 when redundancy > 1)")

@@ -127,10 +127,15 @@ func newNodeAgent(node int, addr string, opts control.AgentOptions, sync control
 func (a *NodeAgent) Decider() *control.Decider { return a.agent.Decider() }
 
 // restart models a process (re)start: the control client is rebuilt, so
-// any in-memory manifest state is lost and must be re-fetched. The fault
-// stream behind agentOpts.Dial is deliberately preserved — faults belong
-// to the node's network path, not to the process lifetime.
+// any in-memory manifest state is lost and must be re-fetched, and the
+// old client's held connection is closed — a crash loses its socket, so
+// the first exchange after a restart dials. The fault stream behind
+// agentOpts.Dial is deliberately preserved — faults belong to the node's
+// network path, not to the process lifetime.
 func (a *NodeAgent) restart() {
+	if a.agent != nil {
+		_ = a.agent.Close()
+	}
 	a.agent = control.NewAgentOpts(a.addr, a.node, a.agentOpts)
 }
 
@@ -146,7 +151,8 @@ func (a *NodeAgent) Usable() bool {
 // syncWithRetry runs one epoch's fetch loop: up to MaxAttempts tries of
 // an if-stale subscription sync with exponential, jittered backoff
 // between them. It updates the epoch tally and the staleness counter.
-// Every dial consumes exactly the agent's own fault stream, so the loop's
+// Every exchange draws exactly once from the agent's own fault stream,
+// whether it dials or reuses the held connection, so the loop's
 // outcome is a pure function of (chaos seed, node id, prior history)
 // regardless of scheduling (see Options.Deltas for what that pins).
 func (a *NodeAgent) syncWithRetry() {

@@ -35,7 +35,7 @@ type ChaosConfig struct {
 	Epochs int
 	// Redundancy is the provisioned coverage level r (0 selects 1).
 	Redundancy int
-	// Faults is the per-connection fault mix on every agent's dials.
+	// Faults is the per-exchange fault mix on every agent's control traffic.
 	Faults chaos.NetworkFaults
 	// Schedule overrides the generated epoch fault schedule; when nil one
 	// is drawn from NodeFailProb (0 selects 0.15), ControllerOutageProb

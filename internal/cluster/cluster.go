@@ -51,8 +51,8 @@ type Options struct {
 	// Seed drives every chaos decision: per-agent connection faults and
 	// backoff jitter all derive from it via seed splitting.
 	Seed int64
-	// Faults is the per-connection fault mix injected into every agent's
-	// dials (zero = clean network).
+	// Faults is the per-exchange fault mix injected into every agent's
+	// control traffic (zero = clean network).
 	Faults chaos.NetworkFaults
 	// Retry shapes the agents' fetch loops.
 	Retry RetryPolicy
@@ -296,8 +296,14 @@ func (c *Cluster) publish(epoch int, plan *core.Plan) {
 	c.ctrl.UpdatePlan(plan)
 }
 
-// Close shuts the controller (and its gate/listener) down.
-func (c *Cluster) Close() error { return c.ctrl.Close() }
+// Close releases the agents' held connections and shuts the controller
+// (and its gate/listener) down.
+func (c *Cluster) Close() error {
+	for _, a := range c.agents {
+		_ = a.agent.Close()
+	}
+	return c.ctrl.Close()
+}
 
 // BumpEpoch re-stamps the current plan as a new configuration generation —
 // the operations center's periodic re-optimization round (the workload is

@@ -203,7 +203,7 @@ type ScenarioConfig struct {
 	ReplanThreshold float64
 	EWMAAlpha       float64
 	ReplanMaxIters  int
-	// Faults is the per-connection fault mix on agent dials (zero = clean
+	// Faults is the per-exchange fault mix on agent traffic (zero = clean
 	// network); Retry/Agent/StaleGrace shape the fetch loops as in
 	// Options.
 	Faults     chaos.NetworkFaults

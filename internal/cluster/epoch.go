@@ -265,7 +265,7 @@ func (c *Cluster) runEpoch(st Stimulus, pairVols []float64) (ScenarioEpoch, erro
 	ep.ControllerEpoch = c.ctrl.Epoch()
 
 	// Fetch through the (possibly gated, possibly faulty) wire, exactly
-	// once per epoch: the seeded fault streams are consumed per dial.
+	// once per epoch: the seeded fault streams are consumed per exchange.
 	c.fetchPhase()
 	for j, a := range c.agents {
 		ep.FetchAttempts += a.tally.attempts

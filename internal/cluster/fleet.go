@@ -15,7 +15,7 @@ package cluster
 // round deterministically.
 //
 // Non-interference: stats ride only exchanges the agent was already
-// making (chaos faults are drawn per dial, so the dial sequence — and
+// making (chaos faults are drawn per exchange, so the exchange sequence — and
 // with it every report field — is identical with the plane on or off),
 // and nothing ever reads fleet state to make a decision. A node that
 // cannot reach the controller delivers no report and goes dark at the

@@ -443,11 +443,14 @@ func TestControllerServesProvidedListener(t *testing.T) {
 
 // failingListener returns an error from Accept, without touching the
 // listener underneath, for as long as failing is set — a persistent accept
-// error (EMFILE) — and delegates otherwise.
+// error (EMFILE) — and delegates otherwise. Each call that passes the
+// check signals on parked as it enters the inner Accept, so a test can
+// flip failing without racing a call that has yet to make the check.
 type failingListener struct {
 	net.Listener
 	failing atomic.Bool
 	calls   atomic.Int64
+	parked  chan struct{}
 }
 
 func (l *failingListener) Accept() (net.Conn, error) {
@@ -455,7 +458,21 @@ func (l *failingListener) Accept() (net.Conn, error) {
 	if l.failing.Load() {
 		return nil, errors.New("accept: too many open files")
 	}
+	select {
+	case l.parked <- struct{}{}:
+	default:
+	}
 	return l.Listener.Accept()
+}
+
+// waitParked waits for the next Accept call to pass the failing check.
+func (l *failingListener) waitParked(t *testing.T) {
+	t.Helper()
+	select {
+	case <-l.parked:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the accept loop never re-entered Accept")
+	}
 }
 
 // TestControllerAcceptBackoff: a persistent Accept error must not spin the
@@ -468,7 +485,9 @@ func TestControllerAcceptBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := &failingListener{Listener: inner}
+	// Two calls pass the check before the test waits on them: the one that
+	// accepts the agent's connection and the one that parks after it.
+	ln := &failingListener{Listener: inner, parked: make(chan struct{}, 2)}
 	ln.failing.Store(true)
 	ctrl, err := NewControllerOpts("", ControllerOptions{HashKey: 3, Listener: ln})
 	if err != nil {
@@ -495,9 +514,16 @@ func TestControllerAcceptBackoff(t *testing.T) {
 		t.Fatal("decider not installed")
 	}
 
-	// The loop is now parked in the real Accept. Fail again and wake it
-	// with one more (served) exchange: the backoff must restart at 5 ms —
-	// three failed calls within 15 ms — not resume at 160 ms.
+	// Two calls have passed the check since the error cleared: the one
+	// that accepted the agent's connection, and the loop's next, which
+	// parks in the real Accept. Only once that one has passed is it safe
+	// to fail again — a call still to make the check would fail, and the
+	// exchange below would wait in the backlog for its RPC timeout. Then
+	// wake the parked call with one more (served) exchange: the backoff
+	// must restart at 5 ms — three failed calls within 15 ms — not resume
+	// at 160 ms.
+	ln.waitParked(t)
+	ln.waitParked(t)
 	ln.failing.Store(true)
 	before := ln.calls.Load()
 	if _, err := a.RemoteEpoch(); err != nil {

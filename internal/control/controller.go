@@ -18,16 +18,18 @@ import (
 	"nwdeploy/internal/telemetry"
 )
 
-// The protocol is one JSON request line per TCP connection and one
-// response — deliberately simple: fetches are periodic (the paper's
-// re-optimization cadence is minutes), and a connectionless-style exchange
-// avoids any session state to mismanage. Version 1 answers with one JSON
-// line carrying a full manifest. Version 2 (the delta control plane's
-// protocol) adds the "delta" op — the agent states the epoch it
-// holds and receives only the changed ranges — and a negotiated compact
-// binary response framing; every v2 request that an old controller cannot
-// serve degrades to a v1 exchange, and every v1 request is served exactly
-// as before, byte for byte.
+// The protocol is one JSON request line and one response per exchange.
+// Version 1 is one exchange per TCP connection: the controller answers with
+// one JSON line carrying a full manifest and closes. Version 2 (the delta
+// control plane's protocol) adds the "delta" op — the agent states the
+// epoch it holds and receives only the changed ranges — and a negotiated
+// compact binary response framing, and it holds the connection: after a
+// successful v2 answer the controller reads the next request line on the
+// same connection, and the agent reuses it for its next v2 exchange. The
+// connection carries no session state beyond that; every request is
+// self-contained. Every v2 request that an old controller cannot serve
+// degrades to a v1 exchange, and every v1 request, malformed line and
+// error reply is served exactly as before, byte for byte, then closed.
 
 // ProtocolV2 is the versioned wire protocol introduced with the delta
 // control plane. Requests carry it in "v"; responses echo it so agents can
@@ -122,10 +124,15 @@ type generation struct {
 	trace *WireTrace
 }
 
-// maxRequestLine bounds the one-line request read. Real requests are tens
-// of bytes; without a cap, a peer streaming bytes that never include a
+// maxRequestLine bounds each request-line read. Real requests are tens of
+// bytes; without a cap, a peer streaming bytes that never include a
 // newline would grow the controller's read buffer without bound.
 const maxRequestLine = 64 << 10
+
+// idleTimeout bounds each request on a connection, re-armed as the
+// controller starts reading the next one: it is the deadline of a one-shot
+// v1 exchange and the idle timeout of a held v2 connection.
+const idleTimeout = 10 * time.Second
 
 // Controller serves the current deployment's manifests to node agents.
 // Safe for concurrent use; UpdatePlan may be called while agents fetch.
@@ -147,6 +154,8 @@ type Controller struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 	closeErr  error
+	connMu    sync.Mutex
+	conns     map[net.Conn]struct{} // open connections; nil once closed
 
 	// Metric handles resolved at construction; nil-safe no-ops when no
 	// registry was configured.
@@ -183,7 +192,7 @@ func NewControllerOpts(addr string, opts ControllerOptions) (*Controller, error)
 	c := &Controller{
 		hashKey: opts.HashKey, histCap: histCap,
 		ledger: opts.Ledger, fleet: opts.Fleet,
-		ln: ln, closed: make(chan struct{}),
+		ln: ln, closed: make(chan struct{}), conns: make(map[net.Conn]struct{}),
 
 		epochReqC:    opts.Metrics.Counter("control.requests_epoch"),
 		manifestReqC: opts.Metrics.Counter("control.requests_manifest"),
@@ -301,16 +310,48 @@ func (c *Controller) PublishShed(node int, shed []WireAssignment) {
 	c.epochG.Set(float64(c.epoch))
 }
 
-// Close stops the listener and waits for the accept loop and in-flight
-// connections. It is idempotent: later calls wait the same way and return
-// the first call's error.
+// Close stops the listener, closes every open connection (held v2
+// connections park in a read for up to the idle timeout) and waits for the
+// accept loop and the connections' goroutines. It is idempotent: later
+// calls wait the same way and return the first call's error.
 func (c *Controller) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.closed)
 		c.closeErr = c.ln.Close()
+		c.connMu.Lock()
+		for conn := range c.conns {
+			_ = conn.Close()
+		}
+		c.conns = nil
+		c.connMu.Unlock()
 	})
 	c.wg.Wait()
 	return c.closeErr
+}
+
+// track registers an accepted connection for Close; false means the
+// controller is already closed and the connection must not be served.
+func (c *Controller) track(conn net.Conn) bool {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	if c.conns == nil {
+		return false
+	}
+	c.conns[conn] = struct{}{}
+	return true
+}
+
+func (c *Controller) untrack(conn net.Conn) {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	delete(c.conns, conn)
+}
+
+// openConns reports how many accepted connections are still open.
+func (c *Controller) openConns() int {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	return len(c.conns)
 }
 
 // Accept-error backoff: a persistent failure (EMFILE, say) must not turn
@@ -354,33 +395,53 @@ func (c *Controller) acceptLoop() {
 	}
 }
 
+// serve answers requests on one connection: a single one for v1, and for
+// v2 one after another until the peer closes, a request fails, or the
+// connection idles out.
 func (c *Controller) serve(conn net.Conn) {
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-
-	// Cap the request-line read: LimitReader makes an overlong line
-	// surface as an EOF one byte past the cap instead of an unbounded
-	// buffer. A peer that closes mid-line (partial bytes, no newline)
-	// lands in the same error path with a short line.
-	var req request
-	r := bufio.NewReader(io.LimitReader(conn, maxRequestLine+1))
-	line, err := r.ReadBytes('\n')
-	enc := json.NewEncoder(conn)
-	if err != nil {
-		if len(line) > maxRequestLine {
-			c.badReqC.Add(1)
-			_ = enc.Encode(response{Err: "malformed request"})
-		} else if len(line) > 0 {
-			// Connection closed mid-request; the peer is gone, so no
-			// response — but the abandoned bytes still count as bad.
-			c.badReqC.Add(1)
-		}
+	if !c.track(conn) {
 		return
 	}
+	defer c.untrack(conn)
+
+	// Cap each request-line read: the limit, re-armed per request less the
+	// bytes already read ahead, makes an overlong line surface as an EOF
+	// one byte past the cap instead of an unbounded buffer. A peer that
+	// closes mid-line (partial bytes, no newline) lands in the same error
+	// path with a short line.
+	lr := &io.LimitedReader{R: conn}
+	r := bufio.NewReader(lr)
+	enc := json.NewEncoder(conn)
+	for {
+		_ = conn.SetDeadline(time.Now().Add(idleTimeout))
+		lr.N = maxRequestLine + 1 - int64(r.Buffered())
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			if len(line) > maxRequestLine {
+				c.badReqC.Add(1)
+				_ = enc.Encode(response{Err: "malformed request"})
+			} else if len(line) > 0 {
+				// Connection closed mid-request; the peer is gone, so no
+				// response — but the abandoned bytes still count as bad.
+				c.badReqC.Add(1)
+			}
+			return
+		}
+		if !c.handle(conn, enc, line) {
+			return
+		}
+	}
+}
+
+// handle answers one request line and reports whether the connection stays
+// open for another: only after a v2 request answered without error.
+func (c *Controller) handle(conn net.Conn, enc *json.Encoder, line []byte) bool {
+	var req request
 	if err := json.Unmarshal(line, &req); err != nil {
 		c.badReqC.Add(1)
 		_ = enc.Encode(response{Err: "malformed request"})
-		return
+		return false
 	}
 
 	// Fold in the piggybacked telemetry report before any response bytes
@@ -390,7 +451,31 @@ func (c *Controller) serve(conn net.Conn) {
 		c.statsReqC.Add(1)
 		c.fleet.Report(*req.Stats)
 	}
+	if req.Trace != nil {
+		c.tracedReqC.Add(1)
+	}
+	resp := c.answer(&req)
 
+	// Complete the v2 handshake (echoing the protocol version) and honor
+	// the negotiated encoding; v1 requests get the historical JSON line
+	// byte for byte.
+	var err error
+	switch {
+	case req.V < ProtocolV2:
+		_ = enc.Encode(resp)
+		return false
+	case req.Enc == EncBin:
+		resp.V = ProtocolV2
+		_, err = conn.Write(frameBinary(encodeBinaryResponse(&resp)))
+	default:
+		resp.V = ProtocolV2
+		err = enc.Encode(resp)
+	}
+	return err == nil && resp.Err == ""
+}
+
+// answer builds the response to one decoded request.
+func (c *Controller) answer(req *request) response {
 	c.mu.RLock()
 	plan, epoch := c.plan, c.epoch
 	shed := c.shed[req.Node]
@@ -398,88 +483,55 @@ func (c *Controller) serve(conn net.Conn) {
 	hist := c.hist
 	c.mu.RUnlock()
 
-	// reply completes the v2 handshake (echoing the protocol version) and
-	// honors the negotiated encoding; v1 requests get the historical JSON
-	// line byte for byte.
-	reply := func(resp response) {
-		if req.V >= ProtocolV2 {
-			resp.V = ProtocolV2
-			if req.Enc == EncBin {
-				_, _ = conn.Write(frameBinary(encodeBinaryResponse(&resp)))
-				return
-			}
-		}
-		_ = enc.Encode(resp)
-	}
-
-	// fullManifest builds the node's current manifest, shared by the
+	// fullManifest answers with the node's current manifest, shared by the
 	// "manifest" op and every delta fallback.
-	fullManifest := func() (*Manifest, error) {
+	fullManifest := func() response {
 		m, err := ManifestFromPlan(plan, req.Node, epoch, c.hashKey)
 		if err != nil {
-			return nil, err
+			c.manifestErrC.Add(1)
+			return response{Epoch: epoch, Err: err.Error()}
 		}
 		m.Shed = shed
 		m.Trace = wt
-		return m, nil
+		return response{Epoch: epoch, Manifest: m}
 	}
 
-	if req.Trace != nil {
-		c.tracedReqC.Add(1)
-	}
 	switch req.Op {
 	case "epoch":
 		c.epochReqC.Add(1)
-		reply(response{Epoch: epoch})
+		return response{Epoch: epoch}
 	case "manifest":
 		c.manifestReqC.Add(1)
 		if plan == nil {
 			c.manifestErrC.Add(1)
-			reply(response{Epoch: epoch, Err: "no plan installed"})
-			return
+			return response{Epoch: epoch, Err: "no plan installed"}
 		}
-		m, err := fullManifest()
-		if err != nil {
-			c.manifestErrC.Add(1)
-			reply(response{Epoch: epoch, Err: err.Error()})
-			return
-		}
-		reply(response{Epoch: epoch, Manifest: m})
+		return fullManifest()
 	case "delta":
 		c.deltaReqC.Add(1)
 		if req.V < ProtocolV2 {
 			c.badReqC.Add(1)
-			reply(response{Epoch: epoch, Err: "op delta requires protocol v2"})
-			return
+			return response{Epoch: epoch, Err: "op delta requires protocol v2"}
 		}
 		if plan == nil {
 			c.manifestErrC.Add(1)
-			reply(response{Epoch: epoch, Err: "no plan installed"})
-			return
+			return response{Epoch: epoch, Err: "no plan installed"}
 		}
 		if req.Have == epoch {
 			// Up to date: the delta exchange doubles as the epoch probe.
-			reply(response{Epoch: epoch})
-			return
+			return response{Epoch: epoch}
 		}
 		if d := c.deltaFrom(hist, req.Have, req.Node, wt); d != nil {
 			c.deltaServedC.Add(1)
-			reply(response{Epoch: epoch, Delta: d})
-			return
+			return response{Epoch: epoch, Delta: d}
 		}
 		// Epoch gap (base aged out of history), hash-key or class-table
 		// change, or delta serving disabled: full-manifest fallback.
 		c.deltaFullC.Add(1)
-		m, err := fullManifest()
-		if err != nil {
-			c.manifestErrC.Add(1)
-			reply(response{Epoch: epoch, Err: err.Error()})
-			return
-		}
-		reply(response{Epoch: epoch, Manifest: m})
+		return fullManifest()
 	default:
 		c.badReqC.Add(1)
-		reply(response{Epoch: epoch, Err: fmt.Sprintf("unknown op %q", req.Op)})
+		return response{Epoch: epoch, Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}
 }
 
@@ -555,13 +607,29 @@ const (
 	protoV2                   // controller confirmed v2
 )
 
+// heldIdleMax is how long an agent keeps an idle v2 connection: half the
+// controller's idle timeout, so the agent never writes into a connection
+// the controller is about to time out.
+const heldIdleMax = idleTimeout / 2
+
+// heldConn is an agent's open v2 connection to the controller.
+type heldConn struct {
+	conn net.Conn
+	br   *bufio.Reader
+	used time.Time // end of the last exchange on it
+}
+
 // Agent is a node's client to the controller. It caches the last fetched
 // manifest and exposes a Decider for the data path. Refreshing goes
-// through Subscribe.
+// through Subscribe. After a v2 exchange it holds the connection for the
+// next one; Close releases it.
 type Agent struct {
 	addr string
 	node int
 	opts AgentOptions
+
+	connMu sync.Mutex
+	held   *heldConn // nil = the next exchange dials
 
 	mu       sync.RWMutex
 	decider  *Decider
@@ -649,19 +717,73 @@ func (a *Agent) roundTrip(req request) (*response, int, error) {
 	return resp, n, err
 }
 
+// exchange runs one request/response on the held connection when the
+// request is v2 and one is held, otherwise on a fresh dial. It keeps the
+// connection only after an error-free answer that echoes v2. A failure on
+// a held connection drops it and fails the exchange: a silent redial would
+// be a second dial (and a second fault draw) for one exchange.
 func (a *Agent) exchange(req request) (*response, int, error) {
-	conn, err := a.opts.Dial("tcp", a.addr, a.opts.DialTimeout)
-	if err != nil {
-		return nil, 0, fmt.Errorf("control: dial %s: %w", a.addr, err)
+	var hc *heldConn
+	if req.V >= ProtocolV2 {
+		hc = a.takeHeld()
 	}
-	defer conn.Close()
+	if hc == nil {
+		conn, err := a.opts.Dial("tcp", a.addr, a.opts.DialTimeout)
+		if err != nil {
+			return nil, 0, fmt.Errorf("control: dial %s: %w", a.addr, err)
+		}
+		hc = &heldConn{conn: conn, br: bufio.NewReader(conn)}
+	}
+	resp, n, err := a.converse(hc, req)
+	if err != nil || resp.V < ProtocolV2 {
+		_ = hc.conn.Close()
+		return resp, n, err
+	}
+	hc.used = time.Now()
+	if old := a.swapHeld(hc); old != nil {
+		_ = old.conn.Close() // a concurrent exchange held one meanwhile
+	}
+	return resp, n, nil
+}
+
+// swapHeld makes hc the held connection and returns the one it replaces.
+func (a *Agent) swapHeld(hc *heldConn) *heldConn {
+	a.connMu.Lock()
+	defer a.connMu.Unlock()
+	old := a.held
+	a.held = hc
+	return old
+}
+
+// takeHeld removes and returns the held connection, or nil when none is
+// held or it has idled past heldIdleMax.
+func (a *Agent) takeHeld() *heldConn {
+	hc := a.swapHeld(nil)
+	if hc != nil && time.Since(hc.used) >= heldIdleMax {
+		_ = hc.conn.Close()
+		return nil
+	}
+	return hc
+}
+
+// Close releases the agent's held connection, if any. The agent stays
+// usable; its next v2 exchange dials again.
+func (a *Agent) Close() error {
+	if hc := a.swapHeld(nil); hc != nil {
+		return hc.conn.Close()
+	}
+	return nil
+}
+
+// converse writes one request on hc and reads its response.
+func (a *Agent) converse(hc *heldConn, req request) (*response, int, error) {
+	conn, br := hc.conn, hc.br
 	_ = conn.SetDeadline(time.Now().Add(a.opts.RPCTimeout))
 
 	enc := json.NewEncoder(conn)
 	if err := enc.Encode(req); err != nil {
 		return nil, 0, fmt.Errorf("control: send: %w", err)
 	}
-	br := bufio.NewReader(conn)
 	if req.V >= ProtocolV2 && req.Enc == EncBin {
 		// A binary frame starts with the high length byte, always 0x00;
 		// a legacy JSON response (a controller that ignored the enc
@@ -676,11 +798,23 @@ func (a *Agent) exchange(req request) (*response, int, error) {
 	}
 	var resp response
 	cr := &countingReader{r: br}
-	if err := json.NewDecoder(cr).Decode(&resp); err != nil {
+	dec := json.NewDecoder(cr)
+	if err := dec.Decode(&resp); err != nil {
 		return nil, cr.n, fmt.Errorf("control: decode: %w", err)
 	}
 	if resp.Err != "" {
 		return &resp, cr.n, errors.New("control: " + resp.Err)
+	}
+	if resp.V >= ProtocolV2 {
+		// The connection will be held: consume the line's newline, which
+		// the decoder may have left unread, so the next response starts
+		// at its first byte. It is not counted, as on a one-shot exchange.
+		var nl [1]byte
+		if k, _ := dec.Buffered().Read(nl[:]); k == 0 {
+			if b, err := br.ReadByte(); err != nil || b != '\n' {
+				return nil, cr.n, errors.New("control: decode: response line not terminated")
+			}
+		}
 	}
 	return &resp, cr.n, nil
 }

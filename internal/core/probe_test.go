@@ -99,25 +99,25 @@ func TestProbeCoverageMatchesOracle(t *testing.T) {
 		up := func(x float64) float64 { return math.Nextafter(x, 2) }
 		fixed := []hashing.RangeSet{
 			nil,
-			{{0, 1}},
+			rs(0, 1),
 			// Endpoints exactly on midpoints, and one ULP either side.
-			{{m(0), m(1)}},
-			{{down(m(0)), up(m(1))}},
-			{{up(m(0)), down(m(1))}},
-			{{m(1), m(1)}},
-			{{down(m(2)), m(2)}},
-			{{m(2), up(m(2))}},
+			rs(m(0), m(1)),
+			rs(down(m(0)), up(m(1))),
+			rs(up(m(0)), down(m(1))),
+			rs(m(1), m(1)),
+			rs(down(m(2)), m(2)),
+			rs(m(2), up(m(2))),
 			// Overlapping, adjacent and nested.
-			{{0.1, 0.5}, {0.3, 0.7}},
-			{{0.2, 0.4}, {0.4, 0.6}, {m(3), m(5)}},
-			{{0.1, 0.9}, {0.2, 0.3}, {0.25, 0.26}},
-			{{0.5, 0.6}, {0.1, 0.2}, {0.55, 0.65}, {0.15, 0.5}},
+			rs(0.1, 0.5, 0.3, 0.7),
+			rs(0.2, 0.4, 0.4, 0.6, m(3), m(5)),
+			rs(0.1, 0.9, 0.2, 0.3, 0.25, 0.26),
+			rs(0.5, 0.6, 0.1, 0.2, 0.55, 0.65, 0.15, 0.5),
 			// Empty, inverted and outside [0,1).
-			{{0.4, 0.4}, {0.7, 0.3}},
-			{{-0.5, 0.25}, {0.75, 1.5}},
-			{{-2, -1}, {1, 3}},
-			{{math.Inf(-1), m(0)}, {m(probes - 1), math.Inf(1)}},
-			{{math.NaN(), 0.5}, {0.5, math.NaN()}},
+			rs(0.4, 0.4, 0.7, 0.3),
+			rs(-0.5, 0.25, 0.75, 1.5),
+			rs(-2, -1, 1, 3),
+			rs(math.Inf(-1), m(0), m(probes-1), math.Inf(1)),
+			rs(math.NaN(), 0.5, 0.5, math.NaN()),
 		}
 		checkAgainstOracle(t, fixed, probes)
 
@@ -173,7 +173,7 @@ func TestCoverageUnderFailureMatchesOracle(t *testing.T) {
 // many units it counts, when the covered callback appends into the buffer
 // it is handed.
 func TestProbeCoverageAllocFree(t *testing.T) {
-	sets := []hashing.RangeSet{{{0.1, 0.4}, {0.3, 0.5}}, {{0.9, 1}, {0, 0.2}, {0.5, 0.6}}, nil}
+	sets := []hashing.RangeSet{rs(0.1, 0.4, 0.3, 0.5), rs(0.9, 1, 0, 0.2, 0.5, 0.6), nil}
 	covered := func(ui int, dst hashing.RangeSet) hashing.RangeSet { return append(dst, sets[ui%len(sets)]...) }
 	if a := testing.AllocsPerRun(20, func() { ProbeCoverage(3000, 2000, covered) }); a != 0 {
 		t.Fatalf("ProbeCoverage over 3000 units: %v allocs per call, want 0", a)
@@ -205,7 +205,16 @@ func FuzzProbeCoverage(f *testing.F) {
 				}
 			}
 		}
-		sets := []hashing.RangeSet{{{ends[0], ends[1]}, {ends[2], ends[3]}, {ends[4], ends[5]}}}
+		sets := []hashing.RangeSet{rs(ends...)}
 		checkAgainstOracle(t, sets, probes)
 	})
+}
+
+// rs builds a range set from (Lo, Hi) endpoint pairs, in order.
+func rs(ends ...float64) hashing.RangeSet {
+	out := make(hashing.RangeSet, 0, len(ends)/2)
+	for i := 0; i+1 < len(ends); i += 2 {
+		out = append(out, hashing.Range{Lo: ends[i], Hi: ends[i+1]})
+	}
+	return out
 }
