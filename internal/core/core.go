@@ -328,7 +328,12 @@ type SolveOptions struct {
 	// Redundancy is the Section 2.5 coverage level r (0 selects 1).
 	Redundancy int
 	// Aggregation, when non-nil, adds the Section 5 network-wide
-	// communication budget to the formulation (see SolveWithAggregation).
+	// communication budget row to the formulation: the total digest
+	// byte-hops toward the collector must fit AggregationConfig.Budget. A
+	// loose budget reproduces the base plan's objective; tightening it pulls
+	// analysis toward the collector at the price of a higher max load. The
+	// row changes the LP's shape, so CaptureBasis and WarmBasis apply to
+	// the base LP only.
 	Aggregation *AggregationConfig
 	// Metrics, when non-nil, receives solve observability (the lp
 	// package's counters plus solve wall time). The registry is
@@ -362,15 +367,7 @@ func SolveOpts(inst *Instance, opts SolveOptions) (*Plan, error) {
 	}
 	sp := opts.Metrics.StartSpan("core.solve_ns")
 	defer sp.End()
-	var plan *Plan
-	var err error
-	if opts.Aggregation != nil {
-		// The aggregation formulation has extra rows, so a base-shape
-		// basis would not fit; warm options apply to the base LP only.
-		plan, err = solveWithAggregation(inst, r, *opts.Aggregation, opts.Metrics)
-	} else {
-		plan, err = solveNIDS(inst, r, opts)
-	}
+	plan, err := solveNIDS(inst, r, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -388,8 +385,10 @@ func Solve(inst *Instance, r int) (*Plan, error) {
 	return solveNIDS(inst, r, SolveOptions{})
 }
 
-// solveNIDS is Solve with the solver-facing options (metrics, basis
-// capture/warm start, iteration cap) threaded into the LP solve.
+// solveNIDS is the one builder of the placement LP: Eqs. (1)–(6) at
+// coverage r, plus the Section 5 budget row when opts.Aggregation is set,
+// with the solver-facing options (metrics, basis capture/warm start,
+// iteration cap) threaded into the LP solve.
 func solveNIDS(inst *Instance, r int, opts SolveOptions) (*Plan, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("core: redundancy level %d < 1", r)
@@ -400,21 +399,30 @@ func solveNIDS(inst *Instance, r int, opts SolveOptions) (*Plan, error) {
 				u.Key, inst.Classes[u.Class].Name, len(u.Nodes), r)
 		}
 	}
+	agg := opts.Aggregation
+	var hops []float64 // each node's hop distance to the collector
+	if agg != nil {
+		var err error
+		if hops, err = agg.hops(inst); err != nil {
+			return nil, err
+		}
+	}
 
 	p := lp.New(lp.Minimize)
-	lambda := p.AddVar("lambda", 1, 0, lp.Inf())
+	lambda := p.AddVar(1, 0, lp.Inf())
 
 	// d variables per (unit, node), with per-node load accumulation terms.
 	dVars := make([][]lp.Var, len(inst.Units))
 	n := inst.Topo.N()
 	cpuTerms := make([][]lp.Term, n)
 	memTerms := make([][]lp.Term, n)
+	var commTerms []lp.Term
 	for ui, u := range inst.Units {
 		c := inst.Classes[u.Class]
 		dVars[ui] = make([]lp.Var, len(u.Nodes))
 		cover := make([]lp.Term, 0, len(u.Nodes))
 		for vi, node := range u.Nodes {
-			v := p.AddVar(fmt.Sprintf("d[%d,%d]", ui, node), 0, 0, 1)
+			v := p.AddVar(0, 0, 1)
 			dVars[ui][vi] = v
 			cover = append(cover, lp.Term{Var: v, Coef: 1})
 			if w := c.CPUPerPkt * u.Pkts / inst.Caps[node].CPU; w != 0 {
@@ -423,42 +431,54 @@ func solveNIDS(inst *Instance, r int, opts SolveOptions) (*Plan, error) {
 			if w := c.MemPerItem * u.Items / inst.Caps[node].Mem; w != 0 {
 				memTerms[node] = append(memTerms[node], lp.Term{Var: v, Coef: w})
 			}
+			if agg != nil {
+				if w := agg.BytesPerItem * u.Items * hops[node]; w != 0 {
+					commTerms = append(commTerms, lp.Term{Var: v, Coef: w})
+				}
+			}
 		}
 		// Eq (1), generalized to coverage r per Section 2.5.
-		p.AddConstraint(fmt.Sprintf("cover[%d]", ui), cover, lp.EQ, float64(r))
+		p.AddConstraint(cover, lp.EQ, float64(r))
 	}
 	// Eqs (2)–(5): lambda >= CpuLoad_j and lambda >= MemLoad_j.
 	for j := 0; j < n; j++ {
 		if len(cpuTerms[j]) > 0 {
-			terms := append([]lp.Term{{Var: lambda, Coef: -1}}, cpuTerms[j]...)
-			p.AddConstraint(fmt.Sprintf("cpu[%d]", j), terms, lp.LE, 0)
+			p.AddConstraint(append([]lp.Term{{Var: lambda, Coef: -1}}, cpuTerms[j]...), lp.LE, 0)
 		}
 		if len(memTerms[j]) > 0 {
-			terms := append([]lp.Term{{Var: lambda, Coef: -1}}, memTerms[j]...)
-			p.AddConstraint(fmt.Sprintf("mem[%d]", j), terms, lp.LE, 0)
+			p.AddConstraint(append([]lp.Term{{Var: lambda, Coef: -1}}, memTerms[j]...), lp.LE, 0)
 		}
 	}
+	if len(commTerms) > 0 {
+		p.AddConstraint(commTerms, lp.LE, agg.Budget)
+	}
 
-	// Presolve pays off here: every ingress/egress-pinned unit is a
-	// singleton coverage equality the reductions eliminate outright. It is
-	// incompatible with basis capture, though — a presolved solution's
+	// Presolve pays off on the base LP: every ingress/egress-pinned unit is
+	// a singleton coverage equality the reductions eliminate outright. It
+	// is incompatible with basis capture, though — a presolved solution's
 	// columns live in the reduced model — so warm-start workflows trade it
-	// away.
-	capture := opts.CaptureBasis || opts.WarmBasis != nil
-	sol, err := p.SolveOpts(lp.Options{
-		Presolve:  !capture,
-		WarmBasis: opts.WarmBasis,
-		MaxIters:  opts.MaxIters,
-		Metrics:   opts.Metrics,
-	})
+	// away. It stays off under the budget row too, where it would move the
+	// optimal vertex (the plan golden's aggregation cases pin it).
+	lpo := lp.Options{MaxIters: opts.MaxIters, Metrics: opts.Metrics}
+	if agg == nil {
+		lpo.Presolve = !opts.CaptureBasis && opts.WarmBasis == nil
+		lpo.WarmBasis = opts.WarmBasis
+	}
+	sol, err := p.SolveOpts(lpo)
 	if err != nil {
 		return nil, fmt.Errorf("core: solving NIDS LP: %w", err)
 	}
-	if sol.Status != lp.StatusOptimal {
+	switch {
+	case sol.Status == lp.StatusInfeasible && agg != nil:
+		return nil, fmt.Errorf("core: aggregation budget %v for this workload: %w", agg.Budget, lp.ErrInfeasible)
+	case sol.Status != lp.StatusOptimal:
 		return nil, fmt.Errorf("core: NIDS LP (is redundancy %d feasible?): %w", r, sol.Status.Err())
 	}
 
-	plan := &Plan{Inst: inst, Redundancy: r, Objective: sol.Objective, SolverIters: sol.Iters, Stats: sol.Stats, Basis: sol.Basis}
+	plan := &Plan{Inst: inst, Redundancy: r, Objective: sol.Objective, SolverIters: sol.Iters, Stats: sol.Stats}
+	if agg == nil {
+		plan.Basis = sol.Basis
+	}
 	plan.Assignments = make([]Assignment, len(inst.Units))
 	for ui := range inst.Units {
 		frac := make([]float64, len(dVars[ui]))

@@ -8,8 +8,6 @@ import (
 	"sync"
 
 	"nwdeploy/internal/hashing"
-	"nwdeploy/internal/lp"
-	"nwdeploy/internal/obs"
 )
 
 // GreedyPlan is the ablation baseline for the LP: it assigns each
@@ -92,34 +90,15 @@ type AggregationConfig struct {
 	Budget float64
 }
 
-// SolveWithAggregation solves the placement LP with an added network-wide
-// communication constraint: the total (digest bytes x hop distance to the
-// collector) across all assignments must fit the budget. A loose budget
-// reproduces Solve exactly; tightening it pulls analysis toward the
-// collector at the price of a higher max load.
-func SolveWithAggregation(inst *Instance, r int, agg AggregationConfig) (*Plan, error) {
-	return solveWithAggregation(inst, r, agg, nil)
-}
-
-// solveWithAggregation is SolveWithAggregation with an optional metrics
-// registry threaded into the LP solve (nil is the no-op registry).
-func solveWithAggregation(inst *Instance, r int, agg AggregationConfig, metrics *obs.Registry) (*Plan, error) {
+// hops validates the configuration against inst and returns every node's
+// hop distance to the collector.
+func (agg AggregationConfig) hops(inst *Instance) ([]float64, error) {
 	if agg.Collector < 0 || agg.Collector >= inst.Topo.N() {
 		return nil, fmt.Errorf("core: collector node %d out of range", agg.Collector)
 	}
 	if agg.Budget <= 0 || agg.BytesPerItem <= 0 {
 		return nil, fmt.Errorf("core: aggregation budget and digest size must be positive")
 	}
-	if r < 1 {
-		return nil, fmt.Errorf("core: redundancy level %d < 1", r)
-	}
-	for _, u := range inst.Units {
-		if len(u.Nodes) < r {
-			return nil, fmt.Errorf("core: unit %v has %d eligible nodes < redundancy %d", u.Key, len(u.Nodes), r)
-		}
-	}
-
-	// Hop distance from every node to the collector.
 	hops := make([]float64, inst.Topo.N())
 	paths := inst.Topo.ShortestPaths(agg.Collector)
 	for j := range hops {
@@ -128,76 +107,11 @@ func solveWithAggregation(inst *Instance, r int, agg AggregationConfig, metrics 
 		}
 		hops[j] = float64(len(paths[j]) - 1)
 	}
-
-	p := lp.New(lp.Minimize)
-	lambda := p.AddVar("lambda", 1, 0, lp.Inf())
-	dVars := make([][]lp.Var, len(inst.Units))
-	n := inst.Topo.N()
-	cpuTerms := make([][]lp.Term, n)
-	memTerms := make([][]lp.Term, n)
-	var commTerms []lp.Term
-	for ui, u := range inst.Units {
-		c := inst.Classes[u.Class]
-		dVars[ui] = make([]lp.Var, len(u.Nodes))
-		cover := make([]lp.Term, 0, len(u.Nodes))
-		for vi, node := range u.Nodes {
-			v := p.AddVar(fmt.Sprintf("d[%d,%d]", ui, node), 0, 0, 1)
-			dVars[ui][vi] = v
-			cover = append(cover, lp.Term{Var: v, Coef: 1})
-			if w := c.CPUPerPkt * u.Pkts / inst.Caps[node].CPU; w != 0 {
-				cpuTerms[node] = append(cpuTerms[node], lp.Term{Var: v, Coef: w})
-			}
-			if w := c.MemPerItem * u.Items / inst.Caps[node].Mem; w != 0 {
-				memTerms[node] = append(memTerms[node], lp.Term{Var: v, Coef: w})
-			}
-			if w := agg.BytesPerItem * u.Items * hops[node]; w != 0 {
-				commTerms = append(commTerms, lp.Term{Var: v, Coef: w})
-			}
-		}
-		p.AddConstraint(fmt.Sprintf("cover[%d]", ui), cover, lp.EQ, float64(r))
-	}
-	for j := 0; j < n; j++ {
-		if len(cpuTerms[j]) > 0 {
-			p.AddConstraint(fmt.Sprintf("cpu[%d]", j),
-				append([]lp.Term{{Var: lambda, Coef: -1}}, cpuTerms[j]...), lp.LE, 0)
-		}
-		if len(memTerms[j]) > 0 {
-			p.AddConstraint(fmt.Sprintf("mem[%d]", j),
-				append([]lp.Term{{Var: lambda, Coef: -1}}, memTerms[j]...), lp.LE, 0)
-		}
-	}
-	if len(commTerms) > 0 {
-		p.AddConstraint("agg-budget", commTerms, lp.LE, agg.Budget)
-	}
-
-	sol, err := p.SolveOpts(lp.Options{Metrics: metrics})
-	if err != nil {
-		return nil, fmt.Errorf("core: aggregation LP: %w", err)
-	}
-	switch sol.Status {
-	case lp.StatusOptimal:
-	case lp.StatusInfeasible:
-		return nil, fmt.Errorf("core: aggregation budget %v for this workload: %w", agg.Budget, lp.ErrInfeasible)
-	default:
-		return nil, fmt.Errorf("core: aggregation LP: %w", sol.Status.Err())
-	}
-
-	plan := &Plan{Inst: inst, Redundancy: r, Objective: sol.Objective, SolverIters: sol.Iters, Stats: sol.Stats}
-	plan.Assignments = make([]Assignment, len(inst.Units))
-	for ui := range inst.Units {
-		frac := make([]float64, len(dVars[ui]))
-		for vi, v := range dVars[ui] {
-			frac[vi] = clamp01(sol.Value(v))
-		}
-		plan.Assignments[ui] = Assignment{Unit: ui, Frac: frac}
-	}
-	plan.buildManifests()
-	plan.MaxCPULoad, plan.MaxMemLoad = Loads(inst, plan)
-	return plan, nil
+	return hops, nil
 }
 
 // AggregationCost evaluates a plan's digest byte-hops toward a collector —
-// the quantity SolveWithAggregation budgets.
+// the quantity SolveOptions.Aggregation budgets.
 func AggregationCost(inst *Instance, p *Plan, agg AggregationConfig) float64 {
 	hops := make([]float64, inst.Topo.N())
 	paths := inst.Topo.ShortestPaths(agg.Collector)

@@ -78,7 +78,7 @@ func TestAggregationLooseBudgetMatchesPlainSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := AggregationConfig{Collector: 6, BytesPerItem: 64, Budget: 1e18}
-	with, err := SolveWithAggregation(inst, 1, agg)
+	with, err := SolveOpts(inst, SolveOptions{Aggregation: &agg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestAggregationLooseBudgetMatchesPlainSolve(t *testing.T) {
 func TestAggregationTightBudgetTradesLoad(t *testing.T) {
 	inst := extInstance(t)
 	agg := AggregationConfig{Collector: 6, BytesPerItem: 64, Budget: 1e18}
-	loose, err := SolveWithAggregation(inst, 1, agg)
+	loose, err := SolveOpts(inst, SolveOptions{Aggregation: &agg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestAggregationTightBudgetTradesLoad(t *testing.T) {
 		t.Skip("no slack between the minimal and unconstrained communication cost")
 	}
 	agg.Budget = (minCost + looseCost) / 2
-	tight, err := SolveWithAggregation(inst, 1, agg)
+	tight, err := SolveOpts(inst, SolveOptions{Aggregation: &agg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,17 +144,17 @@ func TestAggregationTightBudgetTradesLoad(t *testing.T) {
 
 func TestAggregationValidation(t *testing.T) {
 	inst := extInstance(t)
-	if _, err := SolveWithAggregation(inst, 1, AggregationConfig{Collector: -1, BytesPerItem: 1, Budget: 1}); err == nil {
+	if _, err := SolveOpts(inst, SolveOptions{Aggregation: &AggregationConfig{Collector: -1, BytesPerItem: 1, Budget: 1}}); err == nil {
 		t.Fatal("expected collector validation error")
 	}
-	if _, err := SolveWithAggregation(inst, 1, AggregationConfig{Collector: 0, BytesPerItem: 0, Budget: 1}); err == nil {
+	if _, err := SolveOpts(inst, SolveOptions{Aggregation: &AggregationConfig{Collector: 0, BytesPerItem: 0, Budget: 1}}); err == nil {
 		t.Fatal("expected digest-size validation error")
 	}
-	if _, err := SolveWithAggregation(inst, 0, AggregationConfig{Collector: 0, BytesPerItem: 1, Budget: 1}); err == nil {
+	if _, err := SolveOpts(inst, SolveOptions{Redundancy: -1, Aggregation: &AggregationConfig{Collector: 0, BytesPerItem: 1, Budget: 1}}); err == nil {
 		t.Fatal("expected redundancy validation error")
 	}
 	// An absurdly tight budget must report infeasibility cleanly.
-	if _, err := SolveWithAggregation(inst, 1, AggregationConfig{Collector: 0, BytesPerItem: 64, Budget: 1e-9}); err == nil {
+	if _, err := SolveOpts(inst, SolveOptions{Aggregation: &AggregationConfig{Collector: 0, BytesPerItem: 64, Budget: 1e-9}}); err == nil {
 		t.Fatal("expected infeasibility for near-zero budget")
 	}
 }

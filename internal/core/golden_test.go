@@ -46,7 +46,9 @@ func toGoldenPlan(p *core.Plan) goldenPlan {
 // goldenPlans solves the paper-scale replan instance — 50 nodes, the 200
 // heaviest gravity pairs, the eight standard modules — cold (presolved), as
 // a basis-capturing cold solve, and warm from that basis after a seeded
-// ±10% volume jitter.
+// ±10% volume jitter; and the Section 5 aggregation LP on the Internet2
+// extension instance under a loose budget and a tight one (0.8 x the loose
+// plan's byte-hops), which moves the vertex.
 func goldenPlans(t *testing.T) map[string]goldenPlan {
 	t.Helper()
 	topo := topology.FiftyNode()
@@ -90,10 +92,24 @@ func goldenPlans(t *testing.T) map[string]goldenPlan {
 	if warm.Stats.Phase1Iters != 0 {
 		t.Fatalf("warm replan fell back cold (%d phase-1 pivots)", warm.Stats.Phase1Iters)
 	}
+	ext := core.ExtInstance(t)
+	agg := core.AggregationConfig{Collector: 6, BytesPerItem: 64, Budget: 1e18}
+	loose, err := core.SolveOpts(ext, core.SolveOptions{Aggregation: &agg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tightAgg := agg
+	tightAgg.Budget = 0.8 * core.AggregationCost(ext, loose, agg)
+	tight, err := core.SolveOpts(ext, core.SolveOptions{Aggregation: &tightAgg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string]goldenPlan{
-		"cold":    toGoldenPlan(cold),
-		"capture": toGoldenPlan(captured),
-		"warm":    toGoldenPlan(warm),
+		"cold":      toGoldenPlan(cold),
+		"capture":   toGoldenPlan(captured),
+		"warm":      toGoldenPlan(warm),
+		"agg-loose": toGoldenPlan(loose),
+		"agg-tight": toGoldenPlan(tight),
 	}
 }
 
@@ -102,7 +118,7 @@ func goldenPlans(t *testing.T) map[string]goldenPlan {
 // fraction and the solver's work counters, bit for bit.
 func TestPlanGolden(t *testing.T) {
 	got := goldenPlans(t)
-	names := []string{"capture", "cold", "warm"}
+	names := []string{"agg-loose", "agg-tight", "capture", "cold", "warm"}
 	if *updateGolden {
 		var buf bytes.Buffer
 		buf.WriteString("{\n")

@@ -12,7 +12,7 @@ import (
 func buildDeploymentLP(nodes, units int, seed int64) *Problem {
 	rng := rand.New(rand.NewSource(seed))
 	p := New(Minimize)
-	lambda := p.AddVar("lambda", 1, 0, Inf())
+	lambda := p.AddVar(1, 0, Inf())
 	loadTerms := make([][]Term, nodes)
 	for k := 0; k < units; k++ {
 		sz := 2 + rng.Intn(3)
@@ -20,14 +20,14 @@ func buildDeploymentLP(nodes, units int, seed int64) *Problem {
 		load := 0.5 + rng.Float64()*2
 		cov := make([]Term, 0, sz)
 		for _, nd := range perm {
-			v := p.AddVar("d", 0, 0, 1)
+			v := p.AddVar(0, 0, 1)
 			cov = append(cov, Term{v, 1})
 			loadTerms[nd] = append(loadTerms[nd], Term{v, load})
 		}
-		p.AddConstraint("cover", cov, EQ, 1)
+		p.AddConstraint(cov, EQ, 1)
 	}
 	for nd := 0; nd < nodes; nd++ {
-		p.AddConstraint("load", append([]Term{{lambda, -1}}, loadTerms[nd]...), LE, 0)
+		p.AddConstraint(append([]Term{{lambda, -1}}, loadTerms[nd]...), LE, 0)
 	}
 	return p
 }
@@ -42,7 +42,7 @@ func buildPackingLP(nodes, rules, paths int, seed int64) *Problem {
 	for i := 0; i < rules; i++ {
 		eVars[i] = make([]Var, nodes)
 		for j := 0; j < nodes; j++ {
-			eVars[i][j] = p.AddVar("e", 0, 0, 1)
+			eVars[i][j] = p.AddVar(0, 0, 1)
 			camTerms[j] = append(camTerms[j], Term{eVars[i][j], 1})
 		}
 	}
@@ -53,18 +53,18 @@ func buildPackingLP(nodes, rules, paths int, seed int64) *Problem {
 			perm := rng.Perm(nodes)[:plen]
 			cov := make([]Term, 0, plen)
 			for pos, j := range perm {
-				v := p.AddVar("d", rng.Float64()*float64(plen-pos), 0, 1)
+				v := p.AddVar(rng.Float64()*float64(plen-pos), 0, 1)
 				cov = append(cov, Term{v, 1})
 				capTerms[j] = append(capTerms[j], Term{v, 1 + rng.Float64()})
-				p.AddConstraint("couple", []Term{{v, 1}, {eVars[i][j], -1}}, LE, 0)
+				p.AddConstraint([]Term{{v, 1}, {eVars[i][j], -1}}, LE, 0)
 			}
-			p.AddConstraint("cover", cov, LE, 1)
+			p.AddConstraint(cov, LE, 1)
 		}
 	}
 	for j := 0; j < nodes; j++ {
-		p.AddConstraint("cam", camTerms[j], LE, float64(rules)/5)
+		p.AddConstraint(camTerms[j], LE, float64(rules)/5)
 		if len(capTerms[j]) > 0 {
-			p.AddConstraint("cap", capTerms[j], LE, float64(paths)*0.8)
+			p.AddConstraint(capTerms[j], LE, float64(paths)*0.8)
 		}
 	}
 	return p
@@ -114,8 +114,8 @@ func BenchmarkSimplexPackingShaped(b *testing.B) {
 func presolveFodderLP() *Problem {
 	p := buildDeploymentLP(20, 150, 9)
 	for i := 0; i < 100; i++ {
-		v := p.AddVar("pinned", 0, 0, 1)
-		p.AddConstraint("pin", []Term{{v, 1}}, EQ, 1)
+		v := p.AddVar(0, 0, 1)
+		p.AddConstraint([]Term{{v, 1}}, EQ, 1)
 	}
 	return p
 }

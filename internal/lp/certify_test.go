@@ -63,9 +63,9 @@ func certify(p *Problem, sol *Solution, tol float64, scaled bool) error {
 		}
 		switch {
 		case c.op == LE && sense*y[r] > tol, c.op == GE && sense*y[r] < -tol:
-			return fmt.Errorf("row %d %q (%v) dual %v has the wrong sign", r, c.name, c.op, y[r])
+			return fmt.Errorf("row %d (%v) dual %v has the wrong sign", r, c.op, y[r])
 		case math.Abs(y[r]*(c.rhs-ax)) > slackTol:
-			return fmt.Errorf("row %d %q has slack %v and dual %v", r, c.name, c.rhs-ax, y[r])
+			return fmt.Errorf("row %d has slack %v and dual %v", r, c.rhs-ax, y[r])
 		}
 		yb += y[r] * c.rhs
 		ybScale += math.Abs(y[r] * c.rhs)
@@ -81,7 +81,7 @@ func certify(p *Problem, sol *Solution, tol float64, scaled bool) error {
 		switch {
 		case atLower && atUpper: // a zero-width box prices at any sign
 		case atLower && sense*d[j] < -t, atUpper && sense*d[j] > t, !atLower && !atUpper && math.Abs(d[j]) > t:
-			return fmt.Errorf("x[%d] %q = %v in [%v, %v] has reduced cost %v", j, v.name, x[j], v.lb, v.ub, d[j])
+			return fmt.Errorf("x[%d] = %v in [%v, %v] has reduced cost %v", j, x[j], v.lb, v.ub, d[j])
 		}
 		bound := x[j] // a reduced cost within tolerance prices the value itself
 		if sense*d[j] > t {
@@ -116,7 +116,7 @@ func primalFeasible(p *Problem, sol *Solution, tol float64) error {
 	cx, scale := 0.0, 0.0
 	for j, v := range p.vars {
 		if bt := tol * (1 + math.Abs(x[j])); x[j] < v.lb-bt || x[j] > v.ub+bt {
-			return fmt.Errorf("x[%d] %q = %v outside [%v, %v]", j, v.name, x[j], v.lb, v.ub)
+			return fmt.Errorf("x[%d] = %v outside [%v, %v]", j, x[j], v.lb, v.ub)
 		}
 		cx += v.cost * x[j]
 		scale += math.Abs(v.cost * x[j])
@@ -131,7 +131,7 @@ func primalFeasible(p *Problem, sol *Solution, tol float64) error {
 			rt += math.Abs(t.Coef * x[t.Var])
 		}
 		if rt = tol * (1 + rt); c.op == LE && ax > c.rhs+rt || c.op == GE && ax < c.rhs-rt || c.op == EQ && math.Abs(ax-c.rhs) > rt {
-			return fmt.Errorf("row %d %q: %v %v %v violated", r, c.name, ax, c.op, c.rhs)
+			return fmt.Errorf("row %d: %v %v %v violated", r, ax, c.op, c.rhs)
 		}
 	}
 	return nil

@@ -11,11 +11,11 @@ import (
 // duals (0, 3/2, 1).
 func TestDualsKnownLP(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVar("x", 3, 0, Inf())
-	y := p.AddVar("y", 5, 0, Inf())
-	c1 := p.AddConstraint("c1", []Term{{x, 1}}, LE, 4)
-	c2 := p.AddConstraint("c2", []Term{{y, 2}}, LE, 12)
-	c3 := p.AddConstraint("c3", []Term{{x, 3}, {y, 2}}, LE, 18)
+	x := p.AddVar(3, 0, Inf())
+	y := p.AddVar(5, 0, Inf())
+	c1 := p.AddConstraint([]Term{{x, 1}}, LE, 4)
+	c2 := p.AddConstraint([]Term{{y, 2}}, LE, 12)
+	c3 := p.AddConstraint([]Term{{x, 3}, {y, 2}}, LE, 18)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	want := map[int]float64{c1: 0, c2: 1.5, c3: 1}
@@ -36,7 +36,7 @@ func TestStrongDuality(t *testing.T) {
 		p := New(Minimize)
 		vars := make([]Var, n)
 		for j := range vars {
-			vars[j] = p.AddVar("x", 0.5+rng.Float64()*3, 0, Inf())
+			vars[j] = p.AddVar(0.5+rng.Float64()*3, 0, Inf())
 		}
 		b := make([]float64, m)
 		for i := 0; i < m; i++ {
@@ -50,7 +50,7 @@ func TestStrongDuality(t *testing.T) {
 				terms = append(terms, Term{vars[rng.Intn(n)], 1})
 			}
 			b[i] = 1 + rng.Float64()*4
-			p.AddConstraint("cover", terms, GE, b[i])
+			p.AddConstraint(terms, GE, b[i])
 		}
 		sol, err := p.Solve()
 		if err != nil {
@@ -82,11 +82,11 @@ func TestStrongDuality(t *testing.T) {
 func TestDualsPredictObjectiveChange(t *testing.T) {
 	build := func(cap float64) (*Problem, int) {
 		p := New(Maximize)
-		x := p.AddVar("x", 3, 0, Inf())
-		y := p.AddVar("y", 5, 0, Inf())
-		p.AddConstraint("c1", []Term{{x, 1}}, LE, 4)
-		p.AddConstraint("c2", []Term{{y, 2}}, LE, 12)
-		row := p.AddConstraint("c3", []Term{{x, 3}, {y, 2}}, LE, cap)
+		x := p.AddVar(3, 0, Inf())
+		y := p.AddVar(5, 0, Inf())
+		p.AddConstraint([]Term{{x, 1}}, LE, 4)
+		p.AddConstraint([]Term{{y, 2}}, LE, 12)
+		row := p.AddConstraint([]Term{{x, 3}, {y, 2}}, LE, cap)
 		return p, row
 	}
 	base, row := build(18)
@@ -114,8 +114,8 @@ func TestDualsSignOnNegatedRows(t *testing.T) {
 	// dObj/dRhs = -(-1)? Verify numerically instead of by convention.
 	build := func(rhs float64) *Problem {
 		p := New(Minimize)
-		x := p.AddVar("x", 1, 0, Inf())
-		p.AddConstraint("c", []Term{{x, -1}}, LE, rhs)
+		x := p.AddVar(1, 0, Inf())
+		p.AddConstraint([]Term{{x, -1}}, LE, rhs)
 		return p
 	}
 	sol := solveOrFatal(t, build(-5))
@@ -133,9 +133,9 @@ func TestDualsSignOnNegatedRows(t *testing.T) {
 // TestDualsEqualityRow: equality constraints carry duals too.
 func TestDualsEqualityRow(t *testing.T) {
 	p := New(Minimize)
-	x := p.AddVar("x", 2, 0, Inf())
-	y := p.AddVar("y", 3, 0, Inf())
-	row := p.AddConstraint("sum", []Term{{x, 1}, {y, 1}}, EQ, 10)
+	x := p.AddVar(2, 0, Inf())
+	y := p.AddVar(3, 0, Inf())
+	row := p.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 10)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	// All mass goes to the cheaper variable; marginal unit costs 2.

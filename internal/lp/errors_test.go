@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -37,30 +38,58 @@ func TestErrNoVariablesIsMatchable(t *testing.T) {
 
 // TestNonFiniteInputIsAnError: NaN or infinite data used to come back as
 // StatusOptimal with a NaN objective. It must be refused up front, on every
-// solve path.
+// solve path, naming the offending variable or constraint by its index. Bad
+// bounds and an unknown variable are model-builder bugs instead: they
+// panic, naming the index the same way.
 func TestNonFiniteInputIsAnError(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name            string
 		cost, coef, rhs float64
+		want            string
 	}{
-		{"nan-cost", nan, 1, 4},
-		{"nan-coef", 1, nan, 4},
-		{"inf-coef", 1, inf, 4},
-		{"neg-inf-coef", 1, -inf, 4},
-		{"nan-rhs", 1, 1, nan},
-		{"inf-rhs", 1, 1, inf},
+		{"nan-cost", nan, 1, 4, "variable 1 has cost NaN"},
+		{"nan-coef", 1, nan, 4, "constraint 1 has coefficient NaN on variable 1"},
+		{"inf-coef", 1, inf, 4, "constraint 1 has coefficient +Inf on variable 1"},
+		{"neg-inf-coef", 1, -inf, 4, "constraint 1 has coefficient -Inf on variable 1"},
+		{"nan-rhs", 1, 1, nan, "constraint 1 has rhs NaN"},
+		{"inf-rhs", 1, 1, inf, "constraint 1 has rhs +Inf"},
 	}
 	for _, c := range cases {
 		for _, opts := range []Options{{}, {Presolve: true}, {WarmBasis: &Basis{}}} {
 			p := New(Maximize)
-			x := p.AddVar("x", c.cost, 0, 10)
-			y := p.AddVar("y", 1, 0, 10)
-			p.AddConstraint("c", []Term{{x, c.coef}, {y, 1}}, LE, c.rhs)
+			y := p.AddVar(1, 0, 10)
+			x := p.AddVar(c.cost, 0, 10)
+			p.AddConstraint([]Term{{y, 1}}, LE, 10)
+			p.AddConstraint([]Term{{y, 1}, {x, c.coef}}, LE, c.rhs)
 			sol, err := p.SolveOpts(opts)
-			if !errors.Is(err, ErrNonFinite) {
-				t.Errorf("%s (presolve=%v warm=%v): got %v, %+v; want ErrNonFinite", c.name, opts.Presolve, opts.WarmBasis != nil, err, sol)
+			if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s (presolve=%v warm=%v): got %v, %+v; want ErrNonFinite naming %q", c.name, opts.Presolve, opts.WarmBasis != nil, err, sol, c.want)
 			}
+		}
+	}
+
+	panics := []struct {
+		name  string
+		build func(p *Problem)
+		want  string
+	}{
+		{"inverted-bounds", func(p *Problem) { p.AddVar(1, 5, 2) }, "variable 1 has invalid bounds [5, 2]"},
+		{"infinite-lb", func(p *Problem) { p.AddVar(1, -inf, 0) }, "variable 1 has invalid bounds [-Inf, 0]"},
+		{"nan-ub", func(p *Problem) { p.AddVar(1, 0, nan) }, "variable 1 has invalid bounds [0, NaN]"},
+		{"unknown-variable", func(p *Problem) { p.AddConstraint([]Term{{Var(7), 1}}, LE, 1) }, "constraint 1 references unknown variable 7"},
+	}
+	for _, c := range panics {
+		p := New(Minimize)
+		x := p.AddVar(1, 0, 1)
+		p.AddConstraint([]Term{{x, 1}}, LE, 1)
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			c.build(p)
+			return ""
+		}()
+		if !strings.Contains(msg, c.want) {
+			t.Errorf("%s: panic %q, want one naming %q", c.name, msg, c.want)
 		}
 	}
 }
@@ -69,7 +98,7 @@ func TestSentinelsSurviveWrapping(t *testing.T) {
 	// The nips/core callers wrap Status.Err with %w; the chain must stay
 	// matchable through arbitrary annotation layers.
 	p := New(Maximize)
-	x := p.AddVar("x", 1, 0, Inf())
+	x := p.AddVar(1, 0, Inf())
 	_ = x
 	sol, err := p.Solve()
 	if err != nil {
@@ -90,8 +119,8 @@ func TestSentinelsSurviveWrapping(t *testing.T) {
 
 func TestInfeasibleStatusErr(t *testing.T) {
 	p := New(Minimize)
-	x := p.AddVar("x", 1, 0, 1)
-	p.AddConstraint("c", []Term{{x, 1}}, GE, 2)
+	x := p.AddVar(1, 0, 1)
+	p.AddConstraint([]Term{{x, 1}}, GE, 2)
 	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +132,11 @@ func TestInfeasibleStatusErr(t *testing.T) {
 
 func TestIterLimitStatusErr(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVar("x", 3, 0, Inf())
-	y := p.AddVar("y", 5, 0, Inf())
-	p.AddConstraint("c1", []Term{{x, 1}}, LE, 4)
-	p.AddConstraint("c2", []Term{{y, 2}}, LE, 12)
-	p.AddConstraint("c3", []Term{{x, 3}, {y, 2}}, LE, 18)
+	x := p.AddVar(3, 0, Inf())
+	y := p.AddVar(5, 0, Inf())
+	p.AddConstraint([]Term{{x, 1}}, LE, 4)
+	p.AddConstraint([]Term{{y, 2}}, LE, 12)
+	p.AddConstraint([]Term{{x, 3}, {y, 2}}, LE, 18)
 	sol, err := p.SolveOpts(Options{MaxIters: 1})
 	if err != nil {
 		t.Fatal(err)

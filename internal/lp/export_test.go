@@ -16,3 +16,21 @@ func ObserveSolves(f func(*Problem, *Solution)) (restore func()) {
 // PrimalFeasible exports the primal half of the certificate, all a
 // presolved solution can be held to.
 var PrimalFeasible = primalFeasible
+
+// Replay snapshots p's numbers and returns a function that rebuilds an
+// equal Problem through AddVar and AddConstraint, so a test can measure what
+// building a planner's LP costs apart from the planner's own bookkeeping.
+func Replay(p *Problem) func() *Problem {
+	vars := append([]variable(nil), p.vars...)
+	cons := append([]constraint(nil), p.cons...)
+	return func() *Problem {
+		q := New(p.sense)
+		for _, v := range vars {
+			q.AddVar(v.cost, v.lb, v.ub)
+		}
+		for _, c := range cons {
+			q.AddConstraint(c.terms, c.op, c.rhs)
+		}
+		return q
+	}
+}

@@ -198,7 +198,7 @@ func (d *denseLP) problem() *Problem {
 	p := New(sense)
 	vars := make([]Var, len(d.Cost))
 	for i := range d.Cost {
-		vars[i] = p.AddVar("x", d.Cost[i], 0, d.UB[i])
+		vars[i] = p.AddVar(d.Cost[i], 0, d.UB[i])
 	}
 	for r := range d.Rows {
 		var terms []Term
@@ -207,7 +207,7 @@ func (d *denseLP) problem() *Problem {
 				terms = append(terms, Term{vars[i], c})
 			}
 		}
-		p.AddConstraint("r", terms, d.Ops[r], d.RHS[r])
+		p.AddConstraint(terms, d.Ops[r], d.RHS[r])
 	}
 	return p
 }

@@ -143,7 +143,7 @@ func flippedRowsLP() *Problem {
 		lb := float64(rng.Intn(5) - 2)
 		ub := lb + 1 + float64(rng.Intn(6))
 		x0[j] = lb + (ub-lb)*rng.Float64()
-		vars[j] = p.AddVar("x", float64(rng.Intn(9)-3), lb, ub)
+		vars[j] = p.AddVar(float64(rng.Intn(9)-3), lb, ub)
 	}
 	for i := 0; i < m; i++ {
 		var terms []Term
@@ -158,11 +158,11 @@ func flippedRowsLP() *Problem {
 		}
 		switch op := Op(i % 3); op {
 		case LE:
-			p.AddConstraint("le", terms, LE, lhs+rng.Float64())
+			p.AddConstraint(terms, LE, lhs+rng.Float64())
 		case GE:
-			p.AddConstraint("ge", terms, GE, lhs-rng.Float64())
+			p.AddConstraint(terms, GE, lhs-rng.Float64())
 		default:
-			p.AddConstraint("eq", terms, EQ, lhs)
+			p.AddConstraint(terms, EQ, lhs)
 		}
 	}
 	return p
@@ -195,7 +195,7 @@ func transportLP(supplies, demands int, seed int64) *Problem {
 	for i := range x {
 		x[i] = make([]Var, demands)
 		for k := range x[i] {
-			x[i][k] = p.AddVar("x", float64(1+rng.Intn(9)), 0, Inf())
+			x[i][k] = p.AddVar(float64(1+rng.Intn(9)), 0, Inf())
 		}
 	}
 	for i := range supply {
@@ -203,14 +203,14 @@ func transportLP(supplies, demands int, seed int64) *Problem {
 		for k := range terms {
 			terms[k] = Term{x[i][k], 1}
 		}
-		p.AddConstraint("supply", terms, EQ, supply[i])
+		p.AddConstraint(terms, EQ, supply[i])
 	}
 	for k := range demand {
 		terms := make([]Term, supplies)
 		for i := range terms {
 			terms[i] = Term{x[i][k], 1}
 		}
-		p.AddConstraint("demand", terms, GE, demand[k])
+		p.AddConstraint(terms, GE, demand[k])
 	}
 	return p
 }
@@ -235,7 +235,7 @@ func randomBoundedLP(rng *rand.Rand) *Problem {
 		width := rng.Intn(32)
 		ub := lb + float64(width)/4
 		x0[j] = lb + float64(rng.Intn(width+1))/4
-		vars[j] = p.AddVar("x", float64(rng.Intn(65)-32)/4, lb, ub)
+		vars[j] = p.AddVar(float64(rng.Intn(65)-32)/4, lb, ub)
 	}
 	for i := 0; i < m; i++ {
 		var terms []Term
@@ -256,7 +256,7 @@ func randomBoundedLP(rng *rand.Rand) *Problem {
 		case op == GE:
 			rhs -= float64(rng.Intn(8)) / 4
 		}
-		p.AddConstraint("r", terms, op, rhs)
+		p.AddConstraint(terms, op, rhs)
 	}
 	return p
 }

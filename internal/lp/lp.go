@@ -9,7 +9,9 @@
 // file, and native bounded variables (0 <= x <= u, u possibly +Inf, after a
 // shift of finite lower bounds). It detects infeasibility and unboundedness,
 // prices by Dantzig's rule with a switch to Bland's under prolonged
-// degeneracy, and breaks ratio-test ties toward large pivots.
+// degeneracy, and breaks ratio-test ties toward large pivots. A Problem
+// holds numbers only: variables and constraints are known by their index,
+// and errors name that index.
 package lp
 
 import (
@@ -138,14 +140,12 @@ func (s Status) Err() error {
 func Inf() float64 { return math.Inf(1) }
 
 type variable struct {
-	name string
 	cost float64
 	lb   float64 // finite
 	ub   float64 // may be +Inf; ub >= lb
 }
 
 type constraint struct {
-	name  string
 	terms []Term
 	op    Op
 	rhs   float64
@@ -173,14 +173,11 @@ func (p *Problem) NumConstraints() int { return len(p.cons) }
 // AddVar adds a decision variable with the given objective cost and bounds
 // lb <= x <= ub. lb must be finite; ub may be +Inf. It returns the variable
 // handle used in constraint terms.
-func (p *Problem) AddVar(name string, cost, lb, ub float64) Var {
-	if math.IsInf(lb, 0) || math.IsNaN(lb) {
-		panic(fmt.Sprintf("lp: variable %q lower bound must be finite, got %v", name, lb))
+func (p *Problem) AddVar(cost, lb, ub float64) Var {
+	if math.IsInf(lb, 0) || math.IsNaN(lb) || math.IsNaN(ub) || ub < lb {
+		panic(fmt.Sprintf("lp: variable %d has invalid bounds [%v, %v]", len(p.vars), lb, ub))
 	}
-	if math.IsNaN(ub) || ub < lb {
-		panic(fmt.Sprintf("lp: variable %q has invalid bounds [%v, %v]", name, lb, ub))
-	}
-	p.vars = append(p.vars, variable{name: name, cost: cost, lb: lb, ub: ub})
+	p.vars = append(p.vars, variable{cost: cost, lb: lb, ub: ub})
 	return Var(len(p.vars) - 1)
 }
 
@@ -188,14 +185,13 @@ func (p *Problem) AddVar(name string, cost, lb, ub float64) Var {
 // row index. Terms referring to the same variable are summed. Terms with
 // out-of-range variables panic: they indicate a programming error in the
 // model builder, not a data condition.
-func (p *Problem) AddConstraint(name string, terms []Term, op Op, rhs float64) int {
+func (p *Problem) AddConstraint(terms []Term, op Op, rhs float64) int {
 	for _, t := range terms {
 		if int(t.Var) < 0 || int(t.Var) >= len(p.vars) {
-			panic(fmt.Sprintf("lp: constraint %q references unknown variable %d", name, t.Var))
+			panic(fmt.Sprintf("lp: constraint %d references unknown variable %d", len(p.cons), t.Var))
 		}
 	}
-	c := constraint{name: name, terms: append([]Term(nil), terms...), op: op, rhs: rhs}
-	p.cons = append(p.cons, c)
+	p.cons = append(p.cons, constraint{terms: append([]Term(nil), terms...), op: op, rhs: rhs})
 	return len(p.cons) - 1
 }
 
@@ -346,18 +342,18 @@ func (p *Problem) SolveOpts(opts Options) (*Solution, error) {
 // sides, naming the first offender. Variable bounds are checked by AddVar.
 func (p *Problem) checkFinite() error {
 	bad := func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }
-	for _, v := range p.vars {
+	for i, v := range p.vars {
 		if bad(v.cost) {
-			return fmt.Errorf("%w: variable %q has cost %v", ErrNonFinite, v.name, v.cost)
+			return fmt.Errorf("%w: variable %d has cost %v", ErrNonFinite, i, v.cost)
 		}
 	}
-	for _, c := range p.cons {
+	for r, c := range p.cons {
 		if bad(c.rhs) {
-			return fmt.Errorf("%w: constraint %q has rhs %v", ErrNonFinite, c.name, c.rhs)
+			return fmt.Errorf("%w: constraint %d has rhs %v", ErrNonFinite, r, c.rhs)
 		}
 		for _, t := range c.terms {
 			if bad(t.Coef) {
-				return fmt.Errorf("%w: constraint %q has coefficient %v on variable %q", ErrNonFinite, c.name, t.Coef, p.vars[t.Var].name)
+				return fmt.Errorf("%w: constraint %d has coefficient %v on variable %d", ErrNonFinite, r, t.Coef, t.Var)
 			}
 		}
 	}

@@ -27,7 +27,7 @@ func requireOptimal(t *testing.T, sol *Solution) {
 
 func TestTrivialSingleVariable(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVar("x", 3, 0, 5)
+	x := p.AddVar(3, 0, 5)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	if !near(sol.Objective, 15) || !near(sol.Value(x), 5) {
@@ -37,7 +37,7 @@ func TestTrivialSingleVariable(t *testing.T) {
 
 func TestTrivialMinimizeAtLowerBound(t *testing.T) {
 	p := New(Minimize)
-	x := p.AddVar("x", 3, 2, 5)
+	x := p.AddVar(3, 2, 5)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	if !near(sol.Objective, 6) || !near(sol.Value(x), 2) {
@@ -49,11 +49,11 @@ func TestTrivialMinimizeAtLowerBound(t *testing.T) {
 // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18. Opt = 36 at (2, 6).
 func TestClassicProductionLP(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVar("x", 3, 0, Inf())
-	y := p.AddVar("y", 5, 0, Inf())
-	p.AddConstraint("c1", []Term{{x, 1}}, LE, 4)
-	p.AddConstraint("c2", []Term{{y, 2}}, LE, 12)
-	p.AddConstraint("c3", []Term{{x, 3}, {y, 2}}, LE, 18)
+	x := p.AddVar(3, 0, Inf())
+	y := p.AddVar(5, 0, Inf())
+	p.AddConstraint([]Term{{x, 1}}, LE, 4)
+	p.AddConstraint([]Term{{y, 2}}, LE, 12)
+	p.AddConstraint([]Term{{x, 3}, {y, 2}}, LE, 18)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	if !near(sol.Objective, 36) {
@@ -69,11 +69,11 @@ func TestClassicProductionLP(t *testing.T) {
 // Optimum at intersection of first two: x=2/3... verify via known value.
 func TestDietStyleGE(t *testing.T) {
 	p := New(Minimize)
-	x := p.AddVar("x", 0.6, 0, Inf())
-	y := p.AddVar("y", 1, 0, Inf())
-	p.AddConstraint("a", []Term{{x, 10}, {y, 4}}, GE, 20)
-	p.AddConstraint("b", []Term{{x, 5}, {y, 5}}, GE, 20)
-	p.AddConstraint("c", []Term{{x, 2}, {y, 6}}, GE, 12)
+	x := p.AddVar(0.6, 0, Inf())
+	y := p.AddVar(1, 0, Inf())
+	p.AddConstraint([]Term{{x, 10}, {y, 4}}, GE, 20)
+	p.AddConstraint([]Term{{x, 5}, {y, 5}}, GE, 20)
+	p.AddConstraint([]Term{{x, 2}, {y, 6}}, GE, 12)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	// Check feasibility of the returned point and optimality against the
@@ -98,9 +98,9 @@ func TestDietStyleGE(t *testing.T) {
 func TestEqualityConstraint(t *testing.T) {
 	// min x + 2y s.t. x + y = 10, x <= 4. Opt: x=4, y=6, obj=16.
 	p := New(Minimize)
-	x := p.AddVar("x", 1, 0, 4)
-	y := p.AddVar("y", 2, 0, Inf())
-	p.AddConstraint("sum", []Term{{x, 1}, {y, 1}}, EQ, 10)
+	x := p.AddVar(1, 0, 4)
+	y := p.AddVar(2, 0, Inf())
+	p.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 10)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	if !near(sol.Objective, 16) || !near(sol.Value(x), 4) || !near(sol.Value(y), 6) {
@@ -110,9 +110,9 @@ func TestEqualityConstraint(t *testing.T) {
 
 func TestInfeasible(t *testing.T) {
 	p := New(Minimize)
-	x := p.AddVar("x", 1, 0, Inf())
-	p.AddConstraint("lo", []Term{{x, 1}}, GE, 5)
-	p.AddConstraint("hi", []Term{{x, 1}}, LE, 3)
+	x := p.AddVar(1, 0, Inf())
+	p.AddConstraint([]Term{{x, 1}}, GE, 5)
+	p.AddConstraint([]Term{{x, 1}}, LE, 3)
 	sol := solveOrFatal(t, p)
 	if sol.Status != StatusInfeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
@@ -121,9 +121,9 @@ func TestInfeasible(t *testing.T) {
 
 func TestInfeasibleEquality(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVar("x", 1, 0, 1)
-	y := p.AddVar("y", 1, 0, 1)
-	p.AddConstraint("eq", []Term{{x, 1}, {y, 1}}, EQ, 3)
+	x := p.AddVar(1, 0, 1)
+	y := p.AddVar(1, 0, 1)
+	p.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 3)
 	sol := solveOrFatal(t, p)
 	if sol.Status != StatusInfeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
@@ -132,9 +132,9 @@ func TestInfeasibleEquality(t *testing.T) {
 
 func TestUnbounded(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVar("x", 1, 0, Inf())
-	y := p.AddVar("y", 0, 0, Inf())
-	p.AddConstraint("c", []Term{{x, 1}, {y, -1}}, LE, 1)
+	x := p.AddVar(1, 0, Inf())
+	y := p.AddVar(0, 0, Inf())
+	p.AddConstraint([]Term{{x, 1}, {y, -1}}, LE, 1)
 	sol := solveOrFatal(t, p)
 	if sol.Status != StatusUnbounded {
 		t.Fatalf("status = %v, want unbounded", sol.Status)
@@ -144,9 +144,9 @@ func TestUnbounded(t *testing.T) {
 func TestBoundedAboveNotUnbounded(t *testing.T) {
 	// Same shape as TestUnbounded but x has a finite upper bound.
 	p := New(Maximize)
-	x := p.AddVar("x", 1, 0, 7)
-	y := p.AddVar("y", 0, 0, Inf())
-	p.AddConstraint("c", []Term{{x, 1}, {y, -1}}, LE, 1)
+	x := p.AddVar(1, 0, 7)
+	y := p.AddVar(0, 0, Inf())
+	p.AddConstraint([]Term{{x, 1}, {y, -1}}, LE, 1)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	if !near(sol.Objective, 7) {
@@ -157,7 +157,7 @@ func TestBoundedAboveNotUnbounded(t *testing.T) {
 func TestNegativeLowerBoundShift(t *testing.T) {
 	// min x s.t. x >= -3 via bounds; unconstrained otherwise.
 	p := New(Minimize)
-	x := p.AddVar("x", 1, -3, 10)
+	x := p.AddVar(1, -3, 10)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	if !near(sol.Value(x), -3) || !near(sol.Objective, -3) {
@@ -168,9 +168,9 @@ func TestNegativeLowerBoundShift(t *testing.T) {
 func TestNegativeRHSNormalization(t *testing.T) {
 	// -x - y <= -4 is x + y >= 4. min x + 2y -> x=4, y=0.
 	p := New(Minimize)
-	x := p.AddVar("x", 1, 0, Inf())
-	y := p.AddVar("y", 2, 0, Inf())
-	p.AddConstraint("c", []Term{{x, -1}, {y, -1}}, LE, -4)
+	x := p.AddVar(1, 0, Inf())
+	y := p.AddVar(2, 0, Inf())
+	p.AddConstraint([]Term{{x, -1}, {y, -1}}, LE, -4)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	if !near(sol.Objective, 4) {
@@ -180,8 +180,8 @@ func TestNegativeRHSNormalization(t *testing.T) {
 
 func TestDuplicateTermsAreSummed(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVar("x", 1, 0, Inf())
-	p.AddConstraint("c", []Term{{x, 1}, {x, 1}}, LE, 10) // 2x <= 10
+	x := p.AddVar(1, 0, Inf())
+	p.AddConstraint([]Term{{x, 1}, {x, 1}}, LE, 10) // 2x <= 10
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	if !near(sol.Value(x), 5) {
@@ -193,11 +193,11 @@ func TestRedundantEqualityRows(t *testing.T) {
 	// Two identical equalities: phase 1 leaves one artificial basic at 0 in
 	// a redundant row; the solver must still finish.
 	p := New(Maximize)
-	x := p.AddVar("x", 1, 0, Inf())
-	y := p.AddVar("y", 1, 0, Inf())
-	p.AddConstraint("e1", []Term{{x, 1}, {y, 1}}, EQ, 4)
-	p.AddConstraint("e2", []Term{{x, 2}, {y, 2}}, EQ, 8)
-	p.AddConstraint("cap", []Term{{x, 1}}, LE, 1)
+	x := p.AddVar(1, 0, Inf())
+	y := p.AddVar(1, 0, Inf())
+	p.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 4)
+	p.AddConstraint([]Term{{x, 2}, {y, 2}}, EQ, 8)
+	p.AddConstraint([]Term{{x, 1}}, LE, 1)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	if !near(sol.Objective, 4) {
@@ -210,17 +210,17 @@ func TestRedundantEqualityRows(t *testing.T) {
 // are per-node sums, and we minimize the max load.
 func TestMinMaxLoadBalancing(t *testing.T) {
 	p := New(Minimize)
-	lambda := p.AddVar("lambda", 1, 0, Inf())
+	lambda := p.AddVar(1, 0, Inf())
 	// Unit A can go to nodes 1,2; unit B to nodes 2,3. Unit loads: A=2, B=2.
-	a1 := p.AddVar("a1", 0, 0, 1)
-	a2 := p.AddVar("a2", 0, 0, 1)
-	b2 := p.AddVar("b2", 0, 0, 1)
-	b3 := p.AddVar("b3", 0, 0, 1)
-	p.AddConstraint("covA", []Term{{a1, 1}, {a2, 1}}, EQ, 1)
-	p.AddConstraint("covB", []Term{{b2, 1}, {b3, 1}}, EQ, 1)
-	p.AddConstraint("load1", []Term{{a1, 2}, {lambda, -1}}, LE, 0)
-	p.AddConstraint("load2", []Term{{a2, 2}, {b2, 2}, {lambda, -1}}, LE, 0)
-	p.AddConstraint("load3", []Term{{b3, 2}, {lambda, -1}}, LE, 0)
+	a1 := p.AddVar(0, 0, 1)
+	a2 := p.AddVar(0, 0, 1)
+	b2 := p.AddVar(0, 0, 1)
+	b3 := p.AddVar(0, 0, 1)
+	p.AddConstraint([]Term{{a1, 1}, {a2, 1}}, EQ, 1)
+	p.AddConstraint([]Term{{b2, 1}, {b3, 1}}, EQ, 1)
+	p.AddConstraint([]Term{{a1, 2}, {lambda, -1}}, LE, 0)
+	p.AddConstraint([]Term{{a2, 2}, {b2, 2}, {lambda, -1}}, LE, 0)
+	p.AddConstraint([]Term{{b3, 2}, {lambda, -1}}, LE, 0)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	// Perfect balance: total load 4 over 3 nodes => lambda = 4/3.
@@ -236,23 +236,23 @@ func TestNIPSShapedPackingLP(t *testing.T) {
 	// One rule, two paths over nodes {1,2} and {2,3}; Dist weights 2,1 on
 	// path 1 and 2,1 on path 2. TCAM: node 2 can hold the rule (cap 1),
 	// nodes 1,3 cannot (cap 0).
-	e1 := p.AddVar("e1", 0, 0, 1)
-	e2 := p.AddVar("e2", 0, 0, 1)
-	e3 := p.AddVar("e3", 0, 0, 1)
-	d11 := p.AddVar("d11", 2, 0, 1) // path1 node1, weight 2
-	d12 := p.AddVar("d12", 1, 0, 1) // path1 node2, weight 1
-	d22 := p.AddVar("d22", 2, 0, 1) // path2 node2, weight 2
-	d23 := p.AddVar("d23", 1, 0, 1) // path2 node3, weight 1
-	p.AddConstraint("cov1", []Term{{d11, 1}, {d12, 1}}, LE, 1)
-	p.AddConstraint("cov2", []Term{{d22, 1}, {d23, 1}}, LE, 1)
+	e1 := p.AddVar(0, 0, 1)
+	e2 := p.AddVar(0, 0, 1)
+	e3 := p.AddVar(0, 0, 1)
+	d11 := p.AddVar(2, 0, 1) // path1 node1, weight 2
+	d12 := p.AddVar(1, 0, 1) // path1 node2, weight 1
+	d22 := p.AddVar(2, 0, 1) // path2 node2, weight 2
+	d23 := p.AddVar(1, 0, 1) // path2 node3, weight 1
+	p.AddConstraint([]Term{{d11, 1}, {d12, 1}}, LE, 1)
+	p.AddConstraint([]Term{{d22, 1}, {d23, 1}}, LE, 1)
 	for _, c := range []struct {
 		d, e Var
 	}{{d11, e1}, {d12, e2}, {d22, e2}, {d23, e3}} {
-		p.AddConstraint("couple", []Term{{c.d, 1}, {c.e, -1}}, LE, 0)
+		p.AddConstraint([]Term{{c.d, 1}, {c.e, -1}}, LE, 0)
 	}
-	p.AddConstraint("cam1", []Term{{e1, 1}}, LE, 0)
-	p.AddConstraint("cam2", []Term{{e2, 1}}, LE, 1)
-	p.AddConstraint("cam3", []Term{{e3, 1}}, LE, 0)
+	p.AddConstraint([]Term{{e1, 1}}, LE, 0)
+	p.AddConstraint([]Term{{e2, 1}}, LE, 1)
+	p.AddConstraint([]Term{{e3, 1}}, LE, 0)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	// Only node 2 can filter: d12 = 1 (weight 1) + d22 = 1 (weight 2) => 3.
@@ -270,9 +270,9 @@ func TestEmptyProblemErrors(t *testing.T) {
 
 func TestFixedVariableViaEqualBounds(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVar("x", 5, 2, 2) // fixed at 2
-	y := p.AddVar("y", 1, 0, Inf())
-	p.AddConstraint("c", []Term{{x, 1}, {y, 1}}, LE, 10)
+	x := p.AddVar(5, 2, 2) // fixed at 2
+	y := p.AddVar(1, 0, Inf())
+	p.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 10)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	if !near(sol.Value(x), 2) || !near(sol.Value(y), 8) {
@@ -286,13 +286,13 @@ func TestFixedVariableViaEqualBounds(t *testing.T) {
 func TestDegenerateLP(t *testing.T) {
 	// Beale's cycling example (classic); Bland fallback must terminate.
 	p := New(Minimize)
-	x1 := p.AddVar("x1", -0.75, 0, Inf())
-	x2 := p.AddVar("x2", 150, 0, Inf())
-	x3 := p.AddVar("x3", -0.02, 0, Inf())
-	x4 := p.AddVar("x4", 6, 0, Inf())
-	p.AddConstraint("r1", []Term{{x1, 0.25}, {x2, -60}, {x3, -1.0 / 25.0}, {x4, 9}}, LE, 0)
-	p.AddConstraint("r2", []Term{{x1, 0.5}, {x2, -90}, {x3, -1.0 / 50.0}, {x4, 3}}, LE, 0)
-	p.AddConstraint("r3", []Term{{x3, 1}}, LE, 1)
+	x1 := p.AddVar(-0.75, 0, Inf())
+	x2 := p.AddVar(150, 0, Inf())
+	x3 := p.AddVar(-0.02, 0, Inf())
+	x4 := p.AddVar(6, 0, Inf())
+	p.AddConstraint([]Term{{x1, 0.25}, {x2, -60}, {x3, -1.0 / 25.0}, {x4, 9}}, LE, 0)
+	p.AddConstraint([]Term{{x1, 0.5}, {x2, -90}, {x3, -1.0 / 50.0}, {x4, 3}}, LE, 0)
+	p.AddConstraint([]Term{{x3, 1}}, LE, 1)
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)
 	if !near(sol.Objective, -0.05) {
@@ -302,11 +302,11 @@ func TestDegenerateLP(t *testing.T) {
 
 func TestMaxIterLimit(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVar("x", 3, 0, Inf())
-	y := p.AddVar("y", 5, 0, Inf())
-	p.AddConstraint("c1", []Term{{x, 1}}, LE, 4)
-	p.AddConstraint("c2", []Term{{y, 2}}, LE, 12)
-	p.AddConstraint("c3", []Term{{x, 3}, {y, 2}}, LE, 18)
+	x := p.AddVar(3, 0, Inf())
+	y := p.AddVar(5, 0, Inf())
+	p.AddConstraint([]Term{{x, 1}}, LE, 4)
+	p.AddConstraint([]Term{{y, 2}}, LE, 12)
+	p.AddConstraint([]Term{{x, 3}, {y, 2}}, LE, 18)
 	sol, err := p.SolveOpts(Options{MaxIters: 1})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
@@ -318,7 +318,7 @@ func TestMaxIterLimit(t *testing.T) {
 
 func TestSolutionValueAccessor(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVar("x", 1, 0, 3)
+	x := p.AddVar(1, 0, 3)
 	sol := solveOrFatal(t, p)
 	if sol.Value(x) != sol.X[0] {
 		t.Fatal("Value accessor disagrees with X slice")
@@ -346,31 +346,10 @@ func TestStatusStrings(t *testing.T) {
 	}
 }
 
-func TestPanicsOnBadVariable(t *testing.T) {
-	p := New(Minimize)
-	p.AddVar("x", 1, 0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unknown variable in constraint")
-		}
-	}()
-	p.AddConstraint("bad", []Term{{Var(7), 1}}, LE, 1)
-}
-
-func TestPanicsOnBadBounds(t *testing.T) {
-	p := New(Minimize)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for inverted bounds")
-		}
-	}()
-	p.AddVar("x", 1, 5, 2)
-}
-
 func TestCountsAccessors(t *testing.T) {
 	p := New(Minimize)
-	x := p.AddVar("x", 1, 0, 1)
-	p.AddConstraint("c", []Term{{x, 1}}, LE, 1)
+	x := p.AddVar(1, 0, 1)
+	p.AddConstraint([]Term{{x, 1}}, LE, 1)
 	if p.NumVars() != 1 || p.NumConstraints() != 1 {
 		t.Fatalf("counts = (%d, %d), want (1, 1)", p.NumVars(), p.NumConstraints())
 	}
@@ -388,14 +367,14 @@ func TestTransportation(t *testing.T) {
 	var x [2][3]Var
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
-			x[i][j] = p.AddVar("x", costs[i][j], 0, Inf())
+			x[i][j] = p.AddVar(costs[i][j], 0, Inf())
 		}
 	}
 	for i := 0; i < 2; i++ {
-		p.AddConstraint("supply", []Term{{x[i][0], 1}, {x[i][1], 1}, {x[i][2], 1}}, EQ, supply[i])
+		p.AddConstraint([]Term{{x[i][0], 1}, {x[i][1], 1}, {x[i][2], 1}}, EQ, supply[i])
 	}
 	for j := 0; j < 3; j++ {
-		p.AddConstraint("demand", []Term{{x[0][j], 1}, {x[1][j], 1}}, EQ, demand[j])
+		p.AddConstraint([]Term{{x[0][j], 1}, {x[1][j], 1}}, EQ, demand[j])
 	}
 	sol := solveOrFatal(t, p)
 	requireOptimal(t, sol)

@@ -8,17 +8,21 @@ import (
 	"nwdeploy/internal/core"
 	"nwdeploy/internal/lp"
 	"nwdeploy/internal/nips"
+	"nwdeploy/internal/online"
 	"nwdeploy/internal/topology"
 	"nwdeploy/internal/traffic"
 )
 
-// TestCertifyPlannerLPs holds the LPs the planners build, far past what
-// FuzzSolve's vertex enumeration can reach, to the optimality certificate:
-// the 50-node replan LP solved cold (presolved), with basis capture and warm
-// after a volume jitter; the GÉANT 8-class placement LP; and the NIPS
-// pipeline's relaxation and its LP re-solve. Every solve the lp package sees
-// is checked: one with duals must certify, and a presolved one (no duals)
-// must be primal feasible, its reduced LP certified as a solve of its own.
+// TestCertifyPlannerLPs holds every LP builder in the repository, far past
+// what FuzzSolve's vertex enumeration can reach, to the optimality
+// certificate: the 50-node replan LP solved cold (presolved), with basis
+// capture and warm after a volume jitter; the GÉANT 8-class placement LP;
+// the Internet2 placement LP under a loose and a tight aggregation budget;
+// the NIPS pipeline's relaxation and its LP re-solve; and one online.Run
+// epoch's Lambda LPs (the perturbed decision and the hindsight benchmark).
+// Every solve the lp package sees is checked: one with duals must certify,
+// and a presolved one (no duals) must be primal feasible, its reduced LP
+// certified as a solve of its own.
 func TestCertifyPlannerLPs(t *testing.T) {
 	type solve struct {
 		p   *lp.Problem
@@ -82,6 +86,19 @@ func TestCertifyPlannerLPs(t *testing.T) {
 	}
 	check("geant_8cls", 1)
 
+	i2 := placementInstance(t, topology.Internet2(), 0)
+	agg := core.AggregationConfig{Collector: 6, BytesPerItem: 64, Budget: 1e18}
+	loose, err := core.SolveOpts(i2, core.SolveOptions{Aggregation: &agg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("aggregation/loose", 1)
+	agg.Budget = 0.8 * core.AggregationCost(i2, loose, agg)
+	if _, err := core.SolveOpts(i2, core.SolveOptions{Aggregation: &agg}); err != nil {
+		t.Fatal(err)
+	}
+	check("aggregation/tight", 1)
+
 	nipsInst := nips.NewInstance(topology.FiftyNode(), nips.UnitRules(15), nips.Config{
 		MaxPaths: 30, RuleCapacityFraction: 0.1, MatchSeed: 1,
 	})
@@ -89,6 +106,11 @@ func TestCertifyPlannerLPs(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("nips/relaxation+resolve", 2)
+
+	if _, err := online.Run(nipsInst, online.RunConfig{Epochs: 1, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	check("online/lambda", 2)
 }
 
 // placementInstance is the replan workload's instance: 20,000 gravity

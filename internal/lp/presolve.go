@@ -163,7 +163,7 @@ func presolve(p *Problem) *presolveResult {
 			continue
 		}
 		res.varMap[i] = reduced.NumVars()
-		reduced.AddVar(v.name, v.cost, lb[i], ub[i])
+		reduced.AddVar(v.cost, lb[i], ub[i])
 	}
 	for r := range rows {
 		if !rows[r].live {
@@ -174,7 +174,7 @@ func presolve(p *Problem) *presolveResult {
 		for _, t := range rows[r].terms {
 			terms = append(terms, Term{Var(res.varMap[t.Var]), t.Coef})
 		}
-		reduced.AddConstraint(p.cons[r].name, terms, rows[r].op, rows[r].rhs)
+		reduced.AddConstraint(terms, rows[r].op, rows[r].rhs)
 	}
 	res.reduced = reduced
 	res.allFixed = reduced.NumVars() == 0

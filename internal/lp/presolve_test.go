@@ -31,7 +31,7 @@ func TestPresolveMatchesPlainOnRandomLPs(t *testing.T) {
 			if rng.Intn(5) == 0 {
 				hi = lo // fixed variable, presolve fodder
 			}
-			vars[j] = p.AddVar("x", rng.Float64()*4-1, lo, hi)
+			vars[j] = p.AddVar(rng.Float64()*4-1, lo, hi)
 		}
 		m := 1 + rng.Intn(5)
 		for i := 0; i < m; i++ {
@@ -47,7 +47,7 @@ func TestPresolveMatchesPlainOnRandomLPs(t *testing.T) {
 				// Keep equalities satisfiable more often.
 				rhs = math.Abs(rhs) / 2
 			}
-			p.AddConstraint("c", terms, op, rhs)
+			p.AddConstraint(terms, op, rhs)
 		}
 		plain, pre := solveBoth(t, p)
 		if plain.Status != pre.Status {
@@ -64,9 +64,9 @@ func TestPresolveMatchesPlainOnRandomLPs(t *testing.T) {
 
 func TestPresolveFixedVariableSubstitution(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVar("x", 1, 3, 3) // fixed at 3
-	y := p.AddVar("y", 2, 0, Inf())
-	p.AddConstraint("c", []Term{{x, 1}, {y, 1}}, LE, 10)
+	x := p.AddVar(1, 3, 3) // fixed at 3
+	y := p.AddVar(2, 0, Inf())
+	p.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 10)
 	_, pre := solveBoth(t, p)
 	if pre.Status != StatusOptimal {
 		t.Fatalf("status %v", pre.Status)
@@ -81,9 +81,9 @@ func TestPresolveFixedVariableSubstitution(t *testing.T) {
 
 func TestPresolveSingletonRowsBecomeBounds(t *testing.T) {
 	p := New(Minimize)
-	x := p.AddVar("x", 1, 0, Inf())
-	p.AddConstraint("lo", []Term{{x, 2}}, GE, 6) // x >= 3
-	p.AddConstraint("hi", []Term{{x, -1}}, GE, -8)
+	x := p.AddVar(1, 0, Inf())
+	p.AddConstraint([]Term{{x, 2}}, GE, 6) // x >= 3
+	p.AddConstraint([]Term{{x, -1}}, GE, -8)
 	plain, pre := solveBoth(t, p)
 	if plain.Status != StatusOptimal || pre.Status != StatusOptimal {
 		t.Fatalf("statuses %v / %v", plain.Status, pre.Status)
@@ -95,8 +95,8 @@ func TestPresolveSingletonRowsBecomeBounds(t *testing.T) {
 
 func TestPresolveDetectsInfeasibleBounds(t *testing.T) {
 	p := New(Minimize)
-	x := p.AddVar("x", 1, 0, 2)
-	p.AddConstraint("lo", []Term{{x, 1}}, GE, 5)
+	x := p.AddVar(1, 0, 2)
+	p.AddConstraint([]Term{{x, 1}}, GE, 5)
 	_, pre := solveBoth(t, p)
 	if pre.Status != StatusInfeasible {
 		t.Fatalf("status %v, want infeasible", pre.Status)
@@ -105,8 +105,8 @@ func TestPresolveDetectsInfeasibleBounds(t *testing.T) {
 
 func TestPresolveDetectsInfeasibleEmptyRow(t *testing.T) {
 	p := New(Minimize)
-	x := p.AddVar("x", 1, 2, 2) // fixed
-	p.AddConstraint("eq", []Term{{x, 1}}, EQ, 5)
+	x := p.AddVar(1, 2, 2) // fixed
+	p.AddConstraint([]Term{{x, 1}}, EQ, 5)
 	_, pre := solveBoth(t, p)
 	if pre.Status != StatusInfeasible {
 		t.Fatalf("status %v, want infeasible", pre.Status)
@@ -115,9 +115,9 @@ func TestPresolveDetectsInfeasibleEmptyRow(t *testing.T) {
 
 func TestPresolveAllFixed(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVar("x", 2, 1, 1)
-	y := p.AddVar("y", 3, 2, 2)
-	p.AddConstraint("c", []Term{{x, 1}, {y, 1}}, LE, 5)
+	x := p.AddVar(2, 1, 1)
+	y := p.AddVar(3, 2, 2)
+	p.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 5)
 	sol, err := p.SolveOpts(Options{Presolve: true})
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +129,8 @@ func TestPresolveAllFixed(t *testing.T) {
 
 func TestPresolveOmitsDuals(t *testing.T) {
 	p := New(Maximize)
-	x := p.AddVar("x", 1, 0, Inf())
-	p.AddConstraint("c", []Term{{x, 1}}, LE, 4)
+	x := p.AddVar(1, 0, Inf())
+	p.AddConstraint([]Term{{x, 1}}, LE, 4)
 	sol, err := p.SolveOpts(Options{Presolve: true})
 	if err != nil {
 		t.Fatal(err)
@@ -144,18 +144,18 @@ func TestPresolveOnDeploymentShapedLP(t *testing.T) {
 	// Shape: pinned ingress units (singleton equalities) mixed with free
 	// path units — the case presolve targets.
 	p := New(Minimize)
-	lambda := p.AddVar("lambda", 1, 0, Inf())
+	lambda := p.AddVar(1, 0, Inf())
 	var loadTerms []Term
 	for u := 0; u < 20; u++ {
-		v := p.AddVar("pinned", 0, 0, 1)
-		p.AddConstraint("cover", []Term{{v, 1}}, EQ, 1) // singleton
+		v := p.AddVar(0, 0, 1)
+		p.AddConstraint([]Term{{v, 1}}, EQ, 1) // singleton
 		loadTerms = append(loadTerms, Term{v, 0.01})
 	}
-	a := p.AddVar("a", 0, 0, 1)
-	b := p.AddVar("b", 0, 0, 1)
-	p.AddConstraint("coverAB", []Term{{a, 1}, {b, 1}}, EQ, 1)
-	p.AddConstraint("load", append(append([]Term{}, loadTerms...), Term{a, 0.5}, Term{lambda, -1}), LE, 0)
-	p.AddConstraint("load2", []Term{{b, 0.5}, {lambda, -1}}, LE, 0)
+	a := p.AddVar(0, 0, 1)
+	b := p.AddVar(0, 0, 1)
+	p.AddConstraint([]Term{{a, 1}, {b, 1}}, EQ, 1)
+	p.AddConstraint(append(append([]Term{}, loadTerms...), Term{a, 0.5}, Term{lambda, -1}), LE, 0)
+	p.AddConstraint([]Term{{b, 0.5}, {lambda, -1}}, LE, 0)
 	plain, pre := solveBoth(t, p)
 	if math.Abs(plain.Objective-pre.Objective) > 1e-8 {
 		t.Fatalf("objectives differ: %v vs %v", plain.Objective, pre.Objective)

@@ -169,7 +169,7 @@ func TestRandomLPsAgainstBruteForce(t *testing.T) {
 		p := New(sense)
 		vars := make([]Var, n)
 		for j := 0; j < n; j++ {
-			vars[j] = p.AddVar("x", c[j], 0, u[j])
+			vars[j] = p.AddVar(c[j], 0, u[j])
 		}
 		for i := 0; i < m; i++ {
 			terms := make([]Term, 0, n)
@@ -181,7 +181,7 @@ func TestRandomLPsAgainstBruteForce(t *testing.T) {
 			if len(terms) == 0 {
 				continue
 			}
-			p.AddConstraint("c", terms, LE, b[i])
+			p.AddConstraint(terms, LE, b[i])
 		}
 		sol, err := p.Solve()
 		if err != nil {
@@ -228,7 +228,7 @@ func TestQuickFeasibilityInvariant(t *testing.T) {
 		p := New(Minimize)
 		vars := make([]Var, n)
 		for j := 0; j < n; j++ {
-			vars[j] = p.AddVar("x", 1+rng.Float64()*3, 0, Inf())
+			vars[j] = p.AddVar(1+rng.Float64()*3, 0, Inf())
 		}
 		m := 1 + rng.Intn(4)
 		type row struct {
@@ -255,7 +255,7 @@ func TestQuickFeasibilityInvariant(t *testing.T) {
 					terms = append(terms, Term{vars[j], cf})
 				}
 			}
-			p.AddConstraint("cover", terms, GE, rows[i].rhs)
+			p.AddConstraint(terms, GE, rows[i].rhs)
 		}
 		sol, err := p.Solve()
 		if err != nil || sol.Status != StatusOptimal {
@@ -286,7 +286,7 @@ func TestQuickEqualitySplitInvariant(t *testing.T) {
 		nodes := 2 + rng.Intn(4)
 		units := 1 + rng.Intn(6)
 		p := New(Minimize)
-		lambda := p.AddVar("lambda", 1, 0, Inf())
+		lambda := p.AddVar(1, 0, Inf())
 		type unitVar struct {
 			v    Var
 			node int
@@ -301,17 +301,17 @@ func TestQuickEqualitySplitInvariant(t *testing.T) {
 			var uvs []unitVar
 			var cov []Term
 			for _, nd := range perm {
-				v := p.AddVar("d", 0, 0, 1)
+				v := p.AddVar(0, 0, 1)
 				uvs = append(uvs, unitVar{v, nd, load})
 				cov = append(cov, Term{v, 1})
 				loadTerms[nd] = append(loadTerms[nd], Term{v, load})
 			}
-			p.AddConstraint("cov", cov, EQ, 1)
+			p.AddConstraint(cov, EQ, 1)
 			all = append(all, uvs)
 		}
 		for nd := 0; nd < nodes; nd++ {
 			terms := append([]Term{{lambda, -1}}, loadTerms[nd]...)
-			p.AddConstraint("load", terms, LE, 0)
+			p.AddConstraint(terms, LE, 0)
 		}
 		sol, err := p.Solve()
 		if err != nil || sol.Status != StatusOptimal {
@@ -351,7 +351,7 @@ func TestLargeSparseLPPerformanceSmoke(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	nodes, units := 12, 120
 	p := New(Minimize)
-	lambda := p.AddVar("lambda", 1, 0, Inf())
+	lambda := p.AddVar(1, 0, Inf())
 	loadTerms := make([][]Term, nodes)
 	for k := 0; k < units; k++ {
 		sz := 2 + rng.Intn(3)
@@ -359,15 +359,15 @@ func TestLargeSparseLPPerformanceSmoke(t *testing.T) {
 		load := 0.5 + rng.Float64()*2
 		var cov []Term
 		for _, nd := range perm {
-			v := p.AddVar("d", 0, 0, 1)
+			v := p.AddVar(0, 0, 1)
 			cov = append(cov, Term{v, 1})
 			loadTerms[nd] = append(loadTerms[nd], Term{v, load})
 		}
-		p.AddConstraint("cov", cov, EQ, 1)
+		p.AddConstraint(cov, EQ, 1)
 	}
 	for nd := 0; nd < nodes; nd++ {
 		terms := append([]Term{{lambda, -1}}, loadTerms[nd]...)
-		p.AddConstraint("load", terms, LE, 0)
+		p.AddConstraint(terms, LE, 0)
 	}
 	sol, err := p.Solve()
 	if err != nil {

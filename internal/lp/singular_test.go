@@ -17,10 +17,10 @@ import (
 func nearSingularLP() *Problem {
 	const c = 1e-4 - 1e-10
 	p := New(Maximize)
-	x1 := p.AddVar("x1", 1+c, 0, Inf())
-	x2 := p.AddVar("x2", 1+1e-4, 0, Inf())
-	p.AddConstraint("r0", []Term{{x1, 1}, {x2, 1}}, LE, 1)
-	p.AddConstraint("r1", []Term{{x1, c}, {x2, 1e-4}}, LE, 1e-4)
+	x1 := p.AddVar(1+c, 0, Inf())
+	x2 := p.AddVar(1+1e-4, 0, Inf())
+	p.AddConstraint([]Term{{x1, 1}, {x2, 1}}, LE, 1)
+	p.AddConstraint([]Term{{x1, c}, {x2, 1e-4}}, LE, 1e-4)
 	return p
 }
 

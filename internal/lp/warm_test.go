@@ -13,26 +13,26 @@ import (
 // numeric data, never the shape — the warm-start contract's domain.
 func placementLike(units, nodes int, vols []float64) *Problem {
 	p := New(Minimize)
-	lambda := p.AddVar("lambda", 1, 0, Inf())
+	lambda := p.AddVar(1, 0, Inf())
 	rng := rand.New(rand.NewSource(5)) // structure only; identical across calls
 	loads := make([][]Term, nodes)
 	for u := 0; u < units; u++ {
 		cover := make([]Term, 0, 3)
 		for k := 0; k < 3; k++ {
 			node := (u + k*2) % nodes
-			v := p.AddVar("d", 0, 0, 1)
+			v := p.AddVar(0, 0, 1)
 			cover = append(cover, Term{Var: v, Coef: 1})
 			w := vols[u] * (0.5 + rng.Float64())
 			loads[node] = append(loads[node], Term{Var: v, Coef: w})
 		}
-		p.AddConstraint("cover", cover, EQ, 1)
+		p.AddConstraint(cover, EQ, 1)
 	}
 	for j := 0; j < nodes; j++ {
 		if len(loads[j]) == 0 {
 			continue
 		}
 		terms := append([]Term{{Var: lambda, Coef: -1}}, loads[j]...)
-		p.AddConstraint("cap", terms, LE, 0)
+		p.AddConstraint(terms, LE, 0)
 	}
 	return p
 }
@@ -142,11 +142,11 @@ func TestWarmStartInfeasibleBasisFallsBackCold(t *testing.T) {
 	// fall back cold and still find the new optimum.
 	build := func(rhs float64) *Problem {
 		p := New(Maximize)
-		x := p.AddVar("x", 3, 0, Inf())
-		y := p.AddVar("y", 5, 0, Inf())
-		p.AddConstraint("c1", []Term{{x, 1}}, LE, rhs)
-		p.AddConstraint("c2", []Term{{y, 2}}, LE, 12)
-		p.AddConstraint("c3", []Term{{x, 3}, {y, 2}}, GE, 6)
+		x := p.AddVar(3, 0, Inf())
+		y := p.AddVar(5, 0, Inf())
+		p.AddConstraint([]Term{{x, 1}}, LE, rhs)
+		p.AddConstraint([]Term{{y, 2}}, LE, 12)
+		p.AddConstraint([]Term{{x, 3}, {y, 2}}, GE, 6)
 		return p
 	}
 	donor, err := build(4).Solve()
@@ -177,10 +177,10 @@ func TestWarmStartWithBoundedVariablesAtUpper(t *testing.T) {
 		p := New(Maximize)
 		var terms []Term
 		for i := 0; i < 6; i++ {
-			v := p.AddVar("x", float64(i+1), 0, 2)
+			v := p.AddVar(float64(i+1), 0, 2)
 			terms = append(terms, Term{Var: v, Coef: 1})
 		}
-		p.AddConstraint("cap", terms, LE, cap)
+		p.AddConstraint(terms, LE, cap)
 		return p
 	}
 	donor, err := build(7).Solve()
@@ -210,10 +210,10 @@ func TestWarmStartWithBoundedVariablesAtUpper(t *testing.T) {
 
 func TestPresolvedSolutionCarriesNoBasis(t *testing.T) {
 	p := New(Minimize)
-	x := p.AddVar("x", 1, 0, 10)
-	y := p.AddVar("y", 2, 0, 10)
-	p.AddConstraint("fix", []Term{{x, 1}}, EQ, 3)
-	p.AddConstraint("c", []Term{{x, 1}, {y, 1}}, GE, 5)
+	x := p.AddVar(1, 0, 10)
+	y := p.AddVar(2, 0, 10)
+	p.AddConstraint([]Term{{x, 1}}, EQ, 3)
+	p.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 5)
 	sol, err := p.SolveOpts(Options{Presolve: true})
 	if err != nil {
 		t.Fatal(err)

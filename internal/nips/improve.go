@@ -23,72 +23,78 @@ func ResolveLP(inst *Instance, dep *Deployment) error {
 // resolveLP is ResolveLP with an optional metrics registry threaded into
 // the LP solve (nil is the no-op registry).
 func resolveLP(inst *Instance, dep *Deployment, metrics *obs.Registry) error {
+	d, err := SolveSampling(inst, inst.objCoef, dep.E, metrics)
+	if err != nil {
+		return fmt.Errorf("nips: resolve LP: %w", err)
+	}
+	dep.D = d
+	dep.Objective = Objective(inst, dep)
+	return nil
+}
+
+// SolveSampling is the one builder of the d-only sampling LP, shared by the
+// fixed-e re-solve (ResolveLP) and Section 3.5's Lambda: maximize the sum of
+// coef(i, k, pos)·d_ikj subject to Eq. (11) per (rule, path) and Eqs.
+// (9)–(10) per node. Only d whose rule is enabled at the node get a variable
+// (a nil enabled enables every rule everywhere), and a one-term Eq. (11) row
+// is left out, because the bound d <= 1 already says it. coef is called
+// once per variable, in (rule, path, position) order. It returns D with the
+// instance's rule/path/position shape, zero where no variable exists.
+func SolveSampling(inst *Instance, coef func(i, k, pos int) float64, enabled [][]bool, metrics *obs.Registry) ([][][]float64, error) {
 	p := lp.New(lp.Maximize)
 	n := inst.Topo.N()
-
-	type dref struct{ i, k, pos int }
-	var refs []dref
-	var vars []lp.Var
 	memTerms := make([][]lp.Term, n)
 	cpuTerms := make([][]lp.Term, n)
-	for i := range dep.E {
+	d := make([][][]float64, len(inst.Rules))
+	var cover []lp.Term // AddConstraint copies it, so one buffer serves every row
+	for i := range inst.Rules {
+		d[i] = make([][]float64, len(inst.Paths))
 		for k, path := range inst.Paths {
-			cover := make([]lp.Term, 0, len(path))
+			d[i][k] = make([]float64, len(path))
+			cover = cover[:0]
 			for pos, j := range path {
-				if !dep.E[i][j] {
+				if enabled != nil && !enabled[i][j] {
 					continue
 				}
-				v := p.AddVar("d", inst.objCoef(i, k, pos), 0, 1)
-				refs = append(refs, dref{i, k, pos})
-				vars = append(vars, v)
+				v := p.AddVar(coef(i, k, pos), 0, 1)
 				cover = append(cover, lp.Term{Var: v, Coef: 1})
 				memTerms[j] = append(memTerms[j], lp.Term{Var: v, Coef: inst.Items[k] * inst.Rules[i].MemPerItem})
 				cpuTerms[j] = append(cpuTerms[j], lp.Term{Var: v, Coef: inst.Pkts[k] * inst.Rules[i].CPUPerPkt})
 			}
 			if len(cover) > 1 {
-				p.AddConstraint("cover", cover, lp.LE, 1)
+				p.AddConstraint(cover, lp.LE, 1)
 			}
 		}
 	}
-	if len(vars) == 0 {
-		// Nothing enabled anywhere: the deployment drops nothing.
-		for i := range dep.D {
-			for k := range dep.D[i] {
-				for pos := range dep.D[i][k] {
-					dep.D[i][k][pos] = 0
-				}
-			}
-		}
-		dep.Objective = 0
-		return nil
+	if p.NumVars() == 0 {
+		return d, nil // nothing enabled anywhere: nothing is sampled
 	}
 	for j := 0; j < n; j++ {
 		if len(memTerms[j]) > 0 {
-			p.AddConstraint("mem", memTerms[j], lp.LE, inst.MemCap[j])
+			p.AddConstraint(memTerms[j], lp.LE, inst.MemCap[j])
 		}
 		if len(cpuTerms[j]) > 0 {
-			p.AddConstraint("cpu", cpuTerms[j], lp.LE, inst.CPUCap[j])
+			p.AddConstraint(cpuTerms[j], lp.LE, inst.CPUCap[j])
 		}
 	}
 	sol, err := p.SolveOpts(lp.Options{Metrics: metrics})
 	if err != nil {
-		return fmt.Errorf("nips: resolve LP: %w", err)
+		return nil, err
 	}
 	if sol.Status != lp.StatusOptimal {
-		return fmt.Errorf("nips: resolve LP: %w", sol.Status.Err())
+		return nil, sol.Status.Err()
 	}
-	for i := range dep.D {
-		for k := range dep.D[i] {
-			for pos := range dep.D[i][k] {
-				dep.D[i][k][pos] = 0
+	x := sol.X
+	for i := range d {
+		for k, path := range inst.Paths {
+			for pos, j := range path {
+				if enabled == nil || enabled[i][j] {
+					d[i][k][pos], x = clamp01(x[0]), x[1:]
+				}
 			}
 		}
 	}
-	for x, ref := range refs {
-		dep.D[ref.i][ref.k][ref.pos] = clamp01(sol.Value(vars[x]))
-	}
-	dep.Objective = Objective(inst, dep)
-	return nil
+	return d, nil
 }
 
 // GreedyFill sets additional e_ij to 1 while no TCAM constraint is

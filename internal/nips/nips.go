@@ -177,7 +177,7 @@ func solveRelaxation(inst *Instance, metrics *obs.Registry) (*Relaxation, error)
 		eVars[i] = make([]lp.Var, n)
 		for j := 0; j < n; j++ {
 			if onPath[j] {
-				eVars[i][j] = p.AddVar(fmt.Sprintf("e[%d,%d]", i, j), 0, 0, 1)
+				eVars[i][j] = p.AddVar(0, 0, 1)
 			} else {
 				eVars[i][j] = -1
 			}
@@ -199,27 +199,27 @@ func solveRelaxation(inst *Instance, metrics *obs.Registry) (*Relaxation, error)
 			dVars[i][k] = make([]lp.Var, len(path))
 			cover := make([]lp.Term, 0, len(path))
 			for pos, j := range path {
-				v := p.AddVar(fmt.Sprintf("d[%d,%d,%d]", i, k, j), inst.objCoef(i, k, pos), 0, 1)
+				v := p.AddVar(inst.objCoef(i, k, pos), 0, 1)
 				dVars[i][k][pos] = v
 				cover = append(cover, lp.Term{Var: v, Coef: 1})
 				memTerms[j] = append(memTerms[j], lp.Term{Var: v, Coef: inst.Items[k] * inst.Rules[i].MemPerItem})
 				cpuTerms[j] = append(cpuTerms[j], lp.Term{Var: v, Coef: inst.Pkts[k] * inst.Rules[i].CPUPerPkt})
 				// Eq (12): d_ikj <= e_ij.
-				p.AddConstraint("couple", []lp.Term{{Var: v, Coef: 1}, {Var: eVars[i][j], Coef: -1}}, lp.LE, 0)
+				p.AddConstraint([]lp.Term{{Var: v, Coef: 1}, {Var: eVars[i][j], Coef: -1}}, lp.LE, 0)
 			}
 			// Eq (11): total sampled fraction per path-rule <= 1.
-			p.AddConstraint("cover", cover, lp.LE, 1)
+			p.AddConstraint(cover, lp.LE, 1)
 		}
 	}
 	for j := 0; j < n; j++ {
 		if len(camTerms[j]) > 0 {
-			p.AddConstraint("cam", camTerms[j], lp.LE, inst.CamCap[j]) // Eq (8)
+			p.AddConstraint(camTerms[j], lp.LE, inst.CamCap[j]) // Eq (8)
 		}
 		if len(memTerms[j]) > 0 {
-			p.AddConstraint("mem", memTerms[j], lp.LE, inst.MemCap[j]) // Eq (9)
+			p.AddConstraint(memTerms[j], lp.LE, inst.MemCap[j]) // Eq (9)
 		}
 		if len(cpuTerms[j]) > 0 {
-			p.AddConstraint("cpu", cpuTerms[j], lp.LE, inst.CPUCap[j]) // Eq (10)
+			p.AddConstraint(cpuTerms[j], lp.LE, inst.CPUCap[j]) // Eq (10)
 		}
 	}
 

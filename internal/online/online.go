@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/rand"
 
-	"nwdeploy/internal/lp"
 	"nwdeploy/internal/nips"
 	"nwdeploy/internal/obs"
 	"nwdeploy/internal/traffic"
@@ -179,66 +178,20 @@ func BestStatic(inst *nips.Instance, epochs [][][]float64) (*Decision, float64, 
 
 // solveLambda is the optimization procedure Lambda: maximize the weighted
 // Eq. (7) objective subject to the capacity and coverage constraints (no
-// TCAM, so no integral variables). perturb and metrics may be nil.
+// TCAM, so no integral variables, and every rule enabled everywhere) — the
+// nips sampling LP. perturb and metrics may be nil.
 func solveLambda(inst *nips.Instance, weight func(i, k int) float64, perturb func(i, k, pos int) float64, metrics *obs.Registry) (*Decision, error) {
-	p := lp.New(lp.Maximize)
-	n := inst.Topo.N()
-	memTerms := make([][]lp.Term, n)
-	cpuTerms := make([][]lp.Term, n)
-	type ref struct{ i, k, pos int }
-	var refs []ref
-	var vars []lp.Var
-	for i := range inst.Rules {
-		for k, path := range inst.Paths {
-			cover := make([]lp.Term, 0, len(path))
-			for pos, j := range path {
-				coef := inst.Items[k] * weight(i, k) * inst.Dist[k][pos]
-				if perturb != nil {
-					coef += perturb(i, k, pos)
-				}
-				v := p.AddVar("d", coef, 0, 1)
-				refs = append(refs, ref{i, k, pos})
-				vars = append(vars, v)
-				cover = append(cover, lp.Term{Var: v, Coef: 1})
-				memTerms[j] = append(memTerms[j], lp.Term{Var: v, Coef: inst.Items[k] * inst.Rules[i].MemPerItem})
-				cpuTerms[j] = append(cpuTerms[j], lp.Term{Var: v, Coef: inst.Pkts[k] * inst.Rules[i].CPUPerPkt})
-			}
-			p.AddConstraint("cover", cover, lp.LE, 1)
+	d, err := nips.SolveSampling(inst, func(i, k, pos int) float64 {
+		coef := inst.Items[k] * weight(i, k) * inst.Dist[k][pos]
+		if perturb != nil {
+			coef += perturb(i, k, pos)
 		}
-	}
-	for j := 0; j < n; j++ {
-		if len(memTerms[j]) > 0 {
-			p.AddConstraint("mem", memTerms[j], lp.LE, inst.MemCap[j])
-		}
-		if len(cpuTerms[j]) > 0 {
-			p.AddConstraint("cpu", cpuTerms[j], lp.LE, inst.CPUCap[j])
-		}
-	}
-	sol, err := p.SolveOpts(lp.Options{Metrics: metrics})
+		return coef
+	}, nil, metrics)
 	if err != nil {
 		return nil, fmt.Errorf("online: Lambda: %w", err)
 	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("online: Lambda: %w", sol.Status.Err())
-	}
-	d := &Decision{D: make([][][]float64, len(inst.Rules))}
-	for i := range inst.Rules {
-		d.D[i] = make([][]float64, len(inst.Paths))
-		for k := range inst.Paths {
-			d.D[i][k] = make([]float64, len(inst.Paths[k]))
-		}
-	}
-	for x, r := range refs {
-		v := sol.Value(vars[x])
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		d.D[r.i][r.k][r.pos] = v
-	}
-	return d, nil
+	return &Decision{D: d}, nil
 }
 
 // RegretPoint is one sample of the Figure 11 series.

@@ -329,14 +329,6 @@ func PlanTransition(oldPlan, newPlan *NIDSPlan) (*Transition, error) {
 	return core.PlanTransition(oldPlan, newPlan)
 }
 
-// PlanNIDSWithAggregation solves the placement LP with a communication
-// budget for shipping per-item digests to a collector node (Section 5's
-// aggregated-analysis extension). It is equivalent to PlanNIDS with
-// NIDSOptions{Redundancy: r, Aggregation: &agg}.
-func PlanNIDSWithAggregation(inst *NIDSInstance, r int, agg AggregationConfig) (*NIDSPlan, error) {
-	return PlanNIDS(inst, NIDSOptions{Redundancy: r, Aggregation: &agg})
-}
-
 // GreedyNIDSPlan is the non-optimizing baseline: each coordination unit
 // assigned wholly to the least-loaded eligible node. Useful for ablation
 // against PlanNIDS.

@@ -128,7 +128,7 @@ func TestPublicAPIExtensions(t *testing.T) {
 	}
 
 	// Aggregation-budgeted planning with a loose budget matches plain.
-	aggPlan, err := PlanNIDSWithAggregation(inst, 1, AggregationConfig{Collector: 6, BytesPerItem: 64, Budget: 1e18})
+	aggPlan, err := PlanNIDS(inst, NIDSOptions{Aggregation: &AggregationConfig{Collector: 6, BytesPerItem: 64, Budget: 1e18}})
 	if err != nil {
 		t.Fatal(err)
 	}
