@@ -38,9 +38,7 @@ func TestErrNoVariablesIsMatchable(t *testing.T) {
 
 // TestNonFiniteInputIsAnError: NaN or infinite data used to come back as
 // StatusOptimal with a NaN objective. It must be refused up front, on every
-// solve path, naming the offending variable or constraint by its index. Bad
-// bounds and an unknown variable are model-builder bugs instead: they
-// panic, naming the index the same way.
+// solve path, naming the offending variable or constraint by its index.
 func TestNonFiniteInputIsAnError(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -68,29 +66,47 @@ func TestNonFiniteInputIsAnError(t *testing.T) {
 			}
 		}
 	}
+}
 
-	panics := []struct {
-		name  string
-		build func(p *Problem)
-		want  string
+// builderPanic runs build on a problem that already holds variable 0 and
+// constraint 0, and returns what it panicked with ("<nil>" if it did not).
+func builderPanic(build func(p *Problem)) (msg string) {
+	p := New(Minimize)
+	x := p.AddVar(1, 0, 1)
+	p.AddConstraint([]Term{{x, 1}}, LE, 1)
+	defer func() { msg = fmt.Sprint(recover()) }()
+	build(p)
+	return ""
+}
+
+// TestPanicsOnBadBounds: bounds that are inverted, or not finite where they
+// must be, are a model-builder bug. AddVar panics, naming the variable index.
+func TestPanicsOnBadBounds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		lb, ub float64
+		want   string
 	}{
-		{"inverted-bounds", func(p *Problem) { p.AddVar(1, 5, 2) }, "variable 1 has invalid bounds [5, 2]"},
-		{"infinite-lb", func(p *Problem) { p.AddVar(1, -inf, 0) }, "variable 1 has invalid bounds [-Inf, 0]"},
-		{"nan-ub", func(p *Problem) { p.AddVar(1, 0, nan) }, "variable 1 has invalid bounds [0, NaN]"},
-		{"unknown-variable", func(p *Problem) { p.AddConstraint([]Term{{Var(7), 1}}, LE, 1) }, "constraint 1 references unknown variable 7"},
+		{"inverted-bounds", 5, 2, "variable 1 has invalid bounds [5, 2]"},
+		{"infinite-lb", -inf, 0, "variable 1 has invalid bounds [-Inf, 0]"},
+		{"nan-ub", 0, nan, "variable 1 has invalid bounds [0, NaN]"},
 	}
-	for _, c := range panics {
-		p := New(Minimize)
-		x := p.AddVar(1, 0, 1)
-		p.AddConstraint([]Term{{x, 1}}, LE, 1)
-		msg := func() (msg string) {
-			defer func() { msg = fmt.Sprint(recover()) }()
-			c.build(p)
-			return ""
-		}()
+	for _, c := range cases {
+		msg := builderPanic(func(p *Problem) { p.AddVar(1, c.lb, c.ub) })
 		if !strings.Contains(msg, c.want) {
 			t.Errorf("%s: panic %q, want one naming %q", c.name, msg, c.want)
 		}
+	}
+}
+
+// TestPanicsOnBadVariable: a constraint term on a variable the problem does
+// not hold panics, naming the constraint and the variable index.
+func TestPanicsOnBadVariable(t *testing.T) {
+	const want = "constraint 1 references unknown variable 7"
+	msg := builderPanic(func(p *Problem) { p.AddConstraint([]Term{{Var(7), 1}}, LE, 1) })
+	if !strings.Contains(msg, want) {
+		t.Errorf("panic %q, want one naming %q", msg, want)
 	}
 }
 
