@@ -17,6 +17,15 @@ func ObserveSolves(f func(*Problem, *Solution)) (restore func()) {
 // presolved solution can be held to.
 var PrimalFeasible = primalFeasible
 
+// CheckKernels exports the reference-kernel oracle (kernels_ref_test.go),
+// so the external tests can step the planners' LPs under it.
+var CheckKernels = checkKernels
+
+// GoldenRandomLPs, BealeLP and DeploymentLP export LPs of the package
+// tests: the solve golden's random boxed LPs, Beale's cycling example and
+// the deployment-shaped LP of the benchmarks and the golden.
+var GoldenRandomLPs, BealeLP, DeploymentLP = goldenRandomLPs, bealeLP, buildDeploymentLP
+
 // Replay snapshots p's numbers and returns a function that rebuilds an
 // equal Problem through AddVar and AddConstraint, so a test can measure what
 // building a planner's LP costs apart from the planner's own bookkeeping.

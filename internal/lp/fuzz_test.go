@@ -15,7 +15,8 @@ import (
 // The same decoded problem is also solved under presolve and re-solved
 // warm from its own basis; all paths must agree. The plain and warm optima
 // must also carry a dual certificate (certify_test.go; presolved solves
-// report no duals).
+// report no duals). Every pricing and BTRAN step of every solve must match
+// the reference kernels (kernels_ref_test.go).
 func FuzzSolve(f *testing.F) {
 	// Seed corpus: the degenerate structures from lp_test.go's hand-written
 	// cases, re-expressed in the decoder's byte encoding.
@@ -43,6 +44,8 @@ func FuzzSolve(f *testing.F) {
 		if d == nil {
 			return
 		}
+		_, restore := checkKernels(t.Fatalf)
+		defer restore()
 		p := d.problem()
 		sol, err := p.SolveOpts(Options{})
 		if err != nil {

@@ -95,9 +95,7 @@ func goldenSolveCases(t *testing.T) map[string]goldenSolve {
 	solve("flipped/maximize", flippedRowsLP(), Options{})
 	solve("artificials/transport", transportLP(7, 9, 13), Options{})
 
-	rng := rand.New(rand.NewSource(20261015))
-	for i := 0; i < 200; i++ {
-		p := randomBoundedLP(rng)
+	for i, p := range goldenRandomLPs() {
 		name := fmt.Sprintf("random/%03d", i)
 		sol := solve(name, p, Options{})
 		if sol.Status == StatusOptimal {
@@ -213,6 +211,16 @@ func transportLP(supplies, demands int, seed int64) *Problem {
 		p.AddConstraint(terms, GE, demand[k])
 	}
 	return p
+}
+
+// goldenRandomLPs draws the golden's 200 random LPs from its fixed seed.
+func goldenRandomLPs() []*Problem {
+	rng := rand.New(rand.NewSource(20261015))
+	ps := make([]*Problem, 200)
+	for i := range ps {
+		ps[i] = randomBoundedLP(rng)
+	}
+	return ps
 }
 
 // randomBoundedLP draws a small LP on a dyadic grid: finite boxes (some with

@@ -283,8 +283,8 @@ func TestFixedVariableViaEqualBounds(t *testing.T) {
 	}
 }
 
-func TestDegenerateLP(t *testing.T) {
-	// Beale's cycling example (classic); Bland fallback must terminate.
+// bealeLP is Beale's classic cycling example; its optimum is -0.05.
+func bealeLP() *Problem {
 	p := New(Minimize)
 	x1 := p.AddVar(-0.75, 0, Inf())
 	x2 := p.AddVar(150, 0, Inf())
@@ -293,7 +293,12 @@ func TestDegenerateLP(t *testing.T) {
 	p.AddConstraint([]Term{{x1, 0.25}, {x2, -60}, {x3, -1.0 / 25.0}, {x4, 9}}, LE, 0)
 	p.AddConstraint([]Term{{x1, 0.5}, {x2, -90}, {x3, -1.0 / 50.0}, {x4, 3}}, LE, 0)
 	p.AddConstraint([]Term{{x3, 1}}, LE, 1)
-	sol := solveOrFatal(t, p)
+	return p
+}
+
+func TestDegenerateLP(t *testing.T) {
+	// Beale's cycling example; Bland fallback must terminate.
+	sol := solveOrFatal(t, bealeLP())
 	requireOptimal(t, sol)
 	if !near(sol.Objective, -0.05) {
 		t.Fatalf("objective = %v, want -0.05", sol.Objective)

@@ -1,6 +1,7 @@
 package lp_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -61,18 +62,7 @@ func TestCertifyPlannerLPs(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("replan/capture", 1)
-	rng := rand.New(rand.NewSource(9))
-	pkts := make([]float64, len(inst.Units))
-	items := make([]float64, len(inst.Units))
-	for ui, u := range inst.Units {
-		f := 1 + 0.1*(2*rng.Float64()-1)
-		pkts[ui], items[ui] = u.Pkts*f, u.Items*f
-	}
-	jittered, err := inst.WithVolumes(pkts, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := core.SolveOpts(jittered, core.SolveOptions{WarmBasis: captured.Basis})
+	warm, err := core.SolveOpts(jittered(t, inst), core.SolveOptions{WarmBasis: captured.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +101,104 @@ func TestCertifyPlannerLPs(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("online/lambda", 2)
+}
+
+// TestPresolveKeepsAggregationOptimum solves the plan golden's tight
+// aggregation LP (Internet2, three classes, a budget of 0.8 x the loose
+// plan's byte-hops) with presolve off and on. Presolve moves the vertex,
+// not the optimum: the objectives agree within the solver's tolerance, and
+// the reduced LP's solve certifies. (A budget derived from a presolved
+// loose plan, whose byte-hops are lower, makes a tighter LP with a higher
+// optimum; that once passed for presolve raising the minimum.)
+func TestPresolveKeepsAggregationOptimum(t *testing.T) {
+	inst := aggregationInstance(t)
+	agg := core.AggregationConfig{Collector: 6, BytesPerItem: 64, Budget: 1e18}
+	loose, err := core.SolveOpts(inst, core.SolveOptions{Aggregation: &agg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg.Budget = 0.8 * core.AggregationCost(inst, loose, agg)
+	var tight *lp.Problem
+	restore := lp.ObserveSolves(func(p *lp.Problem, _ *lp.Solution) { tight = p })
+	_, err = core.SolveOpts(inst, core.SolveOptions{Aggregation: &agg})
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	plain, err := tight.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Status != lp.StatusOptimal {
+		t.Fatalf("plain solve: status %v", plain.Status)
+	}
+	if err := lp.Certify(tight, plain, 1e-7); err != nil {
+		t.Fatalf("plain solve: %v", err)
+	}
+	var inner []*lp.Solution
+	var reduced *lp.Problem
+	restore = lp.ObserveSolves(func(p *lp.Problem, sol *lp.Solution) {
+		if sol.Duals != nil { // the reduced LP's own solve, not the mapped-back one
+			reduced, inner = p, append(inner, sol)
+		}
+	})
+	pre, err := tight.SolveOpts(lp.Options{Presolve: true})
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pre.Status != lp.StatusOptimal {
+		t.Fatalf("presolved solve: status %v", pre.Status)
+	}
+	if len(inner) != 1 {
+		t.Fatalf("presolve ran %d reduced solves with duals, want 1", len(inner))
+	}
+	if err := lp.Certify(reduced, inner[0], 1e-7); err != nil {
+		t.Fatalf("reduced solve: %v", err)
+	}
+	if err := lp.PrimalFeasible(tight, pre, 1e-7); err != nil {
+		t.Fatalf("presolved solution: %v", err)
+	}
+	if d := math.Abs(pre.Objective - plain.Objective); d > 1e-7 {
+		t.Fatalf("presolved objective %.10g, plain %.10g: differ by %g", pre.Objective, plain.Objective, d)
+	}
+}
+
+// aggregationInstance is the plan golden's aggregation instance: 5,000
+// Internet2 gravity sessions over a signature, an HTTP and a scan class.
+func aggregationInstance(t *testing.T) *core.Instance {
+	t.Helper()
+	topo := topology.Internet2()
+	sessions := traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{Sessions: 5000, Seed: 77})
+	classes := []core.Class{
+		{Name: "signature", Scope: core.PerPath, Agg: core.BySession, CPUPerPkt: 1, MemPerItem: 400},
+		{Name: "http", Scope: core.PerPath, Agg: core.BySession, Ports: []uint16{80}, CPUPerPkt: 2, MemPerItem: 600},
+		{Name: "scan", Scope: core.PerIngress, Agg: core.BySource, CPUPerPkt: 0.3, MemPerItem: 120},
+	}
+	inst, err := core.BuildInstance(topo, classes, sessions, core.UniformCaps(topo.N(), 1e7, 1e9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// jittered is inst with every unit's volumes scaled by a seeded factor in
+// [0.9, 1.1], as a replan sees them.
+func jittered(t *testing.T, inst *core.Instance) *core.Instance {
+	t.Helper()
+	rng := rand.New(rand.NewSource(9))
+	pkts := make([]float64, len(inst.Units))
+	items := make([]float64, len(inst.Units))
+	for ui, u := range inst.Units {
+		f := 1 + 0.1*(2*rng.Float64()-1)
+		pkts[ui], items[ui] = u.Pkts*f, u.Items*f
+	}
+	out, err := inst.WithVolumes(pkts, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // placementInstance is the replan workload's instance: 20,000 gravity

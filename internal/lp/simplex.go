@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -36,8 +37,8 @@ type simplex struct {
 	cols, rows sparse    // A by column (rows ascending) and by row
 	rhs        []float64 // m normalized right-hand sides
 
-	c       []float64 // nTotal costs of the current phase
-	cost    []float64 // nTotal reduced costs; nil until a phase loads c
+	c       []float64 // nTotal costs of the current phase; nil while none is loaded
+	cost    []float64 // nTotal reduced costs, kept current while c is loaded
 	ub      []float64 // nTotal upper bounds (shifted space)
 	objCost []float64 // nTotal phase-2 costs (internal minimize space)
 	sign    float64   // +1, or -1 for a maximization: objCost = sign*cost
@@ -52,9 +53,17 @@ type simplex struct {
 	piv     []entry
 	updates int // basis changes since the last factorization
 
-	col   svec // m: the entering column, FTRAN'd; also beta's scratch
-	rho   svec // m: a BTRAN'd row of B^-1, or c_B*B^-1
-	alpha svec // nTotal: a row of B^-1*A
+	// The eta file by row, for btran: rowHead[i] heads row i's chain (see
+	// activate), etaAt[c] is the eta holding etas.nz[16c], active the etas to apply.
+	rowHead, etaAt []int32
+	active         []uint64
+
+	gain   []float64    // nTotal: each column's gain (see setGain)
+	blocks []priceBlock // bounds on the gains of each 64 columns (see price)
+	col    svec         // m: the entering column, FTRAN'd; also beta's scratch
+	rho    svec         // m: a BTRAN'd row of B^-1, or c_B*B^-1
+	alpha  svec         // nTotal: a row of B^-1*A
+	keys   []int64      // m: factor's column order
 
 	firstArt int // index of first artificial column; nTotal if none
 
@@ -81,14 +90,31 @@ const (
 	degenSwitch   = 400  // switch to Bland's rule after this many degenerate steps
 	refactorEvery = 100  // basis changes between factorizations (DESIGN.md, "LP solver")
 	pivTol        = 1e-8 // smallest pivot the ratio test and factor accept
+	blockBits     = 6    // 64 columns a price block
+	etaAtBits     = 4    // etaAt has one eta per 16 entries of the file
+	walkBudget    = 64   // chain links a btran walks before it applies every eta below
 )
 
 // entry is one nonzero of a sparse line: its index along the line (the row
-// of a column entry, the column of a row entry) and its value.
+// of a column entry, the column of a row entry) and its value. The eta file
+// chains its entries by row through next, which fills what would be padding.
 type entry struct {
-	i int32
-	v float64
+	i, next int32
+	v       float64
 }
+
+// priceBlock bounds the gains of 64 consecutive columns. A clean block's
+// bound is their largest, at column arg, the lowest holding it.
+type priceBlock struct {
+	bound float64
+	arg   int
+	clean bool
+}
+
+// checkPrice and checkBtran are nil outside tests, which hold each pricing
+// decision and each BTRAN (input, then result) to the reference kernels.
+var checkPrice func(s *simplex, bland bool, j, dir int)
+var checkBtran func(s *simplex, v *svec) (check func())
 
 // sparse stores lines of nonzeros back to back: line k is
 // nz[start[k]:start[k+1]].
@@ -169,7 +195,7 @@ func newSimplex(p *Problem, opts Options) *simplex {
 			if k := at[t.Var]; k > 0 {
 				s.rows.nz[k-1].v += t.Coef
 			} else {
-				s.rows.nz = append(s.rows.nz, entry{int32(t.Var), t.Coef})
+				s.rows.nz = append(s.rows.nz, entry{i: int32(t.Var), v: t.Coef})
 				at[t.Var] = int32(len(s.rows.nz))
 			}
 		}
@@ -195,14 +221,14 @@ func newSimplex(p *Problem, opts Options) *simplex {
 		}
 		switch op {
 		case LE:
-			row, s.basis[r] = append(row, entry{int32(slack), 1}), slack
+			row, s.basis[r] = append(row, entry{i: int32(slack), v: 1}), slack
 			slack++
 		case GE:
-			row = append(row, entry{int32(slack), -1})
+			row = append(row, entry{i: int32(slack), v: -1})
 			slack++
 			fallthrough
 		default:
-			row, s.basis[r] = append(row, entry{int32(art), 1}), art
+			row, s.basis[r] = append(row, entry{i: int32(art), v: 1}), art
 			art++
 		}
 		s.rows.nz = row
@@ -226,7 +252,7 @@ func newSimplex(p *Problem, opts Options) *simplex {
 	next := append([]int32(nil), s.cols.start...)
 	for r := 0; r < m; r++ {
 		for _, e := range s.rows.line(r) {
-			s.cols.nz[next[e.i]] = entry{int32(r), e.v}
+			s.cols.nz[next[e.i]] = entry{i: int32(r), v: e.v}
 			next[e.i]++
 		}
 	}
@@ -240,6 +266,10 @@ func newSimplex(p *Problem, opts Options) *simplex {
 	s.piv = make([]entry, 0, m+refactorEvery)
 	s.etas.start = make([]int32, 1, m+refactorEvery+1)
 	s.etas.nz = make([]entry, 0, 4*len(s.rows.nz)) // placement LPs' files peak near 2x nnz
+	s.rowHead, s.etaAt = make([]int32, m), make([]int32, 0, cap(s.etas.nz)>>etaAtBits+1)
+	s.cost, s.gain = make([]float64, s.nTotal), make([]float64, s.nTotal)
+	s.blocks = make([]priceBlock, (s.nTotal+1<<blockBits-1)>>blockBits)
+	s.active, s.keys = make([]uint64, 0, (cap(s.piv)+63)>>6), make([]int64, 0, m)
 
 	s.maxIters = opts.MaxIters
 	if s.maxIters == 0 {
@@ -277,31 +307,85 @@ func (s *simplex) ftran(v *svec) {
 }
 
 // btran overwrites the row vector v with v*B^-1, applying the etas in
-// reverse: each changes only its pivot entry.
+// reverse. Eta k sets only its pivot entry, to a dot product over the entries
+// it reads, a no-op while those are all zero; btran skips the no-ops it finds
+// on the row chains (see activate) and applies the rest as a full walk would,
+// so v and v.nz match it bit for bit.
 func (s *simplex) btran(v *svec) {
-	for k := len(s.piv) - 1; k >= 0; k-- {
-		p := s.piv[k]
-		a := v.x[p.i]
-		for _, e := range s.etas.line(k) {
-			a -= e.v * v.x[e.i]
-		}
-		if a != 0 || v.x[p.i] != 0 {
-			v.set(p.i, a/p.v)
+	if checkBtran != nil {
+		defer checkBtran(s, v)()
+	}
+	budget := walkBudget
+	for n := 0; n < len(v.nz) && budget >= 0; n++ {
+		budget = s.activate(v.nz[n], len(s.piv), budget)
+	}
+	for w := (len(s.piv)+63)>>6 - 1; w >= 0; w-- {
+		for s.active[w] != 0 {
+			b := 63 - bits.LeadingZeros64(s.active[w])
+			s.active[w] &^= 1 << b
+			k := w<<6 | b
+			p := s.piv[k]
+			a := v.x[p.i]
+			for _, e := range s.etas.line(k) {
+				a -= e.v * v.x[e.i]
+			}
+			if a != 0 || v.x[p.i] != 0 {
+				if !v.in[p.i] && budget >= 0 {
+					budget = s.activate(p.i, k, budget)
+				}
+				v.set(p.i, a/p.v)
+			}
 		}
 	}
 }
 
+// activate marks for btran every eta below `below` on row i's chain (link
+// n > 0 is etas.nz[n-1], n < 0 the pivot of eta ^n, 0 the end), spending a
+// unit of budget a link. The walk that overspends marks every eta below, as
+// applying them costs less than walking on; btran then walks no more.
+func (s *simplex) activate(i int32, below, budget int) int {
+	for n := s.rowHead[i]; n != 0; budget-- {
+		k := int(^n)
+		if n > 0 {
+			p := int(n) - 1
+			k = int(s.etaAt[p>>etaAtBits])
+			for int(s.etas.start[k+1]) <= p {
+				k++
+			}
+			n = s.etas.nz[p].next
+		} else {
+			n = s.piv[k].next
+		}
+		if k < below {
+			s.active[k>>6] |= 1 << (k & 63)
+		}
+	}
+	for k := 0; budget < 0 && k < below; k += 64 {
+		s.active[k>>6] |= ^uint64(0) >> (64 - min(64, below-k))
+	}
+	return budget
+}
+
 // pushEta appends the eta of the FTRAN'd column in s.col pivoting on row r,
-// then clears s.col. A unit column in its own row needs none.
+// chained by row, then clears s.col. A unit column in its own row needs none.
 func (s *simplex) pushEta(r int) {
 	v := &s.col
 	if piv := v.x[r]; piv != 1 || len(v.nz) > 1 {
+		k := int32(len(s.piv))
 		for _, i := range v.nz {
 			if a := v.x[i]; int(i) != r && a != 0 {
-				s.etas.nz = append(s.etas.nz, entry{i, a})
+				s.etas.nz = append(s.etas.nz, entry{i: i, next: s.rowHead[i], v: a})
+				s.rowHead[i] = int32(len(s.etas.nz))
 			}
 		}
-		s.piv = append(s.piv, entry{int32(r), piv})
+		s.piv = append(s.piv, entry{i: int32(r), next: s.rowHead[r], v: piv})
+		s.rowHead[r] = ^k
+		if len(s.piv) > len(s.active)<<6 {
+			s.active = append(s.active, 0)
+		}
+		for len(s.etaAt)<<etaAtBits < len(s.etas.nz) {
+			s.etaAt = append(s.etaAt, k)
+		}
 		s.etas.start = append(s.etas.start, int32(len(s.etas.nz)))
 	}
 	v.clear()
@@ -315,15 +399,15 @@ func (s *simplex) pushEta(r int) {
 // of a left-over row, and factor reports false (a warm start then fails).
 func (s *simplex) factor() bool {
 	s.piv, s.etas.start, s.etas.nz = s.piv[:0], s.etas.start[:1], s.etas.nz[:0]
-	s.updates = 0
-	keys := make([]int64, 0, s.m)
+	s.etaAt, s.keys, s.updates = s.etaAt[:0], s.keys[:0], 0
+	clear(s.rowHead)
 	for r, j := range s.basis {
-		keys = append(keys, int64(s.cols.start[j+1]-s.cols.start[j])<<32|int64(j))
+		s.keys = append(s.keys, int64(s.cols.start[j+1]-s.cols.start[j])<<32|int64(j))
 		s.basis[r] = -1
 	}
-	slices.Sort(keys)
+	slices.Sort(s.keys)
 	ok := true
-	for _, key := range keys {
+	for _, key := range s.keys {
 		j := int(uint32(key))
 		s.loadCol(j)
 		if len(s.col.nz) > 1 {
@@ -353,8 +437,8 @@ func (s *simplex) factor() bool {
 }
 
 // refresh recomputes the basic values exactly, beta = B^-1*(b - the at-upper
-// columns at their bounds), and, once a phase has loaded its costs, every
-// reduced cost: d_j = c_j - y*a_j with y = c_B*B^-1.
+// columns at their bounds), and, while a phase's costs are loaded, every
+// reduced cost and gain: d_j = c_j - y*a_j with y = c_B*B^-1.
 func (s *simplex) refresh() {
 	v := &s.col
 	for r, b := range s.rhs {
@@ -370,9 +454,10 @@ func (s *simplex) refresh() {
 	s.ftran(v)
 	copy(s.beta, v.x)
 	v.clear()
-	if s.cost == nil {
+	if s.c == nil {
 		return
 	}
+	clear(s.blocks) // dirty at bound 0: setGain raises it past every larger gain
 	y := &s.rho
 	for r, j := range s.basis {
 		y.add(int32(r), s.c[j])
@@ -387,6 +472,7 @@ func (s *simplex) refresh() {
 			}
 		}
 		s.cost[j] = d
+		s.setGain(j)
 	}
 	y.clear()
 }
@@ -426,26 +512,67 @@ func (s *simplex) bestInRow(r int, want float64) int {
 	return best
 }
 
-// price selects an entering variable: the nonbasic column whose reduced
-// cost improves the objective fastest (Dantzig), or under Bland's rule the
-// first that improves it. dir=+1 means it increases from its lower bound,
-// dir=-1 that it decreases from its upper bound; j=-1 means optimal.
+// price selects an entering variable: the column with the largest gain above
+// the threshold, lowest index on a tie (Dantzig), or under Bland's rule the
+// first above it; j=-1 means optimal, and dir=+1 (-1) that j leaves its lower
+// (upper) bound. Dantzig rescans the top block (largest bound, lowest index)
+// until it is clean; Bland skips blocks bounded at or below the threshold.
 func (s *simplex) price(bland bool) (j, dir int) {
-	j, best := -1, math.Max(s.tol, 1e-7)
-	for k, st := range s.state {
-		// Gain per unit move: -d off a lower bound, +d off an upper one, 0 if
-		// basic. Four entries spare the index a bounds check.
-		if rc := [4]float64{atLower: -1, atUpper: 1}[st&3] * s.cost[k]; rc > best {
-			j, best = k, rc
-			if bland {
-				break
+	thr, j := math.Max(s.tol, 1e-7), -1
+	for k := 0; bland && j < 0 && k < s.nTotal; k++ {
+		if s.blocks[k>>blockBits].bound <= thr {
+			k |= 1<<blockBits - 1 // skip the rest of the block
+		} else if s.gain[k] > thr {
+			j = k
+		}
+	}
+	for !bland && j < 0 {
+		top := 0
+		for b := 1; b < len(s.blocks); b++ {
+			if s.blocks[b].bound > s.blocks[top].bound {
+				top = b
+			}
+		}
+		blk := &s.blocks[top]
+		if blk.bound <= thr {
+			break
+		}
+		if blk.clean {
+			j = blk.arg
+			break
+		}
+		lo := top << blockBits // rescan: the largest gain, at its lowest column
+		*blk = priceBlock{bound: math.Inf(-1), arg: lo, clean: true}
+		for k, g := range s.gain[lo:min(lo+1<<blockBits, s.nTotal)] {
+			if g > blk.bound {
+				blk.bound, blk.arg = g, lo+k
 			}
 		}
 	}
 	if j >= 0 {
 		dir = 1 - 2*int(s.state[j]) // +1 from atLower, -1 from atUpper
 	}
+	if checkPrice != nil {
+		checkPrice(s, bland, j, dir)
+	}
 	return j, dir
+}
+
+// setGain recomputes column k's gain (-d off a lower bound, +d off an upper
+// one, 0 if basic) and its block: a gain above the bound is the block's unique
+// largest, so the block is clean; a fall of the arg's gain leaves it dirty.
+func (s *simplex) setGain(k int) {
+	g := [4]float64{atLower: -1, atUpper: 1}[s.state[k]&3] * s.cost[k] // &3 spares a bounds check
+	s.gain[k] = g
+	switch blk := &s.blocks[k>>blockBits]; {
+	case g > blk.bound:
+		*blk = priceBlock{bound: g, arg: k, clean: true}
+	case !blk.clean:
+	case k == blk.arg:
+		blk.clean = g == blk.bound
+	case g == blk.bound && k < blk.arg:
+		blk.arg = k
+	}
 }
 
 // ratio runs the bounded-variable ratio test for entering column j, whose
@@ -482,25 +609,29 @@ func (s *simplex) ratio(j, dir int) (t float64, limRow int, leaveUpper bool, unb
 }
 
 // pivot makes column j, FTRAN'd in s.col, basic in row r, and sends the
-// leaving column to state leave. Reduced costs, once loaded, are updated
-// from the pivot row: d_k -= theta*alpha_rk over the nonbasic columns it
-// touches, and the leaving column gets -theta.
+// leaving column to state leave. Reduced costs and gains, while loaded, are
+// updated from the pivot row: d_k -= theta*alpha_rk over the nonbasic
+// columns it touches; j gets 0 and the leaving column -theta.
 func (s *simplex) pivot(r, j int, leave varState) {
-	if s.cost != nil {
+	out := s.basis[r]
+	s.state[out], s.state[j] = leave, basic
+	if s.c != nil {
 		theta := s.cost[j] / s.col.x[r]
 		if theta != 0 {
 			s.tableauRow(r)
 			for _, k := range s.alpha.nz {
 				if s.state[k] != basic {
 					s.cost[k] -= theta * s.alpha.x[k]
+					s.setGain(int(k))
 				}
 			}
 			s.alpha.clear()
 		}
-		s.cost[j], s.cost[s.basis[r]] = 0, -theta
+		s.cost[j], s.cost[out] = 0, -theta
+		s.setGain(j)
+		s.setGain(out)
 	}
 	s.pushEta(r)
-	s.state[s.basis[r]], s.state[j] = leave, basic
 	s.basis[r] = j
 	s.updates++
 }
@@ -559,6 +690,7 @@ func (s *simplex) step() (st Status, done bool) {
 		// Bound flip: entering traverses to its other bound.
 		s.col.clear()
 		s.state[j] = atUpper - s.state[j] // atLower <-> atUpper
+		s.setGain(j)
 		return 0, false
 	}
 	if leaveUpper {
@@ -573,13 +705,10 @@ func (s *simplex) step() (st Status, done bool) {
 	return 0, false
 }
 
-// phase loads the costs c, recomputes beta and the reduced costs against the
-// current basis, and iterates until step reports done.
+// phase loads the costs c, recomputes beta, the reduced costs and the
+// gains against the current basis, and iterates until step reports done.
 func (s *simplex) phase(c []float64) Status {
 	s.c, s.degenStreak = c, 0
-	if s.cost == nil {
-		s.cost = make([]float64, s.nTotal)
-	}
 	s.refresh()
 	for {
 		if st, done := s.step(); done {
@@ -645,7 +774,7 @@ func (s *simplex) solve() (*Solution, error) {
 // where none can, the row is redundant and its artificial stays basic at
 // zero. Phase 2 recomputes beta and the reduced costs, so none are kept.
 func (s *simplex) driveOutArtificials() {
-	s.cost = nil
+	s.c = nil
 	for r, b := range s.basis {
 		if b < s.firstArt {
 			continue

@@ -37,7 +37,7 @@ func TestSingularRefactorStopsSolve(t *testing.T) {
 		}
 		s.pivot(rj[0], rj[1], atLower)
 	}
-	s.c, s.cost = s.objCost, make([]float64, s.nTotal)
+	s.c = s.objCost
 	s.refresh()
 	s.updates = refactorEvery // the next step refactors before pricing
 	st, done := s.step()
