@@ -2,7 +2,7 @@ GO ?= go
 
 PERFFLAGS ?=
 
-.PHONY: check race bench fuzz vet test build allocs perf perfcompare idle
+.PHONY: check race bench fuzz vet test build allocs perf perfcompare reach idle
 
 # Tier-1 verification: everything must build, vet cleanly and pass the full
 # test suite. The acceptance tiers are tests in internal/cli that call the
@@ -104,6 +104,48 @@ bench:
 	$(GO) test -bench=PolicyTables -benchmem ./internal/bro/
 	$(GO) test -bench=DataplaneDecide -benchmem ./internal/control/
 	$(GO) test -bench=AgentSync -benchmem ./internal/control/
+
+# Reach check: list every function outside cmd/ that no entry point runs.
+# Not part of `make check` (it takes about a minute and builds into
+# $(SCRATCH)/reach); run it after deleting or adding code. Coverage comes from
+# TestREADMECommands (every README command at reduced size), every example,
+# and every cmd/perf workload for one traced second, each in the foreground
+# under timeout. A function at 0.0% must be listed in reach_allow.txt as
+# `file:Func reason`, with one of the reasons below; it fails on an unlisted
+# unreached function and on a stale line (a function that now runs or no
+# longer exists), and prints the counts.
+REACH = $(SCRATCH)/reach
+REACH_REASONS = error path|test oracle read across packages|config branch behind a documented flag|public facade API|interface method|entry point skipped by TestREADMECommands|ledger record decoder that ROADMAP item 14 consumes
+PERF_WORKLOADS = node_coord node_edge node_pcap replan_nids replan_nips cluster_epoch distribute_1k
+
+reach:
+	@rm -rf $(REACH) && mkdir -p $(REACH)/cov
+	timeout 300 $(GO) test -count=1 -run '^TestREADMECommands$$' -cover -coverpkg=nwdeploy/... \
+		./internal/cli -args -test.gocoverdir=$(REACH)/cov
+	@for d in examples/*/ cmd/perf/; do \
+		n=$$(basename $$d); \
+		timeout 300 $(GO) build -cover -coverpkg=nwdeploy/... -o $(REACH)/$$n ./$$d || exit 1; \
+	done
+	@for d in examples/*/; do \
+		n=$$(basename $$d); echo "run example $$n"; \
+		GOCOVERDIR=$(REACH)/cov timeout 120 $(REACH)/$$n >/dev/null || exit 1; \
+	done
+	@for w in $(PERF_WORKLOADS); do \
+		echo "run perf -workload $$w -seconds 1 -trace 1"; \
+		GOCOVERDIR=$(REACH)/cov timeout 180 $(REACH)/perf -workload $$w -seconds 1 -trace 1 >/dev/null || exit 1; \
+	done
+	@$(GO) tool covdata func -i=$(REACH)/cov | \
+		awk '$$NF == "0.0%" { f = $$1; sub(/^nwdeploy\//, "", f); sub(/:[0-9]+:$$/, "", f); if (f !~ /^cmd\//) print f ":" $$2 }' | \
+		sort -u >$(REACH)/unreached.txt
+	@awk 'BEGIN { n = split("$(REACH_REASONS)", r, "|"); for (i = 1; i <= n; i++) ok[r[i]] = 1 } \
+		NF && !/^#/ { e = $$1; $$1 = ""; sub(/^ /, ""); if (!($$0 in ok)) { print "reach_allow.txt: " e ": reason \"" $$0 "\" is not an allowed one"; bad = 1 } } \
+		END { exit bad }' reach_allow.txt
+	@awk 'NF && !/^#/ { print $$1 }' reach_allow.txt | sort >$(REACH)/allowed.txt
+	@bad=0; \
+	comm -23 $(REACH)/unreached.txt $(REACH)/allowed.txt | sed 's/^/reach: unreached and not in reach_allow.txt: /' | grep . && bad=1; \
+	comm -13 $(REACH)/unreached.txt $(REACH)/allowed.txt | sed 's/^/reach: reach_allow.txt names a function that runs or no longer exists; drop it: /' | grep . && bad=1; \
+	echo "reach: $$(wc -l <$(REACH)/unreached.txt) unreached functions, $$(wc -l <$(REACH)/allowed.txt) allowlisted"; \
+	exit $$bad
 
 # Idle check: the last command of a working session. Fails, listing the
 # offenders, if a test binary, the benchmark binary or a go test/run/build

@@ -13,9 +13,8 @@ import (
 	"log"
 	"strings"
 
-	"nwdeploy/internal/nips"
+	"nwdeploy"
 	"nwdeploy/internal/online"
-	"nwdeploy/internal/topology"
 )
 
 func main() {
@@ -23,7 +22,7 @@ func main() {
 	epochs := flag.Int("epochs", 300, "adaptation horizon")
 	flag.Parse()
 
-	inst := nips.NewInstance(topology.Internet2(), nips.UnitRules(6), nips.Config{
+	inst := nwdeploy.BuildNIPSInstance(nwdeploy.Internet2(), nwdeploy.UnitRules(6), nwdeploy.NIPSConfig{
 		MaxPaths:             10,
 		RuleCapacityFraction: 1, // Section 3.5 drops the TCAM constraints
 		MatchSeed:            7,

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 
+	"nwdeploy"
 	"nwdeploy/internal/core"
 	"nwdeploy/internal/topology"
 	"nwdeploy/internal/traffic"
@@ -68,7 +69,7 @@ func main() {
 	fmt.Printf("before: max load %.4f   after new A-D link: max load %.4f\n\n",
 		oldPlan.Objective, newPlan.Objective)
 
-	tr, err := core.PlanTransition(oldPlan, newPlan)
+	tr, err := nwdeploy.PlanTransition(oldPlan, newPlan)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func main() {
 	}
 
 	// Where would more hardware help now?
-	ups, err := core.WhatIfUpgrades(newInst, 1, 2.0)
+	ups, err := nwdeploy.WhatIfUpgrades(newInst, 1, 2.0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"log"
 	"math/rand"
 
+	"nwdeploy"
 	"nwdeploy/internal/nips"
 	"nwdeploy/internal/topology"
 )
@@ -23,7 +24,7 @@ func main() {
 	flag.Parse()
 
 	topo := topology.Geant()
-	inst := nips.NewInstance(topo, nips.UnitRules(*rules), nips.Config{
+	inst := nwdeploy.BuildNIPSInstance(topo, nwdeploy.UnitRules(*rules), nwdeploy.NIPSConfig{
 		MaxPaths:             *paths,
 		RuleCapacityFraction: *capFrac,
 		MatchSeed:            99,

@@ -128,9 +128,9 @@ func TestEngineSetupAllocBudget(t *testing.T) {
 }
 
 // The batch decision fast path must be invisible: a Decider driven through
-// DecideAll and the same Decider driven per class must produce identical
-// reports. perClassOnly hides the BatchDecider
-// interface to force the slow path.
+// DecideMask and the same Decider driven per class must produce identical
+// reports. perClassOnly hides the MaskDecider interface to force the slow
+// path.
 type perClassOnly struct{ d *control.Decider }
 
 func (p perClassOnly) ShouldAnalyze(class int, s traffic.Session) bool {

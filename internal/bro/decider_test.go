@@ -141,7 +141,7 @@ func (rejectAll) ShouldAnalyze(int, traffic.Session) bool { return false }
 // stale after the modules were re-specified — must not widen any module's
 // traffic: the engine analyzes a (module, session) pair only when the
 // source says yes AND the module's own specification matches, whichever
-// decision path answers (mask word, DecideAll row, per-class calls, Plan).
+// decision path answers (mask word, per-class calls, Plan).
 // Before the engine ANDed every verdict with its match mask, the mask fast
 // path trusted the decider's filter, so a stale manifest created
 // connection state — CPU and memory — for sessions no module analyzes.

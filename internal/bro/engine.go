@@ -51,23 +51,17 @@ type ManifestDecider interface {
 	ShouldAnalyze(class int, s traffic.Session) bool
 }
 
-// BatchDecider is a ManifestDecider that can resolve every class of a
-// session in one call (internal/control.Decider implements it). The engine
-// uses it when available: the session's unit keys and selection hashes are
-// computed once and shared across classes instead of once per module. The
-// batch results must equal per-class ShouldAnalyze calls bit for bit.
-type BatchDecider interface {
-	ManifestDecider
-	DecideAll(s traffic.Session, out []bool)
-}
-
-// MaskDecider is a BatchDecider that can return the verdict row as a bit
-// mask (bit c = class c analyzes the session; ok false when the manifest
-// has more than 64 classes). The engine ANDs the word with its own
-// per-module match mask — a manifest whose class filters have gone stale
-// against the module set can narrow a module's traffic, never widen it.
+// MaskDecider is a ManifestDecider that can return every class's verdict
+// for a session as one bit mask (bit c = class c analyzes the session; ok
+// false when the manifest has more than 64 classes), computing the
+// session's unit keys and selection hashes once instead of once per
+// module (internal/control.Decider implements it). The mask must equal
+// per-class ShouldAnalyze calls bit for bit. The engine ANDs the word with
+// its own per-module match mask — a manifest whose class filters have gone
+// stale against the module set can narrow a module's traffic, never widen
+// it.
 type MaskDecider interface {
-	BatchDecider
+	ManifestDecider
 	DecideMask(s *traffic.Session) (mask uint64, ok bool)
 }
 
@@ -192,8 +186,6 @@ type engine struct {
 	sessionCPU, connMem float64
 
 	maskDec MaskDecider
-	batch   BatchDecider
-	dec     []bool // DecideAll row, allocated on first use
 
 	// modPkts/modBytes accumulate analyzed packets and bytes per module,
 	// allocated only when cfg.Metrics is live.
@@ -210,7 +202,8 @@ func Run(cfg Config, sessions []traffic.Session) Report {
 }
 
 // runInternal is Run with an optional callback invoked for every (module,
-// session) analysis performed; RunWithLog uses it to build conn logs.
+// session) analysis performed; the tests' RunWithLog uses it to build conn
+// logs.
 func runInternal(cfg Config, sessions []traffic.Session, onAnalyze func(int, *traffic.Session)) Report {
 	sp := cfg.Metrics.StartSpan("bro.run_ns")
 	defer sp.End()
@@ -241,7 +234,6 @@ func (e *engine) init(cfg Config, onAnalyze func(int, *traffic.Session)) {
 		e.connMem += hashFieldBytes
 	}
 	e.maskDec, _ = cfg.Decider.(MaskDecider)
-	e.batch, _ = cfg.Decider.(BatchDecider)
 	if cfg.Metrics != nil {
 		e.modPkts = make([]float64, L)
 		e.modBytes = make([]float64, L)
@@ -299,8 +291,8 @@ func (e *engine) recordMetrics() {
 
 // decide fills e.pass with the Figure 3 manifest decision for every module
 // and reports whether any passed. Whichever source answers — a mask word,
-// a DecideAll row, per-class calls, the Plan, or the standalone all-traffic
-// default — its verdict is ANDed with the module's own match mask, then the
+// per-class calls, the Plan, or the standalone all-traffic default — its
+// verdict is ANDed with the module's own match mask, then the
 // governor's shed veto runs on each surviving bit.
 func (e *engine) decide(s *traffic.Session) bool {
 	copy(e.pass, e.match)
@@ -318,22 +310,16 @@ func (e *engine) decide(s *traffic.Session) bool {
 // manifest source and the shed filter let through.
 func (e *engine) applyManifest(s *traffic.Session) {
 	cfg := &e.cfg
-	// One call may answer for every module: a mask word (masked), else a
-	// DecideAll row in e.dec (row); otherwise each surviving bit asks the
-	// Decider, else the Plan, for itself.
-	masked, row := false, false
+	// One call may answer for every module: a mask word (masked);
+	// otherwise each surviving bit asks the Decider, else the Plan, for
+	// itself.
+	masked := false
 	if e.maskDec != nil {
 		var m uint64
 		if m, masked = e.maskDec.DecideMask(s); masked && len(e.pass) > 0 {
 			e.pass[0] &= m
 			clear(e.pass[1:]) // a mask verdict covers at most 64 classes
 		}
-	}
-	if row = !masked && e.batch != nil; row {
-		if e.dec == nil {
-			e.dec = make([]bool, len(cfg.Modules))
-		}
-		e.batch.DecideAll(*s, e.dec)
 	}
 	if masked && cfg.Shed == nil {
 		return
@@ -345,8 +331,6 @@ func (e *engine) applyManifest(s *traffic.Session) {
 			ok := true
 			switch {
 			case masked:
-			case row:
-				ok = e.dec[mi]
 			case cfg.Decider != nil:
 				ok = cfg.Decider.ShouldAnalyze(mi, *s)
 			case cfg.Plan != nil:

@@ -88,16 +88,6 @@ func (m ModuleSpec) MatchesSession(s traffic.Session) bool {
 	return false
 }
 
-// SubscribedTo reports whether the module's policy handlers are invoked for
-// the session at all (a superset of MatchesSession for SubscribesAll
-// modules, whose scripts run on every connection to find their traffic).
-func (m ModuleSpec) SubscribedTo(s traffic.Session) bool {
-	if m.SubscribesAll {
-		return m.Transport == 0 || s.Tuple.Proto == m.Transport
-	}
-	return m.MatchesSession(s)
-}
-
 // The scan-detection threshold: alert when a source contacts more distinct
 // destinations than this.
 const scanThreshold = 20

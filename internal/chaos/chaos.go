@@ -1,5 +1,5 @@
 // Package chaos is a deterministic, seeded fault injector for the
-// control-plane network: wrapped dialers that drop, delay, or black-hole
+// control-plane network: wrapped dialers that drop or black-hole
 // connections on a seeded schedule, a gated listener modeling controller
 // outage windows, and epoch-indexed node crash/restart schedules. Every
 // decision derives from a single SplitMix64 seed via internal/parallel's
@@ -50,9 +50,6 @@ const (
 	// so the caller's I/O deadline expires: the expensive failure mode
 	// that exercises per-attempt timeouts.
 	FaultBlackhole
-	// FaultDelay adds latency before the dial, or the request write on a
-	// held connection, proceeds normally.
-	FaultDelay
 )
 
 // String names the fault.
@@ -64,8 +61,6 @@ func (f Fault) String() string {
 		return "error"
 	case FaultBlackhole:
 		return "blackhole"
-	case FaultDelay:
-		return "delay"
 	}
 	return "unknown"
 }
@@ -74,7 +69,7 @@ func (f Fault) String() string {
 var ErrInjected = errors.New("chaos: injected connection error")
 
 // NetworkFaults sets the per-exchange fault mix. Probabilities are
-// evaluated in order (drop, blackhole, delay) against one uniform draw,
+// evaluated in order (drop, blackhole) against one uniform draw,
 // so their sum should not exceed 1.
 type NetworkFaults struct {
 	// DropProb is the probability an exchange fails immediately with
@@ -83,12 +78,6 @@ type NetworkFaults struct {
 	// BlackholeProb is the probability an exchange's request goes into a
 	// black hole that never answers (the caller times out).
 	BlackholeProb float64
-	// DelayProb is the probability an exchange is delayed by Delay before
-	// proceeding normally.
-	DelayProb float64
-	// Delay is the added latency for FaultDelay (0 selects 2ms). It
-	// affects wall time only, never outcomes.
-	Delay time.Duration
 }
 
 // Uniform maps (seed, index) to a uniform [0, 1) float via the SplitMix64
@@ -138,22 +127,12 @@ func (s *Stream) Next() Fault {
 		return FaultError
 	case u < f.DropProb+f.BlackholeProb:
 		return FaultBlackhole
-	case u < f.DropProb+f.BlackholeProb+f.DelayProb:
-		return FaultDelay
 	}
 	return FaultNone
 }
 
 // Draws reports how many decisions the stream has produced.
 func (s *Stream) Draws() int64 { return s.n.Load() }
-
-// delay is the FaultDelay latency.
-func (s *Stream) delay() time.Duration {
-	if s.faults.Delay <= 0 {
-		return 2 * time.Millisecond
-	}
-	return s.faults.Delay
-}
 
 // DialFunc matches net.DialTimeout's shape — the seam both
 // control.AgentOptions and this package's Dialer plug into.
@@ -175,11 +154,10 @@ type Dialer struct {
 // Dial draws the next fault and applies it: FaultError fails without
 // touching the network, FaultBlackhole returns a connection that
 // swallows writes and never answers reads (the caller's deadline
-// expires), FaultDelay sleeps before dialing normally. A dialed
-// connection applies the same three faults to each request written on it
-// after the first: FaultError fails the write, FaultBlackhole swallows it
-// and leaves the read to time out at the caller's deadline, FaultDelay
-// sleeps before the write.
+// expires). A dialed connection applies the same faults to each request
+// written on it after the first: FaultError fails the write,
+// FaultBlackhole swallows it and leaves the read to time out at the
+// caller's deadline.
 func (d *Dialer) Dial(network, addr string, timeout time.Duration) (net.Conn, error) {
 	next := d.Next
 	if next == nil {
@@ -190,8 +168,6 @@ func (d *Dialer) Dial(network, addr string, timeout time.Duration) (net.Conn, er
 		return nil, &net.OpError{Op: "dial", Net: network, Err: ErrInjected}
 	case FaultBlackhole:
 		return blackhole(), nil
-	case FaultDelay:
-		time.Sleep(d.Stream.delay())
 	}
 	conn, err := next(network, addr, timeout)
 	if err != nil {
@@ -238,8 +214,6 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		c.Conn = blackhole()
 		_ = c.Conn.SetReadDeadline(c.readDeadline)
 		return len(p), nil
-	case FaultDelay:
-		time.Sleep(c.stream.delay())
 	}
 	return c.Conn.Write(p)
 }
@@ -275,9 +249,6 @@ func NewGate(ln net.Listener) *Gate {
 
 // SetOpen opens (true) or closes (false) the gate.
 func (g *Gate) SetOpen(open bool) { g.open.Store(open) }
-
-// IsOpen reports the gate's current state.
-func (g *Gate) IsOpen() bool { return g.open.Load() }
 
 // Accept returns the next connection that arrives while the gate is
 // open; connections arriving while closed are dropped on the floor. The

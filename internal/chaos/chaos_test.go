@@ -11,7 +11,7 @@ import (
 // Streams must replay identically for the same (seed, id) and diverge
 // across ids — the property the cluster's per-agent determinism rests on.
 func TestStreamDeterministicPerID(t *testing.T) {
-	in := NewInjector(42, NetworkFaults{DropProb: 0.3, BlackholeProb: 0.2, DelayProb: 0.2})
+	in := NewInjector(42, NetworkFaults{DropProb: 0.3, BlackholeProb: 0.2})
 	a1, a2 := in.Stream(3), in.Stream(3)
 	b := in.Stream(4)
 	var seqA1, seqA2, seqB []Fault
@@ -127,7 +127,7 @@ func TestGateDropsWhileClosed(t *testing.T) {
 		t.Fatalf("exchange through open gate: %v", err)
 	}
 	g.SetOpen(false)
-	if g.IsOpen() {
+	if g.open.Load() {
 		t.Fatal("gate reports open after SetOpen(false)")
 	}
 	if err := exchange(); err == nil {

@@ -48,19 +48,6 @@ type DrainPlan struct {
 	Drains [][]int
 }
 
-// Drained reports whether node j is drained in epoch e.
-func (p *DrainPlan) Drained(e, j int) bool {
-	if e < 0 || e >= len(p.Drains) {
-		return false
-	}
-	for _, d := range p.Drains[e] {
-		if d == j {
-			return true
-		}
-	}
-	return false
-}
-
 // RollingDrains builds the rolling-wave plan: starting at Start, node
 // groups [0..Group), [Group..2*Group), ... each hold down for Dwell
 // epochs, separated by Gap idle epochs, wrapping around the fleet until

@@ -305,28 +305,6 @@ func (c *Cluster) Close() error {
 	return c.ctrl.Close()
 }
 
-// BumpEpoch re-stamps the current plan as a new configuration generation —
-// the operations center's periodic re-optimization round (the workload is
-// unchanged here, so the plan content is too, but agents must re-fetch).
-// The publish is recorded under the trace of the epoch about to run, so
-// the fetches it triggers stitch to it.
-func (c *Cluster) BumpEpoch() { c.publish(c.epoch+1, c.plan) }
-
-// Converge runs one fault-free fetch phase (all agents up, gate forced
-// open) and reports how many agents hold a current manifest afterwards —
-// the cluster-formation step, and the benchmark's unit of work.
-func (c *Cluster) Converge() int {
-	c.gate.SetOpen(true)
-	c.fetchPhase()
-	synced := 0
-	for _, a := range c.agents {
-		if a.tally.synced {
-			synced++
-		}
-	}
-	return synced
-}
-
 // fetchPhase runs every up agent's retry loop concurrently. Each agent
 // mutates only its own state and draws only its own fault stream, so the
 // phase's outcome is schedule-independent.
@@ -344,20 +322,6 @@ func (c *Cluster) fetchPhase() {
 		}
 		a.syncWithRetry()
 	})
-}
-
-// RunEpoch advances the cluster one chaos epoch: applies the epoch's
-// faults (crashing agents lose their manifests; a down controller drops
-// every exchange), runs the fetch phase, drives each usable agent's
-// engine over its traffic share, and audits achieved coverage against the
-// plan's static prediction for the same failure set. It is one turn of the
-// epoch loop (epoch.go) under a faults-only stimulus.
-func (c *Cluster) RunEpoch(f chaos.EpochFaults) EpochReport {
-	eps, err := c.run(func(*ScenarioEnv) (Stimulus, []float64) { return Stimulus{Faults: f}, nil }, 1)
-	if err != nil {
-		panic(err) // only a volume phase can fail, and faults give it nothing to reject
-	}
-	return chaosEpoch(eps[0])
 }
 
 // chaosEpoch projects the loop's epoch record into the chaos report's

@@ -89,9 +89,6 @@ func (d *DriftDetector) relErr() float64 {
 	return max
 }
 
-// MaxRelErr returns the current maximum relative error across units.
-func (d *DriftDetector) MaxRelErr() float64 { return d.maxErr }
-
 // Drifted reports whether the smoothed volumes have moved past the replan
 // threshold.
 func (d *DriftDetector) Drifted() bool { return d.warmed && d.maxErr > d.threshold }

@@ -8,7 +8,6 @@ import (
 	"nwdeploy/internal/chaos"
 	"nwdeploy/internal/control"
 	"nwdeploy/internal/core"
-	"nwdeploy/internal/governor"
 	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/ledger"
 	"nwdeploy/internal/obs"
@@ -40,7 +39,8 @@ type Stimulus struct {
 	// audited for evasion — but never mutate the planning instance.
 	Inject []traffic.Session
 	// Faults carries the epoch's crashes and controller outage, with
-	// RunEpoch's crash semantics: a crashed node loses its manifest.
+	// CoverageUnderChaos's crash semantics: a crashed node loses its
+	// manifest.
 	Faults chaos.EpochFaults
 	// Drains lists nodes under planned maintenance, ascending. A drained
 	// node is down for the epoch but keeps its in-memory manifest, so it
@@ -85,11 +85,6 @@ type ScenarioEnv struct {
 func (env *ScenarioEnv) Hash(class int, t hashing.FiveTuple) float64 {
 	return env.inst.Classes[class].HashOf(env.hasher, t)
 }
-
-// Units exposes the instance's coordination units (read-only by
-// convention): the key map an adversary needs to turn a weak range into
-// concrete sessions.
-func (env *ScenarioEnv) Units() []core.CoordUnit { return env.inst.Units }
 
 // WeakRanges computes the adversary's target list: every unit's hash space
 // segmented at published-manifest boundaries, each segment annotated with
@@ -186,11 +181,10 @@ type ScenarioConfig struct {
 	// Redundancy is the provisioned coverage level r (0 selects 2 — the
 	// governor needs copy >= 1 slices to shed).
 	Redundancy int
-	// Governor enables per-node load governing; GovernorCfg tunes it.
-	// With Governor false the run still reports projected loads (the
-	// exceeds-budget baseline) but nothing sheds.
-	Governor    bool
-	GovernorCfg governor.Config
+	// Governor enables per-node load governing. With Governor false the
+	// run still reports projected loads (the exceeds-budget baseline) but
+	// nothing sheds.
+	Governor bool
 	// Replan enables drift-triggered replanning; WarmReplan warm-starts
 	// each re-solve from the previous plan's basis (cold otherwise).
 	// ReplanThreshold is the EWMA relative-error drift trigger (0 selects

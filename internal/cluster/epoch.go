@@ -17,10 +17,11 @@ import (
 )
 
 // The epoch loop: the one place a runtime epoch's phases are sequenced.
-// Every entry point — RunScenario, RunOverload, CoverageUnderChaos and
-// Cluster.RunEpoch — builds a Cluster, hands run a stepper, and projects
-// the ScenarioEpoch records it returns into its own report type. The phase
-// order is the paper's operations-centre cycle (Sections 2.4-2.5, 3.5):
+// Every entry point — RunScenario, RunOverload and CoverageUnderChaos (and
+// the tests' Cluster.RunEpoch) — builds a Cluster, hands run a stepper,
+// and projects the ScenarioEpoch records it returns into its own report
+// type. The phase order is the paper's operations-centre cycle (Sections
+// 2.4-2.5, 3.5):
 //
 //	step the driver  → apply faults and drains
 //	offered volumes  → drift detection → replan → govern and shed
@@ -41,10 +42,9 @@ type stepper func(env *ScenarioEnv) (st Stimulus, pairVols []float64)
 // dynamics is the volume-driven half of the loop: the knobs and the state
 // drift detection, replanning and governing carry between epochs.
 type dynamics struct {
-	// cfg supplies Governor/GovernorCfg, Replan/WarmReplan/ReplanMaxIters
-	// and DataPlane; tol is the governor's over-budget tolerance.
+	// cfg supplies Governor, Replan/WarmReplan/ReplanMaxIters and
+	// DataPlane.
 	cfg ScenarioConfig
-	tol float64
 
 	scaler unitScales
 	// origPkts/origItems are the volumes the first plan was solved against:
@@ -68,18 +68,12 @@ type dynamics struct {
 func (c *Cluster) attachDynamics(cfg ScenarioConfig) error {
 	pv := traffic.Volumes(cfg.Topo, traffic.Gravity(cfg.Topo), 0)
 	d := &dynamics{
-		cfg: cfg, tol: cfg.GovernorCfg.Tolerance,
+		cfg:       cfg,
 		scaler:    newUnitScales(c.inst, pv),
 		origPkts:  make([]float64, len(c.inst.Units)),
 		origItems: make([]float64, len(c.inst.Units)),
 		govs:      make([]*governor.Governor, len(c.agents)),
 		lastShed:  make([]map[int]hashing.RangeSet, len(c.agents)),
-	}
-	if d.cfg.GovernorCfg.Metrics == nil {
-		d.cfg.GovernorCfg.Metrics = cfg.Metrics
-	}
-	if d.tol == 0 {
-		d.tol = 0.1
 	}
 	for ui, u := range c.inst.Units {
 		d.origPkts[ui] = u.Pkts
@@ -101,7 +95,7 @@ func (c *Cluster) buildGovernors() error {
 		}
 	}
 	for j := range c.dyn.govs {
-		g, err := governor.New(c.plan, j, hashing.Hasher{Key: c.opts.HashKey}, c.dyn.cfg.GovernorCfg)
+		g, err := governor.New(c.plan, j, hashing.Hasher{Key: c.opts.HashKey}, governor.Config{Metrics: c.dyn.cfg.Metrics})
 		if err != nil {
 			return err
 		}
@@ -501,7 +495,7 @@ func (c *Cluster) govern(ep *ScenarioEpoch, obsPkts []float64) ([]governor.Attes
 			c.ctrl.PublishShed(j, wa)
 			d.lastShed[j] = shed
 		}
-		if ep.NodeLoads[j] > grep.BudgetCPU*(1+d.tol)+1e-9 {
+		if ep.NodeLoads[j] > grep.BudgetCPU*(1+governor.Tolerance)+1e-9 {
 			ep.OverBudget++
 		}
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"nwdeploy/internal/bro"
-	"nwdeploy/internal/governor"
 	"nwdeploy/internal/ledger"
 	"nwdeploy/internal/obs"
 	"nwdeploy/internal/parallel"
@@ -35,7 +34,6 @@ type OverloadConfig struct {
 	// The governor and replan knobs, probe grid (a resolution, not a cost)
 	// and worker pool size, again ScenarioConfig's.
 	Governor        bool
-	GovernorCfg     governor.Config
 	Replan          bool
 	WarmReplan      bool
 	ReplanThreshold float64
@@ -125,8 +123,8 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 		Topo: cfg.Topo, Modules: cfg.Modules,
 		Sessions: cfg.Sessions, TrafficSeed: cfg.TrafficSeed,
 		Seed: cfg.Seed, Epochs: cfg.Epochs, Redundancy: cfg.Redundancy,
-		Governor: cfg.Governor, GovernorCfg: cfg.GovernorCfg,
-		Replan: cfg.Replan, WarmReplan: cfg.WarmReplan,
+		Governor: cfg.Governor,
+		Replan:   cfg.Replan, WarmReplan: cfg.WarmReplan,
 		ReplanThreshold: cfg.ReplanThreshold, EWMAAlpha: cfg.EWMAAlpha,
 		ReplanMaxIters: cfg.ReplanMaxIters,
 		Probes:         cfg.Probes, Workers: cfg.Workers,

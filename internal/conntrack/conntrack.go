@@ -182,13 +182,6 @@ func (t *Table) Lookup(ft hashing.FiveTuple) (*Conn, bool) {
 	return c, ok
 }
 
-// Expire removes all records idle at time now and returns how many.
-func (t *Table) Expire(now time.Time) int {
-	before := t.stats.Expired
-	t.expireBefore(now.Add(-t.cfg.IdleTimeout))
-	return int(t.stats.Expired - before)
-}
-
 func (t *Table) expireBefore(cutoff time.Time) {
 	for t.byAge.Len() > 0 {
 		oldest := t.byAge.peek()
@@ -213,9 +206,6 @@ func (t *Table) remove(c *Conn) {
 
 // Len reports the live record count.
 func (t *Table) Len() int { return len(t.conns) }
-
-// Bytes reports the current accounted memory.
-func (t *Table) Bytes() int { return len(t.conns) * t.cfg.RecordBytes }
 
 // Stats returns a copy of the lifetime counters.
 func (t *Table) Stats() Stats { return t.stats }

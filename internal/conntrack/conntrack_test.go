@@ -188,3 +188,13 @@ func BenchmarkUpdateChurn(b *testing.B) {
 		tab.Update(ft, t0.Add(time.Duration(i)*time.Millisecond), 1, 100)
 	}
 }
+
+// Expire removes all records idle at time now and returns how many.
+func (t *Table) Expire(now time.Time) int {
+	before := t.stats.Expired
+	t.expireBefore(now.Add(-t.cfg.IdleTimeout))
+	return int(t.stats.Expired - before)
+}
+
+// Bytes reports the current accounted memory.
+func (t *Table) Bytes() int { return len(t.conns) * t.cfg.RecordBytes }

@@ -219,41 +219,6 @@ func TestControllerMalformedRequests(t *testing.T) {
 	}
 }
 
-func TestAgentWatchDeliversEpochUpdates(t *testing.T) {
-	plan, _ := solvedPlan(t, 7)
-	ctrl, err := NewController("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	ctrl.UpdatePlan(plan)
-
-	agent := NewAgent(ctrl.Addr(), 1)
-	if _, err := agent.Subscribe(SubscribeOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	sub, err := agent.Subscribe(SubscribeOptions{Mode: ModeWatch, Interval: 5 * time.Millisecond, Stop: stop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	ctrl.UpdatePlan(plan) // epoch 2
-	select {
-	case u := <-sub.Updates():
-		if u.Epoch != 2 {
-			t.Fatalf("update epoch %d, want 2", u.Epoch)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no update delivered within 2s")
-	}
-	close(stop)
-	// Channel closes after stop.
-	for range sub.Updates() {
-	}
-}
-
 // waitCounter polls an obs counter until it reaches at least want or the
 // deadline passes — serve() runs on the controller's accept goroutines,
 // so counter advances are asynchronous with the client's view.

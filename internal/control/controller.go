@@ -347,13 +347,6 @@ func (c *Controller) untrack(conn net.Conn) {
 	delete(c.conns, conn)
 }
 
-// openConns reports how many accepted connections are still open.
-func (c *Controller) openConns() int {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	return len(c.conns)
-}
-
 // Accept-error backoff: a persistent failure (EMFILE, say) must not turn
 // the accept loop into a busy loop, and a transient one must not cost more
 // than a few milliseconds of serving.

@@ -54,7 +54,7 @@ type Decider struct {
 	shedWidth     float64
 
 	// Eligibility masks (manifests with at most 64 classes, i.e. all of
-	// them in practice): bit ci of a mask marks class ci. DecideAll
+	// them in practice): bit ci of a mask marks class ci. DecideMask
 	// resolves the session filter of every class at once — one transport
 	// mask fetch, one port-list scan — and then visits only the surviving
 	// classes, instead of running each class's transport/port checks in
@@ -369,18 +369,6 @@ func (d *Decider) ShedWidth() float64 { return d.shedWidth }
 // Epoch reports the manifest generation this decider enforces.
 func (d *Decider) Epoch() uint64 { return d.manifest.Epoch }
 
-// CoversUnit reports whether this manifest assigns hash point x of the
-// (class, unit-key) coordination component to the node — the audit-side
-// complement of ShouldAnalyze, and the point form of UnitRanges, which the
-// cluster runtime's coverage audit reads instead.
-func (d *Decider) CoversUnit(class int, key [2]int, x float64) bool {
-	if class < 0 || class >= len(d.classes) {
-		return false
-	}
-	sp, ok := d.classes[class].lookup(int32(key[0]), int32(key[1]))
-	return ok && d.arena.Contains(sp, x)
-}
-
 // UnitRanges appends to dst the ranges of the (class, unit-key)
 // coordination component this manifest has the node enforce, shed already
 // subtracted: the set CoversUnit tests points against, sorted by Lo. It
@@ -427,8 +415,8 @@ func (d *Decider) ShouldAnalyze(class int, s traffic.Session) bool {
 	return d.arena.Contains(sp, d.hashFor(cm.aggSlot, s.Tuple))
 }
 
-// buildMasks precomputes the per-class eligibility bitmasks DecideAll's
-// fast path uses. Manifests with more than 64 classes (none exist in
+// buildMasks precomputes the per-class eligibility bitmasks DecideMask
+// uses. Manifests with more than 64 classes (none exist in
 // practice; the paper tops out at 21 modules) fall back to the per-class
 // filter loop.
 func (d *Decider) buildMasks(m *Manifest) {
@@ -690,70 +678,17 @@ func aggSlot(agg core.Aggregation) int {
 	}
 }
 
-// DecideAll resolves ShouldAnalyze for every class of the manifest in one
-// pass, writing the verdicts into out (out[c] for class c; classes beyond
-// len(out) are skipped, out entries beyond the class count are zeroed).
-// It is the batch form of the Figure 3 check the data plane runs per
-// session: the session's unit keys (one per scope) and selection hashes
+// DecideMask resolves ShouldAnalyze for every class of the manifest in one
+// pass, packed into one word: bit c set means class c analyzes the
+// session. The session's unit keys (one per scope) and selection hashes
 // (one per aggregation) are computed at most once each and shared across
-// classes, where per-class ShouldAnalyze calls recompute the hash for
-// every class. The result is identical to calling ShouldAnalyze per
-// class. Allocation-free.
-func (d *Decider) DecideAll(s traffic.Session, out []bool) {
-	n := len(d.meta)
-	if n > len(out) {
-		n = len(out)
-	}
-	for i := n; i < len(out); i++ {
-		out[i] = false
-	}
-	if d.maskable {
-		m, _ := d.DecideMask(&s)
-		for ci := 0; ci < n; ci++ {
-			out[ci] = m&(uint64(1)<<uint(ci)) != 0
-		}
-		return
-	}
-	var keys [3][2]int32
-	var haveKey [3]bool
-	var hashes [4]float64
-	var haveHash [4]bool
-	for ci := 0; ci < n; ci++ {
-		out[ci] = false
-		idx := &d.classes[ci]
-		if idx.empty() {
-			continue // the manifest assigns this node nothing for the class
-		}
-		cm := &d.meta[ci]
-		if !cm.matches(s.Tuple) {
-			continue
-		}
-		ks := cm.scopeSlot
-		if !haveKey[ks] {
-			keys[ks][0], keys[ks][1] = sessionKey(ks, s)
-			haveKey[ks] = true
-		}
-		sp, ok := idx.lookup(keys[ks][0], keys[ks][1])
-		if !ok {
-			continue
-		}
-		hs := cm.aggSlot
-		if !haveHash[hs] {
-			hashes[hs] = d.hashFor(hs, s.Tuple)
-			haveHash[hs] = true
-		}
-		out[ci] = d.arena.Contains(sp, hashes[hs])
-	}
-}
-
-// DecideMask is DecideAll with the verdict row packed into one word: bit c
-// set means class c analyzes the session. It is the data plane's preferred
-// form — the engine scatters the word straight into its bit-packed pass
-// set with no []bool row in between, and the pointer argument spares the
-// per-call 64-byte Session copy the value-receiver interfaces pay. The
+// classes. It is the data plane's form — the engine scatters the word
+// straight into its bit-packed pass set, and the pointer argument spares
+// the per-call 64-byte Session copy the value-receiver interface pays. The
 // session is only read. ok is false when the manifest exceeds 64 classes
-// (then callers must fall back to DecideAll; no real deployment does — the
-// paper's scaling sweep tops out at 21 modules). Allocation-free.
+// (then callers must fall back to ShouldAnalyze per class; no real
+// deployment does — the paper's scaling sweep tops out at 21 modules).
+// Allocation-free.
 func (d *Decider) DecideMask(s *traffic.Session) (mask uint64, ok bool) {
 	if !d.maskable {
 		return 0, false

@@ -12,7 +12,9 @@ import (
 // — a map keyed by (class, unit) whose values are the heap-allocated
 // RangeSets, scanned linearly per lookup — as the test-only oracle the
 // index is checked against (TestDeciderMatchesBaseline) and the
-// "baseline-map" arm of BenchmarkDataplaneDecide.
+// "baseline-map" arm of BenchmarkDataplaneDecide. It also keeps DecideAll,
+// the []bool-row batch form DecideMask replaced on the data plane, which
+// the decision-path tests still compare against.
 
 type baselineDecider struct {
 	manifest *Manifest
@@ -139,4 +141,72 @@ func (d *baselineDecider) ShouldAnalyze(class int, s traffic.Session) bool {
 		h = legacySession(d.hashKey, s.Tuple)
 	}
 	return rs.Contains(h)
+}
+
+// DecideAll resolves ShouldAnalyze for every class of the manifest in one
+// pass, writing the verdicts into out (out[c] for class c; classes beyond
+// len(out) are skipped, out entries beyond the class count are zeroed).
+// It is the batch form of the Figure 3 check the data plane runs per
+// session: the session's unit keys (one per scope) and selection hashes
+// (one per aggregation) are computed at most once each and shared across
+// classes, where per-class ShouldAnalyze calls recompute the hash for
+// every class. The result is identical to calling ShouldAnalyze per
+// class. Allocation-free.
+func (d *Decider) DecideAll(s traffic.Session, out []bool) {
+	n := len(d.meta)
+	if n > len(out) {
+		n = len(out)
+	}
+	for i := n; i < len(out); i++ {
+		out[i] = false
+	}
+	if d.maskable {
+		m, _ := d.DecideMask(&s)
+		for ci := 0; ci < n; ci++ {
+			out[ci] = m&(uint64(1)<<uint(ci)) != 0
+		}
+		return
+	}
+	var keys [3][2]int32
+	var haveKey [3]bool
+	var hashes [4]float64
+	var haveHash [4]bool
+	for ci := 0; ci < n; ci++ {
+		out[ci] = false
+		idx := &d.classes[ci]
+		if idx.empty() {
+			continue // the manifest assigns this node nothing for the class
+		}
+		cm := &d.meta[ci]
+		if !cm.matches(s.Tuple) {
+			continue
+		}
+		ks := cm.scopeSlot
+		if !haveKey[ks] {
+			keys[ks][0], keys[ks][1] = sessionKey(ks, s)
+			haveKey[ks] = true
+		}
+		sp, ok := idx.lookup(keys[ks][0], keys[ks][1])
+		if !ok {
+			continue
+		}
+		hs := cm.aggSlot
+		if !haveHash[hs] {
+			hashes[hs] = d.hashFor(hs, s.Tuple)
+			haveHash[hs] = true
+		}
+		out[ci] = d.arena.Contains(sp, hashes[hs])
+	}
+}
+
+// CoversUnit reports whether this manifest assigns hash point x of the
+// (class, unit-key) coordination component to the node — the audit-side
+// complement of ShouldAnalyze, and the point form of UnitRanges, which the
+// cluster runtime's coverage audit reads instead.
+func (d *Decider) CoversUnit(class int, key [2]int, x float64) bool {
+	if class < 0 || class >= len(d.classes) {
+		return false
+	}
+	sp, ok := d.classes[class].lookup(int32(key[0]), int32(key[1]))
+	return ok && d.arena.Contains(sp, x)
 }

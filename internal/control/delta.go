@@ -125,12 +125,6 @@ func DiffManifests(old, new *Manifest) (*WireDelta, bool) {
 	return d, true
 }
 
-// Empty reports whether applying the delta changes anything beyond the
-// epoch stamp.
-func (d *WireDelta) Empty() bool {
-	return len(d.Added) == 0 && len(d.Removed) == 0 && !d.ShedChanged
-}
-
 // ApplyDelta rewrites base (the manifest of d.BaseEpoch) into the manifest
 // of d.Epoch. base is not mutated. The result's assignments are in
 // canonical (class, unit-key) order with Lo-ascending ranges; its verdict

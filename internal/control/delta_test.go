@@ -8,10 +8,8 @@ import (
 	"math"
 	"net"
 	"reflect"
-	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"nwdeploy/internal/core"
 	"nwdeploy/internal/traffic"
@@ -461,118 +459,4 @@ func TestSubscribeModeOnceMatchesSync(t *testing.T) {
 		t.Fatalf("installed manifest differs from the controller's:\n got %+v\nwant %+v", viaSubscribe.Manifest(), want)
 	}
 	decidersAgree(t, NewDecider(want), viaSubscribe.Decider(), sessions[:300], "in-process vs subscribe")
-}
-
-// TestWatchStopsPollGoroutine is the goleak-style lifecycle test: after a
-// watch subscription is stopped — by Close or by the options' Stop channel
-// — the poll goroutine must exit and the ticker be released. Close joins
-// the goroutine, so completion is deterministic, not best-effort.
-func TestWatchStopsPollGoroutine(t *testing.T) {
-	plan, _ := solvedPlan(t, 4)
-	ctrl, err := NewController("127.0.0.1:0", 777)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	ctrl.UpdatePlan(plan)
-
-	before := runtime.NumGoroutine()
-	a := NewAgent(ctrl.Addr(), 1)
-
-	// Close blocks until the poll goroutine is gone.
-	sub, err := a.Subscribe(SubscribeOptions{Mode: ModeWatch, Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-sub.Updates():
-	case <-time.After(5 * time.Second):
-		t.Fatal("watch subscription never synced")
-	}
-	sub.Close()
-	select {
-	case <-sub.Done():
-	default:
-		t.Fatal("Done not closed after Close returned")
-	}
-	sub.Close() // idempotent
-
-	// The Stop channel: closing it must end the goroutine too.
-	stop := make(chan struct{})
-	sub, err = a.Subscribe(SubscribeOptions{Mode: ModeWatch, Interval: time.Millisecond, Stop: stop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-sub.Updates():
-	case <-time.After(5 * time.Second):
-		t.Fatal("stop-channel watch never synced")
-	}
-	close(stop)
-	for range sub.Updates() { // channel closes once the goroutine winds down
-	}
-	<-sub.Done()
-
-	// Goroutine count returns to the baseline (poll impl details like
-	// runtime timer goroutines settle asynchronously, hence the retry).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestSubscribeWatchDeliversUpdates: ModeWatch delivers installed
-// generations through both the callback and the channel.
-func TestSubscribeWatchDeliversUpdates(t *testing.T) {
-	plan, _ := solvedPlan(t, 4)
-	ctrl, err := NewController("127.0.0.1:0", 777)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	ctrl.UpdatePlan(plan)
-
-	var cbEpochs atomic.Int64
-	a := NewAgent(ctrl.Addr(), 1)
-	sub, err := a.Subscribe(SubscribeOptions{
-		Mode:     ModeWatch,
-		Interval: time.Millisecond,
-		Deltas:   true,
-		OnUpdate: func(u Update) { cbEpochs.Store(int64(u.Epoch)) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	waitEpoch := func(want uint64) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			select {
-			case u := <-sub.Updates():
-				if u.Epoch == want {
-					return
-				}
-			case <-time.After(time.Until(deadline)):
-				t.Fatalf("watch never delivered epoch %d", want)
-			}
-		}
-	}
-	waitEpoch(1)
-	ctrl.UpdatePlan(plan)
-	waitEpoch(2)
-	if got := cbEpochs.Load(); got != 2 {
-		t.Fatalf("callback saw epoch %d, want 2", got)
-	}
-	if d := a.Decider(); d == nil || d.Epoch() != 2 {
-		t.Fatal("watch did not install the new generation")
-	}
 }

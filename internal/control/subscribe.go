@@ -3,8 +3,6 @@ package control
 import (
 	"errors"
 	"strings"
-	"sync"
-	"time"
 )
 
 // SubscribeMode selects how a subscription keeps the agent's manifest
@@ -21,10 +19,6 @@ const (
 	// probe and the fetch collapse into one round trip: the delta request
 	// states the held epoch, and an up-to-date agent gets a bodyless answer.
 	ModeIfStale
-	// ModeWatch runs a background poll loop at Interval until stopped.
-	// Each installed generation is delivered through OnUpdate and the
-	// Updates channel; transient errors retry next tick.
-	ModeWatch
 )
 
 // Encoding selects the wire encoding of v2 responses.
@@ -44,15 +38,6 @@ const (
 type SubscribeOptions struct {
 	// Mode is the refresh discipline (default ModeOnce).
 	Mode SubscribeMode
-	// Interval is the ModeWatch poll cadence (0 selects 1s).
-	Interval time.Duration
-	// Stop, when non-nil, ends a ModeWatch subscription when closed, in
-	// addition to Subscription.Close.
-	Stop <-chan struct{}
-	// OnUpdate, when non-nil, is called synchronously (from the caller in
-	// one-shot modes, from the poll goroutine in ModeWatch) for every
-	// installed generation.
-	OnUpdate func(Update)
 	// Deltas negotiates protocol v2: refreshes state the held epoch and
 	// receive only changed ranges, with automatic full-fetch fallback on
 	// epoch gaps and transparent downgrade against v1 controllers.
@@ -60,8 +45,6 @@ type SubscribeOptions struct {
 	// Encoding selects the v2 response encoding (ignored for v1
 	// exchanges).
 	Encoding Encoding
-	// Buffer is the Updates channel capacity (0 selects 4).
-	Buffer int
 }
 
 // Update describes one installed manifest generation.
@@ -78,140 +61,21 @@ type Update struct {
 	WireBytes int
 }
 
-// Subscription is a handle on a Subscribe call. One-shot modes complete
-// before Subscribe returns; ModeWatch runs until Close (or the options'
-// Stop channel) and joins the poll goroutine, so a closed subscription
-// never leaks it.
+// Subscription is the outcome of one Subscribe call, complete when
+// Subscribe returns.
 type Subscription struct {
-	agent *Agent
-	opts  SubscribeOptions
-
-	updates chan Update
-	stop    chan struct{}
-	done    chan struct{}
-	once    sync.Once
-
-	mu   sync.Mutex
 	last Update
-	err  error
 }
 
-// Updates delivers installed generations (only those that changed). The
-// channel is closed when the subscription completes; slow consumers drop
-// intermediate updates rather than stall the poll loop (the latest state
-// is always observable via the agent's Decider).
-func (s *Subscription) Updates() <-chan Update { return s.updates }
+// Last returns the sync outcome.
+func (s *Subscription) Last() Update { return s.last }
 
-// Done is closed when the subscription has fully completed, poll
-// goroutine included.
-func (s *Subscription) Done() <-chan struct{} { return s.done }
-
-// Last returns the most recent sync outcome.
-func (s *Subscription) Last() Update {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last
-}
-
-// Err returns the most recent sync error (nil after a clean sync).
-func (s *Subscription) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Close stops a ModeWatch subscription and blocks until its poll
-// goroutine has exited; on one-shot subscriptions it is a no-op. Close is
-// idempotent and safe to call concurrently.
-func (s *Subscription) Close() {
-	s.once.Do(func() { close(s.stop) })
-	<-s.done
-}
-
-func (s *Subscription) record(u Update, err error) {
-	s.mu.Lock()
-	s.last, s.err = u, err
-	s.mu.Unlock()
-}
-
-// Subscribe is the agent's one refresh surface. One-shot modes (ModeOnce,
-// ModeIfStale) perform their sync before returning, and the returned
-// subscription is already complete; ModeWatch returns immediately and
-// polls in the background. The returned error is the one-shot sync error;
-// watch-mode errors surface per tick via Err and retry.
+// Subscribe is the agent's one refresh surface: it performs one sync
+// according to opts before returning. The returned error is that sync's
+// error; the subscription records its outcome either way.
 func (a *Agent) Subscribe(opts SubscribeOptions) (*Subscription, error) {
-	if opts.Interval <= 0 {
-		opts.Interval = time.Second
-	}
-	if opts.Buffer <= 0 {
-		opts.Buffer = 4
-	}
-	s := &Subscription{
-		agent:   a,
-		opts:    opts,
-		updates: make(chan Update, opts.Buffer),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	switch opts.Mode {
-	case ModeWatch:
-		go s.watch()
-		return s, nil
-	default:
-		defer close(s.done)
-		defer close(s.updates)
-		u, err := s.syncTick()
-		if err != nil {
-			return s, err
-		}
-		s.deliver(u)
-		return s, nil
-	}
-}
-
-// deliver publishes a changed update to the callback and channel.
-func (s *Subscription) deliver(u Update) {
-	if !u.Changed {
-		return
-	}
-	if s.opts.OnUpdate != nil {
-		s.opts.OnUpdate(u)
-	}
-	select {
-	case s.updates <- u:
-	default: // consumer lagging; state remains observable via Decider
-	}
-}
-
-// watch is the ModeWatch poll loop. The ticker is always stopped and the
-// channels always closed on exit, whichever stop signal fired — the
-// goroutine-lifecycle contract TestWatchStopsPollGoroutine pins.
-func (s *Subscription) watch() {
-	defer close(s.done)
-	defer close(s.updates)
-	ticker := time.NewTicker(s.opts.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.opts.Stop:
-			return
-		case <-ticker.C:
-			u, err := s.syncTick()
-			s.record(u, err)
-			if err == nil {
-				s.deliver(u)
-			}
-		}
-	}
-}
-
-// syncTick performs one refresh according to the subscription's options.
-func (s *Subscription) syncTick() (Update, error) {
-	u, err := s.agent.syncOnce(s.opts)
-	s.record(u, err)
-	return u, err
+	u, err := a.syncOnce(opts)
+	return &Subscription{last: u}, err
 }
 
 // syncOnce performs one refresh: a delta exchange when negotiated and

@@ -289,11 +289,6 @@ type NodeManifest struct {
 	Ranges map[int]hashing.RangeSet // unit index -> ranges
 }
 
-// Covers reports whether this node analyzes hash point x for the unit.
-func (m *NodeManifest) Covers(unit int, x float64) bool {
-	return m.Ranges[unit].Contains(x)
-}
-
 // Plan is a solved network-wide NIDS deployment.
 type Plan struct {
 	Inst        *Instance
@@ -601,19 +596,6 @@ func (p *Plan) ShouldAnalyze(node, class int, s traffic.Session, h hashing.Hashe
 		return false
 	}
 	return rs.Contains(p.Inst.Classes[class].HashOf(h, s.Tuple))
-}
-
-// AnalyzingNodes returns every node whose manifest covers the session for
-// the class — with redundancy r this has exactly r members for covered
-// traffic.
-func (p *Plan) AnalyzingNodes(class int, s traffic.Session, h hashing.Hasher) []int {
-	var out []int
-	for node := range p.Manifests {
-		if p.ShouldAnalyze(node, class, s, h) {
-			out = append(out, node)
-		}
-	}
-	return out
 }
 
 // Loads recomputes the per-node CPU and memory load fractions of Eqs. (2)

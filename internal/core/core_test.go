@@ -486,3 +486,21 @@ func TestManifestBoundariesFinite(t *testing.T) {
 		}
 	}
 }
+
+// Covers reports whether this node analyzes hash point x for the unit.
+func (m *NodeManifest) Covers(unit int, x float64) bool {
+	return m.Ranges[unit].Contains(x)
+}
+
+// AnalyzingNodes returns every node whose manifest covers the session for
+// the class — with redundancy r this has exactly r members for covered
+// traffic.
+func (p *Plan) AnalyzingNodes(class int, s traffic.Session, h hashing.Hasher) []int {
+	var out []int
+	for node := range p.Manifests {
+		if p.ShouldAnalyze(node, class, s, h) {
+			out = append(out, node)
+		}
+	}
+	return out
+}

@@ -136,3 +136,18 @@ func TestResourceString(t *testing.T) {
 		t.Fatal("resource names wrong")
 	}
 }
+
+// BestUpgrade returns the single most valuable upgrade option, or ok=false
+// when no single-node upgrade reduces the bottleneck (the max load is set
+// by structure, e.g. an ingress-pinned class at its only eligible node
+// whose capacity already dwarfs demand).
+func BestUpgrade(inst *Instance, r int, factor float64) (Upgrade, bool, error) {
+	ups, err := WhatIfUpgrades(inst, r, factor)
+	if err != nil {
+		return Upgrade{}, false, err
+	}
+	if len(ups) == 0 || ups[0].Gain <= 0 {
+		return Upgrade{}, false, nil
+	}
+	return ups[0], true, nil
+}

@@ -34,7 +34,7 @@ type Attestation struct {
 // violation, not papered over.
 func (g *Governor) Attest(rep Report) Attestation {
 	a := Attestation{
-		Node: rep.Node, FloorCopies: g.cfg.FloorCopies,
+		Node: rep.Node, FloorCopies: floorCopies,
 		Satisfied: rep.Satisfied, FloorIntact: true,
 		ProjectedCPU: rep.ProjectedCPU, ProjectedMem: rep.ProjectedMem,
 		BudgetCPU: rep.BudgetCPU, BudgetMem: rep.BudgetMem,

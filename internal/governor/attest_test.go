@@ -55,7 +55,7 @@ func TestAttestationRejectsNonFinite(t *testing.T) {
 // range below the floor flips it false even when Satisfied claims
 // success.
 func TestAttestRecomputesFloorIntact(t *testing.T) {
-	g := &Governor{cfg: Config{FloorCopies: 1}.withDefaults()}
+	g := &Governor{}
 	rep := Report{Node: 0, Satisfied: true, Shed: []ShedRange{
 		{Unit: 1, Copy: 1, Range: hashing.Range{Lo: 0, Hi: 0.5}},
 	}}

@@ -13,8 +13,8 @@ import (
 // caps so every load quantity in the shed walk is exact in float64. Both
 // units split 50/50 across nodes 0 and 1 at redundancy 2, so node 1 holds
 // exactly two sheddable (copy-1) full-range slices of 1.0 CPU load each:
-// budget 2.0, tolerated limit 2.5 at Tolerance 0.25. Items/MemPerItem are
-// zero, so CPU is always the binding resource.
+// budget 2.0, tolerated limit boundaryLimit. Items/MemPerItem are zero, so
+// CPU is always the binding resource.
 func boundaryPlan() *core.Plan {
 	topo := topology.Internet2()
 	inst := &core.Instance{
@@ -38,31 +38,37 @@ func boundaryPlan() *core.Plan {
 	}
 }
 
+// boundaryLimit is the fixture's tolerated limit, computed as the shed walk
+// computes it. It is not 2.2 but 2·fl(1.1), whose last mantissa bit is
+// zero at 2^-51: 2 + boundaryLimit, and the same ± 2^-40, are exact, so
+// every load quantity the boundary tests form stays exact.
+var boundaryLimit = 2.0 * (1 + Tolerance)
+
 func boundaryGovernor(t *testing.T) *Governor {
 	t.Helper()
-	g, err := New(boundaryPlan(), 1, hashing.Hasher{Key: 7}, Config{Tolerance: 0.25})
+	g, err := New(boundaryPlan(), 1, hashing.Hasher{Key: 7}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cpu, _ := g.Budget(); cpu != 2.0 {
+	if cpu := g.budgetCPU; cpu != 2.0 {
 		t.Fatalf("boundary fixture budget = %v, want exactly 2.0", cpu)
 	}
 	return g
 }
 
-// Exact whole-slice boundary: scales [2.0, 2.5] put the projection at 4.5
-// against the 2.5 limit, so the overrun (2.0) exactly equals the first
+// Exact whole-slice boundary: scales [2.0, limit] put the projection at
+// 2 + limit, so the overrun (2.0) exactly equals the first
 // sheddable slice's offered load. The split fraction computes to exactly
 // 1.0 — the f >= 1 clamp must take the whole slice, land the residual load
 // bitwise on the limit, and stop without touching the second slice.
 func TestShedExactWholeSliceBoundary(t *testing.T) {
 	g := boundaryGovernor(t)
-	rep, err := g.PlanEpoch([]float64{2.0, 2.5})
+	rep, err := g.PlanEpoch([]float64{2.0, boundaryLimit})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ProjectedCPU != 4.5 {
-		t.Fatalf("projection %v, want exactly 4.5", rep.ProjectedCPU)
+	if rep.ProjectedCPU-boundaryLimit != 2.0 {
+		t.Fatalf("projection %v, want exactly 2 + %v", rep.ProjectedCPU, boundaryLimit)
 	}
 	if len(rep.Shed) != 1 {
 		t.Fatalf("exact whole-slice overrun shed %d ranges, want 1: %+v", len(rep.Shed), rep.Shed)
@@ -71,8 +77,8 @@ func TestShedExactWholeSliceBoundary(t *testing.T) {
 	if sr.Unit != 0 || sr.Copy != 1 || sr.Range.Lo != 0 || sr.Range.Hi != 1 {
 		t.Fatalf("shed the wrong slice: %+v", sr)
 	}
-	if rep.CPUAfter != 2.5 {
-		t.Fatalf("post-shed load %v, want bitwise 2.5 (the limit)", rep.CPUAfter)
+	if rep.CPUAfter != boundaryLimit {
+		t.Fatalf("post-shed load %v, want bitwise %v (the limit)", rep.CPUAfter, boundaryLimit)
 	}
 	if !rep.Satisfied {
 		t.Fatal("load exactly at the tolerated limit reported unsatisfied")
@@ -91,7 +97,7 @@ func TestShedExactWholeSliceBoundary(t *testing.T) {
 func TestShedPartialFinalSliceExactFit(t *testing.T) {
 	eps := math.Ldexp(1, -40)
 	g := boundaryGovernor(t)
-	rep, err := g.PlanEpoch([]float64{2.0, 2.5 - eps})
+	rep, err := g.PlanEpoch([]float64{2.0, boundaryLimit - eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +109,8 @@ func TestShedPartialFinalSliceExactFit(t *testing.T) {
 	if sr.Range.Hi != 1 || sr.Range.Lo != 1-wantF {
 		t.Fatalf("partial cut %+v, want [%v, 1)", sr.Range, 1-wantF)
 	}
-	if rep.CPUAfter != 2.5 {
-		t.Fatalf("post-shed load %v, want bitwise 2.5", rep.CPUAfter)
+	if rep.CPUAfter != boundaryLimit {
+		t.Fatalf("post-shed load %v, want bitwise %v", rep.CPUAfter, boundaryLimit)
 	}
 	if !rep.Satisfied {
 		t.Fatal("exact-fit partial shed reported unsatisfied")
@@ -114,7 +120,7 @@ func TestShedPartialFinalSliceExactFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ShedWidth != 0 || g.ShedWidth() != 0 {
+	if rep.ShedWidth != 0 || g.shedWidth != 0 {
 		t.Fatalf("restore after exact-fit shed left width %v", rep.ShedWidth)
 	}
 }
@@ -127,7 +133,7 @@ func TestShedPartialFinalSliceExactFit(t *testing.T) {
 func TestShedHairAboveWholeSliceBoundary(t *testing.T) {
 	eps := math.Ldexp(1, -40)
 	g := boundaryGovernor(t)
-	rep, err := g.PlanEpoch([]float64{2.0, 2.5 + eps})
+	rep, err := g.PlanEpoch([]float64{2.0, boundaryLimit + eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +147,9 @@ func TestShedHairAboveWholeSliceBoundary(t *testing.T) {
 		t.Fatalf("second shed not a sliver of unit 1: %+v", sliver)
 	}
 	if !rep.Satisfied {
-		t.Fatalf("governor reported floor-limited with sheddable width left (after %v, limit 2.5)", rep.CPUAfter)
+		t.Fatalf("governor reported floor-limited with sheddable width left (after %v, limit %v)", rep.CPUAfter, boundaryLimit)
 	}
-	if rep.CPUAfter > 2.5+1e-12 {
+	if rep.CPUAfter > boundaryLimit+1e-12 {
 		t.Fatalf("post-shed load %v above limit beyond rounding crumbs", rep.CPUAfter)
 	}
 	for _, sr := range rep.Shed {

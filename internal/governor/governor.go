@@ -7,8 +7,8 @@
 // near the planned volumes. Bursts between replans would otherwise either
 // overrun the node (dropping packets indiscriminately) or force an
 // emergency re-solve. The governor instead sheds *responsibility*: it
-// shrinks the node's hash ranges by whole or partial manifest slices, in
-// increasing order of drop value, and never touches copy 0 of any unit —
+// shrinks the node's hash ranges by whole or partial manifest slices,
+// outermost redundancy copies first, and never touches copy 0 of any unit —
 // so the network-wide coverage floor of one complete analyst per
 // coordination unit (the r = 1 guarantee of Section 2.5) survives any
 // combination of nodes shedding, by local reasoning alone.
@@ -37,40 +37,20 @@ import (
 	"nwdeploy/internal/traffic"
 )
 
-// Config tunes one node's governor. The zero value selects the defaults.
+// Tolerance is the allowed overrun fraction: a governor sheds only when
+// projected load exceeds budget*(1+Tolerance).
+const Tolerance = 0.1
+
+// floorCopies is the number of redundancy copies that are never shed,
+// counted from copy 0: copy 0 is untouchable, which preserves the
+// network-wide r = 1 coverage floor.
+const floorCopies = 1
+
+// Config configures one node's governor.
 type Config struct {
-	// Tolerance is the allowed overrun fraction: the governor sheds only
-	// when projected load exceeds budget*(1+Tolerance). Zero selects 0.1.
-	Tolerance float64
-	// Sustain is how many consecutive over-budget epochs must accumulate
-	// before shedding engages (a debounce against one-epoch blips). Zero
-	// selects 1: shed in the same epoch the overrun is projected.
-	Sustain int
-	// FloorCopies is the number of redundancy copies that are never shed,
-	// counted from copy 0. Zero selects 1 — copy 0 is untouchable, which
-	// preserves the network-wide r = 1 coverage floor. Values above 1
-	// protect deeper redundancy at the price of less shedding headroom.
-	FloorCopies int
-	// ClassValue ranks classes by the value of their analysis, indexed
-	// like the instance's Classes; lower values shed first. Nil values all
-	// classes equally, falling back to class-index order.
-	ClassValue []float64
 	// Metrics, when non-nil, receives shed observability (write-only; the
 	// governed behavior is identical with or without it).
 	Metrics *obs.Registry
-}
-
-func (c Config) withDefaults() Config {
-	if c.Tolerance == 0 {
-		c.Tolerance = 0.1
-	}
-	if c.Sustain == 0 {
-		c.Sustain = 1
-	}
-	if c.FloorCopies == 0 {
-		c.FloorCopies = 1
-	}
-	return c
 }
 
 // ShedRange is one shed piece: the governor gave up Range of Unit's hash
@@ -102,12 +82,6 @@ type Report struct {
 	Satisfied bool
 }
 
-// Over reports whether the epoch projected over the tolerated budget
-// before any shedding.
-func (r Report) Over() bool {
-	return r.ProjectedCPU > r.BudgetCPU || r.ProjectedMem > r.BudgetMem
-}
-
 // slice is one manifest slice with its precomputed unit-scale-1 load
 // contributions.
 type slice struct {
@@ -127,8 +101,6 @@ type Governor struct {
 
 	budgetCPU, budgetMem float64
 
-	over int // consecutive over-budget epochs
-
 	shed      map[int]hashing.RangeSet // unit -> ranges this node dropped
 	shedWidth float64
 	protect   map[int]hashing.RangeSet // unit -> ranges no copy may shed
@@ -142,10 +114,6 @@ type Governor struct {
 func New(plan *core.Plan, node int, h hashing.Hasher, cfg Config) (*Governor, error) {
 	if node < 0 || node >= plan.Inst.Topo.N() {
 		return nil, fmt.Errorf("governor: node %d out of range [0,%d)", node, plan.Inst.Topo.N())
-	}
-	cfg = cfg.withDefaults()
-	if cv := cfg.ClassValue; cv != nil && len(cv) != len(plan.Inst.Classes) {
-		return nil, fmt.Errorf("governor: %d class values for %d classes", len(cv), len(plan.Inst.Classes))
 	}
 	g := &Governor{cfg: cfg, plan: plan, hasher: h, node: node}
 
@@ -165,26 +133,17 @@ func New(plan *core.Plan, node int, h hashing.Hasher, cfg Config) (*Governor, er
 		g.budgetMem += s.mem
 	}
 
-	// Shed order: lowest drop value first, then class index, then the
-	// outermost redundancy copy (preserving inner copies longest), then
-	// unit and range position for a total, deterministic order.
-	value := func(class int) float64 {
-		if cfg.ClassValue == nil {
-			return 0
-		}
-		return cfg.ClassValue[class]
-	}
+	// Shed order: class index, then the outermost redundancy copy
+	// (preserving inner copies longest), then unit and range position for
+	// a total, deterministic order.
 	for i, s := range g.slices {
-		if s.Copy >= cfg.FloorCopies {
+		if s.Copy >= floorCopies {
 			g.order = append(g.order, i)
 		}
 	}
 	sort.Slice(g.order, func(a, b int) bool {
 		sa, sb := g.slices[g.order[a]], g.slices[g.order[b]]
 		ca, cb := inst.Units[sa.Unit].Class, inst.Units[sb.Unit].Class
-		if va, vb := value(ca), value(cb); va != vb {
-			return va < vb
-		}
 		if ca != cb {
 			return ca < cb
 		}
@@ -199,9 +158,6 @@ func New(plan *core.Plan, node int, h hashing.Hasher, cfg Config) (*Governor, er
 	return g, nil
 }
 
-// Node returns the governed node's ID.
-func (g *Governor) Node() int { return g.node }
-
 // AttachSpan installs the trace context the next PlanEpoch records its
 // decision events (overrun, shed_planned, shed_restore, floor_limited)
 // under — set per epoch by the cluster runtime. The zero Span (the
@@ -214,10 +170,6 @@ func (g *Governor) AttachSpan(sp trace.Span) { g.span = sp }
 // by its owner, so this node's copy may be the only analyst there. Each
 // call replaces the previous set; nil protects nothing.
 func (g *Governor) Protect(rs map[int]hashing.RangeSet) { g.protect = rs }
-
-// Budget returns the node's planned CPU and memory load fractions — the
-// LP's prediction at plan volumes.
-func (g *Governor) Budget() (cpu, mem float64) { return g.budgetCPU, g.budgetMem }
 
 // PlanEpoch runs the admission decision for one epoch given the offered
 // per-unit volume scales (observed volume / plan volume, indexed like the
@@ -241,8 +193,8 @@ func (g *Governor) PlanEpoch(scale []float64) (Report, error) {
 		rep.ProjectedCPU += s.cpu * sc(s.Unit)
 		rep.ProjectedMem += s.mem * sc(s.Unit)
 	}
-	limCPU := g.budgetCPU * (1 + g.cfg.Tolerance)
-	limMem := g.budgetMem * (1 + g.cfg.Tolerance)
+	limCPU := g.budgetCPU * (1 + Tolerance)
+	limMem := g.budgetMem * (1 + Tolerance)
 
 	if rep.ProjectedCPU <= limCPU && rep.ProjectedMem <= limMem {
 		// Fits again: restore everything.
@@ -250,7 +202,6 @@ func (g *Governor) PlanEpoch(scale []float64) (Report, error) {
 			g.cfg.Metrics.Add("governor.restores", 1)
 			g.span.Event(trace.EvShedRestore, trace.F64("width", g.shedWidth))
 		}
-		g.over = 0
 		g.shed = nil
 		g.shedWidth = 0
 		rep.CPUAfter, rep.MemAfter = rep.ProjectedCPU, rep.ProjectedMem
@@ -259,18 +210,9 @@ func (g *Governor) PlanEpoch(scale []float64) (Report, error) {
 		return rep, nil
 	}
 
-	g.over++
 	g.cfg.Metrics.Add("governor.overloads", 1)
 	g.span.Event(trace.EvOverrun,
 		trace.F64("projected_cpu", rep.ProjectedCPU), trace.F64("budget_cpu", rep.BudgetCPU))
-	if g.over < g.cfg.Sustain {
-		// Debounced: tolerate the overrun, keep the previous shed state.
-		rep.CPUAfter, rep.MemAfter = g.applyShed(rep.ProjectedCPU, rep.ProjectedMem, sc)
-		rep.Shed, rep.ShedWidth = g.shedList(), g.shedWidth
-		rep.Satisfied = rep.CPUAfter <= limCPU && rep.MemAfter <= limMem
-		g.publish(rep)
-		return rep, nil
-	}
 
 	// Shed: walk the drop order until the projection fits, splitting the
 	// final slice so exactly the needed width is given up.
@@ -361,64 +303,6 @@ func (g *Governor) publish(rep Report) {
 	m.Gauge(fmt.Sprintf("governor.node%d.load_after", g.node)).Set(rep.CPUAfter)
 }
 
-// applyShed projects the current shed state onto offered loads.
-func (g *Governor) applyShed(cpu, mem float64, sc func(int) float64) (float64, float64) {
-	if len(g.shed) == 0 {
-		return cpu, mem
-	}
-	for _, s := range g.slices {
-		rs, ok := g.shed[s.Unit]
-		if !ok {
-			continue
-		}
-		// Width of this slice that the shed state covers.
-		kept := hashing.RangeSet{s.Range}.Subtract(rs)
-		cutW := s.Range.Width() - kept.Width()
-		if cutW <= 0 {
-			continue
-		}
-		frac := cutW / s.Range.Width()
-		cpu -= s.cpu * sc(s.Unit) * frac
-		mem -= s.mem * sc(s.Unit) * frac
-	}
-	return cpu, mem
-}
-
-// shedList flattens the shed state in deterministic slice order.
-func (g *Governor) shedList() []ShedRange {
-	var out []ShedRange
-	for _, s := range g.slices {
-		rs, ok := g.shed[s.Unit]
-		if !ok {
-			continue
-		}
-		for _, r := range rs {
-			inter := hashing.Range{Lo: maxf(r.Lo, s.Range.Lo), Hi: minf(r.Hi, s.Range.Hi)}
-			if !inter.IsEmpty() {
-				out = append(out, ShedRange{Unit: s.Unit, Copy: s.Copy, Range: inter})
-			}
-		}
-	}
-	return out
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// ShedWidth returns the total hash-space width currently shed.
-func (g *Governor) ShedWidth() float64 { return g.shedWidth }
-
 // ShedRanges returns a copy of the current shed state, keyed by unit — the
 // wire form the controller publishes so peers and audits can subtract the
 // dropped responsibility exactly.
@@ -451,24 +335,4 @@ func (g *Governor) Sheds(class int, s traffic.Session) bool {
 		return false
 	}
 	return rs.Contains(g.plan.Inst.Classes[class].HashOf(g.hasher, s.Tuple))
-}
-
-// Coverage audits the network-wide residual coverage when every node in
-// govs (indexed by node ID; nil entries mean no governor) drops its shed
-// ranges: a unit's covered hash space is the union, over its path nodes, of
-// each node's manifest ranges minus that node's shed. With FloorCopies >= 1
-// the worst coverage can never fall below full, because copy 0 is never
-// shed — this audit is how tests verify that invariant rather than assume
-// it.
-func Coverage(plan *core.Plan, govs []*Governor, probes int) (worst, avg float64) {
-	return core.ProbeCoverage(len(plan.Inst.Units), probes, func(ui int, dst hashing.RangeSet) hashing.RangeSet {
-		for _, node := range plan.Inst.Units[ui].Nodes {
-			var shed hashing.RangeSet
-			if node < len(govs) && govs[node] != nil {
-				shed = govs[node].shed[ui]
-			}
-			dst = plan.Manifests[node].Ranges[ui].AppendSubtract(dst, shed)
-		}
-		return dst
-	})
 }

@@ -93,19 +93,6 @@ func (a *Arena) Contains(sp Span, x float64) bool {
 	return i >= int(sp.Off) && x < b[2*i+1]
 }
 
-// Width sums the widths of the span's ranges in storage order — a fixed
-// order for a given build, independent of input permutation once the
-// group has been sorted by Append.
-func (a *Arena) Width(sp Span) float64 {
-	var w float64
-	for i := sp.Off; i < sp.End; i++ {
-		if d := a.bounds[2*i+1] - a.bounds[2*i]; d > 0 {
-			w += d
-		}
-	}
-	return w
-}
-
 // AppendRanges appends the span's ranges to dst and returns the extended
 // slice (for audits and tests; not a hot path).
 func (a *Arena) AppendRanges(dst RangeSet, sp Span) RangeSet {

@@ -130,3 +130,16 @@ func BenchmarkArenaContains(b *testing.B) {
 		})
 	}
 }
+
+// Width sums the widths of the span's ranges in storage order — a fixed
+// order for a given build, independent of input permutation once the
+// group has been sorted by Append.
+func (a *Arena) Width(sp Span) float64 {
+	var w float64
+	for i := sp.Off; i < sp.End; i++ {
+		if d := a.bounds[2*i+1] - a.bounds[2*i]; d > 0 {
+			w += d
+		}
+	}
+	return w
+}

@@ -89,9 +89,6 @@ func (e *Enc) U64s(v []uint64) {
 	}
 }
 
-// Err returns the sticky encoding error, if any.
-func (e *Enc) Err() error { return e.err }
-
 // Finish returns the canonical bytes, or the first encoding error.
 func (e *Enc) Finish() ([]byte, error) {
 	if e.err != nil {

@@ -201,16 +201,6 @@ func (l *Ledger) HeadHex() string {
 	return l.Head().Hex()
 }
 
-// Len returns the number of sealed records.
-func (l *Ledger) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.recs)
-}
-
 // Records returns a copy of the sealed records.
 func (l *Ledger) Records() []Record {
 	if l == nil {
@@ -229,14 +219,6 @@ func (l *Ledger) Chain() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]byte(nil), l.chain...)
-}
-
-// Store returns the ledger's content-addressed blob store.
-func (l *Ledger) Store() Store {
-	if l == nil {
-		return nil
-	}
-	return l.store
 }
 
 // Err returns the first commit error (canonical-encoding rejection,
@@ -322,14 +304,6 @@ func (b *Batch) Blob(kind, key string, data []byte, err error) {
 	b.l.blobIn += int64(len(data))
 	b.l.mu.Unlock()
 	b.items = append(b.items, ItemRef{Kind: kind, Key: key, Ref: ref})
-}
-
-// Err returns the batch's poisoning error, if any.
-func (b *Batch) Err() error {
-	if b == nil {
-		return nil
-	}
-	return b.err
 }
 
 // Commit seals the batch into the chain: Merkle-commits the items,

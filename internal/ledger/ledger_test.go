@@ -350,3 +350,24 @@ func TestSinkMatchesChain(t *testing.T) {
 		t.Fatal("sink bytes differ from Chain()")
 	}
 }
+
+// Digests returns the stored digests in unspecified order.
+func (s *MemStore) Digests() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]string, 0, len(s.m))
+	for d := range s.m {
+		out = append(out, d)
+	}
+	return out
+}
+
+// Len returns the number of sealed records.
+func (l *Ledger) Len() int {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.recs)
+}

@@ -94,12 +94,6 @@ func (m *MerkleBatcher) Add(data []byte) int {
 	return len(m.leaves) - 1
 }
 
-// Len returns the number of batched items.
-func (m *MerkleBatcher) Len() int { return len(m.leaves) }
-
-// Reset empties the batch, retaining capacity.
-func (m *MerkleBatcher) Reset() { m.leaves = m.leaves[:0] }
-
 // Root computes the batch's Merkle root (emptyRoot for no items, the
 // leaf hash itself for one).
 func (m *MerkleBatcher) Root() Digest { return subRoot(m.leaves) }

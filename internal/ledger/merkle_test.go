@@ -108,3 +108,9 @@ func TestMerkleProofShapeStrictness(t *testing.T) {
 		t.Fatal("malformed root hex verified")
 	}
 }
+
+// Len returns the number of batched items.
+func (m *MerkleBatcher) Len() int { return len(m.leaves) }
+
+// Reset empties the batch, retaining capacity.
+func (m *MerkleBatcher) Reset() { m.leaves = m.leaves[:0] }

@@ -48,24 +48,6 @@ func (s *MemStore) Get(hexDigest string) ([]byte, error) {
 	return append([]byte(nil), b...), nil
 }
 
-// Len returns the number of distinct blobs stored.
-func (s *MemStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
-// Digests returns the stored digests in unspecified order.
-func (s *MemStore) Digests() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.m))
-	for d := range s.m {
-		out = append(out, d)
-	}
-	return out
-}
-
 // DirStore files blobs on disk under dir as <hex[:2]>/<hex> — the
 // objects/ directory of an on-disk ledger.
 type DirStore struct {
@@ -79,9 +61,6 @@ func NewDirStore(dir string) (*DirStore, error) {
 	}
 	return &DirStore{dir: dir}, nil
 }
-
-// Dir returns the store's root directory.
-func (s *DirStore) Dir() string { return s.dir }
 
 func (s *DirStore) path(ref string) string {
 	return filepath.Join(s.dir, ref[:2], ref)
@@ -114,4 +93,11 @@ func (s *DirStore) Get(hexDigest string) ([]byte, error) {
 		return nil, fmt.Errorf("ledger: blob %s: %w", hexDigest, err)
 	}
 	return b, nil
+}
+
+// Len returns the number of distinct blobs stored.
+func (s *MemStore) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.m)
 }

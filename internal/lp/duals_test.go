@@ -143,3 +143,10 @@ func TestDualsEqualityRow(t *testing.T) {
 		t.Fatalf("dual = %v, want 2", sol.Dual(row))
 	}
 }
+
+// Dual returns the shadow price of constraint row (as returned by
+// AddConstraint).
+func (s *Solution) Dual(row int) float64 { return s.Duals[row] }
+
+// Solve optimizes the problem with default options.
+func (p *Problem) Solve() (*Solution, error) { return p.SolveOpts(Options{}) }

@@ -167,9 +167,6 @@ func New(sense Sense) *Problem {
 // NumVars reports the number of variables added so far.
 func (p *Problem) NumVars() int { return len(p.vars) }
 
-// NumConstraints reports the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.cons) }
-
 // AddVar adds a decision variable with the given objective cost and bounds
 // lb <= x <= ub. lb must be finite; ub may be +Inf. It returns the variable
 // handle used in constraint terms.
@@ -265,19 +262,12 @@ type SolveStats struct {
 	PresolveDroppedRows int
 }
 
-// Dual returns the shadow price of constraint row (as returned by
-// AddConstraint).
-func (s *Solution) Dual(row int) float64 { return s.Duals[row] }
-
 // Value returns the optimal value of v.
 func (s *Solution) Value(v Var) float64 { return s.X[v] }
 
 // solved sees every problem SolveOpts solves and its solution: a no-op, set
 // by tests that certify the LPs other packages build.
 var solved = func(*Problem, *Solution) {}
-
-// Solve optimizes the problem with default options.
-func (p *Problem) Solve() (*Solution, error) { return p.SolveOpts(Options{}) }
 
 // SolveOpts optimizes the problem. An error is returned only for malformed
 // problems (no variables, or data wrapping ErrNonFinite); infeasibility and

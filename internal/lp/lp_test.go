@@ -392,3 +392,6 @@ func TestTransportation(t *testing.T) {
 		t.Fatalf("objective = %v, want 115", sol.Objective)
 	}
 }
+
+// NumConstraints reports the number of constraints added so far.
+func (p *Problem) NumConstraints() int { return len(p.cons) }

@@ -25,19 +25,6 @@ type Basis struct {
 	AtUpper []int
 }
 
-// Clone returns a deep copy, detaching the snapshot from any later reuse.
-func (b *Basis) Clone() *Basis {
-	if b == nil {
-		return nil
-	}
-	return &Basis{
-		Cols:    b.Cols,
-		Rows:    b.Rows,
-		Basic:   append([]int(nil), b.Basic...),
-		AtUpper: append([]int(nil), b.AtUpper...),
-	}
-}
-
 // captureBasis snapshots the current basis and bound states.
 func (s *simplex) captureBasis() *Basis {
 	b := &Basis{Cols: s.nTotal, Rows: s.m, Basic: append([]int(nil), s.basis...)}

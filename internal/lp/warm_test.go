@@ -265,3 +265,16 @@ func BenchmarkWarmVsColdReplan(b *testing.B) {
 		}
 	})
 }
+
+// Clone returns a deep copy, detaching the snapshot from any later reuse.
+func (b *Basis) Clone() *Basis {
+	if b == nil {
+		return nil
+	}
+	return &Basis{
+		Cols:    b.Cols,
+		Rows:    b.Rows,
+		Basic:   append([]int(nil), b.Basic...),
+		AtUpper: append([]int(nil), b.AtUpper...),
+	}
+}

@@ -1,6 +1,7 @@
 package nips
 
 import (
+	"math"
 	"testing"
 
 	"nwdeploy/internal/topology"
@@ -102,4 +103,25 @@ func TestExactZeroCapacity(t *testing.T) {
 	if exact.Objective != 0 {
 		t.Fatalf("objective %v with zero TCAM, want 0", exact.Objective)
 	}
+}
+
+// ApproximationGap runs the exact solver and a rounding variant on the
+// same instance and returns approx/exact (1 means the approximation found
+// a true optimum). Intended for tests and small-scale validation.
+func ApproximationGap(inst *Instance, variant Variant, iters int, seed int64) (gap float64, exact, approx *Deployment, err error) {
+	exact, err = SolveExact(inst)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	approx, _, err = Solve(inst, SolveOptions{Variant: variant, Iters: iters, Seed: seed, Workers: 1})
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if exact.Objective == 0 {
+		if approx.Objective == 0 {
+			return 1, exact, approx, nil
+		}
+		return math.Inf(1), exact, approx, nil
+	}
+	return approx.Objective / exact.Objective, exact, approx, nil
 }

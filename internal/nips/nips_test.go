@@ -322,3 +322,15 @@ func TestQuickRoundingAlwaysFeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Round implements the basic randomized-rounding algorithm of Figure 9:
+// round each e*_ij to 1 with probability e*_ij/alpha, set d = epsilon*e,
+// retry while any of Eqs. (9)–(11) is violated by more than beta*log N,
+// repair Eq. (8) by zeroing rules, then rescale the d values to restore
+// feasibility (the implementation scales by the actual violation factor,
+// which is never larger than beta*log N — a practical tightening the
+// paper's analysis permits).
+func Round(inst *Instance, rel *Relaxation, cfg RoundConfig, rng *rand.Rand) (*Deployment, error) {
+	dep, _, err := round(inst, rel, cfg, rng)
+	return dep, err
+}

@@ -160,10 +160,6 @@ func (a *Assembler) Flush() []traffic.Session {
 // Pending reports sessions still being assembled.
 func (a *Assembler) Pending() int { return len(a.flows) - len(a.free) }
 
-// TableStats exposes the underlying connection table's accounting (peak
-// concurrent connections = the max-resident-memory analogue).
-func (a *Assembler) TableStats() conntrack.Stats { return a.table.Stats() }
-
 // StreamSessions drains a pcap stream through a fresh assembler, handing
 // emit each session as it completes and then the flushed remainder. The
 // pointer is valid only for the duration of the call.

@@ -40,12 +40,3 @@ func pseudoHeaderSum(srcIP, dstIP uint32, proto uint8, l4Len int) uint32 {
 	sum += uint32(l4Len)
 	return sum
 }
-
-// VerifyTransportChecksum recomputes a decoded packet's TCP/UDP checksum
-// over the given transport header+payload bytes and reports whether it
-// verifies (sums to zero including the stored checksum).
-func VerifyTransportChecksum(srcIP, dstIP uint32, proto uint8, l4 []byte) bool {
-	sum := pseudoHeaderSum(srcIP, dstIP, proto, len(l4))
-	sum = addToSum(sum, l4)
-	return finishSum(sum) == 0
-}

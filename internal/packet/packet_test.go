@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"nwdeploy/internal/conntrack"
 	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/topology"
 	"nwdeploy/internal/traffic"
@@ -334,4 +335,17 @@ func BenchmarkDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TableStats exposes the underlying connection table's accounting (peak
+// concurrent connections = the max-resident-memory analogue).
+func (a *Assembler) TableStats() conntrack.Stats { return a.table.Stats() }
+
+// VerifyTransportChecksum recomputes a decoded packet's TCP/UDP checksum
+// over the given transport header+payload bytes and reports whether it
+// verifies (sums to zero including the stored checksum).
+func VerifyTransportChecksum(srcIP, dstIP uint32, proto uint8, l4 []byte) bool {
+	sum := pseudoHeaderSum(srcIP, dstIP, proto, len(l4))
+	sum = addToSum(sum, l4)
+	return finishSum(sum) == 0
 }

@@ -42,16 +42,6 @@ func (h *History) Add(s FleetSnapshot) {
 	h.head = (h.head + 1) % len(h.ring)
 }
 
-// Len reports how many snapshots are currently retained.
-func (h *History) Len() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // Snapshots returns the retained snapshots oldest-first.
 func (h *History) Snapshots() []FleetSnapshot {
 	if h == nil {

@@ -288,3 +288,13 @@ func TestValidatePromRejects(t *testing.T) {
 		t.Errorf("valid line rejected: %v", err)
 	}
 }
+
+// Len reports how many snapshots are currently retained.
+func (h *History) Len() int {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.count
+}

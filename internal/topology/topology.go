@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 )
 
 // Node is a PoP-level router location.
@@ -88,9 +87,6 @@ func (t *Topology) AddLinkAuto(a, b int) {
 	}
 	t.AddLink(a, b, d)
 }
-
-// Degree reports the number of links incident to node id.
-func (t *Topology) Degree(id int) int { return len(t.adj[id]) }
 
 // Connected reports whether every node can reach every other node.
 func (t *Topology) Connected() bool {
@@ -191,12 +187,6 @@ func (t *Topology) ShortestPaths(src int) [][]int {
 	return paths
 }
 
-// Path returns the shortest path from a to b (inclusive of endpoints), or
-// nil if unreachable.
-func (t *Topology) Path(a, b int) []int {
-	return t.ShortestPaths(a)[b]
-}
-
 // PathMatrix computes shortest paths between all ordered pairs. Entry
 // [a][b] is nil when b is unreachable from a; [a][a] is the singleton {a}.
 func (t *Topology) PathMatrix() [][][]int {
@@ -207,15 +197,6 @@ func (t *Topology) PathMatrix() [][][]int {
 	return out
 }
 
-// TotalPopulation sums node populations (gravity model normalizer).
-func (t *Topology) TotalPopulation() float64 {
-	var sum float64
-	for _, n := range t.Nodes {
-		sum += n.Population
-	}
-	return sum
-}
-
 // NodeByName returns the node with the given short code.
 func (t *Topology) NodeByName(name string) (Node, bool) {
 	for _, n := range t.Nodes {
@@ -224,24 +205,6 @@ func (t *Topology) NodeByName(name string) (Node, bool) {
 		}
 	}
 	return Node{}, false
-}
-
-// SortedByPopulation returns node IDs ordered by descending population,
-// ties broken by ID. Used by evaluations that care about the heaviest
-// gravity-model endpoints.
-func (t *Topology) SortedByPopulation() []int {
-	ids := make([]int, len(t.Nodes))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := t.Nodes[ids[i]], t.Nodes[ids[j]]
-		if a.Population != b.Population {
-			return a.Population > b.Population
-		}
-		return a.ID < b.ID
-	})
-	return ids
 }
 
 // Haversine returns the great-circle distance in kilometers between two

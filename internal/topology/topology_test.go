@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -229,4 +230,40 @@ func TestWriteDOT(t *testing.T) {
 	if !strings.HasSuffix(strings.TrimSpace(out), "}") {
 		t.Fatal("unterminated graph")
 	}
+}
+
+// Degree reports the number of links incident to node id.
+func (t *Topology) Degree(id int) int { return len(t.adj[id]) }
+
+// Path returns the shortest path from a to b (inclusive of endpoints), or
+// nil if unreachable.
+func (t *Topology) Path(a, b int) []int {
+	return t.ShortestPaths(a)[b]
+}
+
+// SortedByPopulation returns node IDs ordered by descending population,
+// ties broken by ID. Used by evaluations that care about the heaviest
+// gravity-model endpoints.
+func (t *Topology) SortedByPopulation() []int {
+	ids := make([]int, len(t.Nodes))
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		a, b := t.Nodes[ids[i]], t.Nodes[ids[j]]
+		if a.Population != b.Population {
+			return a.Population > b.Population
+		}
+		return a.ID < b.ID
+	})
+	return ids
+}
+
+// TotalPopulation sums node populations (gravity model normalizer).
+func (t *Topology) TotalPopulation() float64 {
+	var sum float64
+	for _, n := range t.Nodes {
+		sum += n.Population
+	}
+	return sum
 }

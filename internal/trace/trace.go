@@ -314,9 +314,6 @@ func (s Span) Child(kind string, id int) Span {
 // Live reports whether events on this span are recorded.
 func (s Span) Live() bool { return s.comp != nil }
 
-// Epoch returns the span's epoch (0 on the zero span).
-func (s Span) Epoch() int { return s.epoch }
-
 // TraceHex and SpanHex render the IDs as fixed-width hex — the wire form
 // carried in manifest headers ("" on the zero span).
 func (s Span) TraceHex() string {

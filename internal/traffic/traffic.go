@@ -68,12 +68,6 @@ func MixedProfile() Profile {
 	return p.normalize()
 }
 
-// SingleProtocolProfile returns a profile consisting entirely of one
-// protocol, used by the standalone module microbenchmarks.
-func SingleProtocolProfile(proto Protocol) Profile {
-	return Profile{{proto, 1}}
-}
-
 func (p Profile) normalize() Profile {
 	var sum float64
 	for _, e := range p {
@@ -117,18 +111,6 @@ func Gravity(t *topology.Topology) Matrix {
 		}
 	}
 	return m
-}
-
-// Sum returns the total of all matrix entries (1.0 for a gravity matrix, up
-// to rounding).
-func (m Matrix) Sum() float64 {
-	var s float64
-	for _, row := range m {
-		for _, v := range row {
-			s += v
-		}
-	}
-	return s
 }
 
 // TopPairs returns up to k ordered pairs by descending share. Large-LP

@@ -279,3 +279,21 @@ func TestMatchRatesDistShapes(t *testing.T) {
 		t.Fatal("distribution names wrong")
 	}
 }
+
+// Sum returns the total of all matrix entries (1.0 for a gravity matrix, up
+// to rounding).
+func (m Matrix) Sum() float64 {
+	var s float64
+	for _, row := range m {
+		for _, v := range row {
+			s += v
+		}
+	}
+	return s
+}
+
+// SingleProtocolProfile returns a profile consisting entirely of one
+// protocol, used by the standalone module microbenchmarks.
+func SingleProtocolProfile(proto Protocol) Profile {
+	return Profile{{proto, 1}}
+}
