@@ -10,8 +10,10 @@ PERFFLAGS ?=
 # (the scenario grid's acceptance bar, quick and full), TestSelftest (the
 # fleet telemetry loop), TestAuditTier (two seeded ledgers verified, proved
 # and tampered 200 times) and TestTraceTier (flight-recorder dumps
-# byte-identical across -workers 1 and 4, and schema-valid).
-check: build vet test
+# byte-identical across -workers 1 and 4, and schema-valid). Then reach, the
+# ratchet on code no entry point runs, and idle last, so a green check also
+# proves nothing it started is left running.
+check: build vet test reach idle
 
 build:
 	$(GO) build ./...
@@ -86,11 +88,11 @@ fuzz:
 # every figure/table benchmark, the obs instruments, cluster convergence,
 # the full-epoch cost with the flight recorder off vs on, warm- vs
 # cold-started replan solves, cold simplex solves of deployment- and
-# packing-shaped LPs (the pivot loop's micro A/B), the shed hook's
-# per-packet cost, the policy tables against their test-only Go-map model,
-# the per-packet decision path against its test-only pre-index reference,
-# and one agent's sync over loopback against a 1000-node plan (v1 full
-# JSON fetch vs v2 binary delta on a held connection). It runs no command and writes no file: end-to-end and
+# packing-shaped LPs (the pivot loop's micro A/B), the policy tables
+# against their test-only Go-map model, the per-packet decision path
+# against its test-only pre-index reference, and one agent's sync over
+# loopback against a 1000-node plan (v1 full JSON fetch vs v2 binary delta
+# on a held connection). It runs no command and writes no file: end-to-end and
 # per-layer numbers are `make perf` (cmd/perf, BENCHMARK.json), the one
 # benchmark.
 bench:
@@ -100,14 +102,14 @@ bench:
 	$(GO) test -bench=TraceOverhead -benchmem ./internal/cluster/
 	$(GO) test -bench=WarmVsColdReplan -benchmem ./internal/lp/
 	$(GO) test -bench=Simplex -benchmem ./internal/lp/
-	$(GO) test -bench=ShedFilter -benchmem ./internal/bro/
 	$(GO) test -bench=PolicyTables -benchmem ./internal/bro/
 	$(GO) test -bench=DataplaneDecide -benchmem ./internal/control/
 	$(GO) test -bench=AgentSync -benchmem ./internal/control/
 
 # Reach check: list every function outside cmd/ that no entry point runs.
-# Not part of `make check` (it takes about a minute and builds into
-# $(SCRATCH)/reach); run it after deleting or adding code. Coverage comes from
+# Part of `make check` (it takes about a minute and builds into
+# $(SCRATCH)/reach); a change that adds a reach_allow.txt line says why in
+# CHANGES.md. Run it on its own after deleting or adding code. Coverage comes from
 # TestREADMECommands (every README command at reduced size), every example,
 # and every cmd/perf workload for one traced second, each in the foreground
 # under timeout. A function at 0.0% must be listed in reach_allow.txt as

@@ -461,21 +461,11 @@ func TestConnLogEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := topo.PathMatrix()
 	var nodeLogs []*ConnLog
 	for j := 0; j < topo.N(); j++ {
-		var trace []traffic.Session
-		for _, s := range sessions {
-			for _, n := range paths[s.Src][s.Dst] {
-				if n == j {
-					trace = append(trace, s)
-					break
-				}
-			}
-		}
 		_, l := RunWithLog(Config{
-			Mode: ModeCoordEvent, Modules: mods, Plan: em.Plan, Node: j, Hasher: em.Hasher,
-		}, trace)
+			Mode: ModeCoordEvent, Modules: mods, Decider: em.deciders[j], Node: j, Hasher: em.Hasher,
+		}, em.nodeTrace(j, DeployCoordinated))
 		nodeLogs = append(nodeLogs, l)
 	}
 	merged := Merge(nodeLogs...)

@@ -45,10 +45,11 @@ func TestRunMetricsMatchReport(t *testing.T) {
 	}
 }
 
-// The per-session path — masks, manifest decision, shed veto, module walk,
-// compiled policy handlers, cost accounting — must not allocate once the
-// policy tables are warm, for every decision source and with scripts on:
-// session ingestion at line rate cannot afford per-session garbage.
+// The per-session path — masks, manifest decision (shed subtracted),
+// module walk, compiled policy handlers, cost accounting — must not
+// allocate once the policy tables are warm, for every decision source and
+// with scripts on: session ingestion at line rate cannot afford
+// per-session garbage.
 func TestEngineDecisionPathAllocFree(t *testing.T) {
 	topo, modules, all, plan := solvedScenario(t)
 	const node = 10
@@ -60,14 +61,18 @@ func TestEngineDecisionPathAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The same manifest with half of its first assignment's hash space shed.
+	shed := *m
+	a := m.Assignments[0]
+	shed.Shed = []control.WireAssignment{{Class: a.Class, Unit: a.Unit, Ranges: []control.WireRange{{Lo: 0, Hi: 0.5}}}}
 	h := hashing.Hasher{Key: 1}
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"Plan", Config{Mode: ModeCoordEvent, Plan: plan}},
 		{"Decider", Config{Mode: ModeCoordEvent, Decider: control.NewDecider(m)}},
-		{"Decider+Shed", Config{Mode: ModeCoordPolicy, Decider: control.NewDecider(m), Shed: rangeShed{class: 0, lo: 0, hi: 0.5, h: h}}},
+		{"per-class", Config{Mode: ModeCoordEvent, Decider: perClassOnly{control.NewDecider(m)}}},
+		{"Decider+Shed", Config{Mode: ModeCoordPolicy, Decider: control.NewDecider(&shed)}},
 		{"standalone", Config{Mode: ModeCoordEvent}},
 		{"plain", Config{Mode: ModePlain}},
 	}

@@ -12,8 +12,8 @@ import (
 )
 
 // planDecider replays the planner's own Figure 3 decision through the
-// ManifestDecider interface — the minimal stub proving the engine treats
-// the two manifest sources identically.
+// ManifestDecider interface: the oracle that engine runs from wire
+// manifests are checked against.
 type planDecider struct {
 	plan   *core.Plan
 	node   int
@@ -43,71 +43,63 @@ func solvedScenario(t *testing.T) (*topology.Topology, []ModuleSpec, []traffic.S
 }
 
 // nodeTraceFor filters the sessions node j observes in a coordinated
-// deployment (origin, terminus, or transit), mirroring Emulation.nodeTrace.
+// deployment (origin, terminus, or transit).
 func nodeTraceFor(topo *topology.Topology, sessions []traffic.Session, j int) []traffic.Session {
-	paths := topo.PathMatrix()
-	var out []traffic.Session
-	for _, s := range sessions {
-		for _, n := range paths[s.Src][s.Dst] {
-			if n == j {
-				out = append(out, s)
-				break
-			}
-		}
-	}
-	return out
+	return NodeTrace(topo.PathMatrix(), sessions, j)
 }
 
-// An engine driven by a ManifestDecider must reproduce the plan-driven
-// report exactly — including the early-drop and fine-grained paths, which
-// gate on the presence of a manifest — since that equivalence is what lets
-// a cluster node run from a fetched wire manifest alone.
+// An engine driven by the wire-manifest Decider from internal/control — the
+// exact object a cluster agent fetches — must reproduce the report of the
+// planner's own Figure 3 decision exactly, including the early-drop and
+// fine-grained paths, which gate on the presence of a manifest: that
+// equivalence is what lets a node run from a fetched wire manifest alone.
 func TestDeciderMatchesPlanReports(t *testing.T) {
 	topo, modules, sessions, plan := solvedScenario(t)
-	hasher := hashing.Hasher{Key: 7}
+	const key = 7
+	hasher := hashing.Hasher{Key: key}
 	for _, fineGrained := range []bool{false, true} {
 		for j := 0; j < topo.N(); j++ {
+			m, err := control.ManifestFromPlan(plan, j, 1, key)
+			if err != nil {
+				t.Fatal(err)
+			}
 			trace := nodeTraceFor(topo, sessions, j)
 			base := Config{
 				Mode: ModeCoordEvent, Modules: modules, Hasher: hasher,
-				FineGrained: fineGrained,
+				FineGrained: fineGrained, Node: j,
 			}
-			viaPlan := base
-			viaPlan.Plan, viaPlan.Node = plan, j
-			viaDecider := base
-			viaDecider.Node = j
-			viaDecider.Decider = planDecider{plan: plan, node: j, hasher: hasher}
-			got, want := Run(viaDecider, trace), Run(viaPlan, trace)
+			viaPlan, viaWire := base, base
+			viaPlan.Decider = planDecider{plan: plan, node: j, hasher: hasher}
+			viaWire.Decider = control.NewDecider(m)
+			got, want := Run(viaWire, trace), Run(viaPlan, trace)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("fineGrained=%v node %d: decider report %+v != plan report %+v",
+				t.Fatalf("fineGrained=%v node %d: wire-decider report %+v != plan report %+v",
 					fineGrained, j, got, want)
 			}
 		}
 	}
 }
 
-// The same equivalence must hold when the decider is the real wire-manifest
-// Decider from internal/control — the exact object a cluster agent fetches.
+// Emulation drives every coordinated node from a decider built out of the
+// node's wire manifest; its reports must equal engine runs driven by the
+// planner's own decision on the same per-node traces.
 func TestWireDeciderMatchesPlanReports(t *testing.T) {
-	topo, modules, sessions, plan := solvedScenario(t)
-	const key = 7
-	hasher := hashing.Hasher{Key: key}
-	for j := 0; j < topo.N(); j++ {
-		m, err := control.ManifestFromPlan(plan, j, 1, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace := nodeTraceFor(topo, sessions, j)
-		viaPlan := Run(Config{
-			Mode: ModeCoordEvent, Modules: modules, Hasher: hasher,
-			Plan: plan, Node: j,
-		}, trace)
-		viaWire := Run(Config{
-			Mode: ModeCoordEvent, Modules: modules, Hasher: hasher,
-			Decider: control.NewDecider(m), Node: j,
-		}, trace)
-		if !reflect.DeepEqual(viaWire, viaPlan) {
-			t.Fatalf("node %d: wire-decider report %+v != plan report %+v", j, viaWire, viaPlan)
+	topo, modules, sessions, _ := solvedScenario(t)
+	em, err := NewEmulation(topo, modules, sessions, core.UniformCaps(topo.N(), 1e9, 1e12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fineGrained := range []bool{false, true} {
+		res := em.RunFineGrained(DeployCoordinated, fineGrained)
+		for j := 0; j < topo.N(); j++ {
+			want := Run(Config{
+				Mode: ModeCoordEvent, Modules: modules, Hasher: em.Hasher, FineGrained: fineGrained,
+				Decider: planDecider{plan: em.Plan, node: j, hasher: em.Hasher}, Node: j,
+			}, nodeTraceFor(topo, sessions, j))
+			if !reflect.DeepEqual(res.Reports[j], want) {
+				t.Fatalf("fineGrained=%v node %d: emulation report %+v != plan report %+v",
+					fineGrained, j, res.Reports[j], want)
+			}
 		}
 	}
 }
@@ -141,7 +133,7 @@ func (rejectAll) ShouldAnalyze(int, traffic.Session) bool { return false }
 // stale after the modules were re-specified — must not widen any module's
 // traffic: the engine analyzes a (module, session) pair only when the
 // source says yes AND the module's own specification matches, whichever
-// decision path answers (mask word, per-class calls, Plan).
+// decision path answers (mask word or per-class calls).
 // Before the engine ANDed every verdict with its match mask, the mask fast
 // path trusted the decider's filter, so a stale manifest created
 // connection state — CPU and memory — for sessions no module analyzes.
@@ -151,29 +143,24 @@ func TestStaleManifestCannotWidenModuleTraffic(t *testing.T) {
 	hasher := hashing.Hasher{Key: key}
 	trace := nodeTraceFor(topo, sessions, node)
 
-	// Widen every port- or transport-restricted class to all traffic, in the
-	// wire manifest and in a copy of the plan's instance alike.
+	// Widen every port- or transport-restricted class to all traffic in the
+	// wire manifest.
 	m, err := control.ManifestFromPlan(plan, node, 1, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stale := *m
 	stale.Classes = append([]control.WireClass(nil), m.Classes...)
-	staleInst := *plan.Inst
-	staleInst.Classes = append([]core.Class(nil), plan.Inst.Classes...)
 	widened := 0
 	for i := range stale.Classes {
 		if len(stale.Classes[i].Ports) > 0 || stale.Classes[i].Transport != 0 {
 			widened++
 		}
 		stale.Classes[i].Ports, stale.Classes[i].Transport = nil, 0
-		staleInst.Classes[i].Ports, staleInst.Classes[i].Transport = nil, 0
 	}
 	if widened == 0 {
 		t.Fatal("no restricted class to widen; the test is vacuous")
 	}
-	stalePlan := *plan
-	stalePlan.Inst = &staleInst
 	staleDec := control.NewDecider(&stale)
 
 	sources := []struct {
@@ -183,9 +170,6 @@ func TestStaleManifestCannotWidenModuleTraffic(t *testing.T) {
 	}{
 		{"Decider", Config{Decider: staleDec}, staleDec.ShouldAnalyze},
 		{"per-class", Config{Decider: perClassOnly{staleDec}}, staleDec.ShouldAnalyze},
-		{"Plan", Config{Plan: &stalePlan}, func(c int, s traffic.Session) bool {
-			return stalePlan.ShouldAnalyze(node, c, s, hasher)
-		}},
 	}
 	for _, src := range sources {
 		// The oracle: per class, the source's verdict AND the module's spec.

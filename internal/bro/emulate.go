@@ -3,6 +3,7 @@ package bro
 import (
 	"fmt"
 
+	"nwdeploy/internal/control"
 	"nwdeploy/internal/core"
 	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/obs"
@@ -74,13 +75,16 @@ func (r *EmulationResult) TotalAlerts() int {
 }
 
 // Emulation is a prepared network-wide scenario: topology, traffic,
-// modules, and (for the coordinated deployment) the solved plan.
+// modules, and (for the coordinated deployment) the solved plan with each
+// node's decider built from its wire manifest.
 type Emulation struct {
 	Topo     *topology.Topology
 	Modules  []ModuleSpec
 	Sessions []traffic.Session
 	Plan     *core.Plan
-	Hasher   hashing.Hasher
+	// Hasher is the deployment's keyed selection hash; NewEmulation keys
+	// every node's manifest with it.
+	Hasher hashing.Hasher
 	// Workers fans the per-node engine runs out across a worker pool: 0
 	// selects GOMAXPROCS, 1 runs the nodes one after another. Node runs are
 	// fully independent (each node sees its own trace and keeps its own
@@ -92,12 +96,15 @@ type Emulation struct {
 	// byte-identical with or without it (nil is the no-op default).
 	Metrics *obs.Registry
 
-	paths [][][]int
+	paths    [][][]int
+	deciders []*control.Decider // per node, from Plan's manifests keyed by Hasher
 }
 
-// NewEmulation builds the scenario and solves the placement LP for the
-// coordinated deployment. Modules must not include the baseline
-// pseudo-module (connection processing is inherent to the engine).
+// NewEmulation builds the scenario, solves the placement LP for the
+// coordinated deployment and builds each node's decider from its wire
+// manifest, as a deployed agent does. Modules must not include the
+// baseline pseudo-module (connection processing is inherent to the
+// engine).
 func NewEmulation(topo *topology.Topology, modules []ModuleSpec, sessions []traffic.Session, caps []core.NodeResources) (*Emulation, error) {
 	for _, m := range modules {
 		if m.Name == "baseline" {
@@ -112,14 +119,22 @@ func NewEmulation(topo *topology.Topology, modules []ModuleSpec, sessions []traf
 	if err != nil {
 		return nil, err
 	}
-	return &Emulation{
+	e := &Emulation{
 		Topo:     topo,
 		Modules:  modules,
 		Sessions: sessions,
 		Plan:     plan,
 		Hasher:   hashing.Hasher{Key: 7},
 		paths:    topo.PathMatrix(),
-	}, nil
+	}
+	for j := 0; j < topo.N(); j++ {
+		m, err := control.ManifestFromPlan(plan, j, 1, e.Hasher.Key)
+		if err != nil {
+			return nil, err
+		}
+		e.deciders = append(e.deciders, control.NewDecider(m))
+	}
+	return e, nil
 }
 
 // nodeTrace extracts the sessions node j observes under a deployment:
@@ -127,19 +142,28 @@ func NewEmulation(topo *topology.Topology, modules []ModuleSpec, sessions []traf
 // for the coordinated one ("for the coordinated case, this includes both
 // traffic originating/terminating at a node and transit traffic").
 func (e *Emulation) nodeTrace(j int, d Deployment) []traffic.Session {
+	if d == DeployCoordinated {
+		return NodeTrace(e.paths, e.Sessions, j)
+	}
 	var out []traffic.Session
 	for _, s := range e.Sessions {
-		switch d {
-		case DeployEdge:
-			if s.Src == j || s.Dst == j {
+		if s.Src == j || s.Dst == j {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// NodeTrace returns node j's coordinated-deployment traffic share: the
+// sessions whose Src->Dst path (paths, a topology's PathMatrix) originates,
+// terminates or transits at j, in trace order.
+func NodeTrace(paths [][][]int, sessions []traffic.Session, j int) []traffic.Session {
+	var out []traffic.Session
+	for _, s := range sessions {
+		for _, n := range paths[s.Src][s.Dst] {
+			if n == j {
 				out = append(out, s)
-			}
-		case DeployCoordinated:
-			for _, n := range e.paths[s.Src][s.Dst] {
-				if n == j {
-					out = append(out, s)
-					break
-				}
+				break
 			}
 		}
 	}
@@ -172,7 +196,7 @@ func (e *Emulation) RunFineGrained(d Deployment, fineGrained bool) *EmulationRes
 			cfg = Config{Mode: ModePlain, Modules: e.Modules, Hasher: e.Hasher}
 		case DeployCoordinated:
 			cfg = Config{
-				Mode: ModeCoordEvent, Modules: e.Modules, Plan: e.Plan,
+				Mode: ModeCoordEvent, Modules: e.Modules, Decider: e.deciders[j],
 				Hasher: e.Hasher, FineGrained: fineGrained,
 			}
 		}

@@ -65,14 +65,6 @@ type MaskDecider interface {
 	DecideMask(s *traffic.Session) (mask uint64, ok bool)
 }
 
-// ShedFilter vetoes analysis for sessions the node's load governor has
-// dropped responsibility for this epoch. internal/governor.Governor
-// implements it. The filter must be a pure function of the session for
-// the duration of a Run.
-type ShedFilter interface {
-	Sheds(class int, s traffic.Session) bool
-}
-
 // Mode selects the engine variant being benchmarked.
 type Mode int
 
@@ -105,25 +97,19 @@ func (m Mode) String() string {
 type Config struct {
 	Mode    Mode
 	Modules []ModuleSpec
-	// Plan and Node bind the instance to a network-wide deployment; a nil
-	// Plan means a standalone instance whose manifest covers all traffic
-	// (the Figure 5 microbenchmark setup: "the sampling manifests ... are
-	// configured to specify that this standalone node needs to process all
-	// the traffic").
-	Plan *core.Plan
+	// Node labels the report.
 	Node int
-	// Decider, when non-nil, supplies the Figure 3 manifest decision in
-	// place of Plan — the data path a distributed node runs from a wire
-	// manifest alone (see internal/control.Decider), with no access to
-	// the planner's objects. Class indices must align with Modules.
+	// Decider supplies the Figure 3 manifest decision: the data path a
+	// node runs from its wire manifest alone (see internal/control.Decider),
+	// with no access to the planner's objects, and with whatever its
+	// governor shed already subtracted. Class indices must align with
+	// Modules. A nil Decider means a standalone instance whose manifest
+	// covers all traffic (the Figure 5 microbenchmark setup: "the sampling
+	// manifests ... are configured to specify that this standalone node
+	// needs to process all the traffic").
 	Decider ManifestDecider
-	// Shed, when non-nil, is consulted after the manifest decision: a
-	// session the filter sheds is not analyzed even though the manifest
-	// selects it — the node gave up that range under overload. It stacks
-	// on either decision path (Plan or Decider) and on standalone
-	// instances.
-	Shed ShedFilter
-	// Hasher supplies the (optionally keyed) packet-selection hash.
+	// Hasher supplies the hash values policy scripts read; it carries the
+	// same key as the Decider's manifest.
 	Hasher hashing.Hasher
 	// FineGrained enables the Section 2.5 extension: modules marked
 	// FirstPacketOnly subscribe to a first-packet event instead of full
@@ -290,10 +276,9 @@ func (e *engine) recordMetrics() {
 }
 
 // decide fills e.pass with the Figure 3 manifest decision for every module
-// and reports whether any passed. Whichever source answers — a mask word,
-// per-class calls, the Plan, or the standalone all-traffic default — its
-// verdict is ANDed with the module's own match mask, then the
-// governor's shed veto runs on each surviving bit.
+// and reports whether any passed. Whichever form the Decider answers in — a
+// mask word or per-class calls — or the standalone all-traffic default, its
+// verdict is ANDed with the module's own match mask.
 func (e *engine) decide(s *traffic.Session) bool {
 	copy(e.pass, e.match)
 	if e.tab.enforced {
@@ -307,36 +292,22 @@ func (e *engine) decide(s *traffic.Session) bool {
 }
 
 // applyManifest narrows e.pass (the match mask on entry) to what the
-// manifest source and the shed filter let through.
+// Decider lets through: one mask word answers for every module when the
+// manifest has at most 64 classes, else each surviving bit asks for itself.
 func (e *engine) applyManifest(s *traffic.Session) {
-	cfg := &e.cfg
-	// One call may answer for every module: a mask word (masked);
-	// otherwise each surviving bit asks the Decider, else the Plan, for
-	// itself.
-	masked := false
 	if e.maskDec != nil {
-		var m uint64
-		if m, masked = e.maskDec.DecideMask(s); masked && len(e.pass) > 0 {
-			e.pass[0] &= m
-			clear(e.pass[1:]) // a mask verdict covers at most 64 classes
+		if m, ok := e.maskDec.DecideMask(s); ok {
+			if len(e.pass) > 0 {
+				e.pass[0] &= m
+				clear(e.pass[1:]) // a mask verdict covers at most 64 classes
+			}
+			return
 		}
-	}
-	if masked && cfg.Shed == nil {
-		return
 	}
 	for w, word := range e.pass {
 		for ; word != 0; word &= word - 1 {
 			b := bits.TrailingZeros64(word)
-			mi := w<<6 + b
-			ok := true
-			switch {
-			case masked:
-			case cfg.Decider != nil:
-				ok = cfg.Decider.ShouldAnalyze(mi, *s)
-			case cfg.Plan != nil:
-				ok = cfg.Plan.ShouldAnalyze(cfg.Node, mi, *s, cfg.Hasher)
-			}
-			if !ok || cfg.Shed != nil && cfg.Shed.Sheds(mi, *s) {
+			if !e.cfg.Decider.ShouldAnalyze(w<<6+b, *s) {
 				e.pass[w] &^= 1 << uint(b)
 			}
 		}

@@ -60,15 +60,6 @@ func toGolden(r Report) goldenReport {
 	return g
 }
 
-// goldenShed sheds, per class, a class-dependent slice of the session-hash
-// space — several classes at once, unlike the one-class rangeShed.
-type goldenShed struct{ h hashing.Hasher }
-
-func (f goldenShed) Sheds(class int, s traffic.Session) bool {
-	x := f.h.Session(s.Tuple) * float64(class+2)
-	return x-math.Floor(x) < 0.35
-}
-
 // goldenCases runs every engine variant the golden file pins and returns
 // the results keyed "variant/node".
 func goldenCases(t *testing.T) map[string]goldenReport {
@@ -106,7 +97,6 @@ func goldenCases(t *testing.T) map[string]goldenReport {
 	}
 
 	out := map[string]goldenReport{}
-	shed := goldenShed{h: hasher}
 	for j := 0; j < topo.N(); j++ {
 		trace := nodeTraceFor(topo, sessions, j)
 		man, err := control.ManifestFromPlan(plan, j, 1, key)
@@ -141,19 +131,15 @@ func goldenCases(t *testing.T) map[string]goldenReport {
 			{"plain", with(func(c *Config) { c.Mode = ModePlain }), true, false},
 			{"coord-policy", with(func(c *Config) { c.Mode = ModeCoordPolicy }), false, false},
 			{"coord-event", with(func(c *Config) { c.Mode = ModeCoordEvent }), false, false},
-			{"plan", with(func(c *Config) { c.Mode, c.Plan = ModeCoordEvent, plan }), true, true},
-			{"plan-policy", with(func(c *Config) { c.Mode, c.Plan = ModeCoordPolicy, plan }), false, false},
-			{"fine-grained", with(func(c *Config) { c.Mode, c.Plan, c.FineGrained = ModeCoordEvent, plan, true }), true, true},
 			{"wire", with(func(c *Config) { c.Mode, c.Decider = ModeCoordEvent, control.NewDecider(man) }), true, true},
+			{"wire-policy", with(func(c *Config) { c.Mode, c.Decider = ModeCoordPolicy, control.NewDecider(man) }), false, false},
+			{"fine-grained", with(func(c *Config) {
+				c.Mode, c.Decider, c.FineGrained = ModeCoordEvent, control.NewDecider(man), true
+			}), true, true},
 			{"wire-fine-policy", with(func(c *Config) {
 				c.Mode, c.Decider, c.FineGrained = ModeCoordPolicy, control.NewDecider(man), true
 			}), false, false},
 			{"per-class", with(func(c *Config) { c.Mode, c.Decider = ModeCoordEvent, perClassOnly{control.NewDecider(man)} }), false, false},
-			{"shed-plan", with(func(c *Config) { c.Mode, c.Plan, c.Shed = ModeCoordEvent, plan, shed }), true, false},
-			{"shed-wire-policy", with(func(c *Config) {
-				c.Mode, c.Decider, c.Shed = ModeCoordPolicy, control.NewDecider(man), shed
-			}), false, false},
-			{"shed-standalone", with(func(c *Config) { c.Mode, c.Shed = ModeCoordEvent, shed }), false, false},
 			{"wide-wire", with(func(c *Config) {
 				c.Mode, c.Modules, c.Decider = ModeCoordEvent, wide, control.NewDecider(&wideMan)
 			}), true, false},

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"nwdeploy/internal/topology"
+	"nwdeploy/internal/traffic"
 )
 
 // TestPolicyTableGrowth drives the flat tables through every growth they
@@ -102,7 +105,8 @@ func TestPolicyTableAllocFree(t *testing.T) {
 // scan's (source, destination) insert and synflood's per-destination
 // counter, from empty tables each op as every bro.Run starts.
 func BenchmarkPolicyTables(b *testing.B) {
-	trace := benchTrace(b, 3000)
+	topo := topology.Internet2()
+	trace := traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{Sessions: 3000, Seed: 17})
 	b.Run("flat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

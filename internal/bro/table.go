@@ -58,8 +58,7 @@ type moduleTable struct {
 
 	coordinated bool // Mode != ModePlain
 	// enforced: a coordinated instance with a real (partial) manifest — a
-	// Plan, a wire Decider or a governor shed filter — rather than the
-	// standalone all-traffic default.
+	// Decider — rather than the standalone all-traffic default.
 	enforced bool
 }
 
@@ -87,7 +86,7 @@ func (t *moduleTable) compile(cfg *Config) {
 	W := (len(mods) + 63) / 64
 	t.words = W
 	t.coordinated = cfg.Mode != ModePlain
-	t.enforced = t.coordinated && (cfg.Plan != nil || cfg.Decider != nil || cfg.Shed != nil)
+	t.enforced = t.coordinated && cfg.Decider != nil
 	t.mods = make([]compiledModule, len(mods))
 
 	// Room for eight keyed rows — two transports and the standard set's five

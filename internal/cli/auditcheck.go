@@ -104,7 +104,7 @@ func verifyLedger(stdout io.Writer, dir string, seed int64, quiet bool) ([]byte,
 	if !quiet {
 		fmt.Fprintf(stdout, "%s: ok — %d records, %d items, %d blob refs (%d chain + %d blob bytes), head %s\n",
 			dir, sum.Records, sum.Items, sum.Blobs, sum.ChainBytes, sum.BlobBytes, sum.Head)
-		for _, k := range []string{ledger.RecPublish, ledger.RecShed, ledger.RecEpoch, ledger.RecRegions, ledger.RecTrace} {
+		for _, k := range []string{ledger.RecPublish, ledger.RecShed, ledger.RecEpoch, ledger.RecTrace} {
 			if n := sum.Kinds[k]; n > 0 {
 				fmt.Fprintf(stdout, "  %-8s %d\n", k, n)
 			}

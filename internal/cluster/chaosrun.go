@@ -24,10 +24,9 @@ type ChaosConfig struct {
 	// Modules are the deployed analysis modules (nil selects the standard
 	// set minus the baseline pseudo-module).
 	Modules []bro.ModuleSpec
-	// Sessions sizes the generated workload (0 selects 4000);
-	// TrafficSeed makes it reproducible (0 selects 7).
-	Sessions    int
-	TrafficSeed int64
+	// Sessions sizes the generated workload (0 selects 4000), drawn from
+	// traffic seed 7.
+	Sessions int
 	// Seed drives every chaos decision — connection faults, jitter, and
 	// the generated fault schedule. Same seed, same report.
 	Seed int64
@@ -103,9 +102,6 @@ func (cfg ChaosConfig) withDefaults() ChaosConfig {
 	if cfg.Sessions <= 0 {
 		cfg.Sessions = 4000
 	}
-	if cfg.TrafficSeed == 0 {
-		cfg.TrafficSeed = 7
-	}
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 8
 	}
@@ -147,7 +143,7 @@ func (cfg ChaosConfig) withDefaults() ChaosConfig {
 func CoverageUnderChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	cfg = cfg.withDefaults()
 	sessions := traffic.Generate(cfg.Topo, traffic.Gravity(cfg.Topo), traffic.GenConfig{
-		Sessions: cfg.Sessions, Seed: cfg.TrafficSeed,
+		Sessions: cfg.Sessions, Seed: 7,
 	})
 	c, err := New(Options{
 		Topo: cfg.Topo, Modules: cfg.Modules, Sessions: sessions,

@@ -33,21 +33,19 @@ import (
 	"nwdeploy/internal/traffic"
 )
 
+// hashKey keys the deployment's packet-selection hash.
+const hashKey = 7
+
 // Options configures a Cluster. Topo, Modules, and Sessions are required;
 // zero values elsewhere select the documented defaults.
 type Options struct {
 	Topo     *topology.Topology
 	Modules  []bro.ModuleSpec
 	Sessions []traffic.Session
-	// Caps are per-node capacities (nil selects uniform 1e9/1e12, the
-	// unconstrained setting the emulation uses).
-	Caps []core.NodeResources
 	// Redundancy is the Section 2.5 coverage level r (0 selects 1). A
 	// plan solved with redundancy r keeps full coverage under any r-1
 	// concurrent node failures.
 	Redundancy int
-	// HashKey keys the deployment's packet-selection hash (0 selects 7).
-	HashKey uint32
 	// Seed drives every chaos decision: per-agent connection faults and
 	// backoff jitter all derive from it via seed splitting.
 	Seed int64
@@ -180,18 +178,13 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Redundancy <= 0 {
 		opts.Redundancy = 1
 	}
-	if opts.HashKey == 0 {
-		opts.HashKey = 7
-	}
 	if opts.Probes <= 0 {
 		opts.Probes = 2000
 	}
+	// Every node gets uniform 1e9/1e12 capacity, the unconstrained setting
+	// the emulation uses.
 	n := opts.Topo.N()
-	caps := opts.Caps
-	if caps == nil {
-		caps = core.UniformCaps(n, 1e9, 1e12)
-	}
-	inst, err := core.BuildInstance(opts.Topo, bro.Classes(opts.Modules), opts.Sessions, caps)
+	inst, err := core.BuildInstance(opts.Topo, bro.Classes(opts.Modules), opts.Sessions, core.UniformCaps(n, 1e9, 1e12))
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +201,7 @@ func New(opts Options) (*Cluster, error) {
 	}
 	gate := chaos.NewGate(ln)
 	ctrl, err := control.NewControllerOpts("", control.ControllerOptions{
-		HashKey: opts.HashKey, Metrics: opts.Metrics, Listener: gate,
+		HashKey: hashKey, Metrics: opts.Metrics, Listener: gate,
 		Ledger: opts.Ledger, Fleet: opts.Fleet,
 	})
 	if err != nil {
@@ -246,7 +239,7 @@ func New(opts Options) (*Cluster, error) {
 			j, ctrl.Addr(), agentOpts,
 			control.SubscribeOptions{Deltas: opts.Deltas, Encoding: opts.Encoding},
 			opts.Retry, opts.StaleGrace,
-			parallel.SplitSeed(opts.Seed, int64(1000+j)), nodeTrace(c.paths, opts.Sessions, j),
+			parallel.SplitSeed(opts.Seed, int64(1000+j)), bro.NodeTrace(c.paths, opts.Sessions, j),
 		))
 		c.widthG = append(c.widthG, opts.Metrics.Gauge(fmt.Sprintf("cluster.agent_width.%d", j)))
 	}
@@ -261,22 +254,6 @@ func New(opts Options) (*Cluster, error) {
 		}
 	}
 	return c, nil
-}
-
-// nodeTrace extracts node j's coordinated-deployment traffic share:
-// sessions originating, terminating, or transiting at j (mirroring
-// bro.Emulation's per-node traces).
-func nodeTrace(paths [][][]int, sessions []traffic.Session, j int) []traffic.Session {
-	var out []traffic.Session
-	for _, s := range sessions {
-		for _, n := range paths[s.Src][s.Dst] {
-			if n == j {
-				out = append(out, s)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // publish installs a plan as a new configuration generation, recording a

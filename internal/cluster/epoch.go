@@ -95,7 +95,7 @@ func (c *Cluster) buildGovernors() error {
 		}
 	}
 	for j := range c.dyn.govs {
-		g, err := governor.New(c.plan, j, hashing.Hasher{Key: c.opts.HashKey}, governor.Config{Metrics: c.dyn.cfg.Metrics})
+		g, err := governor.New(c.plan, j, governor.Config{Metrics: c.dyn.cfg.Metrics})
 		if err != nil {
 			return err
 		}
@@ -186,7 +186,7 @@ func (c *Cluster) run(step stepper, epochs int) ([]ScenarioEpoch, error) {
 
 		env := &ScenarioEnv{
 			Epoch: c.epoch, Epochs: epochs, Nodes: len(c.agents),
-			inst: c.inst, plan: c.plan, hasher: hashing.Hasher{Key: c.opts.HashKey},
+			inst: c.inst, plan: c.plan, hasher: hashing.Hasher{Key: hashKey},
 		}
 		if d := c.dyn; d != nil {
 			env.Pairs, env.PairMeans, env.shed = d.scaler.pv.Pairs, d.scaler.pv.Items, d.lastShed
@@ -302,7 +302,7 @@ func (c *Cluster) runEpoch(st Stimulus, pairVols []float64) (ScenarioEpoch, erro
 
 	// Evasion audit: an injected session is caught when its hash point lies
 	// in the achieved set of its unit for some matching class.
-	hasher := hashing.Hasher{Key: c.opts.HashKey}
+	hasher := hashing.Hasher{Key: hashKey}
 	var set hashing.RangeSet
 	for _, s := range st.Inject {
 		for ci := range c.inst.Classes {
@@ -598,7 +598,7 @@ func (c *Cluster) dataPhase(ep *ScenarioEpoch, inject []traffic.Session) {
 			Modules: c.opts.Modules,
 			Decider: a.Decider(),
 			Node:    j,
-			Hasher:  hashing.Hasher{Key: c.opts.HashKey},
+			Hasher:  hashing.Hasher{Key: hashKey},
 			Metrics: c.opts.Metrics,
 			Trace:   a.span,
 		}, tr)

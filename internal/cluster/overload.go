@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"nwdeploy/internal/bro"
 	"nwdeploy/internal/ledger"
 	"nwdeploy/internal/obs"
 	"nwdeploy/internal/parallel"
@@ -17,14 +16,13 @@ import (
 // zero value selects a complete default scenario.
 type OverloadConfig struct {
 	// The deployment and workload, with ScenarioConfig's meanings and
-	// defaults. Seed also drives the bursty volume series.
-	Topo        *topology.Topology
-	Modules     []bro.ModuleSpec
-	Sessions    int
-	TrafficSeed int64
-	Seed        int64
-	Epochs      int
-	Redundancy  int
+	// defaults (its default modules and traffic seed always). Seed also
+	// drives the bursty volume series.
+	Topo       *topology.Topology
+	Sessions   int
+	Seed       int64
+	Epochs     int
+	Redundancy int
 	// Burst shape: BurstFactor multiplies a bursting pair's volume
 	// (0 selects 4), BurstProb is the per-(epoch, pair) burst probability
 	// (0 selects 0.15), BaseJitter the everyday noise (0 selects 0.1).
@@ -120,8 +118,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 	}
 	// Every other default is the scenario runtime's.
 	scfg := ScenarioConfig{
-		Topo: cfg.Topo, Modules: cfg.Modules,
-		Sessions: cfg.Sessions, TrafficSeed: cfg.TrafficSeed,
+		Topo: cfg.Topo, Sessions: cfg.Sessions,
 		Seed: cfg.Seed, Epochs: cfg.Epochs, Redundancy: cfg.Redundancy,
 		Governor: cfg.Governor,
 		Replan:   cfg.Replan, WarmReplan: cfg.WarmReplan,

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"nwdeploy/internal/hashing"
-	"nwdeploy/internal/obs"
 )
 
 // Conn is one tracked connection record.
@@ -50,15 +49,11 @@ type Config struct {
 	MaxEntries int
 	// HashKey seeds the record's hash fields.
 	HashKey uint32
-	// RecordBytes is the accounting size per record; zero selects 424
-	// (the prototype's 400-byte record plus 24 bytes of hash fields).
-	RecordBytes int
-	// Metrics, when non-nil, receives table observability: created,
-	// expired, and evicted record counts plus a peak-occupancy gauge.
-	// The registry is write-only; table behavior is identical without it
-	// (nil is the no-op default; see internal/obs).
-	Metrics *obs.Registry
 }
+
+// recordBytes is the accounting size per record: the prototype's 400-byte
+// record plus 24 bytes of hash fields.
+const recordBytes = 424
 
 // Stats is a table's lifetime accounting.
 type Stats struct {
@@ -87,11 +82,6 @@ type Table struct {
 	free []*Conn
 
 	stats Stats
-
-	// Metric handles resolved once at construction; all are nil-safe
-	// no-ops when Config.Metrics is nil.
-	createdC, expiredC, evictedC *obs.Counter
-	peakG                        *obs.Gauge
 }
 
 // New creates an empty table.
@@ -99,17 +89,10 @@ func New(cfg Config) *Table {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 5 * time.Minute
 	}
-	if cfg.RecordBytes == 0 {
-		cfg.RecordBytes = 424
-	}
 	return &Table{
-		cfg:      cfg,
-		hasher:   hashing.Hasher{Key: cfg.HashKey},
-		conns:    make(map[hashing.FiveTuple]*Conn),
-		createdC: cfg.Metrics.Counter("conntrack.created"),
-		expiredC: cfg.Metrics.Counter("conntrack.expired"),
-		evictedC: cfg.Metrics.Counter("conntrack.evicted"),
-		peakG:    cfg.Metrics.Gauge("conntrack.peak_entries"),
+		cfg:    cfg,
+		hasher: hashing.Hasher{Key: cfg.HashKey},
+		conns:  make(map[hashing.FiveTuple]*Conn),
 	}
 }
 
@@ -157,20 +140,17 @@ func (t *Table) Update(ft hashing.FiveTuple, now time.Time, packets, bytes int) 
 	t.conns[key] = c
 	heap.Push(&t.byAge, c)
 	t.stats.Created++
-	t.createdC.Add(1)
 
 	if t.cfg.MaxEntries > 0 {
 		for len(t.conns) > t.cfg.MaxEntries {
 			old := t.byAge.peek()
 			t.remove(old)
 			t.stats.Evicted++
-			t.evictedC.Add(1)
 		}
 	}
 	if n := len(t.conns); n > t.stats.PeakEntries {
 		t.stats.PeakEntries = n
-		t.stats.PeakBytes = n * t.cfg.RecordBytes
-		t.peakG.Max(float64(n))
+		t.stats.PeakBytes = n * recordBytes
 	}
 	return c, true
 }
@@ -190,7 +170,6 @@ func (t *Table) expireBefore(cutoff time.Time) {
 		}
 		t.remove(oldest)
 		t.stats.Expired++
-		t.expiredC.Add(1)
 	}
 }
 

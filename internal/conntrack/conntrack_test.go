@@ -104,7 +104,7 @@ func TestEvictionUnderEntryBudget(t *testing.T) {
 }
 
 func TestPeakTracking(t *testing.T) {
-	tab := New(Config{IdleTimeout: time.Minute, RecordBytes: 424})
+	tab := New(Config{IdleTimeout: time.Minute})
 	for i := 0; i < 20; i++ {
 		tab.Update(tuple(uint32(i+1), 9, 1, 80), t0.Add(time.Duration(i)*time.Second), 1, 10)
 	}
@@ -197,4 +197,4 @@ func (t *Table) Expire(now time.Time) int {
 }
 
 // Bytes reports the current accounted memory.
-func (t *Table) Bytes() int { return len(t.conns) * t.cfg.RecordBytes }
+func (t *Table) Bytes() int { return len(t.conns) * recordBytes }

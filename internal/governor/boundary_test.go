@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nwdeploy/internal/core"
-	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/topology"
 )
 
@@ -46,7 +45,7 @@ var boundaryLimit = 2.0 * (1 + Tolerance)
 
 func boundaryGovernor(t *testing.T) *Governor {
 	t.Helper()
-	g, err := New(boundaryPlan(), 1, hashing.Hasher{Key: 7}, Config{})
+	g, err := New(boundaryPlan(), 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

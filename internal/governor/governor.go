@@ -34,7 +34,6 @@ import (
 	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/obs"
 	"nwdeploy/internal/trace"
-	"nwdeploy/internal/traffic"
 )
 
 // Tolerance is the allowed overrun fraction: a governor sheds only when
@@ -91,10 +90,9 @@ type slice struct {
 
 // Governor governs one node's load against its planned budget.
 type Governor struct {
-	cfg    Config
-	plan   *core.Plan
-	hasher hashing.Hasher
-	node   int
+	cfg  Config
+	plan *core.Plan
+	node int
 
 	slices []slice
 	order  []int // indices into slices: sheddable, in shed order
@@ -108,14 +106,12 @@ type Governor struct {
 	span trace.Span // per-epoch trace context (zero = untraced)
 }
 
-// New builds the governor for one node of a solved plan. The hasher must
-// match the one the node's data path uses, so the shed predicate and the
-// packet path agree on every session's hash point.
-func New(plan *core.Plan, node int, h hashing.Hasher, cfg Config) (*Governor, error) {
+// New builds the governor for one node of a solved plan.
+func New(plan *core.Plan, node int, cfg Config) (*Governor, error) {
 	if node < 0 || node >= plan.Inst.Topo.N() {
 		return nil, fmt.Errorf("governor: node %d out of range [0,%d)", node, plan.Inst.Topo.N())
 	}
-	g := &Governor{cfg: cfg, plan: plan, hasher: h, node: node}
+	g := &Governor{cfg: cfg, plan: plan, node: node}
 
 	inst := plan.Inst
 	for _, ms := range plan.Slices()[node] {
@@ -315,24 +311,4 @@ func (g *Governor) ShedRanges() map[int]hashing.RangeSet {
 		out[ui] = append(hashing.RangeSet(nil), rs...)
 	}
 	return out
-}
-
-// Sheds is the per-packet filter: it reports whether the node's governor
-// has dropped responsibility for this session under the class. It is a
-// pure function of the epoch's shed state, so the engine may evaluate it
-// once per (module, session) and reuse the answer — the same contract the
-// wire decider obeys. It implements bro.ShedFilter.
-func (g *Governor) Sheds(class int, s traffic.Session) bool {
-	if len(g.shed) == 0 {
-		return false
-	}
-	ui, ok := g.plan.Inst.UnitFor(class, s)
-	if !ok {
-		return false
-	}
-	rs, ok := g.shed[ui]
-	if !ok {
-		return false
-	}
-	return rs.Contains(g.plan.Inst.Classes[class].HashOf(g.hasher, s.Tuple))
 }

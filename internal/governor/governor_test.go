@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nwdeploy/internal/control"
 	"nwdeploy/internal/core"
 	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/obs"
@@ -53,7 +54,7 @@ func allGovernors(t *testing.T, plan *core.Plan, cfg Config) []*Governor {
 	n := plan.Inst.Topo.N()
 	govs := make([]*Governor, n)
 	for j := 0; j < n; j++ {
-		g, err := New(plan, j, hashing.Hasher{Key: 7}, cfg)
+		g, err := New(plan, j, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestBudgetMatchesManifestLoad(t *testing.T) {
 	plan, _ := testPlan(t, 2)
 	inst := plan.Inst
 	for j := 0; j < inst.Topo.N(); j++ {
-		g, err := New(plan, j, hashing.Hasher{Key: 7}, Config{})
+		g, err := New(plan, j, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,12 +216,17 @@ func TestRestoreAfterBurst(t *testing.T) {
 	}
 }
 
+// The shed contract, on the path the runtime publishes: a node's manifest
+// with its governor's shed ranges in the Shed section (ShedFromRanges) must
+// give a Decider that analyzes a session exactly when the plan assigns it
+// to the node and the governor has not shed its hash point.
 func TestShedsPredicateMatchesCovers(t *testing.T) {
 	plan, ss := testPlan(t, 2)
-	h := hashing.Hasher{Key: 7}
+	const key = 7
+	h := hashing.Hasher{Key: key}
 	govs := allGovernors(t, plan, Config{})
 	scale := uniformScale(plan, 3)
-	checked := 0
+	checked, shed := 0, 0
 	for _, g := range govs {
 		if _, err := g.PlanEpoch(scale); err != nil {
 			t.Fatal(err)
@@ -228,6 +234,12 @@ func TestShedsPredicateMatchesCovers(t *testing.T) {
 		if g.shedWidth == 0 {
 			continue
 		}
+		m, err := control.ManifestFromPlan(plan, g.node, 1, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Shed = control.ShedFromRanges(plan, g.ShedRanges())
+		d := control.NewDecider(m)
 		for ci := range plan.Inst.Classes {
 			for _, s := range ss[:500] {
 				ui, ok := plan.Inst.UnitFor(ci, s)
@@ -235,15 +247,21 @@ func TestShedsPredicateMatchesCovers(t *testing.T) {
 					continue
 				}
 				x := plan.Inst.Classes[ci].HashOf(h, s.Tuple)
-				if got, want := g.Sheds(ci, s), g.shed[ui].Contains(x); got != want {
-					t.Fatalf("node %d class %d: Sheds=%v shed ranges=%v at x=%v", g.node, ci, got, want, x)
+				planned := plan.ShouldAnalyze(g.node, ci, s, h)
+				want := planned && !g.shed[ui].Contains(x)
+				if got := d.ShouldAnalyze(ci, s); got != want {
+					t.Fatalf("node %d class %d: decider=%v, plan=%v with shed ranges %v at x=%v",
+						g.node, ci, got, planned, g.shed[ui], x)
+				}
+				if planned && !want {
+					shed++
 				}
 				checked++
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("predicate never exercised — no node shed at 3x")
+	if checked == 0 || shed == 0 {
+		t.Fatalf("predicate exercised on %d sessions, %d of them shed — no node shed at 3x", checked, shed)
 	}
 }
 
@@ -251,11 +269,11 @@ func TestDeterministicAcrossRebuilds(t *testing.T) {
 	plan, _ := testPlan(t, 2)
 	scales := [][]float64{uniformScale(plan, 1), uniformScale(plan, 3), uniformScale(plan, 1.5), nil}
 	for j := 0; j < plan.Inst.Topo.N(); j++ {
-		a, err := New(plan, j, hashing.Hasher{Key: 7}, Config{})
+		a, err := New(plan, j, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := New(plan, j, hashing.Hasher{Key: 7}, Config{})
+		b, err := New(plan, j, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,11 +306,11 @@ func TestProtectedRangesNeverShed(t *testing.T) {
 	sc := func(int) float64 { return 3 }
 	tried := 0
 	for j := 0; j < plan.Inst.Topo.N(); j++ {
-		base, err := New(plan, j, hashing.Hasher{Key: 7}, Config{})
+		base, err := New(plan, j, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		prot, err := New(plan, j, hashing.Hasher{Key: 7}, Config{})
+		prot, err := New(plan, j, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,13 +422,13 @@ func TestFloorInteractsWithFailureAudit(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	plan, _ := testPlan(t, 2)
-	if _, err := New(plan, -1, hashing.Hasher{}, Config{}); err == nil {
+	if _, err := New(plan, -1, Config{}); err == nil {
 		t.Fatal("negative node accepted")
 	}
-	if _, err := New(plan, plan.Inst.Topo.N(), hashing.Hasher{}, Config{}); err == nil {
+	if _, err := New(plan, plan.Inst.Topo.N(), Config{}); err == nil {
 		t.Fatal("out-of-range node accepted")
 	}
-	g, err := New(plan, 0, hashing.Hasher{}, Config{})
+	g, err := New(plan, 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

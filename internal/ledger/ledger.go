@@ -49,10 +49,6 @@ const (
 	// RecEpoch commits a runtime epoch's coverage verdict (and, under the
 	// governor, per-node floor attestations).
 	RecEpoch = "epoch"
-	// RecRegions committed a two-tier hierarchy's region-to-nodes
-	// partition. Nothing writes it any more; the kind (and ItemRegion) stay
-	// known so a chain recorded by an older build still verifies.
-	RecRegions = "regions"
 	// RecTrace commits a flight-recorder JSONL dump as an off-chain blob.
 	RecTrace = "trace"
 )
@@ -63,15 +59,13 @@ const (
 	ItemShed     = "shed"     // inline canonical shed assignment set
 	ItemVerdict  = "verdict"  // inline coverage/SLO verdict (canonical binary)
 	ItemAttest   = "attest"   // inline governor floor attestation
-	ItemRegion   = "region"   // inline region member list
 	ItemTrace    = "trace"    // off-chain trace JSONL dump (blob ref)
 )
 
 // KnownRecordKinds returns the closed set of valid Record.Kind values.
 func KnownRecordKinds() map[string]bool {
 	return map[string]bool{
-		RecPublish: true, RecShed: true, RecEpoch: true,
-		RecRegions: true, RecTrace: true,
+		RecPublish: true, RecShed: true, RecEpoch: true, RecTrace: true,
 	}
 }
 

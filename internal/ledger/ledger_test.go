@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -86,20 +87,19 @@ func TestVerifyChainAcceptsValid(t *testing.T) {
 	}
 }
 
-// No build writes regions records any more (the two-tier hierarchy that
-// sealed its region partition is gone), but chains recorded by older builds
-// carry them: the verifier must keep accepting the kind, and its items must
-// still decode and prove.
-func TestVerifyChainAcceptsRegionsRecord(t *testing.T) {
+// A record of several inline items — here per-node attestations, each an
+// Ints list — must verify in the chain, and each item must decode and prove
+// on its own.
+func TestVerifyChainInlineItemsProve(t *testing.T) {
 	store := NewMemStore()
 	l := buildChain(t, 13, store)
-	regions := [][]int{{0, 1, 4}, {2, 3}}
-	b := l.Begin(RecRegions, 2)
-	for r, members := range regions {
+	lists := [][]int{{0, 1, 4}, {2, 3}}
+	b := l.Begin(RecEpoch, 2)
+	for node, ints := range lists {
 		var e Enc
-		e.Ints(members)
+		e.Ints(ints)
 		data, err := e.Finish()
-		b.Item(ItemRegion, fmt.Sprintf("region/%d", r), data, err)
+		b.Item(ItemAttest, fmt.Sprintf("node/%d", node), data, err)
 	}
 	rec, err := b.Commit()
 	if err != nil {
@@ -109,27 +109,42 @@ func TestVerifyChainAcceptsRegionsRecord(t *testing.T) {
 		Head: l.HeadHex(), GenesisPrev: GenesisHex(13), Store: store,
 	})
 	if err != nil {
-		t.Fatalf("chain with a regions record rejected: %v", err)
+		t.Fatalf("chain with an inline-items record rejected: %v", err)
 	}
 	if sum.Records != 4 {
 		t.Fatalf("verified %d records, want 4", sum.Records)
 	}
 	for i, it := range rec.Items {
 		d := NewDec(it.Data)
-		members := d.Ints()
+		ints := d.Ints()
 		if err := d.Done(); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(members, regions[i]) {
-			t.Fatalf("region %d members %v, want %v", i, members, regions[i])
+		if !reflect.DeepEqual(ints, lists[i]) {
+			t.Fatalf("item %d decodes to %v, want %v", i, ints, lists[i])
 		}
 		p, err := RecordProof(rec, i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !VerifyItem(rec, i, p) {
-			t.Fatalf("region %d proof does not verify", i)
+			t.Fatalf("item %d proof does not verify", i)
 		}
+	}
+}
+
+// The verifier's kinds are a closed set: a record of a retired kind, such
+// as the two-tier hierarchy's "regions", fails verification.
+func TestVerifyChainRejectsRetiredKind(t *testing.T) {
+	store := NewMemStore()
+	l := buildChain(t, 13, store)
+	b := l.Begin("regions", 2)
+	b.Item("region", "region/0", []byte{1}, nil)
+	if _, err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifyChain(l.Chain(), VerifyOptions{Store: store}); err == nil || !strings.Contains(err.Error(), `unknown kind "regions"`) {
+		t.Fatalf("chain with a regions record: err = %v, want unknown kind", err)
 	}
 }
 

@@ -197,9 +197,6 @@ type Options struct {
 	// MaxIters bounds the total number of simplex iterations across both
 	// phases. Zero selects a default proportional to problem size.
 	MaxIters int
-	// Tol is the feasibility/optimality tolerance. Zero selects 1e-9 for
-	// feasibility checks and 1e-7 for reduced-cost optimality.
-	Tol float64
 	// Presolve enables fixed-variable substitution, singleton-row bound
 	// tightening, and empty-row elimination before the simplex. Solutions
 	// found under presolve carry no Duals (and no Basis: the reduced

@@ -209,7 +209,7 @@ func solveWithPresolve(p *Problem, opts Options) (*Solution, error) {
 
 	// Metrics intentionally absent from the inner options: the outer
 	// SolveOpts records the combined stats exactly once.
-	inner := Options{MaxIters: opts.MaxIters, Tol: opts.Tol}
+	inner := Options{MaxIters: opts.MaxIters}
 	sol, err := res.reduced.SolveOpts(inner)
 	if err != nil {
 		return nil, fmt.Errorf("lp: presolved model: %w", err)

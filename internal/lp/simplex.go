@@ -72,6 +72,8 @@ type simplex struct {
 	rowFlip []bool    // row was negated during rhs normalization
 	rowUnit []int     // +1 unit column per row (slack or artificial)
 
+	// tol is the feasibility tolerance, always 1e-9. It stays a variable:
+	// the run-time product tol*100 rounds above 1e-7, a constant one would not.
 	tol      float64
 	maxIters int
 	iters    int
@@ -155,12 +157,8 @@ func (v *svec) clear() {
 }
 
 func newSimplex(p *Problem, opts Options) *simplex {
-	tol := opts.Tol
-	if tol == 0 {
-		tol = 1e-9
-	}
 	n, m := len(p.vars), len(p.cons)
-	s := &simplex{nStruct: n, m: m, tol: tol, sign: 1}
+	s := &simplex{nStruct: n, m: m, tol: 1e-9, sign: 1}
 	if p.sense == Maximize {
 		s.sign = -1
 	}

@@ -10,18 +10,13 @@ import (
 	"nwdeploy/internal/parallel"
 )
 
-// ResolveLP replaces a deployment's d values by the optimal ones for its
+// resolveLP replaces a deployment's d values by the optimal ones for its
 // fixed integral enablement: "a practical alternative is to solve the LP
 // represented by Eqs (9)–(14) after setting the values for e_ij obtained in
 // line 5 to be constants". With e fixed, the coupling rows disappear (a
 // disabled e forces d = 0; an enabled one leaves d in [0,1]), so this LP is
-// small and fast.
-func ResolveLP(inst *Instance, dep *Deployment) error {
-	return resolveLP(inst, dep, nil)
-}
-
-// resolveLP is ResolveLP with an optional metrics registry threaded into
-// the LP solve (nil is the no-op registry).
+// small and fast. The metrics registry is threaded into the LP solve (nil
+// is the no-op registry).
 func resolveLP(inst *Instance, dep *Deployment, metrics *obs.Registry) error {
 	d, err := SolveSampling(inst, inst.objCoef, dep.E, metrics)
 	if err != nil {
@@ -33,7 +28,7 @@ func resolveLP(inst *Instance, dep *Deployment, metrics *obs.Registry) error {
 }
 
 // SolveSampling is the one builder of the d-only sampling LP, shared by the
-// fixed-e re-solve (ResolveLP) and Section 3.5's Lambda: maximize the sum of
+// fixed-e re-solve (resolveLP) and Section 3.5's Lambda: maximize the sum of
 // coef(i, k, pos)·d_ikj subject to Eq. (11) per (rule, path) and Eqs.
 // (9)–(10) per node. Only d whose rule is enabled at the node get a variable
 // (a nil enabled enables every rule everywhere), and a one-term Eq. (11) row
@@ -100,7 +95,7 @@ func SolveSampling(inst *Instance, coef func(i, k, pos int) float64, enabled [][
 // GreedyFill sets additional e_ij to 1 while no TCAM constraint is
 // violated, in descending order of each (rule, node) pair's potential
 // objective gain: "we can greedily try to set e_ij s to 1 until no more can
-// be set to 1 without violating Eq (8)". Call ResolveLP afterwards to pick
+// be set to 1 without violating Eq (8)". Call resolveLP afterwards to pick
 // the optimal d for the expanded enablement.
 func GreedyFill(inst *Instance, dep *Deployment) {
 	n := inst.Topo.N()
@@ -333,11 +328,11 @@ type iterResult struct {
 
 // solveOneIteration performs one rounding trial plus the variant's
 // improvement steps. Only Round consumes randomness; GreedyFill and
-// ResolveLP are deterministic. The metrics registry is forwarded to the
+// resolveLP are deterministic. The metrics registry is forwarded to the
 // inner LP solves only — per-iteration counts flow back through
 // iterResult so they aggregate in iteration order.
 func solveOneIteration(inst *Instance, rel *Relaxation, variant Variant, rng *rand.Rand, metrics *obs.Registry) (iterResult, error) {
-	dep, rs, err := round(inst, rel, RoundConfig{}, rng)
+	dep, rs, err := round(inst, rel, rng)
 	if err != nil {
 		return iterResult{}, err
 	}

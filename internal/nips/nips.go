@@ -74,6 +74,9 @@ const (
 	DefaultCPUCap = 2e6
 )
 
+// matchHigh is the upper bound of the paper's match-rate distribution.
+const matchHigh = 0.01
+
 // Config assembles an Instance.
 type Config struct {
 	// MaxPaths caps the path set to the heaviest gravity pairs (0 = all).
@@ -81,11 +84,8 @@ type Config struct {
 	// RuleCapacityFraction is the paper's "rule capacity constraint": each
 	// node's CamCap is this fraction of the total number of rules.
 	RuleCapacityFraction float64
-	// MatchSeed seeds the M_ik draw (uniform on [0, MatchHigh)).
+	// MatchSeed seeds the M_ik draw (on [0, matchHigh)).
 	MatchSeed int64
-	// MatchHigh is the upper bound of the match-rate distribution
-	// (0 selects the paper's 0.01).
-	MatchHigh float64
 	// MatchDist selects the match-rate distribution shape; the zero value
 	// is the paper's uniform draw.
 	MatchDist traffic.MatchDist
@@ -113,11 +113,7 @@ func NewInstance(topo *topology.Topology, rules []Rule, cfg Config) *Instance {
 		}
 		inst.Dist = append(inst.Dist, dist)
 	}
-	high := cfg.MatchHigh
-	if high == 0 {
-		high = 0.01
-	}
-	inst.M = traffic.MatchRatesDist(cfg.MatchDist, len(rules), len(inst.Paths), high, cfg.MatchSeed)
+	inst.M = traffic.MatchRatesDist(cfg.MatchDist, len(rules), len(inst.Paths), matchHigh, cfg.MatchSeed)
 
 	n := topo.N()
 	camPerNode := cfg.RuleCapacityFraction * float64(len(rules))
@@ -279,56 +275,40 @@ type Deployment struct {
 // concentration check within the configured budget.
 var ErrRoundingFailed = errors.New("nips: randomized rounding failed every trial")
 
-// RoundConfig tunes the Figure 9 algorithm.
-type RoundConfig struct {
-	// Alpha deflates the rounding probability (line 5 of Figure 9);
-	// zero selects 1.2.
-	Alpha float64
-	// Beta scales the allowed violation factor beta*log(N) (line 7);
-	// zero selects 1.
-	Beta float64
-	// MaxTrials bounds the repeat loop; zero selects 50.
-	MaxTrials int
-}
-
-func (c *RoundConfig) defaults() {
-	if c.Alpha == 0 {
-		c.Alpha = 1.2
-	}
-	if c.Beta == 0 {
-		c.Beta = 1
-	}
-	if c.MaxTrials == 0 {
-		c.MaxTrials = 50
-	}
-}
+// The Figure 9 algorithm's constants: roundAlpha deflates the rounding
+// probability (line 5), roundBeta scales the allowed violation factor
+// beta*log(N) (line 7), and roundMaxTrials bounds the repeat loop.
+const (
+	roundAlpha     = 1.2
+	roundBeta      = 1
+	roundMaxTrials = 50
+)
 
 // roundStats counts the work one Round call performed: trials includes
 // every restart forced by the concentration check, repairs counts the
 // individual rule disables applied to satisfy Eq. (8). Both are
-// deterministic functions of (instance, relaxation, config, rng stream).
+// deterministic functions of (instance, relaxation, rng stream).
 type roundStats struct {
 	trials  int
 	repairs int
 }
 
 // round is Round with work counters.
-func round(inst *Instance, rel *Relaxation, cfg RoundConfig, rng *rand.Rand) (*Deployment, roundStats, error) {
-	cfg.defaults()
+func round(inst *Instance, rel *Relaxation, rng *rand.Rand) (*Deployment, roundStats, error) {
 	n := inst.Topo.N()
 	L := len(inst.Rules)
 	nBig := math.Max(float64(n), float64(L))
-	allowed := cfg.Beta * math.Log(math.Max(math.E, nBig))
+	allowed := roundBeta * math.Log(math.Max(math.E, nBig))
 
 	var rs roundStats
-	for trial := 0; trial < cfg.MaxTrials; trial++ {
+	for trial := 0; trial < roundMaxTrials; trial++ {
 		rs.trials++
 		dep := &Deployment{}
 		dep.E = make([][]bool, L)
 		for i := 0; i < L; i++ {
 			dep.E[i] = make([]bool, n)
 			for j := 0; j < n; j++ {
-				if rng.Float64() < rel.E[i][j]/cfg.Alpha {
+				if rng.Float64() < rel.E[i][j]/roundAlpha {
 					dep.E[i][j] = true
 				}
 			}

@@ -97,7 +97,7 @@ func TestRoundingFeasibleAndPositive(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 5; trial++ {
-		dep, err := Round(inst, rel, RoundConfig{}, rng)
+		dep, err := Round(inst, rel, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestQuickRoundingAlwaysFeasible(t *testing.T) {
 // feasibility (the implementation scales by the actual violation factor,
 // which is never larger than beta*log N — a practical tightening the
 // paper's analysis permits).
-func Round(inst *Instance, rel *Relaxation, cfg RoundConfig, rng *rand.Rand) (*Deployment, error) {
-	dep, _, err := round(inst, rel, cfg, rng)
+func Round(inst *Instance, rel *Relaxation, rng *rand.Rand) (*Deployment, error) {
+	dep, _, err := round(inst, rel, rng)
 	return dep, err
 }

@@ -173,7 +173,7 @@ func RunVsAdversary(inst *nips.Instance, adv Adversary, cfg RunConfig) (*Adversa
 	if sample <= 0 {
 		sample = 10
 	}
-	ad := NewAdapter(inst, cfg.Epochs, cfg.Maxdrop, cfg.Seed)
+	ad := NewAdapter(inst, cfg.Epochs, maxDrop, cfg.Seed)
 
 	res := &AdversarialResult{Adversary: adv.Name()}
 	var history [][][]float64

@@ -80,7 +80,7 @@ func NewAdapterOpts(inst *nips.Instance, opts AdapterOptions) *Adapter {
 		gamma = 1
 	}
 	if maxdrop <= 0 {
-		maxdrop = 0.01
+		maxdrop = maxDrop
 	}
 	nPaths := len(inst.Paths)
 	nNodes := inst.Topo.N()
@@ -215,13 +215,15 @@ type RunConfig struct {
 	// SampleEvery controls how often the (LP-solving) hindsight benchmark
 	// is recomputed; zero samples every 10 epochs.
 	SampleEvery int
-	// MatchHigh is the upper bound of the per-epoch uniform match-rate
-	// distribution; zero selects the paper's 0.01.
-	MatchHigh float64
-	// Maxdrop feeds the Theorem 3.1 constants; zero selects 0.01.
-	Maxdrop float64
-	Seed    int64
+	Seed        int64
 }
+
+// RunConfig experiments use the paper's 0.01 for both the Theorem 3.1
+// droppable-fraction bound and the per-epoch match rates' upper bound.
+const (
+	maxDrop   = 0.01
+	matchHigh = 0.01
+)
 
 // Run executes one online-adaptation run: in every epoch the adapter
 // decides, the adversary's match rates are revealed, and the realized
@@ -235,11 +237,7 @@ func Run(inst *nips.Instance, cfg RunConfig) ([]RegretPoint, error) {
 	if sample <= 0 {
 		sample = 10
 	}
-	high := cfg.MatchHigh
-	if high == 0 {
-		high = 0.01
-	}
-	ad := NewAdapter(inst, cfg.Epochs, cfg.Maxdrop, cfg.Seed)
+	ad := NewAdapter(inst, cfg.Epochs, maxDrop, cfg.Seed)
 
 	var history [][][]float64
 	var fplTotal float64
@@ -249,7 +247,7 @@ func Run(inst *nips.Instance, cfg RunConfig) ([]RegretPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := traffic.MatchRates(len(inst.Rules), len(inst.Paths), 0, high, cfg.Seed+int64(t)*7919)
+		m := traffic.MatchRates(len(inst.Rules), len(inst.Paths), 0, matchHigh, cfg.Seed+int64(t)*7919)
 		fplTotal += Reward(inst, dec, m)
 		if err := ad.Observe(m); err != nil {
 			return nil, err

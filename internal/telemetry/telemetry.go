@@ -155,17 +155,15 @@ type FleetOptions struct {
 	// DarkAfter is how many consecutive silent epochs turn a node dark.
 	// 0 means the default of 1: miss one full epoch, go dark.
 	DarkAfter int
-	// DrainGrace is how many silent epochs a draining farewell covers
-	// before even a drained node is considered dark. 0 means 4.
-	DrainGrace int
 }
+
+// drainGrace is how many silent epochs a draining farewell covers before
+// even a drained node is considered dark.
+const drainGrace = 4
 
 func (o FleetOptions) withDefaults() FleetOptions {
 	if o.DarkAfter <= 0 {
 		o.DarkAfter = 1
-	}
-	if o.DrainGrace <= 0 {
-		o.DrainGrace = 4
 	}
 	return o
 }
@@ -229,9 +227,9 @@ func (f *Fleet) classify(s NodeStats, silent int) Health {
 			return Healthy
 		}
 	}
-	// Silent this round. A drain farewell buys DrainGrace epochs of
+	// Silent this round. A drain farewell buys drainGrace epochs of
 	// "stale"; anything else goes dark at DarkAfter.
-	if s.Draining && silent <= f.opts.DrainGrace {
+	if s.Draining && silent <= drainGrace {
 		return Stale
 	}
 	if silent < f.opts.DarkAfter {

@@ -328,23 +328,3 @@ func WhatIfUpgrades(inst *NIDSInstance, r int, factor float64) ([]Upgrade, error
 func PlanTransition(oldPlan, newPlan *NIDSPlan) (*Transition, error) {
 	return core.PlanTransition(oldPlan, newPlan)
 }
-
-// GreedyNIDSPlan is the non-optimizing baseline: each coordination unit
-// assigned wholly to the least-loaded eligible node. Useful for ablation
-// against PlanNIDS.
-func GreedyNIDSPlan(inst *NIDSInstance) *NIDSPlan { return core.GreedyPlan(inst) }
-
-// CoverageUnderFailure reports the worst-case and average fraction of the
-// hash space still analyzed when the given nodes fail — the robustness the
-// redundancy level r buys (a plan solved at redundancy r survives any r-1
-// failures with full coverage).
-func CoverageUnderFailure(p *NIDSPlan, failed []int) (worst, avg float64) {
-	return core.CoverageUnderFailure(p, failed)
-}
-
-// SolveNIPSExact computes the true MILP optimum by branch-and-bound; it
-// refuses instances with more than a couple dozen binary variables (the
-// problem is NP-hard) and exists to validate the approximations.
-func SolveNIPSExact(inst *NIPSInstance) (*NIPSDeployment, error) {
-	return nips.SolveExact(inst)
-}
