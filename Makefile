@@ -72,17 +72,22 @@ perfcompare:
 # (arbitrary bytes through the pcap Reader; fuzzed captures through the
 # assembler, whose counters must balance), of the trace-dump validator
 # (arbitrary bytes must not panic it; dumps of random emit sequences must
-# validate) and of the coverage audit (range counts vs the point-by-point
-# probe on arbitrary finite endpoints). CI-friendly; run with a longer
-# -fuzztime locally to dig. The ingest seeds are whole captures (160 KB for
-# the 20-session one), and minimizing one interesting input under the
-# default 60 s budget would eat the whole run, hence 1 s.
+# validate), of the coverage audit (range counts vs the point-by-point
+# probe on arbitrary finite endpoints) and of the wire's two binary
+# decoders (arbitrary manifest bytes through the agent's install check,
+# decider build and decisions; arbitrary delta bytes applied to a checked
+# base, whose result must pass the check and round-trip). CI-friendly;
+# run with a longer -fuzztime locally to dig. The ingest seeds are whole
+# captures (160 KB for the 20-session one), and minimizing one interesting
+# input under the default 60 s budget would eat the whole run, hence 1 s.
 fuzz:
 	$(GO) test -run=FuzzSolve -fuzz=FuzzSolve -fuzztime=10s ./internal/lp/
 	$(GO) test -run=FuzzReader -fuzz=FuzzReader -fuzztime=10s -fuzzminimizetime=1s ./internal/packet/
 	$(GO) test -run=FuzzAssemble -fuzz=FuzzAssemble -fuzztime=10s -fuzzminimizetime=1s ./internal/packet/
 	$(GO) test -run=FuzzValidate -fuzz=FuzzValidate -fuzztime=10s -fuzzminimizetime=1s ./internal/trace/
 	$(GO) test -run=FuzzProbeCoverage -fuzz=FuzzProbeCoverage -fuzztime=10s ./internal/core/
+	$(GO) test -run=FuzzInstallManifest -fuzz=FuzzInstallManifest -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
+	$(GO) test -run=FuzzApplyDelta -fuzz=FuzzApplyDelta -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
 
 # Bench tier: the go-test micro-benchmarks, with allocation reporting —
 # every figure/table benchmark, the obs instruments, cluster convergence,

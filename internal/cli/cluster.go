@@ -9,6 +9,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"time"
 
 	"nwdeploy/internal/bro"
 	"nwdeploy/internal/chaos"
@@ -22,16 +23,16 @@ import (
 	"nwdeploy/internal/trace"
 )
 
-// Cluster runs the in-process cluster demo in one of its three modes —
-// fault injection (the default), -overload or -scenario — and prints its
-// per-epoch table and verdict. See cmd/cluster for the flags.
+// Cluster runs the in-process cluster demo under one of three drivers —
+// a fault schedule (the default), -overload's bursts or a -scenario — and
+// prints its per-epoch table and verdict. See cmd/cluster for the flags.
 func Cluster(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
 	topoName := fs.String("topology", "internet2", topologyNames)
 	sessions := fs.Int("sessions", 4000, "sessions in the generated workload")
-	epochs := fs.Int("epochs", 8, "chaos epochs to run")
+	epochs := fs.Int("epochs", 8, "epochs to run, in every mode")
 	redundancy := fs.Int("redundancy", 1, "provisioned coverage level r (2 deploys the path-scoped module subset)")
-	seed := fs.Int64("seed", 1, "chaos seed; same seed, same report")
+	seed := fs.Int64("seed", 1, "run seed, in every mode (faults, bursts, scenario drivers); same seed, same report")
 	lossProb := fs.Float64("lossprob", 0.2, "per-exchange probability of an injected connection error")
 	blackholeProb := fs.Float64("blackholeprob", 0.05, "per-exchange probability of a black-holed request (RPC timeout)")
 	nodeFailProb := fs.Float64("nodefailprob", 0.15, "per-(node, epoch) crash probability")
@@ -58,11 +59,11 @@ func Cluster(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	burstFactor := fs.Float64("burstfactor", 4, "overload: volume multiplier on a bursting pair")
 	burstProb := fs.Float64("burstprob", 0.15, "overload: per-(epoch, pair) burst probability")
 	baseJitter := fs.Float64("basejitter", 0.1, "overload: multiplicative noise around the mean traffic volume")
-	governorOn := fs.Bool("governor", false, "overload: enable the per-node load governor (shed over budget)")
-	replan := fs.Bool("replan", false, "overload: enable drift-triggered replanning")
-	warmReplan := fs.Bool("warmreplan", false, "overload: warm-start replans from the previous basis")
-	replanThreshold := fs.Float64("replanthreshold", 0.2, "overload: EWMA relative-error drift threshold")
-	replanMaxIters := fs.Int("replanmaxiters", 0, "overload: simplex-iteration deadline per replan (0 = none; a miss falls back to shed state)")
+	governorOn := fs.Bool("governor", false, "overload, scenario: enable the per-node load governor (shed over budget)")
+	replan := fs.Bool("replan", false, "overload, scenario: enable drift-triggered replanning")
+	warmReplan := fs.Bool("warmreplan", false, "overload, scenario: warm-start replans from the previous basis")
+	replanThreshold := fs.Float64("replanthreshold", 0.2, "overload, scenario: EWMA relative-error drift threshold")
+	replanMaxIters := fs.Int("replanmaxiters", 0, "overload, scenario: simplex-iteration deadline per replan (0 = none; a miss falls back to shed state)")
 	scenario := fs.String("scenario", "", "run a named composable scenario (diurnal, flashcrowd, synflood, maintenance, adversary, or a + composition) instead of fault injection")
 	dataPlane := fs.Bool("dataplane", false, "scenario: run each agent's analysis engine over its traffic share every epoch")
 	fleetOn := fs.Bool("fleet", false, "collect fleet telemetry (per-node stats piggybacked on the control wire) and print the per-epoch health rollup")
@@ -128,76 +129,63 @@ func Cluster(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		DeadlineMissIsViolation: *sloDeadline,
 	})
 
+	cfg := cluster.ScenarioConfig{
+		Topo: topo, Sessions: *sessions, Epochs: *epochs,
+		Redundancy: *redundancy, Seed: *seed,
+		Governor: *governorOn,
+		Replan:   *replan, WarmReplan: *warmReplan,
+		ReplanThreshold: *replanThreshold, ReplanMaxIters: *replanMaxIters,
+		StaleGrace: *staleGrace,
+		Workers:    *workers, Probes: *probes, Metrics: metrics,
+		Trace: tracer, Watchdog: watchdog, Ledger: led,
+		Fleet: fleet, FleetHistory: fleetHist,
+	}
+	printReport := printChaos
 	switch {
 	case *scenario != "":
-		driver, err := experiments.NewScenario(*scenario, *seed, *epochs)
-		if err != nil {
+		if cfg.Driver, err = experiments.NewScenario(*scenario, *seed, *epochs); err != nil {
 			return fail(err)
 		}
-		scfg := cluster.ScenarioConfig{
-			Driver: driver,
-			Topo:   topo, Sessions: *sessions, Epochs: *epochs,
-			Redundancy: *redundancy, Seed: *seed,
-			Governor: *governorOn,
-			Replan:   *replan, WarmReplan: *warmReplan,
-			ReplanThreshold: *replanThreshold, ReplanMaxIters: *replanMaxIters,
-			StaleGrace: *staleGrace, DataPlane: *dataPlane,
-			Workers: *workers, Probes: *probes, Metrics: metrics,
-			Trace: tracer, Watchdog: watchdog, Ledger: led,
-			Fleet: fleet, FleetHistory: fleetHist,
-		}
+		cfg.DataPlane = *dataPlane
 		if strings.Contains(*scenario, "synflood") && *redundancy == 1 {
 			// The flood targets the egress-scoped SYNFlood module, which
 			// the PerPath default set leaves out (its units admit a single
 			// copy, so it only deploys at r=1); swap in the flood subset so
 			// the injected flood is visible to the data plane.
-			scfg.Modules = moduleSubset("http", "signature", "synflood")
+			cfg.Modules = moduleSubset("http", "signature", "synflood")
 		}
-		rep, err := cluster.RunScenario(scfg)
-		if err != nil {
-			return fail(err)
-		}
-		printScenario(stdout, rep)
+		printReport = printScenario
 	case *overload:
-		rep, err := cluster.RunOverload(cluster.OverloadConfig{
-			Topo: topo, Sessions: *sessions, Epochs: *epochs,
-			Redundancy: *redundancy, Seed: *seed,
-			BurstFactor: *burstFactor, BurstProb: *burstProb, BaseJitter: *baseJitter,
-			Governor: *governorOn,
-			Replan:   *replan, WarmReplan: *warmReplan,
-			ReplanThreshold: *replanThreshold, ReplanMaxIters: *replanMaxIters,
-			Workers: *workers, Probes: *probes, Metrics: metrics,
-			Trace: tracer, Watchdog: watchdog, Ledger: led,
-			Fleet: fleet, FleetHistory: fleetHist,
-		})
-		if err != nil {
-			return fail(err)
+		// A clean network with the data plane off.
+		cfg.Driver = &cluster.BurstDriver{
+			Seed: *seed, BurstFactor: *burstFactor, BurstProb: *burstProb, BaseJitter: *baseJitter,
 		}
-		printOverload(stdout, rep)
+		printReport = func(w io.Writer, rep *cluster.ScenarioReport) { printOverload(w, rep, *warmReplan) }
 	default:
-		cfg := cluster.ChaosConfig{
-			Topo: topo, Sessions: *sessions, Epochs: *epochs,
-			Redundancy: *redundancy, Seed: *seed,
-			Faults:       chaos.NetworkFaults{DropProb: *lossProb, BlackholeProb: *blackholeProb},
-			NodeFailProb: *nodeFailProb, ControllerOutageProb: *outageProb, MaxDown: *maxDown,
-			StaleGrace: *staleGrace, ReoptEvery: *reoptEvery,
-			Deltas: *deltas, Encoding: enc,
-			Workers: *workers, Probes: *probes,
-			Metrics: metrics, Trace: tracer, Watchdog: watchdog, Ledger: led,
-			Fleet: fleet, FleetHistory: fleetHist,
+		chaosDriver := &cluster.ChaosDriver{
+			Seed: *seed, NodeFailProb: *nodeFailProb, ControllerOutageProb: *outageProb,
+			MaxDown: *maxDown, ReoptEvery: *reoptEvery,
 		}
+		cfg.Driver = chaosDriver
+		// The governor and replan flags are the other modes'.
+		cfg.Governor, cfg.Replan = false, false
+		cfg.Modules = bro.StandardModules()[1:]
 		if *redundancy > 1 {
 			cfg.Modules = moduleSubset("signature", "http")
 			if *maxDown == 0 {
-				cfg.MaxDown = *redundancy - 1
+				chaosDriver.MaxDown = *redundancy - 1
 			}
 		}
-		rep, err := cluster.CoverageUnderChaos(cfg)
-		if err != nil {
-			return fail(err)
-		}
-		printChaos(stdout, rep)
+		cfg.Faults = chaos.NetworkFaults{DropProb: *lossProb, BlackholeProb: *blackholeProb}
+		cfg.Agent = control.AgentOptions{DialTimeout: 200 * time.Millisecond, RPCTimeout: 300 * time.Millisecond}
+		cfg.Deltas, cfg.Encoding = *deltas, enc
+		cfg.DataPlane = true
 	}
+	rep, err := cluster.RunScenario(cfg)
+	if err != nil {
+		return fail(err)
+	}
+	printReport(stdout, rep)
 
 	printFleet(stdout, fleetHist)
 	if tracer != nil {
@@ -279,16 +267,24 @@ func printScenario(w io.Writer, rep *cluster.ScenarioReport) {
 	}
 }
 
-func printOverload(w io.Writer, rep *cluster.OverloadReport) {
+// printOverload renders an overload run; warm is the -warmreplan setting,
+// which the report does not echo.
+func printOverload(w io.Writer, rep *cluster.ScenarioReport, warm bool) {
 	fmt.Fprintf(w, "# %s: %d nodes, %d sessions, redundancy %d, seed %d, governor %v, replan %v (warm %v), objective %.4f\n",
 		rep.Topology, rep.Nodes, rep.Sessions, rep.Redundancy, rep.Seed,
-		rep.Governor, rep.Replan, rep.WarmReplan, rep.Objective)
+		rep.Governor, rep.Replan, warm, rep.Objective)
 	fmt.Fprintln(w, "epoch\tmax_rel_err\tdrifted\treplanned\twarm\treplan_iters\tmissed\tover_budget\tfloor_limited\tshed_width\tworst_cov\tavg_cov\tshed_floor_worst\tsynced\tslo")
 	for _, e := range rep.Epochs {
+		// With nothing down the expectation is the governors' shed floor;
+		// ungoverned, nothing sheds.
+		shedFloor := 1.0
+		if rep.Governor {
+			shedFloor = e.ExpectedWorst
+		}
 		fmt.Fprintf(w, "%d\t%.4f\t%v\t%v\t%v\t%d\t%v\t%d\t%d\t%.4f\t%.4f\t%.4f\t%.4f\t%d\t%s\n",
 			e.Epoch, e.MaxRelErr, e.Drifted, e.Replanned, e.ReplanWarm,
 			e.ReplanIters, e.ReplanMissed, e.OverBudget, e.Unsatisfied, e.ShedWidth,
-			e.WorstCoverage, e.AvgCoverage, e.ShedFloorWorst, e.SyncedAgents,
+			e.WorstCoverage, e.AvgCoverage, shedFloor, e.SyncedAgents,
 			sloCell(e.SLOViolations))
 	}
 	fmt.Fprintf(w, "# summary: worst coverage %.4f, avg %.4f, max over-budget nodes %d, replans %d (missed %d, %d iters)\n",
@@ -296,17 +292,17 @@ func printOverload(w io.Writer, rep *cluster.OverloadReport) {
 		rep.Replans, rep.MissedReplans, rep.TotalReplanIters)
 }
 
-func printChaos(w io.Writer, rep *cluster.ChaosReport) {
+func printChaos(w io.Writer, rep *cluster.ScenarioReport) {
 	fmt.Fprintf(w, "# %s: %d nodes, %d sessions, redundancy %d, seed %d, objective %.4f\n",
 		rep.Topology, rep.Nodes, rep.Sessions, rep.Redundancy, rep.Seed, rep.Objective)
 	fmt.Fprintln(w, "epoch\tctrl_epoch\tctrl_down\tdown_nodes\tsynced\tstale\tdark\tfetch_att\tfetch_fail\ttimeouts\talerts\tworst_cov\tavg_cov\tpredicted_worst\tslo")
 	holds := true
 	for _, e := range rep.Epochs {
 		fmt.Fprintf(w, "%d\t%d\t%v\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.4f\t%.4f\t%.4f\t%s\n",
-			e.Epoch, e.ControllerEpoch, e.ControllerDown, nodeList(e.DownNodes),
+			e.Epoch, e.ControllerEpoch, e.CtrlDown, nodeList(e.DownNodes),
 			e.SyncedAgents, e.StaleAgents, e.DarkAgents,
 			e.FetchAttempts, e.FetchFailures, e.FetchTimeouts, e.Alerts,
-			e.WorstCoverage, e.AvgCoverage, e.PredictedWorst,
+			e.WorstCoverage, e.AvgCoverage, e.ExpectedWorst,
 			sloCell(e.SLOViolations))
 		if len(e.DownNodes) <= rep.Redundancy-1 && e.DarkAgents == 0 && e.WorstCoverage < 1 {
 			holds = false

@@ -154,7 +154,7 @@ func (a *NodeAgent) Usable() bool {
 // Every exchange draws exactly once from the agent's own fault stream,
 // whether it dials or reuses the held connection, so the loop's
 // outcome is a pure function of (chaos seed, node id, prior history)
-// regardless of scheduling (see Options.Deltas for what that pins).
+// regardless of scheduling (see ScenarioConfig.Deltas for what that pins).
 func (a *NodeAgent) syncWithRetry() {
 	if a.span.Live() {
 		// Attach the epoch's fetch context to the wire so the controller

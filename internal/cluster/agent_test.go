@@ -9,7 +9,7 @@ import "testing"
 // full epoch loop; this pins the boundary arithmetic itself.)
 func TestAgentStaleGraceBoundary(t *testing.T) {
 	const grace = 2
-	c := newTestCluster(t, Options{Seed: 21, StaleGrace: grace})
+	c := newTestCluster(t, ScenarioConfig{Seed: 21, StaleGrace: grace})
 	if got, want := c.Converge(), len(c.agents); got != want {
 		t.Fatalf("converged %d/%d", got, want)
 	}
@@ -54,7 +54,7 @@ func TestAgentStaleGraceBoundary(t *testing.T) {
 // re-fetches — which must happen even though the controller's epoch never
 // moved, because the fresh client starts from epoch zero.
 func TestAgentRestartRefetchesSameEpoch(t *testing.T) {
-	c := newTestCluster(t, Options{Seed: 23})
+	c := newTestCluster(t, ScenarioConfig{Seed: 23})
 	if got, want := c.Converge(), len(c.agents); got != want {
 		t.Fatalf("converged %d/%d", got, want)
 	}

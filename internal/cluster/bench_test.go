@@ -9,7 +9,6 @@ import (
 	"nwdeploy/internal/control"
 	"nwdeploy/internal/topology"
 	"nwdeploy/internal/trace"
-	"nwdeploy/internal/traffic"
 )
 
 // BenchmarkClusterConverge measures one full control-plane convergence
@@ -23,14 +22,13 @@ import (
 func BenchmarkClusterConverge(b *testing.B) {
 	const maxRounds = 4
 	topo := topology.Internet2()
-	sessions := traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{Sessions: 800, Seed: 7})
-	c, err := New(Options{
-		Topo: topo, Modules: bro.StandardModules()[1:], Sessions: sessions,
+	c, err := newCluster(ScenarioConfig{
+		Topo: topo, Modules: bro.StandardModules()[1:], Sessions: 800, Redundancy: 1,
 		Seed:   41,
 		Faults: chaos.NetworkFaults{DropProb: 0.2},
 		Retry:  RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
 		Agent:  control.AgentOptions{DialTimeout: 100 * time.Millisecond, RPCTimeout: 100 * time.Millisecond},
-	})
+	}.withDefaults())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,11 +72,10 @@ func (c *Cluster) behindAgents() int {
 func BenchmarkTraceOverhead(b *testing.B) {
 	run := func(b *testing.B, tr *trace.Tracer) {
 		topo := topology.Internet2()
-		sessions := traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{Sessions: 800, Seed: 7})
-		c, err := New(Options{
-			Topo: topo, Modules: bro.StandardModules()[1:], Sessions: sessions,
-			Seed: 41, Probes: 500, Trace: tr,
-		})
+		c, err := newCluster(ScenarioConfig{
+			Topo: topo, Modules: bro.StandardModules()[1:], Sessions: 800, Redundancy: 1,
+			Seed: 41, Probes: 500, DataPlane: true, Trace: tr,
+		}.withDefaults())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,17 +13,28 @@ import (
 	"nwdeploy/internal/topology"
 )
 
+// chaosConfig is the chaos experiment's deployment around a fault-schedule
+// driver: the standard modules at r = 1, a two-epoch stale grace, and the
+// data plane on.
+func chaosConfig(d *ChaosDriver) ScenarioConfig {
+	return ScenarioConfig{
+		Driver: d, Modules: bro.StandardModules()[1:], Redundancy: 1,
+		StaleGrace: 2, DataPlane: true,
+	}
+}
+
 // smallChaosConfig is a fast but fault-heavy scenario for determinism
 // tests: real sockets, drops, black holes, crashes, and outages.
-func smallChaosConfig(seed int64, workers int) ChaosConfig {
-	return ChaosConfig{
-		Sessions: 600, Epochs: 4, Seed: seed,
-		Faults:       chaos.NetworkFaults{DropProb: 0.25, BlackholeProb: 0.1},
-		NodeFailProb: 0.2, ControllerOutageProb: 0.25, MaxDown: 2,
-		Retry:  RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, JitterFrac: 0.3},
-		Agent:  control.AgentOptions{DialTimeout: 100 * time.Millisecond, RPCTimeout: 100 * time.Millisecond},
-		Probes: 500, Workers: workers,
-	}
+func smallChaosConfig(seed int64, workers int) ScenarioConfig {
+	cfg := chaosConfig(&ChaosDriver{
+		Seed: seed, NodeFailProb: 0.2, ControllerOutageProb: 0.25, MaxDown: 2, ReoptEvery: 3,
+	})
+	cfg.Sessions, cfg.Epochs, cfg.Seed = 600, 4, seed
+	cfg.Faults = chaos.NetworkFaults{DropProb: 0.25, BlackholeProb: 0.1}
+	cfg.Retry = RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, JitterFrac: 0.3}
+	cfg.Agent = control.AgentOptions{DialTimeout: 100 * time.Millisecond, RPCTimeout: 100 * time.Millisecond}
+	cfg.Probes, cfg.Workers = 500, workers
+	return cfg
 }
 
 // The headline determinism guarantee: two chaos runs with the same seed
@@ -32,13 +43,13 @@ func smallChaosConfig(seed int64, workers int) ChaosConfig {
 // independent of worker-pool sizing. A metrics registry must not perturb
 // it either.
 func TestCoverageUnderChaosDeterministic(t *testing.T) {
-	r1, err := CoverageUnderChaos(smallChaosConfig(21, 0))
+	r1, err := RunScenario(smallChaosConfig(21, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := smallChaosConfig(21, 1)
 	cfg2.Metrics = obs.New()
-	r2, err := CoverageUnderChaos(cfg2)
+	r2, err := RunScenario(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +57,7 @@ func TestCoverageUnderChaosDeterministic(t *testing.T) {
 		t.Fatalf("same-seed chaos runs diverge:\nrun1: %+v\nrun2: %+v", r1, r2)
 	}
 
-	r3, err := CoverageUnderChaos(smallChaosConfig(22, 0))
+	r3, err := RunScenario(smallChaosConfig(22, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +72,7 @@ func TestCoverageUnderChaosDeterministic(t *testing.T) {
 		if e.FetchFailures > 0 {
 			sawFailure = true
 		}
-		if e.ControllerDown || len(e.DownNodes) > 0 {
+		if e.CtrlDown || len(e.DownNodes) > 0 {
 			sawFault = true
 		}
 	}
@@ -97,9 +108,9 @@ func perPathModules(t *testing.T) []bro.ModuleSpec {
 func TestRedundancyHoldsUnderSingleFailures(t *testing.T) {
 	topo := topology.Internet2()
 	modules := perPathModules(t)
-	c := newTestCluster(t, Options{
+	c := newTestCluster(t, ScenarioConfig{
 		Topo: topo, Modules: modules,
-		Sessions:   testSessions(t, topo, 2500),
+		Sessions:   2500,
 		Redundancy: 2,
 		Seed:       31,
 		Probes:     10000, // match CoverageUnderFailure's grid exactly
@@ -133,9 +144,9 @@ func TestRedundancyHoldsUnderSingleFailures(t *testing.T) {
 			t.Fatalf("epoch %d: achieved (%v, %v) != static audit (%v, %v)",
 				i+1, rep.WorstCoverage, rep.AvgCoverage, wantWorst, wantAvg)
 		}
-		if rep.WorstCoverage != rep.PredictedWorst || rep.AvgCoverage != rep.PredictedAvg {
+		if rep.WorstCoverage != rep.ExpectedWorst || rep.AvgCoverage != rep.ExpectedAvg {
 			t.Fatalf("epoch %d: achieved (%v, %v) != predicted (%v, %v)",
-				i+1, rep.WorstCoverage, rep.AvgCoverage, rep.PredictedWorst, rep.PredictedAvg)
+				i+1, rep.WorstCoverage, rep.AvgCoverage, rep.ExpectedWorst, rep.ExpectedAvg)
 		}
 		if len(f.DownNodes) <= c.plan.Redundancy-1 {
 			if rep.WorstCoverage != 1 {
@@ -166,23 +177,23 @@ func TestChaosDeterministicWithDeltas(t *testing.T) {
 		{"bin", control.EncodingBinary},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mk := func(workers int) ChaosConfig {
-				cfg := ChaosConfig{
-					Sessions: 400, Epochs: 3, Seed: 31,
-					Faults:       chaos.NetworkFaults{DropProb: 0.25, BlackholeProb: 0.1},
-					NodeFailProb: 0.2, ControllerOutageProb: 0.25, MaxDown: 2,
-					Retry:  RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, JitterFrac: 0.3},
-					Agent:  control.AgentOptions{DialTimeout: 100 * time.Millisecond, RPCTimeout: 100 * time.Millisecond},
-					Probes: 300, Workers: workers,
-					Deltas: true, Encoding: tc.enc,
-				}
+			mk := func(workers int) ScenarioConfig {
+				cfg := chaosConfig(&ChaosDriver{
+					Seed: 31, NodeFailProb: 0.2, ControllerOutageProb: 0.25, MaxDown: 2, ReoptEvery: 3,
+				})
+				cfg.Sessions, cfg.Epochs, cfg.Seed = 400, 3, 31
+				cfg.Faults = chaos.NetworkFaults{DropProb: 0.25, BlackholeProb: 0.1}
+				cfg.Retry = RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, JitterFrac: 0.3}
+				cfg.Agent = control.AgentOptions{DialTimeout: 100 * time.Millisecond, RPCTimeout: 100 * time.Millisecond}
+				cfg.Probes, cfg.Workers = 300, workers
+				cfg.Deltas, cfg.Encoding = true, tc.enc
 				return cfg
 			}
-			r1, err := CoverageUnderChaos(mk(0))
+			r1, err := RunScenario(mk(0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := CoverageUnderChaos(mk(1))
+			r2, err := RunScenario(mk(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +202,7 @@ func TestChaosDeterministicWithDeltas(t *testing.T) {
 			}
 			sawFault := false
 			for _, e := range r1.Epochs {
-				if e.ControllerDown || len(e.DownNodes) > 0 || e.FetchFailures > 0 {
+				if e.CtrlDown || len(e.DownNodes) > 0 || e.FetchFailures > 0 {
 					sawFault = true
 				}
 			}

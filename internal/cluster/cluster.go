@@ -2,11 +2,14 @@
 // deployment architecture: one control.Controller serving sampling
 // manifests over real TCP, and one agent per monitoring node that fetches
 // its manifest through a (possibly fault-injected) network and drives the
-// bro emulation engine over the node's share of the traffic. Layered on
-// top, CoverageUnderChaos replays a seeded fault schedule — node crashes,
-// controller outages, lossy links — and audits the coverage the paper's
-// Section 2.5 redundancy extension actually delivers at runtime, epoch by
-// epoch, against the LP's static guarantee.
+// bro emulation engine over the node's share of the traffic. RunScenario
+// is the one entry point: a ScenarioDriver decides each epoch's
+// environment, and the epoch loop (epoch.go) runs the operations centre's
+// cycle under it. ChaosDriver replays a seeded fault schedule — node
+// crashes, controller outages, periodic re-optimization — to audit the
+// coverage the paper's Section 2.5 redundancy extension delivers at
+// runtime against the LP's static guarantee; BurstDriver drives bursty
+// traffic into the load governors and drift-triggered replanning.
 //
 // Reports contain only logical quantities (epochs, counts, coverage
 // fractions), never wall-clock measurements, and every nondeterministic
@@ -23,12 +26,11 @@ import (
 	"nwdeploy/internal/chaos"
 	"nwdeploy/internal/control"
 	"nwdeploy/internal/core"
+	"nwdeploy/internal/governor"
 	"nwdeploy/internal/hashing"
-	"nwdeploy/internal/ledger"
 	"nwdeploy/internal/obs"
 	"nwdeploy/internal/parallel"
 	"nwdeploy/internal/telemetry"
-	"nwdeploy/internal/topology"
 	"nwdeploy/internal/trace"
 	"nwdeploy/internal/traffic"
 )
@@ -36,111 +38,11 @@ import (
 // hashKey keys the deployment's packet-selection hash.
 const hashKey = 7
 
-// Options configures a Cluster. Topo, Modules, and Sessions are required;
-// zero values elsewhere select the documented defaults.
-type Options struct {
-	Topo     *topology.Topology
-	Modules  []bro.ModuleSpec
-	Sessions []traffic.Session
-	// Redundancy is the Section 2.5 coverage level r (0 selects 1). A
-	// plan solved with redundancy r keeps full coverage under any r-1
-	// concurrent node failures.
-	Redundancy int
-	// Seed drives every chaos decision: per-agent connection faults and
-	// backoff jitter all derive from it via seed splitting.
-	Seed int64
-	// Faults is the per-exchange fault mix injected into every agent's
-	// control traffic (zero = clean network).
-	Faults chaos.NetworkFaults
-	// Retry shapes the agents' fetch loops.
-	Retry RetryPolicy
-	// Agent sets the agents' timeouts/metrics; its Dial, if any, becomes
-	// the real dial behind the fault injector.
-	Agent control.AgentOptions
-	// Deltas switches agent syncs to protocol-v2 delta subscriptions (one
-	// exchange per sync instead of the legacy epoch-probe-then-fetch
-	// pair); Encoding selects the response encoding for them. Both default
-	// off/JSON: a delta sync consumes one fault-stream draw per attempt
-	// where the legacy pair consumes two, so flipping the knob changes
-	// which faults a seeded chaos schedule lands on (reports remain
-	// deterministic for a given knob setting — see the cross-encoding
-	// determinism tests).
-	Deltas   bool
-	Encoding control.Encoding
-	// StaleGrace is how many consecutive failed-sync epochs an agent may
-	// keep enforcing its last manifest before going dark.
-	StaleGrace int
-	// Workers sizes the runtime's worker pools (0 = GOMAXPROCS, 1 =
-	// serial). Reports are identical for any value.
-	Workers int
-	// Probes is the per-unit probe grid of the coverage audits (0 selects
-	// 2000; use 10000 to match core.CoverageUnderFailure exactly). The audit
-	// counts grid points per range, so a finer grid costs no time; it sets
-	// only the resolution the coverage fractions are reported at.
-	Probes int
-	// CaptureBasis asks the initial placement solve to export its simplex
-	// basis (core.Plan.Basis), so later replans can warm-start from it —
-	// required by the overload runtime's drift-triggered replanning.
-	CaptureBasis bool
-	// Metrics, when non-nil, receives runtime observability (fetch
-	// attempt/retry/failure/timeout counters, staleness and coverage
-	// gauges, per-agent assigned width) in addition to the controller,
-	// agent, and engine metrics of the wrapped layers. Write-only:
-	// reports are identical with or without it.
-	Metrics *obs.Registry
-	// Trace, when non-nil, receives the causal event log: epoch spans,
-	// per-agent fetch/crash/staleness events, engine runs, governor
-	// decisions, and coverage audits, with trace context propagated over
-	// the controller wire. Write-only like Metrics: reports are identical
-	// with or without it, and byte-identical across Workers values.
-	Trace *trace.Tracer
-	// Watchdog, when non-nil, evaluates every epoch against its SLO and
-	// records the breached rules in the epoch report (and, when Trace is
-	// live, as slo_violation events). Nil disables SLO checking.
-	Watchdog *trace.Watchdog
-	// Ledger, when non-nil, receives the tamper-evident audit chain: the
-	// controller commits every publish (full canonical manifest set plus
-	// shed state) and the runtime commits a coverage verdict per epoch.
-	// Write-only like Metrics and Trace: reports are DeepEqual with or
-	// without it, and same-seed chains are byte-identical across Workers
-	// values and across processes.
-	Ledger *ledger.Ledger
-	// Fleet, when non-nil, turns on the fleet telemetry plane (fleet.go):
-	// each agent's end-of-epoch NodeStats ride its next wire exchange into
-	// the controller, and the runtime closes one FleetSnapshot per epoch.
-	// Write-only, and identical (wall-clock field aside) across Workers
-	// values. FleetHistory, when also non-nil, retains the per-epoch
-	// snapshots in a fixed-capacity ring.
-	Fleet        *telemetry.Fleet
-	FleetHistory *telemetry.History
-}
-
-// EpochReport is one chaos epoch's outcome: the control-plane weather, what
-// the agents managed to fetch, what the engines analyzed, and the achieved
-// coverage versus the plan's static prediction — the ScenarioEpoch fields
-// of the same names (ControllerDown is its CtrlDown).
-type EpochReport struct {
-	Epoch                                       int
-	ControllerEpoch                             uint64
-	ControllerDown                              bool
-	DownNodes                                   []int
-	AgentEpochs                                 []uint64
-	SyncedAgents, StaleAgents, DarkAgents       int
-	FetchAttempts, FetchFailures, FetchTimeouts int
-	Alerts                                      int
-	MaxCPU                                      float64
-	// Achieved coverage over the usable agents' wire manifests, and the
-	// plan's static prediction for the same failure set (ScenarioEpoch's
-	// ExpectedWorst/ExpectedAvg: with nothing shed, the expectation is the
-	// plan's residual coverage).
-	WorstCoverage, AvgCoverage   float64
-	PredictedWorst, PredictedAvg float64
-	SLOViolations                []string
-}
-
-// Cluster is a running deployment: controller, gate, and agents.
+// Cluster is a running deployment: controller, gate, agents, and the
+// volume-driven state the epoch loop carries between epochs.
 type Cluster struct {
-	opts   Options
+	// cfg is the defaulted run configuration.
+	cfg    ScenarioConfig
 	inst   *core.Instance
 	plan   *core.Plan
 	ctrl   *control.Controller
@@ -148,9 +50,6 @@ type Cluster struct {
 	agents []*NodeAgent
 	paths  [][][]int // the topology's path matrix, for routing injections
 	epoch  int
-	// dyn is the volume-driven half of the epoch loop (drift, replan,
-	// govern); nil models static plan-mean traffic.
-	dyn *dynamics
 	// epochSpan is the current epoch's root trace span (zero when
 	// untraced); agents derive their per-epoch child spans from it.
 	epochSpan trace.Span
@@ -160,36 +59,52 @@ type Cluster struct {
 	usable []*control.Decider
 	own    hashing.RangeSet
 
+	scaler unitScales
+	// origPkts/origItems are the volumes the first plan was solved against:
+	// drivers scale the *original* workload, while the detector and the
+	// governors compare against the *current* plan's, which move when a
+	// replan lands.
+	origPkts, origItems []float64
+	detector            *DriftDetector
+	govs                []*governor.Governor
+	// floor holds each node's copy-0 slices of the current plan: the r = 1
+	// floor the governors' local reasoning assumes is enforced.
+	floor [][]core.ManifestSlice
+	// lastShed is the shed state the governors published: this epoch's
+	// coverage audit subtracts it, and the next epoch's driver sees it.
+	// Entries stay nil while the governors only project.
+	lastShed []map[int]hashing.RangeSet
+
 	fetchAttemptC, fetchRetryC, fetchFailureC, fetchTimeoutC, epochC *obs.Counter
 	staleG, darkG, covWorstG, covAvgG                                *obs.Gauge
 	widthG                                                           []*obs.Gauge // per agent
 }
 
-// New solves the placement for the given scenario, starts a controller on
-// a loopback port behind a chaos gate, installs the plan (epoch 1), and
-// builds one fault-injected agent per node with its coordinated-deployment
-// traffic share. Call Close when done.
-func New(opts Options) (*Cluster, error) {
-	for _, m := range opts.Modules {
+// newCluster generates the workload an already-defaulted cfg describes,
+// solves the placement, starts a controller on a loopback port behind a
+// chaos gate, installs the plan (epoch 1), builds one fault-injected agent
+// per node with its coordinated-deployment traffic share, and sets up the
+// drift detector and one governor per node. Call Close when done.
+func newCluster(cfg ScenarioConfig) (*Cluster, error) {
+	for _, m := range cfg.Modules {
 		if m.Name == "baseline" {
 			return nil, fmt.Errorf("cluster: baseline pseudo-module cannot be deployed")
 		}
 	}
-	if opts.Redundancy <= 0 {
-		opts.Redundancy = 1
-	}
-	if opts.Probes <= 0 {
-		opts.Probes = 2000
-	}
+	sessions := traffic.Generate(cfg.Topo, traffic.Gravity(cfg.Topo), traffic.GenConfig{
+		Sessions: cfg.Sessions, Seed: cfg.TrafficSeed,
+	})
 	// Every node gets uniform 1e9/1e12 capacity, the unconstrained setting
 	// the emulation uses.
-	n := opts.Topo.N()
-	inst, err := core.BuildInstance(opts.Topo, bro.Classes(opts.Modules), opts.Sessions, core.UniformCaps(n, 1e9, 1e12))
+	n := cfg.Topo.N()
+	inst, err := core.BuildInstance(cfg.Topo, bro.Classes(cfg.Modules), sessions, core.UniformCaps(n, 1e9, 1e12))
 	if err != nil {
 		return nil, err
 	}
+	// A warm replan starts from the previous plan's basis, so the initial
+	// solve exports one.
 	plan, err := core.SolveOpts(inst, core.SolveOptions{
-		Redundancy: opts.Redundancy, Metrics: opts.Metrics, CaptureBasis: opts.CaptureBasis,
+		Redundancy: cfg.Redundancy, Metrics: cfg.Metrics, CaptureBasis: cfg.Replan && cfg.WarmReplan,
 	})
 	if err != nil {
 		return nil, err
@@ -201,26 +116,38 @@ func New(opts Options) (*Cluster, error) {
 	}
 	gate := chaos.NewGate(ln)
 	ctrl, err := control.NewControllerOpts("", control.ControllerOptions{
-		HashKey: hashKey, Metrics: opts.Metrics, Listener: gate,
-		Ledger: opts.Ledger, Fleet: opts.Fleet,
+		HashKey: hashKey, Metrics: cfg.Metrics, Listener: gate,
+		Ledger: cfg.Ledger, Fleet: cfg.Fleet,
 	})
 	if err != nil {
 		return nil, err
 	}
+	pv := traffic.Volumes(cfg.Topo, traffic.Gravity(cfg.Topo), 0)
 	c := &Cluster{
-		opts: opts, inst: inst, plan: plan, ctrl: ctrl, gate: gate,
-		paths: opts.Topo.PathMatrix(), usable: make([]*control.Decider, n),
+		cfg: cfg, inst: inst, plan: plan, ctrl: ctrl, gate: gate,
+		paths: cfg.Topo.PathMatrix(), usable: make([]*control.Decider, n),
 
-		fetchAttemptC: opts.Metrics.Counter("cluster.fetch_attempts"),
-		fetchRetryC:   opts.Metrics.Counter("cluster.fetch_retries"),
-		fetchFailureC: opts.Metrics.Counter("cluster.fetch_failures"),
-		fetchTimeoutC: opts.Metrics.Counter("cluster.fetch_timeouts"),
-		epochC:        opts.Metrics.Counter("cluster.epochs"),
-		staleG:        opts.Metrics.Gauge("cluster.stale_agents"),
-		darkG:         opts.Metrics.Gauge("cluster.dark_agents"),
-		covWorstG:     opts.Metrics.Gauge("cluster.coverage_worst"),
-		covAvgG:       opts.Metrics.Gauge("cluster.coverage_avg"),
+		scaler:    newUnitScales(inst, pv),
+		origPkts:  make([]float64, len(inst.Units)),
+		origItems: make([]float64, len(inst.Units)),
+		govs:      make([]*governor.Governor, n),
+		lastShed:  make([]map[int]hashing.RangeSet, n),
+
+		fetchAttemptC: cfg.Metrics.Counter("cluster.fetch_attempts"),
+		fetchRetryC:   cfg.Metrics.Counter("cluster.fetch_retries"),
+		fetchFailureC: cfg.Metrics.Counter("cluster.fetch_failures"),
+		fetchTimeoutC: cfg.Metrics.Counter("cluster.fetch_timeouts"),
+		epochC:        cfg.Metrics.Counter("cluster.epochs"),
+		staleG:        cfg.Metrics.Gauge("cluster.stale_agents"),
+		darkG:         cfg.Metrics.Gauge("cluster.dark_agents"),
+		covWorstG:     cfg.Metrics.Gauge("cluster.coverage_worst"),
+		covAvgG:       cfg.Metrics.Gauge("cluster.coverage_avg"),
 	}
+	for ui, u := range inst.Units {
+		c.origPkts[ui] = u.Pkts
+		c.origItems[ui] = u.Items
+	}
+	c.detector = NewDriftDetector(c.origPkts, cfg.EWMAAlpha, cfg.ReplanThreshold)
 
 	// The initial publish runs under the setup trace (epoch 0), so the
 	// first manifests agents fetch already carry wire context.
@@ -229,21 +156,21 @@ func New(opts Options) (*Cluster, error) {
 	// Per-agent fault streams and jitter seeds split off the one run seed;
 	// stream ids are node ids, so an agent's fault history is independent
 	// of every other agent's activity.
-	injector := chaos.NewInjector(parallel.SplitSeed(opts.Seed, 1), opts.Faults)
+	injector := chaos.NewInjector(parallel.SplitSeed(cfg.Seed, 1), cfg.Faults)
 	for j := 0; j < n; j++ {
-		agentOpts := opts.Agent
-		agentOpts.Metrics = opts.Metrics
-		dialer := &chaos.Dialer{Stream: injector.Stream(j), Next: chaos.DialFunc(opts.Agent.Dial)}
+		agentOpts := cfg.Agent
+		agentOpts.Metrics = cfg.Metrics
+		dialer := &chaos.Dialer{Stream: injector.Stream(j), Next: chaos.DialFunc(cfg.Agent.Dial)}
 		agentOpts.Dial = dialer.Dial
 		c.agents = append(c.agents, newNodeAgent(
 			j, ctrl.Addr(), agentOpts,
-			control.SubscribeOptions{Deltas: opts.Deltas, Encoding: opts.Encoding},
-			opts.Retry, opts.StaleGrace,
-			parallel.SplitSeed(opts.Seed, int64(1000+j)), bro.NodeTrace(c.paths, opts.Sessions, j),
+			control.SubscribeOptions{Deltas: cfg.Deltas, Encoding: cfg.Encoding},
+			cfg.Retry, cfg.StaleGrace,
+			parallel.SplitSeed(cfg.Seed, int64(1000+j)), bro.NodeTrace(c.paths, sessions, j),
 		))
-		c.widthG = append(c.widthG, opts.Metrics.Gauge(fmt.Sprintf("cluster.agent_width.%d", j)))
+		c.widthG = append(c.widthG, cfg.Metrics.Gauge(fmt.Sprintf("cluster.agent_width.%d", j)))
 	}
-	if opts.Fleet != nil {
+	if cfg.Fleet != nil {
 		// Bootstrap reports: each agent announces itself on its first
 		// exchange, before any end-of-epoch collection has run, so the
 		// first snapshot classifies synced nodes healthy rather than dark.
@@ -252,6 +179,10 @@ func New(opts Options) (*Cluster, error) {
 			s := a.lastStats
 			a.agent.SetStats(&s)
 		}
+	}
+	if err := c.buildGovernors(); err != nil {
+		c.Close()
+		return nil, err
 	}
 	return c, nil
 }
@@ -263,8 +194,8 @@ func New(opts Options) (*Cluster, error) {
 // The ledger (nil-safe) is stamped with the runtime epoch first, so the
 // publish record the controller commits carries it.
 func (c *Cluster) publish(epoch int, plan *core.Plan) {
-	c.opts.Ledger.SetRun(epoch)
-	pub := c.opts.Trace.Epoch(epoch).Child("controller", -1)
+	c.cfg.Ledger.SetRun(epoch)
+	pub := c.cfg.Trace.Epoch(epoch).Child("controller", -1)
 	if pub.Live() {
 		pub.Event(trace.EvPublish, trace.F64("objective", plan.Objective),
 			trace.Uint64("ctrl_epoch", c.ctrl.Epoch()+1))
@@ -287,7 +218,7 @@ func (c *Cluster) Close() error {
 // phase's outcome is schedule-independent.
 func (c *Cluster) fetchPhase() {
 	n := len(c.agents)
-	parallel.ForEach(parallel.Resolve(c.opts.Workers, n), n, func(j int) {
+	parallel.ForEach(parallel.Resolve(c.cfg.Workers, n), n, func(j int) {
 		a := c.agents[j]
 		a.tally = epochTally{}
 		// The agent's per-epoch span is a pure function of the epoch root
@@ -299,29 +230,4 @@ func (c *Cluster) fetchPhase() {
 		}
 		a.syncWithRetry()
 	})
-}
-
-// chaosEpoch projects the loop's epoch record into the chaos report's
-// shape.
-func chaosEpoch(ep ScenarioEpoch) EpochReport {
-	return EpochReport{
-		Epoch:           ep.Epoch,
-		ControllerEpoch: ep.ControllerEpoch,
-		ControllerDown:  ep.CtrlDown,
-		DownNodes:       ep.DownNodes,
-		AgentEpochs:     ep.AgentEpochs,
-		SyncedAgents:    ep.SyncedAgents,
-		StaleAgents:     ep.StaleAgents,
-		DarkAgents:      ep.DarkAgents,
-		FetchAttempts:   ep.FetchAttempts,
-		FetchFailures:   ep.FetchFailures,
-		FetchTimeouts:   ep.FetchTimeouts,
-		Alerts:          ep.Alerts,
-		MaxCPU:          ep.MaxCPU,
-		WorstCoverage:   ep.WorstCoverage,
-		AvgCoverage:     ep.AvgCoverage,
-		PredictedWorst:  ep.ExpectedWorst,
-		PredictedAvg:    ep.ExpectedAvg,
-		SLOViolations:   ep.SLOViolations,
-	}
 }

@@ -23,27 +23,32 @@ func testSessions(t *testing.T, topo *topology.Topology, n int) []traffic.Sessio
 	return traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{Sessions: n, Seed: 7})
 }
 
-func newTestCluster(t *testing.T, opts Options) *Cluster {
+// newTestCluster builds a cluster for step-by-step epoch tests. Zero
+// fields select the chaos-style test deployment — the standard modules at
+// r = 1 over an 800-session workload, the data plane on, fast retries and
+// timeouts, a 500-point probe grid — and then RunScenario's defaults.
+func newTestCluster(t *testing.T, cfg ScenarioConfig) *Cluster {
 	t.Helper()
-	if opts.Topo == nil {
-		opts.Topo = topology.Internet2()
+	if cfg.Modules == nil {
+		cfg.Modules = bro.StandardModules()[1:]
 	}
-	if opts.Modules == nil {
-		opts.Modules = bro.StandardModules()[1:]
+	if cfg.Sessions == 0 {
+		cfg.Sessions = 800
 	}
-	if opts.Sessions == nil {
-		opts.Sessions = testSessions(t, opts.Topo, 800)
+	if cfg.Redundancy == 0 {
+		cfg.Redundancy = 1
 	}
-	if opts.Retry.MaxAttempts == 0 {
-		opts.Retry = fastRetry
+	if cfg.Retry.MaxAttempts == 0 {
+		cfg.Retry = fastRetry
 	}
-	if opts.Agent.RPCTimeout == 0 {
-		opts.Agent = fastAgent
+	if cfg.Agent.RPCTimeout == 0 {
+		cfg.Agent = fastAgent
 	}
-	if opts.Probes == 0 {
-		opts.Probes = 500
+	if cfg.Probes == 0 {
+		cfg.Probes = 500
 	}
-	c, err := New(opts)
+	cfg.DataPlane = true
+	c, err := newCluster(cfg.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +59,7 @@ func newTestCluster(t *testing.T, opts Options) *Cluster {
 // On a clean network every agent converges to the controller's epoch and
 // the achieved coverage equals the plan's full-coverage prediction.
 func TestClusterConvergesOnCleanNetwork(t *testing.T) {
-	c := newTestCluster(t, Options{Seed: 11})
+	c := newTestCluster(t, ScenarioConfig{Seed: 11})
 	n := len(c.agents)
 	rep := c.RunEpoch(chaos.EpochFaults{})
 	if rep.SyncedAgents != n || rep.StaleAgents != 0 || rep.DarkAgents != 0 {
@@ -69,10 +74,10 @@ func TestClusterConvergesOnCleanNetwork(t *testing.T) {
 			t.Fatalf("agent %d epoch %d, want 1", j, e)
 		}
 	}
-	if rep.WorstCoverage != 1 || rep.PredictedWorst != 1 {
-		t.Fatalf("coverage worst %v predicted %v, want 1/1", rep.WorstCoverage, rep.PredictedWorst)
+	if rep.WorstCoverage != 1 || rep.ExpectedWorst != 1 {
+		t.Fatalf("coverage worst %v predicted %v, want 1/1", rep.WorstCoverage, rep.ExpectedWorst)
 	}
-	if rep.WorstCoverage != rep.PredictedWorst || rep.AvgCoverage != rep.PredictedAvg {
+	if rep.WorstCoverage != rep.ExpectedWorst || rep.AvgCoverage != rep.ExpectedAvg {
 		t.Fatal("achieved coverage diverges from prediction on a healthy epoch")
 	}
 	if rep.FetchAttempts != n {
@@ -88,7 +93,7 @@ func TestClusterDataPlaneMatchesEmulation(t *testing.T) {
 	modules := bro.StandardModules()[1:]
 	sessions := testSessions(t, topo, 1500)
 
-	c := newTestCluster(t, Options{Topo: topo, Modules: modules, Sessions: sessions, Seed: 3})
+	c := newTestCluster(t, ScenarioConfig{Topo: topo, Modules: modules, Sessions: 1500, Seed: 3})
 	rep := c.RunEpoch(chaos.EpochFaults{})
 
 	em, err := bro.NewEmulation(topo, modules, sessions, core.UniformCaps(topo.N(), 1e9, 1e12))
@@ -114,7 +119,7 @@ func TestClusterDataPlaneMatchesEmulation(t *testing.T) {
 // Under a lossy control network the agents retry and still converge; the
 // retry accounting must show the extra attempts.
 func TestClusterRetriesThroughLossyNetwork(t *testing.T) {
-	c := newTestCluster(t, Options{
+	c := newTestCluster(t, ScenarioConfig{
 		Seed:   5,
 		Faults: chaos.NetworkFaults{DropProb: 0.4, BlackholeProb: 0.1},
 		Retry:  RetryPolicy{MaxAttempts: 12, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, JitterFrac: 0.5},
@@ -143,7 +148,7 @@ func TestClusterRetriesThroughLossyNetwork(t *testing.T) {
 // stale (serving the last manifest, coverage intact) -> dark past the
 // grace window (coverage gone) -> synced again after recovery.
 func TestControllerOutageStaleThenDark(t *testing.T) {
-	c := newTestCluster(t, Options{Seed: 9, StaleGrace: 1})
+	c := newTestCluster(t, ScenarioConfig{Seed: 9, StaleGrace: 1})
 	n := len(c.agents)
 
 	if rep := c.RunEpoch(chaos.EpochFaults{}); rep.SyncedAgents != n {
@@ -189,7 +194,7 @@ func TestControllerOutageStaleThenDark(t *testing.T) {
 // re-fetch before analyzing, and until the controller is reachable it is
 // dark while never-crashed agents are merely stale.
 func TestCrashLosesManifestUntilResync(t *testing.T) {
-	c := newTestCluster(t, Options{Seed: 13, StaleGrace: 3})
+	c := newTestCluster(t, ScenarioConfig{Seed: 13, StaleGrace: 3})
 	n := len(c.agents)
 	const victim = 4
 
@@ -200,9 +205,9 @@ func TestCrashLosesManifestUntilResync(t *testing.T) {
 	if rep.AgentEpochs[victim] != 0 {
 		t.Fatalf("epoch 2: crashed agent reports epoch %d", rep.AgentEpochs[victim])
 	}
-	if rep.PredictedWorst != rep.WorstCoverage {
+	if rep.ExpectedWorst != rep.WorstCoverage {
 		t.Fatalf("epoch 2: achieved %v != predicted %v for the same down set",
-			rep.WorstCoverage, rep.PredictedWorst)
+			rep.WorstCoverage, rep.ExpectedWorst)
 	}
 
 	// Victim restarts into a controller outage: no manifest to fall back
@@ -224,7 +229,7 @@ func TestCrashLosesManifestUntilResync(t *testing.T) {
 // Converge is the benchmark's unit of work; it must report full
 // convergence on a clean network.
 func TestConverge(t *testing.T) {
-	c := newTestCluster(t, Options{Seed: 17})
+	c := newTestCluster(t, ScenarioConfig{Seed: 17})
 	if got, want := c.Converge(), len(c.agents); got != want {
 		t.Fatalf("Converge() = %d, want %d", got, want)
 	}

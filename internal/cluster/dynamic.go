@@ -19,7 +19,8 @@ import (
 
 // The scenario runtime: an external, seeded driver decides each epoch's
 // environment — traffic modulation, injected sessions, crashes, planned
-// drains, controller outages — and the epoch loop (epoch.go) runs it.
+// drains, controller outages, re-optimization rounds — and the epoch loop
+// (epoch.go) runs it.
 // Drivers see the published control-plane state of the previous epoch
 // (manifests minus shed), which is exactly the information the paper's
 // Section 3.5 adaptive adversary is granted: the defender's decisions are
@@ -30,23 +31,30 @@ import (
 // nothing injected, everything up.
 type Stimulus struct {
 	// PairScale multiplies each traffic pair's volume this epoch (indexed
-	// like ScenarioEnv.Pairs; nil means 1 everywhere).
-	PairScale []float64
+	// like ScenarioEnv.Pairs; nil means 1 everywhere). PairVolumes instead
+	// gives absolute per-pair volumes (items), for a series defined in
+	// them. A stimulus may set at most one of the two, and either must
+	// have one entry per pair.
+	PairScale   []float64
+	PairVolumes []float64
 	// Inject adds sessions on top of the modeled workload: attack traffic
 	// the planner never saw. Injected sessions contribute to the observed
 	// per-unit volumes (drift detection, governor projections), are routed
 	// to every node on their Src->Dst path for the data plane, and are
 	// audited for evasion — but never mutate the planning instance.
 	Inject []traffic.Session
-	// Faults carries the epoch's crashes and controller outage, with
-	// CoverageUnderChaos's crash semantics: a crashed node loses its
-	// manifest.
+	// Faults carries the epoch's crashes and controller outage: a crashed
+	// node loses its manifest.
 	Faults chaos.EpochFaults
 	// Drains lists nodes under planned maintenance, ascending. A drained
 	// node is down for the epoch but keeps its in-memory manifest, so it
 	// rejoins without a re-fetch when the window ends. A node both crashed
 	// and drained counts as crashed.
 	Drains []int
+	// Republish re-stamps the current plan as a new configuration
+	// generation before the epoch runs — the operations centre's periodic
+	// re-optimization round, which makes every agent re-fetch.
+	Republish bool
 }
 
 // WeakRange is one segment of a unit's hash space together with its
@@ -156,9 +164,10 @@ type ScenarioDriver interface {
 	Step(env *ScenarioEnv) Stimulus
 }
 
-// ScenarioConfig parameterizes RunScenario: the deployment and workload,
-// the governor and replan knobs, the driver, and the chaos-style
-// network/agent options the fault scenarios need.
+// ScenarioConfig parameterizes RunScenario, the runtime's one entry
+// point: the driver, the deployment and workload, the governor and replan
+// knobs, the network/agent options the fault scenarios need, and the
+// write-only planes.
 type ScenarioConfig struct {
 	// Driver decides each epoch's environment. Required.
 	Driver ScenarioDriver
@@ -197,25 +206,49 @@ type ScenarioConfig struct {
 	ReplanThreshold float64
 	EWMAAlpha       float64
 	ReplanMaxIters  int
-	// Faults is the per-exchange fault mix on agent traffic (zero = clean
-	// network); Retry/Agent/StaleGrace shape the fetch loops as in
-	// Options.
+	// Faults is the per-exchange fault mix injected into every agent's
+	// control traffic (zero = clean network). Retry shapes the agents'
+	// fetch loops. Agent sets the agents' timeouts (zero: the control
+	// package's 5 s dial and 10 s RPC defaults); its Dial, if any, becomes
+	// the real dial behind the fault injector. StaleGrace is how many consecutive failed-sync epochs an agent may
+	// keep enforcing its last manifest before going dark (negative
+	// selects 0).
 	Faults     chaos.NetworkFaults
 	Retry      RetryPolicy
 	Agent      control.AgentOptions
 	StaleGrace int
+	// Deltas switches agent syncs to protocol-v2 delta subscriptions (one
+	// exchange per sync instead of the legacy epoch-probe-then-fetch
+	// pair); Encoding selects the response encoding for them. Both default
+	// off/JSON: a delta sync consumes one fault-stream draw per attempt
+	// where the legacy pair consumes two, so flipping the knob changes
+	// which faults a seeded schedule lands on (reports remain
+	// deterministic for a given knob setting — see the cross-encoding
+	// determinism tests).
+	Deltas   bool
+	Encoding control.Encoding
 	// DataPlane runs each usable agent's engine over its traffic share
 	// (base share plus routed injections) every epoch. Off by default:
 	// the control-plane audit does not need it, and flood scenarios are
 	// the ones that want conntrack/SYNFlood exercised for real.
 	DataPlane bool
-	// Probes is the coverage audit's per-unit probe grid (0 selects 2000):
-	// the resolution of the coverage fractions, not the audit's cost.
+	// Probes is the coverage audit's per-unit probe grid (0 selects 2000;
+	// use 10000 to match core.CoverageUnderFailure bit for bit): the
+	// resolution of the coverage fractions, not the audit's cost.
 	Probes int
 	// Workers sizes the worker pools (0 = GOMAXPROCS). Reports are
 	// identical for any value.
 	Workers int
-	// The write-only planes, as in Options. With Fleet on, a drain
+	// The write-only planes: reports are DeepEqual with or without any of
+	// them. Metrics receives runtime observability (fetch counters,
+	// staleness and coverage gauges, per-agent assigned width) besides the
+	// wrapped layers' own. Trace receives the causal event log, with trace
+	// context propagated over the controller wire, byte-identical across
+	// Workers values. Watchdog evaluates every epoch against its SLO and
+	// records the breached rules in the epoch record. Ledger receives the
+	// tamper-evident audit chain: every publish and one coverage verdict
+	// per epoch. Fleet turns on the fleet telemetry plane (fleet.go), and
+	// FleetHistory retains its per-epoch snapshots; with Fleet on, a drain
 	// transition additionally reports a farewell, so a draining node
 	// classifies stale — not dark — through its maintenance window.
 	Metrics      *obs.Registry
@@ -249,12 +282,17 @@ func (cfg ScenarioConfig) withDefaults() ScenarioConfig {
 	if cfg.Redundancy <= 0 {
 		cfg.Redundancy = 2
 	}
+	if cfg.StaleGrace < 0 {
+		cfg.StaleGrace = 0
+	}
+	if cfg.Probes <= 0 {
+		cfg.Probes = 2000
+	}
 	return cfg
 }
 
-// ScenarioEpoch is one epoch's outcome: the epoch loop's record, of which
-// OverloadEpoch and EpochReport are projections. All fields are logical, so
-// same-seed runs agree exactly.
+// ScenarioEpoch is one epoch's outcome: the epoch loop's record. All
+// fields are logical, so same-seed runs agree exactly.
 type ScenarioEpoch struct {
 	// Epoch counts runtime epochs from 1.
 	Epoch int
@@ -279,7 +317,7 @@ type ScenarioEpoch struct {
 	ReplanMissed bool
 	// NodeLoads[j] is node j's CPU load fraction after governing (with
 	// the governor off: the raw projection); NodeBudgets[j] the plan's
-	// prediction (both nil on a cluster that models no volumes).
+	// prediction.
 	// OverBudget counts nodes above budget*(1+tolerance); Unsatisfied
 	// counts the nodes the governor could not fit because their remaining
 	// load is entirely copy-0 slices — the r=1 coverage floor outranks the
@@ -373,59 +411,32 @@ func (r *ScenarioReport) EvasionRate() float64 {
 }
 
 // RunScenario drives a live cluster through the driver's epochs: apply the
-// stimulus (faults, drains, gate), fold modulated and injected volumes
-// into the drift detector and the governors, replan on sustained drift,
-// push manifests and shed through the normal epoch protocol, optionally
-// run the data plane over base-plus-injected traffic, and audit both the
-// wire coverage against the published expectation and the injected
-// sessions for evasion. Same config, same report, at any worker count.
+// stimulus (republish, faults, drains, gate), fold modulated and injected
+// volumes into the drift detector and the governors, replan on sustained
+// drift, push manifests and shed through the normal epoch protocol,
+// optionally run the data plane over base-plus-injected traffic, and audit
+// both the wire coverage against the published expectation and the
+// injected sessions for evasion. Same config, same report, at any worker
+// count.
 func RunScenario(cfg ScenarioConfig) (*ScenarioReport, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Driver == nil {
 		return nil, fmt.Errorf("cluster: scenario: nil driver")
 	}
-	rep, err := runScenario(cfg, func(env *ScenarioEnv) (Stimulus, []float64) {
-		return cfg.Driver.Step(env), nil
-	})
+	cfg = cfg.withDefaults()
+	c, err := newCluster(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: scenario %q: %w", cfg.Driver.Name(), err)
 	}
-	rep.Scenario = cfg.Driver.Name()
-	return rep, nil
-}
-
-// runScenario builds the cluster an already-defaulted cfg describes (the
-// loop applies no defaults of its own), runs the epoch loop under step,
-// and folds the epoch records into the run's aggregates.
-func runScenario(cfg ScenarioConfig, step stepper) (*ScenarioReport, error) {
-	sessions := traffic.Generate(cfg.Topo, traffic.Gravity(cfg.Topo), traffic.GenConfig{
-		Sessions: cfg.Sessions, Seed: cfg.TrafficSeed,
-	})
-	c, err := New(Options{
-		Topo: cfg.Topo, Modules: cfg.Modules, Sessions: sessions,
-		Redundancy: cfg.Redundancy, Seed: cfg.Seed,
-		Faults: cfg.Faults, Retry: cfg.Retry, Agent: cfg.Agent, StaleGrace: cfg.StaleGrace,
-		Workers: cfg.Workers, Probes: cfg.Probes, Metrics: cfg.Metrics,
-		Trace: cfg.Trace, Watchdog: cfg.Watchdog, Ledger: cfg.Ledger,
-		Fleet: cfg.Fleet, FleetHistory: cfg.FleetHistory,
-		CaptureBasis: cfg.Replan && cfg.WarmReplan,
-	})
-	if err != nil {
-		return nil, err
-	}
 	defer c.Close()
-	if err := c.attachDynamics(cfg); err != nil {
-		return nil, err
-	}
 
 	rep := &ScenarioReport{
-		Topology: cfg.Topo.Name, Nodes: cfg.Topo.N(), Sessions: cfg.Sessions,
+		Scenario: cfg.Driver.Name(), Topology: cfg.Topo.Name, Nodes: cfg.Topo.N(), Sessions: cfg.Sessions,
 		Redundancy: cfg.Redundancy, Seed: cfg.Seed,
 		Governor: cfg.Governor, Replan: cfg.Replan,
 		Objective: c.plan.Objective, WorstCoverage: 1, FloorHeld: true,
 	}
-	if rep.Epochs, err = c.run(step, cfg.Epochs); err != nil {
-		return nil, err
+	if rep.Epochs, err = c.run(cfg.Driver, cfg.Epochs); err != nil {
+		return nil, fmt.Errorf("cluster: scenario %q: %w", cfg.Driver.Name(), err)
 	}
 	for _, ep := range rep.Epochs {
 		if ep.WorstCoverage < rep.WorstCoverage {

@@ -202,3 +202,43 @@ func TestScenarioEnvWeakRanges(t *testing.T) {
 		}
 	}
 }
+
+// StaleGrace -1 means no grace, not "never usable": a clean run whose
+// agents all sync every epoch must hold the floor at full coverage.
+func TestScenarioNegativeStaleGraceHoldsFloor(t *testing.T) {
+	rep, err := RunScenario(ScenarioConfig{
+		Driver:   &scriptDriver{name: "quiet", step: func(*ScenarioEnv) Stimulus { return Stimulus{} }},
+		Sessions: 300, Epochs: 2, Probes: 200, StaleGrace: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.FloorHeld || rep.WorstCoverage != 1 {
+		t.Fatalf("floor held %v, worst coverage %v; want true, 1", rep.FloorHeld, rep.WorstCoverage)
+	}
+}
+
+// A stimulus gives the epoch's traffic as scales or as absolute volumes,
+// one entry per pair; anything else fails the run.
+func TestStimulusPairVolumesValidated(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		st   func(pairs int) Stimulus
+	}{
+		{"both", func(pairs int) Stimulus {
+			return Stimulus{PairScale: make([]float64, pairs), PairVolumes: make([]float64, pairs)}
+		}},
+		{"short-volumes", func(pairs int) Stimulus { return Stimulus{PairVolumes: make([]float64, pairs-1)} }},
+		{"short-scales", func(pairs int) Stimulus { return Stimulus{PairScale: make([]float64, pairs+1)} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := RunScenario(ScenarioConfig{
+				Driver:   &scriptDriver{name: tc.name, step: func(env *ScenarioEnv) Stimulus { return tc.st(len(env.Pairs)) }},
+				Sessions: 300, Epochs: 1, Probes: 200,
+			})
+			if err == nil {
+				t.Fatal("RunScenario accepted a malformed stimulus")
+			}
+		})
+	}
+}

@@ -17,89 +17,31 @@ import (
 )
 
 // The epoch loop: the one place a runtime epoch's phases are sequenced.
-// Every entry point — RunScenario, RunOverload and CoverageUnderChaos (and
-// the tests' Cluster.RunEpoch) — builds a Cluster, hands run a stepper,
-// and projects the ScenarioEpoch records it returns into its own report
-// type. The phase order is the paper's operations-centre cycle (Sections
-// 2.4-2.5, 3.5):
+// RunScenario (and the tests' Cluster.RunEpoch) builds a Cluster and hands
+// run a ScenarioDriver; every run mode is a driver. The phase order is the
+// paper's operations-centre cycle (Sections 2.4-2.5, 3.5):
 //
-//	step the driver  → apply faults and drains
+//	step the driver  → republish → apply faults and drains
 //	offered volumes  → drift detection → replan → govern and shed
 //	fetch and tally  → data plane → evasion and coverage audit
 //	watchdog         → ledger verdict → fleet sample
-//
-// A Cluster without dynamics (New alone, CoverageUnderChaos) models no
-// traffic volumes: the second row is empty and the data plane always runs.
-
-// stepper is the loop's view of a driver. It is called once per epoch,
-// after c.epoch names the epoch about to run and before any of it has, with
-// the previous epoch's published state in env (the Section 3.5 information
-// order). pairVols, when non-nil, are absolute per-pair volumes that
-// replace Stimulus.PairScale × PairMeans — the one thing an in-package
-// driver may hand over that a ScenarioDriver cannot.
-type stepper func(env *ScenarioEnv) (st Stimulus, pairVols []float64)
-
-// dynamics is the volume-driven half of the loop: the knobs and the state
-// drift detection, replanning and governing carry between epochs.
-type dynamics struct {
-	// cfg supplies Governor, Replan/WarmReplan/ReplanMaxIters and
-	// DataPlane.
-	cfg ScenarioConfig
-
-	scaler unitScales
-	// origPkts/origItems are the volumes the first plan was solved against:
-	// drivers scale the *original* workload, while the detector and the
-	// governors compare against the *current* plan's, which move when a
-	// replan lands.
-	origPkts, origItems []float64
-	detector            *DriftDetector
-	govs                []*governor.Governor
-	// floor holds each node's copy-0 slices of the current plan: the r = 1
-	// floor the governors' local reasoning assumes is enforced.
-	floor [][]core.ManifestSlice
-	// lastShed is the shed state the governors published: this epoch's
-	// coverage audit subtracts it, and the next epoch's driver sees it.
-	// Entries stay nil while the governors only project.
-	lastShed []map[int]hashing.RangeSet
-}
-
-// attachDynamics turns the volume phases on for c, configured from cfg's
-// governor and replan knobs.
-func (c *Cluster) attachDynamics(cfg ScenarioConfig) error {
-	pv := traffic.Volumes(cfg.Topo, traffic.Gravity(cfg.Topo), 0)
-	d := &dynamics{
-		cfg:       cfg,
-		scaler:    newUnitScales(c.inst, pv),
-		origPkts:  make([]float64, len(c.inst.Units)),
-		origItems: make([]float64, len(c.inst.Units)),
-		govs:      make([]*governor.Governor, len(c.agents)),
-		lastShed:  make([]map[int]hashing.RangeSet, len(c.agents)),
-	}
-	for ui, u := range c.inst.Units {
-		d.origPkts[ui] = u.Pkts
-		d.origItems[ui] = u.Items
-	}
-	d.detector = NewDriftDetector(d.origPkts, cfg.EWMAAlpha, cfg.ReplanThreshold)
-	c.dyn = d
-	return c.buildGovernors()
-}
 
 // buildGovernors rebuilds every node's governor against the current plan.
 func (c *Cluster) buildGovernors() error {
-	c.dyn.floor = make([][]core.ManifestSlice, len(c.dyn.govs))
+	c.floor = make([][]core.ManifestSlice, len(c.govs))
 	for j, slices := range c.plan.Slices() {
 		for _, ms := range slices {
 			if ms.Copy == 0 {
-				c.dyn.floor[j] = append(c.dyn.floor[j], ms)
+				c.floor[j] = append(c.floor[j], ms)
 			}
 		}
 	}
-	for j := range c.dyn.govs {
-		g, err := governor.New(c.plan, j, governor.Config{Metrics: c.dyn.cfg.Metrics})
+	for j := range c.govs {
+		g, err := governor.New(c.plan, j, governor.Config{Metrics: c.cfg.Metrics})
 		if err != nil {
 			return err
 		}
-		c.dyn.govs[j] = g
+		c.govs[j] = g
 	}
 	return nil
 }
@@ -175,24 +117,28 @@ func (us unitScales) unitVolumes(base, vols []float64) []float64 {
 }
 
 // run drives c through the given number of epochs, stepping the driver at
-// the top of each, and returns one record per epoch.
-func (c *Cluster) run(step stepper, epochs int) ([]ScenarioEpoch, error) {
+// the top of each, and returns one record per epoch. The driver is called
+// after c.epoch names the epoch about to run and before any of it has,
+// with the previous epoch's published state in env (the Section 3.5
+// information order); a republish it asks for is recorded under that
+// epoch, so the fetches it triggers stitch to it.
+func (c *Cluster) run(driver ScenarioDriver, epochs int) ([]ScenarioEpoch, error) {
 	out := make([]ScenarioEpoch, 0, epochs)
 	for e := 0; e < epochs; e++ {
 		c.epoch++
-		c.opts.Ledger.SetRun(c.epoch)
+		c.cfg.Ledger.SetRun(c.epoch)
 		c.epochC.Add(1)
-		c.epochSpan = c.opts.Trace.Epoch(c.epoch)
+		c.epochSpan = c.cfg.Trace.Epoch(c.epoch)
 
-		env := &ScenarioEnv{
+		st := driver.Step(&ScenarioEnv{
 			Epoch: c.epoch, Epochs: epochs, Nodes: len(c.agents),
-			inst: c.inst, plan: c.plan, hasher: hashing.Hasher{Key: hashKey},
+			Pairs: c.scaler.pv.Pairs, PairMeans: c.scaler.pv.Items,
+			inst: c.inst, plan: c.plan, hasher: hashing.Hasher{Key: hashKey}, shed: c.lastShed,
+		})
+		if st.Republish {
+			c.publish(c.epoch, c.plan)
 		}
-		if d := c.dyn; d != nil {
-			env.Pairs, env.PairMeans, env.shed = d.scaler.pv.Pairs, d.scaler.pv.Items, d.lastShed
-		}
-		st, pairVols := step(env)
-		ep, err := c.runEpoch(st, pairVols)
+		ep, err := c.runEpoch(st)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +148,7 @@ func (c *Cluster) run(step stepper, epochs int) ([]ScenarioEpoch, error) {
 }
 
 // runEpoch runs one epoch's phases under the given stimulus.
-func (c *Cluster) runEpoch(st Stimulus, pairVols []float64) (ScenarioEpoch, error) {
+func (c *Cluster) runEpoch(st Stimulus) (ScenarioEpoch, error) {
 	ep := ScenarioEpoch{
 		Epoch: c.epoch, CtrlDown: st.Faults.ControllerDown, Injected: len(st.Inject),
 		AgentEpochs: make([]uint64, len(c.agents)),
@@ -239,22 +185,17 @@ func (c *Cluster) runEpoch(st Stimulus, pairVols []float64) (ScenarioEpoch, erro
 	}
 
 	// Offered volumes → drift → replan → govern and shed.
-	var attests []governor.Attestation
-	if d := c.dyn; d != nil {
-		if st.PairScale != nil && len(st.PairScale) != len(d.scaler.pv.Pairs) {
-			return ep, fmt.Errorf("cluster: epoch %d: %d pair scales for %d pairs",
-				ep.Epoch, len(st.PairScale), len(d.scaler.pv.Pairs))
-		}
-		if pairVols == nil {
-			pairVols = d.scaler.pairVolumes(st.PairScale)
-		}
-		obsPkts, err := c.observe(&ep, pairVols, st.Inject)
-		if err != nil {
-			return ep, err
-		}
-		if attests, err = c.govern(&ep, obsPkts); err != nil {
-			return ep, err
-		}
+	pairVols, err := c.pairVolumes(ep.Epoch, st)
+	if err != nil {
+		return ep, err
+	}
+	obsPkts, err := c.observe(&ep, pairVols, st.Inject)
+	if err != nil {
+		return ep, err
+	}
+	attests, err := c.govern(&ep, obsPkts)
+	if err != nil {
+		return ep, err
 	}
 	ep.ControllerEpoch = c.ctrl.Epoch()
 
@@ -296,7 +237,7 @@ func (c *Cluster) runEpoch(st Stimulus, pairVols []float64) (ScenarioEpoch, erro
 	c.staleG.Set(float64(ep.StaleAgents))
 	c.darkG.Set(float64(ep.DarkAgents))
 
-	if c.dyn == nil || c.dyn.cfg.DataPlane {
+	if c.cfg.DataPlane {
 		c.dataPhase(&ep, st.Inject)
 	}
 
@@ -326,8 +267,8 @@ func (c *Cluster) runEpoch(st Stimulus, pairVols []float64) (ScenarioEpoch, erro
 	// expectation subtracts downed nodes and published shed, so a predicted
 	// dip is not a breach; anything below it means manifests and reality
 	// disagree — the violation the flight recorder exists for.
-	ep.WorstCoverage, ep.AvgCoverage = core.ProbeCoverage(len(c.inst.Units), c.opts.Probes, c.achieved)
-	ep.ExpectedWorst, ep.ExpectedAvg = core.ProbeCoverage(len(c.inst.Units), c.opts.Probes, c.expected)
+	ep.WorstCoverage, ep.AvgCoverage = core.ProbeCoverage(len(c.inst.Units), c.cfg.Probes, c.achieved)
+	ep.ExpectedWorst, ep.ExpectedAvg = core.ProbeCoverage(len(c.inst.Units), c.cfg.Probes, c.expected)
 	c.covWorstG.Set(ep.WorstCoverage)
 	c.covAvgG.Set(ep.AvgCoverage)
 	c.epochSpan.Event(trace.EvCoverage,
@@ -337,10 +278,10 @@ func (c *Cluster) runEpoch(st Stimulus, pairVols []float64) (ScenarioEpoch, erro
 		ep.Breach = true
 		c.epochSpan.Event(trace.EvCoverageViolation,
 			trace.F64("worst", ep.WorstCoverage), trace.F64("expected", ep.ExpectedWorst))
-		c.opts.Trace.DumpOnce("coverage_violation")
+		c.cfg.Trace.DumpOnce("coverage_violation")
 	}
 
-	for _, v := range c.opts.Watchdog.Check(c.epochSpan, trace.EpochStats{
+	for _, v := range c.cfg.Watchdog.Check(c.epochSpan, trace.EpochStats{
 		WorstCoverage: ep.WorstCoverage, AvgCoverage: ep.AvgCoverage,
 		ShedWidth: ep.ShedWidth, ReplanIters: ep.ReplanIters,
 		FetchFailures: ep.FetchFailures, DarkAgents: ep.DarkAgents,
@@ -349,11 +290,29 @@ func (c *Cluster) runEpoch(st Stimulus, pairVols []float64) (ScenarioEpoch, erro
 		ep.SLOViolations = append(ep.SLOViolations, v.String())
 	}
 	if len(ep.SLOViolations) > 0 {
-		c.opts.Trace.DumpOnce("slo_violation")
+		c.cfg.Trace.DumpOnce("slo_violation")
 	}
 	c.commitVerdict(&ep, attests)
 	c.sampleFleet()
 	return ep, nil
+}
+
+// pairVolumes returns the epoch's absolute per-pair volumes: the
+// stimulus's PairVolumes as given, else PairScale × PairMeans.
+func (c *Cluster) pairVolumes(epoch int, st Stimulus) ([]float64, error) {
+	pairs := len(c.scaler.pv.Pairs)
+	switch {
+	case st.PairVolumes != nil && st.PairScale != nil:
+		return nil, fmt.Errorf("cluster: epoch %d: stimulus sets both PairVolumes and PairScale", epoch)
+	case st.PairVolumes != nil:
+		if len(st.PairVolumes) != pairs {
+			return nil, fmt.Errorf("cluster: epoch %d: %d pair volumes for %d pairs", epoch, len(st.PairVolumes), pairs)
+		}
+		return st.PairVolumes, nil
+	case st.PairScale != nil && len(st.PairScale) != pairs:
+		return nil, fmt.Errorf("cluster: epoch %d: %d pair scales for %d pairs", epoch, len(st.PairScale), pairs)
+	}
+	return c.scaler.pairVolumes(st.PairScale), nil
 }
 
 // observe computes the epoch's observed per-unit packet volumes — the pair
@@ -366,8 +325,7 @@ func (c *Cluster) runEpoch(st Stimulus, pairVols []float64) (ScenarioEpoch, erro
 // epoch protocol; a missed deadline abandons the solve — the published shed
 // state already bounds every node's load.
 func (c *Cluster) observe(ep *ScenarioEpoch, pairVols []float64, inject []traffic.Session) ([]float64, error) {
-	d := c.dyn
-	obsPkts := d.scaler.unitVolumes(d.origPkts, pairVols)
+	obsPkts := c.scaler.unitVolumes(c.origPkts, pairVols)
 	for _, s := range inject {
 		for ci := range c.inst.Classes {
 			if !c.inst.Classes[ci].Matches(s) {
@@ -378,20 +336,20 @@ func (c *Cluster) observe(ep *ScenarioEpoch, pairVols []float64, inject []traffi
 			}
 		}
 	}
-	ep.MaxRelErr = d.detector.Observe(obsPkts)
-	ep.Drifted = d.detector.Drifted()
+	ep.MaxRelErr = c.detector.Observe(obsPkts)
+	ep.Drifted = c.detector.Drifted()
 	c.epochSpan.Event(trace.EvDrift,
 		trace.F64("rel_err", ep.MaxRelErr), trace.Int("drifted", boolToInt(ep.Drifted)))
-	if !d.cfg.Replan || !ep.Drifted {
+	if !c.cfg.Replan || !ep.Drifted {
 		return obsPkts, nil
 	}
-	smPkts := d.detector.Smoothed()
+	smPkts := c.detector.Smoothed()
 	smItems := make([]float64, len(smPkts))
 	for ui := range smItems {
-		if d.origPkts[ui] > 0 {
-			smItems[ui] = d.origItems[ui] * smPkts[ui] / d.origPkts[ui]
+		if c.origPkts[ui] > 0 {
+			smItems[ui] = c.origItems[ui] * smPkts[ui] / c.origPkts[ui]
 		} else {
-			smItems[ui] = d.origItems[ui]
+			smItems[ui] = c.origItems[ui]
 		}
 	}
 	inst2, err := c.inst.WithVolumes(smPkts, smItems)
@@ -399,10 +357,10 @@ func (c *Cluster) observe(ep *ScenarioEpoch, pairVols []float64, inject []traffi
 		return nil, err
 	}
 	sopts := core.SolveOptions{
-		Redundancy: c.opts.Redundancy, MaxIters: d.cfg.ReplanMaxIters,
-		Metrics: c.opts.Metrics, CaptureBasis: true,
+		Redundancy: c.cfg.Redundancy, MaxIters: c.cfg.ReplanMaxIters,
+		Metrics: c.cfg.Metrics, CaptureBasis: true,
 	}
-	if d.cfg.WarmReplan {
+	if c.cfg.WarmReplan {
 		sopts.WarmBasis = c.plan.Basis
 	}
 	plan2, err := core.SolveOpts(inst2, sopts)
@@ -412,25 +370,25 @@ func (c *Cluster) observe(ep *ScenarioEpoch, pairVols []float64, inject []traffi
 		// Clears published shed, bumps the controller epoch, and stamps
 		// this epoch's publish span on served manifests.
 		c.publish(ep.Epoch, plan2)
-		d.detector.Rebase(smPkts)
+		c.detector.Rebase(smPkts)
 		if err := c.buildGovernors(); err != nil {
 			return nil, err
 		}
 		ep.Replanned = true
 		ep.ReplanWarm = sopts.WarmBasis != nil
 		ep.ReplanIters = plan2.SolverIters
-		c.opts.Metrics.Add("cluster.replans", 1)
+		c.cfg.Metrics.Add("cluster.replans", 1)
 		metric, ev := "cluster.replan_iters_cold", trace.EvReplanCold
 		if ep.ReplanWarm {
 			metric, ev = "cluster.replan_iters_warm", trace.EvReplanWarm
 		}
-		c.opts.Metrics.Add(metric, int64(ep.ReplanIters))
+		c.cfg.Metrics.Add(metric, int64(ep.ReplanIters))
 		c.epochSpan.Event(ev, trace.Int("iters", ep.ReplanIters))
 	case errors.Is(err, lp.ErrIterLimit):
 		ep.ReplanMissed = true
-		c.opts.Metrics.Add("cluster.replan_misses", 1)
-		c.epochSpan.Event(trace.EvDeadlineMiss, trace.Int("max_iters", d.cfg.ReplanMaxIters))
-		c.opts.Trace.DumpOnce("deadline_miss")
+		c.cfg.Metrics.Add("cluster.replan_misses", 1)
+		c.epochSpan.Event(trace.EvDeadlineMiss, trace.Int("max_iters", c.cfg.ReplanMaxIters))
+		c.cfg.Trace.DumpOnce("deadline_miss")
 	default:
 		return nil, fmt.Errorf("cluster: replan: %w", err)
 	}
@@ -444,7 +402,6 @@ func (c *Cluster) observe(ep *ScenarioEpoch, pairVols []float64, inject []traffi
 // attestations (ledger-on, governor-on only) go into the epoch's verdict
 // record.
 func (c *Cluster) govern(ep *ScenarioEpoch, obsPkts []float64) ([]governor.Attestation, error) {
-	d := c.dyn
 	scVsPlan := make([]float64, len(obsPkts))
 	for ui := range scVsPlan {
 		if p := c.inst.Units[ui].Pkts; p > 0 {
@@ -454,16 +411,18 @@ func (c *Cluster) govern(ep *ScenarioEpoch, obsPkts []float64) ([]governor.Attes
 		}
 	}
 	ctrlSpan := c.epochSpan.Child("controller", -1)
-	if ctrlSpan.Live() {
+	if c.cfg.Governor && ctrlSpan.Live() {
 		// Shed publishes below serve manifests under this epoch's
-		// controller span, so re-fetching agents stitch to it.
+		// controller span, so re-fetching agents stitch to it. Ungoverned,
+		// nothing is published here, and served manifests keep the span
+		// of the publish that made them.
 		c.ctrl.SetTrace(&control.WireTrace{Trace: ctrlSpan.TraceHex(), Span: ctrlSpan.SpanHex()})
 	}
-	ep.NodeLoads = make([]float64, len(d.govs))
-	ep.NodeBudgets = make([]float64, len(d.govs))
+	ep.NodeLoads = make([]float64, len(c.govs))
+	ep.NodeBudgets = make([]float64, len(c.govs))
 	var attests []governor.Attestation
 	protect := c.unconfirmedFloor()
-	for j, g := range d.govs {
+	for j, g := range c.govs {
 		g.AttachSpan(c.epochSpan.Child("governor", j))
 		g.Protect(protect)
 		grep, err := g.PlanEpoch(scVsPlan)
@@ -472,10 +431,10 @@ func (c *Cluster) govern(ep *ScenarioEpoch, obsPkts []float64) ([]governor.Attes
 		}
 		ep.NodeBudgets[j] = grep.BudgetCPU
 		ep.NodeLoads[j] = grep.ProjectedCPU
-		c.agents[j].lastFloor = d.cfg.Governor && !grep.Satisfied
-		d.lastShed[j] = nil
-		if d.cfg.Governor {
-			if c.opts.Ledger != nil {
+		c.agents[j].lastFloor = c.cfg.Governor && !grep.Satisfied
+		c.lastShed[j] = nil
+		if c.cfg.Governor {
+			if c.cfg.Ledger != nil {
 				attests = append(attests, g.Attest(grep))
 			}
 			ep.NodeLoads[j] = grep.CPUAfter
@@ -484,7 +443,7 @@ func (c *Cluster) govern(ep *ScenarioEpoch, obsPkts []float64) ([]governor.Attes
 				// Floor breach: the r=1 coverage floor is all that is left
 				// and the node still projects hot.
 				ep.Unsatisfied++
-				c.opts.Trace.DumpOnce("floor_breach")
+				c.cfg.Trace.DumpOnce("floor_breach")
 			}
 			shed := g.ShedRanges()
 			wa := control.ShedFromRanges(c.plan, shed)
@@ -493,13 +452,13 @@ func (c *Cluster) govern(ep *ScenarioEpoch, obsPkts []float64) ([]governor.Attes
 					trace.Int("node", j), trace.F64("width", grep.ShedWidth))
 			}
 			c.ctrl.PublishShed(j, wa)
-			d.lastShed[j] = shed
+			c.lastShed[j] = shed
 		}
 		if ep.NodeLoads[j] > grep.BudgetCPU*(1+governor.Tolerance)+1e-9 {
 			ep.OverBudget++
 		}
 	}
-	c.opts.Metrics.Set("cluster.shed_width", ep.ShedWidth)
+	c.cfg.Metrics.Set("cluster.shed_width", ep.ShedWidth)
 	return attests, nil
 }
 
@@ -530,10 +489,7 @@ func (c *Cluster) expected(ui int, dst hashing.RangeSet) hashing.RangeSet {
 // shedOf returns the ranges of unit ui the node's governor shed this epoch
 // (nil while the governors only project).
 func (c *Cluster) shedOf(node, ui int) hashing.RangeSet {
-	if c.dyn == nil {
-		return nil
-	}
-	return c.dyn.lastShed[node][ui]
+	return c.lastShed[node][ui]
 }
 
 // unconfirmedFloor returns, per unit, the parts of the current plan's
@@ -554,7 +510,7 @@ func (c *Cluster) unconfirmedFloor() map[int]hashing.RangeSet {
 		if a.down || d == nil || d.Epoch() == c.ctrl.Epoch() {
 			continue
 		}
-		for _, ms := range c.dyn.floor[j] {
+		for _, ms := range c.floor[j] {
 			u := c.inst.Units[ms.Unit]
 			c.own = d.UnitRanges(c.own[:0], u.Class, u.Key)
 			if rs := (hashing.RangeSet{ms.Range}).Subtract(c.own); len(rs) > 0 {
@@ -582,7 +538,7 @@ func (c *Cluster) dataPhase(ep *ScenarioEpoch, inject []traffic.Session) {
 			routed[node] = append(routed[node], s)
 		}
 	}
-	reports := parallel.Map(parallel.Resolve(c.opts.Workers, n), n, func(j int) bro.Report {
+	reports := parallel.Map(parallel.Resolve(c.cfg.Workers, n), n, func(j int) bro.Report {
 		a := c.agents[j]
 		if !a.Usable() {
 			return bro.Report{Node: j}
@@ -595,11 +551,11 @@ func (c *Cluster) dataPhase(ep *ScenarioEpoch, inject []traffic.Session) {
 		}
 		return bro.Run(bro.Config{
 			Mode:    bro.ModeCoordEvent,
-			Modules: c.opts.Modules,
+			Modules: c.cfg.Modules,
 			Decider: a.Decider(),
 			Node:    j,
 			Hasher:  hashing.Hasher{Key: hashKey},
-			Metrics: c.opts.Metrics,
+			Metrics: c.cfg.Metrics,
 			Trace:   a.span,
 		}, tr)
 	})

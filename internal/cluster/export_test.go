@@ -4,7 +4,7 @@ import "nwdeploy/internal/chaos"
 
 // Test-only entry points. BumpEpoch, Converge and RunEpoch drive the
 // epoch loop one step at a time for the tests and BenchmarkClusterConverge;
-// the commands run whole modes instead.
+// the commands run whole scenarios through RunScenario instead.
 
 // BumpEpoch re-stamps the current plan as a new configuration generation —
 // the operations center's periodic re-optimization round (the workload is
@@ -28,18 +28,19 @@ func (c *Cluster) Converge() int {
 	return synced
 }
 
-// RunEpoch advances the cluster one chaos epoch: applies the epoch's
-// faults (crashing agents lose their manifests; a down controller drops
-// every exchange), runs the fetch phase, drives each usable agent's
-// engine over its traffic share, and audits achieved coverage against the
-// plan's static prediction for the same failure set. It is one turn of the
-// epoch loop (epoch.go) under a faults-only stimulus.
-func (c *Cluster) RunEpoch(f chaos.EpochFaults) EpochReport {
-	eps, err := c.run(func(*ScenarioEnv) (Stimulus, []float64) { return Stimulus{Faults: f}, nil }, 1)
+// RunEpoch advances the cluster one epoch under a faults-only stimulus:
+// applies the epoch's faults (crashing agents lose their manifests; a down
+// controller drops every exchange), runs the fetch phase, drives each
+// usable agent's engine over its traffic share, and audits achieved
+// coverage against the plan's prediction for the same failure set.
+func (c *Cluster) RunEpoch(f chaos.EpochFaults) ScenarioEpoch {
+	eps, err := c.run(&scriptDriver{name: "epoch", step: func(*ScenarioEnv) Stimulus {
+		return Stimulus{Faults: f}
+	}}, 1)
 	if err != nil {
 		panic(err) // only a volume phase can fail, and faults give it nothing to reject
 	}
-	return chaosEpoch(eps[0])
+	return eps[0]
 }
 
 // MaxRelErr returns the current maximum relative error across units.

@@ -55,7 +55,7 @@ func (c *Cluster) collectStats(a *NodeAgent) telemetry.NodeStats {
 // snapshot, and retain it in the history ring. The last phase of every
 // epoch; a no-op without a configured Fleet.
 func (c *Cluster) sampleFleet() {
-	if c.opts.Fleet == nil {
+	if c.cfg.Fleet == nil {
 		return
 	}
 	for _, a := range c.agents {
@@ -70,8 +70,8 @@ func (c *Cluster) sampleFleet() {
 		a.lastStats = s
 		a.agent.SetStats(&s)
 	}
-	snap := c.opts.Fleet.EndEpoch(c.epoch, c.ctrl.Epoch())
-	c.opts.FleetHistory.Add(snap)
+	snap := c.cfg.Fleet.EndEpoch(c.epoch, c.ctrl.Epoch())
+	c.cfg.FleetHistory.Add(snap)
 }
 
 // fleetDrainFarewell is the maintenance workflow's graceful goodbye: at
@@ -81,10 +81,10 @@ func (c *Cluster) sampleFleet() {
 // flag is what lets the health state machine classify the silence as
 // stale — planned — rather than dark. Crashes send no farewell.
 func (c *Cluster) fleetDrainFarewell(a *NodeAgent) {
-	if c.opts.Fleet == nil {
+	if c.cfg.Fleet == nil {
 		return
 	}
 	s := a.lastStats
 	s.Draining = true
-	c.opts.Fleet.Report(s)
+	c.cfg.Fleet.Report(s)
 }

@@ -24,7 +24,7 @@ func zeroWallMs(snaps []telemetry.FleetSnapshot) []telemetry.FleetSnapshot {
 // itself (wall clock aside) is identical across worker counts — stats
 // ride only exchanges the agents were already making.
 func TestChaosFleetNonInterference(t *testing.T) {
-	base, err := CoverageUnderChaos(smallChaosConfig(21, 0))
+	base, err := RunScenario(smallChaosConfig(21, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestChaosFleetNonInterference(t *testing.T) {
 		cfg := smallChaosConfig(21, workers)
 		cfg.Fleet = telemetry.NewFleet(n, telemetry.FleetOptions{})
 		cfg.FleetHistory = telemetry.NewHistory(16)
-		rep, err := CoverageUnderChaos(cfg)
+		rep, err := RunScenario(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestChaosFleetNonInterference(t *testing.T) {
 // Overload runs carry the governor's shed state into the fleet view, and
 // the plane stays write-only there too.
 func TestOverloadFleetNonInterference(t *testing.T) {
-	base, err := RunOverload(smallOverloadConfig(5, 0))
+	base, err := RunScenario(smallOverloadConfig(5, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestOverloadFleetNonInterference(t *testing.T) {
 	cfg := smallOverloadConfig(5, 0)
 	cfg.Fleet = telemetry.NewFleet(n, telemetry.FleetOptions{})
 	cfg.FleetHistory = telemetry.NewHistory(16)
-	rep, err := RunOverload(cfg)
+	rep, err := RunScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

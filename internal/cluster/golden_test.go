@@ -225,10 +225,45 @@ func lossyScenarioConfig(t *testing.T) ScenarioConfig {
 	return cfg
 }
 
-// goldenCases runs every report the golden file pins.
+// legacyTree renders a report as goldenTree does, adding the names the
+// golden file pins from before chaos and overload runs returned a
+// ScenarioReport: a chaos epoch's ControllerDown and PredictedWorst/Avg
+// (CtrlDown and ExpectedWorst/Avg), and an overload report's WarmReplan
+// and per-epoch ShedFloorWorst/Avg (the expectation when governed, else
+// 1: ungoverned, nothing sheds).
+func legacyTree(rep *ScenarioReport, cfg ScenarioConfig) interface{} {
+	tree := goldenTree(reflect.ValueOf(rep)).(map[string]interface{})
+	_, chaosRun := cfg.Driver.(*ChaosDriver)
+	if !chaosRun {
+		tree["WarmReplan"] = cfg.WarmReplan
+	}
+	one := goldenTree(reflect.ValueOf(1.0))
+	for _, e := range tree["Epochs"].([]interface{}) {
+		m := e.(map[string]interface{})
+		switch {
+		case chaosRun:
+			m["ControllerDown"], m["PredictedWorst"], m["PredictedAvg"] = m["CtrlDown"], m["ExpectedWorst"], m["ExpectedAvg"]
+		case cfg.Governor:
+			m["ShedFloorWorst"], m["ShedFloorAvg"] = m["ExpectedWorst"], m["ExpectedAvg"]
+		default:
+			m["ShedFloorWorst"], m["ShedFloorAvg"] = one, one
+		}
+	}
+	return tree
+}
+
+// goldenCases runs every report the golden file pins and renders each as
+// a golden tree.
 func goldenCases(t *testing.T) map[string]interface{} {
 	t.Helper()
 	out := map[string]interface{}{}
+	run := func(name string, cfg ScenarioConfig) {
+		rep, err := RunScenario(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = legacyTree(rep, cfg)
+	}
 	for _, seed := range []int64{21, 22} {
 		for _, p := range []struct {
 			name   string
@@ -241,28 +276,16 @@ func goldenCases(t *testing.T) map[string]interface{} {
 		} {
 			cfg := smallChaosConfig(seed, 0)
 			cfg.Deltas, cfg.Encoding = p.deltas, p.enc
-			rep, err := CoverageUnderChaos(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[fmt.Sprintf("chaos/seed%d/%s", seed, p.name)] = rep
+			run(fmt.Sprintf("chaos/seed%d/%s", seed, p.name), cfg)
 		}
 	}
 	for _, seed := range []int64{5, 6, 9} {
-		rep, err := RunOverload(smallOverloadConfig(seed, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[fmt.Sprintf("overload/seed%d", seed)] = rep
+		run(fmt.Sprintf("overload/seed%d", seed), smallOverloadConfig(seed, 0))
 	}
 	for _, warm := range []bool{true, false} {
-		rep, err := RunOverload(replanConfig(warm))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[fmt.Sprintf("overload/replan-warm=%v", warm)] = rep
+		run(fmt.Sprintf("overload/replan-warm=%v", warm), replanConfig(warm))
 	}
-	out["scenario/diurnal"] = goldenDiurnalScenario(t)
+	out["scenario/diurnal"] = goldenTree(reflect.ValueOf(goldenDiurnalScenario(t)))
 
 	tr := trace.New(trace.Options{Seed: 42})
 	cfg := scriptedFaultConfig(t, 0)
@@ -271,7 +294,7 @@ func goldenCases(t *testing.T) map[string]interface{} {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["scenario/crash-drain-inject"] = goldenScenario{Report: rep, TraceHash: dumpHash(t, tr)}
+	out["scenario/crash-drain-inject"] = goldenTree(reflect.ValueOf(goldenScenario{Report: rep, TraceHash: dumpHash(t, tr)}))
 
 	tr = trace.New(trace.Options{Seed: 42})
 	cfg = lossyScenarioConfig(t)
@@ -279,7 +302,7 @@ func goldenCases(t *testing.T) map[string]interface{} {
 	if rep, err = RunScenario(cfg); err != nil {
 		t.Fatal(err)
 	}
-	out["scenario/lossy"] = goldenScenario{Report: rep, TraceHash: dumpHash(t, tr)}
+	out["scenario/lossy"] = goldenTree(reflect.ValueOf(goldenScenario{Report: rep, TraceHash: dumpHash(t, tr)}))
 	return out
 }
 
@@ -287,10 +310,7 @@ func goldenCases(t *testing.T) map[string]interface{} {
 // trace-dump hash — must match the file captured before the epoch loops
 // were merged, bit for bit, over every field that file knows.
 func TestReportsGolden(t *testing.T) {
-	got := map[string]interface{}{}
-	for name, rep := range goldenCases(t) {
-		got[name] = goldenTree(reflect.ValueOf(rep))
-	}
+	got := goldenCases(t)
 	data, err := json.MarshalIndent(got, "", " ")
 	if err != nil {
 		t.Fatal(err)

@@ -36,25 +36,12 @@ func verifyTestChain(t *testing.T, led *ledger.Ledger, store ledger.Store, seed 
 }
 
 // checkVerdict decodes one committed verdict and requires it to equal w,
-// the verdict its epoch's report implies. Where the report type does not
-// carry agent generations (w.AgentEpochs nil: the overload report, on a
-// clean network) every agent must be at the controller's.
-func checkVerdict(t *testing.T, data []byte, w CoverageVerdict, n int) {
+// the verdict its epoch's report implies.
+func checkVerdict(t *testing.T, data []byte, w CoverageVerdict) {
 	t.Helper()
 	v, err := DecodeCoverageVerdict(data)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if w.AgentEpochs == nil {
-		if v.CtrlEpoch == 0 || len(v.AgentEpochs) != n {
-			t.Fatalf("epoch %d: verdict %+v names no generation", w.RunEpoch, v)
-		}
-		for j, e := range v.AgentEpochs {
-			if e != v.CtrlEpoch {
-				t.Fatalf("epoch %d: agent %d at generation %d, controller at %d", w.RunEpoch, j, e, v.CtrlEpoch)
-			}
-		}
-		w.CtrlEpoch, w.AgentEpochs = v.CtrlEpoch, v.AgentEpochs
 	}
 	if len(v.DownNodes) == 0 {
 		v.DownNodes = nil
@@ -78,12 +65,12 @@ func TestLedgerVerdictEqualsReport(t *testing.T) {
 	slo.MinWorstCoverage = 1.01 // unsatisfiable: every verdict carries SLO strings
 	for _, ep := range entryPoints {
 		t.Run(ep.name, func(t *testing.T) {
-			base, want := ep.run(t, planes{wd: trace.NewWatchdog(slo)})
+			base, want := runEntryPoint(t, ep.config, planes{wd: trace.NewWatchdog(slo)})
 			n := topology.Internet2().N()
 			var chains [][]byte
 			for _, workers := range []int{1, 4} {
 				led, store := newTestLedger(ep.seed)
-				rep, _ := ep.run(t, planes{workers: workers, led: led, wd: trace.NewWatchdog(slo)})
+				rep, _ := runEntryPoint(t, ep.config, planes{workers: workers, led: led, wd: trace.NewWatchdog(slo)})
 				if !reflect.DeepEqual(base, rep) {
 					t.Fatalf("ledger-on report (workers=%d) diverges from ledger-off", workers)
 				}
@@ -111,7 +98,7 @@ func TestLedgerVerdictEqualsReport(t *testing.T) {
 					for _, it := range r.Items {
 						switch it.Kind {
 						case ledger.ItemVerdict:
-							checkVerdict(t, it.Data, want[epoch], n)
+							checkVerdict(t, it.Data, want[epoch])
 						case ledger.ItemAttest:
 							a, err := governor.DecodeAttestation(it.Data)
 							if err != nil {
@@ -158,17 +145,17 @@ func TestChaosLedgerDeltaPathEquivalence(t *testing.T) {
 	var ref []byte
 	for _, p := range paths {
 		for _, workers := range []int{1, 4} {
-			cfg := ChaosConfig{
-				Sessions: 600, Epochs: 4, Seed: 33,
+			cfg := chaosConfig(&ChaosDriver{
 				Schedule:   &chaos.Schedule{}, // fault-free: every agent syncs every epoch
 				ReoptEvery: 2,                 // exercise a mid-run publish record
-				Deltas:     p.deltas, Encoding: p.enc,
-				Probes: 300, Workers: workers,
-				Retry: fastRetry, Agent: fastAgent,
-			}
+			})
+			cfg.Sessions, cfg.Epochs, cfg.Seed = 600, 4, 33
+			cfg.Deltas, cfg.Encoding = p.deltas, p.enc
+			cfg.Probes, cfg.Workers = 300, workers
+			cfg.Retry, cfg.Agent = fastRetry, fastAgent
 			led, store := newTestLedger(33)
 			cfg.Ledger = led
-			if _, err := CoverageUnderChaos(cfg); err != nil {
+			if _, err := RunScenario(cfg); err != nil {
 				t.Fatal(err)
 			}
 			verifyTestChain(t, led, store, 33)
@@ -189,7 +176,7 @@ func TestChaosLedgerDeltaPathEquivalence(t *testing.T) {
 // carries a Merkle inclusion proof into its record's root.
 func TestClusterLedgerMatchesAgentManifests(t *testing.T) {
 	led, store := newTestLedger(9)
-	c := newTestCluster(t, Options{Seed: 9, Deltas: true, Encoding: control.EncodingBinary, Ledger: led})
+	c := newTestCluster(t, ScenarioConfig{Seed: 9, Deltas: true, Encoding: control.EncodingBinary, Ledger: led})
 	c.RunEpoch(chaos.EpochFaults{})
 	c.BumpEpoch()
 	c.RunEpoch(chaos.EpochFaults{})

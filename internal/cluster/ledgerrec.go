@@ -95,7 +95,7 @@ func DecodeCoverageVerdict(b []byte) (CoverageVerdict, error) {
 // verdict, every field from the loop's epoch record, plus the governed
 // nodes' floor attestations. Free when no ledger is configured.
 func (c *Cluster) commitVerdict(ep *ScenarioEpoch, attests []governor.Attestation) {
-	l := c.opts.Ledger
+	l := c.cfg.Ledger
 	if l == nil {
 		return
 	}

@@ -9,10 +9,10 @@ import (
 
 // smallOverloadConfig is a fast overload scenario: frequent moderate
 // bursts a redundancy-2 deployment can absorb by shedding to its floor.
-func smallOverloadConfig(seed int64, workers int) OverloadConfig {
-	return OverloadConfig{
+func smallOverloadConfig(seed int64, workers int) ScenarioConfig {
+	return ScenarioConfig{
+		Driver:   &BurstDriver{Seed: seed, BurstFactor: 1.8, BurstProb: 0.5, BaseJitter: 0.05},
 		Sessions: 1500, Epochs: 5, Seed: seed,
-		BurstFactor: 1.8, BurstProb: 0.5, BaseJitter: 0.05,
 		Governor: true,
 		Probes:   500, Workers: workers,
 	}
@@ -25,7 +25,7 @@ func smallOverloadConfig(seed int64, workers int) OverloadConfig {
 // below the audited shed floor (full, since copy 0 is never shed). With
 // the governor off, the same traffic pushes strictly more nodes over.
 func TestOverloadGovernorBoundsLoad(t *testing.T) {
-	rep, err := RunOverload(smallOverloadConfig(5, 0))
+	rep, err := RunScenario(smallOverloadConfig(5, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +46,12 @@ func TestOverloadGovernorBoundsLoad(t *testing.T) {
 				ep.Epoch, ep.OverBudget, ep.Unsatisfied)
 		}
 		overOn += ep.OverBudget
-		if ep.ShedFloorWorst < 1-1e-9 {
-			t.Fatalf("epoch %d: shed floor %v — copy 0 was shed", ep.Epoch, ep.ShedFloorWorst)
+		if ep.ExpectedWorst < 1-1e-9 {
+			t.Fatalf("epoch %d: shed floor %v — copy 0 was shed", ep.Epoch, ep.ExpectedWorst)
 		}
-		if ep.WorstCoverage < ep.ShedFloorWorst-1e-9 {
+		if ep.WorstCoverage < ep.ExpectedWorst-1e-9 {
 			t.Fatalf("epoch %d: wire coverage %v below audited shed floor %v",
-				ep.Epoch, ep.WorstCoverage, ep.ShedFloorWorst)
+				ep.Epoch, ep.WorstCoverage, ep.ExpectedWorst)
 		}
 		if ep.SyncedAgents != rep.Nodes {
 			t.Fatalf("epoch %d: only %d/%d agents synced on a clean network",
@@ -70,7 +70,7 @@ func TestOverloadGovernorBoundsLoad(t *testing.T) {
 	// the governed run, or the governed run proved nothing.
 	off := smallOverloadConfig(5, 0)
 	off.Governor = false
-	repOff, err := RunOverload(off)
+	repOff, err := RunScenario(off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +89,13 @@ func TestOverloadGovernorBoundsLoad(t *testing.T) {
 // Same-seed overload runs are DeepEqual across worker counts, and a
 // metrics registry must not perturb the report.
 func TestOverloadDeterministicAcrossWorkers(t *testing.T) {
-	r1, err := RunOverload(smallOverloadConfig(5, 1))
+	r1, err := RunScenario(smallOverloadConfig(5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := smallOverloadConfig(5, 4)
 	cfg.Metrics = obs.New()
-	r4, err := RunOverload(cfg)
+	r4, err := RunScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestOverloadDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("same-seed overload runs diverge across workers:\n%+v\n%+v", r1, r4)
 	}
 
-	other, err := RunOverload(smallOverloadConfig(6, 1))
+	other, err := RunScenario(smallOverloadConfig(6, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +113,10 @@ func TestOverloadDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // replanConfig drifts hard enough to trip the detector every few epochs.
-func replanConfig(warm bool) OverloadConfig {
-	return OverloadConfig{
+func replanConfig(warm bool) ScenarioConfig {
+	return ScenarioConfig{
+		Driver:   &BurstDriver{Seed: 11, BurstFactor: 2.5, BurstProb: 0.6, BaseJitter: 0.1},
 		Sessions: 1500, Epochs: 6, Seed: 11,
-		BurstFactor: 2.5, BurstProb: 0.6, BaseJitter: 0.1,
 		Governor: true,
 		Replan:   true, WarmReplan: warm,
 		ReplanThreshold: 0.08, EWMAAlpha: 0.6,
@@ -132,14 +132,14 @@ func replanConfig(warm bool) OverloadConfig {
 func TestOverloadWarmReplanFewerIters(t *testing.T) {
 	cfg := replanConfig(true)
 	cfg.Metrics = obs.New()
-	warm, err := RunOverload(cfg)
+	warm, err := RunScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := cfg.Metrics.Snapshot().Counters["lp.warm_rejects"]; n != 0 {
 		t.Fatalf("%d of %d warm replans fell back to a cold solve", n, warm.Replans)
 	}
-	cold, err := RunOverload(replanConfig(false))
+	cold, err := RunScenario(replanConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestOverloadWarmReplanFewerIters(t *testing.T) {
 func TestOverloadReplanDeadlineFallsBack(t *testing.T) {
 	cfg := replanConfig(false)
 	cfg.ReplanMaxIters = 1
-	rep, err := RunOverload(cfg)
+	rep, err := RunScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func tracedChaos(t *testing.T, seed int64, workers int) ([]trace.Event, []byte) 
 	tr := trace.New(trace.Options{Seed: seed})
 	cfg := smallChaosConfig(seed, workers)
 	cfg.Trace = tr
-	if _, err := CoverageUnderChaos(cfg); err != nil {
+	if _, err := RunScenario(cfg); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -73,7 +73,7 @@ func TestOverloadTraceRecordsCausalChain(t *testing.T) {
 	tr := trace.New(trace.Options{Seed: 5})
 	cfg := smallOverloadConfig(5, 1)
 	cfg.Trace = tr
-	rep, err := RunOverload(cfg)
+	rep, err := RunScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestOverloadTraceRecordsCausalChain(t *testing.T) {
 func TestWatchdogViolationsInReports(t *testing.T) {
 	slo := trace.Disabled()
 	slo.MinWorstCoverage = 1.01 // unsatisfiable: every epoch violates
-	run := func(tr *trace.Tracer) *OverloadReport {
+	run := func(tr *trace.Tracer) *ScenarioReport {
 		cfg := smallOverloadConfig(9, 1)
 		cfg.Watchdog = trace.NewWatchdog(slo)
 		cfg.Trace = tr
-		rep, err := RunOverload(cfg)
+		rep, err := RunScenario(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestPostMortemDumpsOnce(t *testing.T) {
 	cfg := smallOverloadConfig(9, 1)
 	cfg.Trace = tr
 	cfg.Watchdog = trace.NewWatchdog(slo)
-	if _, err := RunOverload(cfg); err != nil {
+	if _, err := RunScenario(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Len() == 0 {

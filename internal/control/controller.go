@@ -857,13 +857,18 @@ func (a *Agent) RemoteEpoch() (uint64, error) {
 	return resp.Epoch, nil
 }
 
-// install publishes a fetched manifest to the data path.
-func (a *Agent) install(m *Manifest) {
+// install publishes a fetched manifest to the data path, unless it fails
+// checkManifest: then the sync fails and the previous manifest stays.
+func (a *Agent) install(m *Manifest) error {
+	if err := checkManifest(m); err != nil {
+		return err
+	}
 	d := NewDecider(m)
 	a.mu.Lock()
 	a.decider = d
 	a.manifest = m
 	a.mu.Unlock()
+	return nil
 }
 
 // Decider returns the currently installed decider (nil before the first

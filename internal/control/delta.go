@@ -140,6 +140,13 @@ func ApplyDelta(base *Manifest, d *WireDelta) (*Manifest, error) {
 	if base.Epoch != d.BaseEpoch {
 		return nil, fmt.Errorf("%w (have %d, delta base %d)", ErrDeltaGap, base.Epoch, d.BaseEpoch)
 	}
+	// Check the delta's keys before they are packed into 32-bit index
+	// keys, so an out-of-range one fails instead of wrapping.
+	for _, as := range [][]WireAssignment{d.Added, d.Removed, d.Shed} {
+		if err := checkAssignments(as, len(base.Classes)); err != nil {
+			return nil, err
+		}
+	}
 	out := &Manifest{
 		Node:    base.Node,
 		Epoch:   d.Epoch,

@@ -124,7 +124,9 @@ func (a *Agent) syncFull(opts SubscribeOptions) (Update, error) {
 	if resp.V >= ProtocolV2 {
 		a.setProtoState(protoV2)
 	}
-	a.install(resp.Manifest)
+	if err := a.install(resp.Manifest); err != nil {
+		return Update{Epoch: resp.Epoch, WireBytes: n}, err
+	}
 	a.fullC.Add(1)
 	return Update{Epoch: resp.Manifest.Epoch, Changed: true, Full: true, WireBytes: n}, nil
 }
@@ -156,11 +158,15 @@ func (a *Agent) syncDelta(opts SubscribeOptions) (Update, error) {
 			u.WireBytes += n
 			return u, ferr
 		}
-		a.install(m)
+		if err := a.install(m); err != nil {
+			return Update{Epoch: resp.Epoch, WireBytes: n}, err
+		}
 		a.deltaC.Add(1)
 		return Update{Epoch: m.Epoch, Changed: true, WireBytes: n}, nil
 	case resp.Manifest != nil:
-		a.install(resp.Manifest)
+		if err := a.install(resp.Manifest); err != nil {
+			return Update{Epoch: resp.Epoch, WireBytes: n}, err
+		}
 		a.fullC.Add(1)
 		return Update{Epoch: resp.Manifest.Epoch, Changed: true, Full: true, WireBytes: n}, nil
 	default:

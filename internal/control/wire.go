@@ -71,6 +71,56 @@ type Manifest struct {
 	Trace *WireTrace `json:"trace,omitempty"`
 }
 
+// The bounds an installed manifest must respect. The decider indexes each
+// class's units by a dense array over its first unit-key component, so an
+// unbounded key (or a huge class count times a wide key span) would let a
+// few wire bytes allocate gigabytes. maxWireNodes is above every topology
+// and fleet the project runs (1000 agents at most); maxWireClasses is far
+// above the 21 modules of the paper's scaling sweep.
+const (
+	maxWireNodes   = 1 << 12
+	maxWireClasses = 1 << 10
+)
+
+// checkManifest is the gate every manifest an agent installs passes,
+// whether it arrived as JSON, as binary, or as the result of ApplyDelta:
+// at most maxWireClasses classes, and assignments and shed whose class
+// indices are in range, whose unit-key components are -1 or a node id
+// below maxWireNodes, and whose range endpoints lie in [0, 1] (a NaN
+// endpoint splits every range it is subtracted from in two, so a few
+// dozen NaN shed ranges would multiply into billions). A failing manifest
+// is rejected, never clamped.
+func checkManifest(m *Manifest) error {
+	if len(m.Classes) > maxWireClasses {
+		return fmt.Errorf("control: manifest has %d classes, more than %d", len(m.Classes), maxWireClasses)
+	}
+	if err := checkAssignments(m.Assignments, len(m.Classes)); err != nil {
+		return err
+	}
+	return checkAssignments(m.Shed, len(m.Classes))
+}
+
+// checkAssignments applies checkManifest's per-assignment rules against a
+// manifest of nClasses classes.
+func checkAssignments(as []WireAssignment, nClasses int) error {
+	for _, a := range as {
+		if a.Class < 0 || a.Class >= nClasses {
+			return fmt.Errorf("control: assignment class %d outside the manifest's %d classes", a.Class, nClasses)
+		}
+		for _, k := range a.Unit {
+			if k < -1 || k >= maxWireNodes {
+				return fmt.Errorf("control: unit key %v: component outside [-1, %d)", a.Unit, maxWireNodes)
+			}
+		}
+		for _, r := range a.Ranges {
+			if !(r.Lo >= 0 && r.Lo <= 1 && r.Hi >= 0 && r.Hi <= 1) {
+				return fmt.Errorf("control: unit key %v: range [%v, %v) outside [0, 1]", a.Unit, r.Lo, r.Hi)
+			}
+		}
+	}
+	return nil
+}
+
 // ShedFromRanges converts a governor's unit-indexed shed state into wire
 // assignments keyed the way manifests are (class, unit key). Unit order is
 // ascending index, so the wire form is deterministic for a given shed.

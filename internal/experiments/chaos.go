@@ -42,32 +42,35 @@ func Chaos(cfg Config) ([]ChaosRow, error) {
 	if cfg.Quick {
 		epochs = 5
 	}
-	base := cluster.ChaosConfig{
+	base := cluster.ScenarioConfig{
+		Modules: bro.StandardModules()[1:], Redundancy: 1,
 		Sessions: sessions, Epochs: epochs, Seed: 71,
-		Faults:  chaos.NetworkFaults{DropProb: 0.2, BlackholeProb: 0.05},
-		Retry:   cluster.RetryPolicy{MaxAttempts: 6, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, JitterFrac: 0.3},
-		Agent:   control.AgentOptions{DialTimeout: 200 * time.Millisecond, RPCTimeout: 200 * time.Millisecond},
+		Faults:     chaos.NetworkFaults{DropProb: 0.2, BlackholeProb: 0.05},
+		Retry:      cluster.RetryPolicy{MaxAttempts: 6, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, JitterFrac: 0.3},
+		Agent:      control.AgentOptions{DialTimeout: 200 * time.Millisecond, RPCTimeout: 200 * time.Millisecond},
+		StaleGrace: 2, DataPlane: true,
 		Workers: cfg.Workers,
 		Metrics: cfg.Metrics,
 		Trace:   cfg.Trace,
 	}
 
+	// Both regimes replay a seeded fault schedule with a re-optimization
+	// round every three epochs.
 	scenarios := []struct {
 		name string
-		mut  func(*cluster.ChaosConfig)
+		mut  func(*cluster.ScenarioConfig)
 	}{
-		{"base_r1", func(c *cluster.ChaosConfig) {
-			c.Redundancy = 1
+		{"base_r1", func(c *cluster.ScenarioConfig) {
+			c.Driver = &cluster.ChaosDriver{Seed: c.Seed, NodeFailProb: 0.15, ControllerOutageProb: 0.1, ReoptEvery: 3}
 		}},
-		{"redundant_r2", func(c *cluster.ChaosConfig) {
+		{"redundant_r2", func(c *cluster.ScenarioConfig) {
 			// r=2 needs every unit to admit two copies: only the
 			// path-scoped modules qualify (ingress/egress units have a
 			// single eligible node). Failures stay within r-1 so the
 			// coverage guarantee is on trial.
 			c.Redundancy = 2
-			c.MaxDown = 1
-			c.NodeFailProb = 0.3
 			c.Modules = pathScopedModules()
+			c.Driver = &cluster.ChaosDriver{Seed: c.Seed, NodeFailProb: 0.3, ControllerOutageProb: 0.1, MaxDown: 1, ReoptEvery: 3}
 		}},
 	}
 
@@ -75,7 +78,7 @@ func Chaos(cfg Config) ([]ChaosRow, error) {
 	for _, sc := range scenarios {
 		run := base
 		sc.mut(&run)
-		rep, err := cluster.CoverageUnderChaos(run)
+		rep, err := cluster.RunScenario(run)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +87,7 @@ func Chaos(cfg Config) ([]ChaosRow, error) {
 				Scenario:       sc.name,
 				Redundancy:     rep.Redundancy,
 				Epoch:          e.Epoch,
-				ControllerDown: e.ControllerDown,
+				ControllerDown: e.CtrlDown,
 				DownNodes:      len(e.DownNodes),
 				Synced:         e.SyncedAgents,
 				Stale:          e.StaleAgents,
@@ -94,7 +97,7 @@ func Chaos(cfg Config) ([]ChaosRow, error) {
 				Alerts:         e.Alerts,
 				WorstCoverage:  e.WorstCoverage,
 				AvgCoverage:    e.AvgCoverage,
-				PredictedWorst: e.PredictedWorst,
+				PredictedWorst: e.ExpectedWorst,
 			})
 		}
 	}

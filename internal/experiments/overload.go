@@ -43,40 +43,34 @@ func Overload(cfg Config) ([]OverloadRow, error) {
 	if cfg.Quick {
 		epochs = 5
 	}
-	base := cluster.OverloadConfig{
+	base := cluster.ScenarioConfig{
 		Sessions: sessions, Epochs: epochs, Seed: 29,
-		BurstProb: 0.5, BaseJitter: 0.05,
 		Probes:  500,
 		Workers: cfg.Workers, Metrics: cfg.Metrics, Trace: cfg.Trace,
 	}
 
 	scenarios := []struct {
-		name string
-		mut  func(*cluster.OverloadConfig)
+		name        string
+		burstFactor float64
+		mut         func(*cluster.ScenarioConfig)
 	}{
 		// Moderate bursts: the governor absorbs them entirely by shedding;
 		// ungoverned nodes run hot.
-		{"moderate_ungoverned", func(c *cluster.OverloadConfig) {
-			c.BurstFactor = 1.8
-		}},
-		{"moderate_governed", func(c *cluster.OverloadConfig) {
-			c.BurstFactor = 1.8
+		{"moderate_ungoverned", 1.8, func(*cluster.ScenarioConfig) {}},
+		{"moderate_governed", 1.8, func(c *cluster.ScenarioConfig) {
 			c.Governor = true
 		}},
 		// Heavy sustained bursts: shedding alone is not enough, the drift
 		// detector must reprovision — cold vs warm-started re-solves.
-		{"heavy_governed", func(c *cluster.OverloadConfig) {
-			c.BurstFactor = 2.5
+		{"heavy_governed", 2.5, func(c *cluster.ScenarioConfig) {
 			c.Governor = true
 		}},
-		{"heavy_cold_replan", func(c *cluster.OverloadConfig) {
-			c.BurstFactor = 2.5
+		{"heavy_cold_replan", 2.5, func(c *cluster.ScenarioConfig) {
 			c.Governor = true
 			c.Replan = true
 			c.ReplanThreshold = 0.08
 		}},
-		{"heavy_warm_replan", func(c *cluster.OverloadConfig) {
-			c.BurstFactor = 2.5
+		{"heavy_warm_replan", 2.5, func(c *cluster.ScenarioConfig) {
 			c.Governor = true
 			c.Replan = true
 			c.WarmReplan = true
@@ -88,14 +82,15 @@ func Overload(cfg Config) ([]OverloadRow, error) {
 	for _, sc := range scenarios {
 		run := base
 		sc.mut(&run)
-		rep, err := cluster.RunOverload(run)
+		run.Driver = &cluster.BurstDriver{Seed: run.Seed, BurstFactor: sc.burstFactor, BurstProb: 0.5, BaseJitter: 0.05}
+		rep, err := cluster.RunScenario(run)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: overload %s: %w", sc.name, err)
 		}
 		row := OverloadRow{
 			Scenario:    sc.name,
-			BurstFactor: run.BurstFactor,
-			Governor:    rep.Governor, Replan: rep.Replan, WarmReplan: rep.WarmReplan,
+			BurstFactor: sc.burstFactor,
+			Governor:    rep.Governor, Replan: rep.Replan, WarmReplan: run.WarmReplan,
 			WorstCoverage: rep.WorstCoverage, AvgCoverage: rep.AvgCoverage,
 			Replans: rep.Replans, MissedReplans: rep.MissedReplans,
 			ReplanIters: rep.TotalReplanIters,

@@ -21,8 +21,9 @@ type composed struct {
 
 // Compose runs several scenarios against the same cluster at once, merging
 // their per-epoch stimuli: pair scales multiply, injected sessions
-// concatenate in part order, crash/drain sets union, and a controller
-// outage from any part takes the controller down. Each part sees the same
+// concatenate in part order, crash/drain sets union, a controller outage
+// or a republish from any part applies, and absolute pair volumes pass
+// through (the runtime rejects them alongside pair scales). Each part sees the same
 // env (published state), not each other's stimuli — they are independent
 // pressures, which is what makes any mix of drivers runnable against the
 // runtime unchanged.
@@ -73,6 +74,10 @@ func (c *composed) Step(env *cluster.ScenarioEnv) cluster.Stimulus {
 			drains[j] = true
 		}
 		out.Faults.ControllerDown = out.Faults.ControllerDown || st.Faults.ControllerDown
+		out.Republish = out.Republish || st.Republish
+		if st.PairVolumes != nil {
+			out.PairVolumes = st.PairVolumes
+		}
 	}
 	out.Faults.DownNodes = sortedKeys(downs)
 	out.Drains = sortedKeys(drains)

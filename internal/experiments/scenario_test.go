@@ -57,6 +57,11 @@ func TestComposeMergesStimuli(t *testing.T) {
 	if st := onlyA.Step(env); !reflect.DeepEqual(st.PairScale, a.st.PairScale) {
 		t.Fatalf("one-sided compose scales %v, want %v", st.PairScale, a.st.PairScale)
 	}
+	// A republish from any part applies; absolute volumes pass through.
+	vols := &fakeScenario{name: "vols", st: cluster.Stimulus{PairVolumes: []float64{5, 6, 7}, Republish: true}}
+	if st := Compose(&fakeScenario{name: "quiet"}, vols).Step(env); !st.Republish || !reflect.DeepEqual(st.PairVolumes, vols.st.PairVolumes) {
+		t.Fatalf("composed republish %v volumes %v, want true %v", st.Republish, st.PairVolumes, vols.st.PairVolumes)
+	}
 	// Composing compositions flattens.
 	if got := Compose(c, a).Name(); got != "a+b+a" {
 		t.Fatalf("nested compose name %q, want a+b+a", got)

@@ -5,9 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"nwdeploy/internal/bro"
 	"nwdeploy/internal/chaos"
 	"nwdeploy/internal/cluster"
 	"nwdeploy/internal/control"
+	"nwdeploy/internal/experiments"
 	"nwdeploy/internal/trace"
 )
 
@@ -110,49 +112,62 @@ func TestPlanNIPSMetricsNonInterference(t *testing.T) {
 // layer: a live flight recorder threaded through the cluster runtime must
 // not change a single field of the reports — the plans published, the
 // per-epoch coverage, the watchdog's view of the world — while still
-// recording the run.
+// recording the run. It runs the one entry point under each kind of
+// driver: a fault schedule, a burst series and a catalog scenario.
 func TestTracerNonInterference(t *testing.T) {
-	run := func(tr *trace.Tracer) *cluster.ChaosReport {
-		rep, err := cluster.CoverageUnderChaos(cluster.ChaosConfig{
-			Sessions: 600, Epochs: 3, Seed: 17, Probes: 300,
-			Faults: chaos.NetworkFaults{DropProb: 0.25, BlackholeProb: 0.1},
-			Retry: cluster.RetryPolicy{
-				MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
-			},
-			Agent: control.AgentOptions{
-				DialTimeout: 100 * time.Millisecond, RPCTimeout: 100 * time.Millisecond,
-			},
-			Trace: tr,
+	drivers := []struct {
+		name   string
+		config func() cluster.ScenarioConfig
+	}{
+		{"chaos", func() cluster.ScenarioConfig {
+			return cluster.ScenarioConfig{
+				Driver: &cluster.ChaosDriver{
+					Seed: 17, NodeFailProb: 0.15, ControllerOutageProb: 0.1, ReoptEvery: 3,
+				},
+				Modules: bro.StandardModules()[1:], Redundancy: 1,
+				Sessions: 600, Epochs: 3, Seed: 17, Probes: 300,
+				Faults: chaos.NetworkFaults{DropProb: 0.25, BlackholeProb: 0.1},
+				Retry: cluster.RetryPolicy{
+					MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
+				},
+				Agent: control.AgentOptions{
+					DialTimeout: 100 * time.Millisecond, RPCTimeout: 100 * time.Millisecond,
+				},
+				StaleGrace: 2, DataPlane: true,
+			}
+		}},
+		{"bursts", func() cluster.ScenarioConfig {
+			return cluster.ScenarioConfig{
+				Driver:   &cluster.BurstDriver{Seed: 17, BurstFactor: 1.8, BurstProb: 0.5, BaseJitter: 0.05},
+				Sessions: 1200, Epochs: 3, Seed: 17, Governor: true, Probes: 300,
+			}
+		}},
+		{"diurnal", func() cluster.ScenarioConfig {
+			return cluster.ScenarioConfig{
+				Driver:   experiments.NewDiurnal(17, 3),
+				Sessions: 1200, Epochs: 3, Seed: 17, Governor: true, Replan: true, Probes: 300,
+			}
+		}},
+	}
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			run := func(tr *trace.Tracer) *cluster.ScenarioReport {
+				cfg := d.config()
+				cfg.Trace = tr
+				rep, err := cluster.RunScenario(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			plain := run(nil)
+			tr := trace.New(trace.Options{Seed: 17})
+			if !reflect.DeepEqual(plain, run(tr)) {
+				t.Fatal("live tracer changed the report")
+			}
+			if emitted, _ := tr.Stats(); emitted == 0 {
+				t.Fatal("tracer recorded no events; instrumentation dead")
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	plain := run(nil)
-	tr := trace.New(trace.Options{Seed: 17})
-	traced := run(tr)
-	if !reflect.DeepEqual(plain, traced) {
-		t.Fatal("live tracer changed the chaos report")
-	}
-	if emitted, _ := tr.Stats(); emitted == 0 {
-		t.Fatal("tracer recorded no events; instrumentation dead")
-	}
-
-	over := func(tr *trace.Tracer) *cluster.OverloadReport {
-		rep, err := cluster.RunOverload(cluster.OverloadConfig{
-			Sessions: 1200, Epochs: 3, Seed: 17, Governor: true,
-			BurstFactor: 1.8, BurstProb: 0.5, BaseJitter: 0.05,
-			Probes: 300, Trace: tr,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	plainOver := over(nil)
-	tracedOver := over(trace.New(trace.Options{Seed: 17}))
-	if !reflect.DeepEqual(plainOver, tracedOver) {
-		t.Fatal("live tracer changed the overload report")
 	}
 }
