@@ -68,9 +68,11 @@ perfcompare:
 	$(GO) run ./cmd/perf compare $(A) $(B)
 
 # Fuzz tier: a short smoke run of the solver fuzzer (simplex vs brute-force
-# vertex enumeration on random small LPs), of the two ingest fuzzers
+# vertex enumeration on random small LPs), of the three ingest fuzzers
 # (arbitrary bytes through the pcap Reader; fuzzed captures through the
-# assembler, whose counters must balance), of the trace-dump validator
+# assembler, whose counters must balance; fuzzed Update/Lookup/Expire
+# streams through the connection table against its map+heap reference),
+# of the trace-dump validator
 # (arbitrary bytes must not panic it; dumps of random emit sequences must
 # validate), of the coverage audit (range counts vs the point-by-point
 # probe on arbitrary finite endpoints) and of the wire's two binary
@@ -84,6 +86,7 @@ fuzz:
 	$(GO) test -run=FuzzSolve -fuzz=FuzzSolve -fuzztime=10s ./internal/lp/
 	$(GO) test -run=FuzzReader -fuzz=FuzzReader -fuzztime=10s -fuzzminimizetime=1s ./internal/packet/
 	$(GO) test -run=FuzzAssemble -fuzz=FuzzAssemble -fuzztime=10s -fuzzminimizetime=1s ./internal/packet/
+	$(GO) test -run=FuzzConntrack -fuzz=FuzzConntrack -fuzztime=10s ./internal/conntrack/
 	$(GO) test -run=FuzzValidate -fuzz=FuzzValidate -fuzztime=10s -fuzzminimizetime=1s ./internal/trace/
 	$(GO) test -run=FuzzProbeCoverage -fuzz=FuzzProbeCoverage -fuzztime=10s ./internal/core/
 	$(GO) test -run=FuzzInstallManifest -fuzz=FuzzInstallManifest -fuzztime=10s -fuzzminimizetime=1s ./internal/control/

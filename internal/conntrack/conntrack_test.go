@@ -137,8 +137,8 @@ func TestQuickNoExpiredSurvivors(t *testing.T) {
 		}
 		tab.Expire(now)
 		cutoff := now.Add(-time.Minute)
-		for _, c := range tab.conns {
-			if !c.LastSeen.After(cutoff) {
+		for _, e := range tab.index {
+			if e != 0 && !tab.rec(e-1).LastSeen.After(cutoff) {
 				return false
 			}
 		}
@@ -192,9 +192,9 @@ func BenchmarkUpdateChurn(b *testing.B) {
 // Expire removes all records idle at time now and returns how many.
 func (t *Table) Expire(now time.Time) int {
 	before := t.stats.Expired
-	t.expireBefore(now.Add(-t.cfg.IdleTimeout))
+	t.expireBefore(now.UnixNano() - t.idle)
 	return int(t.stats.Expired - before)
 }
 
 // Bytes reports the current accounted memory.
-func (t *Table) Bytes() int { return len(t.conns) * recordBytes }
+func (t *Table) Bytes() int { return t.live * recordBytes }

@@ -40,13 +40,21 @@ type Assembler struct {
 }
 
 type pending struct {
-	id        int
-	tuple     hashing.FiveTuple // orientation of the first packet seen
-	packets   int               // zero marks a free slot
-	bytes     int
-	sawFINACK int // FIN flags observed (2 = both directions closed)
-	isTCP     bool
+	id      int
+	tuple   hashing.FiveTuple // orientation of the first packet seen
+	packets int               // zero marks a free slot
+	bytes   int
+	fin     uint8 // finFwd | finRev: the directions that have sent a FIN
+	isTCP   bool
 }
+
+// FIN bits, relative to the orientation of a flow's first packet. One bit
+// per direction, so a retransmitted FIN does not close the other side.
+const (
+	finFwd = 1 << iota
+	finRev
+	finBoth = finFwd | finRev
+)
 
 // NewAssembler builds an assembler with the given idle timeout.
 func NewAssembler(idle time.Duration, hashKey uint32) *Assembler {
@@ -58,29 +66,31 @@ func NewAssembler(idle time.Duration, hashKey uint32) *Assembler {
 	}
 }
 
-// Feed consumes one frame, which it does not retain. It returns a completed
-// session when this frame finished one (TCP close observed in both
-// directions), else ok=false.
+// feed consumes one frame, which it does not retain. It returns the slot
+// of the session this frame completed (TCP close observed in both
+// directions), for the caller to finalize, else zero; no session is copied
+// per frame.
 //
 // A flow is one conntrack record's lifetime: when the record idle-expires
 // (or is evicted) while the flow is still open, the next frame of that
 // tuple starts a new session with a new ID and the orphaned first half
 // waits for Flush.
-func (a *Assembler) Feed(ts time.Time, frame []byte) (traffic.Session, bool) {
+func (a *Assembler) feed(ts time.Time, frame []byte) int32 {
 	if err := a.dec.Decode(frame); err != nil {
-		if errors.Is(err, ErrNotIPv4) || errors.Is(err, ErrUnknownProto) {
+		if errors.Is(err, ErrNotIPv4) || errors.Is(err, ErrUnknownProto) || errors.Is(err, ErrFragment) {
 			a.Ignored++
 		} else {
 			a.Malformed++
 		}
-		return traffic.Session{}, false
+		return 0
 	}
 	if !a.dec.IP.ChecksumValid() {
 		a.Malformed++
-		return traffic.Session{}, false
+		return 0
 	}
 	a.Decoded++
-	ft := a.dec.FiveTuple()
+	var ft hashing.FiveTuple
+	a.dec.tuple(&ft)
 	c, _ := a.table.Update(ft, ts, 1, len(frame))
 	if c.Slot == 0 {
 		c.Slot = a.open(ft)
@@ -88,18 +98,25 @@ func (a *Assembler) Feed(ts time.Time, frame []byte) (traffic.Session, bool) {
 	p := &a.flows[c.Slot-1]
 	p.packets++
 	p.bytes += len(frame)
-	if p.isTCP && a.dec.TCP.Flags&FlagFIN != 0 {
-		p.sawFINACK++
+	if !p.isTCP {
+		return 0
 	}
-	if p.isTCP && p.sawFINACK >= 2 && a.dec.TCP.Flags&FlagACK != 0 && a.dec.TCP.Flags&FlagFIN == 0 {
-		// Final ACK after both FINs: the session is complete. The record
-		// stays in the table until it idles out; a later frame of the
-		// tuple finds Slot zero and starts a new session.
-		s := a.finalize(c.Slot)
+	switch flags := a.dec.TCP.Flags; {
+	case flags&FlagFIN != 0:
+		if ft == p.tuple {
+			p.fin |= finFwd
+		} else {
+			p.fin |= finRev
+		}
+	case p.fin == finBoth && flags&FlagACK != 0:
+		// Final ACK after both directions' FINs: the session is complete.
+		// The record stays in the table until it idles out; a later frame
+		// of the tuple finds Slot zero and starts a new session.
+		slot := c.Slot
 		c.Slot = 0
-		return s, true
+		return slot
 	}
-	return traffic.Session{}, false
+	return 0
 }
 
 // open takes a slot for a new flow whose first packet carries ft and
@@ -118,11 +135,10 @@ func (a *Assembler) open(ft hashing.FiveTuple) int32 {
 	return slot
 }
 
-// finalize converts a slot's pending record into a Session and recycles
-// the slot.
-func (a *Assembler) finalize(slot int32) traffic.Session {
+// finalize writes a slot's pending record into s and recycles the slot.
+func (a *Assembler) finalize(slot int32, s *traffic.Session) {
 	p := &a.flows[slot-1]
-	s := traffic.Session{
+	*s = traffic.Session{
 		ID:      p.id,
 		Src:     traffic.NodeOfIP(p.tuple.SrcIP),
 		Dst:     traffic.NodeOfIP(p.tuple.DstIP),
@@ -132,7 +148,6 @@ func (a *Assembler) finalize(slot int32) traffic.Session {
 	}
 	*p = pending{}
 	a.free = append(a.free, slot)
-	return s
 }
 
 // Flush returns every still-pending session (UDP exchanges, TCP flows
@@ -141,7 +156,8 @@ func (a *Assembler) finalize(slot int32) traffic.Session {
 // assembler stays usable: no record keeps a flushed slot, so a frame fed
 // afterwards starts a fresh session.
 func (a *Assembler) Flush() []traffic.Session {
-	out := make([]traffic.Session, 0, a.Pending())
+	out := make([]traffic.Session, a.Pending())
+	n := 0
 	for i := range a.flows {
 		p := &a.flows[i]
 		if p.packets == 0 {
@@ -151,7 +167,8 @@ func (a *Assembler) Flush() []traffic.Session {
 		if c, ok := a.table.Lookup(p.tuple); ok && c.Slot == slot {
 			c.Slot = 0
 		}
-		out = append(out, a.finalize(slot))
+		a.finalize(slot, &out[n])
+		n++
 	}
 	slices.SortFunc(out, func(x, y traffic.Session) int { return cmp.Compare(x.ID, y.ID) })
 	return out
@@ -174,8 +191,8 @@ func StreamSessions(r *Reader, idle time.Duration, hashKey uint32, emit func(*tr
 		if err != nil {
 			return nil, err
 		}
-		if done, ok := a.Feed(ts, frame); ok {
-			s = done
+		if slot := a.feed(ts, frame); slot != 0 {
+			a.finalize(slot, &s)
 			emit(&s)
 		}
 	}

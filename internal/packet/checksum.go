@@ -8,17 +8,32 @@ func internetChecksum(data []byte, initial uint32) uint16 {
 	return finishSum(addToSum(initial, data))
 }
 
-// addToSum folds data into a running 32-bit partial sum.
+// addToSum folds data into a running 32-bit partial sum. It adds eight
+// bytes per step, as two big-endian 32-bit words into a 64-bit
+// accumulator, and folds the result back to 32 bits. The partial sum it
+// returns is not the plain sum of 16-bit words, but it is congruent to it
+// modulo 0xffff (2¹⁶ ≡ 1) and zero only when that sum is, so finishSum
+// gives the same checksum.
 func addToSum(sum uint32, data []byte) uint32 {
-	n := len(data)
-	i := 0
-	for ; i+1 < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
+	acc := uint64(sum)
+	for len(data) >= 8 {
+		w := binary.BigEndian.Uint64(data)
+		acc += w>>32 + w&0xffffffff
+		data = data[8:]
 	}
-	if i < n {
-		sum += uint32(data[i]) << 8 // odd trailing byte, padded with zero
+	if len(data) >= 4 {
+		acc += uint64(binary.BigEndian.Uint32(data))
+		data = data[4:]
 	}
-	return sum
+	if len(data) >= 2 {
+		acc += uint64(binary.BigEndian.Uint16(data))
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		acc += uint64(data[0]) << 8 // odd trailing byte, padded with zero
+	}
+	acc = acc&0xffffffff + acc>>32
+	return uint32(acc&0xffffffff + acc>>32)
 }
 
 // finishSum folds the carries and complements.

@@ -274,6 +274,69 @@ func TestCorruptAndForeignFrames(t *testing.T) {
 	}
 }
 
+// A retransmitted FIN closes only the side that sent it: the client's FIN
+// sent twice, then the server's ACK, must not end the session, so the
+// server's FIN and the client's final ACK complete one session rather than
+// open a phantom second one.
+func TestRetransmittedFINClosesOneSide(t *testing.T) {
+	cli, srv := uint32(0x0a000001), uint32(0x0a010001)
+	steps := []struct {
+		fromClient bool
+		flags      uint8
+	}{
+		{true, FlagSYN}, {false, FlagSYN | FlagACK}, {true, FlagACK},
+		{true, FlagFIN | FlagACK}, {true, FlagFIN | FlagACK}, // retransmit
+		{false, FlagACK}, {false, FlagFIN | FlagACK}, {true, FlagACK},
+	}
+	a := NewAssembler(time.Minute, 1)
+	var done []traffic.Session
+	for i, st := range steps {
+		src, dst, sp, dp := cli, srv, uint16(40000), uint16(80)
+		if !st.fromClient {
+			src, dst, sp, dp = srv, cli, dp, sp
+		}
+		frame, err := Build(Ethernet{}, src, dst, ProtoTCP, &TCP{SrcPort: sp, DstPort: dp, Flags: st.flags}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, ok := a.Feed(baseTS.Add(time.Duration(i)*time.Millisecond), frame); ok {
+			done = append(done, s)
+		}
+	}
+	if len(done) != 1 || done[0].Packets != len(steps) || a.nextID != 1 || a.Pending() != 0 {
+		t.Fatalf("completed %+v with %d sessions started and %d pending; want one session of %d packets",
+			done, a.nextID, a.Pending(), len(steps))
+	}
+}
+
+// A non-first IPv4 fragment carries no transport header: it is ignored,
+// not parsed as TCP/UDP into a phantom flow. A first fragment (more
+// fragments set, offset zero) does carry the header and is tracked.
+func TestNonFirstFragmentIgnored(t *testing.T) {
+	withFragWord := func(word uint16) []byte {
+		frame := udpFrame(t, 0x0a000001, 0x0a010001, 5000, 53)
+		ip := frame[EthernetHeaderLen:]
+		binary.BigEndian.PutUint16(ip[6:8], word)
+		binary.BigEndian.PutUint16(ip[10:12], 0)
+		binary.BigEndian.PutUint16(ip[10:12], internetChecksum(ip[:IPv4HeaderLen], 0))
+		return frame
+	}
+	later := withFragWord(185) // offset 185 × 8 bytes, last fragment
+	var d Decoder
+	if err := d.Decode(later); !errors.Is(err, ErrFragment) {
+		t.Fatalf("Decode of a non-first fragment: %v, want ErrFragment", err)
+	}
+	a := NewAssembler(time.Minute, 1)
+	a.Feed(baseTS, later)
+	if a.Ignored != 1 || a.Decoded != 0 || a.Pending() != 0 {
+		t.Fatalf("decoded %d ignored %d pending %d, want 0, 1, 0", a.Decoded, a.Ignored, a.Pending())
+	}
+	a.Feed(baseTS, withFragWord(0x2000)) // more fragments, offset zero
+	if a.Decoded != 1 || a.Pending() != 1 || a.Malformed != 0 {
+		t.Fatalf("first fragment: decoded %d pending %d malformed %d, want 1, 1, 0", a.Decoded, a.Pending(), a.Malformed)
+	}
+}
+
 // The ingest fast path allocates nothing: reading a frame on a warmed
 // Reader, and feeding a frame of an already-open flow.
 func TestIngestAllocFree(t *testing.T) {

@@ -6,16 +6,18 @@
 // assembler that rebuilds sessions from a packet stream.
 //
 // No per-packet allocation occurs on the ingest fast path — ReadPacket,
-// Decode and Feed on a frame of an already-open flow (TestIngestAllocFree
-// holds it at zero) — because nothing on it copies:
+// Decode and the assembler's step on a frame of an already-open flow
+// (TestIngestAllocFree holds it at zero) — because nothing on it copies:
 //
 //   - Reader.ReadPacket returns a frame that aliases the Reader's one read
 //     buffer, valid until the next ReadPacket;
 //   - Decoder.Decode fills preallocated layer values (the DecodingLayerParser
 //     style: one Decoder reused across packets), and its Payload aliases
 //     the frame it was given;
-//   - Assembler.Feed keeps nothing of the frame, and its per-flow state
-//     lives in a recycled slot that the flow's conntrack record points at.
+//   - the Assembler keeps nothing of the frame, its per-flow state lives
+//     in a recycled slot that the flow's conntrack record points at, and
+//     a completed session is written straight into StreamSessions' one
+//     Session variable.
 //
 // A caller that needs a frame or payload past the next read copies it.
 package packet
@@ -89,6 +91,7 @@ type IPv4 struct {
 	SrcIP, DstIP   uint32
 	checksumValid  bool
 	headerLenBytes int
+	fragOffset     uint16 // in 8-byte units; non-zero: no transport header here
 }
 
 func (ip *IPv4) encode(b []byte) {
@@ -121,6 +124,7 @@ func (ip *IPv4) decode(b []byte) error {
 	ip.TOS = b[1]
 	ip.TotalLength = binary.BigEndian.Uint16(b[2:4])
 	ip.ID = binary.BigEndian.Uint16(b[4:6])
+	ip.fragOffset = binary.BigEndian.Uint16(b[6:8]) & 0x1fff
 	ip.TTL = b[8]
 	ip.Protocol = b[9]
 	ip.Checksum = binary.BigEndian.Uint16(b[10:12])
@@ -241,6 +245,9 @@ type Decoder struct {
 var (
 	ErrNotIPv4      = errors.New("packet: frame is not IPv4")
 	ErrUnknownProto = errors.New("packet: unsupported transport protocol")
+	// ErrFragment reports a non-first IPv4 fragment: its payload continues
+	// a transport segment whose header came in the first fragment.
+	ErrFragment = errors.New("packet: non-first IPv4 fragment")
 )
 
 func errTruncated(layer string, want, got int) error {
@@ -264,6 +271,9 @@ func (d *Decoder) Decode(frame []byte) error {
 		return err
 	}
 	d.Decoded = append(d.Decoded, LayerIPv4)
+	if d.IP.fragOffset != 0 {
+		return ErrFragment
+	}
 	// Trust TotalLength when plausible (frames may carry link padding).
 	ipPayload := rest[d.IP.headerLenBytes:]
 	if tl := int(d.IP.TotalLength); tl >= d.IP.headerLenBytes && tl <= len(rest) {
@@ -293,14 +303,23 @@ func (d *Decoder) Decode(frame []byte) error {
 
 // FiveTuple extracts the flow key of the last decoded packet.
 func (d *Decoder) FiveTuple() hashing.FiveTuple {
-	ft := hashing.FiveTuple{SrcIP: d.IP.SrcIP, DstIP: d.IP.DstIP, Proto: d.IP.Protocol}
+	var ft hashing.FiveTuple
+	d.tuple(&ft)
+	return ft
+}
+
+// tuple writes the flow key of the last decoded packet into ft, field by
+// field: the per-frame path fills its own variable this way rather than
+// copying FiveTuple's result, a wide load over narrow stores that stalls
+// store forwarding.
+func (d *Decoder) tuple(ft *hashing.FiveTuple) {
+	ft.SrcIP, ft.DstIP, ft.Proto = d.IP.SrcIP, d.IP.DstIP, d.IP.Protocol
 	switch d.IP.Protocol {
 	case ProtoTCP:
 		ft.SrcPort, ft.DstPort = d.TCP.SrcPort, d.TCP.DstPort
 	case ProtoUDP:
 		ft.SrcPort, ft.DstPort = d.UDP.SrcPort, d.UDP.DstPort
 	}
-	return ft
 }
 
 // Build serializes a full frame: Ethernet + IPv4 + (TCP|UDP per proto) +

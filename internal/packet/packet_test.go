@@ -129,6 +129,48 @@ func TestInternetChecksumKnownVector(t *testing.T) {
 	}
 }
 
+// refChecksum is the two-bytes-per-step RFC 1071 sum addToSum replaced, with
+// a 64-bit accumulator so that no initial sum wraps it: the reference the
+// eight-byte loop is held to.
+func refChecksum(initial uint32, data []byte) uint16 {
+	sum := uint64(initial)
+	for i := 0; i+1 < len(data); i += 2 {
+		sum += uint64(data[i])<<8 | uint64(data[i+1])
+	}
+	if len(data)%2 == 1 {
+		sum += uint64(data[len(data)-1]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = sum&0xffff + sum>>16
+	}
+	return ^uint16(sum)
+}
+
+// TestQuickAddToSumMatchesReference: for random data of 0–1600 bytes (odd
+// lengths included) and an arbitrary initial sum, the eight-byte addToSum
+// yields the reference's checksum — alone, and chained after an even-length
+// prefix as the transport checksums chain header and payload.
+func TestQuickAddToSumMatchesReference(t *testing.T) {
+	f := func(initial uint32, seed int64, n, cut uint16) bool {
+		data := make([]byte, int(n)%1601)
+		rand.New(rand.NewSource(seed)).Read(data)
+		want := refChecksum(initial, data)
+		split := (int(cut) % (len(data) + 1)) &^ 1
+		return finishSum(addToSum(initial, data)) == want &&
+			finishSum(addToSum(addToSum(initial, data[:split]), data[split:])) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	// All-zero data keeps the one's-complement zero apart from 0xffff.
+	for _, initial := range []uint32{0, 0xffff, 0xffffffff} {
+		data := make([]byte, 40)
+		if got, want := finishSum(addToSum(initial, data)), refChecksum(initial, data); got != want {
+			t.Fatalf("initial %#x over zeros: %#x, want %#x", initial, got, want)
+		}
+	}
+}
+
 func TestExpandTCPSessionShape(t *testing.T) {
 	s := traffic.Session{
 		ID: 1, Src: 0, Dst: 3,
@@ -335,6 +377,18 @@ func BenchmarkDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Feed is feed for tests that drive an assembler frame by frame: it
+// returns the completed session, if this frame finished one.
+func (a *Assembler) Feed(ts time.Time, frame []byte) (traffic.Session, bool) {
+	var s traffic.Session
+	slot := a.feed(ts, frame)
+	if slot == 0 {
+		return s, false
+	}
+	a.finalize(slot, &s)
+	return s, true
 }
 
 // TableStats exposes the underlying connection table's accounting (peak

@@ -135,8 +135,8 @@ func (pr *Reader) u32(b []byte) uint32 {
 // ReadPacket returns the next frame and its timestamp; io.EOF at the end.
 //
 // The frame aliases the Reader's buffer and is valid only until the next
-// ReadPacket (gopacket's zero-copy contract): consume it — Decode it, Feed
-// it, take its length — or copy it before reading on.
+// ReadPacket (gopacket's zero-copy contract): consume it — Decode it,
+// assemble it, take its length — or copy it before reading on.
 func (pr *Reader) ReadPacket() (time.Time, []byte, error) {
 	if !pr.started {
 		if err := pr.readGlobal(); err != nil {
