@@ -75,7 +75,9 @@ perfcompare:
 # of the trace-dump validator
 # (arbitrary bytes must not panic it; dumps of random emit sequences must
 # validate), of the coverage audit (range counts vs the point-by-point
-# probe on arbitrary finite endpoints) and of the wire's two binary
+# probe on arbitrary finite endpoints), of range subtraction (the sweep
+# against the quadratic loop it replaced, on grids where endpoints
+# coincide) and of the wire's two binary
 # decoders (arbitrary manifest bytes through the agent's install check,
 # decider build and decisions; arbitrary delta bytes applied to a checked
 # base, whose result must pass the check and round-trip). CI-friendly;
@@ -89,6 +91,7 @@ fuzz:
 	$(GO) test -run=FuzzConntrack -fuzz=FuzzConntrack -fuzztime=10s ./internal/conntrack/
 	$(GO) test -run=FuzzValidate -fuzz=FuzzValidate -fuzztime=10s -fuzzminimizetime=1s ./internal/trace/
 	$(GO) test -run=FuzzProbeCoverage -fuzz=FuzzProbeCoverage -fuzztime=10s ./internal/core/
+	$(GO) test -run=FuzzSubtract -fuzz=FuzzSubtract -fuzztime=10s ./internal/hashing/
 	$(GO) test -run=FuzzInstallManifest -fuzz=FuzzInstallManifest -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
 	$(GO) test -run=FuzzApplyDelta -fuzz=FuzzApplyDelta -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
 

@@ -15,7 +15,7 @@ import (
 	"nwdeploy/internal/traffic"
 )
 
-func mixedTrace(t *testing.T, n int) []traffic.Session {
+func mixedTrace(t testing.TB, n int) []traffic.Session {
 	t.Helper()
 	topo := topology.Internet2()
 	return traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{Sessions: n, Seed: 17})

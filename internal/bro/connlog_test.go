@@ -78,10 +78,15 @@ func appendIPv4(b []byte, v uint32) []byte {
 // RunWithLog is Run plus a conn.log of every (session, module) analysis the
 // instance performed.
 func RunWithLog(cfg Config, sessions []traffic.Session) (Report, *ConnLog) {
+	return runWithLog(runInternal, cfg, sessions)
+}
+
+// runWithLog is RunWithLog through the given session loop.
+func runWithLog(run func(Config, []traffic.Session, func(int, *traffic.Session)) Report, cfg Config, sessions []traffic.Session) (Report, *ConnLog) {
 	// Most coordinated nodes analyze a fraction of their trace; a modest
 	// preallocation still saves the first several append growth copies.
 	logger := &ConnLog{Records: make([]ConnRecord, 0, len(sessions)/2+16)}
-	rep := runInternal(cfg, sessions, func(mi int, s *traffic.Session) {
+	rep := run(cfg, sessions, func(mi int, s *traffic.Session) {
 		logger.Records = append(logger.Records, ConnRecord{
 			Node:    cfg.Node,
 			Module:  cfg.Modules[mi].Name,

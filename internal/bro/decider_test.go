@@ -26,7 +26,7 @@ func (d planDecider) ShouldAnalyze(class int, s traffic.Session) bool {
 
 // solvedScenario builds a solved coordinated deployment over Internet2 for
 // the decider tests.
-func solvedScenario(t *testing.T) (*topology.Topology, []ModuleSpec, []traffic.Session, *core.Plan) {
+func solvedScenario(t testing.TB) (*topology.Topology, []ModuleSpec, []traffic.Session, *core.Plan) {
 	t.Helper()
 	topo := topology.Internet2()
 	modules := StandardModules()[1:]

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
+	"sync/atomic"
 
 	"nwdeploy/internal/core"
 	"nwdeploy/internal/hashing"
@@ -60,6 +62,11 @@ type ManifestDecider interface {
 // its own per-module match mask — a manifest whose class filters have gone
 // stale against the module set can narrow a module's traffic, never widen
 // it.
+//
+// Run calls DecideMask for the sessions ahead on a second goroutine while
+// the engine analyzes earlier ones, and possibly from both at once:
+// DecideMask may be called concurrently, also with ShouldAnalyze, and must
+// only read — the decider's state and the session.
 type MaskDecider interface {
 	ManifestDecider
 	DecideMask(s *traffic.Session) (mask uint64, ok bool)
@@ -118,10 +125,12 @@ type Config struct {
 	// removing the duplicated baseline processing the paper identifies as
 	// the remaining overhead of the coordinated deployment.
 	FineGrained bool
-	// Workers is ignored: every run is serial. Module-lane sharding never
-	// beat the serial engine and was deleted; parallelism lives one level
-	// up, across independent per-node engines (Emulation.Workers, cluster).
-	// The field remains only because cmd/perf still sets it.
+	// Workers is ignored. A run's analysis is serial; only its pure
+	// per-session decision runs ahead on one helper goroutine (see Run).
+	// Module-lane sharding never beat the serial engine and was deleted;
+	// parallelism lives one level up, across independent per-node engines
+	// (Emulation.Workers, cluster). The field remains only because cmd/perf
+	// still sets it.
 	Workers int
 	// Metrics, when non-nil, receives engine observability: per-module
 	// analyzed packets and bytes, policy-table sizes, session/connection/
@@ -172,6 +181,11 @@ type engine struct {
 	sessionCPU, connMem float64
 
 	maskDec MaskDecider
+	// verdicts, when non-nil, holds the current block's DecideMask words,
+	// decided ahead; vi is the current session's index in it. With nil the
+	// engine asks maskDec for each session as it comes.
+	verdicts *aheadSlot
+	vi       int
 
 	// modPkts/modBytes accumulate analyzed packets and bytes per module,
 	// allocated only when cfg.Metrics is live.
@@ -182,7 +196,11 @@ type engine struct {
 // Run processes the session trace through one engine instance and returns
 // its resource report. Sessions are processed in pseudo-realtime order as
 // in the paper's emulation; the cost model is deterministic so repeated
-// runs agree exactly.
+// runs agree exactly. When a Run with a MaskDecider and more than one block
+// of sessions is the only Run in progress and a second core exists, a
+// helper goroutine computes the Figure 3 verdicts of the blocks ahead
+// while the engine analyzes the current one (see aheadRing); the analysis
+// itself stays serial, so the report is the same either way.
 func Run(cfg Config, sessions []traffic.Session) Report {
 	return runInternal(cfg, sessions, nil)
 }
@@ -195,10 +213,184 @@ func runInternal(cfg Config, sessions []traffic.Session, onAnalyze func(int, *tr
 	defer sp.End()
 	var e engine
 	e.init(cfg, onAnalyze)
-	for i := range sessions {
-		e.processSession(&sessions[i])
+	sole := engines.Add(1) == 1
+	defer engines.Add(-1)
+	if sole && e.tab.enforced && e.maskDec != nil && len(sessions) > aheadBlock && runtime.GOMAXPROCS(0) > 1 {
+		e.runAhead(sessions, &soleRing)
+	} else {
+		for i := range sessions {
+			e.processSession(&sessions[i])
+		}
 	}
 	return e.finish()
+}
+
+// runAhead is Run's session loop with the decisions made ahead on r's
+// helper. The engine claims each block it reaches that the helper has not
+// claimed and decides it inline; it analyzes any other block from the
+// helper's verdict words.
+func (e *engine) runAhead(sessions []traffic.Session, r *aheadRing) {
+	r.start(e.maskDec, sessions)
+	defer r.join()
+	for b := int64(0); b < r.blocks; b++ {
+		lo := int(b) * aheadBlock
+		blk := sessions[lo:min(lo+aheadBlock, len(sessions))]
+		if r.cursor.CompareAndSwap(b, b+1) {
+			for i := range blk {
+				e.processSession(&blk[i])
+			}
+		} else if v := r.wait(b); v != nil {
+			e.verdicts = v
+			for i := range blk {
+				e.vi = i
+				e.processSession(&blk[i])
+			}
+			e.verdicts = nil
+		} else {
+			// The helper's decider panicked in this block. Deciding it
+			// inline raises that panic here, on the caller's goroutine,
+			// at the session where the serial loop raises it and after any
+			// fault the serial loop raises first.
+			for i := range blk {
+				e.processSession(&blk[i])
+			}
+			panic(r.panicVal) // a decider that panics on one goroutine only
+		}
+		r.done.Store(b + 1)
+	}
+}
+
+// Deciding ahead. A session's Figure 3 verdict is a pure function of its
+// headers and the manifest (the check runs before any session state
+// exists, Section 2.3), so it can be computed before the engine reaches
+// the session. Run walks its trace in blocks of aheadBlock sessions; one
+// helper goroutine claims the blocks ahead through an atomic cursor and
+// writes their DecideMask words into a ring of aheadDepth slots. The
+// engine decides inline any block the helper has not claimed yet. Both
+// sides wait by spinning with runtime.Gosched, never by parking: a park
+// and wake per block costs more than deciding the block.
+//
+// The helper wants a core of its own, so only a Run that is the process's
+// sole engine starts one, and the helper stops claiming once another Run
+// begins: an engine fan-out (Emulation, the cluster's data phase) already
+// keeps the cores busy, and there every engine decides inline, as with
+// GOMAXPROCS 1.
+const (
+	aheadBlock = 1024 // sessions per block; a multiple of 64
+	aheadDepth = 4    // blocks the helper may be ahead of the engine
+)
+
+// engines counts the Runs in progress in the process.
+var engines atomic.Int32
+
+// soleRing is the ring of the sole Run. A Run uses it only when its own
+// start took engines from 0 to 1, and joins its helper before it counts
+// itself out, so no two Runs hold it at once.
+var soleRing aheadRing
+
+// aheadSlot holds one block's verdicts: DecideMask's word and its ok bit
+// per session.
+type aheadSlot struct {
+	mask [aheadBlock]uint64
+	ok   [aheadBlock / 64]uint64
+}
+
+// aheadRing is one Run's helper state; the helper is joined before the
+// Run returns, so the ring is reused from Run to Run.
+type aheadRing struct {
+	dec      MaskDecider
+	sessions []traffic.Session
+	blocks   int64
+	decide   func() // r.decideAhead, bound once so the go statement allocates nothing
+	panicVal any    // the helper's recovered panic, read once exited is set
+
+	// cursor is the next unclaimed block; done counts the blocks the engine
+	// has finished, so slot b%aheadDepth is free once done > b-aheadDepth;
+	// written is b+1 once the helper has written block b's verdicts. The
+	// helper claims blocks in ascending order and finishes each before it
+	// claims the next, so a block it claimed is written once written > b.
+	cursor  atomic.Int64
+	done    atomic.Int64
+	written atomic.Int64
+	stop    atomic.Bool // set by the engine when its loop ends, normally or not
+	exited  atomic.Bool // set by the helper as it returns
+
+	slots [aheadDepth]aheadSlot
+}
+
+// start resets the ring for the trace and starts its helper.
+func (r *aheadRing) start(dec MaskDecider, sessions []traffic.Session) {
+	if r.decide == nil {
+		r.decide = r.decideAhead
+	}
+	r.dec, r.sessions = dec, sessions
+	r.blocks = int64((len(sessions) + aheadBlock - 1) / aheadBlock)
+	r.cursor.Store(0)
+	r.done.Store(0)
+	r.written.Store(0)
+	r.stop.Store(false)
+	r.exited.Store(false)
+	go r.decide()
+}
+
+// decideAhead is the helper: it claims the next block while its slot is
+// free, writes the block's verdicts and publishes them, until the trace
+// ends, the engine stops it or another Run starts. A panic in the decider
+// is recovered here; the engine decides that block again inline (runAhead).
+func (r *aheadRing) decideAhead() {
+	defer func() {
+		r.panicVal = recover()
+		r.exited.Store(true)
+	}()
+	for !r.stop.Load() && engines.Load() <= 1 {
+		b := r.cursor.Load()
+		if b >= r.blocks {
+			return
+		}
+		if b-r.done.Load() >= aheadDepth {
+			runtime.Gosched() // the ring is full
+			continue
+		}
+		if !r.cursor.CompareAndSwap(b, b+1) {
+			continue // the engine took it
+		}
+		v := &r.slots[b%aheadDepth]
+		lo := int(b) * aheadBlock
+		blk := r.sessions[lo:min(lo+aheadBlock, len(r.sessions))]
+		clear(v.ok[:])
+		for i := range blk {
+			m, ok := r.dec.DecideMask(&blk[i])
+			v.mask[i] = m
+			if ok {
+				v.ok[i>>6] |= 1 << uint(i&63)
+			}
+		}
+		r.written.Store(b + 1)
+	}
+}
+
+// wait returns the verdicts of block b, which the helper claimed, once they
+// are written, or nil if the helper's decider panicked in it: the helper
+// finishes every block it claims unless it panics.
+func (r *aheadRing) wait(b int64) *aheadSlot {
+	for r.written.Load() <= b {
+		if r.exited.Load() && r.written.Load() <= b {
+			return nil
+		}
+		runtime.Gosched()
+	}
+	return &r.slots[b%aheadDepth]
+}
+
+// join stops the helper and waits until it has returned. runAhead defers
+// it, so the helper is joined also when the engine panics part-way
+// through.
+func (r *aheadRing) join() {
+	r.stop.Store(true)
+	for !r.exited.Load() {
+		runtime.Gosched()
+	}
+	r.dec, r.sessions, r.panicVal = nil, nil, nil
 }
 
 // init compiles the module table and sizes the run's dense state.
@@ -296,7 +488,14 @@ func (e *engine) decide(s *traffic.Session) bool {
 // manifest has at most 64 classes, else each surviving bit asks for itself.
 func (e *engine) applyManifest(s *traffic.Session) {
 	if e.maskDec != nil {
-		if m, ok := e.maskDec.DecideMask(s); ok {
+		var m uint64
+		var ok bool
+		if v := e.verdicts; v != nil { // decided ahead
+			m, ok = v.mask[e.vi], v.ok[e.vi>>6]>>uint(e.vi&63)&1 != 0
+		} else {
+			m, ok = e.maskDec.DecideMask(s)
+		}
+		if ok {
 			if len(e.pass) > 0 {
 				e.pass[0] &= m
 				clear(e.pass[1:]) // a mask verdict covers at most 64 classes

@@ -23,6 +23,11 @@ import (
 // are bit-identical however the manifest's assignment slices were
 // permuted (map-iteration summation used to make the last ULP vary run
 // to run).
+//
+// A Decider is immutable once NewDecider returns: every method only reads
+// it and the session, so it is safe for concurrent use. bro.Run relies on
+// that: a helper goroutine calls DecideMask for the sessions ahead while
+// the engine may be deciding others, or asking ShouldAnalyze.
 type Decider struct {
 	manifest *Manifest
 	hasher   hashing.Hasher

@@ -8,10 +8,12 @@
 package hashing
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
+	"slices"
+	"sort"
 )
 
 // FiveTuple identifies a unidirectional flow: a sequence of packets with
@@ -389,34 +391,70 @@ func (rs RangeSet) Subtract(shed RangeSet) RangeSet {
 // AppendSubtract appends the pieces of rs minus shed to dst and returns the
 // extended slice: Subtract without the allocation, for callers that reuse
 // one buffer. The pieces reuse the original endpoints, so a point is in the
-// result exactly when rs.Contains(x) && !shed.Contains(x).
+// result exactly when rs.Contains(x) && !shed.Contains(x). They come in rs
+// order, ascending within each range; empty and inverted ranges of rs drop
+// out unless shed cuts nothing (then rs is appended as it is). Endpoints
+// must not be NaN, which no checked manifest carries.
+//
+// Each range is swept against the cuts in ascending order, starting from a
+// binary search, so the work is O((|rs|+|shed|)·log|shed| + output) however
+// hostile the manifest. Shed that is already ascending and disjoint (the
+// usual form, touching cuts allowed) is swept in place; any other is sorted
+// and merged in a copy, leaving the caller's slice untouched.
 func (rs RangeSet) AppendSubtract(dst, shed RangeSet) RangeSet {
+	cuts := disjointCuts(shed)
+	if len(cuts) == 0 {
+		return append(dst, rs...)
+	}
 	for _, r := range rs {
-		// dst[start:] holds r's surviving pieces; each cut appends their
-		// remainders after them and slides those down over the old ones.
-		start := len(dst)
-		dst = append(dst, r)
-		for _, cut := range shed {
-			if cut.IsEmpty() {
-				continue
+		if r.IsEmpty() {
+			continue
+		}
+		lo := r.Lo
+		for j := sort.Search(len(cuts), func(i int) bool { return cuts[i].Hi > lo }); j < len(cuts) && cuts[j].Lo < r.Hi; j++ {
+			if cuts[j].Lo > lo {
+				dst = append(dst, Range{lo, cuts[j].Lo})
 			}
-			end := len(dst)
-			for i := start; i < end; i++ {
-				p := dst[i]
-				// Left remainder [p.Lo, cut.Lo) and right remainder
-				// [cut.Hi, p.Hi); empty pieces drop out.
-				if left := (Range{p.Lo, math.Min(p.Hi, cut.Lo)}); !left.IsEmpty() {
-					dst = append(dst, left)
-				}
-				if right := (Range{math.Max(p.Lo, cut.Hi), p.Hi}); !right.IsEmpty() {
-					dst = append(dst, right)
-				}
-			}
-			dst = dst[:start+copy(dst[start:], dst[end:])]
-			if len(dst) == start {
+			if lo = cuts[j].Hi; lo >= r.Hi {
 				break
 			}
 		}
+		if lo < r.Hi {
+			dst = append(dst, Range{lo, r.Hi})
+		}
 	}
 	return dst
+}
+
+// disjointCuts returns the union of shed's non-empty cuts as an ascending,
+// disjoint set: shed itself when it already is one (touching cuts
+// allowed), else a sorted copy with overlapping and touching cuts merged,
+// leaving the caller's slice untouched.
+func disjointCuts(shed RangeSet) RangeSet {
+	clean := true
+	for i, c := range shed {
+		if c.IsEmpty() || i > 0 && shed[i-1].Hi > c.Lo {
+			clean = false
+			break
+		}
+	}
+	if clean {
+		return shed
+	}
+	cuts := make(RangeSet, 0, len(shed))
+	for _, c := range shed {
+		if !c.IsEmpty() {
+			cuts = append(cuts, c)
+		}
+	}
+	slices.SortFunc(cuts, func(a, b Range) int { return cmp.Compare(a.Lo, b.Lo) })
+	out := cuts[:0]
+	for _, c := range cuts {
+		if n := len(out); n > 0 && c.Lo <= out[n-1].Hi {
+			out[n-1].Hi = max(out[n-1].Hi, c.Hi)
+			continue
+		}
+		out = append(out, c)
+	}
+	return out
 }
