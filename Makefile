@@ -47,9 +47,11 @@ race: vet
 # flow), the conntrack pool, the arena index, range subtraction into a
 # grown buffer, the coverage audit (core.ProbeCoverage, however many units
 # it counts) and a steady-state simplex iteration must all report 0
-# allocs/op; the engine's per-Run set-up and a cold LP solve (160 bytes per
-# entry of nnz + rows + columns) must stay inside their budgets; -count=1
-# keeps a cached pass from masking a regression.
+# allocs/op; the engine's per-Run set-up, a cold LP solve (160 bytes per
+# entry of nnz + rows + columns) and each step of one manifest's publish
+# and install pipeline (build, diff, encode, apply, decider index) must stay
+# inside their budgets; -count=1 keeps a cached pass from masking a
+# regression.
 allocs:
 	$(GO) test -count=1 -run 'AllocFree|Alloc|Pool' \
 		./internal/control/ ./internal/bro/ ./internal/packet/ ./internal/conntrack/ \
@@ -80,7 +82,11 @@ perfcompare:
 # coincide) and of the wire's two binary
 # decoders (arbitrary manifest bytes through the agent's install check,
 # decider build and decisions; arbitrary delta bytes applied to a checked
-# base, whose result must pass the check and round-trip). CI-friendly;
+# base, whose result must pass the check, round-trip and match the
+# map-based reference), of the decider index (random manifests' every
+# decision, unit range and width against the map-backed baseline) and of
+# the controller's request line (arbitrary bytes must not panic it, and
+# malformed ones are answered and counted as bad). CI-friendly;
 # run with a longer -fuzztime locally to dig. The ingest seeds are whole
 # captures (160 KB for the 20-session one), and minimizing one interesting
 # input under the default 60 s budget would eat the whole run, hence 1 s.
@@ -94,6 +100,8 @@ fuzz:
 	$(GO) test -run=FuzzSubtract -fuzz=FuzzSubtract -fuzztime=10s ./internal/hashing/
 	$(GO) test -run=FuzzInstallManifest -fuzz=FuzzInstallManifest -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
 	$(GO) test -run=FuzzApplyDelta -fuzz=FuzzApplyDelta -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
+	$(GO) test -run=FuzzDecideMask -fuzz=FuzzDecideMask -fuzztime=10s ./internal/control/
+	$(GO) test -run=FuzzRequestLine -fuzz=FuzzRequestLine -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
 
 # Bench tier: the go-test micro-benchmarks, with allocation reporting —
 # every figure/table benchmark, the obs instruments, cluster convergence,

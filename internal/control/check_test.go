@@ -188,7 +188,8 @@ func FuzzInstallManifest(f *testing.F) {
 
 // FuzzApplyDelta applies arbitrary binary deltas to a checked base. The
 // result is either an error or a manifest that passes the install check
-// and survives a binary encode/decode round trip unchanged.
+// and survives a binary encode/decode round trip unchanged, and either way
+// it matches the map-based reference (delta_ref_test.go) byte for byte.
 func FuzzApplyDelta(f *testing.F) {
 	base := checkedManifest()
 	next := checkedManifest()
@@ -206,9 +207,12 @@ func FuzzApplyDelta(f *testing.F) {
 			return
 		}
 		m, err := ApplyDelta(base, d)
+		want, werr := refApplyDelta(base, d)
+		sameErr(t, "ApplyDelta", err, werr)
 		if err != nil {
 			return
 		}
+		sameWire(t, "ApplyDelta", m, want, AppendManifestBinary)
 		if err := checkManifest(m); err != nil {
 			t.Fatalf("ApplyDelta result fails the install check: %v", err)
 		}

@@ -7,12 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
 	"nwdeploy/internal/core"
-	"nwdeploy/internal/hashing"
 	"nwdeploy/internal/ledger"
 	"nwdeploy/internal/obs"
 	"nwdeploy/internal/telemetry"
@@ -113,17 +111,6 @@ type ControllerOptions struct {
 	Fleet *telemetry.Fleet
 }
 
-// generation is one retained configuration snapshot: everything needed to
-// rebuild the manifest any node was served at that epoch, so a delta from
-// it to the present can be computed on demand. Entries are immutable once
-// appended; serve goroutines read them without holding the lock.
-type generation struct {
-	epoch uint64
-	plan  *core.Plan
-	shed  map[int][]WireAssignment
-	trace *WireTrace
-}
-
 // maxRequestLine bounds each request-line read. Real requests are tens of
 // bytes; without a cap, a peer streaming bytes that never include a
 // newline would grow the controller's read buffer without bound.
@@ -143,11 +130,11 @@ type Controller struct {
 	fleet   *telemetry.Fleet // nil = no fleet telemetry
 
 	mu    sync.RWMutex
-	plan  *core.Plan
 	epoch uint64
+	cur   *generation              // the published generation; nil before the first publish
 	shed  map[int][]WireAssignment // per-node governor shed state
 	trace *WireTrace               // context stamped on served manifests
-	hist  []generation             // retained generations, oldest first
+	hist  []*generation            // retained generations, oldest first; the last is cur
 
 	ln        net.Listener
 	wg        sync.WaitGroup
@@ -225,51 +212,32 @@ func (c *Controller) Epoch() uint64 {
 // UpdatePlan installs a new deployment plan and bumps the epoch; agents
 // polling the epoch will observe the change and re-fetch. Any published
 // shed state is cleared: a fresh plan supersedes the emergency degradation
-// it was covering for. The controller keeps its own copy of the plan's
-// manifests, so the caller may reuse or mutate them afterwards.
+// it was covering for. Every node's assignments are converted to wire form
+// before UpdatePlan returns, so the caller may reuse or mutate the plan
+// afterwards.
 func (c *Controller) UpdatePlan(plan *core.Plan) {
-	plan = ownManifests(plan)
+	wp := newWirePlan(plan, c.hashKey) // hashKey is fixed at construction
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.plan = plan
 	c.shed = nil
 	c.epoch++
-	c.snapshotLocked()
+	c.publishLocked(newGeneration(wp, c.epoch, nil, c.trace))
 	c.commitLocked(ledger.RecPublish)
 	c.planUpdateC.Add(1)
 	c.epochG.Set(float64(c.epoch))
 }
 
-// ownManifests returns a shallow copy of plan with its manifests' range
-// sets copied: they are what a served manifest, and every delta diffed
-// against a retained generation, is built from. The instance stays shared;
-// nothing mutates it once built.
-func ownManifests(plan *core.Plan) *core.Plan {
-	own := *plan
-	own.Manifests = make([]core.NodeManifest, len(plan.Manifests))
-	for j, m := range plan.Manifests {
-		own.Manifests[j] = core.NodeManifest{Node: m.Node, Ranges: make(map[int]hashing.RangeSet, len(m.Ranges))}
-		for ui, rs := range m.Ranges {
-			own.Manifests[j].Ranges[ui] = slices.Clone(rs)
-		}
-	}
-	return &own
-}
-
-// snapshotLocked retains the just-published generation for delta serving,
-// aging out the oldest entry past the history cap. Must be called with
-// c.mu held after the epoch bump.
-func (c *Controller) snapshotLocked() {
+// publishLocked makes g the served generation and retains it for delta
+// serving, aging out the oldest entry past the history cap. Must be called
+// with c.mu held after the epoch bump.
+func (c *Controller) publishLocked(g *generation) {
+	c.cur = g
 	if c.histCap <= 0 {
 		return
 	}
-	shed := make(map[int][]WireAssignment, len(c.shed))
-	for j, s := range c.shed {
-		shed[j] = s
-	}
-	c.hist = append(c.hist, generation{epoch: c.epoch, plan: c.plan, shed: shed, trace: c.trace})
+	c.hist = append(c.hist, g)
 	if len(c.hist) > c.histCap {
-		c.hist = append([]generation(nil), c.hist[len(c.hist)-c.histCap:]...)
+		c.hist = append([]*generation(nil), c.hist[len(c.hist)-c.histCap:]...)
 	}
 }
 
@@ -304,7 +272,11 @@ func (c *Controller) PublishShed(node int, shed []WireAssignment) {
 		c.shed[node] = shed
 	}
 	c.epoch++
-	c.snapshotLocked()
+	var plan *wirePlan
+	if c.cur != nil {
+		plan = c.cur.plan
+	}
+	c.publishLocked(newGeneration(plan, c.epoch, c.shed, c.trace))
 	c.commitLocked(ledger.RecShed)
 	c.shedUpdateC.Add(1)
 	c.epochG.Set(float64(c.epoch))
@@ -470,8 +442,7 @@ func (c *Controller) handle(conn net.Conn, enc *json.Encoder, line []byte) bool 
 // answer builds the response to one decoded request.
 func (c *Controller) answer(req *request) response {
 	c.mu.RLock()
-	plan, epoch := c.plan, c.epoch
-	shed := c.shed[req.Node]
+	cur, epoch := c.cur, c.epoch
 	wt := c.trace
 	hist := c.hist
 	c.mu.RUnlock()
@@ -479,15 +450,14 @@ func (c *Controller) answer(req *request) response {
 	// fullManifest answers with the node's current manifest, shared by the
 	// "manifest" op and every delta fallback.
 	fullManifest := func() response {
-		m, err := ManifestFromPlan(plan, req.Node, epoch, c.hashKey)
+		m, err := cur.manifest(req.Node, wt)
 		if err != nil {
 			c.manifestErrC.Add(1)
 			return response{Epoch: epoch, Err: err.Error()}
 		}
-		m.Shed = shed
-		m.Trace = wt
 		return response{Epoch: epoch, Manifest: m}
 	}
+	planned := cur != nil && cur.plan != nil
 
 	switch req.Op {
 	case "epoch":
@@ -495,7 +465,7 @@ func (c *Controller) answer(req *request) response {
 		return response{Epoch: epoch}
 	case "manifest":
 		c.manifestReqC.Add(1)
-		if plan == nil {
+		if !planned {
 			c.manifestErrC.Add(1)
 			return response{Epoch: epoch, Err: "no plan installed"}
 		}
@@ -506,7 +476,7 @@ func (c *Controller) answer(req *request) response {
 			c.badReqC.Add(1)
 			return response{Epoch: epoch, Err: "op delta requires protocol v2"}
 		}
-		if plan == nil {
+		if !planned {
 			c.manifestErrC.Add(1)
 			return response{Epoch: epoch, Err: "no plan installed"}
 		}
@@ -514,7 +484,7 @@ func (c *Controller) answer(req *request) response {
 			// Up to date: the delta exchange doubles as the epoch probe.
 			return response{Epoch: epoch}
 		}
-		if d := c.deltaFrom(hist, req.Have, req.Node, wt); d != nil {
+		if d := deltaFrom(hist, req.Have, req.Node, wt); d != nil {
 			c.deltaServedC.Add(1)
 			return response{Epoch: epoch, Delta: d}
 		}
@@ -528,50 +498,17 @@ func (c *Controller) answer(req *request) response {
 	}
 }
 
-// deltaFrom computes the delta rewriting the manifest the node held at
+// deltaFrom returns the delta rewriting the manifest the node held at
 // epoch have into the current one, or nil when it cannot (base epoch aged
 // out of the retained window, class table or hash key changed). hist is an
 // immutable snapshot; the current generation is its last entry.
-func (c *Controller) deltaFrom(hist []generation, have uint64, node int, wt *WireTrace) *WireDelta {
-	if len(hist) == 0 {
-		return nil
-	}
-	var base *generation
-	for i := range hist {
-		if hist[i].epoch == have {
-			base = &hist[i]
-			break
+func deltaFrom(hist []*generation, have uint64, node int, wt *WireTrace) *WireDelta {
+	for _, g := range hist {
+		if g.epoch == have {
+			return hist[len(hist)-1].deltaFrom(g, node, wt)
 		}
 	}
-	if base == nil {
-		return nil
-	}
-	oldM, err := c.manifestFor(*base, node)
-	if err != nil {
-		return nil
-	}
-	newM, err := c.manifestFor(hist[len(hist)-1], node)
-	if err != nil {
-		return nil
-	}
-	newM.Trace = wt
-	d, ok := DiffManifests(oldM, newM)
-	if !ok {
-		return nil
-	}
-	return d
-}
-
-// manifestFor rebuilds the manifest a node was served at a retained
-// generation.
-func (c *Controller) manifestFor(g generation, node int) (*Manifest, error) {
-	m, err := ManifestFromPlan(g.plan, node, g.epoch, c.hashKey)
-	if err != nil {
-		return nil, err
-	}
-	m.Shed = g.shed[node]
-	m.Trace = g.trace
-	return m, nil
+	return nil
 }
 
 // DialFunc matches net.DialTimeout's shape: the transport seam fault

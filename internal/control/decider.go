@@ -1,7 +1,8 @@
 package control
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"nwdeploy/internal/core"
 	"nwdeploy/internal/hashing"
@@ -208,14 +209,23 @@ type akey struct {
 	k0, k1 int32
 }
 
-func (k akey) less(o akey) bool {
-	if k.class != o.class {
-		return k.class < o.class
+func (k akey) compare(o akey) int {
+	if c := cmp.Compare(k.class, o.class); c != 0 {
+		return c
 	}
-	if k.k0 != o.k0 {
-		return k.k0 < o.k0
+	if c := cmp.Compare(k.k0, o.k0); c != 0 {
+		return c
 	}
-	return k.k1 < o.k1
+	return cmp.Compare(k.k1, o.k1)
+}
+
+// appendRanges appends the wire ranges to dst as they are, empty ones
+// included.
+func appendRanges(dst hashing.RangeSet, ws []WireRange) hashing.RangeSet {
+	for _, w := range ws {
+		dst = append(dst, hashing.Range(w))
+	}
+	return dst
 }
 
 // NewDecider indexes a manifest for per-packet use. Shed ranges are
@@ -226,66 +236,70 @@ func NewDecider(m *Manifest) *Decider {
 		manifest: m,
 		hasher:   hashing.Hasher{Key: m.HashKey},
 	}
-	// Group by (class, unit); a duplicate key overwrites, preserving the
-	// last-entry-wins behavior of the previous map-backed index.
-	shed := make(map[akey]hashing.RangeSet, len(m.Shed))
-	shedOrder := make([]akey, 0, len(m.Shed))
-	for _, a := range m.Shed {
-		var rs hashing.RangeSet
-		for _, r := range a.Ranges {
-			rs = append(rs, hashing.Range{Lo: r.Lo, Hi: r.Hi})
-		}
-		k := akey{a.Class, int32(a.Unit[0]), int32(a.Unit[1])}
-		if _, dup := shed[k]; !dup {
-			shedOrder = append(shedOrder, k)
-		}
-		shed[k] = rs
-	}
-	assigned := make(map[akey]hashing.RangeSet, len(m.Assignments))
-	assignOrder := make([]akey, 0, len(m.Assignments))
+	// Walk the assignments and the shed in (class, unit-key) order, side
+	// by side. Of a duplicated key the last entry wins, and a shed entry
+	// cuts the assignment of its key. A class the manifest does not
+	// declare has no session filter, so the data plane can never enforce
+	// it: no view may count it. The walk yields each class's entries
+	// contiguous and unit-key ascending, so every class's second and span
+	// columns are subslices of two shared backing arrays — one allocation
+	// each, and all classes' directories cache-adjacent for the batch
+	// path, which walks several per session.
 	nClasses := len(m.Classes)
-	for _, a := range m.Assignments {
-		if a.Class < 0 || a.Class >= nClasses {
-			// A class the manifest does not declare has no session filter,
-			// so the data plane can never enforce it: no view may count it.
+	nRanges := 0 // bounds the effective ranges: k cuts add at most k pieces
+	for _, as := range [2][]WireAssignment{m.Assignments, m.Shed} {
+		for i := range as {
+			nRanges += len(as[i].Ranges)
+		}
+	}
+	d.arena.Grow(nRanges)
+	d.classes = make([]classIndex, nClasses)
+	allSecond := make([]int32, 0, len(m.Assignments))
+	allSpans := make([]hashing.Span, 0, len(m.Assignments))
+	// Build-time scratch stays on the stack for manifests of usual size.
+	var k0Buf [64]int32
+	var startBuf [16]int
+	var rangeBuf [32]hashing.Range
+	allK0 := k0Buf[:0]
+	if len(m.Assignments) > len(k0Buf) {
+		allK0 = make([]int32, 0, len(m.Assignments))
+	}
+	classStart := startBuf[:0]
+	if nClasses+1 > len(startBuf) {
+		classStart = make([]int, 0, nClasses+1)
+	}
+	classStart = classStart[:nClasses+1]
+	asg, shedRuns := newRuns(m.Assignments), newRuns(m.Shed)
+	shed := shedRuns
+	scratch := hashing.RangeSet(rangeBuf[:0])
+	for !asg.done() {
+		k := asg.key()
+		a := asg.last()
+		if k.class < 0 || k.class >= nClasses {
 			continue
 		}
-		var rs hashing.RangeSet
-		for _, r := range a.Ranges {
-			rs = append(rs, hashing.Range{Lo: r.Lo, Hi: r.Hi})
+		for !shed.done() && shed.key().compare(k) < 0 {
+			shed.last()
 		}
-		k := akey{a.Class, int32(a.Unit[0]), int32(a.Unit[1])}
-		if cut, ok := shed[k]; ok {
-			rs = rs.Subtract(cut)
+		scratch = appendRanges(scratch[:0], a.Ranges)
+		eff := scratch
+		if !shed.done() && shed.key() == k {
+			split := len(scratch)
+			scratch = appendRanges(scratch, shed.last().Ranges)
+			n := len(scratch)
+			scratch = scratch[:split].AppendSubtract(scratch, scratch[split:n])
+			eff = scratch[n:]
 		}
-		if _, dup := assigned[k]; !dup {
-			assignOrder = append(assignOrder, k)
-		}
-		assigned[k] = rs
-	}
-	// Canonical build order: class ascending, then unit key ascending. The
-	// sort makes each class's entries contiguous, so every class's second
-	// and span columns are subslices of two shared backing arrays — one
-	// allocation each, and all classes' directories cache-adjacent for the
-	// batch path, which walks several per session.
-	sort.Slice(assignOrder, func(i, j int) bool { return assignOrder[i].less(assignOrder[j]) })
-	d.classes = make([]classIndex, nClasses)
-	allSecond := make([]int32, 0, len(assignOrder))
-	allSpans := make([]hashing.Span, 0, len(assignOrder))
-	allK0 := make([]int32, 0, len(assignOrder))
-	classStart := make([]int, nClasses+1)
-	for _, k := range assignOrder {
-		rs := assigned[k]
-		// Width is summed over the raw (sorted-by-Lo) effective set before
-		// the arena coalesces anything, preserving the historical sum for
-		// manifests with overlapping ranges.
-		sorted := append(hashing.RangeSet(nil), rs...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Lo < sorted[j].Lo })
-		for _, r := range sorted {
+		// Width is summed over the raw, sorted effective set before the
+		// arena coalesces anything, preserving the sum for manifests with
+		// overlapping ranges; ties at one Lo sum in Hi order, so the width
+		// is the same for any order of the manifest's ranges.
+		sortRanges(eff)
+		for _, r := range eff {
 			d.assignedWidth += r.Width()
 		}
 		allSecond = append(allSecond, k.k1)
-		allSpans = append(allSpans, d.arena.Append(sorted))
+		allSpans = append(allSpans, d.arena.Append(eff))
 		allK0 = append(allK0, k.k0)
 		classStart[k.class+1] = len(allSecond)
 	}
@@ -346,14 +360,14 @@ func NewDecider(m *Manifest) *Decider {
 	d.buildMasks(m)
 	d.buildUnitIndex(allK0, allSecond, allSpans, classStart)
 	// ShedWidth in the same canonical order, over the raw shed ranges
-	// (including entries that matched no assignment, as before).
-	sort.Slice(shedOrder, func(i, j int) bool { return shedOrder[i].less(shedOrder[j]) })
-	for _, k := range shedOrder {
-		sorted := append(hashing.RangeSet(nil), shed[k]...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Lo < sorted[j].Lo })
-		for _, r := range sorted {
+	// (including entries that matched no assignment).
+	for shed = shedRuns; !shed.done(); {
+		rs := appendRanges(scratch[:0], shed.last().Ranges)
+		sortRanges(rs)
+		for _, r := range rs {
 			d.shedWidth += r.Width()
 		}
+		scratch = rs
 	}
 	return d
 }
@@ -483,106 +497,129 @@ func (d *Decider) buildMasks(m *Manifest) {
 
 // buildUnitIndex regroups the flattened assignments by scope slot for the
 // batch path: the canonical per-class columns (k0, k1, span, classStart)
-// are re-sorted into (scope, k0, k1, class) order, each scope getting its
+// are reordered into (scope, k0, k1, class) order, each scope getting its
 // own unit directory over the shared entry array.
 func (d *Decider) buildUnitIndex(allK0, allSecond []int32, allSpans []hashing.Span, classStart []int) {
 	if !d.maskable {
 		return
 	}
-	type ukey struct{ s, k0, k1, ci int32 }
-	keys := make([]ukey, 0, len(allK0))
-	spanOf := make(map[ukey]hashing.Span, len(allK0))
+	// Bucket the entries by scope, classes ascending, then sort each
+	// scope's bucket by unit key (a scope of one class already is).
+	var scopeLen [3]int
 	for c := range d.meta {
-		sc := int32(d.meta[c].scopeSlot)
+		sc := d.meta[c].scopeSlot
 		d.scopeMask[sc] |= uint64(1) << uint(c)
+		scopeLen[sc] += classStart[c+1] - classStart[c]
+	}
+	var keyBuf [64]ukey
+	keys := keyBuf[:0]
+	if len(allK0) > len(keyBuf) {
+		keys = make([]ukey, 0, len(allK0))
+	}
+	keys = keys[:len(allK0)]
+	var next [3]int
+	next[1] = scopeLen[0]
+	next[2] = next[1] + scopeLen[1]
+	for c := range d.meta {
+		sc := d.meta[c].scopeSlot
 		for i := classStart[c]; i < classStart[c+1]; i++ {
-			k := ukey{sc, allK0[i], allSecond[i], int32(c)}
-			keys = append(keys, k)
-			spanOf[k] = allSpans[i]
+			keys[next[sc]] = ukey{allK0[i], allSecond[i], int32(c), int32(i)}
+			next[sc]++
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.s != b.s {
-			return a.s < b.s
-		}
-		if a.k0 != b.k0 {
-			return a.k0 < b.k0
-		}
-		if a.k1 != b.k1 {
-			return a.k1 < b.k1
-		}
-		return a.ci < b.ci
-	})
 	d.entries = make([]uentry, len(keys))
-	for i, k := range keys {
-		e := uentry{
-			span: spanOf[k],
-			bit:  uint64(1) << uint(k.ci),
-			agg:  d.meta[k.ci].aggSlot,
-		}
-		d.scopeAggs[k.s] |= 1 << e.agg
-		switch e.span.Len() {
-		case 0:
-			// Fully shed assignment: inline bounds stay empty, never match.
-		case 1:
-			rs := d.arena.AppendRanges(nil, e.span)
-			e.lo, e.hi = rs[0].Lo, rs[0].Hi
-		default:
-			e.multi = true
-		}
-		d.entries[i] = e
-	}
 	lo := 0
-	for sc := int32(0); sc < 3; sc++ {
-		hi := lo
-		for hi < len(keys) && keys[hi].s == sc {
-			hi++
-		}
-		ui := &d.units[sc]
-		var k0s []int32
-		for a := lo; a < hi; {
-			b := a
-			for b < hi && keys[b].k0 == keys[a].k0 && keys[b].k1 == keys[a].k1 {
-				b++
+	for sc := 0; sc < 3; sc++ {
+		hi := lo + scopeLen[sc]
+		seg := keys[lo:hi]
+		slices.SortFunc(seg, func(a, b ukey) int {
+			if c := cmp.Compare(a.k0, b.k0); c != 0 {
+				return c
 			}
-			k0s = append(k0s, keys[a].k0)
-			ui.second = append(ui.second, keys[a].k1)
-			ui.entLo = append(ui.entLo, int32(a))
-			a = b
-		}
-		if len(k0s) == 0 {
-			lo = hi
-			continue
-		}
-		ui.entLo = append(ui.entLo, int32(hi))
-		minK0, maxK0 := k0s[0], k0s[len(k0s)-1]
-		ui.minK0 = minK0
-		pos := 0
-		for b := int32(0); b <= maxK0-minK0; b++ {
-			ui.firstIdx = append(ui.firstIdx, int32(pos))
-			for pos < len(k0s) && k0s[pos]-minK0 == b {
-				pos++
+			if c := cmp.Compare(a.k1, b.k1); c != 0 {
+				return c
 			}
-		}
-		ui.firstIdx = append(ui.firstIdx, int32(len(k0s)))
-		allSingle := true
-		for _, k1 := range ui.second {
-			if k1 != -1 {
-				allSingle = false
-				break
+			return cmp.Compare(a.ci, b.ci)
+		})
+		nUnits := 0
+		for i, k := range seg {
+			e := uentry{
+				span: allSpans[k.i],
+				bit:  uint64(1) << uint(k.ci),
+				agg:  d.meta[k.ci].aggSlot,
+			}
+			d.scopeAggs[sc] |= 1 << e.agg
+			switch e.span.Len() {
+			case 0:
+				// Fully shed assignment: inline bounds stay empty, never match.
+			case 1:
+				var one [1]hashing.Range
+				r := d.arena.AppendRanges(one[:0], e.span)[0]
+				e.lo, e.hi = r.Lo, r.Hi
+			default:
+				e.multi = true
+			}
+			d.entries[lo+i] = e
+			if i == 0 || k.k0 != seg[i-1].k0 || k.k1 != seg[i-1].k1 {
+				nUnits++
 			}
 		}
-		if allSingle {
-			ui.flat = make([]int32, maxK0-minK0+1)
-			for i := range ui.flat {
-				ui.flat[i] = -1
-			}
-			for u, k0 := range k0s {
-				ui.flat[k0-minK0] = int32(u)
-			}
+		if nUnits > 0 {
+			d.units[sc].build(seg, lo, nUnits)
 		}
 		lo = hi
+	}
+}
+
+// ukey is one entry of the batch path's scope-grouped view while it is
+// built: its unit key, class, and index into the per-class columns.
+type ukey struct{ k0, k1, ci, i int32 }
+
+// build fills a scope's unit directory from its entries, seg, sorted by
+// unit key and starting at entry base; nUnits is their count of distinct
+// unit keys. The columns share one backing allocation.
+func (ui *unitIndex) build(seg []ukey, base, nUnits int) {
+	minK0, maxK0 := seg[0].k0, seg[len(seg)-1].k0
+	span := int(maxK0-minK0) + 1
+	flat := true
+	for _, k := range seg {
+		if k.k1 != -1 {
+			flat = false
+			break
+		}
+	}
+	n := 2*nUnits + 1 + span + 1
+	if flat {
+		n += span
+	}
+	cols := make([]int32, n)
+	ui.minK0 = minK0
+	ui.second, cols = cols[:nUnits:nUnits], cols[nUnits:]
+	ui.entLo, cols = cols[:nUnits+1:nUnits+1], cols[nUnits+1:]
+	ui.firstIdx, cols = cols[:span+1:span+1], cols[span+1:]
+	if flat {
+		ui.flat = cols
+		for i := range ui.flat {
+			ui.flat[i] = -1
+		}
+	}
+	// firstIdx[b] counts the units of the buckets before b.
+	u := 0
+	for i, k := range seg {
+		if i > 0 && k.k0 == seg[i-1].k0 && k.k1 == seg[i-1].k1 {
+			continue
+		}
+		ui.second[u] = k.k1
+		ui.entLo[u] = int32(base + i)
+		ui.firstIdx[k.k0-minK0+1]++
+		if flat {
+			ui.flat[k.k0-minK0] = int32(u)
+		}
+		u++
+	}
+	ui.entLo[nUnits] = int32(base + len(seg))
+	for b := 1; b <= span; b++ {
+		ui.firstIdx[b] += ui.firstIdx[b-1]
 	}
 }
 

@@ -1,10 +1,10 @@
 package control
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"reflect"
-	"sort"
+	"slices"
 
 	"nwdeploy/internal/hashing"
 )
@@ -44,54 +44,199 @@ type WireDelta struct {
 // manifest it was applied to — the agent must fall back to a full fetch.
 var ErrDeltaGap = errors.New("control: delta base epoch does not match installed manifest")
 
-// rangesByKey folds an assignment slice into per-key range sets. Duplicate
-// keys concatenate (manifests built by ManifestFromPlan never produce
-// them, but hand-built ones may).
-func rangesByKey(as []WireAssignment) map[akey]hashing.RangeSet {
-	m := make(map[akey]hashing.RangeSet, len(as))
-	for _, a := range as {
-		k := akey{a.Class, int32(a.Unit[0]), int32(a.Unit[1])}
-		rs := m[k]
-		for _, r := range a.Ranges {
-			if r.Hi > r.Lo {
-				rs = append(rs, hashing.Range{Lo: r.Lo, Hi: r.Hi})
+// The wire kernels — DiffManifests, ApplyDelta, CanonicalAssignments and
+// NewDecider — all group assignments by (class, unit key) and visit the
+// groups in key order. Each orders its inputs once (a stable sort, skipped
+// when the slice is already in key order, as every manifest the controller
+// builds and every ApplyDelta result is) and then walks them side by side
+// in one linear merge, collecting a group's ranges into a scratch buffer:
+// no map, and one backing array per output instead of one slice per key.
+
+// keyOf is the key an assignment is grouped under: its class and unit key,
+// the components truncated to 32 bits as the decider's index holds them.
+func keyOf(a *WireAssignment) akey {
+	return akey{a.Class, int32(a.Unit[0]), int32(a.Unit[1])}
+}
+
+// runs walks an assignment slice in key order, one run of equal keys at a
+// time. Entries of one key keep their slice order.
+type runs struct {
+	as  []WireAssignment
+	ord []int32 // indices into as in key order; nil when as already is
+	i   int     // position of the current run's first entry
+}
+
+func newRuns(as []WireAssignment) runs {
+	r := runs{as: as}
+	for i := 1; i < len(as); i++ {
+		if keyOf(&as[i-1]).compare(keyOf(&as[i])) > 0 {
+			r.ord = make([]int32, len(as))
+			for j := range r.ord {
+				r.ord[j] = int32(j)
+			}
+			slices.SortStableFunc(r.ord, func(a, b int32) int { return keyOf(&as[a]).compare(keyOf(&as[b])) })
+			break
+		}
+	}
+	return r
+}
+
+func (r *runs) at(i int) *WireAssignment {
+	if r.ord != nil {
+		return &r.as[r.ord[i]]
+	}
+	return &r.as[i]
+}
+
+func (r *runs) done() bool { return r.i >= len(r.as) }
+
+// key is the current run's key; the walk must not be done.
+func (r *runs) key() akey { return keyOf(r.at(r.i)) }
+
+// minKey is the least current key of the runs that are not done; at least
+// one must not be.
+func minKey(rs ...*runs) akey {
+	var k akey
+	found := false
+	for _, r := range rs {
+		if !r.done() {
+			if rk := r.key(); !found || rk.compare(k) < 0 {
+				k, found = rk, true
 			}
 		}
-		m[k] = rs
 	}
-	return m
+	return k
 }
 
-// sortedKeys returns the union of both maps' keys in canonical order, so
-// diff output is deterministic however the manifests' slices were ordered.
-func sortedKeys(a, b map[akey]hashing.RangeSet) []akey {
-	keys := make([]akey, 0, len(a)+len(b))
-	for k := range a {
-		keys = append(keys, k)
+// last moves past the current run and returns its last entry.
+func (r *runs) last() *WireAssignment {
+	k := r.key()
+	for r.i++; !r.done() && r.key() == k; r.i++ {
 	}
-	for k := range b {
-		if _, dup := a[k]; !dup {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-	return keys
+	return r.at(r.i - 1)
 }
 
-// appendAssignment converts one key's range set to wire form and appends
-// it, dropping empty entries. Ranges are emitted Lo-ascending.
-func appendAssignment(out []WireAssignment, k akey, rs hashing.RangeSet) []WireAssignment {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
-	wa := WireAssignment{Class: k.class, Unit: [2]int{int(k.k0), int(k.k1)}}
-	for _, r := range rs {
-		if r.Width() > 0 {
-			wa.Ranges = append(wa.Ranges, WireRange{Lo: r.Lo, Hi: r.Hi})
+// take appends the non-empty ranges of key k's run, entry by entry, to dst
+// and moves past it; when the current run has another key (or the walk is
+// done) it appends nothing.
+func (r *runs) take(dst hashing.RangeSet, k akey) hashing.RangeSet {
+	for ; !r.done() && r.key() == k; r.i++ {
+		for _, w := range r.at(r.i).Ranges {
+			if w.Hi > w.Lo {
+				dst = append(dst, hashing.Range(w))
+			}
 		}
 	}
-	if len(wa.Ranges) == 0 {
-		return out
+	return dst
+}
+
+// cmpRange orders ranges Lo-ascending, ties by Hi.
+func cmpRange(a, b hashing.Range) int {
+	if c := cmp.Compare(a.Lo, b.Lo); c != 0 {
+		return c
 	}
-	return append(out, wa)
+	return cmp.Compare(a.Hi, b.Hi)
+}
+
+// sortRanges puts rs in cmpRange order, equal ranges keeping their order.
+func sortRanges(rs hashing.RangeSet) {
+	if !slices.IsSortedFunc(rs, cmpRange) {
+		slices.SortStableFunc(rs, cmpRange)
+	}
+}
+
+// assignBuilder collects one output assignment slice key by key: each
+// key's ranges are appended to pieces, then close seals them. Its methods
+// take and return it by value, which lets a caller keep its buffers on the
+// stack.
+type assignBuilder struct {
+	keys   []akey
+	ends   []int32 // ends[i] is where keys[i]'s ranges end in pieces
+	pieces hashing.RangeSet
+}
+
+// newBuilder starts a builder on caller-provided buffers.
+func newBuilder(keys []akey, ends []int32, pieces hashing.RangeSet) assignBuilder {
+	return assignBuilder{keys: keys[:0], ends: ends[:0], pieces: pieces[:0]}
+}
+
+// start is where the ranges of the key being built begin in pieces.
+func (b assignBuilder) start() int {
+	if n := len(b.ends); n > 0 {
+		return int(b.ends[n-1])
+	}
+	return 0
+}
+
+// close seals the ranges appended since the last close as key k's,
+// sorted; a key with none is dropped.
+func (b assignBuilder) close(k akey) assignBuilder {
+	tail := b.pieces[b.start():]
+	if len(tail) == 0 {
+		return b
+	}
+	sortRanges(tail)
+	b.keys = append(b.keys, k)
+	b.ends = append(b.ends, int32(len(b.pieces)))
+	return b
+}
+
+// wire returns the built assignments (nil when there are none), their
+// ranges sharing one backing array.
+func (b assignBuilder) wire() []WireAssignment {
+	if len(b.keys) == 0 {
+		return nil
+	}
+	out := make([]WireAssignment, len(b.keys))
+	back := make([]WireRange, len(b.pieces))
+	for i, r := range b.pieces {
+		back[i] = WireRange(r)
+	}
+	lo := int32(0)
+	for i, k := range b.keys {
+		hi := b.ends[i]
+		out[i] = WireAssignment{Class: k.class, Unit: [2]int{int(k.k0), int(k.k1)}, Ranges: back[lo:hi:hi]}
+		lo = hi
+	}
+	return out
+}
+
+// classesEqual and assignmentsEqual are reflect.DeepEqual on
+// the wire types, field by field: a nil slice differs from an empty one,
+// floats compare with ==, and two slices of one length starting at the
+// same element are equal without a look at their contents.
+func classesEqual(a, b []WireClass) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.Name != y.Name || x.Scope != y.Scope || x.Agg != y.Agg || x.Transport != y.Transport ||
+			(x.Ports == nil) != (y.Ports == nil) || !slices.Equal(x.Ports, y.Ports) {
+			return false
+		}
+	}
+	return true
+}
+
+func assignmentsEqual(a, b []WireAssignment) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for i := range a {
+		x, y := a[i].Ranges, b[i].Ranges
+		if a[i].Class != b[i].Class || a[i].Unit != b[i].Unit || (x == nil) != (y == nil) || len(x) != len(y) ||
+			len(x) > 0 && &x[0] != &y[0] && !slices.Equal(x, y) {
+			return false
+		}
+	}
+	return true
 }
 
 // DiffManifests computes the delta that rewrites old into new. It returns
@@ -100,25 +245,34 @@ func appendAssignment(out []WireAssignment, k akey, rs hashing.RangeSet) []WireA
 // caller must ship a full manifest. All range boundaries in the result are
 // copies of boundaries already present in old or new (set subtraction
 // introduces no new float values), so delta application is exact.
+// Duplicate keys in either manifest concatenate their ranges.
 func DiffManifests(old, new *Manifest) (*WireDelta, bool) {
 	if old == nil || new == nil || old.Node != new.Node || old.HashKey != new.HashKey {
 		return nil, false
 	}
-	if !reflect.DeepEqual(old.Classes, new.Classes) {
+	if !classesEqual(old.Classes, new.Classes) {
 		return nil, false
 	}
 	d := &WireDelta{Node: new.Node, BaseEpoch: old.Epoch, Epoch: new.Epoch, Trace: new.Trace}
-	oldR, newR := rangesByKey(old.Assignments), rangesByKey(new.Assignments)
-	for _, k := range sortedKeys(oldR, newR) {
-		o, n := oldR[k], newR[k]
-		if added := n.Subtract(o); len(added) > 0 {
-			d.Added = appendAssignment(d.Added, k, added)
-		}
-		if removed := o.Subtract(n); len(removed) > 0 {
-			d.Removed = appendAssignment(d.Removed, k, removed)
-		}
+	o, n := newRuns(old.Assignments), newRuns(new.Assignments)
+	var ka, kr [8]akey
+	var ea, er [8]int32
+	var ra, rr, rs [16]hashing.Range
+	added, removed := newBuilder(ka[:], ea[:], ra[:]), newBuilder(kr[:], er[:], rr[:])
+	scratch := hashing.RangeSet(rs[:0])
+	for !o.done() || !n.done() {
+		k := minKey(&o, &n)
+		scratch = o.take(scratch[:0], k)
+		split := len(scratch)
+		scratch = n.take(scratch, k)
+		or, nr := scratch[:split], scratch[split:]
+		added.pieces = nr.AppendSubtract(added.pieces, or)
+		added = added.close(k)
+		removed.pieces = or.AppendSubtract(removed.pieces, nr)
+		removed = removed.close(k)
 	}
-	if !reflect.DeepEqual(old.Shed, new.Shed) {
+	d.Added, d.Removed = added.wire(), removed.wire()
+	if !assignmentsEqual(old.Shed, new.Shed) {
 		d.ShedChanged = true
 		d.Shed = new.Shed
 	}
@@ -127,9 +281,9 @@ func DiffManifests(old, new *Manifest) (*WireDelta, bool) {
 
 // ApplyDelta rewrites base (the manifest of d.BaseEpoch) into the manifest
 // of d.Epoch. base is not mutated. The result's assignments are in
-// canonical (class, unit-key) order with Lo-ascending ranges; its verdict
-// behavior under Decider equals a full fetch of the target epoch exactly,
-// because every boundary value is copied, never recomputed.
+// canonical (class, unit-key) order with Lo-ascending ranges (ties by Hi);
+// its verdict behavior under Decider equals a full fetch of the target
+// epoch exactly, because every boundary value is copied, never recomputed.
 func ApplyDelta(base *Manifest, d *WireDelta) (*Manifest, error) {
 	if base == nil {
 		return nil, errors.New("control: applying delta to nil manifest")
@@ -158,22 +312,23 @@ func ApplyDelta(base *Manifest, d *WireDelta) (*Manifest, error) {
 	if d.ShedChanged {
 		out.Shed = d.Shed
 	}
-	cur := rangesByKey(base.Assignments)
-	removed := rangesByKey(d.Removed)
-	added := rangesByKey(d.Added)
-	for k, cut := range removed {
-		cur[k] = cur[k].Subtract(cut)
+	// Per key: the base's ranges minus the removed ones, then the added
+	// ones appended.
+	cur, rem, add := newRuns(base.Assignments), newRuns(d.Removed), newRuns(d.Added)
+	var kb [16]akey
+	var eb [16]int32
+	var rb, rs [32]hashing.Range
+	b := newBuilder(kb[:], eb[:], rb[:])
+	scratch := hashing.RangeSet(rs[:0])
+	for !cur.done() || !rem.done() || !add.done() {
+		k := minKey(&cur, &rem, &add)
+		scratch = cur.take(scratch[:0], k)
+		split := len(scratch)
+		scratch = rem.take(scratch, k)
+		b.pieces = scratch[:split].AppendSubtract(b.pieces, scratch[split:])
+		b.pieces = add.take(b.pieces, k)
+		b = b.close(k)
 	}
-	for k, add := range added {
-		cur[k] = append(append(hashing.RangeSet(nil), cur[k]...), add...)
-	}
-	keys := make([]akey, 0, len(cur))
-	for k := range cur {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-	for _, k := range keys {
-		out.Assignments = appendAssignment(out.Assignments, k, cur[k])
-	}
+	out.Assignments = b.wire()
 	return out, nil
 }

@@ -43,10 +43,10 @@ type canonManifest struct {
 // CanonicalAssignments normalizes an assignment slice into its canonical
 // form: finite bounds enforced (a NaN or infinite range bound returns an
 // error wrapping ledger.ErrNonFinite — NaN payload bits are
-// platform-dependent, and rangesByKey's width filter would otherwise
-// silently drop such ranges), duplicate (class, unit) entries merged,
-// keys in canonical order, ranges Lo-ascending with touching or
-// overlapping ranges coalesced, empty ranges dropped.
+// platform-dependent, and the empty-range filter would otherwise silently
+// drop such ranges), duplicate (class, unit) entries merged, keys in
+// canonical order, ranges Lo-ascending with touching or overlapping ranges
+// coalesced, empty ranges dropped.
 func CanonicalAssignments(as []WireAssignment) ([]WireAssignment, error) {
 	for _, a := range as {
 		for _, r := range a.Ranges {
@@ -56,27 +56,34 @@ func CanonicalAssignments(as []WireAssignment) ([]WireAssignment, error) {
 			}
 		}
 	}
-	byKey := rangesByKey(as)
-	var out []WireAssignment
-	for _, k := range sortedKeys(byKey, nil) {
-		out = appendAssignment(out, k, coalesceRanges(byKey[k]))
+	groups := newRuns(as)
+	var kb [16]akey
+	var eb [16]int32
+	var rb [32]hashing.Range
+	b := newBuilder(kb[:], eb[:], rb[:])
+	for !groups.done() {
+		k := groups.key()
+		start := b.start()
+		b.pieces = groups.take(b.pieces, k)
+		b.pieces = coalesceRanges(b.pieces, start)
+		b = b.close(k)
 	}
-	return out, nil
+	return b.wire(), nil
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// coalesceRanges sorts a range set Lo-ascending and merges ranges that
-// overlap or share a boundary, yielding the unique minimal disjoint
-// representation of the set's union.
-func coalesceRanges(rs hashing.RangeSet) hashing.RangeSet {
-	if len(rs) == 0 {
-		return nil
+// coalesceRanges sorts rs[start:] Lo-ascending and merges, in place,
+// ranges that overlap or share a boundary, yielding the unique minimal
+// disjoint representation of their union; it returns rs truncated to the
+// merged ranges.
+func coalesceRanges(rs hashing.RangeSet, start int) hashing.RangeSet {
+	if len(rs) == start {
+		return rs
 	}
-	s := append(hashing.RangeSet(nil), rs...)
-	sort.Slice(s, func(i, j int) bool { return s[i].Lo < s[j].Lo })
-	out := s[:1]
-	for _, r := range s[1:] {
+	sortRanges(rs[start:])
+	out := rs[:start+1]
+	for _, r := range rs[start+1:] {
 		last := &out[len(out)-1]
 		if r.Lo <= last.Hi {
 			if r.Hi > last.Hi {
@@ -127,18 +134,12 @@ func DecodeCanonicalManifest(b []byte) (*Manifest, error) {
 // plus the live shed state inline per shedding node. Called with c.mu
 // held immediately after an epoch bump; a nil ledger makes it free.
 func (c *Controller) commitLocked(kind string) {
-	if c.ledger == nil || c.plan == nil {
+	if c.ledger == nil || c.cur.plan == nil {
 		return
 	}
 	b := c.ledger.Begin(kind, c.epoch)
-	for j := range c.plan.Manifests {
-		m, err := ManifestFromPlan(c.plan, j, c.epoch, c.hashKey)
-		if err != nil {
-			b.Item(ledger.ItemManifest, fmt.Sprintf("node/%d", j), nil, err)
-			continue
-		}
-		m.Shed = c.shed[j]
-		data, err := CanonicalManifest(m)
+	for j := range c.cur.slots {
+		data, err := CanonicalManifest(c.cur.published(j))
 		b.Blob(ledger.ItemManifest, fmt.Sprintf("node/%d", j), data, err)
 	}
 	nodes := make([]int, 0, len(c.shed))

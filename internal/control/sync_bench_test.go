@@ -35,7 +35,8 @@ func syntheticPlan(n, window int) *core.Plan {
 // v1-full-json is a rejoining agent's one-shot full fetch (a dial per
 // sync); v2-delta-bin is a steady-state delta sync over the held
 // connection, each op after a shed publish that changes the node's
-// manifest (the publish is inside the timed loop; it is a map copy).
+// manifest (the publish is inside the timed loop; it copies every node's
+// manifest header, sharing their assignments).
 func BenchmarkAgentSync(b *testing.B) {
 	const node = 17
 	ctrl, err := NewController("127.0.0.1:0", 7)

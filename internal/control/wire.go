@@ -159,33 +159,8 @@ func ManifestFromPlan(plan *core.Plan, node int, epoch uint64, hashKey uint32) (
 	if node < 0 || node >= len(plan.Manifests) {
 		return nil, fmt.Errorf("control: node %d out of range", node)
 	}
-	m := &Manifest{Node: node, Epoch: epoch, HashKey: hashKey}
-	for _, c := range plan.Inst.Classes {
-		m.Classes = append(m.Classes, WireClass{
-			Name:      c.Name,
-			Scope:     int(c.Scope),
-			Agg:       int(c.Agg),
-			Ports:     c.Ports,
-			Transport: c.Transport,
-		})
-	}
-	ranges := plan.Manifests[node].Ranges
-	units := make([]int, 0, len(ranges))
-	for ui := range ranges {
-		units = append(units, ui)
-	}
-	sort.Ints(units)
-	for _, ui := range units {
-		u := plan.Inst.Units[ui]
-		wa := WireAssignment{Class: u.Class, Unit: u.Key}
-		for _, r := range ranges[ui] {
-			if r.Width() > 0 {
-				wa.Ranges = append(wa.Ranges, WireRange{Lo: r.Lo, Hi: r.Hi})
-			}
-		}
-		if len(wa.Ranges) > 0 {
-			m.Assignments = append(m.Assignments, wa)
-		}
-	}
-	return m, nil
+	return &Manifest{
+		Node: node, Epoch: epoch, HashKey: hashKey,
+		Classes: wireClasses(plan.Inst), Assignments: wireAssignments(plan, node),
+	}, nil
 }

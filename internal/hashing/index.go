@@ -1,6 +1,9 @@
 package hashing
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file implements the flattened interval index backing the
 // per-packet data plane. A manifest's range lookups used to walk small
@@ -31,6 +34,16 @@ type Arena struct {
 	bounds []float64
 }
 
+// Grow makes room for n more ranges, so a builder that knows how many it
+// will append allocates once.
+func (a *Arena) Grow(n int) {
+	if 2*n > cap(a.bounds)-len(a.bounds) {
+		b := make([]float64, len(a.bounds), len(a.bounds)+2*n)
+		copy(b, a.bounds)
+		a.bounds = b
+	}
+}
+
 // Append adds a group of ranges to the arena and returns its span. Empty
 // and inverted ranges are dropped; the kept ranges are sorted by Lo so
 // Contains can binary-search. Ranges in one group are expected to be
@@ -39,16 +52,25 @@ type Arena struct {
 // correctly only via the group's coalesced form, so Append merges any
 // overlapping ranges it is given. Width bookkeeping that must preserve
 // double-counting therefore happens before Append (see control.NewDecider).
+// A group already in Lo order, the usual case, is read in place; any
+// other is sorted in a copy, leaving the caller's slice untouched.
 func (a *Arena) Append(rs RangeSet) Span {
 	off := int32(len(a.bounds) / 2)
-	tmp := make(RangeSet, 0, len(rs))
-	for _, r := range rs {
-		if !r.IsEmpty() {
-			tmp = append(tmp, r)
+	byLo := func(x, y Range) int { return cmp.Compare(x.Lo, y.Lo) }
+	if !slices.IsSortedFunc(rs, byLo) {
+		tmp := make(RangeSet, 0, len(rs))
+		for _, r := range rs {
+			if !r.IsEmpty() {
+				tmp = append(tmp, r)
+			}
 		}
+		slices.SortFunc(tmp, byLo)
+		rs = tmp
 	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i].Lo < tmp[j].Lo })
-	for _, r := range tmp {
+	for _, r := range rs {
+		if r.IsEmpty() {
+			continue
+		}
 		if n := len(a.bounds); n > int(off)*2 && r.Lo <= a.bounds[n-1] {
 			// Overlapping or touching the previous range: extend it. For
 			// disjoint input this never fires; for overlapping input it
