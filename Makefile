@@ -49,8 +49,9 @@ race: vet
 # it counts) and a steady-state simplex iteration must all report 0
 # allocs/op; the engine's per-Run set-up, a cold LP solve (160 bytes per
 # entry of nnz + rows + columns) and each step of one manifest's publish
-# and install pipeline (build, diff, encode, apply, decider index) must stay
-# inside their budgets; -count=1 keeps a cached pass from masking a
+# and install pipeline (build, diff, encode, apply, decider index) and one
+# control-plane exchange, both ends together (a v2 delta on a held
+# connection, a v1 full fetch), must stay inside their budgets; -count=1 keeps a cached pass from masking a
 # regression.
 allocs:
 	$(GO) test -count=1 -run 'AllocFree|Alloc|Pool' \
@@ -86,7 +87,10 @@ perfcompare:
 # map-based reference), of the decider index (random manifests' every
 # decision, unit range and width against the map-backed baseline) and of
 # the controller's request line (arbitrary bytes must not panic it, and
-# malformed ones are answered and counted as bad). CI-friendly;
+# malformed ones are answered and counted as bad) and of a held connection
+# (several request lines through one served connection, each answered
+# byte for byte as on a fresh one, closed after the first v1 or error
+# answer). CI-friendly;
 # run with a longer -fuzztime locally to dig. The ingest seeds are whole
 # captures (160 KB for the 20-session one), and minimizing one interesting
 # input under the default 60 s budget would eat the whole run, hence 1 s.
@@ -102,6 +106,7 @@ fuzz:
 	$(GO) test -run=FuzzApplyDelta -fuzz=FuzzApplyDelta -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
 	$(GO) test -run=FuzzDecideMask -fuzz=FuzzDecideMask -fuzztime=10s ./internal/control/
 	$(GO) test -run=FuzzRequestLine -fuzz=FuzzRequestLine -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
+	$(GO) test -run=FuzzHeldConn -fuzz=FuzzHeldConn -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
 
 # Bench tier: the go-test micro-benchmarks, with allocation reporting —
 # every figure/table benchmark, the obs instruments, cluster convergence,

@@ -376,12 +376,13 @@ func (c *Controller) serve(conn net.Conn) {
 	// closes mid-line (partial bytes, no newline) lands in the same error
 	// path with a short line.
 	lr := &io.LimitedReader{R: conn}
-	r := bufio.NewReader(lr)
+	r := getLineReader(lr)
+	defer putLineReader(r)
 	enc := json.NewEncoder(conn)
 	for {
 		_ = conn.SetDeadline(time.Now().Add(idleTimeout))
 		lr.N = maxRequestLine + 1 - int64(r.Buffered())
-		line, err := r.ReadBytes('\n')
+		line, err := readLine(r)
 		if err != nil {
 			if len(line) > maxRequestLine {
 				c.badReqC.Add(1)
@@ -397,6 +398,42 @@ func (c *Controller) serve(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// lineReaders pools the 4 KiB line readers of both ends of a connection:
+// a controller holds one for the life of each connection it serves, an
+// agent one per exchange. A fleet's epoch opens hundreds of connections,
+// and a reader built for each would be most of the control plane's garbage.
+var lineReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+// getLineReader takes a reader from the pool, reading from r.
+func getLineReader(r io.Reader) *bufio.Reader {
+	br := lineReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+// putLineReader drops br's source and buffered bytes and returns it to the
+// pool. The caller must not use br afterwards.
+func putLineReader(br *bufio.Reader) {
+	br.Reset(nil)
+	lineReaders.Put(br)
+}
+
+// readLine reads through the next '\n' and returns the line, newline
+// included, as ReadBytes does. A line that fits r's buffer is returned in
+// place, valid only until the next read from r; a longer one is copied.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	long := append([]byte(nil), line...)
+	for err == bufio.ErrBufferFull {
+		line, err = r.ReadSlice('\n')
+		long = append(long, line...)
+	}
+	return long, err
 }
 
 // handle answers one request line and reports whether the connection stays
@@ -542,10 +579,12 @@ const (
 // the controller is about to time out.
 const heldIdleMax = idleTimeout / 2
 
-// heldConn is an agent's open v2 connection to the controller.
+// heldConn is an agent's open v2 connection to the controller. It carries
+// no buffered bytes between exchanges: each exchange reads its one response
+// through a pooled line reader and returns the reader before the connection
+// is held again.
 type heldConn struct {
 	conn net.Conn
-	br   *bufio.Reader
 	used time.Time // end of the last exchange on it
 }
 
@@ -662,9 +701,9 @@ func (a *Agent) exchange(req request) (*response, int, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("control: dial %s: %w", a.addr, err)
 		}
-		hc = &heldConn{conn: conn, br: bufio.NewReader(conn)}
+		hc = &heldConn{conn: conn}
 	}
-	resp, n, err := a.converse(hc, req)
+	resp, n, err := a.converse(hc.conn, req)
 	if err != nil || resp.V < ProtocolV2 {
 		_ = hc.conn.Close()
 		return resp, n, err
@@ -705,15 +744,35 @@ func (a *Agent) Close() error {
 	return nil
 }
 
-// converse writes one request on hc and reads its response.
-func (a *Agent) converse(hc *heldConn, req request) (*response, int, error) {
-	conn, br := hc.conn, hc.br
-	_ = conn.SetDeadline(time.Now().Add(a.opts.RPCTimeout))
+// errTrailingBytes fails an exchange whose response the controller
+// followed with more bytes: the protocol sends one response per request, so
+// the connection is out of step and must not be held.
+var errTrailingBytes = errors.New("control: decode: bytes after the response")
 
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(req); err != nil {
+// converse writes one request on conn and reads its response through a
+// pooled line reader. The reader goes back to the pool only empty: bytes
+// buffered past the response fail an exchange that would hold the
+// connection, and the reader holding them is dropped with it.
+func (a *Agent) converse(conn net.Conn, req request) (*response, int, error) {
+	_ = conn.SetDeadline(time.Now().Add(a.opts.RPCTimeout))
+	if err := json.NewEncoder(conn).Encode(req); err != nil {
 		return nil, 0, fmt.Errorf("control: send: %w", err)
 	}
+	br := getLineReader(conn)
+	resp, n, err := readResponse(br, req)
+	if br.Buffered() == 0 {
+		putLineReader(br)
+	} else if err == nil && resp.V >= ProtocolV2 {
+		return nil, n, errTrailingBytes
+	}
+	return resp, n, err
+}
+
+// readResponse reads one response: a length-framed binary one when the
+// request asked for it and the controller honored that, else one JSON
+// line. It reports the response's size in bytes, the JSON line's newline
+// included.
+func readResponse(br *bufio.Reader, req request) (*response, int, error) {
 	if req.V >= ProtocolV2 && req.Enc == EncBin {
 		// A binary frame starts with the high length byte, always 0x00;
 		// a legacy JSON response (a controller that ignored the enc
@@ -723,34 +782,25 @@ func (a *Agent) converse(hc *heldConn, req request) (*response, int, error) {
 			return nil, 0, fmt.Errorf("control: decode: %w", err)
 		}
 		if head[0] == 0 {
-			return a.readBinaryResponse(br)
+			return readBinaryResponse(br)
 		}
+	}
+	line, err := readLine(br)
+	if err != nil {
+		return nil, len(line), fmt.Errorf("control: decode: %w", err)
 	}
 	var resp response
-	cr := &countingReader{r: br}
-	dec := json.NewDecoder(cr)
-	if err := dec.Decode(&resp); err != nil {
-		return nil, cr.n, fmt.Errorf("control: decode: %w", err)
+	if err := json.Unmarshal(line, &resp); err != nil {
+		return nil, len(line), fmt.Errorf("control: decode: %w", err)
 	}
 	if resp.Err != "" {
-		return &resp, cr.n, errors.New("control: " + resp.Err)
+		return &resp, len(line), errors.New("control: " + resp.Err)
 	}
-	if resp.V >= ProtocolV2 {
-		// The connection will be held: consume the line's newline, which
-		// the decoder may have left unread, so the next response starts
-		// at its first byte. It is not counted, as on a one-shot exchange.
-		var nl [1]byte
-		if k, _ := dec.Buffered().Read(nl[:]); k == 0 {
-			if b, err := br.ReadByte(); err != nil || b != '\n' {
-				return nil, cr.n, errors.New("control: decode: response line not terminated")
-			}
-		}
-	}
-	return &resp, cr.n, nil
+	return &resp, len(line), nil
 }
 
 // readBinaryResponse consumes one length-framed binary response.
-func (a *Agent) readBinaryResponse(br *bufio.Reader) (*response, int, error) {
+func readBinaryResponse(br *bufio.Reader) (*response, int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, 0, fmt.Errorf("control: decode: %w", err)
@@ -771,18 +821,6 @@ func (a *Agent) readBinaryResponse(br *bufio.Reader) (*response, int, error) {
 		return resp, 4 + n, errors.New("control: " + resp.Err)
 	}
 	return resp, 4 + n, nil
-}
-
-// countingReader counts bytes consumed by the JSON decoder.
-type countingReader struct {
-	r io.Reader
-	n int
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += n
-	return n, err
 }
 
 // RemoteEpoch asks the controller for its current configuration epoch.

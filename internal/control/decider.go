@@ -73,13 +73,18 @@ type Decider struct {
 	portlessMask uint64   // classes with no port restriction
 	portList     []uint16 // distinct restricted ports
 	portMasks    []uint64 // classes listing portList[i]
-	// portTab direct-maps port → class mask on the low 6 bits when the
-	// distinct restricted ports happen to collide nowhere (the common case:
-	// a manifest restricts a handful of well-known ports). One probe then
-	// replaces the portList scan; portTabOK gates it.
-	portTabOK   bool
-	portTabKey  [64]uint16
-	portTabMask [64]uint64
+	// portTab, when set, replaces the portList scan with one probe. It is
+	// built only for a manifest that restricts ports, and only when its
+	// distinct ports collide nowhere on the low 6 bits (the common case: a
+	// handful of well-known ports), so a portless manifest's decider does
+	// not carry the table.
+	portTab *portTable
+}
+
+// portTable direct-maps a port to its class mask on the port's low 6 bits.
+type portTable struct {
+	key  [64]uint16
+	mask [64]uint64
 }
 
 // classIndex is one class's unit-key directory. Unit keys [2]int are
@@ -483,16 +488,20 @@ func (d *Decider) buildMasks(m *Manifest) {
 			}
 		}
 	}
-	d.portTabOK = len(d.portList) > 0
+	if len(d.portList) == 0 {
+		return
+	}
+	var pt portTable // on the stack until it proves collision-free
 	for i, p := range d.portList {
 		slot := p & 63
-		if d.portTabMask[slot] != 0 && d.portTabKey[slot] != p {
-			d.portTabOK = false // collision; keep the list scan
-			break
+		if pt.mask[slot] != 0 && pt.key[slot] != p {
+			return // collision; keep the list scan
 		}
-		d.portTabKey[slot] = p
-		d.portTabMask[slot] |= d.portMasks[i]
+		pt.key[slot] = p
+		pt.mask[slot] |= d.portMasks[i]
 	}
+	d.portTab = new(portTable)
+	*d.portTab = pt
 }
 
 // buildUnitIndex regroups the flattened assignments by scope slot for the
@@ -633,9 +642,9 @@ func (d *Decider) eligibleMask(t hashing.FiveTuple) uint64 {
 		}
 	}
 	ports := d.portlessMask
-	if d.portTabOK {
-		if slot := t.DstPort & 63; d.portTabKey[slot] == t.DstPort {
-			ports |= d.portTabMask[slot]
+	if pt := d.portTab; pt != nil {
+		if slot := t.DstPort & 63; pt.key[slot] == t.DstPort {
+			ports |= pt.mask[slot]
 		}
 	} else {
 		for i, p := range d.portList {

@@ -148,9 +148,9 @@ func TestHeldConnectionReused(t *testing.T) {
 }
 
 // TestHeldConnectionSplitNewline: when a JSON response's newline arrives
-// after its closing brace, the decoder stops short of it; the agent must
-// consume it, or the next response on the held connection — here a binary
-// frame — would start with a stray byte.
+// in a later write than its closing brace, the agent must read up to it, or
+// the next response on the held connection — here a binary frame — would
+// start with a stray byte.
 func TestHeldConnectionSplitNewline(t *testing.T) {
 	client, server := net.Pipe()
 	dials := 0
@@ -187,6 +187,53 @@ func TestHeldConnectionSplitNewline(t *testing.T) {
 	}
 	a.Close()
 	<-done
+}
+
+// TestHeldConnectionStrayByte: a controller that writes one byte past a v2
+// binary answer has put the connection out of step, since the protocol
+// sends one response per request. The agent must fail that exchange and
+// drop the connection instead of holding it; its next exchange dials again
+// and succeeds.
+func TestHeldConnectionStrayByte(t *testing.T) {
+	ctrl, ln := startCounted(t, sameListener)
+	defer ctrl.Close()
+
+	client, server := net.Pipe()
+	dials := 0
+	dial := func(network, _ string, timeout time.Duration) (net.Conn, error) {
+		if dials++; dials == 1 {
+			return client, nil
+		}
+		return net.DialTimeout(network, ctrl.Addr(), timeout)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer server.Close()
+		if _, err := bufio.NewReader(server).ReadBytes('\n'); err != nil {
+			return
+		}
+		frame := frameBinary(encodeBinaryResponse(&response{Epoch: 1, V: ProtocolV2}))
+		_, _ = server.Write(append(frame, 0))
+	}()
+	a := NewAgentOpts("pipe", 2, AgentOptions{Dial: dial, RPCTimeout: 2 * time.Second})
+	defer a.Close()
+	req := request{Op: "epoch", V: ProtocolV2, Enc: EncBin}
+	if _, _, err := a.exchange(req); !errors.Is(err, errTrailingBytes) {
+		t.Fatalf("answer with a stray byte: err = %v, want %v", err, errTrailingBytes)
+	}
+	if a.held != nil {
+		t.Fatal("the agent holds the connection the stray byte arrived on")
+	}
+	<-done
+	resp, _, err := a.exchange(req)
+	if err != nil {
+		t.Fatalf("exchange after the stray byte: %v", err)
+	}
+	if resp.Epoch != ctrl.Epoch() || dials != 2 || ln.accepts.Load() != 1 {
+		t.Fatalf("epoch %d (controller %d), %d dials, %d accepts: want the controller's epoch over a second dial",
+			resp.Epoch, ctrl.Epoch(), dials, ln.accepts.Load())
+	}
 }
 
 // TestOneFaultDrawPerExchange: a chaos dialer draws exactly once per

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net"
@@ -92,4 +93,96 @@ func FuzzRequestLine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzHeldConn feeds several request lines, one after another, through
+// Controller.serve on one connection. Nothing may panic; each answer must
+// be byte-equal to the one the same line gets on a fresh connection; and
+// the controller must close the connection right after the first v1 or
+// error answer, reading nothing more.
+func FuzzHeldConn(f *testing.F) {
+	for _, s := range []string{
+		`{"op":"epoch","v":2}` + "\n" + `{"op":"delta","node":2,"v":2,"have":3,"enc":"bin"}` + "\n" + `{"op":"manifest","node":1,"v":2}` + "\n",
+		`{"op":"delta","node":0,"v":2,"have":1}` + "\n" + `{"op":"delta","node":0,"v":2,"have":5,"enc":"bin"}` + "\n" + `{"op":"epoch"}` + "\n" + `{"op":"epoch","v":2}` + "\n",
+		`{"op":"manifest","node":3,"v":2,"enc":"bin"}` + "\n" + `{"op":"manifest","node":99,"v":2}` + "\n" + `{"op":"epoch","v":2}` + "\n",
+		`{"op":"epoch","v":2}` + "\n" + `{"op":"bogus","v":2}` + "\n" + `{"op":"epoch","v":2}` + "\n",
+		`{"op":"epoch","v":2,"stats":{"node":1}}` + "\n" + `{"op":` + "\n",
+		`{"op":"epoch","v":2}` + "\n" + `{"op":"epo`,
+		"\n\n",
+	} {
+		f.Add([]byte(s))
+	}
+	ctrl, _ := fuzzController(f)
+	defer ctrl.Close()
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) > maxRequestLine {
+			return // one overlong line is TestControllerBoundsRequestLine's case
+		}
+		// The answers the complete lines get on fresh connections, up to the
+		// first that closes one.
+		var want [][]byte
+		closed := false
+		for rest := in; !closed; {
+			i := bytes.IndexByte(rest, '\n')
+			if i < 0 {
+				break
+			}
+			line := rest[:i+1]
+			out, keep := exchangeLine(ctrl, line)
+			closed, rest = answerCloses(line, out), rest[i+1:]
+			if keep == closed {
+				t.Fatalf("line %q answered %q: handle keeps the connection %v", line, out, keep)
+			}
+			want = append(want, out)
+		}
+
+		srv, cli := net.Pipe()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			ctrl.serve(srv)
+		}()
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			_, _ = cli.Write(in) // fails once the controller closes early
+		}()
+		defer func() {
+			cli.Close()
+			<-served
+			<-wrote
+		}()
+		for k, w := range want {
+			got := make([]byte, len(w))
+			if _, err := io.ReadFull(cli, got); err != nil || !bytes.Equal(got, w) {
+				t.Fatalf("answer %d on the held connection: %q (%v), on a fresh one: %q", k, got, err, w)
+			}
+		}
+		if closed {
+			var b [1]byte
+			if n, err := cli.Read(b[:]); err != io.EOF {
+				t.Fatalf("after a closing answer the controller wrote %q (%v), want EOF", b[:n], err)
+			}
+		}
+	})
+}
+
+// answerCloses reports whether the protocol ends a connection after line
+// is answered with out: the line is malformed or v1, or the answer is an
+// error.
+func answerCloses(line, out []byte) bool {
+	var req request
+	if json.Unmarshal(line, &req) != nil || req.V < ProtocolV2 {
+		return true
+	}
+	resp := new(response)
+	if len(out) >= 4 && out[0] == 0 { // a binary frame; JSON starts with '{'
+		var err error
+		if resp, err = decodeBinaryResponse(out[4:]); err != nil {
+			return true
+		}
+	} else if json.Unmarshal(out, resp) != nil {
+		return true
+	}
+	return resp.Err != ""
 }
