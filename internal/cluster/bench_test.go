@@ -65,6 +65,43 @@ func (c *Cluster) behindAgents() int {
 	return n
 }
 
+// BenchmarkDecideClusterShape times the data plane's decision alone on the
+// shape cmd/perf's cluster_epoch runs: Internet2, 20k sessions at traffic
+// seed 11, r = 2 and the five default per-path modules. Each agent's
+// Decider, built from its wire manifest of the initial plan, runs
+// DecideMask over that agent's own trace; ns/session is over all agents'
+// sessions.
+func BenchmarkDecideClusterShape(b *testing.B) {
+	c, err := newCluster(ScenarioConfig{Sessions: 20_000, TrafficSeed: 11, Redundancy: 2}.withDefaults())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	deciders := make([]*control.Decider, len(c.agents))
+	sessions := 0
+	for j, a := range c.agents {
+		m, err := control.ManifestFromPlan(c.plan, j, 1, hashKey)
+		if err != nil {
+			b.Fatal(err)
+		}
+		deciders[j] = control.NewDecider(m)
+		sessions += len(a.trace)
+	}
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		for j, a := range c.agents {
+			d := deciders[j]
+			for k := range a.trace {
+				m, _ := d.DecideMask(&a.trace[k])
+				sink ^= m
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sessions), "ns/session")
+	_ = sink
+}
+
 // BenchmarkTraceOverhead measures a full fault-free epoch — publish,
 // fetch phase, data phase, coverage audit — with the tracer off and on.
 // The acceptance bar is <= 5% slowdown with tracing enabled; compare the

@@ -267,10 +267,12 @@ func DecodeDeltaBinary(b []byte) (*WireDelta, error) {
 	return d, nil
 }
 
-// encodeBinaryResponse renders a response as a binary payload (without the
-// length frame).
-func encodeBinaryResponse(resp *response) []byte {
-	w := &bwriter{}
+// appendBinaryResponse appends a response to dst as one framed binary
+// payload: it reserves the 4-byte big-endian length, appends the payload
+// after it and back-patches the length, so the frame is built in place.
+func appendBinaryResponse(dst []byte, resp *response) []byte {
+	start := len(dst)
+	w := bwriter{b: append(dst, 0, 0, 0, 0)}
 	w.byte(binVersion)
 	switch {
 	case resp.Err != "":
@@ -289,6 +291,7 @@ func encodeBinaryResponse(resp *response) []byte {
 		w.byte(binKindEpoch)
 		w.uvarint(resp.Epoch)
 	}
+	binary.BigEndian.PutUint32(w.b[start:], uint32(len(w.b)-start-4))
 	return w.b
 }
 
@@ -328,12 +331,4 @@ func decodeBinaryResponse(b []byte) (*response, error) {
 		return nil, fmt.Errorf("control: unknown binary response kind %d", kind)
 	}
 	return resp, nil
-}
-
-// frameBinary wraps a payload in the 4-byte big-endian length frame.
-func frameBinary(payload []byte) []byte {
-	out := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(out, uint32(len(payload)))
-	copy(out[4:], payload)
-	return out
 }

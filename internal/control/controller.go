@@ -379,6 +379,7 @@ func (c *Controller) serve(conn net.Conn) {
 	r := getLineReader(lr)
 	defer putLineReader(r)
 	enc := json.NewEncoder(conn)
+	var out []byte
 	for {
 		_ = conn.SetDeadline(time.Now().Add(idleTimeout))
 		lr.N = maxRequestLine + 1 - int64(r.Buffered())
@@ -394,7 +395,7 @@ func (c *Controller) serve(conn net.Conn) {
 			}
 			return
 		}
-		if !c.handle(conn, enc, line) {
+		if !c.handle(conn, enc, line, &out) {
 			return
 		}
 	}
@@ -437,8 +438,10 @@ func readLine(r *bufio.Reader) ([]byte, error) {
 }
 
 // handle answers one request line and reports whether the connection stays
-// open for another: only after a v2 request answered without error.
-func (c *Controller) handle(conn net.Conn, enc *json.Encoder, line []byte) bool {
+// open for another: only after a v2 request answered without error. A
+// binary answer is framed in *out, the connection's buffer, so a held
+// connection's answers reuse one allocation.
+func (c *Controller) handle(conn net.Conn, enc *json.Encoder, line []byte, out *[]byte) bool {
 	var req request
 	if err := json.Unmarshal(line, &req); err != nil {
 		c.badReqC.Add(1)
@@ -468,7 +471,8 @@ func (c *Controller) handle(conn net.Conn, enc *json.Encoder, line []byte) bool 
 		return false
 	case req.Enc == EncBin:
 		resp.V = ProtocolV2
-		_, err = conn.Write(frameBinary(encodeBinaryResponse(&resp)))
+		*out = appendBinaryResponse((*out)[:0], &resp)
+		_, err = conn.Write(*out)
 	default:
 		resp.V = ProtocolV2
 		err = enc.Encode(resp)

@@ -12,14 +12,18 @@ import (
 // Decider executes the per-packet coordination check of Figure 3 from a
 // wire manifest, with no dependency on the planner's data structures.
 //
-// Internally the manifest is flattened at construction into a two-level
-// bucket index: per class, a dense bucket array keyed by the unit key's
-// first element addresses a contiguous group of (second element, span)
-// entries, whose spans point into contiguous sorted range groups in one
-// shared hashing.Arena. A per-packet lookup is then two array loads, a
-// scan of a near-always-tiny bucket, and a cache-resident range probe —
-// no map hashing, no slice-of-slices pointer chase, and no allocation.
-// The widths are precomputed at build time in canonical (class,
+// Internally the manifest is flattened at construction into one index,
+// grouped by scope: classes sharing a scope share their unit key, so per
+// scope slot one unit directory over (k0, k1) addresses the unit's group
+// of entries, one per class with a non-empty effective range. Every query
+// goes through it: DecideMask performs at most three unit lookups per
+// session, and ShouldAnalyze and UnitRanges find their class's entry in
+// the group of the class's scope. Entries sit next to their class id,
+// agg slot and (almost always single) range bounds; the ranges of every
+// entry live in one shared hashing.Arena. A lookup is then an array load
+// or two, a scan of a near-always-tiny bucket or group, and a range
+// compare — no map hashing, no pointer chase, and no allocation. The
+// widths are precomputed at build time in canonical (class,
 // sorted-unit-key, ascending-Lo) order, so AssignedWidth and ShedWidth
 // are bit-identical however the manifest's assignment slices were
 // permuted (map-iteration summation used to make the last ULP vary run
@@ -33,28 +37,15 @@ type Decider struct {
 	manifest *Manifest
 	hasher   hashing.Hasher
 	arena    hashing.Arena
-	classes  []classIndex // indexed by class; len(manifest.Classes)
-	meta     []classMeta  // indexed by class; len(manifest.Classes)
+	meta     []classMeta // indexed by class; len(manifest.Classes)
 
-	// units and entries are the batch path's scope-grouped view of the same
-	// assignments: per scope slot, one unit directory over (k0, k1) whose
-	// hits address a contiguous group of (class bit, agg slot, span)
-	// entries. DecideMask then performs at most three unit lookups per
-	// session — every class sharing a scope shares the lookup — where the
-	// per-class view needs one lookup per eligible class (the paper's
-	// 21-module sweep has a dozen duplicate-scope modules). scopeMask[s]
-	// marks the classes of scope s, letting the batch loop skip scopes no
-	// eligible class uses.
+	// units[s] is scope slot s's unit directory; its groups address
+	// contiguous runs of entries. scopeMask[s] is the set of classes with
+	// an entry in scope s, letting DecideMask skip scopes no eligible
+	// class uses.
 	units     [3]unitIndex
 	entries   []uentry
 	scopeMask [3]uint64
-	// scopeAggs[s] is the set of agg slots (bit a = slot a) used by the
-	// entries of scope s. After the unit lookups resolve, DecideMask
-	// computes exactly the hashes the hit scopes need, back to back: the
-	// hash chains are serially dependent internally but independent of
-	// each other, so issued together they overlap in flight instead of
-	// serializing behind lazy checks inside the entry scan.
-	scopeAggs [3]uint8
 
 	assignedWidth float64
 	shedWidth     float64
@@ -66,7 +57,7 @@ type Decider struct {
 	// classes, instead of running each class's transport/port checks in
 	// turn. maskable gates the path.
 	maskable     bool
-	nonEmptyMask uint64   // classes with at least one assignment
+	nonEmptyMask uint64   // classes with at least one non-empty entry
 	anyTransport uint64   // classes with no transport restriction
 	transports   []uint8  // distinct restricted transports
 	transMasks   []uint64 // classes restricted to transports[i]
@@ -87,88 +78,83 @@ type portTable struct {
 	mask [64]uint64
 }
 
-// classIndex is one class's unit-key directory. Unit keys [2]int are
-// bucketed densely by their first element (a node ID, so the value range
-// is the topology size); each bucket holds the second elements and spans
-// of its units, k1-ascending, almost always one or a handful of entries
-// (per-ingress/egress units have exactly one, k1 = -1; per-path units
-// group the paths through one endpoint).
-type classIndex struct {
-	minK0    int32
-	firstIdx []int32 // len = range(k0)+1; bucket v spans entries [firstIdx[v], firstIdx[v+1])
-	second   []int32
-	spans    []hashing.Span
-}
+// maxGridCells bounds a unit directory's dense (k0, k1) grid. A scope
+// whose keys all have k1 = -1 (per-ingress and per-egress: the unit is one
+// node) always gets its grid, one cell per node; a per-path scope gets one
+// only when its node pairs fit, as an 11-node topology's 121 do.
+const maxGridCells = 1024
 
-// lookup finds the range group for unit key (k0, k1).
-func (ci *classIndex) lookup(k0, k1 int32) (hashing.Span, bool) {
-	v := k0 - ci.minK0
-	if v < 0 || int(v)+1 >= len(ci.firstIdx) {
-		return hashing.Span{}, false
-	}
-	for i := ci.firstIdx[v]; i < ci.firstIdx[v+1]; i++ {
-		if ci.second[i] == k1 {
-			return ci.spans[i], true
-		}
-	}
-	return hashing.Span{}, false
-}
-
-// empty reports whether the class has no assignments at all.
-func (ci *classIndex) empty() bool { return len(ci.spans) == 0 }
-
-// unitIndex is one scope slot's unit-key directory for the batch path:
-// the same dense two-level bucket shape as classIndex, but a hit addresses
-// the unit's contiguous entry group [entLo[i], entLo[i+1]) in
-// Decider.entries instead of a single span.
+// unitIndex is one scope slot's unit-key directory. Its units are groups,
+// numbered in (k0, k1) order. Small key spaces are a dense grid: the group
+// of key (k0, k1) is grid[(k0-minK0)*w1 + k1-minK1], -1 when absent. Any
+// other is a two-level bucket: unit keys bucketed densely by their first
+// element (a node ID, so the value range is the topology size), each
+// bucket holding the second elements of its units, k1-ascending.
 type unitIndex struct {
-	minK0    int32
-	firstIdx []int32 // len = range(k0)+1; bucket v spans units [firstIdx[v], firstIdx[v+1])
-	second   []int32
-	entLo    []int32 // len = len(second)+1
-	// flat is set when every unit key in the scope is (k0, -1) — always
-	// true for per-ingress and per-egress scopes, whose unit is a single
-	// node. flat[v] is then the unit at bucket v (-1 when absent) and
-	// lookup is two dependent loads with no bucket scan.
-	flat []int32
+	minK0, minK1 int32
+	w0, w1       int32
+	grid         []int32
+	firstIdx     []int32 // no grid: bucket v spans groups [firstIdx[v], firstIdx[v+1])
+	second       []int32 // no grid: k1 of each group
+	// groups has one more element than there are units: the last one's lo
+	// ends the scope's entries.
+	groups []ugroup
 }
 
-// lookup finds the entry group for unit key (k0, k1).
-func (ui *unitIndex) lookup(k0, k1 int32) (int32, int32, bool) {
+// ugroup is one unit's run of entries. The fractional entries come first,
+// so DecideMask scans only them; a whole entry's verdict needs no hash,
+// since every hash lies in [0, 1 − 2⁻³²] and so inside [0, 1). The masks
+// are set for manifests of at most 64 classes.
+type ugroup struct {
+	whole uint64 // classes whose entry is all of [0, 1)
+	frac  uint64 // classes whose entry is a proper part of it
+	lo    int32  // entries [lo, fhi) are fractional, [fhi, next group's lo) whole
+	fhi   int32
+	aggs  uint8 // agg slots (bit a = slot a) of the fractional entries
+}
+
+// lookup returns the group of unit key (k0, k1), or -1.
+func (ui *unitIndex) lookup(k0, k1 int32) int32 {
 	v := k0 - ui.minK0
-	if ui.flat != nil {
-		if v < 0 || int(v) >= len(ui.flat) || k1 != -1 {
-			return 0, 0, false
+	if ui.grid != nil {
+		w := k1 - ui.minK1
+		if uint32(v) >= uint32(ui.w0) || uint32(w) >= uint32(ui.w1) {
+			return -1
 		}
-		i := ui.flat[v]
-		if i < 0 {
-			return 0, 0, false
-		}
-		return ui.entLo[i], ui.entLo[i+1], true
+		return ui.grid[v*ui.w1+w]
 	}
 	if v < 0 || int(v)+1 >= len(ui.firstIdx) {
-		return 0, 0, false
+		return -1
 	}
 	for i := ui.firstIdx[v]; i < ui.firstIdx[v+1]; i++ {
 		if ui.second[i] == k1 {
-			return ui.entLo[i], ui.entLo[i+1], true
+			return i
 		}
 	}
-	return 0, 0, false
+	return -1
 }
 
-// uentry is one (class, unit) assignment in the scope-grouped view: the
-// class's mask bit and agg slot precomputed next to its range bounds, so
-// the batch loop touches one compact record per co-located class. Almost
-// every assignment is a single contiguous range (the LP splits hash space,
-// it rarely fragments it), so the bounds live inline and the arena is only
-// consulted for the rare multi-range entry (multi set, span valid).
+// uentry is one (class, unit) assignment with a non-empty effective
+// range: the class and its agg slot next to the range bounds, so a scan
+// touches one compact record per co-located class. Almost every
+// assignment is a single contiguous range (the LP splits hash space, it
+// rarely fragments it), so the bounds live inline and the arena is only
+// consulted for the rare multi-range entry (multi set; the span is always
+// valid).
 type uentry struct {
 	lo, hi float64 // inline bounds; [0,0) when multi
-	bit    uint64
 	span   hashing.Span
+	class  int32
 	agg    uint8
 	multi  bool
+}
+
+// whole reports whether the entry is one range covering all of [0, 1).
+func (e *uentry) whole() bool { return e.lo <= 0 && e.hi >= 1 }
+
+// contains reports whether hash point h falls in the entry's ranges.
+func (e *uentry) contains(a *hashing.Arena, h float64) bool {
+	return h >= e.lo && h < e.hi || e.multi && a.Contains(e.span, h)
 }
 
 // classMeta is the per-class session filter, copied out of the wire form
@@ -241,16 +227,29 @@ func NewDecider(m *Manifest) *Decider {
 		manifest: m,
 		hasher:   hashing.Hasher{Key: m.HashKey},
 	}
+	// Per-class session filters, copied into compact form for the
+	// per-packet path.
+	nClasses := len(m.Classes)
+	d.meta = make([]classMeta, nClasses)
+	for i, c := range m.Classes {
+		cm := &d.meta[i]
+		cm.transport = c.Transport
+		cm.scopeSlot = uint8(scopeSlot(core.Scope(c.Scope)))
+		cm.aggSlot = uint8(aggSlot(core.Aggregation(c.Agg)))
+		if len(c.Ports) <= len(cm.ports) {
+			cm.nPorts = uint8(len(c.Ports))
+			copy(cm.ports[:], c.Ports)
+		} else {
+			cm.nPorts = 0xFF
+			cm.portsExt = c.Ports
+		}
+	}
 	// Walk the assignments and the shed in (class, unit-key) order, side
 	// by side. Of a duplicated key the last entry wins, and a shed entry
 	// cuts the assignment of its key. A class the manifest does not
 	// declare has no session filter, so the data plane can never enforce
-	// it: no view may count it. The walk yields each class's entries
-	// contiguous and unit-key ascending, so every class's second and span
-	// columns are subslices of two shared backing arrays — one allocation
-	// each, and all classes' directories cache-adjacent for the batch
-	// path, which walks several per session.
-	nClasses := len(m.Classes)
+	// it: no view may count it. An entry left empty is dropped: a unit the
+	// node does not hold and one it holds none of answer alike.
 	nRanges := 0 // bounds the effective ranges: k cuts add at most k pieces
 	for _, as := range [2][]WireAssignment{m.Assignments, m.Shed} {
 		for i := range as {
@@ -258,22 +257,13 @@ func NewDecider(m *Manifest) *Decider {
 		}
 	}
 	d.arena.Grow(nRanges)
-	d.classes = make([]classIndex, nClasses)
-	allSecond := make([]int32, 0, len(m.Assignments))
-	allSpans := make([]hashing.Span, 0, len(m.Assignments))
 	// Build-time scratch stays on the stack for manifests of usual size.
-	var k0Buf [64]int32
-	var startBuf [16]int
+	var keyBuf [64]ukey
 	var rangeBuf [32]hashing.Range
-	allK0 := k0Buf[:0]
-	if len(m.Assignments) > len(k0Buf) {
-		allK0 = make([]int32, 0, len(m.Assignments))
+	keys := keyBuf[:0]
+	if len(m.Assignments) > len(keyBuf) {
+		keys = make([]ukey, 0, len(m.Assignments))
 	}
-	classStart := startBuf[:0]
-	if nClasses+1 > len(startBuf) {
-		classStart = make([]int, 0, nClasses+1)
-	}
-	classStart = classStart[:nClasses+1]
 	asg, shedRuns := newRuns(m.Assignments), newRuns(m.Shed)
 	shed := shedRuns
 	scratch := hashing.RangeSet(rangeBuf[:0])
@@ -303,67 +293,20 @@ func NewDecider(m *Manifest) *Decider {
 		for _, r := range eff {
 			d.assignedWidth += r.Width()
 		}
-		allSecond = append(allSecond, k.k1)
-		allSpans = append(allSpans, d.arena.Append(eff))
-		allK0 = append(allK0, k.k0)
-		classStart[k.class+1] = len(allSecond)
-	}
-	for c := 1; c <= nClasses; c++ { // empty classes inherit the prior end
-		if classStart[c] < classStart[c-1] {
-			classStart[c] = classStart[c-1]
-		}
-	}
-	// Build each class's dense bucket array from its (ascending) k0 column;
-	// the bucket arrays likewise share one backing allocation.
-	nBuckets := 0
-	for c := 0; c < nClasses; c++ {
-		k0s := allK0[classStart[c]:classStart[c+1]]
-		if len(k0s) > 0 {
-			nBuckets += int(k0s[len(k0s)-1]-k0s[0]) + 2
-		}
-	}
-	allBuckets := make([]int32, 0, nBuckets)
-	for c := 0; c < nClasses; c++ {
-		lo, hi := classStart[c], classStart[c+1]
-		ci := &d.classes[c]
-		ci.second = allSecond[lo:hi:hi]
-		ci.spans = allSpans[lo:hi:hi]
-		k0s := allK0[lo:hi]
-		if len(k0s) == 0 {
+		sp := d.arena.Append(eff)
+		if sp.Len() == 0 {
 			continue
 		}
-		minK0, maxK0 := k0s[0], k0s[len(k0s)-1]
-		ci.minK0 = minK0
-		start := len(allBuckets)
-		pos := 0
-		for b := int32(0); b <= maxK0-minK0; b++ {
-			allBuckets = append(allBuckets, int32(pos))
-			for pos < len(k0s) && k0s[pos]-minK0 == b {
-				pos++
-			}
+		e := uentry{span: sp, class: int32(k.class), agg: d.meta[k.class].aggSlot, multi: sp.Len() > 1}
+		if !e.multi {
+			var one [1]hashing.Range
+			r := d.arena.AppendRanges(one[:0], sp)[0]
+			e.lo, e.hi = r.Lo, r.Hi
 		}
-		allBuckets = append(allBuckets, int32(len(k0s)))
-		end := len(allBuckets)
-		ci.firstIdx = allBuckets[start:end:end]
-	}
-	// Per-class session filters, copied into compact form for the
-	// per-packet path.
-	d.meta = make([]classMeta, len(m.Classes))
-	for i, c := range m.Classes {
-		cm := &d.meta[i]
-		cm.transport = c.Transport
-		cm.scopeSlot = uint8(scopeSlot(core.Scope(c.Scope)))
-		cm.aggSlot = uint8(aggSlot(core.Aggregation(c.Agg)))
-		if len(c.Ports) <= len(cm.ports) {
-			cm.nPorts = uint8(len(c.Ports))
-			copy(cm.ports[:], c.Ports)
-		} else {
-			cm.nPorts = 0xFF
-			cm.portsExt = c.Ports
-		}
+		keys = append(keys, ukey{k.k0, k.k1, d.meta[k.class].scopeSlot, e})
 	}
 	d.buildMasks(m)
-	d.buildUnitIndex(allK0, allSecond, allSpans, classStart)
+	d.buildUnitIndex(keys)
 	// ShedWidth in the same canonical order, over the raw shed ranges
 	// (including entries that matched no assignment).
 	for shed = shedRuns; !shed.done(); {
@@ -393,17 +336,33 @@ func (d *Decider) ShedWidth() float64 { return d.shedWidth }
 // Epoch reports the manifest generation this decider enforces.
 func (d *Decider) Epoch() uint64 { return d.manifest.Epoch }
 
+// entry finds the class's entry for unit key (k0, k1) in the group of
+// the class's scope, or nil.
+func (d *Decider) entry(class int, k0, k1 int32) *uentry {
+	ui := &d.units[d.meta[class].scopeSlot]
+	g := ui.lookup(k0, k1)
+	if g < 0 {
+		return nil
+	}
+	for i := ui.groups[g].lo; i < ui.groups[g+1].lo; i++ {
+		if d.entries[i].class == int32(class) {
+			return &d.entries[i]
+		}
+	}
+	return nil
+}
+
 // UnitRanges appends to dst the ranges of the (class, unit-key)
 // coordination component this manifest has the node enforce, shed already
-// subtracted: the set CoversUnit tests points against, sorted by Lo. It
-// returns the extended slice and allocates only to grow dst, so audits and
-// the runtime's governing can reuse one buffer across units.
+// subtracted, sorted by Lo. It returns the extended slice and allocates
+// only to grow dst, so audits and the runtime's governing can reuse one
+// buffer across units.
 func (d *Decider) UnitRanges(dst hashing.RangeSet, class int, key [2]int) hashing.RangeSet {
-	if class < 0 || class >= len(d.classes) {
+	if class < 0 || class >= len(d.meta) {
 		return dst
 	}
-	if sp, ok := d.classes[class].lookup(int32(key[0]), int32(key[1])); ok {
-		return d.arena.AppendRanges(dst, sp)
+	if e := d.entry(class, int32(key[0]), int32(key[1])); e != nil {
+		return d.arena.AppendRanges(dst, e.span)
 	}
 	return dst
 }
@@ -432,11 +391,11 @@ func (d *Decider) ShouldAnalyze(class int, s traffic.Session) bool {
 		return false
 	}
 	k0, k1 := sessionKey(cm.scopeSlot, s)
-	sp, ok := d.classes[class].lookup(k0, k1)
-	if !ok {
+	e := d.entry(class, k0, k1)
+	if e == nil {
 		return false
 	}
-	return d.arena.Contains(sp, d.hashFor(cm.aggSlot, s.Tuple))
+	return e.whole() || e.contains(&d.arena, d.hashFor(cm.aggSlot, s.Tuple))
 }
 
 // buildMasks precomputes the per-class eligibility bitmasks DecideMask
@@ -450,9 +409,6 @@ func (d *Decider) buildMasks(m *Manifest) {
 	d.maskable = true
 	for ci := range d.meta {
 		bit := uint64(1) << uint(ci)
-		if !d.classes[ci].empty() {
-			d.nonEmptyMask |= bit
-		}
 		c := &m.Classes[ci]
 		if c.Transport == 0 {
 			d.anyTransport |= bit
@@ -504,132 +460,156 @@ func (d *Decider) buildMasks(m *Manifest) {
 	*d.portTab = pt
 }
 
-// buildUnitIndex regroups the flattened assignments by scope slot for the
-// batch path: the canonical per-class columns (k0, k1, span, classStart)
-// are reordered into (scope, k0, k1, class) order, each scope getting its
-// own unit directory over the shared entry array.
-func (d *Decider) buildUnitIndex(allK0, allSecond []int32, allSpans []hashing.Span, classStart []int) {
-	if !d.maskable {
-		return
+// ukey is one entry of the index while it is built: its scope and unit
+// key next to the entry itself.
+type ukey struct {
+	k0, k1 int32
+	sc     uint8
+	e      uentry
+}
+
+func (k *ukey) sameUnit(o *ukey) bool { return k.sc == o.sc && k.k0 == o.k0 && k.k1 == o.k1 }
+
+// scopeShape is what buildUnitIndex learns of one scope before it
+// allocates: its entries [lo, hi) of the sorted keys, its unit count and
+// its key bounds.
+type scopeShape struct {
+	lo, hi, units          int
+	min0, max0, min1, max1 int32
+}
+
+// grid reports whether the scope's directory is a dense grid, and its
+// dimensions.
+func (s *scopeShape) grid() (w0, w1 int, ok bool) {
+	w0, w1 = int(s.max0)-int(s.min0)+1, int(s.max1)-int(s.min1)+1
+	return w0, w1, w1 == 1 || w0*w1 <= maxGridCells
+}
+
+// cols is the int32 cells the scope's directory takes.
+func (s *scopeShape) cols() int {
+	if s.units == 0 {
+		return 0
 	}
-	// Bucket the entries by scope, classes ascending, then sort each
-	// scope's bucket by unit key (a scope of one class already is).
-	var scopeLen [3]int
-	for c := range d.meta {
-		sc := d.meta[c].scopeSlot
-		d.scopeMask[sc] |= uint64(1) << uint(c)
-		scopeLen[sc] += classStart[c+1] - classStart[c]
+	if w0, w1, ok := s.grid(); ok {
+		return w0 * w1
 	}
-	var keyBuf [64]ukey
-	keys := keyBuf[:0]
-	if len(allK0) > len(keyBuf) {
-		keys = make([]ukey, 0, len(allK0))
+	return int(s.max0-s.min0) + 2 + s.units
+}
+
+// buildUnitIndex sorts the entries into (scope, unit key, fractional
+// first, class) order and builds each scope's directory over them. The
+// entries, the groups of all three scopes and their directory columns
+// take one allocation each.
+func (d *Decider) buildUnitIndex(keys []ukey) {
+	slices.SortFunc(keys, func(a, b ukey) int {
+		if c := cmp.Compare(a.sc, b.sc); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.k0, b.k0); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.k1, b.k1); c != 0 {
+			return c
+		}
+		if aw, bw := a.e.whole(), b.e.whole(); aw != bw {
+			if aw {
+				return 1
+			}
+			return -1
+		}
+		return cmp.Compare(a.e.class, b.e.class)
+	})
+	var shapes [3]scopeShape
+	for i := range keys {
+		k := &keys[i]
+		s := &shapes[k.sc]
+		if s.units == 0 {
+			*s = scopeShape{lo: i, min0: k.k0, min1: k.k1, max1: k.k1}
+		}
+		s.hi, s.max0 = i+1, k.k0
+		s.min1, s.max1 = min(s.min1, k.k1), max(s.max1, k.k1)
+		if i == 0 || !k.sameUnit(&keys[i-1]) {
+			s.units++
+		}
 	}
-	keys = keys[:len(allK0)]
-	var next [3]int
-	next[1] = scopeLen[0]
-	next[2] = next[1] + scopeLen[1]
-	for c := range d.meta {
-		sc := d.meta[c].scopeSlot
-		for i := classStart[c]; i < classStart[c+1]; i++ {
-			keys[next[sc]] = ukey{allK0[i], allSecond[i], int32(c), int32(i)}
-			next[sc]++
+	nGroups, nCols := 0, 0
+	for sc := range shapes {
+		if shapes[sc].units > 0 {
+			nGroups += shapes[sc].units + 1
+			nCols += shapes[sc].cols()
 		}
 	}
 	d.entries = make([]uentry, len(keys))
-	lo := 0
-	for sc := 0; sc < 3; sc++ {
-		hi := lo + scopeLen[sc]
-		seg := keys[lo:hi]
-		slices.SortFunc(seg, func(a, b ukey) int {
-			if c := cmp.Compare(a.k0, b.k0); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.k1, b.k1); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.ci, b.ci)
-		})
-		nUnits := 0
-		for i, k := range seg {
-			e := uentry{
-				span: allSpans[k.i],
-				bit:  uint64(1) << uint(k.ci),
-				agg:  d.meta[k.ci].aggSlot,
-			}
-			d.scopeAggs[sc] |= 1 << e.agg
-			switch e.span.Len() {
-			case 0:
-				// Fully shed assignment: inline bounds stay empty, never match.
-			case 1:
-				var one [1]hashing.Range
-				r := d.arena.AppendRanges(one[:0], e.span)[0]
-				e.lo, e.hi = r.Lo, r.Hi
-			default:
-				e.multi = true
-			}
-			d.entries[lo+i] = e
-			if i == 0 || k.k0 != seg[i-1].k0 || k.k1 != seg[i-1].k1 {
-				nUnits++
-			}
+	for i := range keys {
+		d.entries[i] = keys[i].e
+	}
+	groups := make([]ugroup, nGroups)
+	cols := make([]int32, nCols)
+	for sc := range shapes {
+		s := &shapes[sc]
+		if s.units == 0 {
+			continue
 		}
-		if nUnits > 0 {
-			d.units[sc].build(seg, lo, nUnits)
-		}
-		lo = hi
+		ui := &d.units[sc]
+		ui.groups, groups = groups[:s.units+1:s.units+1], groups[s.units+1:]
+		n := s.cols()
+		d.scopeMask[sc] = ui.build(keys[s.lo:s.hi], s, cols[:n:n], d.maskable)
+		cols = cols[n:]
+		d.nonEmptyMask |= d.scopeMask[sc]
 	}
 }
 
-// ukey is one entry of the batch path's scope-grouped view while it is
-// built: its unit key, class, and index into the per-class columns.
-type ukey struct{ k0, k1, ci, i int32 }
-
-// build fills a scope's unit directory from its entries, seg, sorted by
-// unit key and starting at entry base; nUnits is their count of distinct
-// unit keys. The columns share one backing allocation.
-func (ui *unitIndex) build(seg []ukey, base, nUnits int) {
-	minK0, maxK0 := seg[0].k0, seg[len(seg)-1].k0
-	span := int(maxK0-minK0) + 1
-	flat := true
-	for _, k := range seg {
-		if k.k1 != -1 {
-			flat = false
-			break
+// build fills a scope's directory and groups from its entries, seg, sorted
+// by unit key and starting at entry s.lo, in cols; with masks set it
+// fills the groups' class masks too, and returns their union.
+func (ui *unitIndex) build(seg []ukey, s *scopeShape, cols []int32, masks bool) uint64 {
+	ui.minK0, ui.minK1 = s.min0, s.min1
+	w0, w1, grid := s.grid()
+	if grid {
+		ui.w0, ui.w1 = int32(w0), int32(w1)
+		ui.grid = cols
+		for i := range ui.grid {
+			ui.grid[i] = -1
+		}
+	} else {
+		ui.firstIdx, ui.second = cols[:w0+1:w0+1], cols[w0+1:]
+	}
+	var union uint64
+	u := -1
+	for i := range seg {
+		k := &seg[i]
+		if i == 0 || !k.sameUnit(&seg[i-1]) {
+			u++
+			ui.groups[u].lo = int32(s.lo + i)
+			ui.groups[u].fhi = int32(s.lo + i)
+			if grid {
+				ui.grid[int(k.k0-s.min0)*w1+int(k.k1-s.min1)] = int32(u)
+			} else {
+				ui.second[u] = k.k1
+				ui.firstIdx[k.k0-s.min0+1]++ // the prefix sum below makes it bucket b's start
+			}
+		}
+		g := &ui.groups[u]
+		whole := k.e.whole()
+		if !whole {
+			g.fhi = int32(s.lo + i + 1)
+			g.aggs |= 1 << k.e.agg
+		}
+		if masks {
+			bit := uint64(1) << uint(k.e.class)
+			if whole {
+				g.whole |= bit
+			} else {
+				g.frac |= bit
+			}
+			union |= bit
 		}
 	}
-	n := 2*nUnits + 1 + span + 1
-	if flat {
-		n += span
-	}
-	cols := make([]int32, n)
-	ui.minK0 = minK0
-	ui.second, cols = cols[:nUnits:nUnits], cols[nUnits:]
-	ui.entLo, cols = cols[:nUnits+1:nUnits+1], cols[nUnits+1:]
-	ui.firstIdx, cols = cols[:span+1:span+1], cols[span+1:]
-	if flat {
-		ui.flat = cols
-		for i := range ui.flat {
-			ui.flat[i] = -1
-		}
-	}
-	// firstIdx[b] counts the units of the buckets before b.
-	u := 0
-	for i, k := range seg {
-		if i > 0 && k.k0 == seg[i-1].k0 && k.k1 == seg[i-1].k1 {
-			continue
-		}
-		ui.second[u] = k.k1
-		ui.entLo[u] = int32(base + i)
-		ui.firstIdx[k.k0-minK0+1]++
-		if flat {
-			ui.flat[k.k0-minK0] = int32(u)
-		}
-		u++
-	}
-	ui.entLo[nUnits] = int32(base + len(seg))
-	for b := 1; b <= span; b++ {
+	ui.groups[u+1].lo = int32(s.hi)
+	for b := 1; b < len(ui.firstIdx); b++ {
 		ui.firstIdx[b] += ui.firstIdx[b-1]
 	}
+	return union
 }
 
 // eligibleMask resolves every class's transport and port filter for one
@@ -731,9 +711,11 @@ func aggSlot(agg core.Aggregation) int {
 
 // DecideMask resolves ShouldAnalyze for every class of the manifest in one
 // pass, packed into one word: bit c set means class c analyzes the
-// session. The session's unit keys (one per scope) and selection hashes
-// (one per aggregation) are computed at most once each and shared across
-// classes. It is the data plane's form — the engine scatters the word
+// session. It looks up the session's unit once per scope an eligible
+// class uses; of each hit group, the eligible classes with a whole entry
+// are in at once, and only when an eligible class has a fractional entry
+// does it hash the session (once per aggregation those entries use) and
+// scan them. It is the data plane's form — the engine scatters the word
 // straight into its bit-packed pass set, and the pointer argument spares
 // the per-call 64-byte Session copy the value-receiver interface pays. The
 // session is only read. ok is false when the manifest exceeds 64 classes
@@ -748,24 +730,36 @@ func (d *Decider) DecideMask(s *traffic.Session) (mask uint64, ok bool) {
 	if em == 0 {
 		return 0, true
 	}
-	// Phase 1: resolve all unit lookups, remembering each hit scope's
-	// entry group and which agg slots its entries use.
+	// Phase 1: resolve the unit lookups, take the whole entries, and
+	// remember each group with an eligible fractional entry and which agg
+	// slots its fractional entries use.
 	ak := allSessionKeys(s.Src, s.Dst)
 	var glo, ghi [3]int32
 	var need uint8
+	var res uint64
 	for sc := 0; sc < 3; sc++ {
 		if em&d.scopeMask[sc] == 0 {
 			continue // no eligible class uses this scope
 		}
-		if lo, hi, ok := d.units[sc].lookup(ak[sc][0], ak[sc][1]); ok {
-			glo[sc], ghi[sc] = lo, hi
-			need |= d.scopeAggs[sc]
+		ui := &d.units[sc]
+		gi := ui.lookup(ak[sc][0], ak[sc][1])
+		if gi < 0 {
+			continue
+		}
+		g := &ui.groups[gi]
+		res |= g.whole & em
+		if g.frac&em != 0 {
+			glo[sc], ghi[sc] = g.lo, g.fhi
+			need |= g.aggs
 		}
 	}
-	// Phase 2: compute exactly the hashes the hit scopes need, back to
-	// back. Each hash is a serial mix chain, but the chains are mutually
-	// independent, so issued together they overlap in flight; resolved
-	// lazily inside the entry scan below they would serialize.
+	if need == 0 {
+		return res, true
+	}
+	// Phase 2: compute exactly the hashes the fractional entries need,
+	// back to back. Each hash is a serial mix chain, but the chains are
+	// mutually independent, so issued together they overlap in flight;
+	// resolved lazily inside the entry scan below they would serialize.
 	var hashes [4]float64
 	if need&1 != 0 {
 		hashes[0] = d.hasher.Session(s.Tuple)
@@ -779,22 +773,15 @@ func (d *Decider) DecideMask(s *traffic.Session) (mask uint64, ok bool) {
 	if need&8 != 0 {
 		hashes[3] = d.hasher.Destination(s.Tuple)
 	}
-	// Phase 3: scan the hit entry groups (missed scopes have glo == ghi).
-	// The eligibility skip is kept as a branch on purpose: most entries in
-	// a group fail it (port-restricted duplicates), so skipping saves the
-	// hash load and bounds compare for the majority of entries.
-	var res uint64
+	// Phase 3: scan the remembered fractional entries (other scopes have
+	// glo == ghi), skipping the ineligible ones before the hash load and
+	// bounds compare.
 	for sc := 0; sc < 3; sc++ {
 		for i := glo[sc]; i < ghi[sc]; i++ {
 			e := &d.entries[i]
-			if em&e.bit == 0 {
-				continue
-			}
-			h := hashes[e.agg]
-			if h >= e.lo && h < e.hi {
-				res |= e.bit
-			} else if e.multi && d.arena.Contains(e.span, h) {
-				res |= e.bit
+			bit := uint64(1) << uint(e.class)
+			if em&bit != 0 && e.contains(&d.arena, hashes[e.agg]) {
+				res |= bit
 			}
 		}
 	}

@@ -173,10 +173,6 @@ func (d *Decider) DecideAll(s traffic.Session, out []bool) {
 	var haveHash [4]bool
 	for ci := 0; ci < n; ci++ {
 		out[ci] = false
-		idx := &d.classes[ci]
-		if idx.empty() {
-			continue // the manifest assigns this node nothing for the class
-		}
 		cm := &d.meta[ci]
 		if !cm.matches(s.Tuple) {
 			continue
@@ -186,8 +182,8 @@ func (d *Decider) DecideAll(s traffic.Session, out []bool) {
 			keys[ks][0], keys[ks][1] = sessionKey(ks, s)
 			haveKey[ks] = true
 		}
-		sp, ok := idx.lookup(keys[ks][0], keys[ks][1])
-		if !ok {
+		e := d.entry(ci, keys[ks][0], keys[ks][1])
+		if e == nil {
 			continue
 		}
 		hs := cm.aggSlot
@@ -195,7 +191,7 @@ func (d *Decider) DecideAll(s traffic.Session, out []bool) {
 			hashes[hs] = d.hashFor(hs, s.Tuple)
 			haveHash[hs] = true
 		}
-		out[ci] = d.arena.Contains(sp, hashes[hs])
+		out[ci] = e.contains(&d.arena, hashes[hs])
 	}
 }
 
@@ -204,9 +200,9 @@ func (d *Decider) DecideAll(s traffic.Session, out []bool) {
 // complement of ShouldAnalyze, and the point form of UnitRanges, which the
 // cluster runtime's coverage audit reads instead.
 func (d *Decider) CoversUnit(class int, key [2]int, x float64) bool {
-	if class < 0 || class >= len(d.classes) {
+	if class < 0 || class >= len(d.meta) {
 		return false
 	}
-	sp, ok := d.classes[class].lookup(int32(key[0]), int32(key[1]))
-	return ok && d.arena.Contains(sp, x)
+	e := d.entry(class, int32(key[0]), int32(key[1]))
+	return e != nil && e.contains(&d.arena, x)
 }

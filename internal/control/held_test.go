@@ -173,7 +173,7 @@ func TestHeldConnectionSplitNewline(t *testing.T) {
 		if _, err := br.ReadBytes('\n'); err != nil {
 			return
 		}
-		_, _ = server.Write(frameBinary(encodeBinaryResponse(&response{Epoch: 1, V: ProtocolV2})))
+		_, _ = server.Write(appendBinaryResponse(nil, &response{Epoch: 1, V: ProtocolV2}))
 	}()
 	a := NewAgentOpts("pipe", 0, AgentOptions{Dial: dial, RPCTimeout: 2 * time.Second})
 	for _, enc := range []string{"", EncBin} {
@@ -213,7 +213,7 @@ func TestHeldConnectionStrayByte(t *testing.T) {
 		if _, err := bufio.NewReader(server).ReadBytes('\n'); err != nil {
 			return
 		}
-		frame := frameBinary(encodeBinaryResponse(&response{Epoch: 1, V: ProtocolV2}))
+		frame := appendBinaryResponse(nil, &response{Epoch: 1, V: ProtocolV2})
 		_, _ = server.Write(append(frame, 0))
 	}()
 	a := NewAgentOpts("pipe", 2, AgentOptions{Dial: dial, RPCTimeout: 2 * time.Second})

@@ -307,19 +307,58 @@ func checkDecider(t *testing.T, m *Manifest, sessions []traffic.Session) {
 }
 
 // decideManifest draws the manifest FuzzDecideMask checks: a few classes,
-// or more than 64 when wide, over assignments and shed of every shape.
+// or more than 64 when wide. Most draws are randManifest's assignments and
+// shed of every shape; one in four is shaped like a real plan's.
 func decideManifest(rng *rand.Rand, wide bool) *Manifest {
 	n := 1 + rng.Intn(5)
 	if wide {
 		n = 65 + rng.Intn(4)
 	}
 	m := randManifest(rng, randClasses(rng, n), true)
-	if rng.Intn(4) == 0 { // whole ranges, the common case of a real plan
-		for i := range m.Assignments {
-			m.Assignments[i].Ranges = []WireRange{{Lo: 0, Hi: 1}}
-		}
+	if rng.Intn(4) == 0 {
+		m.Assignments, m.Shed = planShaped(rng, n)
 	}
 	return m
+}
+
+// planShaped draws the assignments and shed of a real plan's shape: the
+// classes on the same two units, so whole and fractional entries share a
+// unit group; most entries whole, others a proper part of [0, 1) or
+// pieces that coalesce to it; and shed that cuts an entry, part of it or
+// all of it, so fully shed entries sit beside whole ones.
+func planShaped(rng *rand.Rand, classes int) (as, shed []WireAssignment) {
+	units := [2][2]int{{rng.Intn(5) - 1, rng.Intn(4) - 1}, {rng.Intn(5) - 1, -1}}
+	for c := 0; c < classes; c++ {
+		for _, u := range units {
+			a := WireAssignment{Class: c, Unit: u}
+			switch x := float64(1+rng.Intn(7)) / 8; rng.Intn(5) {
+			case 0, 1:
+				a.Ranges = []WireRange{{Lo: 0, Hi: 1}}
+			case 2:
+				a.Ranges = []WireRange{{Lo: x, Hi: 1}, {Lo: 0, Hi: x}}
+			case 3:
+				a.Ranges = []WireRange{randRange(rng)}
+			default:
+				continue
+			}
+			as = append(as, a)
+		}
+	}
+	rng.Shuffle(len(as), func(i, j int) { as[i], as[j] = as[j], as[i] })
+	for k := rng.Intn(4); k > 0 && len(as) > 0; k-- {
+		a := as[rng.Intn(len(as))]
+		cut := WireAssignment{Class: a.Class, Unit: a.Unit}
+		switch x := float64(1+rng.Intn(7)) / 8; rng.Intn(3) {
+		case 0:
+			cut.Ranges = []WireRange{{Lo: 0, Hi: 1}}
+		case 1:
+			cut.Ranges = []WireRange{{Lo: 0, Hi: x}}
+		default:
+			cut.Ranges = []WireRange{randRange(rng)}
+		}
+		shed = append(shed, cut)
+	}
+	return as, shed
 }
 
 func FuzzDecideMask(f *testing.F) {

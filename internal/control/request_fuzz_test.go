@@ -39,7 +39,7 @@ func exchangeLine(ctrl *Controller, line []byte) (out []byte, keep bool) {
 		b, _ := io.ReadAll(cli)
 		got <- b
 	}()
-	keep = ctrl.handle(srv, json.NewEncoder(srv), line)
+	keep = ctrl.handle(srv, json.NewEncoder(srv), line, new([]byte))
 	srv.Close()
 	out = <-got
 	cli.Close()

@@ -240,6 +240,28 @@ func TestDeltaBinaryGolden(t *testing.T) {
 	}
 }
 
+// TestBinaryResponseFrameGolden pins a framed v2 binary answer: the 4-byte
+// big-endian payload length, then the payload (binary version 2, kind 2 =
+// delta, the epoch as a uvarint, the delta of TestDeltaBinaryGolden). The
+// frame is built in place after whatever dst already holds.
+func TestBinaryResponseFrameGolden(t *testing.T) {
+	d := &WireDelta{
+		Node: 3, BaseEpoch: 17, Epoch: 18,
+		Added: []WireAssignment{{Class: 0, Unit: [2]int{2, 5}, Ranges: []WireRange{{Lo: 0.25, Hi: 0.5}}}},
+	}
+	const golden = "0000001e" + "020212" + "0611120100040a01000000000000d03f000000000000e03f000000"
+	frame := appendBinaryResponse(nil, &response{Epoch: 18, Delta: d})
+	if got := hex.EncodeToString(frame); got != golden {
+		t.Fatalf("binary answer frame drifted:\n got: %s\nwant: %s", got, golden)
+	}
+	if got := appendBinaryResponse([]byte("ab"), &response{Epoch: 18, Delta: d}); string(got) != "ab"+string(frame) {
+		t.Fatalf("frame after a prefix: %x", got)
+	}
+	if got := hex.EncodeToString(appendBinaryResponse(nil, &response{Epoch: 300})); got != "00000004"+"0200ac02" {
+		t.Fatalf("epoch-only answer frame drifted: %s", got)
+	}
+}
+
 // TestBinaryResponseTruncation: every truncation of a valid binary
 // payload must fail cleanly, never panic or mis-decode.
 func TestBinaryResponseTruncation(t *testing.T) {

@@ -175,8 +175,21 @@ func TestCoverageUnderFailureMatchesOracle(t *testing.T) {
 func TestProbeCoverageAllocFree(t *testing.T) {
 	sets := []hashing.RangeSet{rs(0.1, 0.4, 0.3, 0.5), rs(0.9, 1, 0, 0.2, 0.5, 0.6), nil}
 	covered := func(ui int, dst hashing.RangeSet) hashing.RangeSet { return append(dst, sets[ui%len(sets)]...) }
-	if a := testing.AllocsPerRun(20, func() { ProbeCoverage(3000, 2000, covered) }); a != 0 {
-		t.Fatalf("ProbeCoverage over 3000 units: %v allocs per call, want 0", a)
+	// Under the race detector sync.Pool drops a random share of Puts, and
+	// the call after a drop rebuilds the buffer. There the bound is what a
+	// rebuild allocates, a fresh pool buffer grown over the same units,
+	// which an allocation per unit would still exceed many times over.
+	want := 0.0
+	if raceEnabled {
+		want = testing.AllocsPerRun(20, func() {
+			bp := probeBufs.New().(*hashing.RangeSet)
+			for ui := 0; ui < 3000; ui++ {
+				*bp = covered(ui, (*bp)[:0])
+			}
+		})
+	}
+	if a := testing.AllocsPerRun(20, func() { ProbeCoverage(3000, 2000, covered) }); a > want {
+		t.Fatalf("ProbeCoverage over 3000 units: %v allocs per call, want at most %v", a, want)
 	}
 }
 
