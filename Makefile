@@ -87,13 +87,16 @@ perfcompare:
 # map-based reference), of the decider index (random manifests' every
 # decision, unit range and width against the map-backed baseline) and of
 # the controller's request line (arbitrary bytes must not panic it, and
-# malformed ones are answered and counted as bad) and of a held connection
+# malformed ones are answered and counted as bad), of a held connection
 # (several request lines through one served connection, each answered
 # byte for byte as on a fresh one, closed after the first v1 or error
-# answer). CI-friendly;
+# answer) and of the ledger verifier (arbitrary chains must not panic it;
+# any single-byte change to a valid chain fails against its pinned head).
+# CI-friendly;
 # run with a longer -fuzztime locally to dig. The ingest seeds are whole
-# captures (160 KB for the 20-session one), and minimizing one interesting
-# input under the default 60 s budget would eat the whole run, hence 1 s.
+# captures (160 KB for the 20-session one), the ledger's a 1.1 KB chain,
+# and minimizing one interesting input under the default 60 s budget would
+# eat the whole run, hence 1 s.
 fuzz:
 	$(GO) test -run=FuzzSolve -fuzz=FuzzSolve -fuzztime=10s ./internal/lp/
 	$(GO) test -run=FuzzReader -fuzz=FuzzReader -fuzztime=10s -fuzzminimizetime=1s ./internal/packet/
@@ -107,12 +110,14 @@ fuzz:
 	$(GO) test -run=FuzzDecideMask -fuzz=FuzzDecideMask -fuzztime=10s ./internal/control/
 	$(GO) test -run=FuzzRequestLine -fuzz=FuzzRequestLine -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
 	$(GO) test -run=FuzzHeldConn -fuzz=FuzzHeldConn -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
+	$(GO) test -run=FuzzVerifyChain -fuzz=FuzzVerifyChain -fuzztime=10s -fuzzminimizetime=1s ./internal/ledger/
 
 # Bench tier: the go-test micro-benchmarks, with allocation reporting —
 # every figure/table benchmark, the obs instruments, cluster convergence,
 # the full-epoch cost with the flight recorder off vs on, warm- vs
 # cold-started replan solves, cold simplex solves of deployment- and
-# packing-shaped LPs (the pivot loop's micro A/B), the policy tables
+# packing-shaped LPs and of the GÉANT and 50-node placement LPs behind
+# cmd/perf's lp.curve_ms (the pivot loop's micro A/B), the policy tables
 # against their test-only Go-map model, the per-packet decision path
 # against its test-only pre-index reference, and one agent's sync over
 # loopback against a 1000-node plan (v1 full JSON fetch vs v2 binary delta

@@ -14,7 +14,7 @@ import (
 
 // buildChain commits a small, fixed sequence of records (with inline and
 // off-chain items) against the given seed and returns the ledger.
-func buildChain(t *testing.T, seed int64, store Store) *Ledger {
+func buildChain(t testing.TB, seed int64, store Store) *Ledger {
 	t.Helper()
 	l := New(Options{Seed: seed, Store: store})
 	b := l.Begin(RecPublish, 1)

@@ -7,9 +7,11 @@ import (
 
 // TestPivotAllocFree holds a steady-state simplex iteration — pricing,
 // FTRAN, the ratio test, the reduced-cost update from the pivot row, the
-// eta append and its row chains — to zero allocations, and with them the
-// step that refactorizes, resetting the eta file and its chains: every work
-// vector, the eta file and factor's scratch are sized once with the solver.
+// eta append and its row and pivot chains — to zero allocations, and with
+// them the step that refactorizes, resetting the eta file and its chains,
+// and then a refactorization and a refresh on their own: every work vector,
+// the eta file, both chains and factor's scratch are sized once with the
+// solver, and none of them regrows.
 func TestPivotAllocFree(t *testing.T) {
 	s := newSimplex(buildDeploymentLP(50, 600, 7), Options{})
 	s.c = make([]float64, s.nTotal) // phase 1: the sum of the artificials
@@ -25,6 +27,10 @@ func TestPivotAllocFree(t *testing.T) {
 			t.Fatalf("phase 1 ended (%v) after %d iterations, before the window", st, s.iters)
 		}
 	}
+	reserved := func() [5]int {
+		return [5]int{cap(s.piv), cap(s.pivNext), cap(s.active), cap(s.etas.nz), cap(s.etaAt)}
+	}
+	want := reserved()
 	const window = refactorEvery / 2
 	if allocs := testing.AllocsPerRun(window, func() {
 		if st, done := s.step(); done {
@@ -35,6 +41,20 @@ func TestPivotAllocFree(t *testing.T) {
 	}
 	if s.updates >= refactorEvery-lead {
 		t.Fatalf("window missed the refactorization (%d basis changes since the last)", s.updates)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		if !s.factor() {
+			t.Fatal("the basis no longer factors")
+		}
+		s.refresh()
+	}); allocs != 0 {
+		t.Fatalf("a refactorization and refresh allocate %v times, want 0", allocs)
+	}
+	if len(s.pivNext) != len(s.piv) {
+		t.Fatalf("factor left %d pivot-chain links for %d etas", len(s.pivNext), len(s.piv))
+	}
+	if got := reserved(); got != want {
+		t.Fatalf("capacities (etas, pivot links, active words, eta entries, etaAt) grew from %v to %v", want, got)
 	}
 }
 

@@ -3,14 +3,16 @@ package lp
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"strings"
 )
 
-// The reference kernels: pricing as a scan over every column and BTRAN as a
-// reverse walk over the whole eta file, as the simplex ran them before it
-// priced by block bounds and found BTRAN's etas by row chains. They are the
-// oracle the fast kernels are held to step by step (checkKernels), so keep
-// them plain: do not optimise them.
+// The reference kernels: pricing as a scan over every column, BTRAN as a
+// reverse walk over the whole eta file and FTRAN as a forward one, as the
+// simplex ran them before it priced by block bounds and found its etas by
+// row and pivot chains. They are the oracle the fast kernels are held to
+// step by step (checkKernels), so keep them plain: do not optimise them.
 
 // refPrice is price over every column's gain, computed afresh from its
 // state and reduced cost.
@@ -40,6 +42,22 @@ func refBtran(s *simplex, v *svec) {
 		}
 		if a != 0 || v.x[p.i] != 0 {
 			v.set(p.i, a/p.v)
+		}
+	}
+}
+
+// refFtran is ftran applying every eta, oldest first, skipping one whose
+// pivot entry is zero.
+func refFtran(s *simplex, v *svec) {
+	for k, p := range s.piv {
+		xp := v.x[p.i]
+		if xp == 0 {
+			continue
+		}
+		xp /= p.v
+		v.x[p.i] = xp
+		for _, e := range s.etas.line(k) {
+			v.set(e.i, v.x[e.i]+(-e.v*xp))
 		}
 	}
 }
@@ -74,16 +92,21 @@ func priceBlocksHold(s *simplex) error {
 	return nil
 }
 
-// KernelChecks counts the calls checkKernels compared.
-type KernelChecks struct{ Dantzig, Bland, Btran int }
+// KernelChecks counts the calls checkKernels compared: FTRANs by the
+// simplex method that ran them (step, factor, refresh, ...), and ratio tests.
+type KernelChecks struct {
+	Dantzig, Bland, Btran, Ratio int
+	Ftran                        map[string]int
+}
 
-// checkKernels holds every price and btran call, in every solve, to the
-// reference kernels until restore is called: the same column and direction,
-// and a BTRAN result equal bit for bit, with its nonzeros listed in the same
-// order. fail reports a disagreement. Tests using it must not run in
-// parallel.
+// checkKernels holds every price, btran and ftran call, in every solve, to
+// the reference kernels until restore is called: the same column and
+// direction, and a BTRAN or FTRAN result equal bit for bit, with its
+// nonzeros listed in the same order. Every ratio test must walk the rows of
+// the FTRAN before it in slices.Sort's order. fail reports a disagreement.
+// Tests using it must not run in parallel.
 func checkKernels(fail func(format string, args ...any)) (n *KernelChecks, restore func()) {
-	n = &KernelChecks{}
+	n = &KernelChecks{Ftran: map[string]int{}}
 	checkPrice = func(s *simplex, bland bool, j, dir int) {
 		if bland {
 			n.Bland++
@@ -97,25 +120,60 @@ func checkKernels(fail func(format string, args ...any)) (n *KernelChecks, resto
 			fail("price (iteration %d): %v", s.iters, err)
 		}
 	}
-	checkBtran = func(s *simplex, v *svec) func() {
-		n.Btran++
-		ref := newSvec(len(v.x))
+	// against runs ref on a copy of v and returns the check of v's result.
+	against := func(name string, ref func(*simplex, *svec), s *simplex, v *svec) func() {
+		want := newSvec(len(v.x))
 		for _, i := range v.nz {
-			ref.set(i, v.x[i])
+			want.set(i, v.x[i])
 		}
-		refBtran(s, &ref)
+		ref(s, &want)
 		return func() {
-			if !slices.Equal(v.nz, ref.nz) {
-				fail("btran (iteration %d) listed nonzeros %v, reference %v", s.iters, v.nz, ref.nz)
+			if !slices.Equal(v.nz, want.nz) {
+				fail("%s (iteration %d) listed nonzeros %v, reference %v", name, s.iters, v.nz, want.nz)
 				return
 			}
 			for i := range v.x {
-				if math.Float64bits(v.x[i]) != math.Float64bits(ref.x[i]) {
-					fail("btran (iteration %d) row %d = %v, reference %v", s.iters, i, v.x[i], ref.x[i])
+				if math.Float64bits(v.x[i]) != math.Float64bits(want.x[i]) {
+					fail("%s (iteration %d) row %d = %v, reference %v", name, s.iters, i, v.x[i], want.x[i])
 					return
 				}
 			}
 		}
 	}
-	return n, func() { checkPrice, checkBtran = nil, nil }
+	checkBtran = func(s *simplex, v *svec) func() {
+		n.Btran++
+		return against("btran", refBtran, s, v)
+	}
+	var rows []int32 // the last FTRAN's nonzeros, sorted: the ratio test's order
+	checkFtran = func(s *simplex, v *svec) func() {
+		site := ftranCaller()
+		n.Ftran[site]++
+		check := against("ftran from "+site, refFtran, s, v)
+		return func() {
+			check()
+			rows = append(rows[:0], v.nz...)
+			slices.Sort(rows)
+		}
+	}
+	checkRatio = func(s *simplex) {
+		n.Ratio++
+		if !slices.Equal(s.col.nz, rows) {
+			fail("ratio test (iteration %d) walks rows %v, sorted %v", s.iters, s.col.nz, rows)
+		}
+	}
+	return n, func() { checkPrice, checkBtran, checkFtran, checkRatio = nil, nil, nil, nil }
+}
+
+// ftranCaller names the simplex method that called ftran, directly or
+// through ftranCol, from inside checkFtran.
+func ftranCaller() string {
+	pc := make([]uintptr, 16)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(3, pc)])
+	for {
+		f, more := frames.Next()
+		name := f.Function[strings.LastIndexByte(f.Function, '.')+1:]
+		if name != "ftran" && name != "ftranCol" || !more {
+			return name
+		}
+	}
 }

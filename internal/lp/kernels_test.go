@@ -11,9 +11,10 @@ import (
 
 // TestKernelsMatchReference steps the simplex under the reference-kernel
 // oracle (kernels_ref_test.go): at every pricing step the block-bounded
-// price must choose the column and direction of a full scan, and every
-// BTRAN must give the full reverse walk's vector, bit for bit, with its
-// nonzeros in the same order. The LPs: the solve golden's 200 random boxed
+// price must choose the column and direction of a full scan, every BTRAN
+// must give the full reverse walk's vector and every FTRAN the full forward
+// walk's, bit for bit, with its nonzeros in the same order, and every ratio
+// test must walk its FTRAN's rows in sorted order. The LPs: the solve golden's 200 random boxed
 // LPs, cold and then warm from their own basis; Beale's cycling LP (which
 // the large-pivot tie-break steers out of its cycle before Bland's rule is
 // needed); the golden's 50 x 600 deployment LP, whose degeneracy streak
@@ -65,8 +66,14 @@ func TestKernelsMatchReference(t *testing.T) {
 	if _, _, err := nips.Solve(nipsInst, nips.SolveOptions{Variant: nips.VariantRoundGreedyLP, Iters: 1, Workers: 1, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if checks.Dantzig == 0 || checks.Btran == 0 {
-		t.Fatalf("the oracle compared %d Dantzig pricing steps and %d BTRANs, want some of each", checks.Dantzig, checks.Btran)
+	if checks.Dantzig == 0 || checks.Btran == 0 || checks.Ratio == 0 {
+		t.Fatalf("the oracle compared %d Dantzig pricing steps, %d BTRANs and %d ratio tests, want some of each", checks.Dantzig, checks.Btran, checks.Ratio)
 	}
-	t.Logf("compared %d Dantzig and %d Bland pricing steps, %d BTRANs", checks.Dantzig, checks.Bland, checks.Btran)
+	for _, site := range []string{"step", "factor", "refresh"} {
+		if checks.Ftran[site] == 0 {
+			t.Fatalf("the oracle compared no FTRAN from %s (by caller: %v)", site, checks.Ftran)
+		}
+	}
+	t.Logf("compared %d Dantzig and %d Bland pricing steps, %d BTRANs, %d ratio tests, FTRANs by caller %v",
+		checks.Dantzig, checks.Bland, checks.Btran, checks.Ratio, checks.Ftran)
 }

@@ -204,7 +204,7 @@ func jittered(t *testing.T, inst *core.Instance) *core.Instance {
 // placementInstance is the replan workload's instance: 20,000 gravity
 // sessions (the topPairs heaviest pairs only, when topPairs > 0) over the
 // eight standard modules.
-func placementInstance(t *testing.T, topo *topology.Topology, topPairs int) *core.Instance {
+func placementInstance(t testing.TB, topo *topology.Topology, topPairs int) *core.Instance {
 	t.Helper()
 	m := traffic.Gravity(topo)
 	if topPairs > 0 {

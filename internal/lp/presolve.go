@@ -200,9 +200,12 @@ func solveWithPresolve(p *Problem, opts Options) (*Solution, error) {
 	presolveStats := SolveStats{PresolveFixedVars: res.fixedVars, PresolveDroppedRows: res.droppedRows}
 
 	if res.allFixed {
-		// Everything pinned: validate the unique candidate against the
-		// original constraints (presolve retired them all, so they hold by
-		// construction, but verify defensively).
+		// Everything pinned: the fixed values are the unique candidate, and
+		// nothing here re-checks them. Presolve retired every row only after
+		// proving it within presolveTol: a row emptied by folding in fixed
+		// values passed the empty-row test on its residual rhs, and a
+		// singleton row became a bound its variable's fixed value lies
+		// within presolveTol of.
 		x := append([]float64(nil), res.fixedVal...)
 		return &Solution{Status: StatusOptimal, Objective: objective(x), X: x, Stats: presolveStats}, nil
 	}

@@ -58,6 +58,11 @@ type simplex struct {
 	rowHead, etaAt []int32
 	active         []uint64
 
+	// The etas by pivot row, for ftran: pivHead[i] is 1 + the newest eta
+	// pivoting on row i, pivNext[k] 1 + the one before eta k on its row; 0
+	// ends a chain.
+	pivHead, pivNext []int32
+
 	gain   []float64    // nTotal: each column's gain (see setGain)
 	blocks []priceBlock // bounds on the gains of each 64 columns (see price)
 	col    svec         // m: the entering column, FTRAN'd; also beta's scratch
@@ -113,10 +118,12 @@ type priceBlock struct {
 	clean bool
 }
 
-// checkPrice and checkBtran are nil outside tests, which hold each pricing
-// decision and each BTRAN (input, then result) to the reference kernels.
+// checkPrice, checkBtran, checkFtran and checkRatio are nil outside tests,
+// which hold each pricing decision, each BTRAN and FTRAN (input, then
+// result) and the ratio test's row order to the reference kernels.
 var checkPrice func(s *simplex, bland bool, j, dir int)
-var checkBtran func(s *simplex, v *svec) (check func())
+var checkBtran, checkFtran func(s *simplex, v *svec) (check func())
+var checkRatio func(s *simplex)
 
 // sparse stores lines of nonzeros back to back: line k is
 // nz[start[k]:start[k+1]].
@@ -128,30 +135,50 @@ type sparse struct {
 func (a *sparse) line(k int) []entry { return a.nz[a.start[k]:a.start[k+1]] }
 
 // svec is a dense work vector that also lists its nonzero positions, so the
-// sparse kernels visit only those and clearing costs what was set.
+// sparse kernels visit only those and clearing costs what was set. Their
+// membership is a bitset, a bit a position.
 type svec struct {
 	x  []float64
 	nz []int32
-	in []bool
+	in []uint64
 }
 
 func newSvec(n int) svec {
-	return svec{x: make([]float64, n), nz: make([]int32, 0, n), in: make([]bool, n)}
+	return svec{x: make([]float64, n), nz: make([]int32, 0, n), in: make([]uint64, (n+63)>>6)}
 }
 
 func (v *svec) add(i int32, a float64) { v.set(i, v.x[i]+a) }
 
 func (v *svec) set(i int32, a float64) {
-	if !v.in[i] {
-		v.in[i] = true
-		v.nz = append(v.nz, i)
-	}
+	v.list(i)
 	v.x[i] = a
 }
 
+// list appends i to the nonzero list, reporting whether it was not there.
+func (v *svec) list(i int32) bool {
+	w, b := i>>6, uint64(1)<<(i&63)
+	if v.in[w]&b != 0 {
+		return false
+	}
+	v.in[w] |= b
+	v.nz = append(v.nz, i)
+	return true
+}
+
+// ascend relists the nonzeros in ascending order, read off the bitset.
+func (v *svec) ascend() {
+	v.nz = v.nz[:0]
+	for w, b := range v.in {
+		for ; b != 0; b &= b - 1 {
+			v.nz = append(v.nz, int32(w<<6|bits.TrailingZeros64(b)))
+		}
+	}
+}
+
+// clear zeroes what was set: every set bit belongs to a listed position.
 func (v *svec) clear() {
 	for _, i := range v.nz {
-		v.x[i], v.in[i] = 0, false
+		v.x[i], v.in[i>>6] = 0, 0
 	}
 	v.nz = v.nz[:0]
 }
@@ -265,6 +292,7 @@ func newSimplex(p *Problem, opts Options) *simplex {
 	s.etas.start = make([]int32, 1, m+refactorEvery+1)
 	s.etas.nz = make([]entry, 0, 4*len(s.rows.nz)) // placement LPs' files peak near 2x nnz
 	s.rowHead, s.etaAt = make([]int32, m), make([]int32, 0, cap(s.etas.nz)>>etaAtBits+1)
+	s.pivHead, s.pivNext = make([]int32, m), make([]int32, 0, cap(s.piv))
 	s.cost, s.gain = make([]float64, s.nTotal), make([]float64, s.nTotal)
 	s.blocks = make([]priceBlock, (s.nTotal+1<<blockBits-1)>>blockBits)
 	s.active, s.keys = make([]uint64, 0, (cap(s.piv)+63)>>6), make([]int64, 0, m)
@@ -288,19 +316,45 @@ func (s *simplex) ftranCol(j int) {
 	s.ftran(&s.col)
 }
 
-// ftran overwrites v with B^-1*v, applying the etas in file order. An eta
-// whose pivot entry is zero leaves v alone and costs one load.
+// ftran overwrites v with B^-1*v, applying the etas in file order. Eta k
+// reads only its pivot entry and is a no-op while that is zero, which it
+// is unless the row is one of v's or an earlier applied eta wrote to it. So
+// ftran marks the etas on the pivot chains of v's rows, and of each row an
+// applied eta first lists, and applies only the marked ones, in order: the
+// full walk's arithmetic on the same etas, so v and v.nz match it bit for bit.
 func (s *simplex) ftran(v *svec) {
-	for k, p := range s.piv {
-		xp := v.x[p.i]
-		if xp == 0 {
-			continue
+	if checkFtran != nil {
+		defer checkFtran(s, v)()
+	}
+	for _, i := range v.nz {
+		s.markPivots(i, -1)
+	}
+	for w := range (len(s.piv) + 63) >> 6 {
+		for s.active[w] != 0 {
+			b := bits.TrailingZeros64(s.active[w])
+			s.active[w] &^= 1 << b
+			k := w<<6 | b
+			p := s.piv[k]
+			xp := v.x[p.i]
+			if xp == 0 {
+				continue
+			}
+			xp /= p.v
+			v.x[p.i] = xp
+			for _, e := range s.etas.line(k) {
+				if v.list(e.i) {
+					s.markPivots(e.i, k)
+				}
+				v.x[e.i] = v.x[e.i] + (-e.v * xp)
+			}
 		}
-		xp /= p.v
-		v.x[p.i] = xp
-		for _, e := range s.etas.line(k) {
-			v.add(e.i, -e.v*xp)
-		}
+	}
+}
+
+// markPivots marks for ftran every eta after eta k that pivots on row i.
+func (s *simplex) markPivots(i int32, k int) {
+	for n := s.pivHead[i]; int(n) > k+1; n = s.pivNext[n-1] {
+		s.active[(n-1)>>6] |= 1 << ((n - 1) & 63)
 	}
 }
 
@@ -328,10 +382,10 @@ func (s *simplex) btran(v *svec) {
 				a -= e.v * v.x[e.i]
 			}
 			if a != 0 || v.x[p.i] != 0 {
-				if !v.in[p.i] && budget >= 0 {
+				if v.list(p.i) && budget >= 0 {
 					budget = s.activate(p.i, k, budget)
 				}
-				v.set(p.i, a/p.v)
+				v.x[p.i] = a / p.v
 			}
 		}
 	}
@@ -365,7 +419,8 @@ func (s *simplex) activate(i int32, below, budget int) int {
 }
 
 // pushEta appends the eta of the FTRAN'd column in s.col pivoting on row r,
-// chained by row, then clears s.col. A unit column in its own row needs none.
+// chained by row and by pivot row, then clears s.col. A unit column in its
+// own row needs none.
 func (s *simplex) pushEta(r int) {
 	v := &s.col
 	if piv := v.x[r]; piv != 1 || len(v.nz) > 1 {
@@ -378,6 +433,8 @@ func (s *simplex) pushEta(r int) {
 		}
 		s.piv = append(s.piv, entry{i: int32(r), next: s.rowHead[r], v: piv})
 		s.rowHead[r] = ^k
+		s.pivNext = append(s.pivNext, s.pivHead[r])
+		s.pivHead[r] = k + 1
 		if len(s.piv) > len(s.active)<<6 {
 			s.active = append(s.active, 0)
 		}
@@ -397,8 +454,9 @@ func (s *simplex) pushEta(r int) {
 // of a left-over row, and factor reports false (a warm start then fails).
 func (s *simplex) factor() bool {
 	s.piv, s.etas.start, s.etas.nz = s.piv[:0], s.etas.start[:1], s.etas.nz[:0]
-	s.etaAt, s.keys, s.updates = s.etaAt[:0], s.keys[:0], 0
+	s.etaAt, s.keys, s.pivNext, s.updates = s.etaAt[:0], s.keys[:0], s.pivNext[:0], 0
 	clear(s.rowHead)
+	clear(s.pivHead)
 	for r, j := range s.basis {
 		s.keys = append(s.keys, int64(s.cols.start[j+1]-s.cols.start[j])<<32|int64(j))
 		s.basis[r] = -1
@@ -574,11 +632,14 @@ func (s *simplex) setGain(k int) {
 }
 
 // ratio runs the bounded-variable ratio test for entering column j, whose
-// FTRAN'd column is in s.col with its nonzeros in row order, moving with
-// direction dir. It returns the step length t, the limiting row (or -1 for
-// a bound flip on the entering variable), and whether the leaving basic
-// variable exits at its upper bound.
+// FTRAN'd column is in s.col with its nonzeros in ascending row order (ties
+// break by row), moving with direction dir. It returns the step length t,
+// the limiting row (or -1 for a bound flip on the entering variable), and
+// whether the leaving basic variable exits at its upper bound.
 func (s *simplex) ratio(j, dir int) (t float64, limRow int, leaveUpper bool, unbounded bool) {
+	if checkRatio != nil {
+		checkRatio(s)
+	}
 	t, limRow = s.ub[j], -1 // bound-flip distance; may be +Inf
 	bestPiv := 0.0
 	for _, i := range s.col.nz {
@@ -661,7 +722,7 @@ func (s *simplex) step() (st Status, done bool) {
 		return StatusOptimal, true
 	}
 	s.ftranCol(j)
-	slices.Sort(s.col.nz)
+	s.col.ascend()
 	t, limRow, leaveUpper, unbounded := s.ratio(j, dir)
 	if unbounded {
 		s.col.clear()
