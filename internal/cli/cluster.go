@@ -7,12 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
-	"time"
 
-	"nwdeploy/internal/bro"
-	"nwdeploy/internal/chaos"
 	"nwdeploy/internal/cluster"
 	"nwdeploy/internal/control"
 	"nwdeploy/internal/experiments"
@@ -23,78 +19,46 @@ import (
 	"nwdeploy/internal/trace"
 )
 
-// Cluster runs the in-process cluster demo under one of three drivers —
-// a fault schedule (the default), -overload's bursts or a -scenario — and
-// prints its per-epoch table and verdict. See cmd/cluster for the flags.
+// Cluster runs the in-process cluster demo under one -scenario spec —
+// chaos, the default, or any catalog composition — and prints its
+// per-epoch table and verdicts. See cmd/cluster for the flags.
 func Cluster(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
-	topoName := fs.String("topology", "internet2", topologyNames)
-	sessions := fs.Int("sessions", 4000, "sessions in the generated workload")
-	epochs := fs.Int("epochs", 8, "epochs to run, in every mode")
-	redundancy := fs.Int("redundancy", 1, "provisioned coverage level r (2 deploys the path-scoped module subset)")
-	seed := fs.Int64("seed", 1, "run seed, in every mode (faults, bursts, scenario drivers); same seed, same report")
-	lossProb := fs.Float64("lossprob", 0.2, "per-exchange probability of an injected connection error")
-	blackholeProb := fs.Float64("blackholeprob", 0.05, "per-exchange probability of a black-holed request (RPC timeout)")
-	nodeFailProb := fs.Float64("nodefailprob", 0.15, "per-(node, epoch) crash probability")
-	outageProb := fs.Float64("outageprob", 0.1, "per-epoch controller outage probability")
-	maxDown := fs.Int("maxdown", 0, "cap on concurrently crashed nodes (0: uncapped, or r-1 when redundancy > 1)")
-	staleGrace := fs.Int("stalegrace", 2, "epochs an agent may serve a stale manifest before going dark (-1 for none)")
-	reoptEvery := fs.Int("reoptevery", 3, "re-stamp the plan every k epochs (-1 disables)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); output is identical for every value")
-	probes := fs.Int("probes", 2000, "coverage probe points per coordination unit")
+	resolve := clusterFlags(fs)
 	metricsPath := fs.String("metrics", "", "write a JSON metrics snapshot to this file on exit")
 	tracePath := fs.String("trace", "", "record the flight recorder and write its JSONL dump to this file")
 	ledgerDir := fs.String("ledger", "", "record the tamper-evident audit ledger under this directory (chain.jsonl, HEAD, objects/); verify offline with auditcheck")
 	ringSize := fs.Int("ringsize", 512, "flight-recorder ring capacity per component (events)")
-	sloWorst := fs.Float64("slo-worst-cov", 0, "SLO: minimum per-epoch worst-node coverage (0 disables)")
-	sloAvg := fs.Float64("slo-avg-cov", 0, "SLO: minimum per-epoch average coverage (0 disables)")
-	sloShed := fs.Float64("slo-max-shed", -1, "SLO: maximum total shed width per epoch (negative disables)")
-	sloIters := fs.Int("slo-max-replan-iters", -1, "SLO: maximum replan simplex iterations per epoch (negative disables)")
-	sloFetchFail := fs.Int("slo-max-fetch-fail", -1, "SLO: maximum fetch failures per epoch (negative disables)")
-	sloDark := fs.Int("slo-max-dark", -1, "SLO: maximum dark agents per epoch (negative disables)")
-	sloDeadline := fs.Bool("slo-deadline-miss", false, "SLO: treat a missed replan deadline as a violation")
-	deltas := fs.Bool("deltas", false, "agents sync via v2 delta subscriptions (one exchange per sync) instead of the legacy probe+fetch pair")
-	encoding := fs.String("encoding", "json", "delta-subscription response encoding: json | bin")
-	overload := fs.Bool("overload", false, "run the overload scenario (bursty traffic + governor/replanning) instead of fault injection")
-	burstFactor := fs.Float64("burstfactor", 4, "overload: volume multiplier on a bursting pair")
-	burstProb := fs.Float64("burstprob", 0.15, "overload: per-(epoch, pair) burst probability")
-	baseJitter := fs.Float64("basejitter", 0.1, "overload: multiplicative noise around the mean traffic volume")
-	governorOn := fs.Bool("governor", false, "overload, scenario: enable the per-node load governor (shed over budget)")
-	replan := fs.Bool("replan", false, "overload, scenario: enable drift-triggered replanning")
-	warmReplan := fs.Bool("warmreplan", false, "overload, scenario: warm-start replans from the previous basis")
-	replanThreshold := fs.Float64("replanthreshold", 0.2, "overload, scenario: EWMA relative-error drift threshold")
-	replanMaxIters := fs.Int("replanmaxiters", 0, "overload, scenario: simplex-iteration deadline per replan (0 = none; a miss falls back to shed state)")
-	scenario := fs.String("scenario", "", "run a named composable scenario (diurnal, flashcrowd, synflood, maintenance, adversary, or a + composition) instead of fault injection")
-	dataPlane := fs.Bool("dataplane", false, "scenario: run each agent's analysis engine over its traffic share every epoch")
+	var slo trace.SLO
+	fs.Float64Var(&slo.MinWorstCoverage, "slo-worst-cov", 0, "SLO: minimum per-epoch worst-node coverage (0 disables)")
+	fs.Float64Var(&slo.MinAvgCoverage, "slo-avg-cov", 0, "SLO: minimum per-epoch average coverage (0 disables)")
+	fs.Float64Var(&slo.MaxShedWidth, "slo-max-shed", -1, "SLO: maximum total shed width per epoch (negative disables)")
+	fs.IntVar(&slo.MaxReplanIters, "slo-max-replan-iters", -1, "SLO: maximum replan simplex iterations per epoch (negative disables)")
+	fs.IntVar(&slo.MaxFetchFailures, "slo-max-fetch-fail", -1, "SLO: maximum fetch failures per epoch (negative disables)")
+	fs.IntVar(&slo.MaxDarkAgents, "slo-max-dark", -1, "SLO: maximum dark agents per epoch (negative disables)")
+	fs.BoolVar(&slo.DeadlineMissIsViolation, "slo-deadline-miss", false, "SLO: treat a missed replan deadline as a violation")
 	fleetOn := fs.Bool("fleet", false, "collect fleet telemetry (per-node stats piggybacked on the control wire) and print the per-epoch health rollup")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof, /debug/vars, /metrics, /trace, /fleet, and /fleet/history on this address while the run executes")
 	if code, ok := parseFlags(fs, args, stderr); !ok {
 		return code
 	}
+	cfg, err := resolve()
+	if err != nil {
+		fmt.Fprintf(stderr, "cluster: %v\n", err)
+		return 2
+	}
 	fail := failer("cluster", stderr)
 
-	topo, err := topologyByName(*topoName)
-	if err != nil {
-		return fail(err)
-	}
-	enc, ok := map[string]control.Encoding{"json": control.EncodingJSON, "bin": control.EncodingBinary}[*encoding]
-	if !ok {
-		return fail(fmt.Errorf("unknown encoding %q (want json or bin)", *encoding))
-	}
-
-	metrics := obs.New()
-	var fleet *telemetry.Fleet
-	var fleetHist *telemetry.History
+	cfg.Metrics = obs.New()
 	if *fleetOn {
-		fleet = telemetry.NewFleet(topo.N(), telemetry.FleetOptions{})
-		fleetHist = telemetry.NewHistory(*epochs)
+		cfg.Fleet = telemetry.NewFleet(cfg.Topo.N(), telemetry.FleetOptions{})
+		cfg.FleetHistory = telemetry.NewHistory(cfg.Epochs)
 	}
-	var tracer *trace.Tracer
 	if *tracePath != "" {
-		tracer = trace.New(trace.Options{Seed: *seed, RingSize: *ringSize})
+		cfg.Trace = trace.New(trace.Options{Seed: cfg.Seed, RingSize: *ringSize})
 	}
 	_, stopDebug, err := serveDebug(*pprofAddr, obshttp.Options{
-		Registry: metrics, Tracer: tracer, Fleet: fleet, History: fleetHist,
+		Registry: cfg.Metrics, Tracer: cfg.Trace, Fleet: cfg.Fleet, History: cfg.FleetHistory,
 	})
 	if err != nil {
 		return fail(err)
@@ -103,99 +67,40 @@ func Cluster(_ context.Context, args []string, stdout, stderr io.Writer) int {
 
 	var traceFile *os.File
 	var traceBuf bytes.Buffer // retained copy of the dump for the ledger's trace record
-	if tracer != nil {
+	if cfg.Trace != nil {
 		if traceFile, err = os.Create(*tracePath); err != nil {
 			return fail(fmt.Errorf("creating trace file: %w", err))
 		}
 		defer traceFile.Close() // the success path closes it first and checks
-		tracer.SetSink(io.MultiWriter(traceFile, &traceBuf))
+		cfg.Trace.SetSink(io.MultiWriter(traceFile, &traceBuf))
 	}
 	var lw *ledgerWriter
-	var led *ledger.Ledger
 	if *ledgerDir != "" {
-		if lw, err = createLedger(*ledgerDir, *seed); err != nil {
+		if lw, err = createLedger(*ledgerDir, cfg.Seed); err != nil {
 			return fail(err)
 		}
 		defer lw.chain.Close() // seal closes it first on the success path
-		led = lw.led
+		cfg.Ledger = lw.led
 		// The trace dump header pins the chain head at dump time, binding
 		// the flight recording to the ledger prefix it was recorded against.
-		tracer.SetChainHead(led.HeadHex)
+		cfg.Trace.SetChainHead(cfg.Ledger.HeadHex)
 	}
-	watchdog := trace.NewWatchdog(trace.SLO{
-		MinWorstCoverage: *sloWorst, MinAvgCoverage: *sloAvg,
-		MaxShedWidth: *sloShed, MaxReplanIters: *sloIters,
-		MaxFetchFailures: *sloFetchFail, MaxDarkAgents: *sloDark,
-		DeadlineMissIsViolation: *sloDeadline,
-	})
+	cfg.Watchdog = trace.NewWatchdog(slo)
 
-	cfg := cluster.ScenarioConfig{
-		Topo: topo, Sessions: *sessions, Epochs: *epochs,
-		Redundancy: *redundancy, Seed: *seed,
-		Governor: *governorOn,
-		Replan:   *replan, WarmReplan: *warmReplan,
-		ReplanThreshold: *replanThreshold, ReplanMaxIters: *replanMaxIters,
-		StaleGrace: *staleGrace,
-		Workers:    *workers, Probes: *probes, Metrics: metrics,
-		Trace: tracer, Watchdog: watchdog, Ledger: led,
-		Fleet: fleet, FleetHistory: fleetHist,
-	}
-	printReport := printChaos
-	switch {
-	case *scenario != "":
-		if cfg.Driver, err = experiments.NewScenario(*scenario, *seed, *epochs); err != nil {
-			return fail(err)
-		}
-		cfg.DataPlane = *dataPlane
-		if strings.Contains(*scenario, "synflood") && *redundancy == 1 {
-			// The flood targets the egress-scoped SYNFlood module, which
-			// the PerPath default set leaves out (its units admit a single
-			// copy, so it only deploys at r=1); swap in the flood subset so
-			// the injected flood is visible to the data plane.
-			cfg.Modules = moduleSubset("http", "signature", "synflood")
-		}
-		printReport = printScenario
-	case *overload:
-		// A clean network with the data plane off.
-		cfg.Driver = &cluster.BurstDriver{
-			Seed: *seed, BurstFactor: *burstFactor, BurstProb: *burstProb, BaseJitter: *baseJitter,
-		}
-		printReport = func(w io.Writer, rep *cluster.ScenarioReport) { printOverload(w, rep, *warmReplan) }
-	default:
-		chaosDriver := &cluster.ChaosDriver{
-			Seed: *seed, NodeFailProb: *nodeFailProb, ControllerOutageProb: *outageProb,
-			MaxDown: *maxDown, ReoptEvery: *reoptEvery,
-		}
-		cfg.Driver = chaosDriver
-		// The governor and replan flags are the other modes'.
-		cfg.Governor, cfg.Replan = false, false
-		cfg.Modules = bro.StandardModules()[1:]
-		if *redundancy > 1 {
-			cfg.Modules = moduleSubset("signature", "http")
-			if *maxDown == 0 {
-				chaosDriver.MaxDown = *redundancy - 1
-			}
-		}
-		cfg.Faults = chaos.NetworkFaults{DropProb: *lossProb, BlackholeProb: *blackholeProb}
-		cfg.Agent = control.AgentOptions{DialTimeout: 200 * time.Millisecond, RPCTimeout: 300 * time.Millisecond}
-		cfg.Deltas, cfg.Encoding = *deltas, enc
-		cfg.DataPlane = true
-	}
 	rep, err := cluster.RunScenario(cfg)
 	if err != nil {
 		return fail(err)
 	}
-	printReport(stdout, rep)
-
-	printFleet(stdout, fleetHist)
-	if tracer != nil {
+	printReport(stdout, rep, cfg.WarmReplan)
+	printFleet(stdout, cfg.FleetHistory)
+	if cfg.Trace != nil {
 		// Flush the post-mortem if no violation already did, so a -trace
 		// run always leaves a dump behind, then report recorder totals
 		// (also exported through -metrics as trace.events / trace.dropped).
-		tracer.DumpOnce("run_end")
-		emitted, dropped := tracer.Stats()
-		metrics.Set("trace.events", float64(emitted))
-		metrics.Set("trace.dropped", float64(dropped))
+		cfg.Trace.DumpOnce("run_end")
+		emitted, dropped := cfg.Trace.Stats()
+		cfg.Metrics.Set("trace.events", float64(emitted))
+		cfg.Metrics.Set("trace.dropped", float64(dropped))
 		if err := traceFile.Close(); err != nil {
 			return fail(fmt.Errorf("closing trace file: %w", err))
 		}
@@ -207,10 +112,10 @@ func Cluster(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		// recorded) as the chain's final trace record, then pin the head.
 		if traceBuf.Len() > 0 {
 			ep := uint64(0)
-			if recs := led.Records(); len(recs) > 0 {
+			if recs := cfg.Ledger.Records(); len(recs) > 0 {
 				ep = recs[len(recs)-1].Epoch
 			}
-			b := led.Begin(ledger.RecTrace, ep)
+			b := cfg.Ledger.Begin(ledger.RecTrace, ep)
 			b.Blob(ledger.ItemTrace, "dump", traceBuf.Bytes(), nil)
 			if _, err := b.Commit(); err != nil {
 				return fail(fmt.Errorf("committing trace record: %w", err))
@@ -220,97 +125,149 @@ func Cluster(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		commits, _, blobBytes := led.Stats()
+		commits, _, blobBytes := cfg.Ledger.Stats()
 		fmt.Fprintf(stdout, "# ledger: %d records committed (%d blob bytes), head %s -> %s\n",
 			commits, blobBytes, head, *ledgerDir)
 	}
-	if err := writeMetrics(metrics, *metricsPath); err != nil {
+	if err := writeMetrics(cfg.Metrics, *metricsPath); err != nil {
 		return fail(err)
 	}
 	return 0
 }
 
-// moduleSubset is the standard module set restricted to names, in the
-// standard order.
-func moduleSubset(names ...string) []bro.ModuleSpec {
-	var mods []bro.ModuleSpec
-	for _, m := range bro.StandardModules() {
-		if slices.Contains(names, m.Name) {
-			mods = append(mods, m)
+// clusterFlags declares on fs the flags that shape the run and returns its
+// resolver: once fs is parsed, the config experiments.NewScenario builds
+// from them, or an error naming a flag out of range or the run ignores.
+func clusterFlags(fs *flag.FlagSet) func() (cluster.ScenarioConfig, error) {
+	var cfg cluster.ScenarioConfig
+	var crashes cluster.ChaosDriver
+	var bursts cluster.BurstDriver
+	spec := fs.String("scenario", "chaos", "the run's driver: chaos, bursts, diurnal, flashcrowd, synflood, maintenance, adversary, or a + composition such as diurnal+chaos")
+	topoName := fs.String("topology", "internet2", topologyNames)
+	fs.IntVar(&cfg.Sessions, "sessions", 4000, "sessions in the generated workload (>= 1)")
+	fs.IntVar(&cfg.Epochs, "epochs", 8, "epochs to run (>= 1)")
+	fs.IntVar(&cfg.Redundancy, "redundancy", 1, "provisioned coverage level r (>= 1)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "run seed (faults, bursts, scenario drivers); same seed, same report")
+	fs.Float64Var(&cfg.Faults.DropProb, "lossprob", 0.2, "per-exchange probability of an injected connection error, in [0, 1] (without chaos: 0 unless given)")
+	fs.Float64Var(&cfg.Faults.BlackholeProb, "blackholeprob", 0.05, "per-exchange probability of a black-holed request (RPC timeout), in [0, 1] (without chaos: 0 unless given)")
+	fs.Float64Var(&crashes.NodeFailProb, "nodefailprob", 0.15, "chaos: per-(node, epoch) crash probability, in [0, 1]")
+	fs.Float64Var(&crashes.ControllerOutageProb, "outageprob", 0.1, "chaos: per-epoch controller outage probability, in [0, 1]")
+	fs.IntVar(&crashes.MaxDown, "maxdown", 0, "chaos: cap on concurrently crashed nodes (0: uncapped, or r-1 when redundancy > 1)")
+	fs.IntVar(&crashes.ReoptEvery, "reoptevery", 3, "chaos: re-stamp the plan every k epochs (-1 disables)")
+	fs.Float64Var(&bursts.BurstFactor, "burstfactor", 4, "bursts: volume multiplier on a bursting pair")
+	fs.Float64Var(&bursts.BurstProb, "burstprob", 0.15, "bursts: per-(epoch, pair) burst probability, in [0, 1]")
+	fs.Float64Var(&bursts.BaseJitter, "basejitter", 0.1, "bursts: multiplicative noise around the mean traffic volume")
+	fs.IntVar(&cfg.StaleGrace, "stalegrace", 2, "epochs an agent may serve a stale manifest before going dark (-1 for none)")
+	fs.IntVar(&cfg.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS); output is identical for every value")
+	fs.IntVar(&cfg.Probes, "probes", 2000, "coverage probe points per coordination unit (>= 1)")
+	fs.BoolVar(&cfg.Deltas, "deltas", false, "agents sync via v2 delta subscriptions (one exchange per sync) instead of the legacy probe+fetch pair")
+	encoding := fs.String("encoding", "json", "with -deltas: the delta-subscription response encoding, json | bin")
+	fs.BoolVar(&cfg.Governor, "governor", false, "enable the per-node load governor (shed over budget)")
+	fs.BoolVar(&cfg.Replan, "replan", false, "enable drift-triggered replanning")
+	fs.BoolVar(&cfg.WarmReplan, "warmreplan", false, "with -replan: warm-start replans from the previous basis")
+	fs.Float64Var(&cfg.ReplanThreshold, "replanthreshold", 0.2, "with -replan: EWMA relative-error drift threshold")
+	fs.IntVar(&cfg.ReplanMaxIters, "replanmaxiters", 0, "with -replan: simplex-iteration deadline per replan (0 = none; a miss falls back to shed state)")
+	fs.BoolVar(&cfg.DataPlane, "dataplane", false, "run each agent's analysis engine over its traffic share every epoch (chaos needs it on)")
+
+	return func() (cluster.ScenarioConfig, error) {
+		cfg := cfg // the flags' values stay as parsed
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		prob := func(p float64) bool { return p >= 0 && p <= 1 }
+		// Substrings suffice: NewScenario rejects other names holding them.
+		withChaos, withBursts := strings.Contains(*spec, "chaos"), strings.Contains(*spec, "bursts")
+		for _, c := range []struct {
+			name string
+			ok   bool
+			want string
+		}{
+			{"sessions", cfg.Sessions >= 1, "want >= 1"},
+			{"epochs", cfg.Epochs >= 1, "want >= 1"},
+			{"redundancy", cfg.Redundancy >= 1, "want >= 1"},
+			{"probes", cfg.Probes >= 1, "want >= 1"},
+			{"lossprob", prob(cfg.Faults.DropProb), "want a probability in [0, 1]"},
+			{"blackholeprob", prob(cfg.Faults.BlackholeProb), "want a probability in [0, 1]"},
+			{"nodefailprob", prob(crashes.NodeFailProb), "want a probability in [0, 1]"},
+			{"outageprob", prob(crashes.ControllerOutageProb), "want a probability in [0, 1]"},
+			{"burstprob", prob(bursts.BurstProb), "want a probability in [0, 1]"},
+			{"maxdown", crashes.MaxDown >= 0, "want >= 0"},
+			{"encoding", *encoding == "json" || *encoding == "bin", "want json or bin"},
+			{"nodefailprob", withChaos || !set["nodefailprob"], "applies only with chaos in -scenario"},
+			{"outageprob", withChaos || !set["outageprob"], "applies only with chaos in -scenario"},
+			{"maxdown", withChaos || !set["maxdown"], "applies only with chaos in -scenario"},
+			{"reoptevery", withChaos || !set["reoptevery"], "applies only with chaos in -scenario"},
+			{"burstfactor", withBursts || !set["burstfactor"], "applies only with bursts in -scenario"},
+			{"burstprob", withBursts || !set["burstprob"], "applies only with bursts in -scenario"},
+			{"basejitter", withBursts || !set["basejitter"], "applies only with bursts in -scenario"},
+			{"warmreplan", cfg.Replan || !set["warmreplan"], "applies only with -replan"},
+			{"replanthreshold", cfg.Replan || !set["replanthreshold"], "applies only with -replan"},
+			{"replanmaxiters", cfg.Replan || !set["replanmaxiters"], "applies only with -replan"},
+			{"encoding", cfg.Deltas || !set["encoding"], "applies only with -deltas"},
+		} {
+			if !c.ok {
+				return cfg, fmt.Errorf("-%s %s: %s", c.name, fs.Lookup(c.name).Value, c.want)
+			}
 		}
+		var err error
+		if cfg.Topo, err = topologyByName(*topoName); err != nil {
+			return cfg, fmt.Errorf("-topology: %w", err)
+		}
+		if *encoding == "bin" {
+			cfg.Encoding = control.EncodingBinary
+		}
+		// The fault flags default to chaos's mix; any other run is on a
+		// clean network unless they are given.
+		if !withChaos && !set["lossprob"] {
+			cfg.Faults.DropProb = 0
+		}
+		if !withChaos && !set["blackholeprob"] {
+			cfg.Faults.BlackholeProb = 0
+		}
+		dataPlane := cfg.DataPlane
+		if err := experiments.NewScenario(&cfg, *spec, crashes, bursts); err != nil {
+			return cfg, fmt.Errorf("-scenario: %w", err)
+		}
+		if set["dataplane"] && cfg.DataPlane != dataPlane {
+			return cfg, fmt.Errorf("-dataplane=%v: scenario %s needs the data plane", dataPlane, *spec)
+		}
+		return cfg, nil
 	}
-	return mods
 }
 
-func printScenario(w io.Writer, rep *cluster.ScenarioReport) {
-	fmt.Fprintf(w, "# scenario %s on %s: %d nodes, %d sessions, redundancy %d, seed %d, governor %v, replan %v, objective %.4f\n",
+// printReport renders a run: a header, one row per epoch, a summary, the
+// floor verdict and, for a run with chaos, the r-1 guarantee verdict. warm
+// is the -warmreplan setting, which the report does not echo.
+func printReport(w io.Writer, rep *cluster.ScenarioReport, warm bool) {
+	fmt.Fprintf(w, "# scenario %s on %s: %d nodes, %d sessions, redundancy %d, seed %d, governor %v, replan %v (warm %v), objective %.4f\n",
 		rep.Scenario, rep.Topology, rep.Nodes, rep.Sessions, rep.Redundancy,
-		rep.Seed, rep.Governor, rep.Replan, rep.Objective)
-	fmt.Fprintln(w, "epoch\tdown\tdrained\tctrl_down\tinjected\tcaught\tevaded\tmax_rel_err\treplanned\tover_budget\tfloor_limited\tshed_width\tsynced\tstale\tdark\talerts\tworst_cov\tavg_cov\texpected_worst\tbreach\tslo")
+		rep.Seed, rep.Governor, rep.Replan, warm, rep.Objective)
+	fmt.Fprintln(w, "epoch\tctrl_epoch\tctrl_down\tdown\tdrained\tinjected\tcaught\tevaded\tmax_rel_err\tdrifted\treplanned\twarm\treplan_iters\tmissed\tover_budget\tfloor_limited\tshed_width\tsynced\tstale\tdark\tfetch_att\tfetch_fail\ttimeouts\talerts\tworst_cov\tavg_cov\texpected_worst\tbreach\tslo")
+	holds := true
 	for _, e := range rep.Epochs {
-		fmt.Fprintf(w, "%d\t%s\t%s\t%v\t%d\t%d\t%d\t%.4f\t%v\t%d\t%d\t%.4f\t%d\t%d\t%d\t%d\t%.4f\t%.4f\t%.4f\t%v\t%s\n",
-			e.Epoch, nodeList(e.DownNodes), nodeList(e.Drained), e.CtrlDown,
-			e.Injected, e.InjectedCaught, e.InjectedEvaded,
-			e.MaxRelErr, e.Replanned, e.OverBudget, e.Unsatisfied, e.ShedWidth,
-			e.SyncedAgents, e.StaleAgents, e.DarkAgents, e.Alerts,
-			e.WorstCoverage, e.AvgCoverage, e.ExpectedWorst, e.Breach,
-			sloCell(e.SLOViolations))
+		fmt.Fprintf(w, "%d\t%d\t%v\t%s\t%s\t%d\t%d\t%d\t%.4f\t%v\t%v\t%v\t%d\t%v\t%d\t%d\t%.4f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.4f\t%.4f\t%.4f\t%v\t%s\n",
+			e.Epoch, e.ControllerEpoch, e.CtrlDown, nodeList(e.DownNodes), nodeList(e.Drained),
+			e.Injected, e.InjectedCaught, e.InjectedEvaded, e.MaxRelErr, e.Drifted, e.Replanned,
+			e.ReplanWarm, e.ReplanIters, e.ReplanMissed, e.OverBudget, e.Unsatisfied, e.ShedWidth,
+			e.SyncedAgents, e.StaleAgents, e.DarkAgents, e.FetchAttempts, e.FetchFailures, e.FetchTimeouts,
+			e.Alerts, e.WorstCoverage, e.AvgCoverage, e.ExpectedWorst, e.Breach, sloCell(e.SLOViolations))
+		if len(e.DownNodes) <= rep.Redundancy-1 && e.DarkAgents == 0 && e.WorstCoverage < 1 {
+			holds = false
+		}
 	}
-	fmt.Fprintf(w, "# summary: worst coverage %.4f, avg %.4f, shed fraction %.4f, injected %d (evaded %d, rate %.4f), replans %d (missed %d), alerts %d\n",
-		rep.WorstCoverage, rep.AvgCoverage, rep.ShedFraction(),
+	fmt.Fprintf(w, "# summary: worst coverage %.4f, avg %.4f, shed fraction %.4f, max over-budget nodes %d, injected %d (evaded %d, rate %.4f), replans %d (missed %d, %d iters), alerts %d\n",
+		rep.WorstCoverage, rep.AvgCoverage, rep.ShedFraction(), rep.MaxOverBudget,
 		rep.TotalInjected, rep.TotalEvaded, rep.EvasionRate(),
-		rep.Replans, rep.MissedReplans, rep.TotalAlerts)
+		rep.Replans, rep.MissedReplans, rep.TotalReplanIters, rep.TotalAlerts)
 	if rep.FloorHeld {
 		fmt.Fprintf(w, "# verdict: published coverage floor held on every epoch\n")
 	} else {
 		fmt.Fprintf(w, "# verdict: coverage floor BREACHED on %d epochs (post-mortem in the trace dump)\n", rep.Breaches)
 	}
-}
-
-// printOverload renders an overload run; warm is the -warmreplan setting,
-// which the report does not echo.
-func printOverload(w io.Writer, rep *cluster.ScenarioReport, warm bool) {
-	fmt.Fprintf(w, "# %s: %d nodes, %d sessions, redundancy %d, seed %d, governor %v, replan %v (warm %v), objective %.4f\n",
-		rep.Topology, rep.Nodes, rep.Sessions, rep.Redundancy, rep.Seed,
-		rep.Governor, rep.Replan, warm, rep.Objective)
-	fmt.Fprintln(w, "epoch\tmax_rel_err\tdrifted\treplanned\twarm\treplan_iters\tmissed\tover_budget\tfloor_limited\tshed_width\tworst_cov\tavg_cov\tshed_floor_worst\tsynced\tslo")
-	for _, e := range rep.Epochs {
-		// With nothing down the expectation is the governors' shed floor;
-		// ungoverned, nothing sheds.
-		shedFloor := 1.0
-		if rep.Governor {
-			shedFloor = e.ExpectedWorst
-		}
-		fmt.Fprintf(w, "%d\t%.4f\t%v\t%v\t%v\t%d\t%v\t%d\t%d\t%.4f\t%.4f\t%.4f\t%.4f\t%d\t%s\n",
-			e.Epoch, e.MaxRelErr, e.Drifted, e.Replanned, e.ReplanWarm,
-			e.ReplanIters, e.ReplanMissed, e.OverBudget, e.Unsatisfied, e.ShedWidth,
-			e.WorstCoverage, e.AvgCoverage, shedFloor, e.SyncedAgents,
-			sloCell(e.SLOViolations))
-	}
-	fmt.Fprintf(w, "# summary: worst coverage %.4f, avg %.4f, max over-budget nodes %d, replans %d (missed %d, %d iters)\n",
-		rep.WorstCoverage, rep.AvgCoverage, rep.MaxOverBudget,
-		rep.Replans, rep.MissedReplans, rep.TotalReplanIters)
-}
-
-func printChaos(w io.Writer, rep *cluster.ScenarioReport) {
-	fmt.Fprintf(w, "# %s: %d nodes, %d sessions, redundancy %d, seed %d, objective %.4f\n",
-		rep.Topology, rep.Nodes, rep.Sessions, rep.Redundancy, rep.Seed, rep.Objective)
-	fmt.Fprintln(w, "epoch\tctrl_epoch\tctrl_down\tdown_nodes\tsynced\tstale\tdark\tfetch_att\tfetch_fail\ttimeouts\talerts\tworst_cov\tavg_cov\tpredicted_worst\tslo")
-	holds := true
-	for _, e := range rep.Epochs {
-		fmt.Fprintf(w, "%d\t%d\t%v\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.4f\t%.4f\t%.4f\t%s\n",
-			e.Epoch, e.ControllerEpoch, e.CtrlDown, nodeList(e.DownNodes),
-			e.SyncedAgents, e.StaleAgents, e.DarkAgents,
-			e.FetchAttempts, e.FetchFailures, e.FetchTimeouts, e.Alerts,
-			e.WorstCoverage, e.AvgCoverage, e.ExpectedWorst,
-			sloCell(e.SLOViolations))
-		if len(e.DownNodes) <= rep.Redundancy-1 && e.DarkAgents == 0 && e.WorstCoverage < 1 {
-			holds = false
-		}
-	}
-	if holds {
+	switch {
+	case !strings.Contains(rep.Scenario, "chaos"):
+	case holds:
 		fmt.Fprintf(w, "# verdict: coverage guarantee held (failures within r-1 never cost coverage)\n")
-	} else {
+	default:
 		fmt.Fprintf(w, "# verdict: coverage guarantee VIOLATED on at least one epoch\n")
 	}
 }

@@ -185,7 +185,7 @@ func Experiments(_ context.Context, args []string, stdout, stderr io.Writer) int
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
 	only := fs.String("only", "", "comma-separated subset of experiments to run")
 	metricsPath := fs.String("metrics", "", "write a JSON metrics snapshot to this file on exit")
-	tracePath := fs.String("trace", "", "record the chaos/overload flight recorder and write its JSONL dump to this file (forces serial experiment blocks)")
+	tracePath := fs.String("trace", "", "record the flight recorder of every cluster run (the chaos, overload and scenarios blocks) and write its JSONL dump to this file (forces serial experiment blocks)")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof, /debug/vars, /metrics, and /trace on this address")
 	scenariosJSON := fs.String("scenarios-json", "", "write the scenario-grid rows as JSON to this file (implies running the scenarios block)")
 	scenariosAssert := fs.Bool("scenarios-assert", false, "fail unless every scenario row meets its acceptance bar (floor held, no SLO violations, flood visible, sublinear regret)")

@@ -27,10 +27,10 @@ func TestScenariosTier(t *testing.T) {
 	}
 }
 
-// overloadTier is the seeded overload run with forced governor shedding
+// overloadTier is the seeded bursts run with forced governor shedding
 // that the audit and trace tiers record, plus extra flags.
 func overloadTier(extra ...string) []string {
-	return append([]string{"-overload", "-governor", "-redundancy", "2",
+	return append([]string{"-scenario", "bursts", "-governor", "-redundancy", "2",
 		"-sessions", "1500", "-epochs", "5", "-burstfactor", "1.8", "-burstprob", "0.5",
 		"-basejitter", "0.05", "-probes", "500", "-seed", "5"}, extra...)
 }

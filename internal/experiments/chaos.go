@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"nwdeploy/internal/bro"
 	"nwdeploy/internal/chaos"
 	"nwdeploy/internal/cluster"
 	"nwdeploy/internal/control"
@@ -43,7 +42,7 @@ func Chaos(cfg Config) ([]ChaosRow, error) {
 		epochs = 5
 	}
 	base := cluster.ScenarioConfig{
-		Modules: bro.StandardModules()[1:], Redundancy: 1,
+		Modules: chaosModules(1), Redundancy: 1,
 		Sessions: sessions, Epochs: epochs, Seed: 71,
 		Faults:     chaos.NetworkFaults{DropProb: 0.2, BlackholeProb: 0.05},
 		Retry:      cluster.RetryPolicy{MaxAttempts: 6, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, JitterFrac: 0.3},
@@ -64,12 +63,10 @@ func Chaos(cfg Config) ([]ChaosRow, error) {
 			c.Driver = &cluster.ChaosDriver{Seed: c.Seed, NodeFailProb: 0.15, ControllerOutageProb: 0.1, ReoptEvery: 3}
 		}},
 		{"redundant_r2", func(c *cluster.ScenarioConfig) {
-			// r=2 needs every unit to admit two copies: only the
-			// path-scoped modules qualify (ingress/egress units have a
-			// single eligible node). Failures stay within r-1 so the
-			// coverage guarantee is on trial.
+			// Failures stay within r-1 so the coverage guarantee is on
+			// trial.
 			c.Redundancy = 2
-			c.Modules = pathScopedModules()
+			c.Modules = chaosModules(2)
 			c.Driver = &cluster.ChaosDriver{Seed: c.Seed, NodeFailProb: 0.3, ControllerOutageProb: 0.1, MaxDown: 1, ReoptEvery: 3}
 		}},
 	}
@@ -102,17 +99,4 @@ func Chaos(cfg Config) ([]ChaosRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// pathScopedModules selects the standard modules whose classes are
-// PerPath-scoped, the set for which redundancy r >= 2 is feasible.
-func pathScopedModules() []bro.ModuleSpec {
-	var out []bro.ModuleSpec
-	for _, m := range bro.StandardModules() {
-		switch m.Name {
-		case "signature", "http":
-			out = append(out, m)
-		}
-	}
-	return out
 }

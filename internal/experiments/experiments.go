@@ -40,11 +40,11 @@ type Config struct {
 	// Rows are byte-identical with or without it (nil is the no-op
 	// default; see internal/obs).
 	Metrics *obs.Registry
-	// Trace, when non-nil, records the chaos and overload runners' causal
-	// event logs (nil is the no-op default; see internal/trace). Because
-	// the suite's runners share one tracer, callers that set it must run
-	// the experiment blocks serially to keep component sequences — and so
-	// dumps — deterministic.
+	// Trace, when non-nil, records the causal event log of every cluster
+	// run the Chaos, Overload and Scenarios runners make (nil is the no-op
+	// default; see internal/trace). Because the suite's runners share one
+	// tracer, callers that set it must run the experiment blocks serially
+	// to keep component sequences — and so dumps — deterministic.
 	Trace *trace.Tracer
 }
 

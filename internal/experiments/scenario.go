@@ -2,9 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"time"
 
+	"nwdeploy/internal/bro"
+	"nwdeploy/internal/chaos"
 	"nwdeploy/internal/cluster"
 )
 
@@ -96,34 +101,99 @@ func sortedKeys(m map[int]bool) []int {
 	return out
 }
 
-// NewScenario resolves a scenario spec — one of "diurnal", "flashcrowd",
-// "synflood", "maintenance", "adversary", or a "+"-joined composition like
-// "maintenance+flashcrowd" — into a driver with catalog-default knobs,
-// derived deterministically from the given seed and horizon. It is the
-// resolver behind cmd/cluster -scenario.
-func NewScenario(spec string, seed int64, epochs int) (Scenario, error) {
-	names := strings.Split(spec, "+")
-	parts := make([]Scenario, 0, len(names))
-	for _, name := range names {
-		var s Scenario
-		switch strings.TrimSpace(name) {
+// NewScenario points cfg at spec, the resolver behind cmd/cluster
+// -scenario: a catalog name — diurnal, flashcrowd, synflood, maintenance,
+// adversary, chaos, bursts — or a "+" composition such as "diurnal+chaos".
+// It sets cfg.Driver, seeded from cfg.Seed over cfg.Epochs (chaos and
+// bursts are copies of the knobs given), and what each part needs of the
+// run at cfg.Redundancy; parts whose needs disagree are an error.
+func NewScenario(cfg *cluster.ScenarioConfig, spec string, crashes cluster.ChaosDriver, bursts cluster.BurstDriver) error {
+	seed, epochs, r := cfg.Seed, cfg.Epochs, cfg.Redundancy
+	var parts []Scenario
+	var needs []func(*cluster.ScenarioConfig)
+	for _, name := range strings.Split(spec, "+") {
+		switch name = strings.TrimSpace(name); name {
 		case "diurnal":
-			s = NewDiurnal(seed, epochs)
+			parts = append(parts, NewDiurnal(seed, epochs))
 		case "flashcrowd":
-			s = NewFlashCrowd(epochs)
-		case "synflood":
-			s = NewSYNFlood(seed, epochs)
+			parts = append(parts, NewFlashCrowd(epochs))
 		case "maintenance":
-			s = NewMaintenance(epochs)
+			parts = append(parts, NewMaintenance(epochs))
 		case "adversary":
-			s = NewAdaptiveAdversary(seed)
+			parts = append(parts, NewAdaptiveAdversary(seed))
+		case "synflood":
+			parts = append(parts, NewSYNFlood(seed, epochs))
+			if r == 1 {
+				needs = append(needs, func(c *cluster.ScenarioConfig) { c.Modules = floodModules() })
+			}
+		case "chaos":
+			// Crashes stay within r-1 unless the knobs cap them, putting the
+			// coverage guarantee on trial; the engines run on what is left.
+			d := crashes
+			d.Seed = seed
+			if r > 1 && d.MaxDown == 0 {
+				d.MaxDown = r - 1
+			}
+			parts = append(parts, &d)
+			needs = append(needs, func(c *cluster.ScenarioConfig) { c.DataPlane, c.Modules = true, chaosModules(r) })
+		case "bursts":
+			d := bursts
+			d.Seed = seed
+			parts = append(parts, &d)
 		default:
-			return nil, fmt.Errorf("experiments: unknown scenario %q (want diurnal, flashcrowd, synflood, maintenance, adversary, or a + composition)", name)
+			return fmt.Errorf("unknown scenario %q (want diurnal, flashcrowd, synflood, maintenance, adversary, chaos, bursts, or a + composition)", name)
 		}
-		parts = append(parts, s)
 	}
-	if len(parts) == 1 {
-		return parts[0], nil
+	for _, need := range needs {
+		need(cfg)
 	}
-	return Compose(parts...), nil
+	// Every need must hold of the result; a field two parts set to
+	// different values fails the earlier part's.
+	for _, need := range needs {
+		want := *cfg
+		need(&want)
+		got, w := reflect.ValueOf(*cfg), reflect.ValueOf(want)
+		for i := range w.NumField() {
+			if !reflect.DeepEqual(got.Field(i).Interface(), w.Field(i).Interface()) {
+				return fmt.Errorf("scenario %q: its parts need different %s at redundancy %d", spec, w.Type().Field(i).Name, r)
+			}
+		}
+	}
+	// Controller outages and black holes need short agent timeouts, or each
+	// lost request waits out the 10 s RPC default.
+	if strings.Contains(spec, "chaos") || cfg.Faults != (chaos.NetworkFaults{}) {
+		cfg.Agent.DialTimeout, cfg.Agent.RPCTimeout = 200*time.Millisecond, 300*time.Millisecond
+	}
+	cfg.Driver = parts[0]
+	if len(parts) > 1 {
+		cfg.Driver = Compose(parts...)
+	}
+	return nil
+}
+
+// standardModules is the standard module set restricted to names, in the
+// standard order.
+func standardModules(names ...string) []bro.ModuleSpec {
+	var mods []bro.ModuleSpec
+	for _, m := range bro.StandardModules() {
+		if slices.Contains(names, m.Name) {
+			mods = append(mods, m)
+		}
+	}
+	return mods
+}
+
+// chaosModules is a chaos run's module set: every analysis module at r=1,
+// and at r>=2 the path-scoped ones, the only units that admit r copies.
+func chaosModules(r int) []bro.ModuleSpec {
+	if r > 1 {
+		return standardModules("signature", "http")
+	}
+	return standardModules("scan", "irc", "login", "tftp", "http", "blaster", "signature", "synflood")
+}
+
+// floodModules is a SYN-flood run's module set at r=1: the path-scoped
+// modules plus SYNFlood, whose egress units admit a single copy.
+func floodModules() []bro.ModuleSpec {
+	return standardModules("http", "signature", "synflood")
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"nwdeploy/internal/bro"
 	"nwdeploy/internal/cluster"
 	"nwdeploy/internal/nips"
 	"nwdeploy/internal/online"
@@ -89,21 +88,6 @@ func Scenarios(cfg Config) ([]ScenarioRow, error) {
 		return slo
 	}
 
-	// The synflood cell deploys the SYNFlood module, whose egress units
-	// have a single eligible node — redundancy 2 is structurally
-	// infeasible there, exactly the paper's point that scope pins some
-	// analyses to one location.
-	floodModules := func() []bro.ModuleSpec {
-		var out []bro.ModuleSpec
-		for _, m := range bro.StandardModules() {
-			switch m.Name {
-			case "http", "signature", "synflood":
-				out = append(out, m)
-			}
-		}
-		return out
-	}
-
 	cells := []scenarioCell{
 		{
 			name: "diurnal",
@@ -126,6 +110,10 @@ func Scenarios(cfg Config) ([]ScenarioRow, error) {
 		{
 			name: "synflood",
 			mut: func(c *cluster.ScenarioConfig) {
+				// Redundancy 2 is structurally infeasible for the
+				// SYNFlood module, whose egress units have a single
+				// eligible node — the paper's point that scope pins some
+				// analyses to one location.
 				c.Driver = NewSYNFlood(37, epochs)
 				c.Modules = floodModules()
 				c.Redundancy = 1

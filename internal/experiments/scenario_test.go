@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"nwdeploy/internal/chaos"
@@ -69,24 +70,35 @@ func TestComposeMergesStimuli(t *testing.T) {
 }
 
 func TestNewScenarioResolves(t *testing.T) {
-	for _, spec := range []string{"diurnal", "flashcrowd", "synflood", "maintenance", "adversary"} {
-		s, err := NewScenario(spec, 7, 8)
+	resolve := func(spec string, r int) (cluster.ScenarioConfig, error) {
+		cfg := cluster.ScenarioConfig{Seed: 7, Epochs: 8, Redundancy: r}
+		err := NewScenario(&cfg, spec, cluster.ChaosDriver{}, cluster.BurstDriver{})
+		return cfg, err
+	}
+	for _, spec := range []string{"diurnal", "flashcrowd", "synflood", "maintenance", "adversary", "chaos", "bursts",
+		"maintenance+flashcrowd", "diurnal+chaos"} {
+		cfg, err := resolve(spec, 2)
 		if err != nil {
 			t.Fatalf("NewScenario(%q): %v", spec, err)
 		}
-		if s.Name() != spec {
-			t.Fatalf("NewScenario(%q).Name() = %q", spec, s.Name())
+		if cfg.Driver.Name() != spec {
+			t.Fatalf("NewScenario(%q).Name() = %q", spec, cfg.Driver.Name())
 		}
 	}
-	s, err := NewScenario("maintenance+flashcrowd", 7, 8)
-	if err != nil {
-		t.Fatalf("composition: %v", err)
+	// Chaos at r=2 caps concurrent crashes at r-1 and runs the data plane.
+	if cfg, _ := resolve("chaos", 2); cfg.Driver.(*cluster.ChaosDriver).MaxDown != 1 || !cfg.DataPlane {
+		t.Fatalf("chaos at r=2: driver %+v, data plane %v", cfg.Driver, cfg.DataPlane)
 	}
-	if s.Name() != "maintenance+flashcrowd" {
-		t.Fatalf("composition name %q", s.Name())
-	}
-	if _, err := NewScenario("nosuch", 7, 8); err == nil {
+	if _, err := resolve("nosuch", 2); err == nil {
 		t.Fatal("unknown scenario spec must error")
+	}
+	// At r=1 chaos and synflood need different module sets; at r=2 only
+	// chaos names one.
+	if _, err := resolve("chaos+synflood", 1); err == nil || !strings.Contains(err.Error(), "Modules") {
+		t.Fatalf("chaos+synflood at r=1: err %v, want a Modules conflict", err)
+	}
+	if _, err := resolve("chaos+synflood", 2); err != nil {
+		t.Fatalf("chaos+synflood at r=2: %v", err)
 	}
 }
 
