@@ -90,8 +90,11 @@ perfcompare:
 # malformed ones are answered and counted as bad), of a held connection
 # (several request lines through one served connection, each answered
 # byte for byte as on a fresh one, closed after the first v1 or error
-# answer) and of the ledger verifier (arbitrary chains must not panic it;
-# any single-byte change to a valid chain fails against its pinned head).
+# answer), of the ledger verifier (arbitrary chains must not panic it;
+# any single-byte change to a valid chain fails against its pinned head)
+# and of the engine's policy tables (addSet/incr streams over raw float64
+# bit patterns against the Go-map model, every return value and the final
+# contents).
 # CI-friendly;
 # run with a longer -fuzztime locally to dig. The ingest seeds are whole
 # captures (160 KB for the 20-session one), the ledger's a 1.1 KB chain,
@@ -111,6 +114,7 @@ fuzz:
 	$(GO) test -run=FuzzRequestLine -fuzz=FuzzRequestLine -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
 	$(GO) test -run=FuzzHeldConn -fuzz=FuzzHeldConn -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
 	$(GO) test -run=FuzzVerifyChain -fuzz=FuzzVerifyChain -fuzztime=10s -fuzzminimizetime=1s ./internal/ledger/
+	$(GO) test -run=FuzzPolicyTables -fuzz=FuzzPolicyTables -fuzztime=10s ./internal/bro/
 
 # Bench tier: the go-test micro-benchmarks, with allocation reporting —
 # every figure/table benchmark, the obs instruments, cluster convergence,
@@ -118,7 +122,9 @@ fuzz:
 # cold-started replan solves, cold simplex solves of deployment- and
 # packing-shaped LPs and of the GÉANT and 50-node placement LPs behind
 # cmd/perf's lp.curve_ms (the pivot loop's micro A/B), the policy tables
-# against their test-only Go-map model, the per-packet decision path
+# against their test-only Go-map model, the engine over node 10's share of
+# the 100k trace standalone and under its manifest (node_edge's and
+# node_coord's shapes), the per-packet decision path
 # against its test-only pre-index reference, and one agent's sync over
 # loopback against a 1000-node plan (v1 full JSON fetch vs v2 binary delta
 # on a held connection). It runs no command and writes no file: end-to-end and
@@ -131,7 +137,7 @@ bench:
 	$(GO) test -bench=TraceOverhead -benchmem ./internal/cluster/
 	$(GO) test -bench=WarmVsColdReplan -benchmem ./internal/lp/
 	$(GO) test -bench=Simplex -benchmem ./internal/lp/
-	$(GO) test -bench=PolicyTables -benchmem ./internal/bro/
+	$(GO) test -bench='PolicyTables|RunEdge|RunDecider' -benchmem ./internal/bro/
 	$(GO) test -bench=DataplaneDecide -benchmem ./internal/control/
 	$(GO) test -bench=AgentSync -benchmem ./internal/control/
 

@@ -416,6 +416,20 @@ func BenchmarkRunDecider(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trace)), "ns/session")
 }
 
+// BenchmarkRunEdge times the standalone unmodified engine (ModePlain, every
+// module of cmd/perf's 20 analyzing every session it matches) over node 10's
+// share of the 100k trace, the shape of cmd/perf's node_edge, per session.
+func BenchmarkRunEdge(b *testing.B) {
+	trace := edgeTrace(b)
+	cfg := Config{Mode: ModePlain, Modules: WithDuplicates(21)[1:], Node: 10, Hasher: hashing.Hasher{Key: 1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchReport = Run(cfg, trace)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trace)), "ns/session")
+}
+
 // BenchmarkEmulationFanout times the coordinated emulation of a 25k-session
 // trace, its node Runs fanned out over GOMAXPROCS workers: the engines keep
 // the cores busy, so none of them goes ahead.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"nwdeploy/internal/core"
@@ -125,12 +126,9 @@ type Config struct {
 	// removing the duplicated baseline processing the paper identifies as
 	// the remaining overhead of the coordinated deployment.
 	FineGrained bool
-	// Workers is ignored. A run's analysis is serial; only its pure
-	// per-session decision runs ahead on one helper goroutine (see Run).
-	// Module-lane sharding never beat the serial engine and was deleted;
-	// parallelism lives one level up, across independent per-node engines
-	// (Emulation.Workers, cluster). The field remains only because cmd/perf
-	// still sets it.
+	// Workers is ignored: a run's analysis is serial (see Run), and
+	// parallelism lives across per-node engines (Emulation.Workers,
+	// cluster). The field remains only because cmd/perf still sets it.
 	Workers int
 	// Metrics, when non-nil, receives engine observability: per-module
 	// analyzed packets and bytes, policy-table sizes, session/connection/
@@ -159,8 +157,8 @@ type Report struct {
 }
 
 // engine is the mutable state of one run. It holds no pointer to itself and
-// hands none out, so Run keeps it on its stack: what a Run allocates is the
-// compiled table's few backing arrays and the report's map.
+// hands none out, so Run keeps it, signature table included, on its stack:
+// what a Run allocates is the compiled table's few arrays and the report's map.
 type engine struct {
 	cfg       Config
 	tab       moduleTable
@@ -172,13 +170,14 @@ type engine struct {
 	// shared register file.
 	modCPU, regs []float64
 
-	// Per-session mask rows (see moduleTable): match, subscribed, passed,
-	// and the run-long union of every row the module walk visited — the
-	// modules that get a PerModuleCPU entry, even a zero one.
-	match, sub, pass, touched []uint64
+	// Per-session mask rows (see moduleTable): match, subscribed, passed —
+	// sig is the last two, adjacent: the session's signature — and the
+	// rows charged: modules that get a PerModuleCPU entry, even a zero one.
+	match, sub, pass, sig, touched []uint64
 	// sessionCPU and connMem are this mode's constant charges per observed
 	// session and per created connection record.
 	sessionCPU, connMem float64
+	sigs                sigTable
 
 	maskDec MaskDecider
 	// verdicts, when non-nil, holds the current block's DecideMask words,
@@ -187,8 +186,8 @@ type engine struct {
 	verdicts *aheadSlot
 	vi       int
 
-	// modPkts/modBytes accumulate analyzed packets and bytes per module,
-	// allocated only when cfg.Metrics is live.
+	// modPkts/modBytes are analyzed packets and bytes per module, filled by
+	// finish and allocated only when cfg.Metrics is live.
 	modPkts  []float64
 	modBytes []float64
 }
@@ -401,7 +400,7 @@ func (e *engine) init(cfg Config, onAnalyze func(int, *traffic.Session)) {
 	t.compile(&e.cfg)
 	W, L := t.words, len(cfg.Modules)
 	rows := make([]uint64, 4*W)
-	e.match, e.sub, e.pass, e.touched = rows[:W], rows[W:2*W], rows[2*W:3*W], rows[3*W:]
+	e.match, e.sub, e.pass, e.sig, e.touched = rows[:W], rows[W:2*W], rows[2*W:3*W], rows[W:3*W], rows[3*W:]
 	floats := make([]float64, L+t.regs)
 	e.modCPU, e.regs = floats[:L:L], floats[L:]
 	e.connMem = connRecordBytes
@@ -426,10 +425,11 @@ func (e *engine) tableBytes(mi int) float64 {
 	return 0
 }
 
-// finish folds the dense per-module CPU and the policy-table footprints
-// into the report, records the run's aggregates to the metrics registry
-// and the flight recorder, and returns the report.
+// finish charges the run's signatures, folds the dense per-module CPU and
+// the policy-table footprints into the report, records the run's aggregates
+// to the metrics registry and the flight recorder, and returns the report.
 func (e *engine) finish() Report {
+	e.charge()
 	e.rep.PerModuleCPU = make(map[string]float64, len(e.modCPU))
 	for mi, c := range e.modCPU {
 		if e.touched[mi>>6]>>uint(mi&63)&1 != 0 {
@@ -513,14 +513,15 @@ func (e *engine) applyManifest(s *traffic.Session) {
 	}
 }
 
+// processSession accounts one observed session: its capture, its count in
+// its signature's record (see charge) and its analyzers' handlers.
 func (e *engine) processSession(s *traffic.Session) {
 	t := &e.tab
-	pkts := float64(s.Packets)
 	e.rep.Observed++
 	// Every observed packet pays capture cost regardless of analysis: a
 	// node on the path cannot avoid seeing the traffic (Section 2.5's
 	// duplicated baseline tracking).
-	e.rep.CPUUnits += pkts*pktCaptureCost + e.sessionCPU
+	e.rep.CPUUnits += float64(s.Packets)*pktCaptureCost + e.sessionCPU
 
 	t.masks(&s.Tuple, e.match, e.sub)
 	anyPass := e.decide(s)
@@ -539,69 +540,155 @@ func (e *engine) processSession(s *traffic.Session) {
 
 	// Fine-grained coordination (Section 2.5): when every module this node
 	// analyzes the session for needs only its first packet, serve them
-	// from a first-packet event and skip connection tracking entirely.
-	if e.cfg.FineGrained && t.enforced && e.firstPacketOnly() {
-		cpu := float64(connPktCost) // classify the first packet once
-		for w, word := range e.pass {
+	// from a first-packet event and skip connection tracking entirely. Its
+	// signature's subscribed row is empty, which a connection's is only
+	// beside an empty analyzed row.
+	first := e.cfg.FineGrained && t.enforced && e.firstPacketOnly()
+	if first {
+		clear(e.sub)
+	}
+	r := e.sigs.find(e.sig)[len(e.sig):]
+	r[0]++
+	r[1] += uint64(s.Packets)
+	r[2] += uint64(s.Bytes)
+
+	for w, word := range e.pass {
+		if e.onAnalyze == nil {
+			word &= t.bits[rowEffects*t.words+w]
+		}
+		for ; word != 0; word &= word - 1 {
+			mi := w<<6 + bits.TrailingZeros64(word)
+			if e.onAnalyze != nil {
+				e.onAnalyze(mi, s)
+			}
+			m, n := &t.mods[mi], 1 // a first-packet event runs it once
+			if !first {
+				n = int(m.events)
+			}
+			if m.handler >= 0 && n > 0 {
+				e.runHandler(m, s, n)
+			}
+		}
+	}
+}
+
+// charge folds the signature totals into the report and per-module CPU:
+// what processSession charged each session module by module, summed per
+// signature — bit for bit, as every charge is an integer (compile rejects
+// fractional costs) and sums of integers below 2⁵³ are exact in any order.
+func (e *engine) charge() {
+	t, W := &e.tab, e.tab.words
+	recs := e.sigs.recs()
+	for off := 0; off < len(recs); off += e.sigs.rec {
+		r := recs[off : off+e.sigs.rec]
+		n, pkts, bytes := float64(r[2*W]), float64(int64(r[2*W+1])), float64(int64(r[2*W+2]))
+		if n == 0 {
+			continue
+		}
+		sub, pass := r[:W], r[W:2*W]
+		first := W > 0 && slices.Max(sub) == 0 && slices.Max(pass) != 0
+		// A connection: its record, per-packet processing, each subscribed
+		// module's check and each analyzed one's work, handlers and state. A
+		// first-packet event: one classification, then per analyzed module
+		// its check and one handler run.
+		cpu, mem, served := n*connSetupCost+pkts*connPktCost, n*e.connMem, pkts
+		if first {
+			cpu, mem, served, sub = n*connPktCost, 0, n, pass
+		} else {
+			e.rep.Conns += int(n)
+		}
+		for w, word := range sub {
 			e.touched[w] |= word
 			for ; word != 0; word &= word - 1 {
-				mi := w<<6 + bits.TrailingZeros64(word)
-				if e.onAnalyze != nil {
-					e.onAnalyze(mi, s)
+				b := bits.TrailingZeros64(word)
+				mi := w<<6 + b
+				m := &t.mods[mi]
+				analyzed := pass[w]>>uint(b)&1 != 0
+				c := n * m.checkCost
+				switch {
+				case first:
+					c = n * (checkCost + m.scriptCost)
+				case analyzed:
+					c += m.eventOps*pkts + n*float64(m.events)*m.scriptCost
+					mem += n * m.stateBytes
 				}
-				if e.modPkts != nil {
-					e.modPkts[mi]++ // first-packet event: one packet served
-					e.modBytes[mi] += float64(s.Bytes)
-				}
-				// The manifest check runs once, on the first-packet event,
-				// then the handler once.
-				c := checkCost
-				if m := &t.mods[mi]; m.scriptCost > 0 {
-					c += e.runHandler(m, s, 1)
+				if analyzed && e.modPkts != nil {
+					e.modPkts[mi] += served
+					e.modBytes[mi] += bytes
 				}
 				e.modCPU[mi] += c
 				cpu += c
 			}
 		}
 		e.rep.CPUUnits += cpu
-		return
+		e.rep.MemBytes += mem
 	}
+}
 
-	// Connection-record creation and per-packet connection processing.
-	cpu := connSetupCost + pkts*connPktCost
-	mem := e.connMem
-	e.rep.Conns++
+// sigTable holds a run's charged sessions by signature: per signature a
+// record of its words, then its sessions, packets and bytes, in a table
+// probed linearly from a hash of the words (no sessions: an empty record).
+// It starts in inline, inside the engine and so on its Run's stack, and
+// moves to the heap when a run has more signatures than inline holds.
+type sigTable struct {
+	rec, slots, used int // words per record; records, a power of two; held
+	shift            uint8
+	heap             []uint64
+	inline           [64 * (2 + 3)]uint64 // 64 one-word records; BenchmarkRunDecider's run has 25
+}
 
-	for w, word := range e.sub {
-		e.touched[w] |= word
-		pass := e.pass[w]
-		for ; word != 0; word &= word - 1 {
-			b := bits.TrailingZeros64(word)
-			mi := w<<6 + b
-			m := &t.mods[mi]
-			c := m.checkCost
-			if pass>>uint(b)&1 != 0 {
-				if e.onAnalyze != nil {
-					e.onAnalyze(mi, s)
+func (t *sigTable) recs() []uint64 {
+	if t.heap != nil {
+		return t.heap
+	}
+	return t.inline[:t.slots*t.rec]
+}
+
+// find returns sig's record, claiming an empty one for it — after growing
+// the table, when the claim would pass ¾ load.
+func (t *sigTable) find(sig []uint64) []uint64 {
+	h, k := uint64(0), len(sig)
+	for _, w := range sig {
+		h = (h ^ w) * hashMul
+	}
+	for {
+		recs := t.recs()
+		for i := int(h >> t.shift); t.slots > 0; i = (i + 1) & (t.slots - 1) {
+			r := recs[i*t.rec : (i+1)*t.rec]
+			if r[k] == 0 {
+				if 4*(t.used+1) > 3*t.slots {
+					break
 				}
-				if e.modPkts != nil {
-					e.modPkts[mi] += pkts
-					e.modBytes[mi] += float64(s.Bytes)
-				}
-				// Event-engine protocol work per packet, then the policy
-				// handlers, then per-item analysis state.
-				c += m.eventOps * pkts
-				if m.events > 0 {
-					c += e.runHandler(m, s, int(m.events))
-				}
-				mem += m.stateBytes
+				t.used++
+				copy(r, sig)
+				return r
 			}
-			e.modCPU[mi] += c
-			cpu += c
+			if slices.Equal(r[:k], sig) {
+				return r
+			}
+		}
+		t.grow(k)
+	}
+}
+
+// grow sizes the table for signatures of k words — first inline, if eight
+// records fit there, then heap arrays of twice the records — and moves them.
+func (t *sigTable) grow(k int) {
+	old := t.recs()
+	t.rec = k + 3
+	if t.slots == 0 && 8*t.rec <= len(t.inline) {
+		t.slots = 1 << (bits.Len(uint(len(t.inline)/t.rec)) - 1)
+	} else {
+		t.slots = max(2*t.slots, 8)
+		t.heap = make([]uint64, t.slots*t.rec)
+	}
+	t.shift = uint8(64 - bits.TrailingZeros(uint(t.slots)))
+	t.used = 0
+	for off := 0; off < len(old); off += t.rec {
+		if r := old[off : off+t.rec]; r[k] != 0 {
+			copy(t.find(r[:k]), r)
 		}
 	}
-	e.rep.CPUUnits += cpu
-	e.rep.MemBytes += mem
 }
 
 // firstPacketOnly reports whether every passing module is first-packet-only.
@@ -615,25 +702,22 @@ func (e *engine) firstPacketOnly() bool {
 	return true
 }
 
-// runHandler accounts n invocations of module m's policy handler on one
-// analyzed connection and returns their cost. Pure handlers are never
-// executed; foldable ones execute once and have their alerts multiplied.
-func (e *engine) runHandler(m *compiledModule, s *traffic.Session, n int) float64 {
-	if m.handler >= 0 {
-		h := &e.tab.handlers[m.handler]
-		var hv float64
-		if h.loadsHash {
-			hv = core.Class{Agg: h.agg}.HashOf(e.cfg.Hasher, s.Tuple)
-		}
-		if h.foldable {
-			e.rep.Alerts += n * h.exec(e.regs, s, hv, true, h.tbl)
-		} else {
-			for k := 0; k < n; k++ {
-				e.rep.Alerts += h.exec(e.regs, s, hv, true, h.tbl)
-			}
+// runHandler runs n invocations of module m's policy handler, which has
+// effects, on one analyzed connection; their cost is charged by signature.
+// Foldable handlers execute once and have their alerts multiplied.
+func (e *engine) runHandler(m *compiledModule, s *traffic.Session, n int) {
+	h := &e.tab.handlers[m.handler]
+	var hv float64
+	if h.loadsHash {
+		hv = core.Class{Agg: h.agg}.HashOf(e.cfg.Hasher, s.Tuple)
+	}
+	if h.foldable {
+		e.rep.Alerts += n * h.exec(e.regs, s, hv, true, h.tbl)
+	} else {
+		for k := 0; k < n; k++ {
+			e.rep.Alerts += h.exec(e.regs, s, hv, true, h.tbl)
 		}
 	}
-	return float64(n) * m.scriptCost
 }
 
 // Overhead compares a coordinated run against a plain run on the same

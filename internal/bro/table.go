@@ -55,6 +55,9 @@ type moduleTable struct {
 	// after it.
 	bits  []uint64
 	keyed int
+	// keyBits has bit key%64 set for every keyed row: most ports have no
+	// row, and findRow answers them without a scan.
+	keyBits uint64
 
 	coordinated bool // Mode != ModePlain
 	// enforced: a coordinated instance with a real (partial) manifest — a
@@ -73,6 +76,7 @@ const (
 	rowPortless        // modules with no port list
 	rowSubAll          // SubscribesAll modules
 	rowFirstPkt        // FirstPacketOnly modules
+	rowEffects         // modules with a handler: a script with effects
 	fixedRows
 )
 
@@ -104,15 +108,16 @@ func (t *moduleTable) compile(cfg *Config) {
 			panic(fmt.Sprintf("bro: module %q: EventOpsPerPkt %v and StateBytes %v must be integer-valued",
 				m.Name, m.EventOpsPerPkt, m.StateBytes))
 		}
+		w, bit := mi>>6, uint64(1)<<uint(mi&63)
 		p := compileScript(m.PolicyScript, nil)
 		t.mods[mi].scriptCost, t.mods[mi].handler = p.cost, -1
 		if !p.pure {
 			t.mods[mi].handler = 0 // assigned below
+			t.bits[rowEffects*W+w] |= bit
 			codeLen += int(p.ops)
 			nHandlers++
 		}
 
-		w, bit := mi>>6, uint64(1)<<uint(mi&63)
 		if m.Transport == 0 {
 			t.bits[rowAnyProto*W+w] |= bit
 		} else {
@@ -190,11 +195,15 @@ func (t *moduleTable) keyedRow(key uint64) int {
 		t.bits = append(t.bits, 0)
 	}
 	t.keyed++
+	t.keyBits |= 1 << (key & 63)
 	return len(t.bits) - t.words
 }
 
 // findRow returns the mask offset of key's row, or of the empty rowNone.
 func (t *moduleTable) findRow(key uint64) int {
+	if t.keyBits>>(key&63)&1 == 0 {
+		return rowNone * t.words
+	}
 	for off, n := fixedRows*t.words, t.keyed; n > 0; off, n = off+1+t.words, n-1 {
 		if t.bits[off] == key {
 			return off + 1

@@ -323,7 +323,7 @@ func randomScript(rng *rand.Rand) Script {
 // which sign a map keeps is invisible to a script. NaN entries, which no
 // lookup can reach (each insert under a NaN makes a fresh one), go by count:
 // "nan entries" for NaN-keyed counters and sets, "nan" inside a set for its
-// NaN members.
+// NaN members. A pair word naming no set shows as "orphan pairs".
 func tableDump(mt *moduleTables) map[string]int {
 	out := map[string]int{}
 	if mt == nil {
@@ -336,31 +336,50 @@ func tableDump(mt *moduleTables) map[string]int {
 			stored++
 		}
 	}
-	members := map[uint64]map[string]int{}
-	for _, s := range mt.members.slots {
+	keys := map[uint64]uint64{} // value id → key bits: set keys and id'd members
+	for _, s := range mt.values.slots {
 		if s.a != 0 {
-			if members[s.a] == nil {
-				members[s.a] = map[string]int{}
-			}
-			members[s.a][fmt.Sprintf("%x", s.b^nanBits)]++
+			keys[s.b&idMask] = s.a ^ nanBits
 		}
 	}
-	for _, s := range mt.cards.slots {
-		if s.a == 0 {
-			continue
+	members := map[uint64]map[string]int{} // set id → its members
+	p := &mt.pairs
+	for g, ctrl := range p.tab[:p.n] {
+		for i, w := range p.tab[p.n+8*g : p.n+8*g+8] {
+			if ctrl>>(8*i)&0x80 == 0 {
+				continue
+			}
+			m := math.Float64bits(float64(w & idMask))
+			if w&memberIDFlag != 0 {
+				m = keys[w&idMask]
+			}
+			if members[w>>33] == nil {
+				members[w>>33] = map[string]int{}
+			}
+			members[w>>33][fmt.Sprintf("%x", m)]++
 		}
-		set := members[s.a]
+	}
+	for _, s := range mt.values.slots {
+		card := int(s.b >> 32)
+		if s.a == 0 || card == 0 {
+			continue // empty, or a member that keys no set
+		}
+		set := members[s.b&idMask]
+		delete(members, s.b&idMask)
 		if set == nil {
 			set = map[string]int{}
 		}
-		if nan := int(s.b) - len(set); nan != 0 {
+		if nan := card - len(set); nan != 0 {
 			set["nan"] = nan
 		}
 		out[fmt.Sprintf("s %x %v", s.a^nanBits, set)]++
-		stored += int(s.b) + 1
+		stored += card + 1
 	}
 	if nan := mt.entries - stored; nan != 0 {
 		out["nan entries"] = nan
+	}
+	if len(members) != 0 {
+		out["orphan pairs"] = len(members)
 	}
 	return out
 }

@@ -91,7 +91,7 @@ func Cluster(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	printReport(stdout, rep, cfg.WarmReplan)
+	printReport(stdout, rep, cfg.WarmReplan, *tracePath)
 	printFleet(stdout, cfg.FleetHistory)
 	if cfg.Trace != nil {
 		// Flush the post-mortem if no violation already did, so a -trace
@@ -236,8 +236,9 @@ func clusterFlags(fs *flag.FlagSet) func() (cluster.ScenarioConfig, error) {
 
 // printReport renders a run: a header, one row per epoch, a summary, the
 // floor verdict and, for a run with chaos, the r-1 guarantee verdict. warm
-// is the -warmreplan setting, which the report does not echo.
-func printReport(w io.Writer, rep *cluster.ScenarioReport, warm bool) {
+// is the -warmreplan setting, which the report does not echo; dump is the
+// -trace path, which a breach verdict names, or "" when no dump is written.
+func printReport(w io.Writer, rep *cluster.ScenarioReport, warm bool, dump string) {
 	fmt.Fprintf(w, "# scenario %s on %s: %d nodes, %d sessions, redundancy %d, seed %d, governor %v, replan %v (warm %v), objective %.4f\n",
 		rep.Scenario, rep.Topology, rep.Nodes, rep.Sessions, rep.Redundancy,
 		rep.Seed, rep.Governor, rep.Replan, warm, rep.Objective)
@@ -260,8 +261,10 @@ func printReport(w io.Writer, rep *cluster.ScenarioReport, warm bool) {
 		rep.Replans, rep.MissedReplans, rep.TotalReplanIters, rep.TotalAlerts)
 	if rep.FloorHeld {
 		fmt.Fprintf(w, "# verdict: published coverage floor held on every epoch\n")
+	} else if dump != "" {
+		fmt.Fprintf(w, "# verdict: coverage floor BREACHED on %d epochs (post-mortem in the trace dump %s)\n", rep.Breaches, dump)
 	} else {
-		fmt.Fprintf(w, "# verdict: coverage floor BREACHED on %d epochs (post-mortem in the trace dump)\n", rep.Breaches)
+		fmt.Fprintf(w, "# verdict: coverage floor BREACHED on %d epochs\n", rep.Breaches)
 	}
 	switch {
 	case !strings.Contains(rep.Scenario, "chaos"):

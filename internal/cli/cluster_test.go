@@ -272,3 +272,30 @@ func TestClusterComposedWorkersDeterminism(t *testing.T) {
 		t.Fatalf("-workers 1:\n%s\n-workers 4:\n%s", outs[0], outs[1])
 	}
 }
+
+// A breached floor's verdict points at the post-mortem only when -trace
+// wrote one, and then names its file.
+func TestClusterBreachVerdictNamesDump(t *testing.T) {
+	t.Parallel()
+	args := []string{"-scenario", "diurnal", "-lossprob", "0.3", "-blackholeprob", "0.3", "-sessions", "300", "-epochs", "2", "-probes", "100"}
+	verdict := func(out string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "# verdict: coverage floor") {
+				return line
+			}
+		}
+		t.Fatalf("no floor verdict in:\n%s", out)
+		return ""
+	}
+	if v := verdict(mustRun(t, Cluster, args...)); !strings.Contains(v, "BREACHED") || strings.Contains(v, "post-mortem") {
+		t.Errorf("without -trace: %q, want a breach that names no dump", v)
+	}
+	dump := filepath.Join(t.TempDir(), "run.jsonl")
+	v := verdict(mustRun(t, Cluster, append(args, "-trace", dump)...))
+	if want := "(post-mortem in the trace dump " + dump + ")"; !strings.Contains(v, "BREACHED") || !strings.HasSuffix(v, want) {
+		t.Errorf("with -trace: %q, want a breach ending %q", v, want)
+	}
+	if _, err := os.Stat(dump); err != nil {
+		t.Errorf("the named dump: %v", err)
+	}
+}

@@ -18,8 +18,9 @@ import (
 
 // The epoch loop: the one place a runtime epoch's phases are sequenced.
 // RunScenario (and the tests' Cluster.RunEpoch) builds a Cluster and hands
-// run a ScenarioDriver; every run mode is a driver. The phase order is the
-// paper's operations-centre cycle (Sections 2.4-2.5, 3.5):
+// run a ScenarioDriver: chaos, bursts and every catalog scenario are
+// drivers, alone or composed. The phase order is the paper's
+// operations-centre cycle (Sections 2.4-2.5, 3.5):
 //
 //	step the driver  → republish → apply faults and drains
 //	offered volumes  → drift detection → replan → govern and shed

@@ -26,7 +26,8 @@ import (
 
 // updateGolden rewrites testdata/reports_golden.json from the runtime under
 // test. The file was captured on the commit before the three epoch loops
-// were merged and pins every run mode's report bit for bit, so only an
+// (chaos, overload and scenario, once separate run modes) were merged and
+// pins each of their reports bit for bit, so only an
 // *intended* behaviour change may regenerate it; a refactor of the epoch
 // loop must reproduce it unchanged.
 var updateGolden = flag.Bool("update-golden", false, "rewrite internal/cluster/testdata/reports_golden.json")
@@ -306,9 +307,9 @@ func goldenCases(t *testing.T) map[string]interface{} {
 	return out
 }
 
-// Every run mode's report — chaos × 6, overload × 5, scenario × 3 with the
-// trace-dump hash — must match the file captured before the epoch loops
-// were merged, bit for bit, over every field that file knows.
+// Every former run mode's report — chaos × 6, overload × 5, scenario × 3
+// with the trace-dump hash — must match the file captured before the epoch
+// loops were merged, bit for bit, over every field that file knows.
 func TestReportsGolden(t *testing.T) {
 	got := goldenCases(t)
 	data, err := json.MarshalIndent(got, "", " ")

@@ -10,8 +10,8 @@ import (
 // CoverageVerdict is the ledger-committed summary of one runtime epoch's
 // audit: what coverage the wire actually delivered versus the
 // prediction, which agents enforced which manifest generation, and the
-// SLO verdicts. The epoch loop commits one per epoch, the same fields in
-// every run mode. All fields are logical quantities, so the encoding is
+// SLO verdicts. The epoch loop commits one per epoch, the same fields
+// whatever the driver. All fields are logical quantities, so the encoding is
 // seed-deterministic.
 type CoverageVerdict struct {
 	RunEpoch  int

@@ -53,14 +53,16 @@ func presolve(p *Problem) *presolveResult {
 		live  bool
 	}
 	rows := make([]row, len(p.cons))
+	// Merge duplicate terms up front, keeping first-occurrence order: term
+	// order decides downstream summation order. sum and seen are dense
+	// scratch over the variables, which each row's own terms clear again.
+	sum, seen := make([]float64, n), make([]bool, n)
+	var order []Var
 	for r, c := range p.cons {
-		// Merge duplicate terms up front, keeping first-occurrence order:
-		// term order decides downstream summation order, so iterating the
-		// map here would make the optimum's last ULP vary run to run.
-		sum := map[Var]float64{}
-		order := make([]Var, 0, len(c.terms))
+		order = order[:0]
 		for _, t := range c.terms {
-			if _, seen := sum[t.Var]; !seen {
+			if !seen[t.Var] {
+				seen[t.Var] = true
 				order = append(order, t.Var)
 			}
 			sum[t.Var] += t.Coef
@@ -70,6 +72,7 @@ func presolve(p *Problem) *presolveResult {
 			if coef := sum[v]; coef != 0 {
 				terms = append(terms, Term{v, coef})
 			}
+			sum[v], seen[v] = 0, false
 		}
 		rows[r] = row{terms: terms, op: c.op, rhs: c.rhs, live: true}
 	}
