@@ -30,12 +30,14 @@ vet:
 # or the experiment grids are caught even on single-core hosts. The chaos,
 # cluster and cli packages rerun uncached (-count=1): they exercise real
 # TCP, per-agent fault streams, and the gate/outage machinery, where fresh
-# scheduling each run is the point.
+# scheduling each run is the point. The bro and packet packages rerun too:
+# each hands work between its caller and a helper goroutine (deciding
+# ahead, reading a capture ahead).
 race: vet
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/chaos/ ./internal/cluster/ ./internal/governor/ \
 		./internal/bro/ ./internal/conntrack/ ./internal/control/ ./internal/ledger/ \
-		./internal/telemetry/ ./internal/cli/
+		./internal/telemetry/ ./internal/cli/ ./internal/packet/
 	$(GO) test -race -count=1 -run 'Scenario|Diurnal|Flash|Maintenance|Regret' \
 		./internal/experiments/ ./internal/traffic/ ./internal/online/
 
@@ -44,7 +46,8 @@ race: vet
 # DecideMask / CoversUnit), the engine's steady-state ingestion with policy
 # scripts on (every decision source), re-inserts into warmed policy tables,
 # the packet front half (ReadPacket on a warmed Reader, Feed on an open
-# flow), the conntrack pool, the arena index, range subtraction into a
+# flow; a warm pipelined StreamSessions within 1 KB of an inline one), the
+# conntrack pool, the arena index, range subtraction into a
 # grown buffer, the coverage audit (core.ProbeCoverage, however many units
 # it counts) and a steady-state simplex iteration must all report 0
 # allocs/op; the engine's per-Run set-up, a cold LP solve (160 bytes per

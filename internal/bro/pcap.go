@@ -17,6 +17,12 @@ import (
 // use — the trace can come from tcpdump: frames that are not IPv4 TCP/UDP
 // (ARP, IPv6, ICMP) are skipped, and only a malformed frame fails the run.
 // idle is the reassembly timeout: a flow silent for longer is split.
+//
+// With GOMAXPROCS above 1, packet.StreamSessions reads r and parses its
+// frames' headers on a helper goroutine, a batch ahead, while the
+// assembler and the engine run on the caller's goroutine in frame order,
+// so the report is the same either way; a panic in r surfaces here, after
+// the sessions before it.
 func RunPcap(cfg Config, r io.Reader, idle time.Duration) (Report, error) {
 	sp := cfg.Metrics.StartSpan("bro.run_ns")
 	defer sp.End()

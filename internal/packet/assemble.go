@@ -2,8 +2,7 @@ package packet
 
 import (
 	"cmp"
-	"errors"
-	"io"
+	"encoding/binary"
 	"slices"
 	"time"
 
@@ -18,10 +17,12 @@ import (
 // only flow table: canonicalization, idle expiry and peak accounting come
 // from there, and each record's Slot points at the flow's reassembly state
 // in a pooled slice, so a frame costs one lookup and, for a flow already
-// open, no allocation.
+// open, no allocation. It holds track's state only; classify keeps none,
+// so the helper goroutine that classifies writes no cache line that track
+// touches per frame. (With a Decoder inside the assembler, that false
+// sharing made the pipelined ingest slower than the serial loop.)
 type Assembler struct {
 	table  *conntrack.Table
-	dec    Decoder
 	nextID int
 
 	// flows is the slot pool: a conntrack record's Slot is index+1 into it.
@@ -66,8 +67,93 @@ func NewAssembler(idle time.Duration, hashKey uint32) *Assembler {
 	}
 }
 
-// feed consumes one frame, which it does not retain. It returns the slot
-// of the session this frame completed (TCP close observed in both
+// frameKind is what classify made of a frame: the one of the assembler's
+// three counters it lands in.
+type frameKind uint8
+
+const (
+	frameDecoded frameKind = iota
+	frameIgnored
+	frameMalformed
+)
+
+// frameRec is classify's record of one frame: everything track reads, so
+// the frame itself may be overwritten as soon as it is classified.
+type frameRec struct {
+	ts    time.Time
+	ft    hashing.FiveTuple // set when kind is frameDecoded
+	size  int32             // frame length
+	flags uint8             // TCP flags; zero for UDP
+	kind  frameKind
+}
+
+// classify is the pure half of a frame's step: it parses the headers track
+// needs, checks the IPv4 header checksum and writes the frame's record. It
+// reads no assembler state, so it runs ahead of track on another goroutine
+// (StreamSessions). It sorts frames as Decode does — malformed where Decode
+// fails or the checksum does, ignored where Decode reports ErrNotIPv4,
+// ErrFragment or ErrUnknownProto — but reads only the fields it records, in
+// about half Decode's time; the tests hold it to Decode frame by frame.
+func (rec *frameRec) classify(ts time.Time, frame []byte) {
+	rec.ts, rec.size, rec.flags, rec.kind = ts, int32(len(frame)), 0, frameMalformed
+	if len(frame) < EthernetHeaderLen {
+		return
+	}
+	if binary.BigEndian.Uint16(frame[12:14]) != EtherTypeIPv4 {
+		rec.kind = frameIgnored
+		return
+	}
+	ip := frame[EthernetHeaderLen:]
+	if len(ip) < IPv4HeaderLen || ip[0]>>4 != 4 {
+		return
+	}
+	ihl := int(ip[0]&0x0f) * 4
+	if ihl < IPv4HeaderLen || len(ip) < ihl {
+		return
+	}
+	if binary.BigEndian.Uint16(ip[6:8])&0x1fff != 0 {
+		rec.kind = frameIgnored // a non-first fragment
+		return
+	}
+	l4 := ip[ihl:]
+	if tl := int(binary.BigEndian.Uint16(ip[2:4])); tl >= ihl && tl <= len(ip) {
+		l4 = ip[ihl:tl]
+	}
+	proto := ip[9]
+	switch proto {
+	case ProtoTCP:
+		if len(l4) < TCPHeaderLen {
+			return
+		}
+		if off := int(l4[12]>>4) * 4; off < TCPHeaderLen || off > len(l4) {
+			return
+		}
+	case ProtoUDP:
+		if len(l4) < UDPHeaderLen {
+			return
+		}
+	default:
+		rec.kind = frameIgnored
+		return
+	}
+	if internetChecksum(ip[:ihl], 0) != 0 {
+		return
+	}
+	// Field by field into the record: a tuple built in a local and copied
+	// whole is one wide load over narrow stores, which stalls store
+	// forwarding on every frame.
+	ft := &rec.ft
+	ft.SrcIP, ft.DstIP, ft.Proto = binary.BigEndian.Uint32(ip[12:16]), binary.BigEndian.Uint32(ip[16:20]), proto
+	ft.SrcPort, ft.DstPort = binary.BigEndian.Uint16(l4[0:2]), binary.BigEndian.Uint16(l4[2:4])
+	if proto == ProtoTCP {
+		rec.flags = l4[13]
+	}
+	rec.kind = frameDecoded
+}
+
+// track is the stateful half of a frame's step, run in frame order: it
+// counts the frame and, for a decoded one, updates its flow. It returns
+// the slot of the session this frame completed (TCP close observed in both
 // directions), for the caller to finalize, else zero; no session is copied
 // per frame.
 //
@@ -75,35 +161,29 @@ func NewAssembler(idle time.Duration, hashKey uint32) *Assembler {
 // (or is evicted) while the flow is still open, the next frame of that
 // tuple starts a new session with a new ID and the orphaned first half
 // waits for Flush.
-func (a *Assembler) feed(ts time.Time, frame []byte) int32 {
-	if err := a.dec.Decode(frame); err != nil {
-		if errors.Is(err, ErrNotIPv4) || errors.Is(err, ErrUnknownProto) || errors.Is(err, ErrFragment) {
-			a.Ignored++
-		} else {
-			a.Malformed++
-		}
+func (a *Assembler) track(rec *frameRec) int32 {
+	switch rec.kind {
+	case frameIgnored:
+		a.Ignored++
 		return 0
-	}
-	if !a.dec.IP.ChecksumValid() {
+	case frameMalformed:
 		a.Malformed++
 		return 0
 	}
 	a.Decoded++
-	var ft hashing.FiveTuple
-	a.dec.tuple(&ft)
-	c, _ := a.table.Update(ft, ts, 1, len(frame))
+	c, _ := a.table.Update(rec.ft, rec.ts, 1, int(rec.size))
 	if c.Slot == 0 {
-		c.Slot = a.open(ft)
+		c.Slot = a.open(rec.ft)
 	}
 	p := &a.flows[c.Slot-1]
 	p.packets++
-	p.bytes += len(frame)
+	p.bytes += int(rec.size)
 	if !p.isTCP {
 		return 0
 	}
-	switch flags := a.dec.TCP.Flags; {
+	switch flags := rec.flags; {
 	case flags&FlagFIN != 0:
-		if ft == p.tuple {
+		if rec.ft == p.tuple {
 			p.fin |= finFwd
 		} else {
 			p.fin |= finRev
@@ -176,40 +256,3 @@ func (a *Assembler) Flush() []traffic.Session {
 
 // Pending reports sessions still being assembled.
 func (a *Assembler) Pending() int { return len(a.flows) - len(a.free) }
-
-// StreamSessions drains a pcap stream through a fresh assembler, handing
-// emit each session as it completes and then the flushed remainder. The
-// pointer is valid only for the duration of the call.
-func StreamSessions(r *Reader, idle time.Duration, hashKey uint32, emit func(*traffic.Session)) (*Assembler, error) {
-	a := NewAssembler(idle, hashKey)
-	var s traffic.Session // one variable for the whole stream: emit makes it escape
-	for {
-		ts, frame, err := r.ReadPacket()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if slot := a.feed(ts, frame); slot != 0 {
-			a.finalize(slot, &s)
-			emit(&s)
-		}
-	}
-	rest := a.Flush()
-	for i := range rest {
-		emit(&rest[i])
-	}
-	return a, nil
-}
-
-// ReadSessions collects what StreamSessions emits: completed sessions in
-// stream order followed by the flushed remainder.
-func ReadSessions(r *Reader, idle time.Duration, hashKey uint32) ([]traffic.Session, *Assembler, error) {
-	var out []traffic.Session
-	a, err := StreamSessions(r, idle, hashKey, func(s *traffic.Session) { out = append(out, *s) })
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, a, nil
-}

@@ -432,7 +432,9 @@ func FuzzReader(f *testing.F) {
 // FuzzAssemble: arbitrary frame sequences (a fuzzed capture, timestamps
 // included) keep the assembler's books balanced — every frame lands in
 // exactly one counter and every session started is either completed or
-// still pending — and Flush empties it.
+// still pending — and Flush empties it. classify sorts every frame as
+// Decode does, and StreamSessions, inline and pipelined, emits what the
+// frame-by-frame loop does over the same bytes and stops where it stops.
 func FuzzAssemble(f *testing.F) {
 	f.Add(genCapture(f, 20, 2, time.Second))
 	f.Add(tinyCapture(f))
@@ -446,6 +448,7 @@ func FuzzAssemble(f *testing.F) {
 				break
 			}
 			fed++
+			checkClassify(t, ts, frame)
 			if _, done := a.Feed(ts, frame); done {
 				completed++
 			}
@@ -460,6 +463,7 @@ func FuzzAssemble(f *testing.F) {
 		if rest := a.Flush(); len(rest) != pending || a.Pending() != 0 {
 			t.Fatalf("flushed %d of %d pending, %d left", len(rest), pending, a.Pending())
 		}
+		compareStreams(t, capturedSource("fuzzed capture", data))
 	})
 }
 

@@ -5,19 +5,27 @@
 // sequences (TCP handshake, data exchange, teardown), and a session
 // assembler that rebuilds sessions from a packet stream.
 //
-// No per-packet allocation occurs on the ingest fast path — ReadPacket,
-// Decode and the assembler's step on a frame of an already-open flow
+// No per-packet allocation occurs on the ingest fast path — ReadPacket and
+// the assembler's step on a frame of an already-open flow
 // (TestIngestAllocFree holds it at zero) — because nothing on it copies:
 //
 //   - Reader.ReadPacket returns a frame that aliases the Reader's one read
 //     buffer, valid until the next ReadPacket;
-//   - Decoder.Decode fills preallocated layer values (the DecodingLayerParser
-//     style: one Decoder reused across packets), and its Payload aliases
-//     the frame it was given;
-//   - the Assembler keeps nothing of the frame, its per-flow state lives
-//     in a recycled slot that the flow's conntrack record points at, and
-//     a completed session is written straight into StreamSessions' one
-//     Session variable.
+//   - a frame's step is two stages: classify parses the headers it needs
+//     and checks the IPv4 checksum, writing a fixed-size record of the
+//     frame into a batch, and track reads the record back: the Assembler
+//     keeps nothing of the frame, its per-flow state lives in a recycled
+//     slot that the flow's conntrack record points at, and a completed
+//     session is written straight into StreamSessions' one Session
+//     variable;
+//   - StreamSessions runs classify on a helper goroutine, a batch of 1024
+//     frames ahead of track, emit and the engine on the caller's (with
+//     GOMAXPROCS 1 the caller runs both stages, batch by batch); the ring
+//     of batches is the last call's, so a warm call allocates none;
+//   - Decoder.Decode, the full decoder (not on the ingest path), fills
+//     preallocated layer values (the DecodingLayerParser style: one
+//     Decoder reused across packets), and its Payload aliases the frame it
+//     was given.
 //
 // A caller that needs a frame or payload past the next read copies it.
 package packet
@@ -133,9 +141,6 @@ func (ip *IPv4) decode(b []byte) error {
 	ip.checksumValid = internetChecksum(b[:ihl], 0) == 0
 	return nil
 }
-
-// ChecksumValid reports whether the decoded header checksum verified.
-func (ip *IPv4) ChecksumValid() bool { return ip.checksumValid }
 
 // TCP is the TCP transport layer (no options supported).
 type TCP struct {
@@ -303,23 +308,14 @@ func (d *Decoder) Decode(frame []byte) error {
 
 // FiveTuple extracts the flow key of the last decoded packet.
 func (d *Decoder) FiveTuple() hashing.FiveTuple {
-	var ft hashing.FiveTuple
-	d.tuple(&ft)
-	return ft
-}
-
-// tuple writes the flow key of the last decoded packet into ft, field by
-// field: the per-frame path fills its own variable this way rather than
-// copying FiveTuple's result, a wide load over narrow stores that stalls
-// store forwarding.
-func (d *Decoder) tuple(ft *hashing.FiveTuple) {
-	ft.SrcIP, ft.DstIP, ft.Proto = d.IP.SrcIP, d.IP.DstIP, d.IP.Protocol
+	ft := hashing.FiveTuple{SrcIP: d.IP.SrcIP, DstIP: d.IP.DstIP, Proto: d.IP.Protocol}
 	switch d.IP.Protocol {
 	case ProtoTCP:
 		ft.SrcPort, ft.DstPort = d.TCP.SrcPort, d.TCP.DstPort
 	case ProtoUDP:
 		ft.SrcPort, ft.DstPort = d.UDP.SrcPort, d.UDP.DstPort
 	}
+	return ft
 }
 
 // Build serializes a full frame: Ethernet + IPv4 + (TCP|UDP per proto) +

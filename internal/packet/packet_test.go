@@ -379,17 +379,24 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// Feed is feed for tests that drive an assembler frame by frame: it
-// returns the completed session, if this frame finished one.
+// Feed steps an assembler by one frame, both stages in turn, for tests
+// that drive it frame by frame: it returns the completed session, if this
+// frame finished one.
 func (a *Assembler) Feed(ts time.Time, frame []byte) (traffic.Session, bool) {
 	var s traffic.Session
-	slot := a.feed(ts, frame)
+	var rec frameRec
+	rec.classify(ts, frame)
+	slot := a.track(&rec)
 	if slot == 0 {
 		return s, false
 	}
 	a.finalize(slot, &s)
 	return s, true
 }
+
+// ChecksumValid reports whether the decoded header checksum verified. The
+// ingest path checks the checksum in classify, so only the tests read it.
+func (ip *IPv4) ChecksumValid() bool { return ip.checksumValid }
 
 // TableStats exposes the underlying connection table's accounting (peak
 // concurrent connections = the max-resident-memory analogue).
