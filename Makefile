@@ -94,10 +94,13 @@ perfcompare:
 # (several request lines through one served connection, each answered
 # byte for byte as on a fresh one, closed after the first v1 or error
 # answer), of the ledger verifier (arbitrary chains must not panic it;
-# any single-byte change to a valid chain fails against its pinned head)
-# and of the engine's policy tables (addSet/incr streams over raw float64
+# any single-byte change to a valid chain fails against its pinned head),
+# of the engine's policy tables (addSet/incr streams over raw float64
 # bit patterns against the Go-map model, every return value and the final
-# contents).
+# contents), of the ledger item decoder behind the floor attestation
+# (arbitrary bytes must not panic it; whatever decodes re-encodes to the
+# same attestation) and of the Prometheus exposition validator that
+# fleetstat runs on scraped bodies (arbitrary bytes must not panic it).
 # CI-friendly;
 # run with a longer -fuzztime locally to dig. The ingest seeds are whole
 # captures (160 KB for the 20-session one), the ledger's a 1.1 KB chain,
@@ -118,6 +121,8 @@ fuzz:
 	$(GO) test -run=FuzzHeldConn -fuzz=FuzzHeldConn -fuzztime=10s -fuzzminimizetime=1s ./internal/control/
 	$(GO) test -run=FuzzVerifyChain -fuzz=FuzzVerifyChain -fuzztime=10s -fuzzminimizetime=1s ./internal/ledger/
 	$(GO) test -run=FuzzPolicyTables -fuzz=FuzzPolicyTables -fuzztime=10s ./internal/bro/
+	$(GO) test -run=FuzzDecodeAttestation -fuzz=FuzzDecodeAttestation -fuzztime=10s ./internal/governor/
+	$(GO) test -run=FuzzValidateProm -fuzz=FuzzValidateProm -fuzztime=10s ./internal/telemetry/
 
 # Bench tier: the go-test micro-benchmarks, with allocation reporting —
 # every figure/table benchmark, the obs instruments, cluster convergence,

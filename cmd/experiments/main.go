@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-workers n] [-only fig5,fig6,fig7,fig8,fig10,fig11,opttime,redundancy,ablations,adversaries,chaos,overload,scenarios]
+//	experiments [-quick] [-workers n] [-only fig5,fig6,fig7,fig8,fig10,fig11,opttime,redundancy,ablations,adversaries,provisioning,scenarios]
 //	            [-metrics run.json] [-trace run.trace.jsonl] [-pprof 127.0.0.1:6060]
 //	            [-scenarios-json out.json] [-scenarios-assert]
 //
@@ -14,8 +14,8 @@
 // prefixed by a "# figure" header naming the paper artifact it reproduces
 // and the workload parameters, so the output can be diffed across runs and
 // fed straight to a plotter. -metrics dumps the suite's accumulated solver
-// and emulation counters as JSON on exit; -trace records the chaos and
-// overload runners' flight recorder and writes its JSONL dump on exit
+// and emulation counters as JSON on exit; -trace records the scenario
+// grid's flight recorder and writes its JSONL dump on exit
 // (forcing the experiment blocks serial, since a shared tracer across
 // concurrent blocks would interleave component sequences); -pprof serves
 // live profiling, /metrics, and /trace while the suite runs.

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -387,6 +390,79 @@ func TestRunPcapEqualsRunOverReadSessions(t *testing.T) {
 	}
 	if want := Run(cfg, collected); !reflect.DeepEqual(streamed, want) {
 		t.Fatalf("RunPcap report %+v\nRun(ReadSessions) report %+v", streamed, want)
+	}
+}
+
+// A warm RunPcap reads through the reader the last call left behind, so
+// over a small capture it allocates less than that reader's 128 KiB buffer,
+// which every call allocated while it built its own. The slot holds the
+// reader across garbage collections; the gate reads the median of nine
+// calls after a warm-up.
+func TestRunPcapReaderAlloc(t *testing.T) {
+	topo := topology.Internet2()
+	sessions := traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{Sessions: 20, Seed: 9, HostsPerNode: 8})
+	var buf bytes.Buffer
+	if _, err := packet.WriteSessionsPcap(packet.NewWriter(&buf), sessions, time.Unix(1_700_000_000, 0), time.Second, 3); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Mode: ModePlain, Modules: StandardModules(), Hasher: hashing.Hasher{Key: 4}}
+	run := func() {
+		if _, err := RunPcap(cfg, bytes.NewReader(buf.Bytes()), time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	const runs, readerBytes = 9, 128 << 10
+	got := make([]uint64, runs)
+	for i := range got {
+		if i%3 == 0 {
+			runtime.GC()
+			runtime.GC()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		got[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	t.Logf("warm RunPcap of %d sessions: bytes per call %v", len(sessions), got)
+	slices.Sort(got)
+	if got[runs/2] >= readerBytes {
+		t.Fatalf("a warm RunPcap allocates %d bytes in the median, at least the reader's %d-byte buffer", got[runs/2], readerBytes)
+	}
+}
+
+// Calls that overlap each read through a reader of their own (the slot
+// holds one): four goroutines running one capture at once, three rounds
+// over, all get the report of a lone call.
+func TestRunPcapConcurrent(t *testing.T) {
+	topo := topology.Internet2()
+	sessions := traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{Sessions: 200, Seed: 9, HostsPerNode: 8})
+	var buf bytes.Buffer
+	if _, err := packet.WriteSessionsPcap(packet.NewWriter(&buf), sessions, time.Unix(1_700_000_000, 0), time.Second, 3); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Mode: ModePlain, Modules: StandardModules(), Hasher: hashing.Hasher{Key: 4}}
+	want, err := RunPcap(cfg, bytes.NewReader(buf.Bytes()), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, errs := make([]Report, 12), make([]error, 12)
+	for round := 0; round < 3; round++ {
+		var wg sync.WaitGroup
+		for i := round * 4; i < round*4+4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = RunPcap(cfg, bytes.NewReader(buf.Bytes()), time.Minute)
+			}()
+		}
+		wg.Wait()
+	}
+	for i := range got {
+		if errs[i] != nil || !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("call %d of 12, four at once: err %v, report %+v\nlone call %+v", i, errs[i], got[i], want)
+		}
 	}
 }
 

@@ -3,10 +3,17 @@ package bro
 import (
 	"fmt"
 	"io"
+	"sync/atomic"
 	"time"
 
 	"nwdeploy/internal/packet"
 )
+
+// spareReader holds the capture reader, its 128 KiB buffer included, of the
+// last RunPcap call to finish, the way packet keeps its stage ring: the next
+// call reads through it instead of allocating one. Calls that overlap build
+// readers of their own.
+var spareReader atomic.Pointer[packet.Reader]
 
 // RunPcap drives the engine from a libpcap capture instead of a session
 // list: frames are decoded and reassembled into sessions, and each session
@@ -28,7 +35,15 @@ func RunPcap(cfg Config, r io.Reader, idle time.Duration) (Report, error) {
 	defer sp.End()
 	e := new(engine) // on the heap: processSession is handed out as a callback
 	e.init(cfg, nil)
-	asm, err := packet.StreamSessions(packet.NewReader(r), idle, cfg.Hasher.Key, e.processSession)
+	pr := spareReader.Swap(nil)
+	if pr == nil {
+		pr = packet.NewReader(r)
+	} else {
+		pr.Reset(r)
+	}
+	asm, err := packet.StreamSessions(pr, idle, cfg.Hasher.Key, e.processSession)
+	pr.Reset(nil) // the slot must not keep the caller's stream alive
+	spareReader.Store(pr)
 	if err != nil {
 		return Report{}, fmt.Errorf("bro: reading pcap: %w", err)
 	}

@@ -91,22 +91,6 @@ func runners(scenariosJSON string, scenariosAssert bool) []runner {
 			func(w *b, r experiments.ProvisioningRow) {
 				fmt.Fprintf(w, "%s\t%.4f\t%.4f\t%.4f\t%.2f\n", r.Strategy, r.PlannedMaxLoad, r.WorstEpochLoad, r.MeanEpochLoad, r.ViolationFraction)
 			})},
-		{"chaos", table("Chaos resilience", "cluster runtime under seeded fault injection: coverage achieved vs the Section 2.5 prediction, per epoch",
-			"scenario\tr\tepoch\tctrl_down\tdown_nodes\tsynced\tstale\tdark\tfetch_attempts\tfetch_failures\talerts\tworst_cov\tavg_cov\tpredicted_worst", experiments.Chaos,
-			func(w *b, r experiments.ChaosRow) {
-				fmt.Fprintf(w, "%s\t%d\t%d\t%v\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.4f\t%.4f\t%.4f\n",
-					r.Scenario, r.Redundancy, r.Epoch, r.ControllerDown, r.DownNodes,
-					r.Synced, r.Stale, r.Dark, r.FetchAttempts, r.FetchFailures, r.Alerts,
-					r.WorstCoverage, r.AvgCoverage, r.PredictedWorst)
-			})},
-		{"overload", table("Overload resilience", "burst amplitude x governor x replan mode: budget overruns, shed width, coverage, and replan cost",
-			"scenario\tburst\tgovernor\treplan\twarm\tover_budget\tfloor_limited\tshed_width_max\tworst_cov\tavg_cov\treplans\tmissed\treplan_iters", experiments.Overload,
-			func(w *b, r experiments.OverloadRow) {
-				fmt.Fprintf(w, "%s\t%.1f\t%v\t%v\t%v\t%d\t%d\t%.4f\t%.4f\t%.4f\t%d\t%d\t%d\n",
-					r.Scenario, r.BurstFactor, r.Governor, r.Replan, r.WarmReplan,
-					r.OverBudget, r.FloorLimited, r.ShedWidthMax,
-					r.WorstCoverage, r.AvgCoverage, r.Replans, r.MissedReplans, r.ReplanIters)
-			})},
 		{"scenarios", scenariosRunner(scenariosJSON, scenariosAssert)},
 	}
 }
@@ -185,10 +169,10 @@ func Experiments(_ context.Context, args []string, stdout, stderr io.Writer) int
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
 	only := fs.String("only", "", "comma-separated subset of experiments to run")
 	metricsPath := fs.String("metrics", "", "write a JSON metrics snapshot to this file on exit")
-	tracePath := fs.String("trace", "", "record the flight recorder of every cluster run (the chaos, overload and scenarios blocks) and write its JSONL dump to this file (forces serial experiment blocks)")
+	tracePath := fs.String("trace", "", "record the flight recorder of every cluster run (the scenarios block) and write its JSONL dump to this file (forces serial experiment blocks)")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof, /debug/vars, /metrics, and /trace on this address")
 	scenariosJSON := fs.String("scenarios-json", "", "write the scenario-grid rows as JSON to this file (implies running the scenarios block)")
-	scenariosAssert := fs.Bool("scenarios-assert", false, "fail unless every scenario row meets its acceptance bar (floor held, no SLO violations, flood visible, sublinear regret)")
+	scenariosAssert := fs.Bool("scenarios-assert", false, "fail unless the scenario grid meets its acceptance bar (floor held, no SLO violations, flood visible, sublinear regret, r-1 guarantee, governor and warm-replan gains)")
 	if code, ok := parseFlags(fs, args, stderr); !ok {
 		return code
 	}
@@ -253,8 +237,9 @@ func Experiments(_ context.Context, args []string, stdout, stderr io.Writer) int
 
 // scenariosRunner builds the composable-scenario grid block. Beyond the
 // usual table it optionally writes the rows as JSON (the BENCH artifact)
-// and, with assert on, fails the whole suite unless every row meets its
-// acceptance bar — the CI smoke contract for the scenario engine.
+// and, with assert on, fails the whole suite unless the rows meet
+// experiments.AssertScenarios — the CI smoke contract for the scenario
+// engine.
 func scenariosRunner(jsonPath string, assert bool) func(experiments.Config) (string, error) {
 	return func(cfg experiments.Config) (string, error) {
 		rows, err := experiments.Scenarios(cfg)
@@ -262,13 +247,15 @@ func scenariosRunner(jsonPath string, assert bool) func(experiments.Config) (str
 			return "", err
 		}
 		var b strings.Builder
-		fmt.Fprintln(&b, "\n# Scenario grid — composable traffic/fault/adversary drivers against the cluster runtime: coverage floor, shed, evasion, regret")
-		fmt.Fprintln(&b, "scenario\tr\tgovernor\treplan\tworst_cov\tavg_cov\tfloor_held\tbreaches\tshed_frac\tfloor_limited\treplans\tmissed\talerts\tinjected\tevaded\tevasion\tregret_final\tregret_slope\tslo_violations")
+		fmt.Fprintln(&b, "\n# Scenario grid — composable traffic, fault, burst and adversary drivers against the cluster runtime: coverage floor, r-1 guarantee, shed, replan cost, evasion, regret")
+		fmt.Fprintln(&b, "scenario\tr\tgovernor\treplan\twarm\tworst_cov\tavg_cov\texpected_worst\tfloor_held\tguarantee_held\tbreaches\tdown\tdark\tfetch_att\tfetch_fail\tshed_frac\tshed_width_max\tover_budget\tfloor_limited\treplans\tmissed\treplan_iters\talerts\tinjected\tevaded\tevasion\tregret_final\tregret_slope\tslo_violations")
 		for _, r := range rows {
-			fmt.Fprintf(&b, "%s\t%d\t%v\t%v\t%.4f\t%.4f\t%v\t%d\t%.4f\t%d\t%d\t%d\t%d\t%d\t%d\t%.4f\t%.4f\t%.4f\t%d\n",
-				r.Scenario, r.Redundancy, r.Governor, r.Replan,
-				r.WorstCoverage, r.AvgCoverage, r.FloorHeld, r.Breaches,
-				r.ShedFraction, r.FloorLimited, r.Replans, r.MissedReplans,
+			fmt.Fprintf(&b, "%s\t%d\t%v\t%v\t%v\t%.4f\t%.4f\t%.4f\t%v\t%v\t%d\t%d\t%d\t%d\t%d\t%.4f\t%.4f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.4f\t%.4f\t%.4f\t%d\n",
+				r.Scenario, r.Redundancy, r.Governor, r.Replan, r.WarmReplan,
+				r.WorstCoverage, r.AvgCoverage, r.ExpectedWorst, r.FloorHeld, r.GuaranteeHeld, r.Breaches,
+				r.DownNodeEpochs, r.DarkAgentEpochs, r.FetchAttempts, r.FetchFailures,
+				r.ShedFraction, r.ShedWidthMax, r.OverBudget, r.FloorLimited,
+				r.Replans, r.MissedReplans, r.ReplanIters,
 				r.Alerts, r.Injected, r.Evaded, r.EvasionRate,
 				r.RegretFinal, r.RegretSlope, r.SLOViolations)
 		}
@@ -283,45 +270,11 @@ func scenariosRunner(jsonPath string, assert bool) func(experiments.Config) (str
 			fmt.Fprintf(&b, "# scenarios: %d rows -> %s\n", len(rows), jsonPath)
 		}
 		if assert {
-			if err := assertScenarios(rows); err != nil {
+			if err := experiments.AssertScenarios(rows); err != nil {
 				return "", err
 			}
 			fmt.Fprintf(&b, "# scenarios: acceptance bar held for all %d rows\n", len(rows))
 		}
 		return b.String(), nil
 	}
-}
-
-// assertScenarios is the machine-checked acceptance bar behind
-// -scenarios-assert: every cell holds its coverage floor under its SLO
-// thresholds, the flood is visible to the data plane, the crafted
-// adversary traffic flows and meets an analyst, and FPL's cumulative
-// regret grows sublinearly.
-func assertScenarios(rows []experiments.ScenarioRow) error {
-	var bad []string
-	for _, r := range rows {
-		if !r.FloorHeld {
-			bad = append(bad, fmt.Sprintf("%s: coverage floor breached (%d breaches)", r.Scenario, r.Breaches))
-		}
-		if r.SLOViolations != 0 {
-			bad = append(bad, fmt.Sprintf("%s: %d SLO violations", r.Scenario, r.SLOViolations))
-		}
-		switch r.Scenario {
-		case "synflood":
-			if r.Alerts == 0 || r.Injected == 0 {
-				bad = append(bad, fmt.Sprintf("synflood: alerts %d injected %d, flood invisible to the data plane", r.Alerts, r.Injected))
-			}
-		case "adversary":
-			if r.Injected == 0 {
-				bad = append(bad, "adversary: no crafted sessions reached the runtime")
-			}
-			if r.RegretSlope >= 1 {
-				bad = append(bad, fmt.Sprintf("adversary: cumulative regret slope %.4f, want sublinear (<1)", r.RegretSlope))
-			}
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("scenarios: acceptance bar failed:\n  %s", strings.Join(bad, "\n  "))
-	}
-	return nil
 }

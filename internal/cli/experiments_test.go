@@ -29,6 +29,7 @@ func TestSelectRunners(t *testing.T) {
 		{name: "unknown name", only: "fig55", errHas: []string{`"fig55"`, "valid: " + allNames}},
 		{name: "mixed known and unknown", only: "fig5,bogus,fig6,nope", errHas: []string{`"bogus", "nope"`, allNames}},
 		{name: "trailing comma", only: "fig5,", errHas: []string{`""`}},
+		{name: "chaos and overload are scenario-grid cells, not blocks", only: "chaos,overload", errHas: []string{`"chaos", "overload"`, "valid: " + allNames}},
 		{name: "scenarios-json adds scenarios to a selection", only: "fig5", withScenarios: true, want: "fig5,scenarios"},
 		{name: "scenarios-json with scenarios already named", only: "scenarios", withScenarios: true, want: "scenarios"},
 		{name: "scenarios-json alone still runs everything", withScenarios: true, want: allNames},

@@ -402,6 +402,19 @@ func (r *ScenarioReport) ShedFraction() float64 {
 	return r.TotalShedWidth / (r.AssignedWidth * float64(len(r.Epochs)))
 }
 
+// GuaranteeHeld reports the Section 2.5 guarantee: every epoch whose
+// crashes stay within r-1 and whose live agents all hold a manifest keeps
+// worst coverage at 1. A dark agent is a control-plane loss, not a
+// redundancy failure, so its epoch is not on trial.
+func (r *ScenarioReport) GuaranteeHeld() bool {
+	for _, e := range r.Epochs {
+		if len(e.DownNodes) <= r.Redundancy-1 && e.DarkAgents == 0 && e.WorstCoverage < 1 {
+			return false
+		}
+	}
+	return true
+}
+
 // EvasionRate is the fraction of injected sessions that evaded analysis.
 func (r *ScenarioReport) EvasionRate() float64 {
 	if r.TotalInjected == 0 {

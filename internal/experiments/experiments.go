@@ -41,7 +41,7 @@ type Config struct {
 	// default; see internal/obs).
 	Metrics *obs.Registry
 	// Trace, when non-nil, records the causal event log of every cluster
-	// run the Chaos, Overload and Scenarios runners make (nil is the no-op
+	// run the Scenarios runner makes (nil is the no-op
 	// default; see internal/trace). Because the suite's runners share one
 	// tracer, callers that set it must run the experiment blocks serially
 	// to keep component sequences — and so dumps — deterministic.

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
+	"time"
 
+	"nwdeploy/internal/chaos"
 	"nwdeploy/internal/cluster"
 	"nwdeploy/internal/nips"
 	"nwdeploy/internal/online"
@@ -10,34 +13,47 @@ import (
 	"nwdeploy/internal/trace"
 )
 
-// ScenarioRow is one cell of the scenario grid: a composable scenario run
-// against the live cluster runtime, summarized across epochs, plus — for
-// the adversary cell — the FPL regret measurements from the online
-// adaptation harness.
+// ScenarioRow is one cell of the scenario grid: a scenario run against the
+// live cluster runtime, summarized across epochs, plus — for the adversary
+// cell — the FPL regret measurements from the online adaptation harness.
 type ScenarioRow struct {
 	Scenario   string
 	Epochs     int
 	Redundancy int
 	Governor   bool
 	Replan     bool
+	WarmReplan bool
 	DataPlane  bool
 	// Coverage and floor outcome: FloorHeld means no epoch's wire-audited
 	// coverage fell below what the published manifests (minus down nodes
 	// and published shed) promised; every breach left a flight-recorder
-	// post-mortem behind.
+	// post-mortem behind. ExpectedWorst is the lowest of those promises;
+	// GuaranteeHeld is the report's Section 2.5 verdict.
 	WorstCoverage float64
 	AvgCoverage   float64
+	ExpectedWorst float64
 	FloorHeld     bool
+	GuaranteeHeld bool
 	Breaches      int
+	// Fault outcome, summed over epochs: crashed nodes, dark agents, and
+	// the agents' fetch attempts and failures.
+	DownNodeEpochs  int
+	DarkAgentEpochs int
+	FetchAttempts   int
+	FetchFailures   int
 	// Governor outcome: ShedFraction is the run-average fraction of
-	// assigned hash width shed; FloorLimited counts node-epochs pinned at
-	// the unsheddable r=1 floor.
+	// assigned hash width shed and ShedWidthMax the widest epoch's shed;
+	// OverBudget counts node-epochs above the tolerated CPU budget and
+	// FloorLimited the node-epochs pinned at the unsheddable r=1 floor.
 	ShedFraction float64
+	ShedWidthMax float64
 	OverBudget   int
 	FloorLimited int
-	// Drift/replan outcome.
+	// Drift/replan outcome: iterations are the deterministic replan-latency
+	// unit, so warm and cold cells quantify what warm-starting buys.
 	Replans       int
 	MissedReplans int
+	ReplanIters   int
 	// Data-plane and evasion outcome.
 	Alerts      int
 	Injected    int
@@ -55,60 +71,90 @@ type ScenarioRow struct {
 	SLOViolations int
 }
 
-// scenarioCell is one grid cell's full parameterization.
+// scenarioCell is one grid cell's full parameterization: its run as mut
+// leaves it, the catalog spec NewScenario resolves into the driver from the
+// crashes and bursts knobs (a cell without one sets its driver in mut), and
+// its SLO.
 type scenarioCell struct {
-	name string
-	mut  func(*cluster.ScenarioConfig)
-	slo  trace.SLO
+	name    string
+	run     cluster.ScenarioConfig
+	mut     func(*cluster.ScenarioConfig)
+	spec    string
+	crashes cluster.ChaosDriver
+	bursts  cluster.BurstDriver
+	slo     trace.SLO
 	// regret switches on the FPL-vs-evasive-adversary harness for this
 	// cell.
 	regret bool
 }
 
-// Scenarios runs the scenario grid: five composable drivers (and one
-// explicit composition) against the cluster runtime, each with its own
-// SLO-watchdog thresholds, plus the adaptive-adversary regret harness.
-// Rows are deterministic for any Workers value.
+// Scenarios runs the scenario grid against the cluster runtime: five
+// composable drivers (and one explicit composition) under their own SLO
+// thresholds plus the adaptive-adversary regret harness, seeded chaos in
+// two provisioning regimes, and bursty load crossed with the governor and
+// warm or cold replanning. Rows are deterministic for any Workers value.
 func Scenarios(cfg Config) ([]ScenarioRow, error) {
-	sessions := cfg.sessions(6000)
-	epochs := 8
-	if cfg.Quick {
-		epochs = 6
+	size := func(full, quick int) int {
+		if cfg.Quick {
+			return quick
+		}
+		return full
+	}
+	// The catalog cells share one workload and run seed; their drivers
+	// carry their own seeds.
+	catalog := cluster.ScenarioConfig{
+		Sessions: cfg.sessions(6000), TrafficSeed: 17, Seed: 23,
+		Epochs: size(8, 6), Redundancy: 2, Probes: 500,
+	}
+	epochs := catalog.Epochs
+	// The chaos cells replay a seeded crash and outage schedule, with a
+	// re-optimization round every three epochs, over a lossy control
+	// network.
+	crash := cluster.ScenarioConfig{
+		Sessions: cfg.sessions(8000), Seed: 71, Epochs: size(10, 5), Redundancy: 1,
+		Faults:     chaos.NetworkFaults{DropProb: 0.2, BlackholeProb: 0.05},
+		Retry:      cluster.RetryPolicy{MaxAttempts: 6, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, JitterFrac: 0.3},
+		StaleGrace: 2,
+	}
+	// The burst cells: moderate bursts the governor absorbs by shedding
+	// alone, and heavy sustained ones that need the drift detector to
+	// reprovision.
+	burst := cluster.ScenarioConfig{Sessions: cfg.sessions(8000), Seed: 29, Epochs: size(8, 5), Probes: 500}
+	moderate := cluster.BurstDriver{BurstFactor: 1.8, BurstProb: 0.5, BaseJitter: 0.05}
+	heavy := cluster.BurstDriver{BurstFactor: 2.5, BurstProb: 0.5, BaseJitter: 0.05}
+	governed := func(c *cluster.ScenarioConfig) { c.Governor = true }
+	replan := func(c *cluster.ScenarioConfig, warm bool, threshold float64) {
+		c.Governor, c.Replan, c.WarmReplan, c.ReplanThreshold = true, true, warm, threshold
 	}
 
-	// Every cell promises full wire coverage and no dark agents: crashes
-	// are absent from this grid, drains stay within r-1, and the governor
-	// floor keeps copy 0 deployed. Cells relax individual rules where the
-	// scenario legitimately spends them.
-	baseSLO := func() trace.SLO {
-		slo := trace.Disabled()
-		slo.MinWorstCoverage = 0.999
-		slo.MinAvgCoverage = 0.999
-		slo.MaxDarkAgents = 0
-		return slo
+	// slo bounds a cell's worst and average coverage (0 leaves one
+	// unbounded) and admits no dark agent. Every cell promises full wire
+	// coverage unless its scenario legitimately spends it: crashes stay
+	// within r-1 where r > 1, drains stay within r-1, and the governor
+	// floor keeps copy 0 deployed.
+	slo := func(worst, avg float64) trace.SLO {
+		s := trace.Disabled()
+		s.MinWorstCoverage, s.MinAvgCoverage, s.MaxDarkAgents = worst, avg, 0
+		return s
 	}
+	full := slo(0.999, 0.999)
 
 	cells := []scenarioCell{
 		{
-			name: "diurnal",
+			name: "diurnal", run: catalog,
 			mut: func(c *cluster.ScenarioConfig) {
 				c.Driver = NewDiurnal(31, epochs)
-				c.Governor = true
-				c.Replan, c.WarmReplan = true, true
-				c.ReplanThreshold = 0.12
+				replan(c, true, 0.12)
 			},
-			slo: baseSLO(),
+			slo: full,
 		},
 		{
-			name: "flashcrowd",
-			mut: func(c *cluster.ScenarioConfig) {
-				c.Driver = NewFlashCrowd(epochs)
-				c.Governor = true
-			},
-			slo: baseSLO(),
+			name: "flashcrowd", run: catalog,
+			mut: func(c *cluster.ScenarioConfig) { c.Driver, c.Governor = NewFlashCrowd(epochs), true },
+			slo: full,
 		},
 		{
-			name: "synflood",
+			name: "synflood", run: catalog,
 			mut: func(c *cluster.ScenarioConfig) {
 				// Redundancy 2 is structurally infeasible for the
 				// SYNFlood module, whose egress units have a single
@@ -120,17 +166,15 @@ func Scenarios(cfg Config) ([]ScenarioRow, error) {
 				c.Governor = true
 				c.DataPlane = true
 			},
-			slo: baseSLO(),
+			slo: full,
 		},
 		{
-			name: "maintenance",
-			mut: func(c *cluster.ScenarioConfig) {
-				c.Driver = NewMaintenance(epochs)
-			},
-			slo: baseSLO(),
+			name: "maintenance", run: catalog,
+			mut: func(c *cluster.ScenarioConfig) { c.Driver = NewMaintenance(epochs) },
+			slo: full,
 		},
 		{
-			name: "maintenance+flashcrowd",
+			name: "maintenance+flashcrowd", run: catalog,
 			mut: func(c *cluster.ScenarioConfig) {
 				c.Driver = Compose(NewMaintenance(epochs), NewFlashCrowd(epochs))
 				c.Governor = true
@@ -140,57 +184,80 @@ func Scenarios(cfg Config) ([]ScenarioRow, error) {
 			// coverage legitimately dips while the drain window and the
 			// spike overlap (the audit predicts the dip — no breach). The
 			// cell's SLO bounds the average instead of the worst point.
-			slo: func() trace.SLO {
-				slo := baseSLO()
-				slo.MinWorstCoverage = 0
-				slo.MinAvgCoverage = 0.90
-				return slo
-			}(),
+			slo: slo(0, 0.90),
 		},
 		{
-			name: "adversary",
+			name: "adversary", run: catalog,
 			mut: func(c *cluster.ScenarioConfig) {
 				// Diurnal load keeps the governor honest while the
 				// adversary steers crafted sessions at the least-covered
 				// published ranges.
 				c.Driver = Compose(NewDiurnal(31, epochs), NewAdaptiveAdversary(43))
-				c.Governor = true
-				c.Replan, c.WarmReplan = true, true
-				c.ReplanThreshold = 0.12
+				replan(c, true, 0.12)
 			},
-			slo:    baseSLO(),
+			slo:    full,
 			regret: true,
 		},
+		{
+			// The base r=1 deployment of every analysis module: each crash
+			// costs coverage, which the audit predicts, so only the dark
+			// agent rule applies.
+			name: "base_r1", run: crash, spec: "chaos",
+			crashes: cluster.ChaosDriver{NodeFailProb: 0.15, ControllerOutageProb: 0.1, ReoptEvery: 3},
+			slo:     slo(0, 0),
+		},
+		{
+			// The path-scoped modules at r=2 with crashes capped at r-1:
+			// the Section 2.5 guarantee on trial, where coverage must hold.
+			name: "redundant_r2", run: crash, spec: "chaos",
+			mut:     func(c *cluster.ScenarioConfig) { c.Redundancy = 2 },
+			crashes: cluster.ChaosDriver{NodeFailProb: 0.3, ControllerOutageProb: 0.1, ReoptEvery: 3},
+			slo:     full,
+		},
+		{name: "moderate_ungoverned", run: burst, spec: "bursts", bursts: moderate, slo: full},
+		{name: "moderate_governed", run: burst, mut: governed, spec: "bursts", bursts: moderate, slo: full},
+		{name: "heavy_governed", run: burst, mut: governed, spec: "bursts", bursts: heavy, slo: full},
+		{name: "heavy_cold_replan", run: burst, mut: func(c *cluster.ScenarioConfig) { replan(c, false, 0.08) }, spec: "bursts", bursts: heavy, slo: full},
+		{name: "heavy_warm_replan", run: burst, mut: func(c *cluster.ScenarioConfig) { replan(c, true, 0.08) }, spec: "bursts", bursts: heavy, slo: full},
 	}
 
 	var rows []ScenarioRow
 	for _, cell := range cells {
-		run := cluster.ScenarioConfig{
-			Sessions: sessions, TrafficSeed: 17, Seed: 23,
-			Epochs: epochs, Redundancy: 2,
-			Probes:  500,
-			Workers: cfg.Workers, Metrics: cfg.Metrics, Trace: cfg.Trace,
-			Watchdog: trace.NewWatchdog(cell.slo),
+		run := cell.run
+		run.Workers, run.Metrics, run.Trace = cfg.Workers, cfg.Metrics, cfg.Trace
+		run.Watchdog = trace.NewWatchdog(cell.slo)
+		if cell.mut != nil {
+			cell.mut(&run)
 		}
-		cell.mut(&run)
+		if cell.spec != "" {
+			if err := NewScenario(&run, cell.spec, cell.crashes, cell.bursts); err != nil {
+				return nil, fmt.Errorf("experiments: scenario %s: %w", cell.name, err)
+			}
+		}
 		rep, err := cluster.RunScenario(run)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scenario %s: %w", cell.name, err)
 		}
 		row := ScenarioRow{
 			Scenario: cell.name,
-			Epochs:   epochs, Redundancy: rep.Redundancy,
-			Governor: rep.Governor, Replan: rep.Replan, DataPlane: run.DataPlane,
-			WorstCoverage: rep.WorstCoverage, AvgCoverage: rep.AvgCoverage,
-			FloorHeld: rep.FloorHeld, Breaches: rep.Breaches,
+			Epochs:   run.Epochs, Redundancy: rep.Redundancy,
+			Governor: rep.Governor, Replan: rep.Replan, WarmReplan: run.WarmReplan, DataPlane: run.DataPlane,
+			WorstCoverage: rep.WorstCoverage, AvgCoverage: rep.AvgCoverage, ExpectedWorst: 1,
+			FloorHeld: rep.FloorHeld, GuaranteeHeld: rep.GuaranteeHeld(), Breaches: rep.Breaches,
 			ShedFraction: rep.ShedFraction(),
-			Replans:      rep.Replans, MissedReplans: rep.MissedReplans,
+			Replans:      rep.Replans, MissedReplans: rep.MissedReplans, ReplanIters: rep.TotalReplanIters,
 			Alerts:   rep.TotalAlerts,
 			Injected: rep.TotalInjected, Evaded: rep.TotalEvaded,
 			EvasionRate:   rep.EvasionRate(),
 			SLOViolations: rep.SLOViolations,
 		}
 		for _, e := range rep.Epochs {
+			row.ExpectedWorst = min(row.ExpectedWorst, e.ExpectedWorst)
+			row.DownNodeEpochs += len(e.DownNodes)
+			row.DarkAgentEpochs += e.DarkAgents
+			row.FetchAttempts += e.FetchAttempts
+			row.FetchFailures += e.FetchFailures
+			row.ShedWidthMax = max(row.ShedWidthMax, e.ShedWidth)
 			row.OverBudget += e.OverBudget
 			row.FloorLimited += e.Unsatisfied
 		}
@@ -204,6 +271,81 @@ func Scenarios(cfg Config) ([]ScenarioRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// AssertScenarios is the grid's machine-checked acceptance bar: every cell
+// holds its coverage floor under its SLO thresholds; the flood is visible to
+// the data plane; the crafted adversary traffic flows and FPL's cumulative
+// regret grows sublinearly; the composed cell sheds; crashes within r-1
+// never cost coverage; the governor cuts over-budget node-epochs without
+// shedding below the floor; and warm replans take fewer iterations than
+// cold ones.
+func AssertScenarios(rows []ScenarioRow) error {
+	var bad []string
+	failf := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
+	byName := map[string]ScenarioRow{}
+	for _, r := range rows {
+		byName[r.Scenario] = r
+		if !r.FloorHeld {
+			failf("%s: coverage floor breached (%d breaches)", r.Scenario, r.Breaches)
+		}
+		if r.SLOViolations != 0 {
+			failf("%s: %d SLO violations", r.Scenario, r.SLOViolations)
+		}
+	}
+	row := func(name string) ScenarioRow {
+		r, ok := byName[name]
+		if !ok {
+			failf("%s: no row", name)
+		}
+		return r
+	}
+
+	if r := row("synflood"); r.Alerts == 0 || r.Injected == 0 {
+		failf("synflood: alerts %d injected %d, flood invisible to the data plane", r.Alerts, r.Injected)
+	}
+	if r := row("adversary"); r.Injected == 0 {
+		failf("adversary: no crafted sessions reached the runtime")
+	} else if r.RegretSlope >= 1 {
+		failf("adversary: cumulative regret slope %.4f, want sublinear (<1)", r.RegretSlope)
+	}
+	if r := row("maintenance+flashcrowd"); r.ShedFraction == 0 {
+		failf("maintenance+flashcrowd: no shed, the composition did not carry the flash crowd")
+	}
+
+	// Section 2.5 on trial: crashes happened, the prediction stayed at full
+	// coverage (crashes within r-1), and the wire delivered it.
+	if r := row("redundant_r2"); r.DownNodeEpochs == 0 {
+		failf("redundant_r2: no node crashed, the guarantee went untested")
+	} else if r.ExpectedWorst != 1 || !r.GuaranteeHeld {
+		failf("redundant_r2: predicted worst coverage %.4f, guarantee held %v: crashes beyond r-1 or coverage lost to them",
+			r.ExpectedWorst, r.GuaranteeHeld)
+	}
+
+	ungov, gov := row("moderate_ungoverned"), row("moderate_governed")
+	switch {
+	case ungov.OverBudget == 0:
+		failf("moderate_ungoverned: never over budget, the burst cells are vacuous")
+	case gov.OverBudget >= ungov.OverBudget:
+		failf("moderate_governed: %d over-budget node-epochs, ungoverned %d: the governor cut none", gov.OverBudget, ungov.OverBudget)
+	}
+	if gov.OverBudget > gov.FloorLimited {
+		failf("moderate_governed: over-budget %d > floor-limited %d, sheddable width left on an over node", gov.OverBudget, gov.FloorLimited)
+	}
+	if gov.ShedWidthMax == 0 || gov.WorstCoverage != 1 {
+		failf("moderate_governed: max shed width %.4f, worst coverage %.4f: want shedding that keeps copy 0", gov.ShedWidthMax, gov.WorstCoverage)
+	}
+	cold, warm := row("heavy_cold_replan"), row("heavy_warm_replan")
+	if cold.Replans == 0 || warm.Replans == 0 {
+		failf("heavy bursts triggered no replans (cold %d, warm %d)", cold.Replans, warm.Replans)
+	} else if warm.ReplanIters >= cold.ReplanIters {
+		failf("heavy_warm_replan: %d replan iterations, cold %d: warm start bought nothing", warm.ReplanIters, cold.ReplanIters)
+	}
+
+	if len(bad) > 0 {
+		return fmt.Errorf("acceptance bar failed:\n  %s", strings.Join(bad, "\n  "))
+	}
+	return nil
 }
 
 // adversaryRegret runs the FPL online adapter against the manifest-reading

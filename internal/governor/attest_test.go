@@ -1,6 +1,8 @@
 package governor
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -66,4 +68,44 @@ func TestAttestRecomputesFloorIntact(t *testing.T) {
 	if a := g.Attest(rep); a.FloorIntact {
 		t.Fatal("floor-copy shed not attested as a violation")
 	}
+}
+
+// FuzzDecodeAttestation feeds DecodeAttestation arbitrary bytes, the
+// offline verifier's untrusted input: it must never panic, and whatever
+// decodes must encode again and decode to the same attestation.
+func FuzzDecodeAttestation(f *testing.F) {
+	valid, err := Attestation{
+		Node: 3, FloorCopies: 1, Satisfied: true, FloorIntact: true,
+		ProjectedCPU: 1.25, BudgetCPU: 1, CPUAfter: 0.9, ShedWidth: 0.25,
+		Shed: []ShedRange{{Unit: 7, Copy: 1, Range: hashing.Range{Lo: 0.25, Hi: 0.5}}},
+	}.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	nan := bytes.Clone(valid)
+	binary.LittleEndian.PutUint64(nan[18:], math.Float64bits(math.NaN())) // ProjectedCPU
+	f.Add(nan)
+	huge := bytes.Clone(valid[:74])
+	f.Add(binary.LittleEndian.AppendUint64(huge, 1<<62)) // a shed count no input can hold
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := DecodeAttestation(data)
+		if err != nil {
+			return
+		}
+		b, err := a.Encode()
+		if err != nil {
+			t.Fatalf("decoded attestation does not encode: %v\n%+v", err, a)
+		}
+		back, err := DecodeAttestation(b)
+		if err != nil {
+			t.Fatalf("re-encoded attestation does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(a, back) {
+			t.Fatalf("round trip changed the attestation:\n%+v\n%+v", a, back)
+		}
+	})
 }

@@ -145,34 +145,47 @@ func (d *Dec) Bool() bool {
 	return v != 0
 }
 
-// F64 reads IEEE-754 bits (always finite: Enc refused anything else).
-func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
+// F64 reads IEEE-754 bits. A NaN or infinity fails the decode: Enc
+// refuses them, so no canonical encoding carries one.
+func (d *Dec) F64() float64 {
+	v := math.Float64frombits(d.U64())
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		if d.err == nil {
+			d.err = fmt.Errorf("ledger: non-finite float at offset %d: %w", d.off-8, ErrNonFinite)
+		}
+		return 0
+	}
+	return v
+}
 
-func (d *Dec) uvarint(what string) uint64 {
+// uvarint reads the uvarint length prefix of what, a list of items that
+// take at least size bytes each. A length the bytes left cannot hold fails
+// the decode before anything is allocated for it.
+func (d *Dec) uvarint(what string, size int) int {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
-		d.fail(what)
+		d.fail(what + " length")
 		return 0
 	}
 	d.off += n
-	return v
+	if v > uint64((len(d.buf)-d.off)/size) {
+		d.fail(what)
+		return 0
+	}
+	return int(v)
 }
 
 // Bytes reads a length-prefixed byte string.
 func (d *Dec) Bytes() []byte {
-	n := d.uvarint("bytes length")
+	n := d.uvarint("bytes", 1)
 	if d.err != nil {
 		return nil
 	}
-	if uint64(len(d.buf)-d.off) < n {
-		d.fail("bytes")
-		return nil
-	}
-	out := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
+	out := d.buf[d.off : d.off+n]
+	d.off += n
 	return out
 }
 
@@ -181,12 +194,8 @@ func (d *Dec) Str() string { return string(d.Bytes()) }
 
 // Ints reads a count-prefixed []int.
 func (d *Dec) Ints() []int {
-	n := d.uvarint("ints count")
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if uint64(len(d.buf)-d.off) < n*8 {
-		d.fail("ints")
+	n := d.uvarint("ints", 8)
+	if n == 0 {
 		return nil
 	}
 	out := make([]int, n)
@@ -198,12 +207,12 @@ func (d *Dec) Ints() []int {
 
 // Strs reads a count-prefixed []string.
 func (d *Dec) Strs() []string {
-	n := d.uvarint("strs count")
-	if d.err != nil || n == 0 {
+	n := d.uvarint("strs", 1) // each string carries at least its length byte
+	if n == 0 {
 		return nil
 	}
 	out := make([]string, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.err == nil; i++ {
 		out = append(out, d.Str())
 	}
 	if d.err != nil {
@@ -214,12 +223,8 @@ func (d *Dec) Strs() []string {
 
 // U64s reads a count-prefixed []uint64.
 func (d *Dec) U64s() []uint64 {
-	n := d.uvarint("u64s count")
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if uint64(len(d.buf)-d.off) < n*8 {
-		d.fail("u64s")
+	n := d.uvarint("u64s", 8)
+	if n == 0 {
 		return nil
 	}
 	out := make([]uint64, n)

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -256,6 +257,35 @@ func TestEncDecRoundTrip(t *testing.T) {
 	short.U64()
 	if short.Err() == nil {
 		t.Fatal("truncated decode not detected")
+	}
+}
+
+// A hostile count prefix fails the decode instead of sizing an allocation
+// or overflowing the bounds check. The three seeds panicked before counts
+// were bounded by the bytes left: Strs with 1<<62 ("makeslice: cap out of
+// range"), and Ints and U64s with 1<<61+1 and 8 bytes behind it, where
+// n*8 wrapped to 8 ("len out of range").
+func TestDecRejectsHostileCounts(t *testing.T) {
+	count := func(n uint64, tail int) []byte {
+		return append(binary.AppendUvarint(nil, n), make([]byte, tail)...)
+	}
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		read func(*Dec) bool
+	}{
+		{"Strs", count(1<<62, 0), func(d *Dec) bool { return d.Strs() == nil }},
+		{"Ints", count(1<<61+1, 8), func(d *Dec) bool { return d.Ints() == nil }},
+		{"U64s", count(1<<61+1, 8), func(d *Dec) bool { return d.U64s() == nil }},
+	} {
+		d := NewDec(tc.in)
+		if !tc.read(d) || d.Err() == nil {
+			t.Errorf("%s: hostile count decoded without an error", tc.name)
+		}
+	}
+	// A non-finite float is no canonical encoding either.
+	if d := NewDec(binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))); d.F64() != 0 || !errors.Is(d.Err(), ErrNonFinite) {
+		t.Errorf("NaN decoded with err %v, want ErrNonFinite", d.Err())
 	}
 }
 

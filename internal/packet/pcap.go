@@ -81,6 +81,10 @@ const readBufBytes = 128 << 10
 // NewReader wraps r; the global header is validated on the first read.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r, buf: make([]byte, readBufBytes)} }
 
+// Reset points the Reader at r as NewReader would, keeping its buffer: the
+// global header is validated again on the first read.
+func (pr *Reader) Reset(r io.Reader) { *pr = Reader{r: r, buf: pr.buf} }
+
 // ErrBadMagic marks a stream that is not a classic pcap file.
 var ErrBadMagic = errors.New("packet: not a pcap file (bad magic)")
 

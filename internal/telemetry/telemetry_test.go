@@ -298,3 +298,24 @@ func (h *History) Len() int {
 	defer h.mu.Unlock()
 	return h.count
 }
+
+// FuzzValidateProm feeds ValidateProm arbitrary scrape bodies, which
+// fleetstat reads from the network: it must never panic.
+func FuzzValidateProm(f *testing.F) {
+	r := obs.New()
+	r.Counter("cluster.epochs").Add(5)
+	r.Histogram("fetch.ns").Observe(100)
+	var buf bytes.Buffer
+	if err := WriteProm(&buf, r.Snapshot()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add("ok{a=\"1\",b=\"2\"} 3.5\n")
+	f.Add("ok{label=\"x\"\n")
+	f.Add("{ 1\n# TYPE\n")
+	f.Add("ok{=\"\"} 1\nok{a} 1\n")
+
+	f.Fuzz(func(t *testing.T, body string) {
+		_ = ValidateProm(strings.NewReader(body))
+	})
+}
