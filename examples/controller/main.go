@@ -15,6 +15,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/bits"
 	"time"
 
 	"nwdeploy/internal/bro"
@@ -82,12 +83,10 @@ func main() {
 			now = now.Add(10 * time.Millisecond)
 			for _, node := range paths[s.Src][s.Dst] {
 				tables[node].Update(s.Tuple, now, s.Packets, s.Bytes)
-				d := agents[node].Decider()
-				for ci := range classes {
-					if d.ShouldAnalyze(ci, s) {
-						analyzed[node]++
-					}
-				}
+				// One Figure 3 check per session: bit c of the mask is
+				// class c's verdict, as the engine reads it.
+				mask, _ := agents[node].Decider().DecideMask(&s)
+				analyzed[node] += bits.OnesCount64(mask)
 			}
 		}
 		return analyzed

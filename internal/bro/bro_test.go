@@ -587,6 +587,18 @@ func TestLogEquivalentDetectsDivergence(t *testing.T) {
 // The cost model's bit-exactness rests on integer-valued increments, so a
 // fractional per-packet or per-connection cost is refused when the module
 // table is compiled rather than allowed to perturb a report's last ULP.
+// A module set is one mask word: Run panics on 65 modules, as on a
+// fractional cost, and takes 64.
+func TestWideModuleSetRejected(t *testing.T) {
+	Run(Config{Mode: ModeCoordEvent, Modules: ModuleSubset(65)[1:]}, nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("a 65-module set was accepted")
+		}
+	}()
+	Run(Config{Mode: ModeCoordEvent, Modules: ModuleSubset(66)[1:]}, nil)
+}
+
 func TestFractionalCostsRejected(t *testing.T) {
 	for _, mutate := range []func(*ModuleSpec){
 		func(m *ModuleSpec) { m.EventOpsPerPkt = 12.5 },

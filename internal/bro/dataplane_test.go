@@ -3,8 +3,8 @@ package bro
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nwdeploy/internal/control"
@@ -71,7 +71,6 @@ func TestEngineDecisionPathAllocFree(t *testing.T) {
 		cfg  Config
 	}{
 		{"Decider", Config{Mode: ModeCoordEvent, Decider: control.NewDecider(m)}},
-		{"per-class", Config{Mode: ModeCoordEvent, Decider: perClassOnly{control.NewDecider(m)}}},
 		{"Decider+Shed", Config{Mode: ModeCoordPolicy, Decider: control.NewDecider(&shed)}},
 		{"standalone", Config{Mode: ModeCoordEvent}},
 		{"plain", Config{Mode: ModePlain}},
@@ -99,14 +98,15 @@ func TestEngineDecisionPathAllocFree(t *testing.T) {
 
 // Per-Run set-up must stay cheap: cluster runs eleven engines per epoch, so
 // what a Run allocates before its first session is paid on every epoch of
-// every node. The budget is what the pre-table engine allocated for the
-// same 20 modules over an empty trace (a pair of maps per module, the
-// PerModuleCPU map, three scratch rows): 3 of the 20 scripts write a table
-// and 7 have any effect, so lazy tables and handlers pay for the compiled
-// table. Scripts are deep-copied so the compile cost is that of 20 distinct
-// programs, not of four aliased backing arrays.
+// every node. The pre-table engine allocated 70 objects / 4032 bytes for
+// the same 20 modules over an empty trace (a pair of maps per module, the
+// PerModuleCPU map, three scratch rows); the compiled table, with lazy
+// tables and handlers (3 of the 20 scripts write a table and 7 have any
+// effect) and one-word mask rows held in the engine, allocates 14 / 3776,
+// and the budget is that. Scripts are deep-copied so the compile cost is
+// that of 20 distinct programs, not of four aliased backing arrays.
 func TestEngineSetupAllocBudget(t *testing.T) {
-	const parentAllocs, parentBytes = 70, 4032 // Run(cfg, nil) on the parent commit, Workers: 1
+	const budgetAllocs, budgetBytes = 14, 3776 // Run(cfg, nil), Workers: 1
 	modules := ModuleSubset(21)[1:]
 	for i := range modules {
 		modules[i].PolicyScript = append(Script(nil), modules[i].PolicyScript...)
@@ -117,44 +117,23 @@ func TestEngineSetupAllocBudget(t *testing.T) {
 		Hasher: hashing.Hasher{Key: 1},
 	}
 	allocs := testing.AllocsPerRun(200, func() { Run(cfg, nil) })
-	const reps = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < reps; i++ {
+	// Bytes are the median of single Runs: a runtime object the process
+	// allocates now and then lands in one Run, not in the average.
+	const reps = 21
+	runs := make([]uint64, reps)
+	for i := range runs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		Run(cfg, nil)
+		runtime.ReadMemStats(&after)
+		runs[i] = after.TotalAlloc - before.TotalAlloc
 	}
-	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / reps
-	t.Logf("Run set-up: %v objects, %.0f bytes (budget %d / %d)", allocs, bytes, parentAllocs, parentBytes)
-	if allocs > parentAllocs || bytes > parentBytes {
-		t.Fatalf("Run set-up allocates %v objects / %.0f bytes, budget %d / %d",
-			allocs, bytes, parentAllocs, parentBytes)
-	}
-}
-
-// The batch decision fast path must be invisible: a Decider driven through
-// DecideMask and the same Decider driven per class must produce identical
-// reports. perClassOnly hides the MaskDecider interface to force the slow
-// path.
-type perClassOnly struct{ d *control.Decider }
-
-func (p perClassOnly) ShouldAnalyze(class int, s traffic.Session) bool {
-	return p.d.ShouldAnalyze(class, s)
-}
-
-func TestBatchDecisionPathEquivalence(t *testing.T) {
-	modules, sessions, dec, node := wireDeciderScenario(t)
-	base := Config{
-		Mode: ModeCoordEvent, Modules: modules, Node: node,
-		Hasher: hashing.Hasher{Key: 1},
-	}
-	batched := base
-	batched.Decider = dec
-	perClass := base
-	perClass.Decider = perClassOnly{dec}
-	a, b := Run(batched, sessions), Run(perClass, sessions)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("batch and per-class decisions disagree:\n batch: %+v\n class: %+v", a, b)
+	slices.Sort(runs)
+	bytes := runs[reps/2]
+	t.Logf("Run set-up: %v objects, %d bytes (budget %d / %d)", allocs, bytes, budgetAllocs, budgetBytes)
+	if allocs > budgetAllocs || bytes > budgetBytes {
+		t.Fatalf("Run set-up allocates %v objects / %d bytes, budget %d / %d",
+			allocs, bytes, budgetAllocs, budgetBytes)
 	}
 }
 

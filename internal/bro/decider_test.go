@@ -11,17 +11,32 @@ import (
 	"nwdeploy/internal/traffic"
 )
 
-// planDecider replays the planner's own Figure 3 decision through the
-// ManifestDecider interface: the oracle that engine runs from wire
-// manifests are checked against.
-type planDecider struct {
-	plan   *core.Plan
-	node   int
-	hasher hashing.Hasher
+// byClass gives a per-class rule the engine's ManifestDecider interface:
+// bit c of the mask is rule(c, s) for each class c below n. It is how the
+// tests' own deciders (the planner's decision, a coin, a refusal) drive
+// the engine.
+type byClass struct {
+	n    int
+	rule func(class int, s traffic.Session) bool
 }
 
-func (d planDecider) ShouldAnalyze(class int, s traffic.Session) bool {
-	return d.plan.ShouldAnalyze(d.node, class, s, d.hasher)
+func (d byClass) DecideMask(s *traffic.Session) (uint64, bool) {
+	var m uint64
+	for c := 0; c < d.n; c++ {
+		if d.rule(c, *s) {
+			m |= 1 << uint(c)
+		}
+	}
+	return m, true
+}
+
+// planDecider replays the planner's own Figure 3 decision for node, class
+// by class: the oracle that engine runs from wire manifests are checked
+// against.
+func planDecider(plan *core.Plan, node int, h hashing.Hasher) byClass {
+	return byClass{len(plan.Inst.Classes), func(class int, s traffic.Session) bool {
+		return plan.ShouldAnalyze(node, class, s, h)
+	}}
 }
 
 // solvedScenario builds a solved coordinated deployment over Internet2 for
@@ -69,7 +84,7 @@ func TestDeciderMatchesPlanReports(t *testing.T) {
 				FineGrained: fineGrained, Node: j,
 			}
 			viaPlan, viaWire := base, base
-			viaPlan.Decider = planDecider{plan: plan, node: j, hasher: hasher}
+			viaPlan.Decider = planDecider(plan, j, hasher)
 			viaWire.Decider = control.NewDecider(m)
 			got, want := Run(viaWire, trace), Run(viaPlan, trace)
 			if !reflect.DeepEqual(got, want) {
@@ -94,7 +109,7 @@ func TestWireDeciderMatchesPlanReports(t *testing.T) {
 		for j := 0; j < topo.N(); j++ {
 			want := Run(Config{
 				Mode: ModeCoordEvent, Modules: modules, Hasher: em.Hasher, FineGrained: fineGrained,
-				Decider: planDecider{plan: em.Plan, node: j, hasher: em.Hasher}, Node: j,
+				Decider: planDecider(em.Plan, j, em.Hasher), Node: j,
 			}, nodeTraceFor(topo, sessions, j))
 			if !reflect.DeepEqual(res.Reports[j], want) {
 				t.Fatalf("fineGrained=%v node %d: emulation report %+v != plan report %+v",
@@ -110,7 +125,7 @@ func TestWireDeciderMatchesPlanReports(t *testing.T) {
 func TestDeciderEnablesEarlyDrop(t *testing.T) {
 	modules := []ModuleSpec{moduleByName(t, "signature")}
 	sessions := mixedTrace(t, 500)
-	none := rejectAll{}
+	none := byClass{len(modules), func(int, traffic.Session) bool { return false }}
 	rep := Run(Config{Mode: ModeCoordEvent, Modules: modules, Hasher: hashing.Hasher{Key: 7},
 		Decider: none}, sessions)
 	if rep.Conns != 0 {
@@ -125,15 +140,10 @@ func TestDeciderEnablesEarlyDrop(t *testing.T) {
 	}
 }
 
-type rejectAll struct{}
-
-func (rejectAll) ShouldAnalyze(int, traffic.Session) bool { return false }
-
 // A manifest source whose class filters are wider than the module set's —
 // stale after the modules were re-specified — must not widen any module's
 // traffic: the engine analyzes a (module, session) pair only when the
-// source says yes AND the module's own specification matches, whichever
-// decision path answers (mask word or per-class calls).
+// source says yes AND the module's own specification matches.
 // Before the engine ANDed every verdict with its match mask, the mask fast
 // path trusted the decider's filter, so a stale manifest created
 // connection state — CPU and memory — for sessions no module analyzes.
@@ -163,48 +173,39 @@ func TestStaleManifestCannotWidenModuleTraffic(t *testing.T) {
 	}
 	staleDec := control.NewDecider(&stale)
 
-	sources := []struct {
-		name  string
-		cfg   Config
-		allow func(class int, s traffic.Session) bool
-	}{
-		{"Decider", Config{Decider: staleDec}, staleDec.ShouldAnalyze},
-		{"per-class", Config{Decider: perClassOnly{staleDec}}, staleDec.ShouldAnalyze},
+	// The oracle: per class, the source's verdict AND the module's spec.
+	wantConns, wantRecords, wider := 0, 0, 0
+	for i := range trace {
+		s := &trace[i]
+		verdict, _ := staleDec.DecideMask(s)
+		any := false
+		for c, mod := range modules {
+			if verdict>>uint(c)&1 == 0 {
+				continue
+			}
+			if !mod.MatchesSession(*s) {
+				wider++
+				continue
+			}
+			any = true
+			wantRecords++
+		}
+		if any {
+			wantConns++
+		}
 	}
-	for _, src := range sources {
-		// The oracle: per class, the source's verdict AND the module's spec.
-		wantConns, wantRecords, wider := 0, 0, 0
-		for _, s := range trace {
-			any := false
-			for c, mod := range modules {
-				if !src.allow(c, s) {
-					continue
-				}
-				if !mod.MatchesSession(s) {
-					wider++
-					continue
-				}
-				any = true
-				wantRecords++
-			}
-			if any {
-				wantConns++
-			}
-		}
-		if wider == 0 {
-			t.Fatalf("%s: the stale source never said yes outside a module's spec; vacuous", src.name)
-		}
-		cfg := src.cfg
-		cfg.Mode, cfg.Modules, cfg.Node, cfg.Hasher = ModeCoordEvent, modules, node, hasher
-		rep, log := RunWithLog(cfg, trace)
-		if plain := Run(cfg, trace); !reflect.DeepEqual(plain, rep) {
-			t.Errorf("%s: Run and RunWithLog disagree: %+v vs %+v", src.name, plain, rep)
-		}
-		if rep.Conns != wantConns {
-			t.Errorf("%s: %d connections tracked, want %d (verdict AND MatchesSession)", src.name, rep.Conns, wantConns)
-		}
-		if len(log.Records) != wantRecords {
-			t.Errorf("%s: %d analyses logged, want %d", src.name, len(log.Records), wantRecords)
-		}
+	if wider == 0 {
+		t.Fatal("the stale source never said yes outside a module's spec; vacuous")
+	}
+	cfg := Config{Mode: ModeCoordEvent, Modules: modules, Node: node, Hasher: hasher, Decider: staleDec}
+	rep, log := RunWithLog(cfg, trace)
+	if plain := Run(cfg, trace); !reflect.DeepEqual(plain, rep) {
+		t.Errorf("Run and RunWithLog disagree: %+v vs %+v", plain, rep)
+	}
+	if rep.Conns != wantConns {
+		t.Errorf("%d connections tracked, want %d (verdict AND MatchesSession)", rep.Conns, wantConns)
+	}
+	if len(log.Records) != wantRecords {
+		t.Errorf("%d analyses logged, want %d", len(log.Records), wantRecords)
 	}
 }

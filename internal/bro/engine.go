@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"slices"
 	"sync/atomic"
 
 	"nwdeploy/internal/core"
@@ -46,30 +45,22 @@ const (
 	tableEntryBytes = 40
 )
 
-// ManifestDecider resolves whether the node analyzes a session for a
-// class. internal/control.Decider implements it; the indirection lets a
-// cluster node drive the engine from a fetched wire manifest without
-// importing the planner.
-type ManifestDecider interface {
-	ShouldAnalyze(class int, s traffic.Session) bool
-}
-
-// MaskDecider is a ManifestDecider that can return every class's verdict
-// for a session as one bit mask (bit c = class c analyzes the session; ok
-// false when the manifest has more than 64 classes), computing the
-// session's unit keys and selection hashes once instead of once per
-// module (internal/control.Decider implements it). The mask must equal
-// per-class ShouldAnalyze calls bit for bit. The engine ANDs the word with
-// its own per-module match mask — a manifest whose class filters have gone
-// stale against the module set can narrow a module's traffic, never widen
-// it.
+// ManifestDecider supplies the Figure 3 manifest decision: every class's
+// verdict for a session as one bit mask (bit c = class c analyzes the
+// session), the session's unit keys and selection hashes computed once
+// instead of once per module. internal/control.Decider implements it; the
+// indirection lets a cluster node drive the engine from a fetched wire
+// manifest without importing the planner. The second result is always
+// true, and the engine reads only the mask. The engine ANDs the word with
+// its own per-module match mask — a manifest whose class filters have
+// gone stale against the module set can narrow a module's traffic, never
+// widen it.
 //
 // Run calls DecideMask for the sessions ahead on a second goroutine while
 // the engine analyzes earlier ones, and possibly from both at once:
-// DecideMask may be called concurrently, also with ShouldAnalyze, and must
-// only read — the decider's state and the session.
-type MaskDecider interface {
-	ManifestDecider
+// DecideMask may be called concurrently and must only read — the
+// decider's state and the session.
+type ManifestDecider interface {
 	DecideMask(s *traffic.Session) (mask uint64, ok bool)
 }
 
@@ -170,19 +161,18 @@ type engine struct {
 	// shared register file.
 	modCPU, regs []float64
 
-	// Per-session mask rows (see moduleTable): match, subscribed, passed —
-	// sig is the last two, adjacent: the session's signature — and the
-	// rows charged: modules that get a PerModuleCPU entry, even a zero one.
-	match, sub, pass, sig, touched []uint64
+	// pass is the current session's analyzing modules (see moduleTable);
+	// touched is the modules charged: those that get a PerModuleCPU entry,
+	// even a zero one.
+	pass, touched uint64
 	// sessionCPU and connMem are this mode's constant charges per observed
 	// session and per created connection record.
 	sessionCPU, connMem float64
 	sigs                sigTable
 
-	maskDec MaskDecider
 	// verdicts, when non-nil, holds the current block's DecideMask words,
 	// decided ahead; vi is the current session's index in it. With nil the
-	// engine asks maskDec for each session as it comes.
+	// engine asks the Decider for each session as it comes.
 	verdicts *aheadSlot
 	vi       int
 
@@ -195,7 +185,7 @@ type engine struct {
 // Run processes the session trace through one engine instance and returns
 // its resource report. Sessions are processed in pseudo-realtime order as
 // in the paper's emulation; the cost model is deterministic so repeated
-// runs agree exactly. When a Run with a MaskDecider and more than one block
+// runs agree exactly. When a Run with a Decider and more than one block
 // of sessions is the only Run in progress and a second core exists, a
 // helper goroutine computes the Figure 3 verdicts of the blocks ahead
 // while the engine analyzes the current one (see aheadRing); the analysis
@@ -214,7 +204,7 @@ func runInternal(cfg Config, sessions []traffic.Session, onAnalyze func(int, *tr
 	e.init(cfg, onAnalyze)
 	sole := engines.Add(1) == 1
 	defer engines.Add(-1)
-	if sole && e.tab.enforced && e.maskDec != nil && len(sessions) > aheadBlock && runtime.GOMAXPROCS(0) > 1 {
+	if sole && e.tab.enforced && len(sessions) > aheadBlock && runtime.GOMAXPROCS(0) > 1 {
 		e.runAhead(sessions, &soleRing)
 	} else {
 		for i := range sessions {
@@ -229,7 +219,7 @@ func runInternal(cfg Config, sessions []traffic.Session, onAnalyze func(int, *tr
 // claimed and decides it inline; it analyzes any other block from the
 // helper's verdict words.
 func (e *engine) runAhead(sessions []traffic.Session, r *aheadRing) {
-	r.start(e.maskDec, sessions)
+	r.start(e.cfg.Decider, sessions)
 	defer r.join()
 	for b := int64(0); b < r.blocks; b++ {
 		lo := int(b) * aheadBlock
@@ -287,17 +277,13 @@ var engines atomic.Int32
 // itself out, so no two Runs hold it at once.
 var soleRing aheadRing
 
-// aheadSlot holds one block's verdicts: DecideMask's word and its ok bit
-// per session.
-type aheadSlot struct {
-	mask [aheadBlock]uint64
-	ok   [aheadBlock / 64]uint64
-}
+// aheadSlot holds one block's verdicts: DecideMask's word per session.
+type aheadSlot [aheadBlock]uint64
 
 // aheadRing is one Run's helper state; the helper is joined before the
 // Run returns, so the ring is reused from Run to Run.
 type aheadRing struct {
-	dec      MaskDecider
+	dec      ManifestDecider
 	sessions []traffic.Session
 	blocks   int64
 	decide   func() // r.decideAhead, bound once so the go statement allocates nothing
@@ -318,7 +304,7 @@ type aheadRing struct {
 }
 
 // start resets the ring for the trace and starts its helper.
-func (r *aheadRing) start(dec MaskDecider, sessions []traffic.Session) {
+func (r *aheadRing) start(dec ManifestDecider, sessions []traffic.Session) {
 	if r.decide == nil {
 		r.decide = r.decideAhead
 	}
@@ -356,13 +342,8 @@ func (r *aheadRing) decideAhead() {
 		v := &r.slots[b%aheadDepth]
 		lo := int(b) * aheadBlock
 		blk := r.sessions[lo:min(lo+aheadBlock, len(r.sessions))]
-		clear(v.ok[:])
 		for i := range blk {
-			m, ok := r.dec.DecideMask(&blk[i])
-			v.mask[i] = m
-			if ok {
-				v.ok[i>>6] |= 1 << uint(i&63)
-			}
+			v[i], _ = r.dec.DecideMask(&blk[i])
 		}
 		r.written.Store(b + 1)
 	}
@@ -398,9 +379,7 @@ func (e *engine) init(cfg Config, onAnalyze func(int, *traffic.Session)) {
 	e.rep.Node = cfg.Node
 	t := &e.tab
 	t.compile(&e.cfg)
-	W, L := t.words, len(cfg.Modules)
-	rows := make([]uint64, 4*W)
-	e.match, e.sub, e.pass, e.sig, e.touched = rows[:W], rows[W:2*W], rows[2*W:3*W], rows[W:3*W], rows[3*W:]
+	L := len(cfg.Modules)
 	floats := make([]float64, L+t.regs)
 	e.modCPU, e.regs = floats[:L:L], floats[L:]
 	e.connMem = connRecordBytes
@@ -410,7 +389,6 @@ func (e *engine) init(cfg Config, onAnalyze func(int, *traffic.Session)) {
 		e.sessionCPU = hashPerConnCost
 		e.connMem += hashFieldBytes
 	}
-	e.maskDec, _ = cfg.Decider.(MaskDecider)
 	if cfg.Metrics != nil {
 		e.modPkts = make([]float64, L)
 		e.modBytes = make([]float64, L)
@@ -432,7 +410,7 @@ func (e *engine) finish() Report {
 	e.charge()
 	e.rep.PerModuleCPU = make(map[string]float64, len(e.modCPU))
 	for mi, c := range e.modCPU {
-		if e.touched[mi>>6]>>uint(mi&63)&1 != 0 {
+		if e.touched>>uint(mi)&1 != 0 {
 			e.rep.PerModuleCPU[e.cfg.Modules[mi].Name] += c
 		}
 		e.rep.MemBytes += e.tableBytes(mi)
@@ -467,50 +445,22 @@ func (e *engine) recordMetrics() {
 	}
 }
 
-// decide fills e.pass with the Figure 3 manifest decision for every module
-// and reports whether any passed. Whichever form the Decider answers in — a
-// mask word or per-class calls — or the standalone all-traffic default, its
-// verdict is ANDed with the module's own match mask.
-func (e *engine) decide(s *traffic.Session) bool {
-	copy(e.pass, e.match)
+// decide sets e.pass to the Figure 3 manifest decision for every module
+// and reports whether any passed: the Decider's word, decided ahead or
+// asked for now, ANDed with the modules' own match mask, or the match mask
+// alone under the standalone all-traffic default.
+func (e *engine) decide(s *traffic.Session, match uint64) bool {
+	e.pass = match
 	if e.tab.enforced {
-		e.applyManifest(s)
-	}
-	var any uint64
-	for _, word := range e.pass {
-		any |= word
-	}
-	return any != 0
-}
-
-// applyManifest narrows e.pass (the match mask on entry) to what the
-// Decider lets through: one mask word answers for every module when the
-// manifest has at most 64 classes, else each surviving bit asks for itself.
-func (e *engine) applyManifest(s *traffic.Session) {
-	if e.maskDec != nil {
 		var m uint64
-		var ok bool
 		if v := e.verdicts; v != nil { // decided ahead
-			m, ok = v.mask[e.vi], v.ok[e.vi>>6]>>uint(e.vi&63)&1 != 0
+			m = v[e.vi]
 		} else {
-			m, ok = e.maskDec.DecideMask(s)
+			m, _ = e.cfg.Decider.DecideMask(s)
 		}
-		if ok {
-			if len(e.pass) > 0 {
-				e.pass[0] &= m
-				clear(e.pass[1:]) // a mask verdict covers at most 64 classes
-			}
-			return
-		}
+		e.pass &= m
 	}
-	for w, word := range e.pass {
-		for ; word != 0; word &= word - 1 {
-			b := bits.TrailingZeros64(word)
-			if !e.cfg.Decider.ShouldAnalyze(w<<6+b, *s) {
-				e.pass[w] &^= 1 << uint(b)
-			}
-		}
-	}
+	return e.pass != 0
 }
 
 // processSession accounts one observed session: its capture, its count in
@@ -523,8 +473,8 @@ func (e *engine) processSession(s *traffic.Session) {
 	// duplicated baseline tracking).
 	e.rep.CPUUnits += float64(s.Packets)*pktCaptureCost + e.sessionCPU
 
-	t.masks(&s.Tuple, e.match, e.sub)
-	anyPass := e.decide(s)
+	match, sub := t.masks(&s.Tuple)
+	anyPass := e.decide(s, match)
 
 	// The prototype's basic-processing optimization: skip creating session
 	// state for traffic entirely outside this instance's manifests ("we
@@ -545,29 +495,28 @@ func (e *engine) processSession(s *traffic.Session) {
 	// beside an empty analyzed row.
 	first := e.cfg.FineGrained && t.enforced && e.firstPacketOnly()
 	if first {
-		clear(e.sub)
+		sub = 0
 	}
-	r := e.sigs.find(e.sig)[len(e.sig):]
-	r[0]++
-	r[1] += uint64(s.Packets)
-	r[2] += uint64(s.Bytes)
+	r := e.sigs.find(sub, e.pass)
+	r.n++
+	r.pkts += uint64(s.Packets)
+	r.bytes += uint64(s.Bytes)
 
-	for w, word := range e.pass {
-		if e.onAnalyze == nil {
-			word &= t.bits[rowEffects*t.words+w]
+	word := e.pass
+	if e.onAnalyze == nil {
+		word &= t.effects
+	}
+	for ; word != 0; word &= word - 1 {
+		mi := bits.TrailingZeros64(word)
+		if e.onAnalyze != nil {
+			e.onAnalyze(mi, s)
 		}
-		for ; word != 0; word &= word - 1 {
-			mi := w<<6 + bits.TrailingZeros64(word)
-			if e.onAnalyze != nil {
-				e.onAnalyze(mi, s)
-			}
-			m, n := &t.mods[mi], 1 // a first-packet event runs it once
-			if !first {
-				n = int(m.events)
-			}
-			if m.handler >= 0 && n > 0 {
-				e.runHandler(m, s, n)
-			}
+		m, n := &t.mods[mi], 1 // a first-packet event runs it once
+		if !first {
+			n = int(m.events)
+		}
+		if m.handler >= 0 && n > 0 {
+			e.runHandler(m, s, n)
 		}
 	}
 }
@@ -577,16 +526,16 @@ func (e *engine) processSession(s *traffic.Session) {
 // signature — bit for bit, as every charge is an integer (compile rejects
 // fractional costs) and sums of integers below 2⁵³ are exact in any order.
 func (e *engine) charge() {
-	t, W := &e.tab, e.tab.words
+	t := &e.tab
 	recs := e.sigs.recs()
-	for off := 0; off < len(recs); off += e.sigs.rec {
-		r := recs[off : off+e.sigs.rec]
-		n, pkts, bytes := float64(r[2*W]), float64(int64(r[2*W+1])), float64(int64(r[2*W+2]))
+	for i := range recs {
+		r := &recs[i]
+		n, pkts, bytes := float64(r.n), float64(int64(r.pkts)), float64(int64(r.bytes))
 		if n == 0 {
 			continue
 		}
-		sub, pass := r[:W], r[W:2*W]
-		first := W > 0 && slices.Max(sub) == 0 && slices.Max(pass) != 0
+		sub, pass := r.sub, r.pass
+		first := sub == 0 && pass != 0
 		// A connection: its record, per-packet processing, each subscribed
 		// module's check and each analyzed one's work, handlers and state. A
 		// first-packet event: one classification, then per analyzed module
@@ -597,110 +546,99 @@ func (e *engine) charge() {
 		} else {
 			e.rep.Conns += int(n)
 		}
-		for w, word := range sub {
-			e.touched[w] |= word
-			for ; word != 0; word &= word - 1 {
-				b := bits.TrailingZeros64(word)
-				mi := w<<6 + b
-				m := &t.mods[mi]
-				analyzed := pass[w]>>uint(b)&1 != 0
-				c := n * m.checkCost
-				switch {
-				case first:
-					c = n * (checkCost + m.scriptCost)
-				case analyzed:
-					c += m.eventOps*pkts + n*float64(m.events)*m.scriptCost
-					mem += n * m.stateBytes
-				}
-				if analyzed && e.modPkts != nil {
-					e.modPkts[mi] += served
-					e.modBytes[mi] += bytes
-				}
-				e.modCPU[mi] += c
-				cpu += c
+		e.touched |= sub
+		for word := sub; word != 0; word &= word - 1 {
+			mi := bits.TrailingZeros64(word)
+			m := &t.mods[mi]
+			analyzed := pass>>uint(mi)&1 != 0
+			c := n * m.checkCost
+			switch {
+			case first:
+				c = n * (checkCost + m.scriptCost)
+			case analyzed:
+				c += m.eventOps*pkts + n*float64(m.events)*m.scriptCost
+				mem += n * m.stateBytes
 			}
+			if analyzed && e.modPkts != nil {
+				e.modPkts[mi] += served
+				e.modBytes[mi] += bytes
+			}
+			e.modCPU[mi] += c
+			cpu += c
 		}
 		e.rep.CPUUnits += cpu
 		e.rep.MemBytes += mem
 	}
 }
 
-// sigTable holds a run's charged sessions by signature: per signature a
-// record of its words, then its sessions, packets and bytes, in a table
-// probed linearly from a hash of the words (no sessions: an empty record).
-// It starts in inline, inside the engine and so on its Run's stack, and
-// moves to the heap when a run has more signatures than inline holds.
+// sigTable holds a run's charged sessions by signature — the session's
+// subscribed and analyzed rows — in a table of records probed linearly
+// from a hash of the two words. It starts in inline, inside the engine and
+// so on its Run's stack, and moves to the heap when a run has more
+// signatures than inline holds at ¾ load.
 type sigTable struct {
-	rec, slots, used int // words per record; records, a power of two; held
-	shift            uint8
-	heap             []uint64
-	inline           [64 * (2 + 3)]uint64 // 64 one-word records; BenchmarkRunDecider's run has 25
+	slots, used int // records, a power of two; held
+	shift       uint8
+	heap        []sigRec
+	inline      [64]sigRec // BenchmarkRunDecider's run has 25 signatures
 }
 
-func (t *sigTable) recs() []uint64 {
+// sigRec is one signature's record: its rows, then its sessions, packets
+// and bytes (no sessions: an empty record).
+type sigRec struct{ sub, pass, n, pkts, bytes uint64 }
+
+func (t *sigTable) recs() []sigRec {
 	if t.heap != nil {
 		return t.heap
 	}
-	return t.inline[:t.slots*t.rec]
+	return t.inline[:t.slots]
 }
 
-// find returns sig's record, claiming an empty one for it — after growing
-// the table, when the claim would pass ¾ load.
-func (t *sigTable) find(sig []uint64) []uint64 {
-	h, k := uint64(0), len(sig)
-	for _, w := range sig {
-		h = (h ^ w) * hashMul
-	}
+// find returns the record of signature (sub, pass), claiming an empty one
+// for it — after growing the table, when the claim would pass ¾ load.
+func (t *sigTable) find(sub, pass uint64) *sigRec {
+	h := (sub*hashMul ^ pass) * hashMul
 	for {
 		recs := t.recs()
 		for i := int(h >> t.shift); t.slots > 0; i = (i + 1) & (t.slots - 1) {
-			r := recs[i*t.rec : (i+1)*t.rec]
-			if r[k] == 0 {
+			r := &recs[i]
+			if r.n == 0 {
 				if 4*(t.used+1) > 3*t.slots {
 					break
 				}
 				t.used++
-				copy(r, sig)
+				r.sub, r.pass = sub, pass
 				return r
 			}
-			if slices.Equal(r[:k], sig) {
+			if r.sub == sub && r.pass == pass {
 				return r
 			}
 		}
-		t.grow(k)
+		t.grow()
 	}
 }
 
-// grow sizes the table for signatures of k words — first inline, if eight
-// records fit there, then heap arrays of twice the records — and moves them.
-func (t *sigTable) grow(k int) {
+// grow sizes the table — first inline, then heap arrays of twice the
+// records — and moves the records.
+func (t *sigTable) grow() {
 	old := t.recs()
-	t.rec = k + 3
-	if t.slots == 0 && 8*t.rec <= len(t.inline) {
-		t.slots = 1 << (bits.Len(uint(len(t.inline)/t.rec)) - 1)
+	if t.slots == 0 {
+		t.slots = len(t.inline)
 	} else {
-		t.slots = max(2*t.slots, 8)
-		t.heap = make([]uint64, t.slots*t.rec)
+		t.slots *= 2
+		t.heap = make([]sigRec, t.slots)
 	}
 	t.shift = uint8(64 - bits.TrailingZeros(uint(t.slots)))
 	t.used = 0
-	for off := 0; off < len(old); off += t.rec {
-		if r := old[off : off+t.rec]; r[k] != 0 {
-			copy(t.find(r[:k]), r)
+	for i := range old {
+		if r := &old[i]; r.n != 0 {
+			*t.find(r.sub, r.pass) = *r
 		}
 	}
 }
 
 // firstPacketOnly reports whether every passing module is first-packet-only.
-func (e *engine) firstPacketOnly() bool {
-	fp := e.tab.bits[rowFirstPkt*e.tab.words:]
-	for w, word := range e.pass {
-		if word&^fp[w] != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (e *engine) firstPacketOnly() bool { return e.pass&^e.tab.firstPkt == 0 }
 
 // runHandler runs n invocations of module m's policy handler, which has
 // effects, on one analyzed connection; their cost is charged by signature.

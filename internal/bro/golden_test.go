@@ -80,22 +80,6 @@ func goldenCases(t *testing.T) map[string]goldenReport {
 		t.Fatal(err)
 	}
 
-	// A 70-module set (> 64: DecideMask declines, every mask source falls
-	// back to its row form) whose wire manifest repeats the planned classes'
-	// assignments under the duplicated modules.
-	wide := append([]ModuleSpec(nil), mods...)
-	wideOf := make([]int, len(mods), 70) // wide class -> planned class it copies
-	for i := range mods {
-		wideOf[i] = i
-	}
-	for i := 0; len(wide) < 70; i++ {
-		src := 1 + i%(len(mods)-1)
-		m := mods[src]
-		m.Name = fmt.Sprintf("%s-wide%d", m.Name, i)
-		wide = append(wide, m)
-		wideOf = append(wideOf, src)
-	}
-
 	out := map[string]goldenReport{}
 	for j := 0; j < topo.N(); j++ {
 		trace := nodeTraceFor(topo, sessions, j)
@@ -103,23 +87,6 @@ func goldenCases(t *testing.T) map[string]goldenReport {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wideMan := *man
-		wideMan.Classes = nil
-		for wi, src := range wideOf {
-			c := man.Classes[src]
-			c.Name = wide[wi].Name
-			wideMan.Classes = append(wideMan.Classes, c)
-		}
-		wideMan.Assignments = nil
-		for wi, src := range wideOf {
-			for _, a := range man.Assignments {
-				if a.Class == src {
-					a.Class = wi
-					wideMan.Assignments = append(wideMan.Assignments, a)
-				}
-			}
-		}
-
 		base := Config{Modules: mods, Hasher: hasher, Node: j}
 		with := func(f func(*Config)) Config { c := base; f(&c); return c }
 		variants := []struct {
@@ -139,11 +106,7 @@ func goldenCases(t *testing.T) map[string]goldenReport {
 			{"wire-fine-policy", with(func(c *Config) {
 				c.Mode, c.Decider, c.FineGrained = ModeCoordPolicy, control.NewDecider(man), true
 			}), false, false},
-			{"per-class", with(func(c *Config) { c.Mode, c.Decider = ModeCoordEvent, perClassOnly{control.NewDecider(man)} }), false, false},
-			{"wide-wire", with(func(c *Config) {
-				c.Mode, c.Modules, c.Decider = ModeCoordEvent, wide, control.NewDecider(&wideMan)
-			}), true, false},
-			{"wide-policy", with(func(c *Config) { c.Mode, c.Modules = ModeCoordPolicy, wide }), false, false},
+			{"per-class", with(func(c *Config) { c.Mode, c.Decider = ModeCoordEvent, planDecider(plan, j, hasher) }), false, false},
 		}
 		for _, v := range variants {
 			rep := Run(v.cfg, trace)

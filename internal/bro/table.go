@@ -39,24 +39,24 @@ type handler struct {
 }
 
 // moduleTable is a Config's module set compiled for the session loop. The
-// traffic specifications become bit masks over modules (bit mi%64 of word
-// mi/64 is module mi): which modules match a session, and which are
-// subscribed to it, is a few ANDs and ORs of rows selected by the session's
-// protocol and server port.
+// traffic specifications become bit masks over modules (bit mi is module
+// mi; compile admits at most 64): which modules match a session, and which
+// are subscribed to it, is a few ANDs and ORs of rows selected by the
+// session's protocol and server port.
 type moduleTable struct {
 	mods     []compiledModule
 	handlers []handler
 	regs     int // register file the handlers need
-	words    int // mask words per row
 
-	// bits backs every mask row, words entries each. The fixed rows come
-	// first, then keyed rows, one per distinct transport (portKeys +
-	// protocol) and distinct server port: the key in one word, the mask
-	// after it.
-	bits  []uint64
-	keyed int
-	// keyBits has bit key%64 set for every keyed row: most ports have no
-	// row, and findRow answers them without a scan.
+	// The fixed rows: modules with no transport restriction, with no port
+	// list, that subscribe to all traffic, that need only the first packet,
+	// and that have a handler (a script with effects).
+	anyProto, portless, subAll, firstPkt, effects uint64
+	// keyed holds one row per distinct transport (keyed portKeys +
+	// protocol) and distinct server port. keyBits has bit key%64 set for
+	// every keyed row: most ports have no row, and row answers them
+	// without a scan.
+	keyed   []keyedRow
 	keyBits uint64
 
 	coordinated bool // Mode != ModePlain
@@ -65,38 +65,31 @@ type moduleTable struct {
 	enforced bool
 }
 
+// keyedRow is the mask of the modules one key selects.
+type keyedRow struct{ key, mask uint64 }
+
 // portKeys is the first key above every server port: transport p's row is
 // keyed portKeys+p.
 const portKeys = 1 << 16
-
-// The fixed rows, in row units from the start of bits.
-const (
-	rowNone     = iota // no module: stands in for a key no row has
-	rowAnyProto        // modules with no transport restriction
-	rowPortless        // modules with no port list
-	rowSubAll          // SubscribesAll modules
-	rowFirstPkt        // FirstPacketOnly modules
-	rowEffects         // modules with a handler: a script with effects
-	fixedRows
-)
 
 // compile builds the table. The cost model is exact — reports are
 // bit-identical however increments are batched or ordered — only while
 // every increment is integer-valued, so a fractional per-packet or
 // per-connection cost is rejected here, once, rather than silently
-// perturbing the last ULP of a report.
+// perturbing the last ULP of a report. So is a set of more than 64
+// modules, which no mask word holds.
 func (t *moduleTable) compile(cfg *Config) {
 	mods := cfg.Modules
-	W := (len(mods) + 63) / 64
-	t.words = W
+	if len(mods) > 64 {
+		panic(fmt.Sprintf("bro: %d modules, more than the 64 a mask word holds", len(mods)))
+	}
 	t.coordinated = cfg.Mode != ModePlain
 	t.enforced = t.coordinated && cfg.Decider != nil
 	t.mods = make([]compiledModule, len(mods))
 
 	// Room for eight keyed rows — two transports and the standard set's five
-	// ports fit; a busier module set grows the array (offsets, not slices,
-	// address the rows, so growth is harmless).
-	t.bits = make([]uint64, fixedRows*W, fixedRows*W+8*(1+W))
+	// ports fit; a busier module set grows the slice.
+	t.keyed = make([]keyedRow, 0, 8)
 
 	// Analyze every script first: only impure programs ever execute, so only
 	// they get a handler and code, and one backing array of each then serves
@@ -108,32 +101,32 @@ func (t *moduleTable) compile(cfg *Config) {
 			panic(fmt.Sprintf("bro: module %q: EventOpsPerPkt %v and StateBytes %v must be integer-valued",
 				m.Name, m.EventOpsPerPkt, m.StateBytes))
 		}
-		w, bit := mi>>6, uint64(1)<<uint(mi&63)
+		bit := uint64(1) << uint(mi)
 		p := compileScript(m.PolicyScript, nil)
 		t.mods[mi].scriptCost, t.mods[mi].handler = p.cost, -1
 		if !p.pure {
 			t.mods[mi].handler = 0 // assigned below
-			t.bits[rowEffects*W+w] |= bit
+			t.effects |= bit
 			codeLen += int(p.ops)
 			nHandlers++
 		}
 
 		if m.Transport == 0 {
-			t.bits[rowAnyProto*W+w] |= bit
+			t.anyProto |= bit
 		} else {
-			t.bits[t.keyedRow(portKeys+uint64(m.Transport))+w] |= bit
+			t.addKeyed(portKeys+uint64(m.Transport), bit)
 		}
 		if len(m.Ports) == 0 {
-			t.bits[rowPortless*W+w] |= bit
+			t.portless |= bit
 		}
 		for _, p := range m.Ports {
-			t.bits[t.keyedRow(uint64(p))+w] |= bit
+			t.addKeyed(uint64(p), bit)
 		}
 		if m.SubscribesAll {
-			t.bits[rowSubAll*W+w] |= bit
+			t.subAll |= bit
 		}
 		if m.FirstPacketOnly {
-			t.bits[rowFirstPkt*W+w] |= bit
+			t.firstPkt |= bit
 		}
 	}
 
@@ -184,44 +177,36 @@ func (t *moduleTable) compile(cfg *Config) {
 
 func integral(v float64) bool { return v == math.Trunc(v) && !math.IsInf(v, 0) }
 
-// keyedRow returns the mask offset of key's row, appending a zeroed row to
-// bits on first use.
-func (t *moduleTable) keyedRow(key uint64) int {
-	if off := t.findRow(key); off != rowNone*t.words {
-		return off
-	}
-	t.bits = append(t.bits, key)
-	for i := 0; i < t.words; i++ {
-		t.bits = append(t.bits, 0)
-	}
-	t.keyed++
-	t.keyBits |= 1 << (key & 63)
-	return len(t.bits) - t.words
-}
-
-// findRow returns the mask offset of key's row, or of the empty rowNone.
-func (t *moduleTable) findRow(key uint64) int {
-	if t.keyBits>>(key&63)&1 == 0 {
-		return rowNone * t.words
-	}
-	for off, n := fixedRows*t.words, t.keyed; n > 0; off, n = off+1+t.words, n-1 {
-		if t.bits[off] == key {
-			return off + 1
+// addKeyed adds the modules of bit to key's row, appending the row on
+// first use.
+func (t *moduleTable) addKeyed(key, bit uint64) {
+	for i := range t.keyed {
+		if t.keyed[i].key == key {
+			t.keyed[i].mask |= bit
+			return
 		}
 	}
-	return rowNone * t.words
+	t.keyed = append(t.keyed, keyedRow{key, bit})
+	t.keyBits |= 1 << (key & 63)
 }
 
-// masks fills match (ModuleSpec.MatchesSession per module) and sub
-// (ModuleSpec.SubscribedTo) for a session's tuple.
-func (t *moduleTable) masks(tuple *hashing.FiveTuple, match, sub []uint64) {
-	proto := t.findRow(portKeys + uint64(tuple.Proto))
-	port := t.findRow(uint64(tuple.DstPort))
-	W := t.words
-	for w := range match {
-		transport := t.bits[rowAnyProto*W+w] | t.bits[proto+w]
-		ported := t.bits[rowPortless*W+w] | t.bits[port+w]
-		match[w] = transport & ported
-		sub[w] = transport & (ported | t.bits[rowSubAll*W+w])
+// row returns the mask of key's row, 0 when it has none.
+func (t *moduleTable) row(key uint64) uint64 {
+	if t.keyBits>>(key&63)&1 == 0 {
+		return 0
 	}
+	for _, r := range t.keyed {
+		if r.key == key {
+			return r.mask
+		}
+	}
+	return 0
+}
+
+// masks returns match (ModuleSpec.MatchesSession per module) and sub
+// (ModuleSpec.SubscribedTo) for a session's tuple.
+func (t *moduleTable) masks(tuple *hashing.FiveTuple) (match, sub uint64) {
+	transport := t.anyProto | t.row(portKeys+uint64(tuple.Proto))
+	ported := t.portless | t.row(uint64(tuple.DstPort))
+	return transport & ported, transport & (ported | t.subAll)
 }

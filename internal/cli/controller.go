@@ -26,7 +26,6 @@ func Controller(ctx context.Context, args []string, _, stderr io.Writer) int {
 	interval := fs.Duration("interval", 5*time.Minute, "re-optimization cadence")
 	hashKey := fs.Uint("hashkey", 0x5eed, "private sampling hash key")
 	once := fs.Bool("once", false, "solve once and serve; no re-optimization loop")
-	history := fs.Int("history", 0, "retained generations for delta serving (0 = default, <0 disables deltas)")
 	cpuCap := fs.Float64("cpucap", 1e7, "per-node CPU capacity")
 	memCap := fs.Float64("memcap", 1e9, "per-node memory capacity")
 	metricsPath := fs.String("metrics", "", "write a JSON metrics snapshot to this file on shutdown")
@@ -62,9 +61,8 @@ func Controller(ctx context.Context, args []string, _, stderr io.Writer) int {
 	}
 
 	ctrl, err := control.NewControllerOpts(*listen, control.ControllerOptions{
-		HashKey:      uint32(*hashKey),
-		Metrics:      metrics,
-		DeltaHistory: *history,
+		HashKey: uint32(*hashKey),
+		Metrics: metrics,
 	})
 	if err != nil {
 		return fail(err)

@@ -26,6 +26,18 @@ func hostileManifest(k0a, k0b int) *Manifest {
 	}
 }
 
+// wideManifest is checkedManifest with its classes repeated up to n, each
+// copy assigned a unit of its own: past 64 classes no class set fits the
+// data plane's one-word masks.
+func wideManifest(n int) *Manifest {
+	m := checkedManifest()
+	for c := len(m.Classes); c < n; c++ {
+		m.Classes = append(m.Classes, m.Classes[c%2])
+		m.Assignments = append(m.Assignments, WireAssignment{Class: c, Unit: [2]int{c % 7, -1}, Ranges: []WireRange{{Lo: 0, Hi: 0.5}}})
+	}
+	return m
+}
+
 // checkedManifest is a small manifest every rule admits.
 func checkedManifest() *Manifest {
 	return &Manifest{
@@ -46,19 +58,23 @@ func checkedManifest() *Manifest {
 // Two ~60-byte binary manifests once crashed an agent (keys -2^31 and 0:
 // the span overflowed int32 and makeslice panicked) or made it allocate
 // about 2 GB (keys 0 and 2^26). Both now fail the install check: the sync
-// errors and the agent keeps the manifest it had.
+// errors and the agent keeps the manifest it had. So does a manifest of
+// 65 classes, one more than a Decider indexes.
 func TestHostileManifestsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		k0a, k0b int
+		m        *Manifest
+		maxBytes int    // the repro's wire size bound
+		err      string // what the rejection names
 	}{
-		{"int32-overflow", math.MinInt32, 0},
-		{"wide-span", 0, 1 << 26},
+		{"int32-overflow", hostileManifest(math.MinInt32, 0), 64, "unit key"},
+		{"wide-span", hostileManifest(0, 1<<26), 64, "unit key"},
+		{"65-classes", wideManifest(65), 2048, "65 classes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			wire := AppendManifestBinary(nil, hostileManifest(tc.k0a, tc.k0b))
-			if len(wire) > 64 {
-				t.Fatalf("repro is %d wire bytes, want about 60", len(wire))
+			wire := AppendManifestBinary(nil, tc.m)
+			if len(wire) > tc.maxBytes {
+				t.Fatalf("repro is %d wire bytes, want at most %d", len(wire), tc.maxBytes)
 			}
 			m, err := DecodeManifestBinary(wire)
 			if err != nil {
@@ -70,7 +86,7 @@ func TestHostileManifestsRejected(t *testing.T) {
 			if err := a.install(prev); err != nil {
 				t.Fatal(err)
 			}
-			if err := a.install(m); err == nil || !strings.Contains(err.Error(), "unit key") {
+			if err := a.install(m); err == nil || !strings.Contains(err.Error(), tc.err) {
 				t.Fatalf("install accepted the hostile manifest (err %v)", err)
 			}
 			if a.Manifest() != prev || a.Decider().Epoch() != prev.Epoch {
@@ -170,6 +186,8 @@ func FuzzInstallManifest(f *testing.F) {
 	f.Add(AppendManifestBinary(nil, hostileManifest(math.MinInt32, 0)))
 	f.Add(AppendManifestBinary(nil, hostileManifest(0, 1<<26)))
 	f.Add(AppendManifestBinary(nil, nanShedManifest(40)))
+	f.Add(AppendManifestBinary(nil, wideManifest(64)))
+	f.Add(AppendManifestBinary(nil, wideManifest(65)))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := DecodeManifestBinary(b)
 		if err != nil || checkManifest(m) != nil {

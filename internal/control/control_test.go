@@ -3,9 +3,11 @@ package control
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,6 +68,36 @@ func TestManifestFromPlanValidatesNode(t *testing.T) {
 	plan, _ := solvedPlan(t, 1)
 	if _, err := ManifestFromPlan(plan, 99, 1, 1); err == nil {
 		t.Fatal("expected out-of-range error")
+	}
+}
+
+// A plan of 64 classes has a manifest; one of 65 has none, as no agent
+// could install it.
+func TestManifestFromPlanClassBound(t *testing.T) {
+	topo := topology.Internet2()
+	sessions := traffic.Generate(topo, traffic.Gravity(topo), traffic.GenConfig{Sessions: 300, Seed: 1})
+	for _, n := range []int{64, 65} {
+		classes := make([]core.Class, n)
+		for i := range classes {
+			classes[i] = core.Class{Name: fmt.Sprint("c", i), Scope: core.PerIngress, Agg: core.BySource, CPUPerPkt: 1, MemPerItem: 100}
+		}
+		inst, err := core.BuildInstance(topo, classes, sessions, core.UniformCaps(topo.N(), 1e7, 1e9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := core.Solve(inst, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := ManifestFromPlan(plan, 0, 1, 1)
+		switch {
+		case n <= 64 && err != nil:
+			t.Fatalf("%d classes: %v", n, err)
+		case n <= 64:
+			NewDecider(m)
+		case err == nil || !strings.Contains(err.Error(), "classes"):
+			t.Fatalf("%d classes: manifest built (err %v)", n, err)
+		}
 	}
 }
 

@@ -90,12 +90,6 @@ type ControllerOptions struct {
 	// ownership and closes it on Close. This is the seam fault-injecting
 	// wrappers such as chaos.Gate interpose at.
 	Listener net.Listener
-	// DeltaHistory is how many past configuration generations the
-	// controller retains for serving deltas (0 selects 8; negative
-	// disables delta serving — every "delta" request falls back to a full
-	// manifest). An agent whose held epoch has aged out of the window
-	// receives a full manifest, the documented epoch-gap fallback.
-	DeltaHistory int
 	// Ledger, when non-nil, receives a tamper-evident record of every
 	// publish: UpdatePlan and PublishShed commit the full post-publish
 	// canonical manifest set (off-chain, content-addressed) plus the live
@@ -111,6 +105,12 @@ type ControllerOptions struct {
 	Fleet *telemetry.Fleet
 }
 
+// deltaHistory is how many configuration generations the controller
+// retains for serving deltas, the current one included. An agent whose
+// held epoch has aged out of the window receives a full manifest, the
+// documented epoch-gap fallback.
+const deltaHistory = 8
+
 // maxRequestLine bounds each request-line read. Real requests are tens of
 // bytes; without a cap, a peer streaming bytes that never include a
 // newline would grow the controller's read buffer without bound.
@@ -125,7 +125,6 @@ const idleTimeout = 10 * time.Second
 // Safe for concurrent use; UpdatePlan may be called while agents fetch.
 type Controller struct {
 	hashKey uint32
-	histCap int
 	ledger  *ledger.Ledger   // nil = no audit chain
 	fleet   *telemetry.Fleet // nil = no fleet telemetry
 
@@ -169,16 +168,9 @@ func NewControllerOpts(addr string, opts ControllerOptions) (*Controller, error)
 			return nil, fmt.Errorf("control: listen: %w", err)
 		}
 	}
-	histCap := opts.DeltaHistory
-	if histCap == 0 {
-		histCap = 8
-	}
-	if histCap < 0 {
-		histCap = 0
-	}
 	c := &Controller{
-		hashKey: opts.HashKey, histCap: histCap,
-		ledger: opts.Ledger, fleet: opts.Fleet,
+		hashKey: opts.HashKey,
+		ledger:  opts.Ledger, fleet: opts.Fleet,
 		ln: ln, closed: make(chan struct{}), conns: make(map[net.Conn]struct{}),
 
 		epochReqC:    opts.Metrics.Counter("control.requests_epoch"),
@@ -228,16 +220,13 @@ func (c *Controller) UpdatePlan(plan *core.Plan) {
 }
 
 // publishLocked makes g the served generation and retains it for delta
-// serving, aging out the oldest entry past the history cap. Must be called
+// serving, aging out the oldest entry past deltaHistory. Must be called
 // with c.mu held after the epoch bump.
 func (c *Controller) publishLocked(g *generation) {
 	c.cur = g
-	if c.histCap <= 0 {
-		return
-	}
 	c.hist = append(c.hist, g)
-	if len(c.hist) > c.histCap {
-		c.hist = append([]*generation(nil), c.hist[len(c.hist)-c.histCap:]...)
+	if len(c.hist) > deltaHistory {
+		c.hist = append([]*generation(nil), c.hist[len(c.hist)-deltaHistory:]...)
 	}
 }
 

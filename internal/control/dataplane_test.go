@@ -76,104 +76,21 @@ func TestDeciderWidthsPermutationInvariant(t *testing.T) {
 	}
 }
 
-// DecideAll is a pure batching of ShouldAnalyze: the verdicts must agree
-// class for class, on manifests with and without a shed section.
-func TestDecideAllMatchesShouldAnalyze(t *testing.T) {
-	plan, sessions := solvedPlan(t, 12)
-	for node := range plan.Manifests {
-		m, err := ManifestFromPlan(plan, node, 1, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := NewDecider(m)
-		out := make([]bool, len(m.Classes))
-		for _, s := range sessions[:800] {
-			d.DecideAll(s, out)
-			for ci := range m.Classes {
-				if want := d.ShouldAnalyze(ci, s); out[ci] != want {
-					t.Fatalf("node %d class %d session %v: DecideAll %v, ShouldAnalyze %v",
-						node, ci, s.Tuple, out[ci], want)
-				}
-			}
-		}
-	}
-	// With a shed section, and with an oversized out slice (the tail must
-	// be cleared, not left stale).
-	m := shedManifest(t)
-	d := NewDecider(m)
-	_, sessions2 := solvedPlan(t, 13)
-	wide := make([]bool, len(m.Classes)+3)
-	for i := range wide {
-		wide[i] = true
-	}
-	for _, s := range sessions2[:400] {
-		d.DecideAll(s, wide)
-		for ci := range m.Classes {
-			if want := d.ShouldAnalyze(ci, s); wide[ci] != want {
-				t.Fatalf("shed manifest class %d: DecideAll %v, ShouldAnalyze %v", ci, wide[ci], want)
-			}
-		}
-		for i := len(m.Classes); i < len(wide); i++ {
-			if wide[i] {
-				t.Fatalf("DecideAll left stale verdict beyond class count at %d", i)
-			}
-		}
-		for i := range wide {
-			wide[i] = true
-		}
-	}
-}
-
-// DecideMask is the bit-packed form of DecideAll: bit ci of the mask must
-// equal DecideAll's out[ci] on every session, across all nodes' manifests
-// and with a shed section present.
-func TestDecideMaskMatchesDecideAll(t *testing.T) {
-	check := func(t *testing.T, m *Manifest, sessions []traffic.Session) {
-		t.Helper()
-		d := NewDecider(m)
-		out := make([]bool, len(m.Classes))
-		for i := range sessions {
-			mask, ok := d.DecideMask(&sessions[i])
-			if !ok {
-				t.Fatal("mask path unavailable on a <=64-class manifest")
-			}
-			d.DecideAll(sessions[i], out)
-			for ci := range m.Classes {
-				if got := mask&(uint64(1)<<uint(ci)) != 0; got != out[ci] {
-					t.Fatalf("node %d class %d session %v: DecideMask %v, DecideAll %v",
-						m.Node, ci, sessions[i].Tuple, got, out[ci])
-				}
-			}
-			if extra := mask >> uint(len(m.Classes)); extra != 0 {
-				t.Fatalf("DecideMask set bits beyond the class count: %#x", mask)
-			}
-		}
-	}
+// The flattened index must agree with the retained pre-index baseline on
+// every (class, session) decision, through DecideMask and ShouldAnalyze
+// alike, on every node's manifest of a solved plan and on one with a shed
+// section.
+func TestDeciderMatchesBaseline(t *testing.T) {
 	plan, sessions := solvedPlan(t, 16)
 	for node := range plan.Manifests {
 		m, err := ManifestFromPlan(plan, node, 1, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, m, sessions[:600])
+		checkDecider(t, m, sessions[:600])
 	}
-	_, sessions2 := solvedPlan(t, 17)
-	check(t, shedManifest(t), sessions2[:600])
-}
-
-// The flattened index must agree with the retained pre-index baseline on
-// every (class, session) decision — same semantics, different layout.
-func TestDeciderMatchesBaseline(t *testing.T) {
-	m := shedManifest(t)
-	d, b := NewDecider(m), newBaselineDecider(m)
-	_, sessions := solvedPlan(t, 14)
-	for _, s := range sessions[:1000] {
-		for ci := range m.Classes {
-			if got, want := d.ShouldAnalyze(ci, s), b.ShouldAnalyze(ci, s); got != want {
-				t.Fatalf("class %d session %v: index %v, baseline %v", ci, s.Tuple, got, want)
-			}
-		}
-	}
+	_, sessions = solvedPlan(t, 14)
+	checkDecider(t, shedManifest(t), sessions[:1000])
 }
 
 // NewDecider shed-subtraction edge cases, pinned against core.ProbeCoverage
@@ -271,14 +188,13 @@ func TestDeciderShedSubtractionEdgeCases(t *testing.T) {
 	}
 }
 
-// The decision path — ShouldAnalyze, DecideAll, CoversUnit — must not
+// The decision path — ShouldAnalyze, DecideMask, CoversUnit — must not
 // allocate: it runs per packet.
 func TestDeciderDecisionPathAllocFree(t *testing.T) {
 	m := shedManifest(t)
 	d := NewDecider(m)
 	_, sessions := solvedPlan(t, 15)
 	sessions = sessions[:64]
-	out := make([]bool, len(m.Classes))
 	sink := 0
 	if n := testing.AllocsPerRun(100, func() {
 		for _, s := range sessions {
@@ -287,7 +203,6 @@ func TestDeciderDecisionPathAllocFree(t *testing.T) {
 					sink++
 				}
 			}
-			d.DecideAll(s, out)
 			if m, _ := d.DecideMask(&s); m != 0 {
 				sink++
 			}
@@ -302,8 +217,9 @@ func TestDeciderDecisionPathAllocFree(t *testing.T) {
 }
 
 // BenchmarkDataplaneDecide is the decision-rate microbenchmark: the
-// pre-index reference (decider_ref_test.go), the flattened index, and the
-// batched form, in decisions (class verdicts) per benchmark op.
+// pre-index reference (decider_ref_test.go) and the flattened index per
+// class, in decisions (class verdicts) per benchmark op, and the mask
+// form, in sessions per op.
 func BenchmarkDataplaneDecide(b *testing.B) {
 	plan, sessions := benchPlan(b)
 	m, err := ManifestFromPlan(plan, 4, 1, 7)
@@ -334,21 +250,6 @@ func BenchmarkDataplaneDecide(b *testing.B) {
 			s := sessions[i&1023]
 			for ci := 0; ci < L; ci++ {
 				if d.ShouldAnalyze(ci, s) {
-					hits++
-				}
-			}
-		}
-		_ = hits
-	})
-	b.Run("flat-index-batch", func(b *testing.B) {
-		d := NewDecider(m)
-		out := make([]bool, L)
-		b.ReportAllocs()
-		hits := 0
-		for i := 0; i < b.N; i++ {
-			d.DecideAll(sessions[i&1023], out)
-			for _, v := range out {
-				if v {
 					hits++
 				}
 			}

@@ -2,6 +2,7 @@ package control
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"nwdeploy/internal/core"
@@ -17,10 +18,10 @@ import (
 // scope slot one unit directory over (k0, k1) addresses the unit's group
 // of entries, one per class with a non-empty effective range. Every query
 // goes through it: DecideMask performs at most three unit lookups per
-// session, and ShouldAnalyze and UnitRanges find their class's entry in
-// the group of the class's scope. Entries sit next to their class id,
-// agg slot and (almost always single) range bounds; the ranges of every
-// entry live in one shared hashing.Arena. A lookup is then an array load
+// session, and UnitRanges finds its class's entry in the group of the
+// class's scope. Entries sit next to their class id, agg slot and (almost
+// always single) range bounds; the ranges of every entry live in one
+// shared hashing.Arena. A lookup is then an array load
 // or two, a scan of a near-always-tiny bucket or group, and a range
 // compare — no map hashing, no pointer chase, and no allocation. The
 // widths are precomputed at build time in canonical (class,
@@ -32,12 +33,15 @@ import (
 // A Decider is immutable once NewDecider returns: every method only reads
 // it and the session, so it is safe for concurrent use. bro.Run relies on
 // that: a helper goroutine calls DecideMask for the sessions ahead while
-// the engine may be deciding others, or asking ShouldAnalyze.
+// the engine may be deciding others.
+//
+// A manifest has at most 64 classes (checkManifest's bound), so every
+// class set is one word: bit c of a mask is class c.
 type Decider struct {
 	manifest *Manifest
 	hasher   hashing.Hasher
 	arena    hashing.Arena
-	meta     []classMeta // indexed by class; len(manifest.Classes)
+	scope    []uint8 // scope slot of each class; len(manifest.Classes)
 
 	// units[s] is scope slot s's unit directory; its groups address
 	// contiguous runs of entries. scopeMask[s] is the set of classes with
@@ -50,13 +54,9 @@ type Decider struct {
 	assignedWidth float64
 	shedWidth     float64
 
-	// Eligibility masks (manifests with at most 64 classes, i.e. all of
-	// them in practice): bit ci of a mask marks class ci. DecideMask
-	// resolves the session filter of every class at once — one transport
-	// mask fetch, one port-list scan — and then visits only the surviving
-	// classes, instead of running each class's transport/port checks in
-	// turn. maskable gates the path.
-	maskable     bool
+	// Eligibility masks. DecideMask resolves the session filter of every
+	// class at once — one transport mask fetch, one port-list scan — and
+	// then visits only the surviving classes.
 	nonEmptyMask uint64   // classes with at least one non-empty entry
 	anyTransport uint64   // classes with no transport restriction
 	transports   []uint8  // distinct restricted transports
@@ -103,8 +103,7 @@ type unitIndex struct {
 
 // ugroup is one unit's run of entries. The fractional entries come first,
 // so DecideMask scans only them; a whole entry's verdict needs no hash,
-// since every hash lies in [0, 1 − 2⁻³²] and so inside [0, 1). The masks
-// are set for manifests of at most 64 classes.
+// since every hash lies in [0, 1 − 2⁻³²] and so inside [0, 1).
 type ugroup struct {
 	whole uint64 // classes whose entry is all of [0, 1)
 	frac  uint64 // classes whose entry is a proper part of it
@@ -157,42 +156,6 @@ func (e *uentry) contains(a *hashing.Arena, h float64) bool {
 	return h >= e.lo && h < e.hi || e.multi && a.Contains(e.span, h)
 }
 
-// classMeta is the per-class session filter, copied out of the wire form
-// at build time so the per-packet path reads one compact struct instead
-// of chasing the manifest's WireClass slices.
-type classMeta struct {
-	transport uint8
-	scopeSlot uint8
-	aggSlot   uint8
-	nPorts    uint8
-	ports     [4]uint16 // inline fast path; portsExt when nPorts > 4
-	portsExt  []uint16
-}
-
-func (cm *classMeta) matches(t hashing.FiveTuple) bool {
-	if cm.transport != 0 && t.Proto != cm.transport {
-		return false
-	}
-	if cm.nPorts == 0 {
-		return true
-	}
-	n := int(cm.nPorts)
-	if n <= len(cm.ports) {
-		for i := 0; i < n; i++ {
-			if cm.ports[i] == t.DstPort {
-				return true
-			}
-		}
-		return false
-	}
-	for _, p := range cm.portsExt {
-		if p == t.DstPort {
-			return true
-		}
-	}
-	return false
-}
-
 // akey is the canonical build-time identity of one (class, unit)
 // assignment, with the unit key unpacked into bucket coordinates.
 type akey struct {
@@ -222,27 +185,20 @@ func appendRanges(dst hashing.RangeSet, ws []WireRange) hashing.RangeSet {
 // NewDecider indexes a manifest for per-packet use. Shed ranges are
 // subtracted at index time: the effective assignment a decider enforces is
 // Assignments minus Shed, exactly the responsibility the governor kept.
+// It panics on a manifest of more than 64 classes, which checkManifest
+// rejects before any install.
 func NewDecider(m *Manifest) *Decider {
+	nClasses := len(m.Classes)
+	if nClasses > maxWireClasses {
+		panic(fmt.Sprintf("control: NewDecider: manifest has %d classes, more than %d", nClasses, maxWireClasses))
+	}
 	d := &Decider{
 		manifest: m,
 		hasher:   hashing.Hasher{Key: m.HashKey},
+		scope:    make([]uint8, nClasses),
 	}
-	// Per-class session filters, copied into compact form for the
-	// per-packet path.
-	nClasses := len(m.Classes)
-	d.meta = make([]classMeta, nClasses)
 	for i, c := range m.Classes {
-		cm := &d.meta[i]
-		cm.transport = c.Transport
-		cm.scopeSlot = uint8(scopeSlot(core.Scope(c.Scope)))
-		cm.aggSlot = uint8(aggSlot(core.Aggregation(c.Agg)))
-		if len(c.Ports) <= len(cm.ports) {
-			cm.nPorts = uint8(len(c.Ports))
-			copy(cm.ports[:], c.Ports)
-		} else {
-			cm.nPorts = 0xFF
-			cm.portsExt = c.Ports
-		}
+		d.scope[i] = uint8(scopeSlot(core.Scope(c.Scope)))
 	}
 	// Walk the assignments and the shed in (class, unit-key) order, side
 	// by side. Of a duplicated key the last entry wins, and a shed entry
@@ -297,13 +253,14 @@ func NewDecider(m *Manifest) *Decider {
 		if sp.Len() == 0 {
 			continue
 		}
-		e := uentry{span: sp, class: int32(k.class), agg: d.meta[k.class].aggSlot, multi: sp.Len() > 1}
+		agg := uint8(aggSlot(core.Aggregation(m.Classes[k.class].Agg)))
+		e := uentry{span: sp, class: int32(k.class), agg: agg, multi: sp.Len() > 1}
 		if !e.multi {
 			var one [1]hashing.Range
 			r := d.arena.AppendRanges(one[:0], sp)[0]
 			e.lo, e.hi = r.Lo, r.Hi
 		}
-		keys = append(keys, ukey{k.k0, k.k1, d.meta[k.class].scopeSlot, e})
+		keys = append(keys, ukey{k.k0, k.k1, d.scope[k.class], e})
 	}
 	d.buildMasks(m)
 	d.buildUnitIndex(keys)
@@ -339,7 +296,7 @@ func (d *Decider) Epoch() uint64 { return d.manifest.Epoch }
 // entry finds the class's entry for unit key (k0, k1) in the group of
 // the class's scope, or nil.
 func (d *Decider) entry(class int, k0, k1 int32) *uentry {
-	ui := &d.units[d.meta[class].scopeSlot]
+	ui := &d.units[d.scope[class]]
 	g := ui.lookup(k0, k1)
 	if g < 0 {
 		return nil
@@ -358,7 +315,7 @@ func (d *Decider) entry(class int, k0, k1 int32) *uentry {
 // only to grow dst, so audits and the runtime's governing can reuse one
 // buffer across units.
 func (d *Decider) UnitRanges(dst hashing.RangeSet, class int, key [2]int) hashing.RangeSet {
-	if class < 0 || class >= len(d.meta) {
+	if class < 0 || class >= len(d.scope) {
 		return dst
 	}
 	if e := d.entry(class, int32(key[0]), int32(key[1])); e != nil {
@@ -377,37 +334,10 @@ func (d *Decider) UnitRanges(dst hashing.RangeSet, class int, key [2]int) hashin
 // could drift by an ULP between runs).
 func (d *Decider) AssignedWidth() float64 { return d.assignedWidth }
 
-// ShouldAnalyze resolves whether this node analyzes the session for the
-// class. Unit resolution follows the class scope exactly as the planner's
-// Instance.UnitFor does, but using only the session's addressing (the
-// node-prefix convention stands in for the paper's prefix-to-ingress
-// configuration files).
-func (d *Decider) ShouldAnalyze(class int, s traffic.Session) bool {
-	if class < 0 || class >= len(d.meta) {
-		return false
-	}
-	cm := &d.meta[class]
-	if !cm.matches(s.Tuple) {
-		return false
-	}
-	k0, k1 := sessionKey(cm.scopeSlot, s)
-	e := d.entry(class, k0, k1)
-	if e == nil {
-		return false
-	}
-	return e.whole() || e.contains(&d.arena, d.hashFor(cm.aggSlot, s.Tuple))
-}
-
 // buildMasks precomputes the per-class eligibility bitmasks DecideMask
-// uses. Manifests with more than 64 classes (none exist in
-// practice; the paper tops out at 21 modules) fall back to the per-class
-// filter loop.
+// uses.
 func (d *Decider) buildMasks(m *Manifest) {
-	if len(d.meta) > 64 {
-		return
-	}
-	d.maskable = true
-	for ci := range d.meta {
+	for ci := range d.scope {
 		bit := uint64(1) << uint(ci)
 		c := &m.Classes[ci]
 		if c.Transport == 0 {
@@ -553,16 +483,16 @@ func (d *Decider) buildUnitIndex(keys []ukey) {
 		ui := &d.units[sc]
 		ui.groups, groups = groups[:s.units+1:s.units+1], groups[s.units+1:]
 		n := s.cols()
-		d.scopeMask[sc] = ui.build(keys[s.lo:s.hi], s, cols[:n:n], d.maskable)
+		d.scopeMask[sc] = ui.build(keys[s.lo:s.hi], s, cols[:n:n])
 		cols = cols[n:]
 		d.nonEmptyMask |= d.scopeMask[sc]
 	}
 }
 
 // build fills a scope's directory and groups from its entries, seg, sorted
-// by unit key and starting at entry s.lo, in cols; with masks set it
-// fills the groups' class masks too, and returns their union.
-func (ui *unitIndex) build(seg []ukey, s *scopeShape, cols []int32, masks bool) uint64 {
+// by unit key and starting at entry s.lo, in cols, and the groups' class
+// masks, and returns their union.
+func (ui *unitIndex) build(seg []ukey, s *scopeShape, cols []int32) uint64 {
 	ui.minK0, ui.minK1 = s.min0, s.min1
 	w0, w1, grid := s.grid()
 	if grid {
@@ -590,20 +520,15 @@ func (ui *unitIndex) build(seg []ukey, s *scopeShape, cols []int32, masks bool) 
 			}
 		}
 		g := &ui.groups[u]
-		whole := k.e.whole()
-		if !whole {
+		bit := uint64(1) << uint(k.e.class)
+		if k.e.whole() {
+			g.whole |= bit
+		} else {
+			g.frac |= bit
 			g.fhi = int32(s.lo + i + 1)
 			g.aggs |= 1 << k.e.agg
 		}
-		if masks {
-			bit := uint64(1) << uint(k.e.class)
-			if whole {
-				g.whole |= bit
-			} else {
-				g.frac |= bit
-			}
-			union |= bit
-		}
+		union |= bit
 	}
 	ui.groups[u+1].lo = int32(s.hi)
 	for b := 1; b < len(ui.firstIdx); b++ {
@@ -636,26 +561,10 @@ func (d *Decider) eligibleMask(t hashing.FiveTuple) uint64 {
 	return em & ports & d.nonEmptyMask
 }
 
-// sessionKey resolves the session's coordination-unit key for a scope slot
-// (the GETCOORDUNIT step of Figure 3).
-func sessionKey(slot uint8, s traffic.Session) (int32, int32) {
-	switch slot {
-	case 1: // PerIngress
-		return int32(s.Src), -1
-	case 2: // PerEgress
-		return int32(s.Dst), -1
-	default: // PerPath
-		a, b := s.Src, s.Dst
-		if a > b {
-			a, b = b, a
-		}
-		return int32(a), int32(b)
-	}
-}
-
-// allSessionKeys resolves the unit keys of all three scopes at once,
-// branch-predictably, for the batch path (computing an unneeded key is two
-// register moves; a mispredicted memoization branch costs more).
+// allSessionKeys resolves the session's coordination-unit keys (the
+// GETCOORDUNIT step of Figure 3) of all three scopes at once,
+// branch-predictably (computing an unneeded key is two register moves; a
+// mispredicted memoization branch costs more).
 func allSessionKeys(src, dst int) [3][2]int32 {
 	a, b := src, dst
 	if a > b {
@@ -668,23 +577,9 @@ func allSessionKeys(src, dst int) [3][2]int32 {
 	}
 }
 
-// hashFor computes the selection hash for an aggregation slot.
-func (d *Decider) hashFor(slot uint8, t hashing.FiveTuple) float64 {
-	switch slot {
-	case 1:
-		return d.hasher.Flow(t)
-	case 2:
-		return d.hasher.Source(t)
-	case 3:
-		return d.hasher.Destination(t)
-	default:
-		return d.hasher.Session(t)
-	}
-}
-
 // scopeSlot and aggSlot map the class enums onto small dense memo slots,
-// with unknown values collapsing onto the same defaults ShouldAnalyze
-// uses (PerPath, BySession).
+// with unknown values collapsing onto the planner's defaults (PerPath,
+// BySession).
 func scopeSlot(sc core.Scope) int {
 	switch sc {
 	case core.PerIngress:
@@ -709,23 +604,21 @@ func aggSlot(agg core.Aggregation) int {
 	}
 }
 
-// DecideMask resolves ShouldAnalyze for every class of the manifest in one
-// pass, packed into one word: bit c set means class c analyzes the
-// session. It looks up the session's unit once per scope an eligible
-// class uses; of each hit group, the eligible classes with a whole entry
-// are in at once, and only when an eligible class has a fractional entry
-// does it hash the session (once per aggregation those entries use) and
-// scan them. It is the data plane's form — the engine scatters the word
-// straight into its bit-packed pass set, and the pointer argument spares
-// the per-call 64-byte Session copy the value-receiver interface pays. The
-// session is only read. ok is false when the manifest exceeds 64 classes
-// (then callers must fall back to ShouldAnalyze per class; no real
-// deployment does — the paper's scaling sweep tops out at 21 modules).
-// Allocation-free.
+// DecideMask runs the Figure 3 check for every class of the manifest in
+// one pass, packed into one word: bit c set means class c analyzes the
+// session. Unit resolution follows the class scope exactly as the
+// planner's Instance.UnitFor does, but using only the session's
+// addressing (the node-prefix convention stands in for the paper's
+// prefix-to-ingress configuration files). It looks up the session's unit
+// once per scope an eligible class uses; of each hit group, the eligible
+// classes with a whole entry are in at once, and only when an eligible
+// class has a fractional entry does it hash the session (once per
+// aggregation those entries use) and scan them. It is the data plane's
+// form — the engine ANDs the word with its own match mask — and the
+// pointer argument spares the per-call 64-byte Session copy a by-value
+// argument pays. The session is only read. ok is always true: every
+// manifest a Decider indexes fits one word. Allocation-free.
 func (d *Decider) DecideMask(s *traffic.Session) (mask uint64, ok bool) {
-	if !d.maskable {
-		return 0, false
-	}
 	em := d.eligibleMask(s.Tuple)
 	if em == 0 {
 		return 0, true

@@ -10,11 +10,11 @@ import (
 
 // This file keeps the per-packet check the flattened-index Decider replaced
 // — a map keyed by (class, unit) whose values are the heap-allocated
-// RangeSets, scanned linearly per lookup — as the test-only oracle the
-// index is checked against (TestDeciderMatchesBaseline) and the
-// "baseline-map" arm of BenchmarkDataplaneDecide. It also keeps DecideAll,
-// the []bool-row batch form DecideMask replaced on the data plane, which
-// the decision-path tests still compare against.
+// RangeSets, scanned linearly per lookup, one class at a time — as the
+// test-only oracle DecideMask is checked against (checkDecider) and the
+// "baseline-map" arm of BenchmarkDataplaneDecide. It also keeps the
+// tests' per-class and point queries of a Decider, ShouldAnalyze and
+// CoversUnit.
 
 type baselineDecider struct {
 	manifest *Manifest
@@ -143,56 +143,15 @@ func (d *baselineDecider) ShouldAnalyze(class int, s traffic.Session) bool {
 	return rs.Contains(h)
 }
 
-// DecideAll resolves ShouldAnalyze for every class of the manifest in one
-// pass, writing the verdicts into out (out[c] for class c; classes beyond
-// len(out) are skipped, out entries beyond the class count are zeroed).
-// It is the batch form of the Figure 3 check the data plane runs per
-// session: the session's unit keys (one per scope) and selection hashes
-// (one per aggregation) are computed at most once each and shared across
-// classes, where per-class ShouldAnalyze calls recompute the hash for
-// every class. The result is identical to calling ShouldAnalyze per
-// class. Allocation-free.
-func (d *Decider) DecideAll(s traffic.Session, out []bool) {
-	n := len(d.meta)
-	if n > len(out) {
-		n = len(out)
+// ShouldAnalyze is the per-class form of the decision the tests hold to
+// the planner and to the baseline: bit class of DecideMask's word, false
+// for a class the manifest does not declare.
+func (d *Decider) ShouldAnalyze(class int, s traffic.Session) bool {
+	if class < 0 || class >= len(d.scope) {
+		return false
 	}
-	for i := n; i < len(out); i++ {
-		out[i] = false
-	}
-	if d.maskable {
-		m, _ := d.DecideMask(&s)
-		for ci := 0; ci < n; ci++ {
-			out[ci] = m&(uint64(1)<<uint(ci)) != 0
-		}
-		return
-	}
-	var keys [3][2]int32
-	var haveKey [3]bool
-	var hashes [4]float64
-	var haveHash [4]bool
-	for ci := 0; ci < n; ci++ {
-		out[ci] = false
-		cm := &d.meta[ci]
-		if !cm.matches(s.Tuple) {
-			continue
-		}
-		ks := cm.scopeSlot
-		if !haveKey[ks] {
-			keys[ks][0], keys[ks][1] = sessionKey(ks, s)
-			haveKey[ks] = true
-		}
-		e := d.entry(ci, keys[ks][0], keys[ks][1])
-		if e == nil {
-			continue
-		}
-		hs := cm.aggSlot
-		if !haveHash[hs] {
-			hashes[hs] = d.hashFor(hs, s.Tuple)
-			haveHash[hs] = true
-		}
-		out[ci] = e.contains(&d.arena, hashes[hs])
-	}
+	m, _ := d.DecideMask(&s)
+	return m>>uint(class)&1 != 0
 }
 
 // CoversUnit reports whether this manifest assigns hash point x of the
@@ -200,7 +159,7 @@ func (d *Decider) DecideAll(s traffic.Session, out []bool) {
 // complement of ShouldAnalyze, and the point form of UnitRanges, which the
 // cluster runtime's coverage audit reads instead.
 func (d *Decider) CoversUnit(class int, key [2]int, x float64) bool {
-	if class < 0 || class >= len(d.meta) {
+	if class < 0 || class >= len(d.scope) {
 		return false
 	}
 	e := d.entry(class, int32(key[0]), int32(key[1]))

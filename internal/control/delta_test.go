@@ -310,7 +310,7 @@ func TestSubscribeDeltaEndToEnd(t *testing.T) {
 // resync.
 func TestSubscribeEpochGapFallsBackToFull(t *testing.T) {
 	plan, _ := solvedPlan(t, 4)
-	ctrl, err := NewControllerOpts("127.0.0.1:0", ControllerOptions{HashKey: 7, DeltaHistory: 2})
+	ctrl, err := NewController("127.0.0.1:0", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,16 +323,16 @@ func TestSubscribeEpochGapFallsBackToFull(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Push the history window (2) past the agent's held epoch 1.
-	for i := 0; i < 4; i++ {
+	// Push the history window past the agent's held epoch 1.
+	for i := 0; i < deltaHistory; i++ {
 		ctrl.UpdatePlan(plan)
 	}
 	sub, err := a.Subscribe(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u := sub.Last(); !u.Changed || !u.Full || u.Epoch != 5 {
-		t.Fatalf("gap sync: %+v, want full install of epoch 5", u)
+	if u := sub.Last(); !u.Changed || !u.Full || u.Epoch != deltaHistory+1 {
+		t.Fatalf("gap sync: %+v, want full install of epoch %d", u, deltaHistory+1)
 	}
 
 	// Within the window again: back to deltas.
@@ -341,8 +341,8 @@ func TestSubscribeEpochGapFallsBackToFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u := sub.Last(); !u.Changed || u.Full || u.Epoch != 6 {
-		t.Fatalf("in-window sync: %+v, want delta install of epoch 6", u)
+	if u := sub.Last(); !u.Changed || u.Full || u.Epoch != deltaHistory+2 {
+		t.Fatalf("in-window sync: %+v, want delta install of epoch %d", u, deltaHistory+2)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"nwdeploy/internal/hashing"
@@ -254,9 +255,23 @@ func deciderSessions(rng *rand.Rand, n int) []traffic.Session {
 	return out
 }
 
-// checkDecider compares every query of the index against the baseline.
+// checkDecider compares every query of the index against the baseline. A
+// manifest of more than 64 classes has no index: the install check must
+// reject it and NewDecider must panic on it.
 func checkDecider(t *testing.T, m *Manifest, sessions []traffic.Session) {
 	t.Helper()
+	if len(m.Classes) > 64 {
+		if err := checkManifest(m); err == nil || !strings.Contains(err.Error(), "classes") {
+			t.Fatalf("install check admits %d classes (err %v)", len(m.Classes), err)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("NewDecider indexed %d classes", len(m.Classes))
+			}
+		}()
+		NewDecider(m)
+		return
+	}
 	d, ref := NewDecider(m), newBaselineDecider(m)
 	if got, want := d.AssignedWidth(), refWidth(ref.ranges, len(m.Classes)); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("AssignedWidth %v, reference %v", got, want)
@@ -291,15 +306,18 @@ func checkDecider(t *testing.T, m *Manifest, sessions []traffic.Session) {
 	for i := range sessions {
 		s := &sessions[i]
 		mask, ok := d.DecideMask(s)
-		if ok != (len(m.Classes) <= 64) {
-			t.Fatalf("DecideMask ok %v with %d classes", ok, len(m.Classes))
+		if !ok {
+			t.Fatalf("DecideMask ok false with %d classes", len(m.Classes))
+		}
+		if mask>>uint(len(m.Classes)) != 0 {
+			t.Fatalf("session %d: DecideMask %#x sets bits past %d classes", i, mask, len(m.Classes))
 		}
 		for c := -1; c <= len(m.Classes); c++ {
 			want := ref.ShouldAnalyze(c, *s)
 			if got := d.ShouldAnalyze(c, *s); got != want {
 				t.Fatalf("session %d class %d: ShouldAnalyze %v, reference %v", i, c, got, want)
 			}
-			if ok && c >= 0 && c < len(m.Classes) && (mask>>uint(c)&1 == 1) != want {
+			if c >= 0 && c < len(m.Classes) && (mask>>uint(c)&1 == 1) != want {
 				t.Fatalf("session %d class %d: DecideMask bit %v, reference %v", i, c, !want, want)
 			}
 		}
@@ -307,12 +325,13 @@ func checkDecider(t *testing.T, m *Manifest, sessions []traffic.Session) {
 }
 
 // decideManifest draws the manifest FuzzDecideMask checks: a few classes,
-// or more than 64 when wide. Most draws are randManifest's assignments and
+// or 63 to 68 when wide: the bound itself, and past it the manifests
+// checkDecider requires to be rejected. Most draws are randManifest's assignments and
 // shed of every shape; one in four is shaped like a real plan's.
 func decideManifest(rng *rand.Rand, wide bool) *Manifest {
 	n := 1 + rng.Intn(5)
 	if wide {
-		n = 65 + rng.Intn(4)
+		n = 63 + rng.Intn(6)
 	}
 	m := randManifest(rng, randClasses(rng, n), true)
 	if rng.Intn(4) == 0 {

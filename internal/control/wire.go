@@ -62,7 +62,7 @@ type Manifest struct {
 	Assignments []WireAssignment `json:"assignments"`
 	// Shed lists ranges within Assignments that the node's load governor
 	// has given up under overload: the decider subtracts them from the
-	// assignment before answering ShouldAnalyze, so peers and audits see
+	// assignment before answering DecideMask, so peers and audits see
 	// exactly the responsibility that was dropped. Empty in steady state
 	// (and omitted from the wire form, keeping the base encoding stable).
 	Shed []WireAssignment `json:"shed,omitempty"`
@@ -75,11 +75,13 @@ type Manifest struct {
 // class's units by a dense array over its first unit-key component, so an
 // unbounded key (or a huge class count times a wide key span) would let a
 // few wire bytes allocate gigabytes. maxWireNodes is above every topology
-// and fleet the project runs (1000 agents at most); maxWireClasses is far
-// above the 21 modules of the paper's scaling sweep.
+// and fleet the project runs (1000 agents at most). maxWireClasses is the
+// bound the data plane is built for: every class set is one 64-bit word,
+// from the Decider's masks to the engine's rows, three times the 21
+// modules of the paper's scaling sweep.
 const (
 	maxWireNodes   = 1 << 12
-	maxWireClasses = 1 << 10
+	maxWireClasses = 64
 )
 
 // checkManifest is the gate every manifest an agent installs passes,
@@ -155,9 +157,13 @@ func ShedFromRanges(plan *core.Plan, shed map[int]hashing.RangeSet) []WireAssign
 // — the property the delta protocol's byte-level fixtures and the
 // same-seed determinism tests rely on (the manifest's Ranges field is a
 // map, whose iteration order would otherwise leak into the wire bytes).
+// A plan of more than maxWireClasses classes has no manifest.
 func ManifestFromPlan(plan *core.Plan, node int, epoch uint64, hashKey uint32) (*Manifest, error) {
 	if node < 0 || node >= len(plan.Manifests) {
 		return nil, fmt.Errorf("control: node %d out of range", node)
+	}
+	if n := len(plan.Inst.Classes); n > maxWireClasses {
+		return nil, fmt.Errorf("control: plan has %d classes, more than %d", n, maxWireClasses)
 	}
 	return &Manifest{
 		Node: node, Epoch: epoch, HashKey: hashKey,

@@ -249,7 +249,8 @@ func TestShedsPredicateMatchesCovers(t *testing.T) {
 				x := plan.Inst.Classes[ci].HashOf(h, s.Tuple)
 				planned := plan.ShouldAnalyze(g.node, ci, s, h)
 				want := planned && !g.shed[ui].Contains(x)
-				if got := d.ShouldAnalyze(ci, s); got != want {
+				mask, _ := d.DecideMask(&s)
+				if got := mask>>uint(ci)&1 != 0; got != want {
 					t.Fatalf("node %d class %d: decider=%v, plan=%v with shed ranges %v at x=%v",
 						g.node, ci, got, planned, g.shed[ui], x)
 				}
