@@ -76,20 +76,66 @@ func TestDeciderWidthsPermutationInvariant(t *testing.T) {
 	}
 }
 
-// The flattened index must agree with the retained pre-index baseline on
-// every (class, session) decision, through DecideMask and ShouldAnalyze
-// alike, on every node's manifest of a solved plan and on one with a shed
-// section.
-func TestDeciderMatchesBaseline(t *testing.T) {
+// DecideMask decides all of a session's classes in one call: class by
+// class its word must be the baseline's per-class ShouldAnalyze, with no
+// bit past the class count, on every node's manifest of a solved plan and
+// on one with a shed section. (The name is that of DecideAll, the
+// bool-slice batch form the word replaced.)
+func TestDecideAllMatchesShouldAnalyze(t *testing.T) {
+	plan, sessions := solvedPlan(t, 12)
+	for node := range plan.Manifests {
+		m, err := ManifestFromPlan(plan, node, 1, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDecider(t, m, sessions[:800])
+	}
+	_, sessions = solvedPlan(t, 13)
+	checkDecider(t, shedManifest(t), sessions[:400])
+}
+
+// DecideMask reads its session through a pointer: it must leave the
+// session as it was and answer, as one word, what the baseline decides
+// class by class, on every node's manifest and on the shed one.
+func TestDecideMaskMatchesDecideAll(t *testing.T) {
+	check := func(t *testing.T, m *Manifest, sessions []traffic.Session) {
+		t.Helper()
+		d, ref := NewDecider(m), newBaselineDecider(m)
+		for i := range sessions {
+			s := sessions[i]
+			got, _ := d.DecideMask(&s)
+			if s != sessions[i] {
+				t.Fatalf("node %d session %d: DecideMask changed the session", m.Node, i)
+			}
+			var want uint64
+			for ci := range m.Classes {
+				if ref.ShouldAnalyze(ci, s) {
+					want |= uint64(1) << uint(ci)
+				}
+			}
+			if got != want {
+				t.Fatalf("node %d session %v: DecideMask %#x, baseline %#x", m.Node, s.Tuple, got, want)
+			}
+		}
+	}
 	plan, sessions := solvedPlan(t, 16)
 	for node := range plan.Manifests {
 		m, err := ManifestFromPlan(plan, node, 1, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkDecider(t, m, sessions[:600])
+		check(t, m, sessions[:600])
 	}
-	_, sessions = solvedPlan(t, 14)
+	_, sessions = solvedPlan(t, 17)
+	check(t, shedManifest(t), sessions[:600])
+}
+
+// The flattened index must agree with the retained pre-index baseline on
+// every (class, session) decision, through DecideMask and ShouldAnalyze
+// alike, and on the widths and unit ranges, on a manifest with a shed
+// section.
+func TestDeciderMatchesBaseline(t *testing.T) {
+	_, sessions := solvedPlan(t, 14)
 	checkDecider(t, shedManifest(t), sessions[:1000])
 }
 
